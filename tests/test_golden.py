@@ -1,0 +1,103 @@
+"""Golden-trajectory guard: three short simulator scenarios, each run
+through the pipeline and compared with the output checked in under
+``tests/golden/``.
+
+The scenarios mirror the benchmark workloads at a tenth of their length: a
+circle with every GPS fix 0.2 s late, a waypoint loop whose GPS blackout is
+long enough to enter coast mode, and a figure-eight with a second IMU,
+radar, and late GPS and VSLAM.  A refactor that claims to keep behaviour
+must keep every stored value within 1e-9.  After an intended behaviour
+change, regenerate the files and say why in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/test_golden.py --regenerate
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from navfuse.config import PipelineConfig
+from navfuse.pipeline import FusionPipeline
+from navfuse.simulator import SimScenario, generate
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+ATOL = 1e-9
+#: keep every n-th primary-IMU report of the trajectory
+STRIDE = 10
+
+SCENARIOS = {
+    "circle_gps_late": (
+        {"seed": 3, "duration_s": 8.0,
+         "trajectory": {"type": "circle", "radius": 20.0, "speed": 2.0},
+         "encoder": {"rate_hz": 50.0},
+         "gps": {"rate_hz": 5.0, "delay_s": 0.2}},
+        {},
+    ),
+    "loop_blackout": (
+        {"seed": 4, "duration_s": 10.0,
+         "trajectory": {"type": "waypoints", "loop": True,
+                        "points": [[0.0, 0.0], [8.0, 0.0], [8.0, 6.0],
+                                   [0.0, 6.0]]},
+         "encoder": {"rate_hz": 50.0},
+         "gps": {"rate_hz": 5.0, "dropouts": [{"start": 2.0, "end": 8.5}]}},
+        {},
+    ),
+    "figure_eight_dense": (
+        {"seed": 5, "duration_s": 6.0,
+         "trajectory": {"type": "figure_eight", "radius": 15.0, "speed": 2.0},
+         "imu2": {"enabled": True, "rate_hz": 50.0},
+         "encoder": {"rate_hz": 50.0},
+         "radar": {"enabled": True, "rate_hz": 20.0},
+         "gps": {"rate_hz": 5.0, "delay_s": 0.2},
+         "vslam": {"enabled": True, "rate_hz": 10.0, "delay_s": 0.15}},
+        {"imu2.enabled": True, "radar.enabled": True, "vslam.enabled": True},
+    ),
+}
+
+
+def run_scenario(name: str) -> dict:
+    scenario, config = SCENARIOS[name]
+    _, events = generate(SimScenario.from_dict(scenario))
+    pipe = FusionPipeline(PipelineConfig(config))
+    rows = []
+    for event in events:
+        report = pipe.ingest(event)
+        if report.kind == "imu" and report.dropped is None:
+            rows.append([report.stamp, *report.state.as_vector()])
+    return {"trajectory": rows[::STRIDE],
+            "cov_diag": np.diag(pipe.cov).tolist(),
+            "diagnostics": dict(sorted(pipe.diagnostics.items()))}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_matches_golden(name):
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    out = run_scenario(name)
+    assert out["diagnostics"] == golden["diagnostics"]
+    assert np.shape(out["trajectory"]) == np.shape(golden["trajectory"])
+    np.testing.assert_allclose(out["trajectory"], golden["trajectory"],
+                               rtol=0.0, atol=ATOL)
+    np.testing.assert_allclose(out["cov_diag"], golden["cov_diag"],
+                               rtol=0.0, atol=ATOL)
+
+
+def test_scenarios_exercise_their_paths():
+    """Each scenario must reach the mode it stands for, or the guard
+    covers less than its name says."""
+    diag = {name: json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+            ["diagnostics"] for name in SCENARIOS}
+    assert diag["circle_gps_late"]["retro_replays"] > 0
+    assert diag["loop_blackout"]["coast_entries"] >= 1
+    assert "retro_replays" not in diag["loop_blackout"]
+    assert diag["figure_eight_dense"]["retro_replays"] > 0
+
+
+if __name__ == "__main__" and "--regenerate" in sys.argv:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for key in sorted(SCENARIOS):
+        path = GOLDEN_DIR / f"{key}.json"
+        path.write_text(json.dumps(run_scenario(key), indent=0) + "\n")
+        print(f"wrote {path}")
