@@ -9,7 +9,7 @@ configured baseline so the estimate can never collapse below it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

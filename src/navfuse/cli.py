@@ -26,13 +26,7 @@ from .evaluation import (
     read_trajectory,
     write_trajectory,
 )
-from .events import (
-    GpsFixSample,
-    ImuSample,
-    StreamFormatError,
-    read_stream,
-    write_stream,
-)
+from .events import StreamFormatError, read_stream, write_stream
 from .pipeline import FusionPipeline
 from .simulator import GenerationError, SimScenario, generate
 
@@ -46,10 +40,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _ensure_outdir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
 
 
 def _write_truth(truth, path: str) -> None:
@@ -77,7 +67,7 @@ def cmd_simulate(args) -> int:
         truth, events = generate(scenario)
     except GenerationError as exc:
         raise CliError(f"scenario error: {exc}", EXIT_CONFIG)
-    _ensure_outdir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "stream.txt"), "w",
               encoding="utf-8") as fh:
         write_stream(events, fh)
@@ -111,7 +101,7 @@ def cmd_run(args) -> int:
         raise CliError(f"stream file not found: {args.stream}", EXIT_DATA)
     config = _load_config(args.config, args.disable or [])
     pipeline = FusionPipeline(config)
-    _ensure_outdir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "trajectory.txt")
     steps_path = os.path.join(args.out, "steps.txt")
     bias_path = os.path.join(args.out, "bias_series.txt")
@@ -183,7 +173,7 @@ def cmd_evaluate(args) -> int:
             ref = read_trajectory(fh)
     except ValueError as exc:
         raise CliError(f"bad trajectory: {exc}", EXIT_DATA)
-    _ensure_outdir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     metrics = {
         "ate_rmse_m": ate_rmse(est, ref, max_dt=args.max_dt),
         "ate_rmse_unaligned_m": ate_rmse(est, ref, max_dt=args.max_dt,

@@ -172,9 +172,7 @@ class PipelineConfig:
     def __init__(self, overrides: Optional[Mapping] = None):
         values = dict(DEFAULTS)
         if overrides:
-            flat = _flatten(overrides) if any(
-                isinstance(v, Mapping) for v in overrides.values()
-            ) else dict(overrides)
+            flat = _flatten(overrides)
             unknown = sorted(set(flat) - set(DEFAULTS))
             if unknown:
                 raise ConfigError(f"unknown configuration keys: {unknown}")
@@ -201,22 +199,8 @@ class PipelineConfig:
         except KeyError as exc:
             raise ConfigError(f"unknown configuration key: {key}") from exc
 
-    def get(self, key: str) -> Any:
-        return self[key]
-
     def with_overrides(self, overrides: Mapping[str, Any]) -> "PipelineConfig":
-        merged = dict(self._values)
-        unknown = sorted(set(overrides) - set(DEFAULTS))
-        if unknown:
-            raise ConfigError(f"unknown configuration keys: {unknown}")
-        for key, value in overrides.items():
-            merged[key] = _coerce(key, value, DEFAULTS[key])
-        out = PipelineConfig()
-        out._values = merged
-        return out
-
-    def as_dict(self) -> dict[str, Any]:
-        return dict(self._values)
+        return PipelineConfig({**self._values, **overrides})
 
     def hash(self) -> str:
         canonical = json.dumps(self._values, sort_keys=True)

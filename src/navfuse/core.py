@@ -189,10 +189,6 @@ def euler_to_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
     return quat_canonical(quat_mul(qz, quat_mul(qy, qx)))
 
 
-def yaw_of(q: np.ndarray) -> float:
-    return quat_to_euler(q)[2]
-
-
 def wrap_angle(a):
     """Wrap angle(s) into (-pi, pi]."""
     a = np.asarray(a, dtype=float)

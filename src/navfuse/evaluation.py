@@ -7,7 +7,7 @@ tooling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -21,7 +21,6 @@ class TrajectoryEstimate:
     stamps: np.ndarray
     positions: np.ndarray         # (N, 3)
     quaternions: np.ndarray       # (N, 4), [w, x, y, z]
-    cov_diag: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.stamps = np.asarray(self.stamps, dtype=float)

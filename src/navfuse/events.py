@@ -19,7 +19,7 @@ round-trip precision so replays are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
@@ -109,17 +109,35 @@ def _fmt(values: Iterable[float]) -> str:
     return " ".join(repr(float(v)) for v in values)
 
 
-def event_to_line(event: SensorEvent) -> str:
+_KIND_OF_TYPE = {
+    EncoderSample: "encoder",
+    GpsFixSample: "gps",
+    GpsVelocitySample: "gps_vel",
+    RadarVelocitySample: "radar",
+    VslamPoseSample: "vslam",
+}
+
+
+def event_kind(event: SensorEvent) -> str:
+    """The stream kind name of an event; an IMU sample's kind follows its
+    source (``imu`` drives the clock, ``imu2`` does not)."""
     if isinstance(event, ImuSample):
-        kind = "imu" if event.source == 1 else "imu2"
+        return "imu" if event.source == 1 else "imu2"
+    try:
+        return _KIND_OF_TYPE[type(event)]
+    except KeyError:
+        raise TypeError(f"unknown event type {type(event)!r}") from None
+
+
+def event_to_line(event: SensorEvent) -> str:
+    kind = event_kind(event)
+    if kind in ("imu", "imu2"):
         cols = list(event.gyro) + list(event.accel)
         if event.orientation is not None:
             cols += list(event.orientation)
-        return f"{event.stamp!r} {kind} {_fmt(cols)}"
-    if isinstance(event, EncoderSample):
+    elif kind == "encoder":
         cols = [event.velocity[0], event.velocity[1], event.yaw_rate]
-        return f"{event.stamp!r} encoder {_fmt(cols)}"
-    if isinstance(event, GpsFixSample):
+    elif kind == "gps":
         cols = [
             np.degrees(event.lat),
             np.degrees(event.lon),
@@ -131,16 +149,14 @@ def event_to_line(event: SensorEvent) -> str:
             -1.0 if event.err_horz is None else event.err_horz,
             -1.0 if event.err_vert is None else event.err_vert,
         ]
-        return f"{event.stamp!r} gps {_fmt(cols)}"
-    if isinstance(event, GpsVelocitySample):
-        return f"{event.stamp!r} gps_vel {_fmt(event.velocity_en)}"
-    if isinstance(event, RadarVelocitySample):
-        return f"{event.stamp!r} radar {_fmt(event.velocity_body)}"
-    if isinstance(event, VslamPoseSample):
+    elif kind == "gps_vel":
+        cols = event.velocity_en
+    elif kind == "radar":
+        cols = event.velocity_body
+    else:
         cov = event.cov_diag if event.cov_diag is not None else [-1.0] * 6
         cols = list(event.position) + list(event.quaternion) + list(cov)
-        return f"{event.stamp!r} vslam {_fmt(cols)}"
-    raise TypeError(f"unknown event type {type(event)!r}")
+    return f"{event.stamp!r} {kind} {_fmt(cols)}"
 
 
 def _parse_floats(parts: list[str], lineno: int) -> list[float]:
@@ -173,18 +189,24 @@ def line_to_event(line: str, lineno: int = 0) -> SensorEvent:
     if kind == "gps":
         if len(vals) != 9:
             raise StreamFormatError(f"line {lineno}: gps needs 9 cols")
-        return GpsFixSample(
-            stamp,
-            np.radians(vals[0]),
-            np.radians(vals[1]),
-            vals[2],
-            FixType(int(vals[3])),
-            vals[4],
-            vals[5],
-            int(vals[6]),
-            None if vals[7] < 0 else vals[7],
-            None if vals[8] < 0 else vals[8],
-        )
+        try:
+            return GpsFixSample(
+                stamp,
+                np.radians(vals[0]),
+                np.radians(vals[1]),
+                vals[2],
+                FixType(int(vals[3])),
+                vals[4],
+                vals[5],
+                int(vals[6]),
+                None if vals[7] < 0 else vals[7],
+                None if vals[8] < 0 else vals[8],
+            )
+        except (ValueError, OverflowError) as exc:
+            # an unknown fix type, a NaN or infinite fix type or satellite
+            # count, or a DOP <= 0
+            raise StreamFormatError(f"line {lineno}: bad gps record: {exc}") \
+                from exc
     if kind == "gps_vel":
         if len(vals) != 2:
             raise StreamFormatError(f"line {lineno}: gps_vel needs 2 cols")

@@ -2,14 +2,14 @@
 
 Each model bundles a batched measurement function ``h`` (rows of flat state
 vectors -> rows of measurement vectors), its noise matrix, an angular mask
-selecting components whose residuals wrap at +-pi, a chi-squared gate
-threshold, and the floor used when the noise adapts online.
+selecting components whose residuals wrap at +-pi, and a chi-squared gate
+threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .core import (
     quat_rotate_inv,
 )
 from .events import FixType, GpsFixSample
-from .geodesy import EnuOrigin, geodetic_to_enu
-from .ukf import gate  # noqa: F401  (gating lives with the engine, same surface)
+from .geodesy import EnuOrigin, GeodeticCoord, geodetic_to_enu
 
 #: default chi-squared gate thresholds per sensor path
 @dataclass(frozen=True)
@@ -50,8 +49,7 @@ class GateThresholds:
 class MeasurementModel:
     """One measurement path the engine can consume.
 
-    ``r`` is replaced atomically between updates when the path adapts;
-    ``r_floor`` bounds its diagonal from below.
+    ``r`` is replaced atomically between updates when the path adapts.
     """
 
     name: str
@@ -60,20 +58,14 @@ class MeasurementModel:
     r: np.ndarray
     gate: float
     angular: np.ndarray = None
-    adaptive: bool = False
-    r_floor: np.ndarray = None
 
     def __post_init__(self):
         self.r = np.atleast_2d(np.asarray(self.r, dtype=float))
         if self.angular is None:
             self.angular = np.zeros(self.dim, dtype=bool)
         self.wraps = bool(np.any(self.angular))
-        if self.r_floor is None:
-            self.r_floor = np.diag(self.r).copy()
         if self.gate <= 0:
             raise ValueError("gate threshold must be > 0")
-        if np.any(np.diag(self.r) < self.r_floor - 1e-15):
-            raise ValueError("noise floor exceeds configured R diagonal")
 
 
 @dataclass
@@ -157,8 +149,7 @@ def encoder_vz_model(sigma: float, gate: float) -> MeasurementModel:
     def h(states: np.ndarray) -> np.ndarray:
         return np.atleast_2d(states)[:, VEL.start + 2 : VEL.start + 3]
 
-    return MeasurementModel("encoder_vz", 1, h, np.array([[sigma**2]]), gate,
-                            adaptive=True)
+    return MeasurementModel("encoder_vz", 1, h, np.array([[sigma**2]]), gate)
 
 
 def encoder_az_model(sigma: float, gate: float) -> MeasurementModel:
@@ -169,8 +160,7 @@ def encoder_az_model(sigma: float, gate: float) -> MeasurementModel:
     def h(states: np.ndarray) -> np.ndarray:
         return np.atleast_2d(states)[:, ACC.start + 2 : ACC.start + 3]
 
-    return MeasurementModel("encoder_az", 1, h, np.array([[sigma**2]]), gate,
-                            adaptive=True)
+    return MeasurementModel("encoder_az", 1, h, np.array([[sigma**2]]), gate)
 
 
 def screen_gps_fix(
@@ -198,22 +188,14 @@ def gps_fix_to_measurement(
     origin: EnuOrigin,
     sigma_xy: float,
     sigma_z: float,
-    min_fix_type: FixType = FixType.GPS,
-    max_hdop: float = 10.0,
-    min_satellites: int = 4,
     use_gps_fix_fields: bool = True,
-) -> Union[tuple[np.ndarray, np.ndarray], QualityRejected]:
-    """Screen a fix and construct its ENU measurement and noise.
+) -> tuple[np.ndarray, np.ndarray]:
+    """ENU measurement and noise of a fix that passed ``screen_gps_fix``.
 
     Covariance source priority: a full 3x3 matrix when supplied, else 95% CI
     error bounds (converted to variance via sigma = err/1.96), else the
     HDOP/VDOP scaling of the configured baseline noise.
     """
-    rejected = screen_gps_fix(fix, min_fix_type, max_hdop, min_satellites)
-    if rejected is not None:
-        return rejected
-    from .geodesy import GeodeticCoord
-
     z = geodetic_to_enu(GeodeticCoord(fix.lat, fix.lon, fix.alt), origin)
     if fix.covariance is not None:
         r = np.asarray(fix.covariance, dtype=float).reshape(3, 3)
@@ -246,7 +228,7 @@ def gps_position_model(r: np.ndarray, gate: float,
             pos = pos + quat_rotate(x[:, QUAT], lever_offset)
         return pos
 
-    return MeasurementModel("gps_pos", 3, h, r, gate, adaptive=True)
+    return MeasurementModel("gps_pos", 3, h, r, gate)
 
 
 def derive_gps_heading(
@@ -300,8 +282,7 @@ def gps_velocity_model(sigma: float, gate: float) -> MeasurementModel:
         x = np.atleast_2d(states)
         return quat_rotate(x[:, QUAT], x[:, VEL])[:, :2]
 
-    return MeasurementModel("gps_vel", 2, h, np.eye(2) * sigma**2, gate,
-                            adaptive=True)
+    return MeasurementModel("gps_vel", 2, h, np.eye(2) * sigma**2, gate)
 
 
 def radar_velocity_model(sigma: float, gate: float) -> MeasurementModel:
@@ -312,8 +293,7 @@ def radar_velocity_model(sigma: float, gate: float) -> MeasurementModel:
     def h(states: np.ndarray) -> np.ndarray:
         return np.atleast_2d(states)[:, VEL.start : VEL.start + 2]
 
-    return MeasurementModel("radar_vel", 2, h, np.eye(2) * sigma**2, gate,
-                            adaptive=True)
+    return MeasurementModel("radar_vel", 2, h, np.eye(2) * sigma**2, gate)
 
 
 def vslam_model(r: np.ndarray, gate: float, pos_floor: float = 0.01,
@@ -350,16 +330,14 @@ def implied_speed_precheck(
     predicted_pos: np.ndarray,
     dt_since_last_accept: float,
     max_speed: float = 20.0,
-    enabled: bool = True,
 ) -> tuple[bool, float]:
     """Velocity-consistency screen upstream of the chi-squared gate.
 
     Rejects a position measurement whose offset from the predicted position
     implies a travel speed above ``max_speed`` over the elapsed time since
-    the last accepted fix.  Disabled by default.
+    the last accepted fix.  The pipeline runs it only when
+    ``pregate.enabled`` is set.
     """
-    if not enabled:
-        return True, 0.0
     if dt_since_last_accept <= 0.0:
         return True, 0.0
     offset = float(

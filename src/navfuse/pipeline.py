@@ -1,10 +1,21 @@
-"""Event-driven fusion pipeline: ordering, gating policy, and mode logic.
+"""Event-driven fusion pipeline: sensor table, gating policy, and mode logic.
 
-All sensor callbacks funnel into ``ingest`` and are processed strictly in
-arrival order by a single consumer; timestamp disorder from delayed sensors
-is handled by snapshot replay, so the whole pipeline is deterministic for a
-recorded event sequence.  Each primary-IMU event produces one prediction
-step plus that sensor's updates, so the output cadence equals the IMU rate.
+Events are processed strictly in arrival order by one consumer, so a recorded
+sequence always gives the same output.  ``SENSORS`` holds the per-sensor
+policy, one row per stream kind (``events.event_kind``): the switch that
+enables the sensor and the counter a disabled event bumps, the payload fields
+that must be finite (the stamp always must be), whether it needs the IMU
+clock, and its handler.  ``ingest`` makes these checks in that order and
+answers the first failure with a dropped-event report.
+
+Each primary-IMU event runs one prediction step plus its updates and leaves a
+snapshot in the replay ring.  GPS fixes, GPS velocity and VSLAM poses arrive
+late (receiver and mapping latency), so one stamped before the newest
+snapshot is applied there and the recorded IMU steps are re-run.  Encoder,
+radar and secondary-IMU samples arrive with negligible latency, at rates
+where a rewind per sample would cost a replay per sample, so they are
+applied where they arrive; replay re-runs only IMU steps, so such an update
+inside a rewound window does not survive it.
 """
 
 from __future__ import annotations
@@ -12,13 +23,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import measurements as meas
 from .adaptive import AdaptiveEstimator
-from .config import ConfigError, PipelineConfig
+from .config import PipelineConfig
 from .core import (
     ENC_YAW_BIAS,
     QUAT,
@@ -41,6 +52,7 @@ from .events import (
     RadarVelocitySample,
     SensorEvent,
     VslamPoseSample,
+    event_kind,
 )
 from .geodesy import EnuOrigin, GeodeticCoord
 from .retrodiction import Snapshot, StateSnapshotRing
@@ -49,6 +61,7 @@ from .process import PropagationStep
 
 _BIAS_INDICES = tuple(range(16, STATE_DIM))
 _MAX_STEP_DT = 0.5
+_TOO_OLD = "older than replay buffer"
 
 CHECKPOINT_VERSION = 1
 
@@ -63,6 +76,14 @@ def zupt_trigger(last_encoder_speed: Optional[float],
         return False
     return (last_encoder_speed < speed_threshold
             and last_imu_rate < rate_threshold)
+
+
+def _all_finite(event: SensorEvent, fields: tuple[str, ...]) -> bool:
+    """The stamp and every named field that is present (not None) are
+    finite."""
+    return math.isfinite(event.stamp) and all(
+        value is None or np.all(np.isfinite(np.asarray(value, dtype=float)))
+        for value in (getattr(event, name) for name in fields))
 
 
 @dataclass
@@ -150,17 +171,18 @@ class FusionPipeline:
             zupt=cfg["gates.zupt"],
         )
         self.gates = gates
-        self._imu_raw = {
-            1: meas.imu_raw_model(cfg["imu.sigma_gyro"],
-                                  cfg["imu.sigma_accel"], gates.imu),
-            2: meas.imu_raw_model(cfg["imu2.sigma_gyro"],
-                                  cfg["imu2.sigma_accel"], gates.imu),
-        }
-        self._imu_orient = {
-            1: meas.imu_orientation_model(cfg["imu.has_magnetometer"],
-                                          cfg["imu.sigma_orient"], gates.imu),
-            2: meas.imu_orientation_model(cfg["imu2.has_magnetometer"],
-                                          cfg["imu2.sigma_orient"], gates.imu),
+        # per IMU kind: the raw model, and the orientation model or None
+        # when that source's orientation is not used
+        self._imu_models = {
+            kind: (
+                meas.imu_raw_model(cfg[f"{kind}.sigma_gyro"],
+                                   cfg[f"{kind}.sigma_accel"], gates.imu),
+                meas.imu_orientation_model(cfg[f"{kind}.has_magnetometer"],
+                                           cfg[f"{kind}.sigma_orient"],
+                                           gates.imu)
+                if cfg[f"{kind}.use_orientation"] else None,
+            )
+            for kind in ("imu", "imu2")
         }
         self._encoder_model = meas.encoder_model(
             cfg["encoder.sigma_vx"], cfg["encoder.sigma_vy"],
@@ -210,12 +232,6 @@ class FusionPipeline:
         cfg = self.config
         window = cfg["adaptive.window"]
         alpha = cfg["adaptive.alpha"]
-
-        def floor_for(sigmas, key):
-            configured = cfg[key]
-            return None if configured <= 0 else [configured**2] * len(sigmas) \
-                if not isinstance(configured, list) else configured
-
         est: dict[str, AdaptiveEstimator] = {}
         gnss_r0 = np.diag([cfg["gnss.sigma_xy"] ** 2,
                            cfg["gnss.sigma_xy"] ** 2,
@@ -279,8 +295,8 @@ class FusionPipeline:
     # ------------------------------------------------------------------
     # helpers
 
-    def _count(self, key: str, n: int = 1) -> None:
-        self.diagnostics[key] = self.diagnostics.get(key, 0) + n
+    def _count(self, key: str) -> None:
+        self.diagnostics[key] = self.diagnostics.get(key, 0) + 1
 
     def _frozen_indices(self, coast_active: bool) -> Optional[list[int]]:
         if not self.config["features.bias_states"]:
@@ -295,8 +311,7 @@ class FusionPipeline:
 
     def _apply_update(self, state: FilterState, cov: np.ndarray,
                       z: np.ndarray, model, records: list[UpdateRecord],
-                      gate_scale: float = 1.0,
-                      coast_active: bool = False):
+                      coast_active: bool, gate_scale: float = 1.0):
         self._count("engine_update_calls")
         outcome = ukf_update(state, cov, z, model, self._params,
                              gate_scale=gate_scale,
@@ -306,6 +321,17 @@ class FusionPipeline:
                                     model.dim, model.gate * gate_scale,
                                     outcome.reason))
         return outcome
+
+    def _one_update(self, z: np.ndarray, model,
+                    records: list[UpdateRecord]) -> Callable:
+        """A bundle for ``_route_delayed`` that applies one update."""
+
+        def bundle(state: FilterState, cov: np.ndarray):
+            out = self._apply_update(state, cov, z, model, records,
+                                     self.coast.active)
+            return out.state, out.cov, out
+
+        return bundle
 
     def _report(self, stamp: float, kind: str,
                 updates: Optional[list[UpdateRecord]] = None,
@@ -323,6 +349,11 @@ class FusionPipeline:
             dropped=dropped,
         )
 
+    def _drop(self, stamp: float, kind: str, counter: str,
+              reason: str) -> StepReport:
+        self._count(counter)
+        return self._report(stamp, kind, dropped=reason)
+
     def _update_coast(self, now: float) -> None:
         cfg = self.config
         if self.coast.last_accept is None:
@@ -338,10 +369,8 @@ class FusionPipeline:
         if not cfg["zupt.enabled"]:
             self._zupt_active = False
             return
+        # the trigger needs both readings, so ZUPT is never held without them
         speed, rate = self._last_encoder_speed, self._last_imu_rate
-        if speed is None or rate is None:
-            self._zupt_active = False
-            return
         hyst = cfg["zupt.hysteresis"]
         thr_s, thr_r = cfg["zupt.speed_threshold"], cfg["zupt.rate_threshold"]
         if self._zupt_active:
@@ -366,220 +395,163 @@ class FusionPipeline:
     # ingestion
 
     def ingest(self, event: SensorEvent) -> StepReport:
-        if isinstance(event, ImuSample):
-            if event.source == 1:
-                return self._handle_imu(event)
-            return self._handle_imu2(event)
-        if isinstance(event, EncoderSample):
-            return self._handle_encoder(event)
-        if isinstance(event, GpsFixSample):
-            return self._handle_gps_fix(event)
-        if isinstance(event, GpsVelocitySample):
-            return self._handle_gps_velocity(event)
-        if isinstance(event, RadarVelocitySample):
-            return self._handle_radar(event)
-        if isinstance(event, VslamPoseSample):
-            return self._handle_vslam(event)
-        raise TypeError(f"unknown event type {type(event)!r}")
+        kind = event_kind(event)
+        row = SENSORS[kind]
+        if row.enable_key is not None and not self.config[row.enable_key]:
+            return self._drop(event.stamp, kind, row.disabled_counter,
+                              f"{kind} disabled")
+        if not _all_finite(event, row.finite):
+            return self._drop(event.stamp, kind, "dropped_nonfinite",
+                              f"non-finite {kind}")
+        if row.needs_clock and not self._started:
+            return self._drop(event.stamp, kind, "dropped_before_clock",
+                              "no imu clock yet")
+        return row.handler(self, event)
 
-    @staticmethod
-    def _finite(*arrays) -> bool:
-        return all(a is None or np.all(np.isfinite(np.asarray(a, dtype=float)))
-                   for a in arrays)
+    def _imu_updates(self, state: FilterState, cov: np.ndarray,
+                     sample: ImuSample, coast_active: bool,
+                     records: list[UpdateRecord]
+                     ) -> tuple[FilterState, np.ndarray]:
+        """Raw gyro/accel update, then the orientation update when the
+        source has an orientation model and the sample carries one."""
+        raw, orient = self._imu_models[event_kind(sample)]
+        out = self._apply_update(state, cov,
+                                 np.concatenate([sample.gyro, sample.accel]),
+                                 raw, records, coast_active)
+        if orient is None or sample.orientation is None:
+            return out.state, out.cov
+        rpy = quat_to_euler(quat_normalize(sample.orientation))
+        out = self._apply_update(out.state, out.cov,
+                                 np.asarray(rpy[: orient.dim]), orient,
+                                 records, coast_active)
+        return out.state, out.cov
 
-    def _imu_step_core(
-        self,
-        state: FilterState,
-        cov: np.ndarray,
-        sample: ImuSample,
-        coast_active: bool,
-        zupt_active: bool,
-        records: list[UpdateRecord],
-    ) -> tuple[FilterState, np.ndarray]:
-        """Predict to the sample stamp and run the IMU updates.  Shared by
-        live ingestion and ring replay so both paths are bit-identical."""
+    def _imu_step(self, state: FilterState, cov: np.ndarray, step: Snapshot,
+                  records: Optional[list[UpdateRecord]] = None
+                  ) -> tuple[FilterState, np.ndarray]:
+        """Predict to the step's IMU stamp, run that sample's updates, and
+        the ZUPT update while one was held.  Live ingestion and ring replay
+        both run this, so the two paths are bit-identical."""
+        records = [] if records is None else records
+        sample = step.imu_sample
         dt_total = sample.stamp - state.stamp
-        noise = self._coast_noise if coast_active else self._noise
+        noise = self._coast_noise if step.coast_active else self._noise
         while dt_total > 1e-12:
             dt = min(dt_total, _MAX_STEP_DT)
-            step = PropagationStep(dt, noise, coast_active)
-            state, cov = ukf_predict(state, cov, step, self._params,
-                                     epsilon=self._epsilon)
+            state, cov = ukf_predict(
+                state, cov, PropagationStep(dt, noise, step.coast_active),
+                self._params, epsilon=self._epsilon)
             dt_total -= dt
-        z_raw = np.concatenate([sample.gyro, sample.accel])
-        outcome = self._apply_update(state, cov, z_raw,
-                                     self._imu_raw[sample.source], records,
-                                     coast_active=coast_active)
-        state, cov = outcome.state, outcome.cov
-        if (sample.orientation is not None
-                and self.config["imu.use_orientation"]):
-            model = self._imu_orient[sample.source]
-            rpy = quat_to_euler(quat_normalize(sample.orientation))
-            z = np.asarray(rpy[: model.dim])
-            outcome = self._apply_update(state, cov, z, model, records,
-                                         coast_active=coast_active)
-            state, cov = outcome.state, outcome.cov
-        if zupt_active:
-            outcome = self._apply_update(state, cov, np.zeros(3),
-                                         self._zupt_model, records,
-                                         coast_active=coast_active)
-            state, cov = outcome.state, outcome.cov
+        state, cov = self._imu_updates(state, cov, sample, step.coast_active,
+                                       records)
+        if step.zupt_active:
+            out = self._apply_update(state, cov, np.zeros(3),
+                                     self._zupt_model, records,
+                                     step.coast_active)
+            state, cov = out.state, out.cov
         return state, cov
 
-    def _handle_imu(self, sample: ImuSample) -> StepReport:
-        if not self._finite(sample.gyro, sample.accel, sample.orientation):
-            self._count("dropped_nonfinite")
-            return self._report(sample.stamp, "imu", dropped="non-finite imu")
+    def _on_imu(self, sample: ImuSample) -> StepReport:
         if not self._started:
             self.state = FilterState.from_vector(self.state.as_vector(),
                                                  stamp=sample.stamp)
             self._started = True
         elif sample.stamp <= self.state.stamp:
-            self._count("dropped_imu_out_of_order")
-            return self._report(sample.stamp, "imu",
-                                dropped="imu stamp not increasing")
+            return self._drop(sample.stamp, "imu", "dropped_imu_out_of_order",
+                              "imu stamp not increasing")
         self._update_coast(sample.stamp)
         self._last_imu_rate = float(np.linalg.norm(sample.gyro))
         self._update_zupt()
+        step = Snapshot(sample.stamp, None, None, sample, self._zupt_active,
+                        self.coast.active)
         records: list[UpdateRecord] = []
-        self.state, self.cov = self._imu_step_core(
-            self.state, self.cov, sample, self.coast.active,
-            self._zupt_active, records)
+        self.state, self.cov = self._imu_step(self.state, self.cov, step,
+                                              records)
         self.state.validate()
-        self.ring.record(Snapshot(sample.stamp, self.state.copy(),
-                                  self.cov.copy(), sample,
-                                  self._zupt_active, self.coast.active))
+        step.state, step.cov = self.state.copy(), self.cov.copy()
+        self.ring.record(step)
         self._update_lever(sample.stamp)
         return self._report(sample.stamp, "imu", records)
 
-    def _replay_imu_step(self, state: FilterState, cov: np.ndarray,
-                         snapshot: Snapshot) -> tuple[FilterState, np.ndarray]:
+    def _on_imu2(self, sample: ImuSample) -> StepReport:
         records: list[UpdateRecord] = []
-        return self._imu_step_core(state, cov, snapshot.imu_sample,
-                                   snapshot.coast_active,
-                                   snapshot.zupt_active, records)
-
-    def _handle_imu2(self, sample: ImuSample) -> StepReport:
-        if not self.config["imu2.enabled"]:
-            self._count("dropped_imu2_disabled")
-            return self._report(sample.stamp, "imu2", dropped="imu2 disabled")
-        if not self._finite(sample.gyro, sample.accel, sample.orientation):
-            self._count("dropped_nonfinite")
-            return self._report(sample.stamp, "imu2", dropped="non-finite imu2")
-        if not self._started:
-            self._count("dropped_before_clock")
-            return self._report(sample.stamp, "imu2", dropped="no imu clock yet")
-        records: list[UpdateRecord] = []
-        z = np.concatenate([sample.gyro, sample.accel])
-        outcome = self._apply_update(self.state, self.cov, z,
-                                     self._imu_raw[2], records,
-                                     coast_active=self.coast.active)
-        self.state, self.cov = outcome.state, outcome.cov
-        if sample.orientation is not None and self.config["imu2.use_orientation"]:
-            model = self._imu_orient[2]
-            rpy = quat_to_euler(quat_normalize(sample.orientation))
-            outcome = self._apply_update(self.state, self.cov,
-                                         np.asarray(rpy[: model.dim]),
-                                         model, records,
-                                         coast_active=self.coast.active)
-            self.state, self.cov = outcome.state, outcome.cov
+        self.state, self.cov = self._imu_updates(
+            self.state, self.cov, sample, self.coast.active, records)
         return self._report(sample.stamp, "imu2", records)
 
-    def _handle_encoder(self, sample: EncoderSample) -> StepReport:
-        if not self.config["encoder.enabled"]:
-            self._count("dropped_encoder_disabled")
-            return self._report(sample.stamp, "encoder",
-                                dropped="encoder disabled")
-        if not self._finite(sample.velocity, [sample.yaw_rate]):
-            self._count("dropped_nonfinite")
-            return self._report(sample.stamp, "encoder",
-                                dropped="non-finite encoder")
-        if not self._started:
-            self._count("dropped_before_clock")
-            return self._report(sample.stamp, "encoder",
-                                dropped="no imu clock yet")
+    def _on_encoder(self, sample: EncoderSample) -> StepReport:
         self._last_encoder_speed = abs(float(sample.velocity[0]))
         records: list[UpdateRecord] = []
-        model = self._encoder_model
-        r = self.adaptive["encoder"].r.copy()
-        if self.coast.active:
-            # coasting leans on the bias-corrected encoder yaw rate for
-            # heading, so its noise is tightened by the configured factor
-            r[2, 2] *= self.config["coast.encoder_wz_factor"]
-        model.r = r
         z = np.array([sample.velocity[0], sample.velocity[1],
                       sample.yaw_rate])
-        outcome = self._apply_update(self.state, self.cov, z, model, records,
-                                     coast_active=self.coast.active)
-        self.state, self.cov = outcome.state, outcome.cov
-        if outcome.accepted:
-            self.adaptive["encoder"].observe(outcome.innovation)
-        for name, m, est in (("encoder_vz", self._vz_model, "encoder_vz"),
-                             ("encoder_az", self._az_model, "encoder_az")):
-            m.r = self.adaptive[est].r.copy()
-            outcome = self._apply_update(self.state, self.cov, np.zeros(1), m,
-                                         records,
-                                         coast_active=self.coast.active)
+        for model, z in ((self._encoder_model, z),
+                         (self._vz_model, np.zeros(1)),
+                         (self._az_model, np.zeros(1))):
+            est = self.adaptive[model.name]
+            model.r = est.r.copy()
+            if model is self._encoder_model and self.coast.active:
+                # coasting leans on the bias-corrected encoder yaw rate
+                # for heading, so its noise is tightened by this factor
+                model.r[2, 2] *= self.config["coast.encoder_wz_factor"]
+            outcome = self._apply_update(self.state, self.cov, z, model,
+                                         records, self.coast.active)
             self.state, self.cov = outcome.state, outcome.cov
             if outcome.accepted:
-                self.adaptive[est].observe(outcome.innovation)
+                est.observe(outcome.innovation)
         self._update_zupt()
         return self._report(sample.stamp, "encoder", records)
 
-    # -- GPS ------------------------------------------------------------
+    def _on_radar(self, sample: RadarVelocitySample) -> StepReport:
+        records: list[UpdateRecord] = []
+        outcome = self._apply_update(self.state, self.cov,
+                                     sample.velocity_body,
+                                     self._radar_model, records,
+                                     self.coast.active)
+        self.state, self.cov = outcome.state, outcome.cov
+        return self._report(sample.stamp, "radar", records)
+
+    # -- late sensors: GPS, GPS velocity, VSLAM ---------------------------
 
     def _route_delayed(self, stamp: float, bundle):
         """Apply a measurement bundle at its epoch: directly when it is not
         older than the newest snapshot (or replay is disabled), otherwise
-        rewind and replay."""
-        use_ring = (self.config["retro.enabled"] and len(self.ring) > 0
-                    and self.ring.last_stamp is not None
-                    and stamp < self.ring.last_stamp)
-        if not use_ring:
-            if self.config["retro.enabled"] and len(self.ring) == 0:
+        rewind and replay.  Returns the bundle's result, or None when the
+        measurement is older than the replay buffer."""
+        retro = self.config["retro.enabled"]
+        if not (retro and self.ring.last_stamp is not None
+                and stamp < self.ring.last_stamp):
+            if retro and len(self.ring) == 0:
                 self._count("retro_empty_buffer")
-            state, cov, result = bundle(self.state, self.cov)
-            self.state, self.cov = state, cov
-            return result, 0, "applied"
-        outcome = self.ring.apply_delayed(stamp, bundle,
-                                          self._replay_imu_step)
+            self.state, self.cov, result = bundle(self.state, self.cov)
+            return result
+        outcome = self.ring.apply_delayed(stamp, bundle, self._imu_step)
         if outcome.status == "dropped_old":
             self._count("retro_dropped_too_old")
-            return None, 0, "dropped_old"
+            return None
         self.state, self.cov = outcome.state, outcome.cov
         self._count("retro_replays")
-        return outcome.result, outcome.steps_replayed, "applied"
+        return outcome.result
 
-    def _handle_gps_fix(self, sample: GpsFixSample) -> StepReport:
+    def _on_gps_fix(self, sample: GpsFixSample) -> StepReport:
         cfg = self.config
-        if not cfg["gnss.enabled"]:
-            self._count("dropped_gnss_disabled")
-            return self._report(sample.stamp, "gps", dropped="gnss disabled")
-        if not self._finite([sample.lat, sample.lon, sample.alt]):
-            self._count("dropped_nonfinite")
-            return self._report(sample.stamp, "gps", dropped="non-finite gps")
         screened = meas.screen_gps_fix(
             sample, FixType(cfg["gnss.min_fix_type"]), cfg["gnss.max_hdop"],
             cfg["gnss.min_satellites"])
         if screened is not None:
-            self._count("gps_quality_rejected")
-            return self._report(sample.stamp, "gps", dropped=screened.reason)
+            return self._drop(sample.stamp, "gps", "gps_quality_rejected",
+                              screened.reason)
         if self.origin is None:
             self.origin = EnuOrigin.from_geodetic(
                 GeodeticCoord(sample.lat, sample.lon, sample.alt))
             self._count("origin_set")
             return self._report(sample.stamp, "gps", origin_set=True)
         if not self._started:
-            self._count("dropped_before_clock")
-            return self._report(sample.stamp, "gps", dropped="no imu clock yet")
+            return self._drop(sample.stamp, "gps", "dropped_before_clock",
+                              "no imu clock yet")
 
-        built = meas.gps_fix_to_measurement(
+        z, r_fix = meas.gps_fix_to_measurement(
             sample, self.origin, cfg["gnss.sigma_xy"], cfg["gnss.sigma_z"],
-            FixType(cfg["gnss.min_fix_type"]), cfg["gnss.max_hdop"],
-            cfg["gnss.min_satellites"],
             use_gps_fix_fields=cfg["gnss.use_gps_fix"])
-        assert not isinstance(built, meas.QualityRejected)
-        z, r_fix = built
         # innovation-adapted noise applies on the HDOP/VDOP path; explicit
         # per-fix covariance sources take precedence when the receiver
         # supplies them
@@ -599,7 +571,7 @@ class FusionPipeline:
             idx = self.ring.nearest_at_or_before(sample.stamp)
             ref_state = (self.ring.entries[idx].state if idx is not None
                          else self.state)
-            ok, implied = meas.implied_speed_precheck(
+            ok, _ = meas.implied_speed_precheck(
                 z, ref_state.position, dt_eff, cfg["pregate.max_speed"])
             if not ok:
                 self._count("pregate_rejected")
@@ -618,24 +590,20 @@ class FusionPipeline:
 
         def bundle(state: FilterState, cov: np.ndarray):
             out = self._apply_update(state, cov, z, model, records,
-                                     gate_scale=gate_scale,
-                                     coast_active=self.coast.active)
+                                     self.coast.active, gate_scale=gate_scale)
             state, cov = out.state, out.cov
-            pos_outcome = out
             if out.accepted and heading_plan is not None:
                 yaw_z, yaw_var_z = heading_plan
                 hmodel = meas.gps_heading_model(yaw_var_z, self.gates.heading)
                 hout = self._apply_update(state, cov, np.array([yaw_z]),
-                                          hmodel, records,
-                                          coast_active=self.coast.active)
+                                          hmodel, records, self.coast.active)
                 state, cov = hout.state, hout.cov
-            return state, cov, pos_outcome
+            return state, cov, out
 
-        result, _, status = self._route_delayed(sample.stamp, bundle)
-        if status == "dropped_old":
-            return self._report(sample.stamp, "gps",
-                                dropped="older than replay buffer")
-        if result is not None and result.accepted:
+        result = self._route_delayed(sample.stamp, bundle)
+        if result is None:
+            return self._report(sample.stamp, "gps", dropped=_TOO_OLD)
+        if result.accepted:
             self.coast.last_accept = max(self.coast.last_accept or 0.0,
                                          sample.stamp)
             self.coast.active = False
@@ -659,76 +627,22 @@ class FusionPipeline:
             sigma_floor=cfg["gnss.heading_sigma_floor"],
         )
 
-    def _handle_gps_velocity(self, sample: GpsVelocitySample) -> StepReport:
-        cfg = self.config
-        if not cfg["gnss.velocity_enabled"]:
-            self._count("dropped_gps_vel_disabled")
-            return self._report(sample.stamp, "gps_vel",
-                                dropped="gps velocity disabled")
-        if not self._finite(sample.velocity_en):
-            self._count("dropped_nonfinite")
-            return self._report(sample.stamp, "gps_vel",
-                                dropped="non-finite gps velocity")
-        if not self._started:
-            self._count("dropped_before_clock")
-            return self._report(sample.stamp, "gps_vel",
-                                dropped="no imu clock yet")
+    def _on_gps_velocity(self, sample: GpsVelocitySample) -> StepReport:
         records: list[UpdateRecord] = []
-
-        def bundle(state: FilterState, cov: np.ndarray):
-            out = self._apply_update(state, cov, sample.velocity_en,
-                                     self._gps_vel_model, records,
-                                     coast_active=self.coast.active)
-            return out.state, out.cov, out
-
-        result, _, status = self._route_delayed(sample.stamp, bundle)
-        if status == "dropped_old":
-            return self._report(sample.stamp, "gps_vel",
-                                dropped="older than replay buffer")
+        bundle = self._one_update(sample.velocity_en, self._gps_vel_model,
+                                  records)
+        if self._route_delayed(sample.stamp, bundle) is None:
+            return self._report(sample.stamp, "gps_vel", dropped=_TOO_OLD)
         return self._report(sample.stamp, "gps_vel", records)
 
-    def _handle_radar(self, sample: RadarVelocitySample) -> StepReport:
-        if not self.config["radar.enabled"]:
-            self._count("dropped_radar_disabled")
-            return self._report(sample.stamp, "radar",
-                                dropped="radar disabled")
-        if not self._finite(sample.velocity_body):
-            self._count("dropped_nonfinite")
-            return self._report(sample.stamp, "radar",
-                                dropped="non-finite radar")
-        if not self._started:
-            self._count("dropped_before_clock")
-            return self._report(sample.stamp, "radar",
-                                dropped="no imu clock yet")
-        records: list[UpdateRecord] = []
-        outcome = self._apply_update(self.state, self.cov,
-                                     sample.velocity_body,
-                                     self._radar_model, records,
-                                     coast_active=self.coast.active)
-        self.state, self.cov = outcome.state, outcome.cov
-        return self._report(sample.stamp, "radar", records)
-
-    def _handle_vslam(self, sample: VslamPoseSample) -> StepReport:
+    def _on_vslam(self, sample: VslamPoseSample) -> StepReport:
         cfg = self.config
-        if not cfg["vslam.enabled"]:
-            self._count("dropped_vslam_disabled")
-            return self._report(sample.stamp, "vslam",
-                                dropped="vslam disabled")
-        if not self._finite(sample.position, sample.quaternion,
-                            sample.cov_diag):
-            self._count("dropped_nonfinite")
-            return self._report(sample.stamp, "vslam",
-                                dropped="non-finite vslam")
-        if not self._started:
-            self._count("dropped_before_clock")
-            return self._report(sample.stamp, "vslam",
-                                dropped="no imu clock yet")
         pitch = quat_to_euler(self.state.quaternion)[1]
         limit = np.radians(90.0 - cfg["vslam.singularity_deg"])
         if abs(pitch) > limit:
-            self._count("vslam_skipped_singularity")
-            return self._report(sample.stamp, "vslam",
-                                dropped="pitch near singularity")
+            return self._drop(sample.stamp, "vslam",
+                              "vslam_skipped_singularity",
+                              "pitch near singularity")
         raw_q = quat_normalize(sample.quaternion)
         self._last_raw_vslam = (sample.position.copy(), raw_q.copy())
         p_c, q_c = self.vslam_anchor.apply(sample.position, raw_q)
@@ -743,18 +657,11 @@ class FusionPipeline:
                                  cfg["vslam.pos_floor"],
                                  cfg["vslam.orient_floor"])
         records: list[UpdateRecord] = []
-
-        def bundle(state: FilterState, cov: np.ndarray):
-            out = self._apply_update(state, cov, z, model, records,
-                                     coast_active=self.coast.active)
-            return out.state, out.cov, out
-
-        result, _, status = self._route_delayed(sample.stamp, bundle)
-        if status == "dropped_old":
-            return self._report(sample.stamp, "vslam",
-                                dropped="older than replay buffer")
-        if result is not None:
-            self._vslam_reinit_check(result.accepted)
+        result = self._route_delayed(sample.stamp,
+                                     self._one_update(z, model, records))
+        if result is None:
+            return self._report(sample.stamp, "vslam", dropped=_TOO_OLD)
+        self._vslam_reinit_check(result.accepted)
         return self._report(sample.stamp, "vslam", records)
 
     def _vslam_reinit_check(self, accepted: bool) -> None:
@@ -855,3 +762,42 @@ class FusionPipeline:
                                     ha["var"])
         self._lever_validated = doc["lever"]["validated"]
         self._lever_ok_since = doc["lever"]["ok_since"]
+
+
+@dataclass(frozen=True)
+class SensorPolicy:
+    """One row of the sensor table (see the module docstring)."""
+
+    enable_key: Optional[str]         # None: the sensor is always on
+    disabled_counter: Optional[str]
+    finite: tuple[str, ...]           # payload fields; None counts as absent
+    needs_clock: bool
+    handler: Callable[[FusionPipeline, SensorEvent], StepReport]
+
+
+_IMU_FIELDS = ("gyro", "accel", "orientation")
+
+SENSORS: dict[str, SensorPolicy] = {
+    # the primary IMU starts the clock and is always on
+    "imu": SensorPolicy(None, None, _IMU_FIELDS, False,
+                        FusionPipeline._on_imu),
+    "imu2": SensorPolicy("imu2.enabled", "dropped_imu2_disabled",
+                         _IMU_FIELDS, True, FusionPipeline._on_imu2),
+    "encoder": SensorPolicy("encoder.enabled", "dropped_encoder_disabled",
+                            ("velocity", "yaw_rate"), True,
+                            FusionPipeline._on_encoder),
+    # the first fix sets the origin without the clock; the handler checks
+    # the clock after that
+    "gps": SensorPolicy("gnss.enabled", "dropped_gnss_disabled",
+                        ("lat", "lon", "alt", "hdop", "vdop", "err_horz",
+                         "err_vert", "covariance"), False,
+                        FusionPipeline._on_gps_fix),
+    "gps_vel": SensorPolicy("gnss.velocity_enabled",
+                            "dropped_gps_vel_disabled", ("velocity_en",),
+                            True, FusionPipeline._on_gps_velocity),
+    "radar": SensorPolicy("radar.enabled", "dropped_radar_disabled",
+                          ("velocity_body",), True, FusionPipeline._on_radar),
+    "vslam": SensorPolicy("vslam.enabled", "dropped_vslam_disabled",
+                          ("position", "quaternion", "cov_diag"), True,
+                          FusionPipeline._on_vslam),
+}

@@ -22,18 +22,10 @@ from .core import (
     QUAT,
     STATE_DIM,
     VEL,
-    FilterState,
-    NumericalError,
     ProcessNoiseConfig,
     quat_exp,
     quat_mul,
     quat_rotate,
-)
-
-_STATE_BLOCK_NAMES = (
-    ("position", POS),
-    ("quaternion", QUAT),
-    ("velocity", VEL),
 )
 
 
@@ -62,18 +54,6 @@ def propagate_states(states: np.ndarray, dt: float) -> np.ndarray:
     if np.asarray(states).ndim == 1:
         return out[0]
     return out
-
-
-def propagate(state: FilterState, step: PropagationStep) -> FilterState:
-    """Advance a state by one step; raises naming the offending component
-    if the result is non-finite."""
-    vec = propagate_states(state.as_vector(), step.dt)
-    if not np.all(np.isfinite(vec)):
-        for name, sl in _STATE_BLOCK_NAMES:
-            if not np.all(np.isfinite(vec[sl])):
-                raise NumericalError(f"propagation produced non-finite {name}")
-        raise NumericalError("propagation produced non-finite state")
-    return FilterState.from_vector(vec, stamp=state.stamp + step.dt)
 
 
 def process_noise_matrix(step: PropagationStep) -> np.ndarray:

@@ -12,7 +12,7 @@ them stale would reintroduce exactly the error replay exists to remove).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +22,9 @@ from .core import FilterState
 
 @dataclass
 class Snapshot:
+    """One primary-IMU step: its sample and the modes it ran under, and
+    the state and covariance after it."""
+
     stamp: float
     state: FilterState
     cov: np.ndarray
@@ -64,24 +67,12 @@ class StateSnapshotRing:
     def first_stamp(self) -> Optional[float]:
         return self._entries[0].stamp if self._entries else None
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def record(self, snapshot: Snapshot) -> None:
         if self._entries and snapshot.stamp <= self._entries[-1].stamp:
             raise ValueError("snapshot stamps must be strictly increasing")
         self._entries.append(snapshot)
         if len(self._entries) > self.capacity:
             self._entries.pop(0)
-
-    def update_last(self, state: FilterState, cov: np.ndarray,
-                    **fields) -> None:
-        """Amend the newest snapshot after further same-stamp updates."""
-        last = self._entries[-1]
-        last.state = state
-        last.cov = cov
-        for key, value in fields.items():
-            setattr(last, key, value)
 
     def nearest_at_or_before(self, stamp: float) -> Optional[int]:
         stamps = [e.stamp for e in self._entries]

@@ -10,7 +10,7 @@ draws, so A/B scenario comparisons stay paired.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 import yaml

@@ -10,7 +10,7 @@ positive-definite floor, and has its angular-rate variances capped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,20 +39,17 @@ class UkfParams:
     alpha: float = 0.1
     beta: float = 2.0
     kappa: float = 0.0
-    n: int = STATE_DIM
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
-        if self.n != STATE_DIM:
-            raise ValueError(f"state dimension fixed at {STATE_DIM}")
 
     @property
     def lam(self) -> float:
-        return self.alpha**2 * (self.n + self.kappa) - self.n
+        return self.alpha**2 * (STATE_DIM + self.kappa) - STATE_DIM
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        n, lam = self.n, self.lam
+        n, lam = STATE_DIM, self.lam
         wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
         wc = wm.copy()
         wm[0] = lam / (n + lam)
@@ -80,7 +77,6 @@ class UpdateOutcome:
     accepted: bool
     d2: float
     innovation: Optional[np.ndarray]
-    s_diag: Optional[np.ndarray]
     reason: str = "accepted"
 
 
@@ -158,18 +154,18 @@ def generate_sigma_points(
     repair is a hard error.  Perturbed quaternions are renormalized.
     """
     x = state.as_vector()
-    scaled = (params.n + params.lam) * symmetrize(np.asarray(cov, dtype=float))
+    n = STATE_DIM
+    scaled = (n + params.lam) * symmetrize(np.asarray(cov, dtype=float))
     try:
         root = np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
-        scaled = (params.n + params.lam) * repair_pd(cov, epsilon)
+        scaled = (n + params.lam) * repair_pd(cov, epsilon)
         try:
             root = np.linalg.cholesky(scaled)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "covariance square root failed after repair"
             ) from exc
-    n = params.n
     points = np.empty((2 * n + 1, n))
     points[0] = x
     points[1 : n + 1] = x + root.T
@@ -260,14 +256,12 @@ def update(
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (model.dim,):
         raise ValueError(f"measurement dim mismatch: {z.shape} vs {model.dim}")
-    angular = getattr(model, "angular", None)
-    wraps = getattr(model, "wraps", angular is not None and np.any(angular))
 
     def wrap_res(res: np.ndarray) -> np.ndarray:
-        if not wraps:
+        if not model.wraps:
             return res
         res = np.array(res, dtype=float)
-        res[..., angular] = wrap_angle(res[..., angular])
+        res[..., model.angular] = wrap_angle(res[..., model.angular])
         return res
 
     sigmas = generate_sigma_points(state, cov, params, epsilon)
@@ -281,10 +275,9 @@ def update(
         accepted, d2 = gate(nu, s, model.gate * gate_scale)
     except np.linalg.LinAlgError:
         return UpdateOutcome(state, cov, False, float("inf"), nu,
-                             np.diag(s).copy(), reason="singular")
+                             reason="singular")
     if not accepted:
-        return UpdateOutcome(state, cov, False, d2, nu, np.diag(s).copy(),
-                             reason="gated")
+        return UpdateOutcome(state, cov, False, d2, nu, reason="gated")
 
     x_vec = sigmas.points[0]
     dev = _deviations(sigmas.points, x_vec)
@@ -301,4 +294,4 @@ def update(
     p_new = _condition(p_new, epsilon)
     new_state = FilterState.from_vector(new_vec, stamp=state.stamp,
                                         normalize=False)
-    return UpdateOutcome(new_state, p_new, True, d2, nu, np.diag(s).copy())
+    return UpdateOutcome(new_state, p_new, True, d2, nu)

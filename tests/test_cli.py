@@ -123,6 +123,13 @@ class TestRunAndEvaluate:
         assert main(["run", "--stream", str(stream),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_malformed_gps_line_is_data_error(self, tmp_path):
+        stream = tmp_path / "bad_gps.txt"
+        stream.write_text("0.0 imu 0 0 0 0 0 9.81\n"
+                          "0.01 gps 45.0 -75.6 80.0 9 1.0 1.0 8 -1 -1\n")
+        assert main(["run", "--stream", str(stream),
+                     "--out", str(tmp_path / "o")]) == 3
+
     def test_config_file_honored(self, sim_dir, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("gnss:\n  enabled: false\n")

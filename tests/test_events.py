@@ -12,6 +12,7 @@ from navfuse.events import (
     RadarVelocitySample,
     StreamFormatError,
     VslamPoseSample,
+    event_kind,
     event_to_line,
     line_to_event,
     read_stream,
@@ -93,6 +94,28 @@ class TestErrors:
     def test_bad_number(self):
         with pytest.raises(StreamFormatError):
             line_to_event("0.0 encoder 1 x 3", lineno=1)
+
+    @pytest.mark.parametrize("cols", [
+        "45.0 -75.6 80.0 9 1.0 1.0 8 -1 -1",      # no such fix type
+        "45.0 -75.6 80.0 1 0.0 1.0 8 -1 -1",      # hdop of 0
+        "45.0 -75.6 80.0 nan 1.0 1.0 8 -1 -1",    # NaN fix type
+        "45.0 -75.6 80.0 inf 1.0 1.0 8 -1 -1",    # infinite fix type
+        "45.0 -75.6 80.0 1 1.0 1.0 nan -1 -1",    # NaN satellite count
+    ])
+    def test_malformed_gps_record_is_format_error(self, cols):
+        with pytest.raises(StreamFormatError, match="line 7"):
+            line_to_event(f"0.5 gps {cols}", lineno=7)
+
+    def test_event_kind_names_every_sample_type(self):
+        kinds = [event_kind(e) for e in sample_events()]
+        assert kinds == [line.split()[1] for line in
+                         map(event_to_line, sample_events())]
+        assert set(kinds) == {"imu", "encoder", "gps", "gps_vel", "radar",
+                              "vslam"}
+        assert event_kind(ImuSample(0.0, np.zeros(3), np.zeros(3),
+                                    source=2)) == "imu2"
+        with pytest.raises(TypeError):
+            event_kind(object())
 
     def test_hdop_must_be_positive(self):
         with pytest.raises(ValueError):

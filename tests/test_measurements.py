@@ -130,9 +130,8 @@ class TestGpsPosition:
         assert r2[2, 2] == pytest.approx(r1[2, 2])
 
     def test_quality_screen_blocks_low_fix_type(self):
-        out = gps_fix_to_measurement(
-            fix_at([0, 0, 0], fix_type=FixType.DGPS), ORIGIN, 0.8, 1.5,
-            min_fix_type=FixType.RTK_FIXED)
+        out = screen_gps_fix(fix_at([0, 0, 0], fix_type=FixType.DGPS),
+                             FixType.RTK_FIXED, 10.0, 4)
         assert isinstance(out, QualityRejected)
         assert "DGPS" in out.reason
 
@@ -252,11 +251,6 @@ class TestImpliedSpeedPrecheck:
         ok, implied = implied_speed_precheck(
             np.array([100.0, 0, 0]), np.zeros(3), 1.0, 20.0)
         assert not ok and implied == pytest.approx(100.0)
-
-    def test_disabled_always_passes(self):
-        ok, _ = implied_speed_precheck(np.array([1e6, 0, 0]), np.zeros(3),
-                                       1.0, 20.0, enabled=False)
-        assert ok
 
 
 class TestZeroInnovationProperty:

@@ -13,7 +13,12 @@ from navfuse.events import (
     VslamPoseSample,
 )
 from navfuse.geodesy import EnuOrigin, GeodeticCoord, enu_to_geodetic
-from navfuse.pipeline import CheckpointError, FusionPipeline, zupt_trigger
+from navfuse.pipeline import (
+    SENSORS,
+    CheckpointError,
+    FusionPipeline,
+    zupt_trigger,
+)
 
 ORIGIN = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(45.0, -75.6, 80.0))
 
@@ -53,6 +58,48 @@ def stationary_stream(duration, imu_rate=100.0, gps_rate=0.0,
 
 def run(pipeline, events):
     return [pipeline.ingest(e) for e in events]
+
+
+def ingest_counting(pipe, event):
+    """Ingest one event; return its report and the diagnostics it bumped."""
+    before = dict(pipe.diagnostics)
+    report = pipe.ingest(event)
+    bumped = {k: v - before.get(k, 0) for k, v in pipe.diagnostics.items()
+              if v != before.get(k, 0)}
+    return report, bumped
+
+
+ALL_ON = {"imu2.enabled": True, "gnss.velocity_enabled": True,
+          "radar.enabled": True, "vslam.enabled": True}
+
+#: kind -> (enable key, diagnostics key of a disabled event)
+SWITCHES = {
+    "imu2": ("imu2.enabled", "dropped_imu2_disabled"),
+    "encoder": ("encoder.enabled", "dropped_encoder_disabled"),
+    "gps": ("gnss.enabled", "dropped_gnss_disabled"),
+    "gps_vel": ("gnss.velocity_enabled", "dropped_gps_vel_disabled"),
+    "radar": ("radar.enabled", "dropped_radar_disabled"),
+    "vslam": ("vslam.enabled", "dropped_vslam_disabled"),
+}
+
+
+def event_of(kind, stamp, x=0.0):
+    """A well-formed event of ``kind``; ``x`` goes into its payload."""
+    if kind in ("imu", "imu2"):
+        return ImuSample(stamp, np.array([x, 0.0, 0.0]), GRAVITY.copy(),
+                         source=1 if kind == "imu" else 2)
+    if kind == "encoder":
+        return encoder_at(stamp, vx=x)
+    if kind == "gps":
+        fix = gps_at([0.0, 0.0, 0.0], stamp)
+        fix.alt += x
+        return fix
+    if kind == "gps_vel":
+        return GpsVelocitySample(stamp, np.array([x, 0.0]))
+    if kind == "radar":
+        return RadarVelocitySample(stamp, np.array([x, 0.0]))
+    return VslamPoseSample(stamp, np.array([x, 0.0, 0.0]),
+                           np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 class TestBasics:
@@ -111,6 +158,67 @@ class TestBasics:
         bad = GpsFixSample(1.01, np.nan, 0.0, 0.0)
         assert pipe.ingest(bad).dropped is not None
         assert np.all(np.isfinite(pipe.state.as_vector()))
+
+
+class TestSensorTable:
+    def test_one_row_per_stream_kind(self):
+        assert set(SENSORS) == {"imu", "imu2", "encoder", "gps", "gps_vel",
+                                "radar", "vslam"}
+        assert {k: (row.enable_key, row.disabled_counter)
+                for k, row in SENSORS.items() if k != "imu"} == SWITCHES
+
+    @pytest.mark.parametrize("kind", sorted(SWITCHES))
+    def test_disabled(self, kind):
+        key, counter = SWITCHES[kind]
+        pipe = FusionPipeline(PipelineConfig({**ALL_ON, key: False}))
+        pipe.ingest(imu_at(0.0))
+        report, bumped = ingest_counting(pipe, event_of(kind, 0.005))
+        assert bumped == {counter: 1}
+        assert report.dropped == f"{kind} disabled"
+        assert report.kind == kind and not report.updates
+
+    @pytest.mark.parametrize("kind", sorted(SENSORS))
+    def test_nonfinite_payload(self, kind):
+        pipe = FusionPipeline(PipelineConfig(ALL_ON))
+        pipe.ingest(imu_at(0.0))
+        before = pipe.state.as_vector().copy()
+        report, bumped = ingest_counting(pipe,
+                                         event_of(kind, 0.005, np.nan))
+        assert bumped == {"dropped_nonfinite": 1}
+        assert report.dropped == f"non-finite {kind}"
+        assert np.array_equal(pipe.state.as_vector(), before)
+
+    @pytest.mark.parametrize("kind", sorted(SENSORS))
+    def test_nonfinite_stamp(self, kind):
+        pipe = FusionPipeline(PipelineConfig(ALL_ON))
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+        ring_len = len(pipe.ring)
+        before = pipe.state.as_vector().copy()
+        report, bumped = ingest_counting(pipe, event_of(kind, np.nan))
+        assert bumped == {"dropped_nonfinite": 1}
+        assert report.dropped == f"non-finite {kind}"
+        assert not report.updates
+        assert len(pipe.ring) == ring_len
+        assert np.array_equal(pipe.state.as_vector(), before)
+
+    def test_nan_stamped_first_imu_leaves_clock_unset(self):
+        pipe = FusionPipeline(PipelineConfig())
+        report, bumped = ingest_counting(pipe, imu_at(np.nan))
+        assert report.dropped is not None
+        assert bumped == {"dropped_nonfinite": 1}
+        pipe.ingest(imu_at(0.0))
+        pipe.ingest(imu_at(0.01))
+        assert pipe.state.stamp == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("kind", sorted(SWITCHES))
+    def test_before_imu_clock(self, kind):
+        pipe = FusionPipeline(PipelineConfig(ALL_ON))
+        if kind == "gps":
+            # the first fix sets the origin, which needs no clock
+            assert pipe.ingest(event_of("gps", 0.0)).origin_set
+        report, bumped = ingest_counting(pipe, event_of(kind, 0.005))
+        assert bumped == {"dropped_before_clock": 1}
+        assert report.dropped == "no imu clock yet"
 
 
 class TestGps:
@@ -172,6 +280,50 @@ class TestGps:
         assert rec.d2 > 1e3 * 16.27
         assert np.array_equal(pipe.state.as_vector(), state_before)
         assert np.array_equal(pipe.cov, cov_before)
+
+
+    @pytest.mark.parametrize("field", ["hdop", "vdop", "err_horz",
+                                       "err_vert"])
+    def test_nonfinite_quality_field_dropped(self, field):
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+        fix = gps_at([0.0, 0.0, 0.0], 0.5,
+                     **{"err_horz": 1.0, "err_vert": 2.0, field: np.nan})
+        report, bumped = ingest_counting(pipe, fix)
+        assert report.dropped == "non-finite gps"
+        assert not report.updates
+        assert bumped == {"dropped_nonfinite": 1}
+
+
+class TestPregate:
+    """The implied-speed check that runs before the GPS chi-squared gate."""
+
+    @staticmethod
+    def after_accepted_fixes(enabled):
+        pipe = FusionPipeline(PipelineConfig({"pregate.enabled": enabled}))
+        run(pipe, stationary_stream(1.0, gps_rate=5.0))
+        # the fix at 0.8 s was accepted
+        assert pipe.coast.last_accept == pytest.approx(0.8)
+        return pipe
+
+    def test_far_fix_soon_after_accept_rejected(self):
+        pipe = self.after_accepted_fixes(True)
+        report, bumped = ingest_counting(pipe, gps_at([100.0, 0, 0], 0.9))
+        assert [(r.path, r.accepted, r.reason) for r in report.updates] == \
+            [("gps_pos", False, "pregate")]
+        assert bumped == {"pregate_rejected": 1}
+
+    def test_near_fix_not_rejected(self):
+        pipe = self.after_accepted_fixes(True)
+        report = pipe.ingest(gps_at([0.05, 0, 0], 0.9))
+        assert report.updates[0].reason == "accepted"
+        assert "pregate_rejected" not in pipe.diagnostics
+
+    def test_disabled_pregate_never_rejects(self):
+        pipe = self.after_accepted_fixes(False)
+        report = pipe.ingest(gps_at([100.0, 0, 0], 0.9))
+        assert report.updates[0].reason != "pregate"
+        assert "pregate_rejected" not in pipe.diagnostics
 
 
 class TestZupt:

@@ -55,8 +55,6 @@ class TestParams:
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
             UkfParams(alpha=0.0)
-        with pytest.raises(ValueError):
-            UkfParams(n=24)
 
 
 class TestSigmaPoints:
