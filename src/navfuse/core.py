@@ -12,7 +12,7 @@ the wheel-encoder yaw-rate bias.  All slices below index into that layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Return unit quaternion(s); raises on (near-)zero norm."""
     q = np.asarray(q, dtype=float)
     norm = np.sqrt((q * q).sum(axis=-1, keepdims=True))
-    if np.any(norm < 1e-12):
+    if norm.min() < 1e-12:
         raise NumericalError("quaternion norm collapsed to zero")
     return q / norm
 
@@ -84,24 +84,81 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return out
 
 
+# -- row kernels ------------------------------------------------------------
+# The engine calls these on (47, 4) sigma-point rows.  They skip input checks
+# (the engine checks the finiteness of each predict/update result once) and
+# accept any leading shape; the public functions below wrap them with checks.
+
+
+def normalize_rows(q: np.ndarray) -> np.ndarray:
+    """Quaternion rows divided by their norms, unchecked."""
+    return q / np.sqrt((q * q).sum(axis=-1, keepdims=True))
+
+
+def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unnormalized Hamilton product of equal-shape quaternion arrays."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(a.shape)
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
+
+
+def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Renormalized Hamilton product of equal-shape quaternion arrays,
+    unchecked."""
+    return normalize_rows(_hamilton(a, b))
+
+
+def _exp_unnormalized(omega: np.ndarray, dt: float) -> np.ndarray:
+    """``quat_exp`` before its final renormalization."""
+    rate = np.sqrt((omega * omega).sum(axis=-1, keepdims=True))
+    half = 0.5 * rate * dt
+    small = rate <= EPSILON_OMEGA
+    any_small = small.any()
+    if any_small:
+        # sin(theta)/||omega|| is safe: the small branch covers rate ~ 0
+        rate = np.where(small, 1.0, rate)
+    q = np.empty(omega.shape[:-1] + (4,))
+    q[..., :1] = np.cos(half)
+    q[..., 1:] = np.sin(half) / rate * omega
+    if any_small:
+        first_order = np.concatenate(
+            [np.ones_like(half), 0.5 * dt * omega], axis=-1)
+        q = np.where(small, first_order, q)
+    return q
+
+
+def quat_exp_rows(omega: np.ndarray, dt: float) -> np.ndarray:
+    """``quat_exp`` over rate rows, unchecked."""
+    return normalize_rows(_exp_unnormalized(omega, dt))
+
+
+def rotate_inv_vertical_rows(q: np.ndarray, g: float) -> np.ndarray:
+    """R(q)^T [0, 0, g] over quaternion rows: ``quat_rotate_inv`` with the
+    zero terms of a vertical vector dropped."""
+    w, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    g2 = 2.0 * g
+    a = g2 * qx
+    b = g2 * qy
+    out = np.empty(q.shape[:-1] + (3,))
+    out[..., 0] = qz * a - w * b
+    out[..., 1] = w * a + qz * b
+    out[..., 2] = g - qx * a - qy * b
+    return out
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a ⊗ b, renormalized.  Supports broadcasting."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NumericalError("non-finite quaternion input")
-    aw, ax, ay, az = (a[..., i] for i in range(4))
-    bw, bx, by, bz = (b[..., i] for i in range(4))
-    out = np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
-    return quat_normalize(out)
+    a, b = np.broadcast_arrays(a, b)
+    return quat_normalize(_hamilton(a, b))
 
 
 def quat_exp(omega: np.ndarray, dt: float) -> np.ndarray:
@@ -114,42 +171,26 @@ def quat_exp(omega: np.ndarray, dt: float) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
-    if not np.all(np.isfinite(omega)):
+    if not np.isfinite(omega).all():
         raise NumericalError("non-finite angular rate")
-    rate = np.sqrt((omega * omega).sum(axis=-1, keepdims=True))
-    half = 0.5 * rate * dt
-    small_mask = rate <= EPSILON_OMEGA
-    # sin(theta)/||omega|| is safe: the small branch covers rate ~ 0
-    safe_rate = np.where(small_mask, 1.0, rate)
-    q = np.concatenate(
-        [np.cos(half), np.sin(half) / safe_rate * omega], axis=-1
-    )
-    if np.any(small_mask):
-        small = np.concatenate(
-            [np.ones_like(half), 0.5 * dt * omega], axis=-1
-        )
-        q = np.where(small_mask, small, q)
-    return quat_normalize(q)
+    return quat_normalize(_exp_unnormalized(omega, dt))
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the rotation R(q) to v.  Broadcasts over leading dimensions."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    w, qx, qy, qz = (q[..., i] for i in range(4))
-    vx, vy, vz = (v[..., i] for i in range(3))
+    w, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     # v + w*t + qv x t with t = 2 qv x v, written out (np.cross is slow)
     tx = 2.0 * (qy * vz - qz * vy)
     ty = 2.0 * (qz * vx - qx * vz)
     tz = 2.0 * (qx * vy - qy * vx)
-    return np.stack(
-        [
-            vx + w * tx + qy * tz - qz * ty,
-            vy + w * ty + qz * tx - qx * tz,
-            vz + w * tz + qx * ty - qy * tx,
-        ],
-        axis=-1,
-    )
+    out = np.empty(np.shape(tx) + (3,))
+    out[..., 0] = vx + w * tx + qy * tz - qz * ty
+    out[..., 1] = vy + w * ty + qz * tx - qx * tz
+    out[..., 2] = vz + w * tz + qx * ty - qy * tx
+    return out
 
 
 def quat_rotate_inv(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -266,64 +307,92 @@ class ProcessNoiseConfig:
             raise ValueError("coast_position_inflation must be >= 1")
 
 
-@dataclass
-class FilterState:
-    """The 23-dimensional filter state plus its timestamp."""
+def _component(sl: slice) -> property:
+    """A named block of ``FilterState.vector``: reads return a view,
+    assignments write into the vector."""
 
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    quaternion: np.ndarray = field(default_factory=quat_identity)
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    angular_rate: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    acceleration: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    encoder_yaw_bias: float = 0.0
-    stamp: float = 0.0
+    def get(self) -> np.ndarray:
+        return self.vector[sl]
+
+    def put(self, value) -> None:
+        self.vector[sl] = value
+
+    return property(get, put)
+
+
+class FilterState:
+    """The 23-dimensional filter state plus its timestamp.
+
+    The state is held as one flat ``vector`` in the layout above; the named
+    components (``position``, ``quaternion``, ...) are views into it, so
+    assigning to one updates the vector.  The keyword constructor takes the
+    components; omitted ones default to zero and the identity quaternion.
+    """
+
+    __slots__ = ("vector", "stamp")
+
+    position = _component(POS)
+    quaternion = _component(QUAT)
+    velocity = _component(VEL)
+    angular_rate = _component(OMEGA)
+    acceleration = _component(ACC)
+    gyro_bias = _component(GYRO_BIAS)
+    accel_bias = _component(ACCEL_BIAS)
+
+    def __init__(self, position=None, quaternion=None, velocity=None,
+                 angular_rate=None, acceleration=None, gyro_bias=None,
+                 accel_bias=None, encoder_yaw_bias: float = 0.0,
+                 stamp: float = 0.0):
+        vec = np.zeros(STATE_DIM)
+        vec[QUAT] = quat_identity()
+        for sl, value in ((POS, position), (QUAT, quaternion),
+                          (VEL, velocity), (OMEGA, angular_rate),
+                          (ACC, acceleration), (GYRO_BIAS, gyro_bias),
+                          (ACCEL_BIAS, accel_bias)):
+            if value is not None:
+                vec[sl] = value
+        vec[ENC_YAW_BIAS] = encoder_yaw_bias
+        self.vector = vec
+        self.stamp = stamp
+
+    @property
+    def encoder_yaw_bias(self) -> float:
+        return float(self.vector[ENC_YAW_BIAS])
+
+    @encoder_yaw_bias.setter
+    def encoder_yaw_bias(self, value: float) -> None:
+        self.vector[ENC_YAW_BIAS] = value
+
+    def __repr__(self) -> str:
+        return f"FilterState(stamp={self.stamp!r}, vector={self.vector!r})"
 
     def as_vector(self) -> np.ndarray:
-        vec = np.empty(STATE_DIM)
-        vec[POS] = self.position
-        vec[QUAT] = self.quaternion
-        vec[VEL] = self.velocity
-        vec[OMEGA] = self.angular_rate
-        vec[ACC] = self.acceleration
-        vec[GYRO_BIAS] = self.gyro_bias
-        vec[ACCEL_BIAS] = self.accel_bias
-        vec[ENC_YAW_BIAS] = self.encoder_yaw_bias
-        return vec
+        return self.vector.copy()
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, stamp: float = 0.0,
                     normalize: bool = True) -> "FilterState":
-        vec = np.asarray(vec, dtype=float)
+        vec = np.array(vec, dtype=float)
         if vec.shape != (STATE_DIM,):
             raise ValueError(f"state vector must have shape ({STATE_DIM},)")
-        q = vec[QUAT]
         if normalize:
-            q = quat_normalize(q)
-        return cls(
-            position=vec[POS].copy(),
-            quaternion=q.copy(),
-            velocity=vec[VEL].copy(),
-            angular_rate=vec[OMEGA].copy(),
-            acceleration=vec[ACC].copy(),
-            gyro_bias=vec[GYRO_BIAS].copy(),
-            accel_bias=vec[ACCEL_BIAS].copy(),
-            encoder_yaw_bias=float(vec[ENC_YAW_BIAS]),
-            stamp=stamp,
-        )
+            vec[QUAT] = quat_normalize(vec[QUAT])
+        state = cls.__new__(cls)
+        state.vector = vec
+        state.stamp = stamp
+        return state
 
     def copy(self) -> "FilterState":
-        return FilterState.from_vector(self.as_vector(), self.stamp,
+        return FilterState.from_vector(self.vector, self.stamp,
                                        normalize=False)
 
     def validate(self) -> None:
         """Hard error naming the offending component on NaN/Inf or a
         non-unit quaternion."""
-        vec = self.as_vector()
-        if not np.all(np.isfinite(vec)):
+        vec = self.vector
+        if not np.isfinite(vec).all():
             for name, sl in _STATE_FIELD_SLICES:
-                if not np.all(np.isfinite(vec[sl])):
+                if not np.isfinite(vec[sl]).all():
                     raise NumericalError(f"non-finite filter state: {name}")
         if abs(np.linalg.norm(self.quaternion) - 1.0) > 1e-9:
             raise NumericalError("state quaternion lost unit norm")

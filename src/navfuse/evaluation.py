@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
-from scipy.stats import chi2
 
 
 @dataclass
@@ -139,6 +138,9 @@ def nis_series(update_records: Iterable, path: str
     values = np.asarray(values)
     if len(values) == 0:
         return stamps, values, None
+    # scipy.stats takes about a second to import, so only NIS pays for it
+    from scipy.stats import chi2
+
     lo = chi2.ppf(0.025, dim) / dim
     hi = chi2.ppf(0.975, dim) / dim
     frac = float(np.mean((values >= lo) & (values <= hi)))

@@ -1,9 +1,9 @@
 """Measurement models for every sensor path, plus gating helpers.
 
-Each model bundles a batched measurement function ``h`` (rows of flat state
-vectors -> rows of measurement vectors), its noise matrix, an angular mask
-selecting components whose residuals wrap at +-pi, and a chi-squared gate
-threshold.
+Each model bundles a batched measurement function ``h`` ((N, 23) rows of
+flat state vectors -> (N, dim) rows of measurement vectors), its noise
+matrix, an angular mask selecting components whose residuals wrap at +-pi,
+and a chi-squared gate threshold.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .core import (
     QUAT,
     VEL,
     quat_rotate,
-    quat_rotate_inv,
+    rotate_inv_vertical_rows,
 )
 from .events import FixType, GpsFixSample
 from .geodesy import EnuOrigin, GeodeticCoord, geodetic_to_enu
@@ -85,14 +85,18 @@ class QualityRejected:
     reason: str
 
 
-def euler_rows(q: np.ndarray) -> np.ndarray:
-    """Vectorized ZYX (roll, pitch, yaw) extraction over quaternion rows."""
-    q = np.atleast_2d(np.asarray(q, dtype=float))
+def euler_rows(q: np.ndarray, with_yaw: bool = True) -> np.ndarray:
+    """Vectorized ZYX (roll, pitch, yaw) extraction over (N, 4) quaternion
+    rows; ``with_yaw=False`` gives roll and pitch only."""
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    roll = np.arctan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
-    pitch = np.arcsin(np.clip(-2.0 * (x * z - w * y), -1.0, 1.0))
-    yaw = np.arctan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z))
-    return np.stack([roll, pitch, yaw], axis=-1)
+    out = np.empty((q.shape[0], 3 if with_yaw else 2))
+    out[:, 0] = np.arctan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
+    sin_pitch = -2.0 * (x * z - w * y)
+    out[:, 1] = np.arcsin(np.minimum(np.maximum(sin_pitch, -1.0), 1.0))
+    if with_yaw:
+        out[:, 2] = np.arctan2(2.0 * (x * y + w * z),
+                               1.0 - 2.0 * (y * y + z * z))
+    return out
 
 
 def imu_raw_model(sigma_gyro: float, sigma_accel: float,
@@ -100,12 +104,14 @@ def imu_raw_model(sigma_gyro: float, sigma_accel: float,
     """6-DOF raw IMU: rates plus bias, accelerations plus bias and the
     gravity reaction rotated into the body frame."""
 
-    def h(states: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(states)
-        pred_gyro = x[:, OMEGA] + x[:, GYRO_BIAS]
-        grav_body = quat_rotate_inv(x[:, QUAT], GRAVITY)
-        pred_accel = x[:, ACC] + x[:, ACCEL_BIAS] + grav_body
-        return np.concatenate([pred_gyro, pred_accel], axis=-1)
+    g = float(GRAVITY[2])
+
+    def h(x: np.ndarray) -> np.ndarray:
+        out = np.empty((x.shape[0], 6))
+        out[:, :3] = x[:, OMEGA] + x[:, GYRO_BIAS]
+        out[:, 3:] = (x[:, ACC] + x[:, ACCEL_BIAS]
+                      + rotate_inv_vertical_rows(x[:, QUAT], g))
+        return out
 
     r = np.diag([sigma_gyro**2] * 3 + [sigma_accel**2] * 3)
     return MeasurementModel("imu_raw", 6, h, r, gate)
@@ -117,9 +123,8 @@ def imu_orientation_model(has_magnetometer: bool, sigma_orient: float,
     magnetometer.  Without one, yaw stays unobservable from the IMU."""
     dim = 3 if has_magnetometer else 2
 
-    def h(states: np.ndarray) -> np.ndarray:
-        rpy = euler_rows(np.atleast_2d(states)[:, QUAT])
-        return rpy if has_magnetometer else rpy[:, :2]
+    def h(x: np.ndarray) -> np.ndarray:
+        return euler_rows(x[:, QUAT], with_yaw=has_magnetometer)
 
     r = np.eye(dim) * sigma_orient**2
     name = "imu_orientation_3dof" if has_magnetometer else "imu_orientation"
@@ -132,8 +137,7 @@ def encoder_model(sigma_vx: float, sigma_vy: float, sigma_wz: float,
     """3-DOF wheel odometry: body planar velocity and yaw rate with the
     encoder yaw-rate bias subtracted from the predicted reading."""
 
-    def h(states: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(states)
+    def h(x: np.ndarray) -> np.ndarray:
         wz = x[:, OMEGA.start + 2]
         if b_ewz_enabled:
             wz = wz - x[:, ENC_YAW_BIAS]
@@ -146,8 +150,8 @@ def encoder_model(sigma_vx: float, sigma_vy: float, sigma_wz: float,
 def encoder_vz_model(sigma: float, gate: float) -> MeasurementModel:
     """Non-holonomic ground constraint on body vertical velocity."""
 
-    def h(states: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(states)[:, VEL.start + 2 : VEL.start + 3]
+    def h(x: np.ndarray) -> np.ndarray:
+        return x[:, VEL.start + 2 : VEL.start + 3]
 
     return MeasurementModel("encoder_vz", 1, h, np.array([[sigma**2]]), gate)
 
@@ -157,8 +161,8 @@ def encoder_az_model(sigma: float, gate: float) -> MeasurementModel:
     mismatch from leaking into the vertical channel through the
     acceleration state."""
 
-    def h(states: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(states)[:, ACC.start + 2 : ACC.start + 3]
+    def h(x: np.ndarray) -> np.ndarray:
+        return x[:, ACC.start + 2 : ACC.start + 3]
 
     return MeasurementModel("encoder_az", 1, h, np.array([[sigma**2]]), gate)
 
@@ -169,7 +173,14 @@ def screen_gps_fix(
     max_hdop: float,
     min_satellites: int,
 ) -> Optional[QualityRejected]:
-    """Receiver-quality screen applied before any filter interaction."""
+    """Receiver-quality screen applied before any filter interaction.  A
+    fix whose coordinates lie outside the geodetic range is screened out
+    too, so it can neither set the ENU origin nor reach the engine."""
+    if not (-np.pi / 2 <= fix.lat <= np.pi / 2
+            and -np.pi <= fix.lon <= np.pi):
+        return QualityRejected(
+            f"latitude {fix.lat} or longitude {fix.lon} rad out of range"
+        )
     if fix.fix_type < min_fix_type:
         return QualityRejected(
             f"fix type {fix.fix_type.name} below {FixType(min_fix_type).name}"
@@ -221,8 +232,7 @@ def gps_position_model(r: np.ndarray, gate: float,
     """3-DOF ENU position; the predicted measurement is shifted by the
     rotated lever arm when heading has been validated."""
 
-    def h(states: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(states)
+    def h(x: np.ndarray) -> np.ndarray:
         pos = x[:, POS]
         if lever_offset is not None:
             pos = pos + quat_rotate(x[:, QUAT], lever_offset)
@@ -268,8 +278,8 @@ def gps_heading_model(variance: float, gate: float) -> MeasurementModel:
     """1-DOF yaw from GPS course over ground.  This is the path that makes
     the encoder yaw-rate bias observable through the cross-covariance."""
 
-    def h(states: np.ndarray) -> np.ndarray:
-        return euler_rows(np.atleast_2d(states)[:, QUAT])[:, 2:3]
+    def h(x: np.ndarray) -> np.ndarray:
+        return euler_rows(x[:, QUAT])[:, 2:3]
 
     return MeasurementModel("gps_heading", 1, h, np.array([[variance]]), gate,
                             angular=np.array([True]))
@@ -278,8 +288,7 @@ def gps_heading_model(variance: float, gate: float) -> MeasurementModel:
 def gps_velocity_model(sigma: float, gate: float) -> MeasurementModel:
     """2-DOF east/north world velocity from receiver Doppler."""
 
-    def h(states: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(states)
+    def h(x: np.ndarray) -> np.ndarray:
         return quat_rotate(x[:, QUAT], x[:, VEL])[:, :2]
 
     return MeasurementModel("gps_vel", 2, h, np.eye(2) * sigma**2, gate)
@@ -290,8 +299,8 @@ def radar_velocity_model(sigma: float, gate: float) -> MeasurementModel:
     encoder velocity but independent of wheel contact, so no yaw-rate bias
     term and no ground constraints attached."""
 
-    def h(states: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(states)[:, VEL.start : VEL.start + 2]
+    def h(x: np.ndarray) -> np.ndarray:
+        return x[:, VEL.start : VEL.start + 2]
 
     return MeasurementModel("radar_vel", 2, h, np.eye(2) * sigma**2, gate)
 
@@ -308,8 +317,7 @@ def vslam_model(r: np.ndarray, gate: float, pos_floor: float = 0.01,
     idx = np.arange(6)
     r[idx, idx] = np.maximum(np.diag(r), floor)
 
-    def h(states: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(states)
+    def h(x: np.ndarray) -> np.ndarray:
         return np.concatenate([x[:, POS], euler_rows(x[:, QUAT])], axis=-1)
 
     angular = np.array([False, False, False, False, False, True])
@@ -319,8 +327,8 @@ def vslam_model(r: np.ndarray, gate: float, pos_floor: float = 0.01,
 def zupt_model(sigma: float, gate: float) -> MeasurementModel:
     """Zero-velocity pseudo-measurement on all three body velocity axes."""
 
-    def h(states: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(states)[:, VEL]
+    def h(x: np.ndarray) -> np.ndarray:
+        return x[:, VEL]
 
     return MeasurementModel("zupt", 3, h, np.eye(3) * sigma**2, gate)
 

@@ -82,7 +82,7 @@ def _all_finite(event: SensorEvent, fields: tuple[str, ...]) -> bool:
     """The stamp and every named field that is present (not None) are
     finite."""
     return math.isfinite(event.stamp) and all(
-        value is None or np.all(np.isfinite(np.asarray(value, dtype=float)))
+        value is None or np.isfinite(value).all()
         for value in (getattr(event, name) for name in fields))
 
 

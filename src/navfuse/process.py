@@ -23,8 +23,8 @@ from .core import (
     STATE_DIM,
     VEL,
     ProcessNoiseConfig,
-    quat_exp,
-    quat_mul,
+    quat_exp_rows,
+    quat_mul_rows,
     quat_rotate,
 )
 
@@ -44,15 +44,15 @@ class PropagationStep:
 
 
 def propagate_states(states: np.ndarray, dt: float) -> np.ndarray:
-    """Vectorized kinematic step over rows of flat 23-vectors."""
-    x = np.atleast_2d(np.asarray(states, dtype=float))
-    out = x.copy()
-    q = x[:, QUAT]
-    out[:, POS] = x[:, POS] + dt * quat_rotate(q, x[:, VEL])
-    out[:, QUAT] = quat_mul(q, quat_exp(x[:, OMEGA], dt))
-    out[:, VEL] = x[:, VEL] + dt * x[:, ACC]
-    if np.asarray(states).ndim == 1:
-        return out[0]
+    """Vectorized kinematic step over (N, 23) rows of flat state vectors.
+
+    Input checks are left to the caller: a non-finite row propagates as
+    non-finite numbers (the engine checks each predicted mean)."""
+    out = states.copy()
+    q = states[:, QUAT]
+    out[:, POS] += dt * quat_rotate(q, states[:, VEL])
+    out[:, QUAT] = quat_mul_rows(q, quat_exp_rows(states[:, OMEGA], dt))
+    out[:, VEL] += dt * states[:, ACC]
     return out
 
 

@@ -10,7 +10,7 @@ positive-definite floor, and has its angular-rate variances capped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,48 +23,52 @@ from .core import (
     STATE_DIM,
     FilterState,
     NumericalError,
-    quat_normalize,
+    normalize_rows,
     wrap_angle,
 )
 from .process import PropagationStep, process_noise_matrix, propagate_states
 
 _OMEGA_INDICES = range(OMEGA.start, OMEGA.stop)
+_W0, _W1, _W2 = _OMEGA_INDICES
+_N_SIGMA = 2 * STATE_DIM + 1
 
 
 @dataclass(frozen=True)
 class UkfParams:
     """Scaled sigma-point parameters.  With the defaults the centre weight
-    Wm0 is approximately -99, so covariance hygiene is not optional."""
+    Wm0 is approximately -99, so covariance hygiene is not optional.
+
+    The weights and the sigma spread n + lambda are computed once, at
+    construction, and kept as read-only arrays."""
 
     alpha: float = 0.1
     beta: float = 2.0
     kappa: float = 0.0
+    #: n + lambda, the factor scaling P before its square root
+    spread: float = field(init=False, repr=False, compare=False)
+    wm: np.ndarray = field(init=False, repr=False, compare=False)
+    wc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
+        n, lam = STATE_DIM, self.lam
+        wm = np.full(_N_SIGMA, 1.0 / (2.0 * (n + lam)))
+        wc = wm.copy()
+        wm[0] = lam / (n + lam)
+        wc[0] = wm[0] + (1.0 - self.alpha**2 + self.beta)
+        wm.flags.writeable = False
+        wc.flags.writeable = False
+        object.__setattr__(self, "spread", n + lam)
+        object.__setattr__(self, "wm", wm)
+        object.__setattr__(self, "wc", wc)
 
     @property
     def lam(self) -> float:
         return self.alpha**2 * (STATE_DIM + self.kappa) - STATE_DIM
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        n, lam = STATE_DIM, self.lam
-        wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
-        wc = wm.copy()
-        wm[0] = lam / (n + lam)
-        wc[0] = wm[0] + (1.0 - self.alpha**2 + self.beta)
-        return wm, wc
-
-
-@dataclass
-class SigmaSet:
-    """47 sigma states (rows) with mean and covariance weights."""
-
-    points: np.ndarray
-    wm: np.ndarray
-    wc: np.ndarray
-    stamp: float = 0.0
+        return self.wm, self.wc
 
 
 @dataclass
@@ -84,36 +88,35 @@ def symmetrize(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-_EYE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _eye(n: int) -> np.ndarray:
-    if n not in _EYE_CACHE:
-        _EYE_CACHE[n] = np.eye(n)
-    return _EYE_CACHE[n]
+def _add_to_diagonal(p: np.ndarray, value: float) -> np.ndarray:
+    """p + value * I as a new array."""
+    out = p.copy()
+    diagonal = out.reshape(-1)[:: p.shape[0] + 1]
+    diagonal += value
+    return out
 
 
 def repair_pd(p: np.ndarray, epsilon: float = EPSILON_PD) -> np.ndarray:
     """Shift all eigenvalues up by (-lambda_min + epsilon) when the smallest
     drops below the floor; the identity shift preserves eigenvectors."""
-    p = symmetrize(np.asarray(p, dtype=float))
+    p = symmetrize(p)
     # cheap happy path: P - eps*I admitting a Cholesky factor means
     # lambda_min >= eps already
     try:
-        np.linalg.cholesky(p - epsilon * _eye(p.shape[0]))
+        np.linalg.cholesky(_add_to_diagonal(p, -epsilon))
         return p
     except np.linalg.LinAlgError:
         pass
     lam_min = float(np.linalg.eigvalsh(p)[0])
     if lam_min >= epsilon:
         return p
-    return p + (-lam_min + epsilon) * _eye(p.shape[0])
+    return _add_to_diagonal(p, -lam_min + epsilon)
 
 
 def cap_omega_variance(p: np.ndarray, cap: float = OMEGA_VAR_CAP) -> np.ndarray:
     """Clamp angular-rate variances at the cap, scaling the corresponding
     rows/columns so correlation coefficients are preserved."""
-    p = np.asarray(p, dtype=float).copy()
+    p = p.copy()
     for i in _OMEGA_INDICES:
         if p[i, i] > cap:
             s = np.sqrt(cap / p[i, i])
@@ -123,74 +126,80 @@ def cap_omega_variance(p: np.ndarray, cap: float = OMEGA_VAR_CAP) -> np.ndarray:
     return p
 
 
+def _omega_over_cap(p: np.ndarray) -> bool:
+    return (p[_W0, _W0] > OMEGA_VAR_CAP or p[_W1, _W1] > OMEGA_VAR_CAP
+            or p[_W2, _W2] > OMEGA_VAR_CAP)
+
+
 def _condition(p: np.ndarray, epsilon: float) -> np.ndarray:
     """Symmetrize, repair, cap; repairing after a cap can nudge a capped
     variance back above the limit by ~epsilon, so the pair runs once more."""
     p = repair_pd(p, epsilon)
-    if np.any(np.diag(p)[OMEGA] > OMEGA_VAR_CAP):
+    if _omega_over_cap(p):
         p = repair_pd(cap_omega_variance(p), epsilon)
-        if np.any(np.diag(p)[OMEGA] > OMEGA_VAR_CAP):
+        if _omega_over_cap(p):
             p = cap_omega_variance(p)
     return p
 
 
 def align_quat_hemisphere(points: np.ndarray, ref_q: np.ndarray) -> np.ndarray:
-    """Flip sigma quaternions lying in the hemisphere opposite ref_q."""
+    """Flip sigma quaternions lying in the hemisphere opposite ref_q.  The
+    input comes back as is when none does; otherwise a flipped copy."""
+    flip = points[:, QUAT] @ ref_q < 0.0
+    if not flip.any():
+        return points
     pts = points.copy()
-    dots = pts[:, QUAT] @ np.asarray(ref_q, dtype=float)
-    pts[dots < 0.0, QUAT] *= -1.0
+    pts[flip, QUAT] *= -1.0
     return pts
 
 
 def generate_sigma_points(
-    state: FilterState,
+    x: np.ndarray,
     cov: np.ndarray,
     params: UkfParams,
     epsilon: float = EPSILON_PD,
-) -> SigmaSet:
-    """Scaled sigma points from the symmetric square root of (n+lam)*P.
+) -> np.ndarray:
+    """Scaled sigma points, as (47, 23) rows, around the flat state ``x``
+    from the Cholesky factor of (n+lam)*P.
 
-    The covariance is repaired first if needed; a factorization failure after
-    repair is a hard error.  Perturbed quaternions are renormalized.
+    ``cov`` must be symmetric, as every covariance leaving this module is:
+    the factorization reads only its lower triangle.  The covariance is
+    repaired first if needed; a factorization failure after repair is a hard
+    error.  Perturbed quaternions are renormalized.
     """
-    x = state.as_vector()
-    n = STATE_DIM
-    scaled = (n + params.lam) * symmetrize(np.asarray(cov, dtype=float))
     try:
-        root = np.linalg.cholesky(scaled)
+        root = np.linalg.cholesky(params.spread * cov)
     except np.linalg.LinAlgError:
-        scaled = (n + params.lam) * repair_pd(cov, epsilon)
         try:
-            root = np.linalg.cholesky(scaled)
+            root = np.linalg.cholesky(params.spread * repair_pd(cov, epsilon))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "covariance square root failed after repair"
             ) from exc
-    points = np.empty((2 * n + 1, n))
+    n = STATE_DIM
+    points = np.empty((_N_SIGMA, n))
     points[0] = x
-    points[1 : n + 1] = x + root.T
-    points[n + 1 :] = x - root.T
-    points[:, QUAT] = quat_normalize(points[:, QUAT])
-    wm, wc = params.weights()
-    return SigmaSet(points=points, wm=wm, wc=wc, stamp=state.stamp)
+    np.add(x, root.T, out=points[1 : n + 1])
+    np.subtract(x, root.T, out=points[n + 1 :])
+    points[:, QUAT] = normalize_rows(points[:, QUAT])
+    return points
 
 
-def mean_of_sigmas(sigmas: SigmaSet) -> FilterState:
-    """Weighted state mean; quaternions are hemisphere-aligned to sigma 0
-    before averaging, then renormalized."""
-    pts = align_quat_hemisphere(sigmas.points, sigmas.points[0, QUAT])
-    mean = sigmas.wm @ pts
+def mean_of_sigmas(points: np.ndarray, wm: np.ndarray) -> np.ndarray:
+    """Weighted mean of sigma rows as a flat state; quaternions are
+    hemisphere-aligned to sigma 0 before averaging, then renormalized."""
+    mean = wm @ align_quat_hemisphere(points, points[0, QUAT])
     q = mean[QUAT]
-    if np.linalg.norm(q) < 1e-6:
+    norm = np.sqrt((q * q).sum())
+    if norm < 1e-6:
         raise NumericalError("averaged quaternion is degenerate")
-    mean[QUAT] = quat_normalize(q)
-    return FilterState.from_vector(mean, stamp=sigmas.stamp, normalize=False)
+    mean[QUAT] = q / norm
+    return mean
 
 
 def _deviations(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Raw sigma-minus-mean differences with hemisphere-aligned quaternions."""
-    aligned = align_quat_hemisphere(points, mean[QUAT])
-    return aligned - mean
+    return align_quat_hemisphere(points, mean[QUAT]) - mean
 
 
 def predict(
@@ -207,31 +216,22 @@ def predict(
     map over flat state rows (used by oracle tests); the process noise of
     ``step`` is added either way.
     """
-    sigmas = generate_sigma_points(state, cov, params, epsilon)
+    points = generate_sigma_points(state.as_vector(), cov, params, epsilon)
     if transition is None:
         # the kinematic step renormalizes its quaternions already
-        propagated = propagate_states(sigmas.points, step.dt)
+        propagated = propagate_states(points, step.dt)
     else:
-        propagated = np.asarray(transition(sigmas.points), dtype=float)
-        propagated[:, QUAT] = quat_normalize(propagated[:, QUAT])
-    sigmas_out = SigmaSet(propagated, sigmas.wm, sigmas.wc,
-                          stamp=state.stamp + step.dt)
-    mean_state = mean_of_sigmas(sigmas_out)
-    mean = mean_state.as_vector()
-    if not np.all(np.isfinite(mean)):
+        propagated = np.array(transition(points), dtype=float)
+        propagated[:, QUAT] = normalize_rows(propagated[:, QUAT])
+    wm, wc = params.weights()
+    mean = mean_of_sigmas(propagated, wm)
+    if not np.isfinite(mean).all():
         raise NumericalError("prediction produced non-finite mean")
     dev = _deviations(propagated, mean)
-    p_out = (dev.T * sigmas.wc) @ dev + process_noise_matrix(step)
+    p_out = (dev.T * wc) @ dev + process_noise_matrix(step)
     p_out = _condition(p_out, epsilon)
-    return mean_state, p_out
-
-
-def gate(nu: np.ndarray, s: np.ndarray, threshold: float) -> tuple[bool, float]:
-    """Mahalanobis chi-squared gate; solves S x = nu rather than inverting."""
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    d2 = float(nu @ np.linalg.solve(s, nu))
-    return d2 <= threshold, d2
+    return (FilterState.from_vector(mean, stamp=state.stamp + step.dt,
+                                    normalize=False), p_out)
 
 
 def update(
@@ -247,50 +247,59 @@ def update(
     """Standard UKF measurement update with gating and residual wrapping.
 
     Angle-flagged measurement components use wrapped residuals throughout
-    (sigma mean, innovation, deviations).  A gated-out or numerically
-    singular measurement leaves state and covariance untouched.  ``frozen``
-    lists state indices whose Kalman gain rows are zeroed; the covariance
-    then uses the general (suboptimal-gain) update form, which coincides
-    with P - K S K^T for the unmasked optimal gain.
+    (sigma mean, innovation, deviations).  The chi-squared gate takes the
+    Mahalanobis distance d2 = nu^T S^-1 nu; one solve with the stacked
+    right-hand side [nu | Pxz^T] gives both d2 and the Kalman gain.  A
+    gated-out or numerically singular measurement leaves state and
+    covariance untouched.  ``frozen`` lists state indices whose Kalman gain
+    rows are zeroed; the covariance then uses the general (suboptimal-gain)
+    update form, which coincides with P - K S K^T for the unmasked optimal
+    gain.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (model.dim,):
         raise ValueError(f"measurement dim mismatch: {z.shape} vs {model.dim}")
+    angular = model.angular if model.wraps else None
 
-    def wrap_res(res: np.ndarray) -> np.ndarray:
-        if not model.wraps:
-            return res
-        res = np.array(res, dtype=float)
-        res[..., model.angular] = wrap_angle(res[..., model.angular])
+    def wrapped(res: np.ndarray) -> np.ndarray:
+        # every residual passed here is a fresh array, so wrap in place
+        if angular is not None:
+            res[..., angular] = wrap_angle(res[..., angular])
         return res
 
-    sigmas = generate_sigma_points(state, cov, params, epsilon)
-    zpts = np.atleast_2d(np.asarray(model.h(sigmas.points), dtype=float))
-    zbar = zpts[0] + sigmas.wm @ wrap_res(zpts - zpts[0])
-    dz = wrap_res(zpts - zbar)
-    s = symmetrize((dz.T * sigmas.wc) @ dz + model.r)
-    nu = wrap_res(z - zbar)
-
+    wm, wc = params.weights()
+    points = generate_sigma_points(state.as_vector(), cov, params, epsilon)
+    zpts = model.h(points)
+    zbar = zpts[0] + wm @ wrapped(zpts - zpts[0])
+    dz = wrapped(zpts - zbar)
+    s = symmetrize((dz.T * wc) @ dz + model.r)
+    nu = wrapped(z - zbar)
+    dev = _deviations(points, points[0])
+    pxz = (dev.T * wc) @ dz
+    rhs = np.empty((model.dim, 1 + STATE_DIM))
+    rhs[:, 0] = nu
+    rhs[:, 1:] = pxz.T
     try:
-        accepted, d2 = gate(nu, s, model.gate * gate_scale)
+        solved = np.linalg.solve(s, rhs)
     except np.linalg.LinAlgError:
         return UpdateOutcome(state, cov, False, float("inf"), nu,
                              reason="singular")
-    if not accepted:
+    d2 = float(nu @ solved[:, 0])
+    if not d2 <= model.gate * gate_scale:
         return UpdateOutcome(state, cov, False, d2, nu, reason="gated")
 
-    x_vec = sigmas.points[0]
-    dev = _deviations(sigmas.points, x_vec)
-    pxz = (dev.T * sigmas.wc) @ dz
-    k = np.linalg.solve(s, pxz.T).T
+    k = solved[:, 1:].T
     if frozen is not None and len(frozen):
+        # zero rows of a C-ordered copy: the gain's memory order picks the
+        # BLAS kernel behind k @ nu, and with it the last bits of the result
         k = k.copy()
-        k[list(frozen), :] = 0.0
-    new_vec = x_vec + k @ nu
-    new_vec[QUAT] = quat_normalize(new_vec[QUAT])
-    if not np.all(np.isfinite(new_vec)):
+        k[frozen, :] = 0.0
+    new_vec = points[0] + k @ nu
+    new_vec[QUAT] = normalize_rows(new_vec[QUAT])
+    if not np.isfinite(new_vec).all():
         raise NumericalError("update produced non-finite state")
-    p_new = cov - k @ pxz.T - pxz @ k.T + k @ s @ k.T
+    k_pxz = k @ pxz.T  # its transpose is pxz @ k.T, bit for bit
+    p_new = cov - k_pxz - k_pxz.T + k @ s @ k.T
     p_new = _condition(p_new, epsilon)
     new_state = FilterState.from_vector(new_vec, stamp=state.stamp,
                                         normalize=False)

@@ -130,6 +130,15 @@ class TestRunAndEvaluate:
         assert main(["run", "--stream", str(stream),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_out_of_range_gps_fix_is_dropped(self, tmp_path):
+        stream = tmp_path / "far_gps.txt"
+        stream.write_text("0.0 imu 0 0 0 0 0 9.81\n"
+                          "0.01 gps 95.0 -75.6 80.0 1 1.0 1.0 8 -1 -1\n")
+        out = tmp_path / "o"
+        assert main(["run", "--stream", str(stream), "--out", str(out)]) == 0
+        diagnostics = (out / "diagnostics.txt").read_text().split("\n")
+        assert "gps_quality_rejected 1" in diagnostics
+
     def test_config_file_honored(self, sim_dir, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("gnss:\n  enabled: false\n")

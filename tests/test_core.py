@@ -13,10 +13,14 @@ from navfuse.core import (
     quat_canonical,
     quat_exp,
     quat_mul,
+    quat_exp_rows,
+    quat_mul_rows,
     quat_normalize,
     quat_rotate,
+    quat_rotate_inv,
     quat_to_euler,
     quat_to_rotmat,
+    rotate_inv_vertical_rows,
     rotation_distance,
     wrap_angle,
     yaw_variance,
@@ -104,6 +108,29 @@ class TestRotate:
                                atol=1e-12)
         norms = np.linalg.norm(fast, axis=-1)
         assert np.allclose(norms, np.linalg.norm(v), atol=1e-9)
+
+
+class TestRowKernels:
+    """The unchecked (47, 4) row kernels the engine uses against the
+    checked public functions."""
+
+    def test_mul_rows_match_quat_mul(self, rng):
+        a, b = random_unit_quat(rng, 47), random_unit_quat(rng, 47)
+        assert np.max(np.abs(quat_mul_rows(a, b) - quat_mul(a, b))) <= 1e-15
+
+    def test_exp_rows_match_quat_exp(self, rng):
+        omega = rng.normal(size=(47, 3))
+        omega[:5] *= 1e-9  # rows on the first-order branch
+        for dt in (0.01, 0.5):
+            diff = quat_exp_rows(omega, dt) - quat_exp(omega, dt)
+            assert np.max(np.abs(diff)) <= 1e-15
+
+    def test_vertical_rotate_inv_matches_quat_rotate_inv(self, rng):
+        q = random_unit_quat(rng, 47)
+        g = 9.80665
+        diff = (rotate_inv_vertical_rows(q, g)
+                - quat_rotate_inv(q, np.array([0.0, 0.0, g])))
+        assert np.max(np.abs(diff)) <= 1e-15
 
 
 class TestStateVector:

@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import navfuse
 from navfuse.evaluation import (
     TrajectoryEstimate,
     align_se3,
@@ -182,3 +186,13 @@ class TestTrajectoryIo:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             read_trajectory(io.StringIO("1 2 3\n"))
+
+
+def test_import_navfuse_does_not_load_scipy_stats():
+    """scipy.stats costs about a second of start-up; only NIS needs it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(navfuse.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, navfuse; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    assert out.strip() == "False"

@@ -262,6 +262,22 @@ class TestGps:
         assert pipe.diagnostics["gps_quality_rejected"] == 1
         assert pipe.origin is None
 
+    def test_out_of_range_coordinates_are_quality_rejected(self):
+        pipe = FusionPipeline(PipelineConfig())
+        pipe.ingest(imu_at(0.0))
+        calls = pipe.diagnostics["engine_update_calls"]
+        bad = GpsFixSample(0.01, 95.0, -75.6, 80.0)
+        report = pipe.ingest(bad)
+        assert report.dropped is not None and pipe.origin is None
+        pipe.ingest(gps_at([0, 0, 0], 0.02))  # in range: sets the origin
+        bad.stamp = 0.03
+        report = pipe.ingest(bad)
+        assert report.dropped is not None and not report.updates
+        bad.lat, bad.lon = 0.5, -4.0
+        assert pipe.ingest(bad).dropped is not None
+        assert pipe.diagnostics["gps_quality_rejected"] == 3
+        assert pipe.diagnostics["engine_update_calls"] == calls
+
     def test_spike_gated_and_state_bit_identical(self):
         pipe = FusionPipeline(PipelineConfig())
         pipe.ingest(imu_at(0.0))

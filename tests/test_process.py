@@ -23,8 +23,8 @@ def make_step(dt=0.01, coast=False, **noise):
 
 def advance(x, step):
     """One kinematic step of a single state."""
-    return FilterState.from_vector(propagate_states(x.as_vector(), step.dt),
-                                   stamp=x.stamp + step.dt)
+    rows = propagate_states(x.as_vector()[None, :], step.dt)
+    return FilterState.from_vector(rows[0], stamp=x.stamp + step.dt)
 
 
 class TestPropagate:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,15 @@ from navfuse.core import (
     QUAT,
     STATE_DIM,
     FilterState,
+    NumericalError,
     ProcessNoiseConfig,
     rotation_distance,
 )
 from navfuse.measurements import MeasurementModel, imu_raw_model
 from navfuse.process import PropagationStep
 from navfuse.ukf import (
-    SigmaSet,
     UkfParams,
     cap_omega_variance,
-    gate,
     generate_sigma_points,
     mean_of_sigmas,
     predict,
@@ -56,50 +57,53 @@ class TestParams:
         with pytest.raises(ValueError):
             UkfParams(alpha=0.0)
 
+    def test_weights_computed_once_and_read_only(self):
+        wm, wc = PARAMS.weights()
+        again = PARAMS.weights()
+        assert again[0] is wm and again[1] is wc
+        for w in (wm, wc):
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+        assert PARAMS.spread == STATE_DIM + PARAMS.lam
+
 
 class TestSigmaPoints:
     def test_count_and_center(self):
-        x = FilterState()
+        x = FilterState().as_vector()
         s = generate_sigma_points(x, np.eye(STATE_DIM) * 0.04, PARAMS)
-        assert s.points.shape == (47, STATE_DIM)
-        assert np.allclose(s.points[0], x.as_vector())
+        assert s.shape == (47, STATE_DIM)
+        assert np.allclose(s[0], x)
 
     def test_symmetric_pairs_in_non_quaternion_components(self):
-        x = FilterState()
-        s = generate_sigma_points(x, np.eye(STATE_DIM) * 0.04, PARAMS)
-        base = x.as_vector()
-        plus = s.points[1:24][:, NON_QUAT] - base[NON_QUAT]
-        minus = s.points[24:][:, NON_QUAT] - base[NON_QUAT]
+        base = FilterState().as_vector()
+        s = generate_sigma_points(base, np.eye(STATE_DIM) * 0.04, PARAMS)
+        plus = s[1:24][:, NON_QUAT] - base[NON_QUAT]
+        minus = s[24:][:, NON_QUAT] - base[NON_QUAT]
         assert np.allclose(plus, -minus, atol=1e-12)
 
     def test_quaternions_unit_norm(self, rng):
         p = random_pd_matrix(rng, STATE_DIM, 0.01)
-        s = generate_sigma_points(FilterState(), p, PARAMS)
-        norms = np.linalg.norm(s.points[:, QUAT], axis=-1)
+        s = generate_sigma_points(FilterState().as_vector(), p, PARAMS)
+        norms = np.linalg.norm(s[:, QUAT], axis=-1)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
     def test_mean_recovers_generating_state(self, rng):
         for _ in range(5):
             vec = rng.normal(size=STATE_DIM)
             vec[QUAT] = random_unit_quat(rng)
-            x = FilterState.from_vector(vec, stamp=2.0)
             p = scaled_quat_block(random_pd_matrix(rng, STATE_DIM, 0.05))
-            s = generate_sigma_points(x, p, PARAMS)
-            m = mean_of_sigmas(s)
-            assert np.max(np.abs(m.as_vector()[NON_QUAT]
-                                 - vec[NON_QUAT])) < 1e-8
-            assert rotation_distance(m.quaternion, x.quaternion) < 1e-8
-            assert m.stamp == 2.0
+            s = generate_sigma_points(vec, p, PARAMS)
+            m = mean_of_sigmas(s, PARAMS.wm)
+            assert np.max(np.abs(m[NON_QUAT] - vec[NON_QUAT])) < 1e-8
+            assert rotation_distance(m[QUAT], vec[QUAT]) < 1e-8
 
 
 class TestMeanOfSigmas:
     def test_identical_sigmas_return_that_state(self, rng):
         vec = rng.normal(size=STATE_DIM)
         vec[QUAT] = random_unit_quat(rng)
-        wm, wc = PARAMS.weights()
-        s = SigmaSet(np.tile(vec, (47, 1)), wm, wc, stamp=1.0)
-        m = mean_of_sigmas(s)
-        assert np.allclose(m.as_vector(), vec, atol=1e-9)
+        m = mean_of_sigmas(np.tile(vec, (47, 1)), PARAMS.wm)
+        assert np.allclose(m, vec, atol=1e-9)
 
     def test_opposite_hemisphere_quaternions_average_correctly(self):
         # q and -q encode one rotation; the naive 4-vector mean would vanish
@@ -108,21 +112,19 @@ class TestMeanOfSigmas:
         flipped[QUAT] = -flipped[QUAT]
         points = np.tile(vec, (47, 1))
         points[1::2] = flipped
-        wm, wc = PARAMS.weights()
-        m = mean_of_sigmas(SigmaSet(points, wm, wc))
-        assert rotation_distance(m.quaternion, vec[QUAT]) < 1e-12
+        m = mean_of_sigmas(points, PARAMS.wm)
+        assert rotation_distance(m[QUAT], vec[QUAT]) < 1e-12
 
     def test_sign_flips_leave_rotation_unchanged(self, rng):
         p = scaled_quat_block(random_pd_matrix(rng, STATE_DIM, 0.05), 1e-4)
-        s = generate_sigma_points(FilterState(), p, PARAMS)
-        m0 = mean_of_sigmas(s)
+        s = generate_sigma_points(FilterState().as_vector(), p, PARAMS)
+        m0 = mean_of_sigmas(s, PARAMS.wm)
         for _ in range(5):
             flips = rng.random(47) < 0.5
-            pts = s.points.copy()
-            pts[flips][:, QUAT]
+            pts = s.copy()
             pts[flips, QUAT.start:QUAT.stop] *= -1.0
-            m1 = mean_of_sigmas(SigmaSet(pts, s.wm, s.wc))
-            assert rotation_distance(m0.quaternion, m1.quaternion) <= 1e-9
+            m1 = mean_of_sigmas(pts, PARAMS.wm)
+            assert rotation_distance(m0[QUAT], m1[QUAT]) <= 1e-9
 
 
 class TestRepairPd:
@@ -249,6 +251,12 @@ class TestPredict:
             assert np.max(np.abs(x.as_vector()[NON_QUAT] - ox)) < 1e-9
             assert np.max(np.abs(p[np.ix_(NON_QUAT, NON_QUAT)] - op)) < 1e-9
 
+    def test_nan_angular_rate_raises(self):
+        x = FilterState(angular_rate=np.array([np.nan, 0.0, 0.0]))
+        step = PropagationStep(0.01, ProcessNoiseConfig())
+        with pytest.raises(NumericalError):
+            predict(x, default_cov(), step, PARAMS)
+
     def test_fuzz_invariants(self, rng):
         x = FilterState.from_vector(
             np.concatenate([rng.normal(size=3), random_unit_quat(rng),
@@ -364,20 +372,61 @@ class TestUpdate:
         assert out.innovation[0] == pytest.approx(np.radians(-2.0), abs=1e-4)
 
 
+def gate_through_update(nu, s, threshold):
+    """Gate decision and d2 of innovation ``nu`` under innovation
+    covariance ``s``, taken through the engine: a linear position model
+    whose prior variance and noise each hold half of ``s``."""
+    m = len(nu)
+    p = default_cov()
+    p[:m, :m] = 0.5 * s
+    model = MeasurementModel("pos", m, lambda x: x[:, :m], 0.5 * s, threshold)
+    out = update(FilterState(), p, nu, model, PARAMS)
+    return out.accepted, out.d2
+
+
 class TestGate:
     def test_zero_innovation_accepts(self):
-        ok, d2 = gate(np.zeros(3), np.eye(3), 16.27)
-        assert ok and d2 == 0.0
+        ok, d2 = gate_through_update(np.zeros(3), np.eye(3), 16.27)
+        assert ok and d2 == pytest.approx(0.0, abs=1e-18)
 
     def test_one_dof_arithmetic(self):
-        ok, d2 = gate(np.array([4.0]), np.array([[1.0]]), 10.83)
-        assert not ok and d2 == pytest.approx(16.0)
+        ok, d2 = gate_through_update(np.array([4.0]), np.array([[1.0]]),
+                                     10.83)
+        assert not ok and d2 == pytest.approx(16.0, rel=1e-9)
 
     def test_scale_consistency(self, rng):
         for _ in range(25):
             nu = rng.normal(size=3)
             s = random_pd_matrix(rng, 3)
-            _, d2 = gate(nu, s, 1.0)
+            _, d2 = gate_through_update(nu, s, 1e12)
             for c in (2.0, 4.0, 17.5):
-                _, d2c = gate(c * nu, c * c * s, 1.0)
+                _, d2c = gate_through_update(c * nu, c * c * s, 1e12)
                 assert d2c == pytest.approx(d2, rel=1e-9)
+
+
+class TestEngineWork:
+    """Guards the number of factorizations and solves per engine call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("cholesky", "solve"):
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name,
+                        **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    def test_predict_factors_twice(self, calls):
+        step = PropagationStep(0.01, ProcessNoiseConfig())
+        predict(FilterState(), default_cov(), step, PARAMS)
+        # sigma points, then the positive-definiteness check
+        assert calls == {"cholesky": 2}
+
+    def test_accepted_update_factors_twice_and_solves_once(self, calls):
+        out = update(FilterState(), default_cov(), np.array([0.1, 0.0, 0.0]),
+                     linear_position_model(), PARAMS)
+        assert out.accepted
+        # one stacked solve serves both the gate and the gain
+        assert calls == {"cholesky": 2, "solve": 1}
