@@ -68,19 +68,3 @@ class AdaptiveEstimator:
             ) from exc
         self.r = r
         return self.r
-
-    def reset(self) -> None:
-        self.r = self._apply_floor(self.r0.copy())
-        self._innovations.clear()
-
-    def snapshot(self) -> dict:
-        return {
-            "r": self.r.tolist(),
-            "innovations": [v.tolist() for v in self._innovations],
-        }
-
-    def restore(self, data: dict) -> None:
-        self.r = self._apply_floor(np.asarray(data["r"], dtype=float))
-        self._innovations.clear()
-        for v in data["innovations"]:
-            self._innovations.append(np.asarray(v, dtype=float))

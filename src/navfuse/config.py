@@ -25,7 +25,6 @@ DEFAULTS: dict[str, Any] = {
     "ukf.alpha": 0.1,
     "ukf.beta": 2.0,
     "ukf.kappa": 0.0,
-    "ukf.epsilon_pd": 1e-9,
     # continuous-time process noise intensities
     "ukf.q_position": 1e-4,
     "ukf.q_orientation": 1e-7,
@@ -219,6 +218,5 @@ ABLATION_OVERRIDES: dict[str, dict[str, Any]] = {
     },
     "retrodiction": {"retro.enabled": False},
     "zupt": {"zupt.enabled": False},
-    "pregate": {"pregate.enabled": False},
     "gnss": {"gnss.enabled": False},
 }

@@ -16,12 +16,20 @@ radar and secondary-IMU samples arrive with negligible latency, at rates
 where a rewind per sample would cost a replay per sample, so they are
 applied where they arrive; replay re-runs only IMU steps, so such an update
 inside a rewound window does not survive it.
+
+A checkpoint is a JSON file: version, configuration hash, and the session,
+the attributes ``FusionPipeline._SESSION`` lists and ``reset`` assigns
+(state, covariance, origin, replay ring, adaptive windows, anchors, mode
+timers, counters).  Loading builds only the listed session types and
+validates all of it before assigning any, so a malformed file changes
+nothing and a resumed run is bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,6 +43,7 @@ from .core import (
     QUAT,
     STATE_DIM,
     FilterState,
+    NumericalError,
     ProcessNoiseConfig,
     quat_conjugate,
     quat_mul,
@@ -63,7 +72,7 @@ _BIAS_INDICES = tuple(range(16, STATE_DIM))
 _MAX_STEP_DT = 0.5
 _TOO_OLD = "older than replay buffer"
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def zupt_trigger(last_encoder_speed: Optional[float],
@@ -153,7 +162,6 @@ class FusionPipeline:
             beta=self.config["ukf.beta"],
             kappa=self.config["ukf.kappa"],
         )
-        self._epsilon = self.config["ukf.epsilon_pd"]
         self._build_models()
         self.reset()
 
@@ -230,41 +238,37 @@ class FusionPipeline:
 
     def _build_adaptive(self) -> dict[str, AdaptiveEstimator]:
         cfg = self.config
-        window = cfg["adaptive.window"]
-        alpha = cfg["adaptive.alpha"]
-        est: dict[str, AdaptiveEstimator] = {}
-        gnss_r0 = np.diag([cfg["gnss.sigma_xy"] ** 2,
-                           cfg["gnss.sigma_xy"] ** 2,
-                           cfg["gnss.sigma_z"] ** 2])
-        gnss_floor = None
+        gnss_floor = enc_floor = None
         if cfg["adaptive.gnss_floor_xy"] > 0:
             fz = cfg["adaptive.gnss_floor_z"] or cfg["adaptive.gnss_floor_xy"]
-            gnss_floor = [cfg["adaptive.gnss_floor_xy"] ** 2,
-                          cfg["adaptive.gnss_floor_xy"] ** 2,
-                          fz ** 2]
-        est["gps_pos"] = AdaptiveEstimator(
-            "gps_pos", gnss_r0, gnss_floor, window, alpha,
-            enabled=cfg["adaptive.gnss"])
-        enc_r0 = np.diag([cfg["encoder.sigma_vx"] ** 2,
-                          cfg["encoder.sigma_vy"] ** 2,
-                          cfg["encoder.sigma_wz"] ** 2])
-        enc_floor = None
+            gnss_floor = [cfg["adaptive.gnss_floor_xy"] ** 2] * 2 + [fz ** 2]
         if cfg["adaptive.encoder_floor"] > 0:
             enc_floor = [cfg["adaptive.encoder_floor"] ** 2] * 3
-        est["encoder"] = AdaptiveEstimator(
-            "encoder", enc_r0, enc_floor, window, alpha,
-            enabled=cfg["adaptive.encoder"])
-        est["encoder_vz"] = AdaptiveEstimator(
-            "encoder_vz", np.array([[cfg["encoder.vz_sigma"] ** 2]]),
-            None, window, alpha, enabled=cfg["adaptive.vz"])
-        est["encoder_az"] = AdaptiveEstimator(
-            "encoder_az", np.array([[cfg["encoder.az_sigma"] ** 2]]),
-            None, window, alpha, enabled=cfg["adaptive.az"])
-        return est
+        # path -> its configured sigmas, diagonal floor and enable switch
+        paths = {
+            "gps_pos": (("gnss.sigma_xy", "gnss.sigma_xy", "gnss.sigma_z"),
+                        gnss_floor, "adaptive.gnss"),
+            "encoder": (("encoder.sigma_vx", "encoder.sigma_vy",
+                         "encoder.sigma_wz"), enc_floor, "adaptive.encoder"),
+            "encoder_vz": (("encoder.vz_sigma",), None, "adaptive.vz"),
+            "encoder_az": (("encoder.az_sigma",), None, "adaptive.az"),
+        }
+        return {name: AdaptiveEstimator(
+                    name, np.diag([cfg[key] ** 2 for key in sigmas]), floor,
+                    cfg["adaptive.window"], cfg["adaptive.alpha"],
+                    enabled=cfg[switch])
+                for name, (sigmas, floor, switch) in paths.items()}
+
+    #: the session: every attribute ``reset`` assigns, which is exactly
+    #: what a checkpoint saves and restores
+    _SESSION = ("state", "cov", "origin", "ring", "adaptive", "vslam_anchor",
+                "_last_raw_vslam", "coast", "_started", "_zupt_active",
+                "_last_encoder_speed", "_last_imu_rate", "_heading_anchor",
+                "_lever_ok_since", "_lever_validated", "diagnostics")
 
     def reset(self) -> None:
         """Restore the configured initial state and clear all session
-        memory: origin, adaptive windows, snapshot ring, anchors."""
+        memory (``_SESSION``): origin, adaptive windows, ring, anchors."""
         cfg = self.config
         self.state = FilterState()
         diag = np.empty(STATE_DIM)
@@ -315,8 +319,7 @@ class FusionPipeline:
         self._count("engine_update_calls")
         outcome = ukf_update(state, cov, z, model, self._params,
                              gate_scale=gate_scale,
-                             frozen=self._frozen_indices(coast_active),
-                             epsilon=self._epsilon)
+                             frozen=self._frozen_indices(coast_active))
         records.append(UpdateRecord(model.name, outcome.accepted, outcome.d2,
                                     model.dim, model.gate * gate_scale,
                                     outcome.reason))
@@ -440,7 +443,7 @@ class FusionPipeline:
             dt = min(dt_total, _MAX_STEP_DT)
             state, cov = ukf_predict(
                 state, cov, PropagationStep(dt, noise, step.coast_active),
-                self._params, epsilon=self._epsilon)
+                self._params)
             dt_total -= dt
         state, cov = self._imu_updates(state, cov, sample, step.coast_active,
                                        records)
@@ -681,87 +684,106 @@ class FusionPipeline:
     # persistence
 
     def save_checkpoint(self, path: str) -> None:
-        doc = {
-            "version": CHECKPOINT_VERSION,
-            "config_hash": self.config.hash(),
-            "started": self._started,
-            "stamp": self.state.stamp,
-            "state": self.state.as_vector().tolist(),
-            "cov": self.cov.tolist(),
-            "origin": None if self.origin is None else {
-                "lat": self.origin.geodetic.lat,
-                "lon": self.origin.geodetic.lon,
-                "alt": self.origin.geodetic.alt,
-            },
-            "adaptive": {k: v.snapshot() for k, v in self.adaptive.items()},
-            "vslam_anchor": {
-                "position": self.vslam_anchor.position.tolist(),
-                "quaternion": self.vslam_anchor.quaternion.tolist(),
-                "rejections": self.vslam_anchor.rejections,
-            },
-            "coast": {
-                "active": self.coast.active,
-                "last_accept": self.coast.last_accept,
-                "relax_armed": self.coast.relax_armed,
-            },
-            "zupt": {
-                "active": self._zupt_active,
-                "speed": self._last_encoder_speed,
-                "rate": self._last_imu_rate,
-            },
-            "heading_anchor": None if self._heading_anchor is None else {
-                "xy": self._heading_anchor[0].tolist(),
-                "stamp": self._heading_anchor[1],
-                "var": self._heading_anchor[2],
-            },
-            "lever": {
-                "validated": self._lever_validated,
-                "ok_since": self._lever_ok_since,
-            },
-        }
+        """Write the session (``_SESSION``) as JSON, with the checkpoint
+        version and the configuration hash that loading checks."""
+        doc = {"version": CHECKPOINT_VERSION,
+               "config_hash": self.config.hash(),
+               "session": {name: _encode(getattr(self, name))
+                           for name in self._SESSION}}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            json.dump(doc, fh)
 
     def load_checkpoint(self, path: str) -> None:
+        """Restore a session written by ``save_checkpoint``.  All of it is
+        decoded and validated before any of it is assigned, so a bad
+        checkpoint raises ``CheckpointError`` and changes nothing."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
-        if doc.get("version") != CHECKPOINT_VERSION:
+        if (not isinstance(doc, dict)
+                or doc.get("version") != CHECKPOINT_VERSION):
             raise CheckpointError("checkpoint version mismatch")
         if doc.get("config_hash") != self.config.hash():
             raise CheckpointError("checkpoint was written with a different "
                                   "configuration")
-        self.reset()
-        self._started = doc["started"]
-        self.state = FilterState.from_vector(np.asarray(doc["state"]),
-                                             stamp=doc["stamp"],
-                                             normalize=False)
-        self.cov = np.asarray(doc["cov"], dtype=float)
-        if doc["origin"] is not None:
-            self.origin = EnuOrigin.from_geodetic(
-                GeodeticCoord(doc["origin"]["lat"], doc["origin"]["lon"],
-                              doc["origin"]["alt"]))
-        for name, data in doc["adaptive"].items():
-            if name in self.adaptive:
-                self.adaptive[name].restore(data)
-        anchor = doc["vslam_anchor"]
-        self.vslam_anchor.position = np.asarray(anchor["position"])
-        self.vslam_anchor.quaternion = np.asarray(anchor["quaternion"])
-        self.vslam_anchor.rejections = int(anchor["rejections"])
-        self.coast = CoastState(doc["coast"]["active"],
-                                doc["coast"]["last_accept"],
-                                doc["coast"]["relax_armed"])
-        self._zupt_active = doc["zupt"]["active"]
-        self._last_encoder_speed = doc["zupt"]["speed"]
-        self._last_imu_rate = doc["zupt"]["rate"]
-        if doc["heading_anchor"] is not None:
-            ha = doc["heading_anchor"]
-            self._heading_anchor = (np.asarray(ha["xy"]), ha["stamp"],
-                                    ha["var"])
-        self._lever_validated = doc["lever"]["validated"]
-        self._lever_ok_since = doc["lever"]["ok_since"]
+        try:
+            session = {name: _decode(doc["session"][name])
+                       for name in self._SESSION}
+            ring = session["ring"]
+            for state, cov in ([(session["state"], session["cov"])]
+                               + [(e.state, e.cov) for e in ring.entries]):
+                if (state.vector.shape != (STATE_DIM,)
+                        or cov.shape != (STATE_DIM, STATE_DIM)
+                        or not np.isfinite(cov).all()):
+                    raise ValueError("bad state shape or covariance")
+                state.validate()
+            stamps = [e.stamp for e in ring.entries]
+            if (ring.capacity != self.config["retro.capacity"]
+                    or len(stamps) > ring.capacity
+                    or any(b <= a for a, b in zip(stamps, stamps[1:]))):
+                raise ValueError("replay ring over capacity or unordered")
+            if session["origin"] is not None:
+                # object.__new__ skipped GeodeticCoord's range check
+                GeodeticCoord(**vars(session["origin"].geodetic))
+        except (AttributeError, KeyError, TypeError, ValueError,
+                NumericalError, RecursionError) as exc:
+            raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
+        for name, value in session.items():
+            setattr(self, name, value)
+
+
+#: the types a checkpoint may hold besides JSON scalars and containers
+_SESSION_TYPES = {cls.__name__: cls for cls in (
+    FilterState, Snapshot, StateSnapshotRing, ImuSample, AdaptiveEstimator,
+    CoastState, VslamAnchor, EnuOrigin, GeodeticCoord)}
+_SEQUENCES = {"list": list, "tuple": tuple, "deque": deque}
+
+
+def _encode(value):
+    """JSON form of a session value: a scalar as it is, anything else as
+    ``{"type": name, "value": ...}``; an object's value is its attributes."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    kind = type(value).__name__
+    if isinstance(value, np.ndarray):
+        return {"type": kind, "value": value.tolist()}
+    if kind in _SEQUENCES:
+        return {"type": kind, "value": [_encode(v) for v in value],
+                "maxlen": getattr(value, "maxlen", None)}
+    if isinstance(value, dict):
+        fields = value
+    elif _SESSION_TYPES.get(kind) is type(value):
+        fields = {name: getattr(value, name) for name in
+                  getattr(value, "__slots__", None) or vars(value)}
+    else:
+        raise TypeError(f"a checkpoint cannot hold a {kind}")
+    return {"type": kind,
+            "value": {name: _encode(v) for name, v in fields.items()}}
+
+
+def _decode(doc):
+    """Inverse of ``_encode``.  It builds only arrays, the containers and
+    the ``_SESSION_TYPES``; any other type name is an error."""
+    if not isinstance(doc, dict):
+        return doc
+    kind, value = doc["type"], doc["value"]
+    if kind == "ndarray":
+        return np.array(value, dtype=float)
+    if kind in _SEQUENCES:
+        items = [_decode(v) for v in value]
+        return (deque(items, doc["maxlen"]) if kind == "deque"
+                else _SEQUENCES[kind](items))
+    fields = {name: _decode(v) for name, v in value.items()}
+    if kind == "dict":
+        return fields
+    if kind not in _SESSION_TYPES:
+        raise TypeError(f"unknown type {kind!r} in checkpoint")
+    obj = object.__new__(_SESSION_TYPES[kind])
+    for name, v in fields.items():
+        object.__setattr__(obj, name, v)  # frozen dataclasses too
+    return obj
 
 
 @dataclass(frozen=True)

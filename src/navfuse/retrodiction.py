@@ -50,32 +50,28 @@ class StateSnapshotRing:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: list[Snapshot] = []
+        self.entries: list[Snapshot] = []
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def entries(self) -> list[Snapshot]:
-        return self._entries
+        return len(self.entries)
 
     @property
     def last_stamp(self) -> Optional[float]:
-        return self._entries[-1].stamp if self._entries else None
+        return self.entries[-1].stamp if self.entries else None
 
     @property
     def first_stamp(self) -> Optional[float]:
-        return self._entries[0].stamp if self._entries else None
+        return self.entries[0].stamp if self.entries else None
 
     def record(self, snapshot: Snapshot) -> None:
-        if self._entries and snapshot.stamp <= self._entries[-1].stamp:
+        if self.entries and snapshot.stamp <= self.entries[-1].stamp:
             raise ValueError("snapshot stamps must be strictly increasing")
-        self._entries.append(snapshot)
-        if len(self._entries) > self.capacity:
-            self._entries.pop(0)
+        self.entries.append(snapshot)
+        if len(self.entries) > self.capacity:
+            self.entries.pop(0)
 
     def nearest_at_or_before(self, stamp: float) -> Optional[int]:
-        stamps = [e.stamp for e in self._entries]
+        stamps = [e.stamp for e in self.entries]
         idx = bisect.bisect_right(stamps, stamp) - 1
         return idx if idx >= 0 else None
 
@@ -93,17 +89,17 @@ class StateSnapshotRing:
         ring's stored states are replaced with the replayed ones so later
         delayed measurements rewind onto corrected history.
         """
-        if not self._entries:
+        if not self.entries:
             return ReplayOutcome(status="empty")
-        if stamp < self._entries[0].stamp:
+        if stamp < self.entries[0].stamp:
             return ReplayOutcome(status="dropped_old")
         idx = self.nearest_at_or_before(stamp)
-        base = self._entries[idx]
+        base = self.entries[idx]
         state, cov, result = apply_fn(base.state, base.cov)
-        self._entries[idx].state = state
-        self._entries[idx].cov = cov
+        self.entries[idx].state = state
+        self.entries[idx].cov = cov
         steps = 0
-        for entry in self._entries[idx + 1 :]:
+        for entry in self.entries[idx + 1 :]:
             state, cov = replay_fn(state, cov, entry)
             entry.state = state
             entry.cov = cov

@@ -78,22 +78,3 @@ class TestLifecycle:
     def test_floor_must_be_positive(self):
         with pytest.raises(ValueError):
             AdaptiveEstimator("bad", np.eye(1), [0.0])
-
-    def test_snapshot_restore_roundtrip(self, rng):
-        est = make_estimator()
-        for _ in range(60):
-            est.observe(rng.normal(size=1))
-        snap = est.snapshot()
-        est2 = make_estimator()
-        est2.restore(snap)
-        assert np.allclose(est2.r, est.r)
-        out1 = est.observe(np.array([0.3]))
-        out2 = est2.observe(np.array([0.3]))
-        assert np.array_equal(out1, out2)
-
-    def test_reset_returns_to_configured_r(self, rng):
-        est = make_estimator()
-        for _ in range(100):
-            est.observe(rng.normal(size=1))
-        est.reset()
-        assert est.r[0, 0] == pytest.approx(4.0)

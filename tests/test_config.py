@@ -64,3 +64,5 @@ class TestHashAndOverrides:
             out = cfg.with_overrides(overrides)
             for key, value in overrides.items():
                 assert out[key] == value
+            # an ablation that leaves the configuration as it was does nothing
+            assert out.hash() != cfg.hash(), name

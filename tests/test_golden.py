@@ -10,11 +10,17 @@ must keep every stored value within 1e-9.  After an intended behaviour
 change, regenerate the files and say why in CHANGES.md:
 
     PYTHONPATH=src python3 tests/test_golden.py --regenerate
+
+The same scenarios check that a run resumed from a checkpoint taken halfway
+is bit-identical to the uninterrupted run, and that the paper's two
+ablations (no bias states, no encoder yaw-rate bias) hold their states at
+zero.
 """
 
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -58,10 +64,10 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str) -> dict:
+def run_scenario(name: str, overrides: Optional[dict] = None) -> dict:
     scenario, config = SCENARIOS[name]
     _, events = generate(SimScenario.from_dict(scenario))
-    pipe = FusionPipeline(PipelineConfig(config))
+    pipe = FusionPipeline(PipelineConfig({**config, **(overrides or {})}))
     rows = []
     for event in events:
         report = pipe.ingest(event)
@@ -82,6 +88,44 @@ def test_matches_golden(name):
                                rtol=0.0, atol=ATOL)
     np.testing.assert_allclose(out["cov_diag"], golden["cov_diag"],
                                rtol=0.0, atol=ATOL)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_resume_from_checkpoint_is_bit_identical(name, tmp_path):
+    """Checkpoint after half the events, load into a fresh pipeline and
+    feed both the rest: every later report and the final covariance and
+    counters must match exactly."""
+    scenario, config = SCENARIOS[name]
+    _, events = generate(SimScenario.from_dict(scenario))
+    half = len(events) // 2
+    path = str(tmp_path / "checkpoint.json")
+    whole = FusionPipeline(PipelineConfig(config))
+    for event in events[:half]:
+        whole.ingest(event)
+    whole.save_checkpoint(path)
+    resumed = FusionPipeline(PipelineConfig(config))
+    resumed.load_checkpoint(path)
+    for event in events[half:]:
+        a, b = whole.ingest(event), resumed.ingest(event)
+        assert a.dropped == b.dropped
+        assert np.array_equal(a.state.as_vector(), b.state.as_vector())
+        assert np.array_equal(a.cov_diag, b.cov_diag)
+    assert np.array_equal(whole.cov, resumed.cov)
+    assert whole.diagnostics == resumed.diagnostics
+
+
+@pytest.mark.parametrize("switch, frozen", [
+    ("features.bias_states", slice(16, 23)),  # gyro, accel and b_ewz biases
+    ("features.b_ewz", slice(22, 23)),
+])
+def test_ablation_keeps_its_states_at_zero(switch, frozen):
+    """The paper's two ablations: with a bias group switched off, its
+    states never leave zero.  With the full filter b_ewz does (golden)."""
+    out = run_scenario("circle_gps_late", {switch: False})
+    states = np.asarray(out["trajectory"])[:, 1:]
+    assert np.abs(states[:, frozen]).max() <= 1e-12
+    golden = json.loads((GOLDEN_DIR / "circle_gps_late.json").read_text())
+    assert np.abs(np.asarray(golden["trajectory"])[:, 1 + 22]).max() > 1e-3
 
 
 def test_scenarios_exercise_their_paths():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -640,6 +642,61 @@ class TestLifecycle:
         cont2 = [r.state.as_vector() for r in run(pipe2, tail)
                  if r.kind == "imu"]
         assert np.array_equal(np.array(cont1), np.array(cont2))
+
+    def test_reset_assigns_exactly_the_session(self):
+        """``_SESSION`` is what checkpoints save, so an attribute ``reset``
+        assigns but the declaration misses would not survive a resume."""
+        assigned = []
+
+        class Recording(FusionPipeline):
+            def __setattr__(self, name, value):
+                assigned.append(name)
+                super().__setattr__(name, value)
+
+        pipe = FusionPipeline(PipelineConfig())
+        pipe.__class__ = Recording
+        pipe.reset()
+        assert sorted(assigned) == sorted(FusionPipeline._SESSION)
+
+    @pytest.mark.parametrize("keys, value", [
+        ((), []),                                           # wrong root type
+        (("session", "_started"), None),                    # missing key
+        (("session", "state", "value", "vector", "value"), [0.0] * 5),
+        (("session", "cov", "value"), [[1.0, 0.0, 0.0]] * 23),
+        (("session", "coast", "type"), "Popen"),            # unknown type
+    ], ids=["root", "missing", "state_shape", "cov_shape", "unknown_type"])
+    def test_malformed_checkpoint_changes_nothing(self, tmp_path, keys,
+                                                  value):
+        path = tmp_path / "ckpt.json"
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(1.0, gps_rate=5.0))
+        pipe.save_checkpoint(str(path))
+        doc = json.loads(path.read_text())
+        if not keys:
+            doc = value
+        else:
+            *parents, last = keys
+            target = doc
+            for key in parents:
+                target = target[key]
+            if value is None:
+                del target[last]
+            else:
+                target[last] = value
+        path.write_text(json.dumps(doc))
+        run(pipe, stationary_stream(1.5, gps_rate=5.0)[-50:])
+        before = {name: getattr(pipe, name) for name in pipe._SESSION}
+        counts = dict(pipe.diagnostics)
+        with pytest.raises(CheckpointError):
+            pipe.load_checkpoint(str(path))
+        assert all(getattr(pipe, name) is old for name, old in before.items())
+        assert pipe.diagnostics == counts
+
+    def test_deeply_nested_checkpoint_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(CheckpointError):
+            FusionPipeline(PipelineConfig()).load_checkpoint(str(path))
 
     def test_checkpoint_config_hash_guard(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
