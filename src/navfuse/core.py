@@ -88,6 +88,66 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 # The engine calls these on (47, 4) sigma-point rows.  They skip input checks
 # (the engine checks the finiteness of each predict/update result once) and
 # accept any leading shape; the public functions below wrap them with checks.
+#
+# The Hamilton product is bilinear in (a, b), and R(q) - I is a quadratic
+# form in q, so each is one outer product times a constant matrix: a few
+# numpy calls over all rows instead of one per term and column.  Each output
+# component is the same sum of the same products as the written-out formula,
+# summed in the matrix product's order instead, so results can differ from
+# that formula in the last bit.  An entry of R(q) - I is the sum of two
+# exactly doubled products, so it rounds once whatever that order is.
+
+_W, _X, _Y, _Z = range(4)
+
+#: e_i e_j = sign * e_k of the quaternion units, as (k, sign) at [i][j]
+_UNIT_PRODUCTS = (
+    ((_W, 1), (_X, 1), (_Y, 1), (_Z, 1)),
+    ((_X, 1), (_W, -1), (_Z, 1), (_Y, -1)),
+    ((_Y, 1), (_Z, -1), (_W, -1), (_X, 1)),
+    ((_Z, 1), (_Y, 1), (_X, -1), (_W, -1)),
+)
+
+#: entry [r][c] of R(q) - I as terms (coefficient, i, j) of q_i q_j
+_ROTATION_TERMS = (
+    (((-2, _Y, _Y), (-2, _Z, _Z)), ((2, _X, _Y), (-2, _W, _Z)),
+     ((2, _X, _Z), (2, _W, _Y))),
+    (((2, _X, _Y), (2, _W, _Z)), ((-2, _X, _X), (-2, _Z, _Z)),
+     ((2, _Y, _Z), (-2, _W, _X))),
+    (((2, _X, _Z), (-2, _W, _Y)), ((2, _Y, _Z), (2, _W, _X)),
+     ((-2, _X, _X), (-2, _Y, _Y))),
+)
+
+
+def _bilinear_basis(outputs: int, entries) -> np.ndarray:
+    """(16, outputs) matrix taking the flattened outer product a_i b_j (row
+    4i + j) to the outputs; ``entries`` yields (output, coefficient, i, j)."""
+    basis = np.zeros((16, outputs))
+    for k, coef, i, j in entries:
+        basis[4 * i + j, k] = coef
+    basis.flags.writeable = False
+    return basis
+
+
+def _rotation_basis(transpose: bool) -> np.ndarray:
+    """R(q) - I, or R(q)^T - I, as 9 outputs in row-major order."""
+    return _bilinear_basis(9, ((3 * c + r if transpose else 3 * r + c,
+                                coef, i, j)
+                               for r, row in enumerate(_ROTATION_TERMS)
+                               for c, terms in enumerate(row)
+                               for coef, i, j in terms))
+
+
+_HAMILTON = _bilinear_basis(4, ((k, sign, i, j)
+                                for i, row in enumerate(_UNIT_PRODUCTS)
+                                for j, (k, sign) in enumerate(row)))
+_ROTATION = _rotation_basis(transpose=False)
+_ROTATION_T = _rotation_basis(transpose=True)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flattened outer products a_i b_j of quaternion rows, (..., 16)."""
+    ab = a[..., :, None] * b[..., None, :]
+    return ab.reshape(ab.shape[:-2] + (16,))
 
 
 def normalize_rows(q: np.ndarray) -> np.ndarray:
@@ -96,15 +156,8 @@ def normalize_rows(q: np.ndarray) -> np.ndarray:
 
 
 def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unnormalized Hamilton product of equal-shape quaternion arrays."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out = np.empty(a.shape)
-    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
-    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
-    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
-    return out
+    """Unnormalized Hamilton product of broadcastable quaternion arrays."""
+    return _outer(a, b) @ _HAMILTON
 
 
 def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,10 +166,14 @@ def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return normalize_rows(_hamilton(a, b))
 
 
-def _exp_unnormalized(omega: np.ndarray, dt: float) -> np.ndarray:
-    """``quat_exp`` before its final renormalization."""
+def quat_exp_rows(omega: np.ndarray, dt: float) -> np.ndarray:
+    """``quat_exp`` over rate rows before its renormalization, unchecked.
+
+    Its norm is 1 up to rounding on the exact branch and 1 + O(|omega dt|^2)
+    on the first-order one; a caller that composes it with ``quat_mul_rows``
+    renormalizes the product anyway."""
     rate = np.sqrt((omega * omega).sum(axis=-1, keepdims=True))
-    half = 0.5 * rate * dt
+    half = rate * (0.5 * dt)
     small = rate <= EPSILON_OMEGA
     any_small = small.any()
     if any_small:
@@ -132,22 +189,18 @@ def _exp_unnormalized(omega: np.ndarray, dt: float) -> np.ndarray:
     return q
 
 
-def quat_exp_rows(omega: np.ndarray, dt: float) -> np.ndarray:
-    """``quat_exp`` over rate rows, unchecked."""
-    return normalize_rows(_exp_unnormalized(omega, dt))
+def _rotate(q: np.ndarray, v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """v + (M - I) v for M = R(q) (``_ROTATION``) or R(q)^T
+    (``_ROTATION_T``); broadcasts over leading dimensions."""
+    m = (_outer(q, q) @ basis).reshape(q.shape[:-1] + (3, 3))
+    return v + (m @ v[..., None])[..., 0]
 
 
 def rotate_inv_vertical_rows(q: np.ndarray, g: float) -> np.ndarray:
     """R(q)^T [0, 0, g] over quaternion rows: ``quat_rotate_inv`` with the
-    zero terms of a vertical vector dropped."""
-    w, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    g2 = 2.0 * g
-    a = g2 * qx
-    b = g2 * qy
-    out = np.empty(q.shape[:-1] + (3,))
-    out[..., 0] = qz * a - w * b
-    out[..., 1] = w * a + qz * b
-    out[..., 2] = g - qx * a - qy * b
+    zero terms of a vertical vector dropped, equal to it bit for bit."""
+    out = g * (_outer(q, q) @ _ROTATION[:, 6:])
+    out[..., 2] += g
     return out
 
 
@@ -157,7 +210,6 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NumericalError("non-finite quaternion input")
-    a, b = np.broadcast_arrays(a, b)
     return quat_normalize(_hamilton(a, b))
 
 
@@ -173,29 +225,22 @@ def quat_exp(omega: np.ndarray, dt: float) -> np.ndarray:
         raise ValueError("dt must be non-negative")
     if not np.isfinite(omega).all():
         raise NumericalError("non-finite angular rate")
-    return quat_normalize(_exp_unnormalized(omega, dt))
+    return quat_normalize(quat_exp_rows(omega, dt))
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply the rotation R(q) to v.  Broadcasts over leading dimensions."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
-    # v + w*t + qv x t with t = 2 qv x v, written out (np.cross is slow)
-    tx = 2.0 * (qy * vz - qz * vy)
-    ty = 2.0 * (qz * vx - qx * vz)
-    tz = 2.0 * (qx * vy - qy * vx)
-    out = np.empty(np.shape(tx) + (3,))
-    out[..., 0] = vx + w * tx + qy * tz - qz * ty
-    out[..., 1] = vy + w * ty + qz * tx - qx * tz
-    out[..., 2] = vz + w * tz + qx * ty - qy * tx
-    return out
+    """Apply the rotation R(q) to v.  Broadcasts over leading dimensions.
+
+    R(q) = (1 - 2|q_v|^2) I + 2 q_v q_v^T + 2 w [q_v]x, which for a non-unit
+    q is the written-out v + w t + q_v x t with t = 2 q_v x v."""
+    return _rotate(np.asarray(q, dtype=float), np.asarray(v, dtype=float),
+                   _ROTATION)
 
 
 def quat_rotate_inv(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply R(q)^T to v (world -> body for a world-from-body quaternion)."""
-    return quat_rotate(quat_conjugate(q), v)
+    return _rotate(np.asarray(q, dtype=float), np.asarray(v, dtype=float),
+                   _ROTATION_T)
 
 
 def quat_to_rotmat(q: np.ndarray) -> np.ndarray:

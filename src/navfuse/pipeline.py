@@ -20,13 +20,15 @@ inside a rewound window does not survive it.
 A checkpoint is a JSON file: version, configuration hash, and the session,
 the attributes ``FusionPipeline._SESSION`` lists and ``reset`` assigns
 (state, covariance, origin, replay ring, adaptive windows, anchors, mode
-timers, counters).  Loading builds only the listed session types and
-validates all of it before assigning any, so a malformed file changes
-nothing and a resumed run is bit-identical to an uninterrupted one.
+timers, counters), with each array stored as its shape and the base64 of
+its little-endian float64 bytes.  Loading builds only the listed session
+types and validates all of it before assigning any, so a malformed file
+changes nothing and a resumed run is bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from collections import deque
@@ -66,13 +68,17 @@ from .events import (
 from .geodesy import EnuOrigin, GeodeticCoord
 from .retrodiction import Snapshot, StateSnapshotRing
 from .ukf import UkfParams, update as ukf_update, predict as ukf_predict
-from .process import PropagationStep
+from .process import PropagationStep, noise_rates
 
 _BIAS_INDICES = tuple(range(16, STATE_DIM))
 _MAX_STEP_DT = 0.5
+#: largest forward jump of the primary-IMU stamp that is predicted across;
+#: a longer silence is a corrupt stamp or a restarted sensor, and bridging it
+#: would cost one predict per 0.5 s inside a single ingest call
+_MAX_IMU_GAP = 10.0
 _TOO_OLD = "older than replay buffer"
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def zupt_trigger(last_encoder_speed: Optional[float],
@@ -231,10 +237,12 @@ class FusionPipeline:
         elif not cfg["features.b_ewz"]:
             base_noise = ProcessNoiseConfig(
                 **{**base_noise.__dict__, "q_ewz": 0.0})
-        self._noise = base_noise
-        # coasting freezes the encoder yaw-rate bias random walk
-        self._coast_noise = ProcessNoiseConfig(
-            **{**base_noise.__dict__, "q_ewz": 0.0})
+        # per-second Q diagonals; coasting freezes the encoder yaw-rate bias
+        # random walk
+        self._q_rate = noise_rates(base_noise)
+        self._coast_q_rate = noise_rates(
+            ProcessNoiseConfig(**{**base_noise.__dict__, "q_ewz": 0.0}),
+            coast_active=True)
 
     def _build_adaptive(self) -> dict[str, AdaptiveEstimator]:
         cfg = self.config
@@ -411,41 +419,51 @@ class FusionPipeline:
                               "no imu clock yet")
         return row.handler(self, event)
 
-    def _imu_updates(self, state: FilterState, cov: np.ndarray,
-                     sample: ImuSample, coast_active: bool,
-                     records: list[UpdateRecord]
-                     ) -> tuple[FilterState, np.ndarray]:
-        """Raw gyro/accel update, then the orientation update when the
-        source has an orientation model and the sample carries one."""
-        raw, orient = self._imu_models[event_kind(sample)]
-        out = self._apply_update(state, cov,
-                                 np.concatenate([sample.gyro, sample.accel]),
-                                 raw, records, coast_active)
+    def _imu_vectors(self, sample: ImuSample
+                     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """The sample's measurement vectors: gyro and accel for the raw
+        update, and roll, pitch (and yaw with a magnetometer) for the
+        orientation update, or None when the source has no orientation
+        model or the sample no orientation."""
+        orient = self._imu_models[event_kind(sample)][1]
+        z_raw = np.concatenate([sample.gyro, sample.accel])
         if orient is None or sample.orientation is None:
-            return out.state, out.cov
+            return z_raw, None
         rpy = quat_to_euler(quat_normalize(sample.orientation))
-        out = self._apply_update(out.state, out.cov,
-                                 np.asarray(rpy[: orient.dim]), orient,
+        return z_raw, np.array(rpy[: orient.dim])
+
+    def _imu_updates(self, state: FilterState, cov: np.ndarray, kind: str,
+                     z_raw: np.ndarray, z_orient: Optional[np.ndarray],
+                     coast_active: bool, records: list[UpdateRecord]
+                     ) -> tuple[FilterState, np.ndarray]:
+        """Raw gyro/accel update, then the orientation update when there is
+        an orientation measurement (see ``_imu_vectors``)."""
+        raw, orient = self._imu_models[kind]
+        out = self._apply_update(state, cov, z_raw, raw, records,
+                                 coast_active)
+        if z_orient is None:
+            return out.state, out.cov
+        out = self._apply_update(out.state, out.cov, z_orient, orient,
                                  records, coast_active)
         return out.state, out.cov
 
     def _imu_step(self, state: FilterState, cov: np.ndarray, step: Snapshot,
                   records: Optional[list[UpdateRecord]] = None
                   ) -> tuple[FilterState, np.ndarray]:
-        """Predict to the step's IMU stamp, run that sample's updates, and
-        the ZUPT update while one was held.  Live ingestion and ring replay
-        both run this, so the two paths are bit-identical."""
+        """Predict to the step's IMU stamp, run the updates of its stored
+        measurement vectors, and the ZUPT update while one was held.  Live
+        ingestion and ring replay both run this, so the two paths are
+        bit-identical."""
         records = [] if records is None else records
-        sample = step.imu_sample
-        dt_total = sample.stamp - state.stamp
-        noise = self._coast_noise if step.coast_active else self._noise
+        dt_total = step.stamp - state.stamp
+        q_rate = self._coast_q_rate if step.coast_active else self._q_rate
         while dt_total > 1e-12:
             dt = min(dt_total, _MAX_STEP_DT)
-            state, cov = ukf_predict(
-                state, cov, PropagationStep(dt, noise, step.coast_active),
-                self._params)
+            state, cov = ukf_predict(state, cov, PropagationStep(dt, q_rate),
+                                     self._params)
             dt_total -= dt
-        state, cov = self._imu_updates(state, cov, sample, step.coast_active,
+        state, cov = self._imu_updates(state, cov, "imu", step.z_raw,
+                                       step.z_orient, step.coast_active,
                                        records)
         if step.zupt_active:
             out = self._apply_update(state, cov, np.zeros(3),
@@ -462,11 +480,14 @@ class FusionPipeline:
         elif sample.stamp <= self.state.stamp:
             return self._drop(sample.stamp, "imu", "dropped_imu_out_of_order",
                               "imu stamp not increasing")
+        elif sample.stamp - self.state.stamp > _MAX_IMU_GAP:
+            return self._drop(sample.stamp, "imu", "dropped_imu_time_jump",
+                              "imu stamp jumped ahead")
         self._update_coast(sample.stamp)
         self._last_imu_rate = float(np.linalg.norm(sample.gyro))
         self._update_zupt()
-        step = Snapshot(sample.stamp, None, None, sample, self._zupt_active,
-                        self.coast.active)
+        step = Snapshot(sample.stamp, None, None, *self._imu_vectors(sample),
+                        self._zupt_active, self.coast.active)
         records: list[UpdateRecord] = []
         self.state, self.cov = self._imu_step(self.state, self.cov, step,
                                               records)
@@ -479,7 +500,8 @@ class FusionPipeline:
     def _on_imu2(self, sample: ImuSample) -> StepReport:
         records: list[UpdateRecord] = []
         self.state, self.cov = self._imu_updates(
-            self.state, self.cov, sample, self.coast.active, records)
+            self.state, self.cov, "imu2", *self._imu_vectors(sample),
+            self.coast.active, records)
         return self._report(sample.stamp, "imu2", records)
 
     def _on_encoder(self, sample: EncoderSample) -> StepReport:
@@ -719,6 +741,12 @@ class FusionPipeline:
                         or not np.isfinite(cov).all()):
                     raise ValueError("bad state shape or covariance")
                 state.validate()
+            orient = self._imu_models["imu"][1]
+            for e in ring.entries:
+                if not (_is_finite_vector(e.z_raw, 6)
+                        and (e.z_orient is None or orient is not None
+                             and _is_finite_vector(e.z_orient, orient.dim))):
+                    raise ValueError("bad snapshot measurement vectors")
             stamps = [e.stamp for e in ring.entries]
             if (ring.capacity != self.config["retro.capacity"]
                     or len(stamps) > ring.capacity
@@ -736,19 +764,29 @@ class FusionPipeline:
 
 #: the types a checkpoint may hold besides JSON scalars and containers
 _SESSION_TYPES = {cls.__name__: cls for cls in (
-    FilterState, Snapshot, StateSnapshotRing, ImuSample, AdaptiveEstimator,
-    CoastState, VslamAnchor, EnuOrigin, GeodeticCoord)}
+    FilterState, Snapshot, StateSnapshotRing, AdaptiveEstimator, CoastState,
+    VslamAnchor, EnuOrigin, GeodeticCoord)}
 _SEQUENCES = {"list": list, "tuple": tuple, "deque": deque}
+#: the stored form of every array element: little-endian float64
+_ARRAY_DTYPE = np.dtype("<f8")
+
+
+def _is_finite_vector(value, length: int) -> bool:
+    return (isinstance(value, np.ndarray) and value.shape == (length,)
+            and bool(np.isfinite(value).all()))
 
 
 def _encode(value):
     """JSON form of a session value: a scalar as it is, anything else as
-    ``{"type": name, "value": ...}``; an object's value is its attributes."""
+    ``{"type": name, "value": ...}``; an object's value is its attributes,
+    an array's is the base64 of its float64 bytes, with its ``shape``."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     kind = type(value).__name__
     if isinstance(value, np.ndarray):
-        return {"type": kind, "value": value.tolist()}
+        data = value.astype(_ARRAY_DTYPE, copy=False).tobytes()
+        return {"type": kind, "shape": list(value.shape),
+                "value": base64.b64encode(data).decode("ascii")}
     if kind in _SEQUENCES:
         return {"type": kind, "value": [_encode(v) for v in value],
                 "maxlen": getattr(value, "maxlen", None)}
@@ -765,12 +803,19 @@ def _encode(value):
 
 def _decode(doc):
     """Inverse of ``_encode``.  It builds only arrays, the containers and
-    the ``_SESSION_TYPES``; any other type name is an error."""
+    the ``_SESSION_TYPES``; any other type name is an error, and so is an
+    array payload whose byte count does not match its shape."""
     if not isinstance(doc, dict):
         return doc
     kind, value = doc["type"], doc["value"]
     if kind == "ndarray":
-        return np.array(value, dtype=float)
+        shape = tuple(doc["shape"])
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"bad array shape {shape!r}")
+        data = base64.b64decode(value, validate=True)
+        if len(data) != _ARRAY_DTYPE.itemsize * math.prod(shape):
+            raise ValueError(f"array payload does not match shape {shape}")
+        return np.frombuffer(data, _ARRAY_DTYPE).reshape(shape).astype(float)
     if kind in _SEQUENCES:
         items = [_decode(v) for v in value]
         return (deque(items, doc["maxlen"]) if kind == "deque"

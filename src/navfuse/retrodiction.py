@@ -1,6 +1,7 @@
 """State snapshot ring and delayed-measurement replay.
 
-The pipeline records a snapshot after every primary-IMU step.  When a
+The pipeline records a snapshot after every primary-IMU step: the step's
+measurement vectors and modes, and the state and covariance after it.  When a
 delayed measurement arrives, the ring restores the newest snapshot at or
 before the measurement epoch, applies the measurement there, and re-runs
 the recorded IMU steps forward, rewriting the stored states along the way.
@@ -22,13 +23,19 @@ from .core import FilterState
 
 @dataclass
 class Snapshot:
-    """One primary-IMU step: its sample and the modes it ran under, and
-    the state and covariance after it."""
+    """One primary-IMU step: its sample's measurement vectors and the modes
+    it ran under, and the state and covariance after it.
+
+    ``z_raw`` is the sample's gyro and accel, and ``z_orient`` its roll,
+    pitch (and yaw when the source has a magnetometer), or None when the
+    step made no orientation update.  Both are computed once, when the
+    sample arrives, so a replay re-runs only the filter arithmetic."""
 
     stamp: float
     state: FilterState
     cov: np.ndarray
-    imu_sample: object
+    z_raw: np.ndarray
+    z_orient: Optional[np.ndarray] = None
     zupt_active: bool = False
     coast_active: bool = False
 

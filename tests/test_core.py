@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navfuse.core import (
+    _hamilton,
     FilterState,
     NumericalError,
     ProcessNoiseConfig,
@@ -11,6 +12,7 @@ from navfuse.core import (
     STATE_DIM,
     euler_to_quat,
     quat_canonical,
+    quat_conjugate,
     quat_exp,
     quat_mul,
     quat_exp_rows,
@@ -131,6 +133,77 @@ class TestRowKernels:
         diff = (rotate_inv_vertical_rows(q, g)
                 - quat_rotate_inv(q, np.array([0.0, 0.0, g])))
         assert np.max(np.abs(diff)) <= 1e-15
+
+
+EPS = np.finfo(float).eps
+
+
+def hamilton_reference(a, b):
+    """The Hamilton product written out term by term, unnormalized."""
+    aw, ax, ay, az = np.moveaxis(a, -1, 0)
+    bw, bx, by, bz = np.moveaxis(b, -1, 0)
+    return np.stack([aw * bw - ax * bx - ay * by - az * bz,
+                     aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx,
+                     aw * bz + ax * by - ay * bx + az * bw], axis=-1)
+
+
+def rotate_reference(q, v):
+    """R(q) v written out as v + w t + q_v x t with t = 2 q_v x v."""
+    w, qv = q[..., :1], q[..., 1:]
+    t = 2.0 * np.cross(qv, v)
+    return v + w * t + np.cross(qv, t)
+
+
+def quats_and_vectors(rng, n=1000):
+    """Unit quaternions, quaternions with norms log-uniform in [1e-3, 1e3],
+    and vectors with norms log-uniform in [1e-3, 1e6]."""
+    unit = random_unit_quat(rng, n)
+    scaled = random_unit_quat(rng, n) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    v = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 6, (n, 1))
+    return unit, scaled, v
+
+
+class TestBilinearKernels:
+    """The product and rotation kernels (one outer product times a constant
+    matrix) against the written-out formulas they replace.  The two sum the
+    same products in different orders, so they may differ by rounding only.
+    Tolerances, fixed from the error bounds: a product component sums 4
+    rounded products, within 2 eps |a||b| each way, so the two agree within
+    8 eps |a||b|; after normalization (|a ⊗ b| = |a||b|) that is 8 eps plus
+    at most 4 eps of the two normalizations, so 16 eps.  A rotation
+    component sums terms of size |q|^2 |v| onto v, so 8 eps (1 + |q|^2) |v|,
+    where 1 covers the final rounding against v itself."""
+
+    def test_product(self, rng):
+        unit, scaled, _ = quats_and_vectors(rng)
+        for a, b in ((unit, unit[::-1]), (scaled, scaled[::-1]),
+                     (unit, scaled)):
+            ref = hamilton_reference(a, b)
+            size = (np.linalg.norm(a, axis=-1)
+                    * np.linalg.norm(b, axis=-1))[:, None]
+            assert np.all(np.abs(_hamilton(a, b) - ref) <= 8 * EPS * size)
+            unit_ref = ref / np.linalg.norm(ref, axis=-1, keepdims=True)
+            assert np.max(np.abs(quat_mul_rows(a, b) - unit_ref)) <= 16 * EPS
+            assert np.max(np.abs(quat_mul(a, b) - unit_ref)) <= 16 * EPS
+            for i in range(0, len(a), 97):
+                assert np.max(np.abs(quat_mul(a[i], b[i])
+                                     - unit_ref[i])) <= 16 * EPS
+
+    def test_rotation(self, rng):
+        unit, scaled, v = quats_and_vectors(rng)
+        for q in (unit, scaled):
+            tol = 8 * EPS * ((1.0 + np.sum(q * q, axis=-1))
+                             * np.linalg.norm(v, axis=-1))[:, None]
+            ref = rotate_reference(q, v)
+            inv_ref = rotate_reference(quat_conjugate(q), v)
+            assert np.all(np.abs(quat_rotate(q, v) - ref) <= tol)
+            assert np.all(np.abs(quat_rotate_inv(q, v) - inv_ref) <= tol)
+            for i in range(0, len(q), 97):
+                assert np.all(np.abs(quat_rotate(q[i], v[i]) - ref[i])
+                              <= tol[i])
+                assert np.all(np.abs(quat_rotate_inv(q[i], v[i])
+                                     - inv_ref[i]) <= tol[i])
 
 
 class TestStateVector:

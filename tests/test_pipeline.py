@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from navfuse.events import (
     VslamPoseSample,
 )
 from navfuse.geodesy import EnuOrigin, GeodeticCoord, enu_to_geodetic
+from navfuse import pipeline as pipeline_module
 from navfuse.pipeline import (
     SENSORS,
     CheckpointError,
@@ -69,6 +71,12 @@ def ingest_counting(pipe, event):
     bumped = {k: v - before.get(k, 0) for k, v in pipe.diagnostics.items()
               if v != before.get(k, 0)}
     return report, bumped
+
+
+def array_doc(a):
+    """An array as a checkpoint stores it."""
+    return {"type": "ndarray", "shape": list(a.shape),
+            "value": base64.b64encode(a.astype("<f8").tobytes()).decode()}
 
 
 ALL_ON = {"imu2.enabled": True, "gnss.velocity_enabled": True,
@@ -153,6 +161,20 @@ class TestBasics:
         report = pipe.ingest(imu_at(1.7))
         assert report.dropped is None
         assert pipe.state.stamp == pytest.approx(1.7)
+
+    def test_imu_time_jump_dropped_without_predicting(self, monkeypatch):
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(0.5))
+        state, cov, ring = pipe.state, pipe.cov, list(pipe.ring.entries)
+        predicts = []
+        monkeypatch.setattr(pipeline_module, "ukf_predict",
+                            lambda *args, **kw: predicts.append(args))
+        report, bumped = ingest_counting(pipe, imu_at(state.stamp + 1e6))
+        assert report.dropped is not None
+        assert bumped == {"dropped_imu_time_jump": 1}
+        assert predicts == []
+        assert pipe.state is state and pipe.cov is cov
+        assert pipe.ring.entries == ring
 
     def test_no_nan_reaches_state(self):
         pipe = FusionPipeline(PipelineConfig())
@@ -595,6 +617,40 @@ class TestRetrodiction:
         assert rotation_distance(delayed.quaternion,
                                  inorder.quaternion) < 1e-8
 
+    def test_replay_reuses_the_live_measurement_vectors(self, monkeypatch):
+        """A rewind over 20 IMU steps re-derives none of their measurement
+        vectors: no Euler extraction, and the stored vectors are the ones
+        the live steps fused."""
+        fused = []
+        live_update = pipeline_module.ukf_update
+
+        def recording(state, cov, z, model, *args, **kw):
+            fused.append((model.name, np.array(z)))
+            return live_update(state, cov, z, model, *args, **kw)
+
+        monkeypatch.setattr(pipeline_module, "ukf_update", recording)
+        orientation = euler_to_quat(0.01, -0.02, 0.3)
+        pipe = FusionPipeline(PipelineConfig({"encoder.enabled": False}))
+        pipe.ingest(imu_at(0.0, orientation=orientation))
+        pipe.ingest(gps_at([0, 0, 0], 0.0))  # origin
+        for k in range(1, 31):
+            fused.clear()
+            pipe.ingest(imu_at(k * 0.01, orientation=orientation))
+            entry = pipe.ring.entries[-1]
+            assert [name for name, _ in fused] == ["imu_raw",
+                                                   "imu_orientation"]
+            assert np.array_equal(entry.z_raw, fused[0][1])
+            assert np.array_equal(entry.z_orient, fused[1][1])
+
+        euler_calls = []
+        live_euler = pipeline_module.quat_to_euler
+        monkeypatch.setattr(pipeline_module, "quat_to_euler",
+                            lambda q: euler_calls.append(q) or live_euler(q))
+        assert sum(e.stamp > 0.1 for e in pipe.ring.entries) == 20
+        pipe.ingest(gps_at([0.1, 0, 0], 0.1))
+        assert pipe.diagnostics["retro_replays"] == 1
+        assert len(euler_calls) == 0
+
     def test_too_old_measurement_dropped(self):
         cfg = PipelineConfig({"retro.capacity": 10})
         pipe = FusionPipeline(cfg)
@@ -661,10 +717,20 @@ class TestLifecycle:
     @pytest.mark.parametrize("keys, value", [
         ((), []),                                           # wrong root type
         (("session", "_started"), None),                    # missing key
-        (("session", "state", "value", "vector", "value"), [0.0] * 5),
-        (("session", "cov", "value"), [[1.0, 0.0, 0.0]] * 23),
+        (("session", "state", "value", "vector"), array_doc(np.zeros(5))),
+        (("session", "cov"), array_doc(np.zeros((23, 3)))),
         (("session", "coast", "type"), "Popen"),            # unknown type
-    ], ids=["root", "missing", "state_shape", "cov_shape", "unknown_type"])
+        (("session", "cov", "value"), "not base64!"),       # garbled bytes
+        (("session", "cov", "value"),                       # cut short
+         array_doc(np.eye(23))["value"][:-8]),
+        (("session", "cov", "shape"), [23, 24]),            # shape mismatch
+        (("session", "ring", "value", "entries", "value", 0, "value",
+          "z_raw"), array_doc(np.zeros(5))),
+        (("session", "ring", "value", "entries", "value", 0, "value",
+          "z_orient"), array_doc(np.array([0.0, np.nan]))),
+    ], ids=["root", "missing", "state_shape", "cov_shape", "unknown_type",
+            "garbled", "truncated", "payload_shape", "snapshot_z_raw",
+            "snapshot_z_orient"])
     def test_malformed_checkpoint_changes_nothing(self, tmp_path, keys,
                                                   value):
         path = tmp_path / "ckpt.json"

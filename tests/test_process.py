@@ -11,14 +11,14 @@ from navfuse.core import (
     euler_to_quat,
     quat_to_rotmat,
 )
-from navfuse.process import PropagationStep, process_noise_matrix, \
-    propagate_states
+from navfuse.process import PropagationStep, noise_rates, \
+    process_noise_matrix, propagate_states
 
 from conftest import random_unit_quat
 
 
 def make_step(dt=0.01, coast=False, **noise):
-    return PropagationStep(dt, ProcessNoiseConfig(**noise), coast)
+    return PropagationStep(dt, noise_rates(ProcessNoiseConfig(**noise), coast))
 
 
 def advance(x, step):

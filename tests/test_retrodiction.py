@@ -8,7 +8,7 @@ from navfuse.retrodiction import ReplayOutcome, Snapshot, StateSnapshotRing
 def snap(stamp, marker=0.0):
     state = FilterState(stamp=stamp)
     state.position = np.array([marker, 0.0, 0.0])
-    return Snapshot(stamp, state, np.eye(23) * (1.0 + marker), imu_sample=None)
+    return Snapshot(stamp, state, np.eye(23) * (1.0 + marker), np.zeros(6))
 
 
 class TestRing:

@@ -15,7 +15,7 @@ from navfuse.core import (
     rotation_distance,
 )
 from navfuse.measurements import MeasurementModel, imu_raw_model
-from navfuse.process import PropagationStep
+from navfuse.process import PropagationStep, noise_rates
 from navfuse.ukf import (
     UkfParams,
     cap_omega_variance,
@@ -200,9 +200,9 @@ class TestPredict:
         # stay (numerically) at rest
         for sl in (slice(7, 10), slice(10, 13), slice(13, 16)):
             p[sl, sl] = np.eye(3) * EPSILON_PD
-        step = PropagationStep(0.01, ProcessNoiseConfig(
+        step = PropagationStep(0.01, noise_rates(ProcessNoiseConfig(
             q_position=0, q_orientation=0, q_velocity=0, q_omega=0,
-            q_accel=0, q_gyro_bias=0, q_accel_bias=0, q_ewz=0))
+            q_accel=0, q_gyro_bias=0, q_accel_bias=0, q_ewz=0)))
         x1, p1 = predict(x, p, step, PARAMS)
         assert x1.stamp == pytest.approx(1.01)
         assert np.max(np.abs(x1.as_vector() - x.as_vector())) < 1e-12
@@ -227,7 +227,7 @@ class TestPredict:
         dt = 0.01
         a23 = affine_transition(dt)
         noise = quiet_noise()
-        step = PropagationStep(dt, noise)
+        step = PropagationStep(dt, noise_rates(noise))
         from navfuse.process import process_noise_matrix
         q23 = process_noise_matrix(step)
 
@@ -253,7 +253,7 @@ class TestPredict:
 
     def test_nan_angular_rate_raises(self):
         x = FilterState(angular_rate=np.array([np.nan, 0.0, 0.0]))
-        step = PropagationStep(0.01, ProcessNoiseConfig())
+        step = PropagationStep(0.01, noise_rates(ProcessNoiseConfig()))
         with pytest.raises(NumericalError):
             predict(x, default_cov(), step, PARAMS)
 
@@ -262,7 +262,7 @@ class TestPredict:
             np.concatenate([rng.normal(size=3), random_unit_quat(rng),
                             rng.normal(size=16) * 0.3]))
         p = random_pd_matrix(rng, STATE_DIM, 0.02)
-        step = PropagationStep(0.01, ProcessNoiseConfig())
+        step = PropagationStep(0.01, noise_rates(ProcessNoiseConfig()))
         for i in range(300):
             x, p = predict(x, p, step, PARAMS)
             assert np.array_equal(p, p.T)
@@ -419,7 +419,7 @@ class TestEngineWork:
         return counts
 
     def test_predict_factors_twice(self, calls):
-        step = PropagationStep(0.01, ProcessNoiseConfig())
+        step = PropagationStep(0.01, noise_rates(ProcessNoiseConfig()))
         predict(FilterState(), default_cov(), step, PARAMS)
         # sigma points, then the positive-definiteness check
         assert calls == {"cholesky": 2}
