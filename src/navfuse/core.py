@@ -128,20 +128,14 @@ def _bilinear_basis(outputs: int, entries) -> np.ndarray:
     return basis
 
 
-def _rotation_basis(transpose: bool) -> np.ndarray:
-    """R(q) - I, or R(q)^T - I, as 9 outputs in row-major order."""
-    return _bilinear_basis(9, ((3 * c + r if transpose else 3 * r + c,
-                                coef, i, j)
-                               for r, row in enumerate(_ROTATION_TERMS)
-                               for c, terms in enumerate(row)
-                               for coef, i, j in terms))
-
-
 _HAMILTON = _bilinear_basis(4, ((k, sign, i, j)
                                 for i, row in enumerate(_UNIT_PRODUCTS)
                                 for j, (k, sign) in enumerate(row)))
-_ROTATION = _rotation_basis(transpose=False)
-_ROTATION_T = _rotation_basis(transpose=True)
+#: R(q) - I as 9 outputs in row-major order
+_ROTATION = _bilinear_basis(9, ((3 * r + c, coef, i, j)
+                                for r, row in enumerate(_ROTATION_TERMS)
+                                for c, terms in enumerate(row)
+                                for coef, i, j in terms))
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,16 +183,19 @@ def quat_exp_rows(omega: np.ndarray, dt: float) -> np.ndarray:
     return q
 
 
-def _rotate(q: np.ndarray, v: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """v + (M - I) v for M = R(q) (``_ROTATION``) or R(q)^T
-    (``_ROTATION_T``); broadcasts over leading dimensions."""
-    m = (_outer(q, q) @ basis).reshape(q.shape[:-1] + (3, 3))
+def _rotate(q: np.ndarray, v: np.ndarray, inverse: bool) -> np.ndarray:
+    """v + (R(q) - I) v, or v + (R(q) - I)^T v for the inverse rotation;
+    broadcasts over leading dimensions."""
+    m = (_outer(q, q) @ _ROTATION).reshape(q.shape[:-1] + (3, 3))
+    if inverse:
+        return v + (v[..., None, :] @ m)[..., 0, :]
     return v + (m @ v[..., None])[..., 0]
 
 
 def rotate_inv_vertical_rows(q: np.ndarray, g: float) -> np.ndarray:
     """R(q)^T [0, 0, g] over quaternion rows: ``quat_rotate_inv`` with the
-    zero terms of a vertical vector dropped, equal to it bit for bit."""
+    zero terms of a vertical vector dropped (the two may differ by
+    rounding, as BLAS may sum the smaller matmul in another order)."""
     out = g * (_outer(q, q) @ _ROTATION[:, 6:])
     out[..., 2] += g
     return out
@@ -234,13 +231,13 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     R(q) = (1 - 2|q_v|^2) I + 2 q_v q_v^T + 2 w [q_v]x, which for a non-unit
     q is the written-out v + w t + q_v x t with t = 2 q_v x v."""
     return _rotate(np.asarray(q, dtype=float), np.asarray(v, dtype=float),
-                   _ROTATION)
+                   inverse=False)
 
 
 def quat_rotate_inv(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply R(q)^T to v (world -> body for a world-from-body quaternion)."""
     return _rotate(np.asarray(q, dtype=float), np.asarray(v, dtype=float),
-                   _ROTATION_T)
+                   inverse=True)
 
 
 def quat_to_rotmat(q: np.ndarray) -> np.ndarray:

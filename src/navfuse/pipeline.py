@@ -72,9 +72,10 @@ from .process import PropagationStep, noise_rates
 
 _BIAS_INDICES = tuple(range(16, STATE_DIM))
 _MAX_STEP_DT = 0.5
-#: largest forward jump of the primary-IMU stamp that is predicted across;
-#: a longer silence is a corrupt stamp or a restarted sensor, and bridging it
-#: would cost one predict per 0.5 s inside a single ingest call
+#: largest forward jump of the primary-IMU stamp that is predicted across,
+#: as bridging costs one predict per 0.5 s inside a single ingest call; a
+#: stamp further ahead is dropped as corrupt, and a second one in a row
+#: restarts the session there (``_imu_clock_restarted``)
 _MAX_IMU_GAP = 10.0
 _TOO_OLD = "older than replay buffer"
 
@@ -272,7 +273,8 @@ class FusionPipeline:
     _SESSION = ("state", "cov", "origin", "ring", "adaptive", "vslam_anchor",
                 "_last_raw_vslam", "coast", "_started", "_zupt_active",
                 "_last_encoder_speed", "_last_imu_rate", "_heading_anchor",
-                "_lever_ok_since", "_lever_validated", "diagnostics")
+                "_lever_ok_since", "_lever_validated", "_jump_stamp",
+                "diagnostics")
 
     def reset(self) -> None:
         """Restore the configured initial state and clear all session
@@ -302,6 +304,7 @@ class FusionPipeline:
         self._heading_anchor: Optional[tuple[np.ndarray, float, float]] = None
         self._lever_ok_since: Optional[float] = None
         self._lever_validated = False
+        self._jump_stamp: Optional[float] = None
         self.diagnostics: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -472,8 +475,24 @@ class FusionPipeline:
             state, cov = out.state, out.cov
         return state, cov
 
+    def _imu_clock_restarted(self, stamp: float) -> bool:
+        """Whether ``stamp`` confirms a jump of the primary-IMU clock: it
+        lies more than ``_MAX_IMU_GAP`` ahead of the filter clock, as did
+        the sample before it, and follows that one by at most the gap.  A
+        confirmed jump restarts the session (counters kept), since neither
+        the state nor the replay ring can be carried across the gap."""
+        if not (self._jump_stamp is not None
+                and 0.0 < stamp - self._jump_stamp <= _MAX_IMU_GAP
+                and stamp - self.state.stamp > _MAX_IMU_GAP):
+            return False
+        diagnostics = self.diagnostics
+        self.reset()
+        self.diagnostics = diagnostics
+        self._count("imu_clock_restarts")
+        return True
+
     def _on_imu(self, sample: ImuSample) -> StepReport:
-        if not self._started:
+        if not self._started or self._imu_clock_restarted(sample.stamp):
             self.state = FilterState.from_vector(self.state.as_vector(),
                                                  stamp=sample.stamp)
             self._started = True
@@ -481,8 +500,11 @@ class FusionPipeline:
             return self._drop(sample.stamp, "imu", "dropped_imu_out_of_order",
                               "imu stamp not increasing")
         elif sample.stamp - self.state.stamp > _MAX_IMU_GAP:
+            # a lone jumped stamp is dropped; the next one confirms a jump
+            self._jump_stamp = sample.stamp
             return self._drop(sample.stamp, "imu", "dropped_imu_time_jump",
                               "imu stamp jumped ahead")
+        self._jump_stamp = None
         self._update_coast(sample.stamp)
         self._last_imu_rate = float(np.linalg.norm(sample.gyro))
         self._update_zupt()

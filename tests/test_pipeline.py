@@ -176,6 +176,46 @@ class TestBasics:
         assert pipe.state is state and pipe.cov is cov
         assert pipe.ring.entries == ring
 
+    def test_confirmed_imu_time_jump_restarts_and_fuses_again(self,
+                                                              monkeypatch):
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+        assert pipe.origin is not None
+        jump = pipe.state.stamp + 1e6
+        predicts = []
+
+        def counting_predict(*args, **kw):
+            predicts.append(args[2].dt)
+            return ukf_predict(*args, **kw)
+
+        ukf_predict = pipeline_module.ukf_predict
+        monkeypatch.setattr(pipeline_module, "ukf_predict", counting_predict)
+        report, bumped = ingest_counting(pipe, imu_at(jump))
+        assert bumped == {"dropped_imu_time_jump": 1}
+        report, bumped = ingest_counting(pipe, imu_at(jump + 0.01))
+        assert report.dropped is None
+        assert bumped["imu_clock_restarts"] == 1
+        assert predicts == []
+        assert pipe.state.stamp == jump + 0.01
+        assert pipe.origin is None
+        assert [e.stamp for e in pipe.ring.entries] == [jump + 0.01]
+        report = pipe.ingest(imu_at(jump + 0.02))
+        assert report.dropped is None
+        assert predicts == [pytest.approx(0.01)]
+        assert pipe.state.stamp == jump + 0.02
+        assert pipe.diagnostics["dropped_imu_time_jump"] == 1
+        assert pipe.diagnostics["imu_clock_restarts"] == 1
+
+    def test_lone_imu_time_jump_keeps_the_clock(self):
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(0.5))
+        now = pipe.state.stamp
+        for stamp in (now + 1e6, now + 0.01, now + 1e6 + 0.01, now + 0.02):
+            pipe.ingest(imu_at(stamp))
+        assert pipe.state.stamp == now + 0.02
+        assert pipe.diagnostics["dropped_imu_time_jump"] == 2
+        assert "imu_clock_restarts" not in pipe.diagnostics
+
     def test_no_nan_reaches_state(self):
         pipe = FusionPipeline(PipelineConfig())
         run(pipe, stationary_stream(1.0, gps_rate=5.0))
