@@ -154,7 +154,8 @@ def _read_steps(path: str) -> list[tuple[float, object]]:
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             parts = line.split()
-            if len(parts) != 7:
+            # a path name becomes part of an output file name
+            if len(parts) != 7 or not parts[1].isidentifier():
                 continue
             rows.append((float(parts[0]), UpdateRecord(
                 parts[1], bool(int(parts[2])), float(parts[3]),
@@ -191,7 +192,7 @@ def cmd_evaluate(args) -> int:
             metrics["longest_blackout_s"] = max(b - a for a, b in segments)
             metrics["drift_rate_m_per_km"] = drift_rate(est, ref, segments,
                                                         args.max_dt)
-        for path_name in ("gps_pos", "encoder", "imu_raw", "vslam"):
+        for path_name in sorted({rec.path for _, rec in records}):
             stamps, values, summary = nis_series(records, path_name)
             if summary is None:
                 continue

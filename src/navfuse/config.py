@@ -65,7 +65,6 @@ DEFAULTS: dict[str, Any] = {
     "encoder.az_sigma": 0.5,
     # GNSS
     "gnss.enabled": True,
-    "gnss.use_gps_fix": True,
     "gnss.sigma_xy": 1.0,
     "gnss.sigma_z": 2.0,
     "gnss.min_fix_type": 1,
@@ -102,7 +101,9 @@ DEFAULTS: dict[str, Any] = {
     "adaptive.az": True,
     "adaptive.window": 50,
     "adaptive.alpha": 0.01,
-    # per-path noise floors (sigma); <= 0 means "floor at the configured R"
+    # per-path noise floors (sigma) on the diagonal of the path's R, which
+    # bound it whether or not the path adapts; a floor <= 0 floors its axes
+    # at the configured R
     "adaptive.gnss_floor_xy": 0.0,
     "adaptive.gnss_floor_z": 0.0,
     "adaptive.encoder_floor": 0.0,
@@ -123,10 +124,6 @@ DEFAULTS: dict[str, Any] = {
     "lever.arm_z": 0.0,
     "lever.yaw_var_threshold": 0.05,
     "lever.hold_s": 5.0,
-    # velocity-consistency pre-gate (off by default)
-    "pregate.enabled": False,
-    "pregate.max_speed": 20.0,
-    "pregate.max_dt": 1.0,
     # retrodiction ring
     "retro.enabled": True,
     "retro.capacity": 100,

@@ -1,4 +1,5 @@
-"""Measurement models for every sensor path, plus gating helpers.
+"""Measurement models for every sensor path, the default chi-squared gates,
+and the GPS fix screen and noise policy (``gps_fix_to_measurement``).
 
 Each model bundles a batched measurement function ``h`` ((N, 23) rows of
 flat state vectors -> (N, dim) rows of measurement vectors), its noise
@@ -8,7 +9,7 @@ and a chi-squared gate threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,16 +67,6 @@ class MeasurementModel:
         self.wraps = bool(np.any(self.angular))
         if self.gate <= 0:
             raise ValueError("gate threshold must be > 0")
-
-
-@dataclass
-class LeverArm:
-    """Body-frame base->antenna offset; applied only once heading has been
-    independently validated (yaw variance below threshold, sustained)."""
-
-    offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    yaw_var_threshold: float = 0.05
-    hold_s: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -197,32 +188,27 @@ def screen_gps_fix(
 def gps_fix_to_measurement(
     fix: GpsFixSample,
     origin: EnuOrigin,
-    sigma_xy: float,
-    sigma_z: float,
-    use_gps_fix_fields: bool = True,
+    base_r: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """ENU measurement and noise of a fix that passed ``screen_gps_fix``.
+    """ENU measurement and noise R of a fix that passed ``screen_gps_fix``.
 
-    Covariance source priority: a full 3x3 matrix when supplied, else 95% CI
-    error bounds (converted to variance via sigma = err/1.96), else the
-    HDOP/VDOP scaling of the configured baseline noise.
+    This is the one GNSS noise policy.  R is the receiver's full 3x3
+    covariance when it supplies one, else the diagonal of its 95% error
+    bounds when it gives both (sigma = err/1.96), else ``base_r`` scaled by
+    the dilution of precision, ``S @ base_r @ S`` with
+    ``S = diag(hdop, hdop, vdop)``.  ``base_r`` is the path's configured
+    noise, innovation-adapted when ``adaptive.gnss`` is on.
     """
     z = geodetic_to_enu(GeodeticCoord(fix.lat, fix.lon, fix.alt), origin)
     if fix.covariance is not None:
         r = np.asarray(fix.covariance, dtype=float).reshape(3, 3)
-    elif (use_gps_fix_fields and fix.err_horz is not None
-          and fix.err_vert is not None):
+    elif fix.err_horz is not None and fix.err_vert is not None:
         sh = fix.err_horz / 1.96
         sv = fix.err_vert / 1.96
         r = np.diag([sh**2, sh**2, sv**2])
     else:
-        r = np.diag(
-            [
-                (sigma_xy * fix.hdop) ** 2,
-                (sigma_xy * fix.hdop) ** 2,
-                (sigma_z * fix.vdop) ** 2,
-            ]
-        )
+        scale = np.diag([fix.hdop, fix.hdop, fix.vdop])
+        r = scale @ base_r @ scale
     return z, r
 
 
@@ -331,25 +317,3 @@ def zupt_model(sigma: float, gate: float) -> MeasurementModel:
         return x[:, VEL]
 
     return MeasurementModel("zupt", 3, h, np.eye(3) * sigma**2, gate)
-
-
-def implied_speed_precheck(
-    z_pos: np.ndarray,
-    predicted_pos: np.ndarray,
-    dt_since_last_accept: float,
-    max_speed: float = 20.0,
-) -> tuple[bool, float]:
-    """Velocity-consistency screen upstream of the chi-squared gate.
-
-    Rejects a position measurement whose offset from the predicted position
-    implies a travel speed above ``max_speed`` over the elapsed time since
-    the last accepted fix.  The pipeline runs it only when
-    ``pregate.enabled`` is set.
-    """
-    if dt_since_last_accept <= 0.0:
-        return True, 0.0
-    offset = float(
-        np.linalg.norm(np.asarray(z_pos) - np.asarray(predicted_pos))
-    )
-    implied = offset / dt_since_last_accept
-    return implied <= max_speed, implied

@@ -15,7 +15,16 @@ snapshot is applied there and the recorded IMU steps are re-run.  Encoder,
 radar and secondary-IMU samples arrive with negligible latency, at rates
 where a rewind per sample would cost a replay per sample, so they are
 applied where they arrive; replay re-runs only IMU steps, so such an update
-inside a rewound window does not survive it.
+inside a rewound window does not survive it.  A primary-IMU stamp must
+advance the filter clock by at most ``_MAX_IMU_GAP``; one outside that
+window is dropped, and a second in a row restarts the session there, unless
+it lies at most ``_MAX_IMU_DELAY`` behind the clock, as late delivery does.
+
+A GPS fix that passes the receiver-quality screen gets its noise from the
+one GNSS policy, ``measurements.gps_fix_to_measurement``, with the
+``gps_pos`` estimator's R as the DOP-scaled base; accepted fixes feed that
+estimator, derive a course-over-ground heading from the previous accepted
+fix, and are shifted by the antenna lever arm once heading is validated.
 
 A checkpoint is a JSON file: version, configuration hash, and the session,
 the attributes ``FusionPipeline._SESSION`` lists and ``reset`` assigns
@@ -72,11 +81,14 @@ from .process import PropagationStep, noise_rates
 
 _BIAS_INDICES = tuple(range(16, STATE_DIM))
 _MAX_STEP_DT = 0.5
-#: largest forward jump of the primary-IMU stamp that is predicted across,
+#: largest forward step of the primary-IMU stamp that is predicted across,
 #: as bridging costs one predict per 0.5 s inside a single ingest call; a
-#: stamp further ahead is dropped as corrupt, and a second one in a row
+#: stamp outside (clock, clock + gap] is dropped, and a second one in a row
 #: restarts the session there (``_imu_clock_restarted``)
 _MAX_IMU_GAP = 10.0
+#: a primary-IMU stamp at most this far behind the clock is taken for late
+#: delivery: dropped, it never confirms a backward clock jump
+_MAX_IMU_DELAY = 0.5
 _TOO_OLD = "older than replay buffer"
 
 CHECKPOINT_VERSION = 3
@@ -213,12 +225,9 @@ class FusionPipeline:
         self._radar_model = meas.radar_velocity_model(cfg["radar.sigma"],
                                                       gates.encoder)
         self._zupt_model = meas.zupt_model(cfg["zupt.sigma"], gates.zupt)
-        self._lever = meas.LeverArm(
-            offset=np.array([cfg["lever.arm_x"], cfg["lever.arm_y"],
-                             cfg["lever.arm_z"]]),
-            yaw_var_threshold=cfg["lever.yaw_var_threshold"],
-            hold_s=cfg["lever.hold_s"],
-        )
+        # body-frame base->antenna offset (``_update_lever``)
+        self._lever_offset = np.array([cfg["lever.arm_x"], cfg["lever.arm_y"],
+                                       cfg["lever.arm_z"]])
 
         base_noise = ProcessNoiseConfig(
             q_position=cfg["ukf.q_position"],
@@ -247,18 +256,20 @@ class FusionPipeline:
 
     def _build_adaptive(self) -> dict[str, AdaptiveEstimator]:
         cfg = self.config
-        gnss_floor = enc_floor = None
-        if cfg["adaptive.gnss_floor_xy"] > 0:
-            fz = cfg["adaptive.gnss_floor_z"] or cfg["adaptive.gnss_floor_xy"]
-            gnss_floor = [cfg["adaptive.gnss_floor_xy"] ** 2] * 2 + [fz ** 2]
-        if cfg["adaptive.encoder_floor"] > 0:
-            enc_floor = [cfg["adaptive.encoder_floor"] ** 2] * 3
+
+        def floor_sq(key: str, sigma: str) -> float:
+            """The floor ``key`` squared if it is > 0, else sigma²."""
+            return (cfg[key] if cfg[key] > 0 else cfg[sigma]) ** 2
+
+        enc = ("encoder.sigma_vx", "encoder.sigma_vy", "encoder.sigma_wz")
+        gnss_floor = ([floor_sq("adaptive.gnss_floor_xy", "gnss.sigma_xy")] * 2
+                      + [floor_sq("adaptive.gnss_floor_z", "gnss.sigma_z")])
+        enc_floor = [floor_sq("adaptive.encoder_floor", key) for key in enc]
         # path -> its configured sigmas, diagonal floor and enable switch
         paths = {
             "gps_pos": (("gnss.sigma_xy", "gnss.sigma_xy", "gnss.sigma_z"),
                         gnss_floor, "adaptive.gnss"),
-            "encoder": (("encoder.sigma_vx", "encoder.sigma_vy",
-                         "encoder.sigma_wz"), enc_floor, "adaptive.encoder"),
+            "encoder": (enc, enc_floor, "adaptive.encoder"),
             "encoder_vz": (("encoder.vz_sigma",), None, "adaptive.vz"),
             "encoder_az": (("encoder.az_sigma",), None, "adaptive.az"),
         }
@@ -394,13 +405,16 @@ class FusionPipeline:
             self._zupt_active = zupt_trigger(speed, rate, thr_s, thr_r)
 
     def _update_lever(self, now: float) -> None:
-        if not np.any(self._lever.offset):
+        """The lever arm applies to GPS fixes for good once yaw variance has
+        stayed below ``lever.yaw_var_threshold`` for ``lever.hold_s``, as
+        heading must be known before the offset can be rotated."""
+        if not np.any(self._lever_offset):
             return
         var = yaw_variance(self.state.quaternion, self.cov[QUAT, QUAT])
-        if var < self._lever.yaw_var_threshold:
+        if var < self.config["lever.yaw_var_threshold"]:
             if self._lever_ok_since is None:
                 self._lever_ok_since = now
-            elif now - self._lever_ok_since >= self._lever.hold_s:
+            elif now - self._lever_ok_since >= self.config["lever.hold_s"]:
                 self._lever_validated = True
         else:
             self._lever_ok_since = None
@@ -476,14 +490,18 @@ class FusionPipeline:
         return state, cov
 
     def _imu_clock_restarted(self, stamp: float) -> bool:
-        """Whether ``stamp`` confirms a jump of the primary-IMU clock: it
-        lies more than ``_MAX_IMU_GAP`` ahead of the filter clock, as did
-        the sample before it, and follows that one by at most the gap.  A
-        confirmed jump restarts the session (counters kept), since neither
-        the state nor the replay ring can be carried across the gap."""
+        """Whether ``stamp`` confirms a jump of the primary-IMU clock, ahead
+        (log splice) or back (sensor restart): the sample before it was
+        dropped, ``stamp`` follows that one by a time in
+        (0, ``_MAX_IMU_GAP``], and it lies outside the window
+        [clock - ``_MAX_IMU_DELAY``, clock + ``_MAX_IMU_GAP``], so samples
+        merely delivered late never restart.  A confirmed jump restarts the
+        session (counters kept), since neither the state nor the replay
+        ring can be carried across it."""
         if not (self._jump_stamp is not None
                 and 0.0 < stamp - self._jump_stamp <= _MAX_IMU_GAP
-                and stamp - self.state.stamp > _MAX_IMU_GAP):
+                and not -_MAX_IMU_DELAY <= stamp - self.state.stamp
+                <= _MAX_IMU_GAP):
             return False
         diagnostics = self.diagnostics
         self.reset()
@@ -496,12 +514,14 @@ class FusionPipeline:
             self.state = FilterState.from_vector(self.state.as_vector(),
                                                  stamp=sample.stamp)
             self._started = True
-        elif sample.stamp <= self.state.stamp:
-            return self._drop(sample.stamp, "imu", "dropped_imu_out_of_order",
-                              "imu stamp not increasing")
-        elif sample.stamp - self.state.stamp > _MAX_IMU_GAP:
-            # a lone jumped stamp is dropped; the next one confirms a jump
+        elif not 0.0 < sample.stamp - self.state.stamp <= _MAX_IMU_GAP:
+            # a lone stamp outside the window is dropped; the next one may
+            # confirm a jump
             self._jump_stamp = sample.stamp
+            if sample.stamp <= self.state.stamp:
+                return self._drop(sample.stamp, "imu",
+                                  "dropped_imu_out_of_order",
+                                  "imu stamp not increasing")
             return self._drop(sample.stamp, "imu", "dropped_imu_time_jump",
                               "imu stamp jumped ahead")
         self._jump_stamp = None
@@ -596,44 +616,19 @@ class FusionPipeline:
             return self._drop(sample.stamp, "gps", "dropped_before_clock",
                               "no imu clock yet")
 
-        z, r_fix = meas.gps_fix_to_measurement(
-            sample, self.origin, cfg["gnss.sigma_xy"], cfg["gnss.sigma_z"],
-            use_gps_fix_fields=cfg["gnss.use_gps_fix"])
-        # innovation-adapted noise applies on the HDOP/VDOP path; explicit
-        # per-fix covariance sources take precedence when the receiver
-        # supplies them
-        if (cfg["adaptive.gnss"] and sample.covariance is None
-                and (not cfg["gnss.use_gps_fix"] or sample.err_horz is None)):
-            base = self.adaptive["gps_pos"].r
-            scale = np.diag([sample.hdop, sample.hdop, sample.vdop])
-            r_used = scale @ base @ scale
-        else:
-            r_used = r_fix
-
+        # the estimator's R is the configured one, floored, when
+        # ``adaptive.gnss`` is off
+        z, r = meas.gps_fix_to_measurement(
+            sample, self.origin, self.adaptive["gps_pos"].r)
         records: list[UpdateRecord] = []
-        # velocity-consistency screen upstream of the chi-squared gate
-        if cfg["pregate.enabled"] and self.coast.last_accept is not None:
-            dt_raw = sample.stamp - self.coast.last_accept
-            dt_eff = min(dt_raw, cfg["pregate.max_dt"])
-            idx = self.ring.nearest_at_or_before(sample.stamp)
-            ref_state = (self.ring.entries[idx].state if idx is not None
-                         else self.state)
-            ok, _ = meas.implied_speed_precheck(
-                z, ref_state.position, dt_eff, cfg["pregate.max_speed"])
-            if not ok:
-                self._count("pregate_rejected")
-                records.append(UpdateRecord("gps_pos", False, float("nan"), 3,
-                                            self.gates.gps_pos, "pregate"))
-                return self._report(sample.stamp, "gps", records)
-
         gate_scale = 1.0
         if self.coast.active and self.coast.relax_armed:
             gate_scale = cfg["coast.gate_relax"]
             self.coast.relax_armed = False
 
-        lever = self._lever.offset if self._lever_validated else None
-        model = meas.gps_position_model(r_used, self.gates.gps_pos, lever)
-        heading_plan = self._plan_heading(z, r_used, sample.stamp)
+        lever = self._lever_offset if self._lever_validated else None
+        model = meas.gps_position_model(r, self.gates.gps_pos, lever)
+        heading_plan = self._plan_heading(z, r, sample.stamp)
 
         def bundle(state: FilterState, cov: np.ndarray):
             out = self._apply_update(state, cov, z, model, records,
@@ -655,7 +650,7 @@ class FusionPipeline:
                                          sample.stamp)
             self.coast.active = False
             self._heading_anchor = (z[:2].copy(), sample.stamp,
-                                    float(r_used[0, 0] + r_used[1, 1]))
+                                    float(r[0, 0] + r[1, 1]))
             self.adaptive["gps_pos"].observe(result.innovation)
         return self._report(sample.stamp, "gps", records)
 

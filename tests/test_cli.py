@@ -84,7 +84,32 @@ class TestRunAndEvaluate:
                 key, value = line.split(None, 1)
                 metrics[key] = value.strip()
         assert float(metrics["ate_rmse_m"]) < 1.5
-        assert "nis_mean_gps_pos" in metrics
+        with open(os.path.join(run_out, "steps.txt")) as fh:
+            fused = {line.split()[1] for line in fh if line.split()[2] == "1"}
+        assert {"gps_pos", "gps_heading", "encoder", "imu_raw"} <= fused
+        assert {key for key in metrics if key.startswith("nis_mean_")} == \
+            {f"nis_mean_{path}" for path in fused}
+
+    def test_evaluate_reports_nis_of_every_path(self, tmp_path):
+        traj = "".join(f"{0.1 * k!r} {k} 0 0 0 0 0 1\n" for k in range(5))
+        (tmp_path / "traj.txt").write_text(traj)
+        (tmp_path / "steps.txt").write_text(
+            "0.1 imu_orientation 1 2.0 2 15.09 accepted\n"
+            "0.2 imu_orientation 1 1.0 2 15.09 accepted\n"
+            "0.2 gps_heading 0 40.0 1 10.83 gated\n"
+            "0.3 ../escape 1 1.0 1 1.0 accepted\n")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--est", str(tmp_path / "traj.txt"),
+                     "--ref", str(tmp_path / "traj.txt"),
+                     "--steps", str(tmp_path / "steps.txt"),
+                     "--out", str(out)]) == 0
+        metrics = dict(line.split() for line in
+                       (out / "metrics.txt").read_text().splitlines())
+        assert float(metrics["nis_mean_imu_orientation"]) == 0.75
+        assert not any("gps_heading" in key or "escape" in key
+                       for key in metrics)
+        assert sorted(os.listdir(out)) == ["d2_imu_orientation.txt",
+                                           "metrics.txt"]
 
     def test_run_determinism_byte_identical(self, sim_dir, tmp_path):
         outs = []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navfuse.core import FilterState, GRAVITY, euler_to_quat, quat_to_rotmat
 from navfuse.events import FixType, GpsFixSample
@@ -17,7 +18,6 @@ from navfuse.measurements import (
     gps_velocity_model,
     imu_orientation_model,
     imu_raw_model,
-    implied_speed_precheck,
     radar_velocity_model,
     screen_gps_fix,
     vslam_model,
@@ -25,6 +25,8 @@ from navfuse.measurements import (
 )
 
 ORIGIN = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(45.0, -75.6, 80.0))
+#: a GPS base noise of sigma 0.8 m horizontally and 1.5 m vertically
+BASE_R = np.diag([0.64, 0.64, 2.25])
 
 
 def h1(model, state: FilterState) -> np.ndarray:
@@ -117,15 +119,15 @@ class TestEncoder:
 class TestGpsPosition:
     def test_unity_dop_gives_baseline_noise(self):
         z, r = gps_fix_to_measurement(fix_at([10.0, -5.0, 2.0]), ORIGIN,
-                                      sigma_xy=0.8, sigma_z=1.5)
+                                      BASE_R)
         assert np.allclose(np.diag(r), [0.64, 0.64, 2.25])
         assert np.allclose(z, [10.0, -5.0, 2.0], atol=1e-6)
 
     def test_hdop_scales_horizontal_variance_quadratically(self):
         _, r1 = gps_fix_to_measurement(fix_at([0, 0, 0], hdop=1.0), ORIGIN,
-                                       0.8, 1.5)
+                                       BASE_R)
         _, r2 = gps_fix_to_measurement(fix_at([0, 0, 0], hdop=2.0), ORIGIN,
-                                       0.8, 1.5)
+                                       BASE_R)
         assert r2[0, 0] == pytest.approx(4.0 * r1[0, 0])
         assert r2[2, 2] == pytest.approx(r1[2, 2])
 
@@ -145,14 +147,42 @@ class TestGpsPosition:
 
     def test_error_bounds_take_priority(self):
         fix = fix_at([0, 0, 0], err_horz=1.96, err_vert=3.92)
-        _, r = gps_fix_to_measurement(fix, ORIGIN, 0.8, 1.5)
+        _, r = gps_fix_to_measurement(fix, ORIGIN, BASE_R)
         assert np.allclose(np.diag(r), [1.0, 1.0, 4.0])
 
     def test_full_covariance_takes_priority(self):
         fix = fix_at([0, 0, 0], err_horz=1.96, err_vert=3.92)
         fix.covariance = np.diag([0.01, 0.02, 0.03])
-        _, r = gps_fix_to_measurement(fix, ORIGIN, 0.8, 1.5)
+        _, r = gps_fix_to_measurement(fix, ORIGIN, BASE_R)
         assert np.allclose(np.diag(r), [0.01, 0.02, 0.03])
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_noise_policy_priority_is_exact(self, data):
+        """Covariance, else both 95% bounds, else the DOP-scaled base R,
+        for every combination of the three receiver fields."""
+        entries = st.floats(-2.0, 2.0)
+        spd = st.lists(entries, min_size=9, max_size=9).map(
+            lambda v: np.reshape(v, (3, 3)) @ np.reshape(v, (3, 3)).T
+            + 0.1 * np.eye(3))
+        positive = st.floats(0.05, 20.0)
+        cov = data.draw(st.none() | spd)
+        err_horz = data.draw(st.none() | positive)
+        err_vert = data.draw(st.none() | positive)
+        hdop, vdop = data.draw(positive), data.draw(positive)
+        base_r = data.draw(spd)
+        fix = fix_at([3.0, -4.0, 1.0], hdop=hdop, vdop=vdop,
+                     err_horz=err_horz, err_vert=err_vert, covariance=cov)
+        _, r = gps_fix_to_measurement(fix, ORIGIN, base_r)
+        if cov is not None:
+            expected = cov
+        elif err_horz is not None and err_vert is not None:
+            expected = np.diag([(err_horz / 1.96) ** 2] * 2
+                               + [(err_vert / 1.96) ** 2])
+        else:
+            dop = np.array([hdop, hdop, vdop])
+            expected = dop[:, None] * base_r * dop[None, :]
+        assert np.array_equal(r, expected)
 
     def test_lever_arm_shifts_prediction_when_validated(self):
         lever = np.array([0.5, 0.0, 0.3])
@@ -237,20 +267,6 @@ class TestZupt:
         model = zupt_model(0.01, 16.27)
         assert np.allclose(h1(model, state), [0.1, -0.2, 0.05])
         assert np.allclose(model.r, np.eye(3) * 1e-4)
-
-
-class TestImpliedSpeedPrecheck:
-    def test_slow_offset_passes(self):
-        # 720 m over 211 s is only ~3.4 m/s, below the 20 m/s limit
-        ok, implied = implied_speed_precheck(
-            np.array([720.0, 0, 0]), np.zeros(3), 211.0, 20.0)
-        assert ok
-        assert implied == pytest.approx(720.0 / 211.0, rel=1e-9)
-
-    def test_fast_offset_rejected(self):
-        ok, implied = implied_speed_precheck(
-            np.array([100.0, 0, 0]), np.zeros(3), 1.0, 20.0)
-        assert not ok and implied == pytest.approx(100.0)
 
 
 class TestZeroInnovationProperty:

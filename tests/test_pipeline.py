@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from navfuse.config import PipelineConfig
-from navfuse.core import GRAVITY, euler_to_quat
+from navfuse.core import (GRAVITY, QUAT, euler_to_quat, quat_rotate,
+                          yaw_variance)
 from navfuse.events import (
     EncoderSample,
     FixType,
@@ -206,6 +207,32 @@ class TestBasics:
         assert pipe.diagnostics["dropped_imu_time_jump"] == 1
         assert pipe.diagnostics["imu_clock_restarts"] == 1
 
+    def test_backward_imu_clock_reset_restarts_the_session(self):
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(2.0, encoder=False))
+        reports = run(pipe, [imu_at(k / 1000) for k in range(1, 200)])
+        assert reports[0].dropped is not None
+        assert all(r.dropped is None for r in reports[1:])
+        assert pipe.state.stamp == 0.199
+        assert pipe.diagnostics["dropped_imu_out_of_order"] == 1
+        assert pipe.diagnostics["imu_clock_restarts"] == 1
+
+    @pytest.mark.parametrize("stale", [
+        (0.3,), (0.3, 0.3), (0.47, 0.48),
+        tuple(k / 100 for k in range(1, 49)),
+    ], ids=["lone", "repeated", "late_pair", "late_burst"])
+    def test_stale_imu_stamps_keep_the_clock(self, stale):
+        """Samples delivered late, within ``_MAX_IMU_DELAY`` of the clock,
+        are dropped one by one and never restart the session."""
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(0.5, encoder=False))
+        reports = run(pipe, [imu_at(t) for t in stale])
+        assert all(r.dropped is not None for r in reports)
+        assert pipe.ingest(imu_at(0.5)).dropped is None
+        assert pipe.state.stamp == 0.5
+        assert pipe.diagnostics["dropped_imu_out_of_order"] == len(stale)
+        assert "imu_clock_restarts" not in pipe.diagnostics
+
     def test_lone_imu_time_jump_keeps_the_clock(self):
         pipe = FusionPipeline(PipelineConfig())
         run(pipe, stationary_stream(0.5))
@@ -375,35 +402,99 @@ class TestGps:
         assert bumped == {"dropped_nonfinite": 1}
 
 
-class TestPregate:
-    """The implied-speed check that runs before the GPS chi-squared gate."""
+class TestGpsNoise:
+    def test_horizontal_bound_alone_uses_the_adapted_dop_noise(self):
+        """A fix with ``err_horz`` but no ``err_vert`` lacks the bounds the
+        policy needs, so it is fused exactly like a fix with neither."""
+        config = PipelineConfig({"adaptive.window": 2, "adaptive.alpha": 0.5,
+                                 "adaptive.gnss_floor_xy": 0.5})
+        fused = []
+        for bounds in ({"err_horz": 1.5}, {}):
+            pipe = FusionPipeline(config)
+            run(pipe, stationary_stream(2.0, gps_rate=5.0))
+            est = pipe.adaptive["gps_pos"]
+            assert not np.allclose(est.r, est.r0)
+            report = pipe.ingest(gps_at([0.3, -0.2, 0.1], 1.99, **bounds))
+            assert report.updates[0].accepted
+            fused.append((pipe.state.as_vector(), pipe.cov))
+        assert np.array_equal(fused[0][0], fused[1][0])
+        assert np.array_equal(fused[0][1], fused[1][1])
+
+
+    @pytest.mark.parametrize("xy, z, floor", [
+        (0.0, 0.0, [1.0, 1.0, 4.0]),
+        (0.5, 0.0, [0.25, 0.25, 4.0]),
+        (0.5, -3.0, [0.25, 0.25, 4.0]),
+        (0.0, 3.0, [1.0, 1.0, 9.0]),
+    ])
+    def test_gnss_floor_at_or_below_zero_floors_at_the_configured_r(
+            self, xy, z, floor):
+        pipe = FusionPipeline(PipelineConfig({"adaptive.gnss_floor_xy": xy,
+                                              "adaptive.gnss_floor_z": z}))
+        est = pipe.adaptive["gps_pos"]
+        assert est.floor.tolist() == floor
+        assert np.diag(est.r).tolist() == [max(f, r) for f, r in
+                                           zip(floor, [1.0, 1.0, 4.0])]
+
+
+class TestLeverArm:
+    """The antenna offset applies to fixes only once yaw variance has stayed
+    below ``lever.yaw_var_threshold`` (0.05) for ``lever.hold_s``."""
+
+    OFFSET = np.array([0.5, 0.0, 0.3])
 
     @staticmethod
-    def after_accepted_fixes(enabled):
-        pipe = FusionPipeline(PipelineConfig({"pregate.enabled": enabled}))
-        run(pipe, stationary_stream(1.0, gps_rate=5.0))
-        # the fix at 0.8 s was accepted
-        assert pipe.coast.last_accept == pytest.approx(0.8)
-        return pipe
+    def pipelines(magnetometer):
+        """A pipeline with the offset and two without it."""
+        # hold_s is off the 0.01 s IMU grid, so no stamp sits on its edge
+        config = {"imu.has_magnetometer": magnetometer, "lever.hold_s": 0.955}
+        with_lever = {**config, **dict(zip(
+            ("lever.arm_x", "lever.arm_y", "lever.arm_z"),
+            TestLeverArm.OFFSET.tolist()))}
+        return (FusionPipeline(PipelineConfig(with_lever)),
+                FusionPipeline(PipelineConfig(config)),
+                FusionPipeline(PipelineConfig(config)))
 
-    def test_far_fix_soon_after_accept_rejected(self):
-        pipe = self.after_accepted_fixes(True)
-        report, bumped = ingest_counting(pipe, gps_at([100.0, 0, 0], 0.9))
-        assert [(r.path, r.accepted, r.reason) for r in report.updates] == \
-            [("gps_pos", False, "pregate")]
-        assert bumped == {"pregate_rejected": 1}
+    def test_offset_applied_once_heading_is_held(self):
+        pipe, plain, moved = self.pipelines(magnetometer=True)
+        q = euler_to_quat(0.0, 0.0, 0.3)
+        for k in range(100):
+            t = k / 100
+            for p in (pipe, plain, moved):
+                p.ingest(imu_at(t, orientation=q))
+            # the magnetometer holds yaw variance below the threshold from
+            # the first sample, so the offset applies from the IMU at 0.96 s
+            assert yaw_variance(pipe.state.quaternion,
+                                pipe.cov[QUAT, QUAT]) < 0.05
+            if k % 20 == 0:
+                for p in (pipe, plain, moved):
+                    p.ingest(gps_at([0.0, 0.0, 0.0], t))
+                assert np.array_equal(pipe.state.as_vector(),
+                                      plain.state.as_vector())
+                assert np.array_equal(pipe.cov, plain.cov)
+        for p in (pipe, plain, moved):
+            p.ingest(imu_at(1.0, orientation=q))
+        # an antenna fix at the origin puts the base at minus the rotated
+        # offset, which a pipeline without the offset is given directly
+        base = -quat_rotate(plain.state.quaternion, self.OFFSET)
+        assert pipe.ingest(gps_at([0.0, 0.0, 0.0], 1.0)).updates[0].accepted
+        plain.ingest(gps_at([0.0, 0.0, 0.0], 1.0))
+        moved.ingest(gps_at(base, 1.0))
+        np.testing.assert_allclose(pipe.state.position,
+                                   moved.state.position, atol=1e-4)
+        assert np.linalg.norm(pipe.state.position
+                              - plain.state.position) > 0.05
 
-    def test_near_fix_not_rejected(self):
-        pipe = self.after_accepted_fixes(True)
-        report = pipe.ingest(gps_at([0.05, 0, 0], 0.9))
-        assert report.updates[0].reason == "accepted"
-        assert "pregate_rejected" not in pipe.diagnostics
-
-    def test_disabled_pregate_never_rejects(self):
-        pipe = self.after_accepted_fixes(False)
-        report = pipe.ingest(gps_at([100.0, 0, 0], 0.9))
-        assert report.updates[0].reason != "pregate"
-        assert "pregate_rejected" not in pipe.diagnostics
+    def test_offset_ignored_while_yaw_is_unknown(self):
+        pipe, plain, _ = self.pipelines(magnetometer=False)
+        events = stationary_stream(3.0, gps_rate=5.0, encoder=False)
+        for event in events:
+            pipe.ingest(event)
+            plain.ingest(event)
+            assert np.array_equal(pipe.state.as_vector(),
+                                  plain.state.as_vector())
+        assert yaw_variance(pipe.state.quaternion,
+                            pipe.cov[QUAT, QUAT]) >= 0.05
 
 
 class TestZupt:
