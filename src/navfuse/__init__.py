@@ -2,7 +2,7 @@
 and VSLAM, with a deterministic simulator and trajectory evaluation."""
 
 from .config import PipelineConfig
-from .core import FilterState, ProcessNoiseConfig
+from .core import FilterState
 from .evaluation import TrajectoryEstimate, ate_rmse
 from .pipeline import FusionPipeline, StepReport
 from .simulator import SimScenario, generate
@@ -12,7 +12,6 @@ __all__ = [
     "FilterState",
     "FusionPipeline",
     "PipelineConfig",
-    "ProcessNoiseConfig",
     "SimScenario",
     "StepReport",
     "TrajectoryEstimate",

@@ -220,15 +220,20 @@ def cmd_sweep(args) -> int:
             manifest = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise CliError(f"bad manifest: {exc}", EXIT_CONFIG)
-    runs = manifest.get("runs", [])
-    if not runs:
-        raise CliError("manifest has no runs", EXIT_CONFIG)
+    if not isinstance(manifest, dict):
+        raise CliError("manifest must be a mapping", EXIT_CONFIG)
+    runs = manifest.get("runs")
+    if not runs or not isinstance(runs, list):
+        raise CliError("manifest needs a list of runs", EXIT_CONFIG)
+    for entry in runs:
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(key), str) and entry[key]
+                        for key in ("name", "scenario"))):
+            raise CliError("every manifest run needs a name and a scenario",
+                           EXIT_CONFIG)
     base_out = manifest.get("out", "sweep_out")
     for entry in runs:
-        name = entry.get("name")
-        if not name:
-            raise CliError("every sweep run needs a name", EXIT_CONFIG)
-        out = os.path.join(base_out, name)
+        out = os.path.join(base_out, entry["name"])
         sim_out = os.path.join(out, "sim")
         run_out = os.path.join(out, "run")
         eval_out = os.path.join(out, "eval")

@@ -87,13 +87,16 @@ DEFAULTS: dict[str, Any] = {
     "vslam.pos_floor": 0.01,
     "vslam.orient_floor": 0.001,
     "vslam.singularity_deg": 1.0,
-    # chi-squared gates
-    "gates.imu": 15.09,
-    "gates.encoder": 11.34,
-    "gates.gps_pos": 16.27,
-    "gates.heading": 10.83,
-    "gates.vslam": 22.46,
-    "gates.zupt": 16.27,
+    # chi-squared gates on the squared Mahalanobis distance, each the
+    # chi2(dof, p) quantile named; a gate must be > 0.  Three are shared:
+    # imu by imu_raw (6 dof) and orientation (2-3), encoder by encoder_vz,
+    # encoder_az (1) and radar (2), gps_pos by GPS velocity (2)
+    "gates.imu": 15.09,      # chi2(5, 0.99)
+    "gates.encoder": 11.34,  # chi2(3, 0.99)
+    "gates.gps_pos": 16.27,  # chi2(3, 0.999)
+    "gates.heading": 10.83,  # chi2(1, 0.999)
+    "gates.vslam": 22.46,    # chi2(6, 0.999)
+    "gates.zupt": 16.27,     # chi2(3, 0.999)
     # adaptive measurement noise
     "adaptive.gnss": True,
     "adaptive.encoder": False,

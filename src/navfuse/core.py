@@ -12,8 +12,6 @@ the wheel-encoder yaw-rate bias.  All slices below index into that layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 STATE_DIM = 23
@@ -24,6 +22,9 @@ OMEGA = slice(10, 13)
 ACC = slice(13, 16)
 GYRO_BIAS = slice(16, 19)
 ACCEL_BIAS = slice(19, 22)
+#: the wheel-encoder yaw-rate bias b: an encoder reads omega_z - b, so the
+#: filter predicts it that way (``measurements.encoder_model``) and the
+#: simulator's ``encoder.bias_wz`` is this b
 ENC_YAW_BIAS = 22
 
 #: gravity in the local ENU frame, m/s^2
@@ -32,6 +33,9 @@ GRAVITY = np.array([0.0, 0.0, 9.80665])
 #: below this angular rate (rad/s) the quaternion exponential uses its
 #: first-order branch
 EPSILON_OMEGA = 1e-8
+
+#: below this norm a quaternion has no direction to normalize
+QUAT_NORM_MIN = 1e-12
 
 #: eigenvalue floor used by covariance repair
 EPSILON_PD = 1e-9
@@ -63,7 +67,7 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Return unit quaternion(s); raises on (near-)zero norm."""
     q = np.asarray(q, dtype=float)
     norm = np.sqrt((q * q).sum(axis=-1, keepdims=True))
-    if norm.min() < 1e-12:
+    if norm.min() < QUAT_NORM_MIN:
         raise NumericalError("quaternion norm collapsed to zero")
     return q / norm
 
@@ -311,42 +315,6 @@ def yaw_variance(q: np.ndarray, quat_cov: np.ndarray) -> float:
     jac = (c * ds - s * dc) / denom
     jac = jac - (jac @ q) * q
     return float(jac @ np.asarray(quat_cov, dtype=float) @ jac)
-
-
-@dataclass
-class ProcessNoiseConfig:
-    """Continuous-time random-walk intensities for all state blocks.
-
-    Each entry scales linearly with the step dt when the discrete process
-    noise matrix is assembled.  ``coast_position_inflation`` multiplies the
-    position block while the filter coasts without GPS.
-    """
-
-    q_position: float = 1e-4
-    q_orientation: float = 1e-7
-    q_velocity: float = 1e-3
-    q_omega: float = 5e-2
-    q_accel: float = 5e-1
-    q_gyro_bias: float = 1e-9
-    q_accel_bias: float = 1e-8
-    q_ewz: float = 1e-11
-    coast_position_inflation: float = 10.0
-
-    def __post_init__(self):
-        for name in (
-            "q_position",
-            "q_orientation",
-            "q_velocity",
-            "q_omega",
-            "q_accel",
-            "q_gyro_bias",
-            "q_accel_bias",
-            "q_ewz",
-        ):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.coast_position_inflation < 1.0:
-            raise ValueError("coast_position_inflation must be >= 1")
 
 
 def _component(sl: slice) -> property:

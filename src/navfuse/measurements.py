@@ -1,10 +1,10 @@
-"""Measurement models for every sensor path, the default chi-squared gates,
-and the GPS fix screen and noise policy (``gps_fix_to_measurement``).
+"""Measurement models for every sensor path, and the GPS fix screen and
+noise policy (``gps_fix_to_measurement``).
 
 Each model bundles a batched measurement function ``h`` ((N, 23) rows of
 flat state vectors -> (N, dim) rows of measurement vectors), its noise
 matrix, an angular mask selecting components whose residuals wrap at +-pi,
-and a chi-squared gate threshold.
+and a chi-squared gate threshold (the ``gates.*`` configuration keys).
 """
 
 from __future__ import annotations
@@ -30,21 +30,6 @@ from .core import (
 from .events import FixType, GpsFixSample
 from .geodesy import EnuOrigin, GeodeticCoord, geodetic_to_enu
 
-#: default chi-squared gate thresholds per sensor path
-@dataclass(frozen=True)
-class GateThresholds:
-    gps_pos: float = 16.27   # chi2(3, 0.999)
-    vslam: float = 22.46     # chi2(6, 0.999)
-    heading: float = 10.83   # chi2(1, 0.999)
-    encoder: float = 11.34   # chi2(3, 0.99)
-    imu: float = 15.09       # shared across all IMU paths
-    zupt: float = 16.27
-
-    def __post_init__(self):
-        for name in ("gps_pos", "vslam", "heading", "encoder", "imu", "zupt"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"gate threshold {name} must be > 0")
-
 
 @dataclass
 class MeasurementModel:
@@ -67,13 +52,6 @@ class MeasurementModel:
         self.wraps = bool(np.any(self.angular))
         if self.gate <= 0:
             raise ValueError("gate threshold must be > 0")
-
-
-@dataclass(frozen=True)
-class QualityRejected:
-    """A GPS fix screened out before any filter interaction."""
-
-    reason: str
 
 
 def euler_rows(q: np.ndarray, with_yaw: bool = True) -> np.ndarray:
@@ -163,25 +141,21 @@ def screen_gps_fix(
     min_fix_type: FixType,
     max_hdop: float,
     min_satellites: int,
-) -> Optional[QualityRejected]:
-    """Receiver-quality screen applied before any filter interaction.  A
-    fix whose coordinates lie outside the geodetic range is screened out
-    too, so it can neither set the ENU origin nor reach the engine."""
+) -> Optional[str]:
+    """Receiver-quality screen applied before any filter interaction: the
+    reason a fix is screened out, or None when it passes.  A fix whose
+    coordinates lie outside the geodetic range is screened out too, so it
+    can neither set the ENU origin nor reach the engine."""
     if not (-np.pi / 2 <= fix.lat <= np.pi / 2
             and -np.pi <= fix.lon <= np.pi):
-        return QualityRejected(
-            f"latitude {fix.lat} or longitude {fix.lon} rad out of range"
-        )
+        return f"latitude {fix.lat} or longitude {fix.lon} rad out of range"
     if fix.fix_type < min_fix_type:
-        return QualityRejected(
-            f"fix type {fix.fix_type.name} below {FixType(min_fix_type).name}"
-        )
+        return (f"fix type {fix.fix_type.name} below "
+                f"{FixType(min_fix_type).name}")
     if fix.hdop is not None and fix.hdop > max_hdop:
-        return QualityRejected(f"hdop {fix.hdop} above {max_hdop}")
+        return f"hdop {fix.hdop} above {max_hdop}"
     if fix.satellites is not None and fix.satellites < min_satellites:
-        return QualityRejected(
-            f"{fix.satellites} satellites below {min_satellites}"
-        )
+        return f"{fix.satellites} satellites below {min_satellites}"
     return None
 
 

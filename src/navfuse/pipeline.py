@@ -4,9 +4,10 @@ Events are processed strictly in arrival order by one consumer, so a recorded
 sequence always gives the same output.  ``SENSORS`` holds the per-sensor
 policy, one row per stream kind (``events.event_kind``): the switch that
 enables the sensor and the counter a disabled event bumps, the payload fields
-that must be finite (the stamp always must be), whether it needs the IMU
-clock, and its handler.  ``ingest`` makes these checks in that order and
-answers the first failure with a dropped-event report.
+that must be finite (the stamp always must be), the quaternion field that
+must have a nonzero norm, whether it needs the IMU clock, and its handler.
+``ingest`` makes these checks in that order and answers the first failure
+with a dropped-event report.
 
 Each primary-IMU event runs one prediction step plus its updates and leaves a
 snapshot in the replay ring.  GPS fixes, GPS velocity and VSLAM poses arrive
@@ -48,14 +49,15 @@ import numpy as np
 
 from . import measurements as meas
 from .adaptive import AdaptiveEstimator
-from .config import PipelineConfig
+from .config import DEFAULTS, PipelineConfig
 from .core import (
     ENC_YAW_BIAS,
+    GYRO_BIAS,
     QUAT,
+    QUAT_NORM_MIN,
     STATE_DIM,
     FilterState,
     NumericalError,
-    ProcessNoiseConfig,
     quat_conjugate,
     quat_mul,
     quat_normalize,
@@ -77,9 +79,8 @@ from .events import (
 from .geodesy import EnuOrigin, GeodeticCoord
 from .retrodiction import Snapshot, StateSnapshotRing
 from .ukf import UkfParams, update as ukf_update, predict as ukf_predict
-from .process import PropagationStep, noise_rates
+from .process import STATE_BLOCKS, PropagationStep, noise_rates
 
-_BIAS_INDICES = tuple(range(16, STATE_DIM))
 _MAX_STEP_DT = 0.5
 #: largest forward step of the primary-IMU stamp that is predicted across,
 #: as bridging costs one predict per 0.5 s inside a single ingest call; a
@@ -112,6 +113,11 @@ def _all_finite(event: SensorEvent, fields: tuple[str, ...]) -> bool:
     return math.isfinite(event.stamp) and all(
         value is None or np.isfinite(value).all()
         for value in (getattr(event, name) for name in fields))
+
+
+def _degenerate(q: Optional[np.ndarray]) -> bool:
+    """A present quaternion too short to normalize (``quat_normalize``)."""
+    return q is not None and float(np.sqrt((q * q).sum())) < QUAT_NORM_MIN
 
 
 @dataclass
@@ -189,70 +195,61 @@ class FusionPipeline:
 
     def _build_models(self) -> None:
         cfg = self.config
-        gates = meas.GateThresholds(
-            gps_pos=cfg["gates.gps_pos"],
-            vslam=cfg["gates.vslam"],
-            heading=cfg["gates.heading"],
-            encoder=cfg["gates.encoder"],
-            imu=cfg["gates.imu"],
-            zupt=cfg["gates.zupt"],
-        )
-        self.gates = gates
+        # the GPS, heading and VSLAM models are built per event, so every
+        # gate is checked here, at construction
+        for key in DEFAULTS:
+            if key.startswith("gates.") and not cfg[key] > 0.0:
+                raise ValueError(f"{key} must be > 0")
         # per IMU kind: the raw model, and the orientation model or None
         # when that source's orientation is not used
         self._imu_models = {
             kind: (
                 meas.imu_raw_model(cfg[f"{kind}.sigma_gyro"],
-                                   cfg[f"{kind}.sigma_accel"], gates.imu),
+                                   cfg[f"{kind}.sigma_accel"],
+                                   cfg["gates.imu"]),
                 meas.imu_orientation_model(cfg[f"{kind}.has_magnetometer"],
                                            cfg[f"{kind}.sigma_orient"],
-                                           gates.imu)
+                                           cfg["gates.imu"])
                 if cfg[f"{kind}.use_orientation"] else None,
             )
             for kind in ("imu", "imu2")
         }
         self._encoder_model = meas.encoder_model(
             cfg["encoder.sigma_vx"], cfg["encoder.sigma_vy"],
-            cfg["encoder.sigma_wz"], gates.encoder,
+            cfg["encoder.sigma_wz"], cfg["gates.encoder"],
             b_ewz_enabled=cfg["features.b_ewz"],
         )
         self._vz_model = meas.encoder_vz_model(cfg["encoder.vz_sigma"],
-                                               gates.encoder)
+                                               cfg["gates.encoder"])
         self._az_model = meas.encoder_az_model(cfg["encoder.az_sigma"],
-                                               gates.encoder)
+                                               cfg["gates.encoder"])
         self._gps_vel_model = meas.gps_velocity_model(
-            cfg["gnss.velocity_sigma"], gates.gps_pos)
+            cfg["gnss.velocity_sigma"], cfg["gates.gps_pos"])
         self._radar_model = meas.radar_velocity_model(cfg["radar.sigma"],
-                                                      gates.encoder)
-        self._zupt_model = meas.zupt_model(cfg["zupt.sigma"], gates.zupt)
+                                                      cfg["gates.encoder"])
+        self._zupt_model = meas.zupt_model(cfg["zupt.sigma"],
+                                           cfg["gates.zupt"])
         # body-frame base->antenna offset (``_update_lever``)
         self._lever_offset = np.array([cfg["lever.arm_x"], cfg["lever.arm_y"],
                                        cfg["lever.arm_z"]])
 
-        base_noise = ProcessNoiseConfig(
-            q_position=cfg["ukf.q_position"],
-            q_orientation=cfg["ukf.q_orientation"],
-            q_velocity=cfg["ukf.q_velocity"],
-            q_omega=cfg["ukf.q_omega"],
-            q_accel=cfg["ukf.q_accel"],
-            q_gyro_bias=cfg["ukf.q_gyro_bias"],
-            q_accel_bias=cfg["ukf.q_accel_bias"],
-            q_ewz=cfg["ukf.q_ewz"],
-            coast_position_inflation=cfg["coast.position_inflation"],
-        )
+        # per coast mode (off, on): the states the filter holds, which get
+        # neither gain nor process noise, and Q's per-second diagonal
         if not cfg["features.bias_states"]:
-            base_noise = ProcessNoiseConfig(
-                **{**base_noise.__dict__, "q_gyro_bias": 0.0,
-                   "q_accel_bias": 0.0, "q_ewz": 0.0})
+            frozen = list(range(GYRO_BIAS.start, STATE_DIM))
         elif not cfg["features.b_ewz"]:
-            base_noise = ProcessNoiseConfig(
-                **{**base_noise.__dict__, "q_ewz": 0.0})
-        # per-second Q diagonals; coasting freezes the encoder yaw-rate bias
-        # random walk
-        self._q_rate = noise_rates(base_noise)
-        self._coast_q_rate = noise_rates(
-            ProcessNoiseConfig(**{**base_noise.__dict__, "q_ewz": 0.0}),
-            coast_active=True)
+            frozen = [ENC_YAW_BIAS]
+        else:
+            frozen = []
+        # coasting holds the encoder yaw-rate bias: it is consumed as a
+        # correction, not re-estimated, until GPS returns
+        coast_frozen = sorted({*frozen, ENC_YAW_BIAS})
+        inflation = cfg["coast.position_inflation"]
+        if not inflation >= 1.0:
+            raise ValueError("coast.position_inflation must be >= 1")
+        self._modes = ((frozen, noise_rates(cfg, frozen)),
+                       (coast_frozen,
+                        noise_rates(cfg, coast_frozen, inflation)))
 
     def _build_adaptive(self) -> dict[str, AdaptiveEstimator]:
         cfg = self.config
@@ -293,14 +290,8 @@ class FusionPipeline:
         cfg = self.config
         self.state = FilterState()
         diag = np.empty(STATE_DIM)
-        diag[0:3] = cfg["init.position_var"]
-        diag[3:7] = cfg["init.orientation_var"]
-        diag[7:10] = cfg["init.velocity_var"]
-        diag[10:13] = cfg["init.omega_var"]
-        diag[13:16] = cfg["init.accel_var"]
-        diag[16:19] = cfg["init.gyro_bias_var"]
-        diag[19:22] = cfg["init.accel_bias_var"]
-        diag[22] = cfg["init.ewz_var"]
+        for block, _, var_key in STATE_BLOCKS:
+            diag[block] = cfg[var_key]
         self.cov = np.diag(diag)
         self.origin: Optional[EnuOrigin] = None
         self.ring = StateSnapshotRing(cfg["retro.capacity"])
@@ -324,24 +315,13 @@ class FusionPipeline:
     def _count(self, key: str) -> None:
         self.diagnostics[key] = self.diagnostics.get(key, 0) + 1
 
-    def _frozen_indices(self, coast_active: bool) -> Optional[list[int]]:
-        if not self.config["features.bias_states"]:
-            return list(_BIAS_INDICES)
-        if not self.config["features.b_ewz"]:
-            return [ENC_YAW_BIAS]
-        if coast_active:
-            # coasting freezes the encoder yaw-rate bias estimate; it is
-            # consumed as a correction, not re-estimated, until GPS returns
-            return [ENC_YAW_BIAS]
-        return None
-
     def _apply_update(self, state: FilterState, cov: np.ndarray,
                       z: np.ndarray, model, records: list[UpdateRecord],
                       coast_active: bool, gate_scale: float = 1.0):
         self._count("engine_update_calls")
         outcome = ukf_update(state, cov, z, model, self._params,
                              gate_scale=gate_scale,
-                             frozen=self._frozen_indices(coast_active))
+                             frozen=self._modes[coast_active][0])
         records.append(UpdateRecord(model.name, outcome.accepted, outcome.d2,
                                     model.dim, model.gate * gate_scale,
                                     outcome.reason))
@@ -384,7 +364,10 @@ class FusionPipeline:
         if self.coast.last_accept is None:
             self.coast.last_accept = now
         was_active = self.coast.active
-        self.coast.active = (now - self.coast.last_accept) > cfg["coast.enter_s"]
+        # a Python bool even for numpy stamps: it indexes ``_modes`` and a
+        # checkpoint holds it
+        self.coast.active = bool(now - self.coast.last_accept
+                                 > cfg["coast.enter_s"])
         if self.coast.active and not was_active:
             self.coast.relax_armed = True
             self._count("coast_entries")
@@ -431,6 +414,10 @@ class FusionPipeline:
         if not _all_finite(event, row.finite):
             return self._drop(event.stamp, kind, "dropped_nonfinite",
                               f"non-finite {kind}")
+        if row.quaternion and _degenerate(getattr(event, row.quaternion)):
+            return self._drop(event.stamp, kind,
+                              "dropped_degenerate_quaternion",
+                              f"degenerate {kind} quaternion")
         if row.needs_clock and not self._started:
             return self._drop(event.stamp, kind, "dropped_before_clock",
                               "no imu clock yet")
@@ -473,7 +460,7 @@ class FusionPipeline:
         bit-identical."""
         records = [] if records is None else records
         dt_total = step.stamp - state.stamp
-        q_rate = self._coast_q_rate if step.coast_active else self._q_rate
+        q_rate = self._modes[step.coast_active][1]
         while dt_total > 1e-12:
             dt = min(dt_total, _MAX_STEP_DT)
             state, cov = ukf_predict(state, cov, PropagationStep(dt, q_rate),
@@ -601,12 +588,12 @@ class FusionPipeline:
 
     def _on_gps_fix(self, sample: GpsFixSample) -> StepReport:
         cfg = self.config
-        screened = meas.screen_gps_fix(
+        reason = meas.screen_gps_fix(
             sample, FixType(cfg["gnss.min_fix_type"]), cfg["gnss.max_hdop"],
             cfg["gnss.min_satellites"])
-        if screened is not None:
+        if reason is not None:
             return self._drop(sample.stamp, "gps", "gps_quality_rejected",
-                              screened.reason)
+                              reason)
         if self.origin is None:
             self.origin = EnuOrigin.from_geodetic(
                 GeodeticCoord(sample.lat, sample.lon, sample.alt))
@@ -627,7 +614,7 @@ class FusionPipeline:
             self.coast.relax_armed = False
 
         lever = self._lever_offset if self._lever_validated else None
-        model = meas.gps_position_model(r, self.gates.gps_pos, lever)
+        model = meas.gps_position_model(r, cfg["gates.gps_pos"], lever)
         heading_plan = self._plan_heading(z, r, sample.stamp)
 
         def bundle(state: FilterState, cov: np.ndarray):
@@ -636,7 +623,8 @@ class FusionPipeline:
             state, cov = out.state, out.cov
             if out.accepted and heading_plan is not None:
                 yaw_z, yaw_var_z = heading_plan
-                hmodel = meas.gps_heading_model(yaw_var_z, self.gates.heading)
+                hmodel = meas.gps_heading_model(yaw_var_z,
+                                                cfg["gates.heading"])
                 hout = self._apply_update(state, cov, np.array([yaw_z]),
                                           hmodel, records, self.coast.active)
                 state, cov = hout.state, hout.cov
@@ -695,7 +683,7 @@ class FusionPipeline:
         else:
             r = np.diag([cfg["vslam.sigma_pos"] ** 2] * 3
                         + [cfg["vslam.sigma_orient"] ** 2] * 3)
-        model = meas.vslam_model(r, self.gates.vslam,
+        model = meas.vslam_model(r, cfg["gates.vslam"],
                                  cfg["vslam.pos_floor"],
                                  cfg["vslam.orient_floor"])
         records: list[UpdateRecord] = []
@@ -857,6 +845,8 @@ class SensorPolicy:
     finite: tuple[str, ...]           # payload fields; None counts as absent
     needs_clock: bool
     handler: Callable[[FusionPipeline, SensorEvent], StepReport]
+    #: the payload's rotation field, which must have a nonzero norm
+    quaternion: Optional[str] = None
 
 
 _IMU_FIELDS = ("gyro", "accel", "orientation")
@@ -864,9 +854,10 @@ _IMU_FIELDS = ("gyro", "accel", "orientation")
 SENSORS: dict[str, SensorPolicy] = {
     # the primary IMU starts the clock and is always on
     "imu": SensorPolicy(None, None, _IMU_FIELDS, False,
-                        FusionPipeline._on_imu),
+                        FusionPipeline._on_imu, "orientation"),
     "imu2": SensorPolicy("imu2.enabled", "dropped_imu2_disabled",
-                         _IMU_FIELDS, True, FusionPipeline._on_imu2),
+                         _IMU_FIELDS, True, FusionPipeline._on_imu2,
+                         "orientation"),
     "encoder": SensorPolicy("encoder.enabled", "dropped_encoder_disabled",
                             ("velocity", "yaw_rate"), True,
                             FusionPipeline._on_encoder),
@@ -883,5 +874,5 @@ SENSORS: dict[str, SensorPolicy] = {
                           ("velocity_body",), True, FusionPipeline._on_radar),
     "vslam": SensorPolicy("vslam.enabled", "dropped_vslam_disabled",
                           ("position", "quaternion", "cov_diag"), True,
-                          FusionPipeline._on_vslam),
+                          FusionPipeline._on_vslam, "quaternion"),
 }

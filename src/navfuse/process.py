@@ -6,13 +6,15 @@ into body velocity.  Rates, accelerations, and all biases are held constant;
 their random walks enter only through the process noise matrix.
 
 Q is diagonal and linear in dt, so its per-second diagonal (``noise_rates``)
-is built once per noise configuration and mode, and each step only scales it
-by its dt.
+is built once per configuration and mode, and each step only scales it by
+its dt.  ``STATE_BLOCKS`` pairs each block of the state with its
+configuration keys, so Q and the initial covariance come from one table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +28,23 @@ from .core import (
     QUAT,
     STATE_DIM,
     VEL,
-    ProcessNoiseConfig,
     quat_exp_rows,
     quat_mul_rows,
     quat_rotate,
+)
+
+
+#: each block of the state with its process-noise intensity (variance per
+#: second of its random walk) and its initial variance, as config keys
+STATE_BLOCKS = (
+    (POS, "ukf.q_position", "init.position_var"),
+    (QUAT, "ukf.q_orientation", "init.orientation_var"),
+    (VEL, "ukf.q_velocity", "init.velocity_var"),
+    (OMEGA, "ukf.q_omega", "init.omega_var"),
+    (ACC, "ukf.q_accel", "init.accel_var"),
+    (GYRO_BIAS, "ukf.q_gyro_bias", "init.gyro_bias_var"),
+    (ACCEL_BIAS, "ukf.q_accel_bias", "init.accel_bias_var"),
+    (slice(ENC_YAW_BIAS, ENC_YAW_BIAS + 1), "ukf.q_ewz", "init.ewz_var"),
 )
 
 
@@ -61,22 +76,20 @@ def propagate_states(states: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def noise_rates(noise: ProcessNoiseConfig,
-                coast_active: bool = False) -> np.ndarray:
-    """The per-second diagonal of Q as a read-only array; the position
-    block is inflated while coasting."""
-    q_pos = noise.q_position
-    if coast_active:
-        q_pos = q_pos * noise.coast_position_inflation
+def noise_rates(cfg, frozen: Sequence[int] = (),
+                position_scale: float = 1.0) -> np.ndarray:
+    """The per-second diagonal of Q as a read-only array, from the
+    ``ukf.q_*`` intensities of ``cfg``: zero on the ``frozen`` indices,
+    the states the filter holds, and the position block multiplied by
+    ``position_scale`` (the coast inflation).  A negative or NaN intensity
+    is a ``ValueError``."""
     diag = np.empty(STATE_DIM)
-    diag[POS] = q_pos
-    diag[QUAT] = noise.q_orientation
-    diag[VEL] = noise.q_velocity
-    diag[OMEGA] = noise.q_omega
-    diag[ACC] = noise.q_accel
-    diag[GYRO_BIAS] = noise.q_gyro_bias
-    diag[ACCEL_BIAS] = noise.q_accel_bias
-    diag[ENC_YAW_BIAS] = noise.q_ewz
+    for block, q_key, _ in STATE_BLOCKS:
+        if not cfg[q_key] >= 0.0:
+            raise ValueError(f"{q_key} must be >= 0")
+        diag[block] = cfg[q_key]
+    diag[POS] *= position_scale
+    diag[list(frozen)] = 0.0
     diag.flags.writeable = False
     return diag
 

@@ -73,7 +73,7 @@ class GroundTruth:
     accel_body: np.ndarray     # (N, 3), gravity-free
     gyro_bias: np.ndarray      # (N, 3)
     accel_bias: np.ndarray     # (N, 3)
-    encoder_yaw_bias: float
+    encoder_yaw_bias: float    # b: the encoder reads omega_z - b
 
 
 @dataclass
@@ -388,7 +388,7 @@ def generate(scenario: SimScenario) -> tuple[GroundTruth, list[SensorEvent]]:
                     vx = vx * float(s["factor"])
             events.append(EncoderSample(
                 t, np.array([vx + vn[k, 0], vn[k, 1]]),
-                float(truth.omega[i, 2] + truth.encoder_yaw_bias + wn[k])))
+                float(truth.omega[i, 2] - truth.encoder_yaw_bias + wn[k])))
 
     # --- GPS fixes -------------------------------------------------------
     origin = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(

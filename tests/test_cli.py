@@ -199,3 +199,15 @@ class TestSweep:
         for name in ("baseline", "no_zupt"):
             assert os.path.exists(os.path.join(
                 str(tmp_path / "sweep"), name, "eval", "metrics.txt"))
+
+    @pytest.mark.parametrize("doc", [
+        [{"name": "a", "scenario": "scenario.yaml"}],  # a list, not a mapping
+        {"runs": 5},
+        {"runs": [{"name": "a"}]},                      # no scenario
+    ])
+    def test_malformed_manifest_is_a_config_error(self, tmp_path, capsys,
+                                                  doc):
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(yaml.safe_dump(doc))
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        assert "manifest" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from navfuse.core import (
     _hamilton,
     FilterState,
     NumericalError,
-    ProcessNoiseConfig,
     QUAT,
     STATE_DIM,
     euler_to_quat,
@@ -271,13 +270,3 @@ class TestYawVariance:
         yaws = np.array([quat_to_euler(s)[2] for s in samples[:20_000]])
         mc = np.var(yaws)
         assert predicted == pytest.approx(mc, rel=0.2)
-
-
-class TestProcessNoiseConfig:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ProcessNoiseConfig(q_position=-1.0)
-
-    def test_rejects_deflation(self):
-        with pytest.raises(ValueError):
-            ProcessNoiseConfig(coast_position_inflation=0.5)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2
 
+from navfuse.config import DEFAULTS
 from navfuse.core import FilterState, GRAVITY, euler_to_quat, quat_to_rotmat
 from navfuse.events import FixType, GpsFixSample
 from navfuse.geodesy import EnuOrigin, GeodeticCoord, enu_to_geodetic
 from navfuse.measurements import (
-    GateThresholds,
-    QualityRejected,
     derive_gps_heading,
     encoder_az_model,
     encoder_model,
@@ -43,13 +43,15 @@ def fix_at(enu, stamp=0.0, **kw):
 
 class TestDefaults:
     def test_gate_table(self):
-        g = GateThresholds()
-        assert (g.gps_pos, g.vslam, g.heading, g.encoder, g.imu) == \
-            (16.27, 22.46, 10.83, 11.34, 15.09)
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            GateThresholds(heading=0.0)
+        """Each default gate is the chi2(dof, p) quantile its config
+        comment names, to two decimals."""
+        quantiles = {"gates.imu": (5, 0.99), "gates.encoder": (3, 0.99),
+                     "gates.gps_pos": (3, 0.999), "gates.heading": (1, 0.999),
+                     "gates.vslam": (6, 0.999), "gates.zupt": (3, 0.999)}
+        assert set(quantiles) == {k for k in DEFAULTS
+                                  if k.startswith("gates.")}
+        for key, (dof, p) in quantiles.items():
+            assert DEFAULTS[key] == round(chi2.ppf(p, dof), 2), key
 
 
 class TestImuRaw:
@@ -134,16 +136,14 @@ class TestGpsPosition:
     def test_quality_screen_blocks_low_fix_type(self):
         out = screen_gps_fix(fix_at([0, 0, 0], fix_type=FixType.DGPS),
                              FixType.RTK_FIXED, 10.0, 4)
-        assert isinstance(out, QualityRejected)
-        assert "DGPS" in out.reason
+        assert "DGPS" in out
 
     def test_quality_screen_hdop_and_satellites(self):
-        assert isinstance(screen_gps_fix(fix_at([0, 0, 0], hdop=9.0),
-                                         FixType.GPS, 5.0, 4),
-                          QualityRejected)
-        assert isinstance(screen_gps_fix(fix_at([0, 0, 0], satellites=3),
-                                         FixType.GPS, 5.0, 4),
-                          QualityRejected)
+        assert "hdop" in screen_gps_fix(fix_at([0, 0, 0], hdop=9.0),
+                                        FixType.GPS, 5.0, 4)
+        assert "satellites" in screen_gps_fix(
+            fix_at([0, 0, 0], satellites=3), FixType.GPS, 5.0, 4)
+        assert screen_gps_fix(fix_at([0, 0, 0]), FixType.GPS, 5.0, 4) is None
 
     def test_error_bounds_take_priority(self):
         fix = fix_at([0, 0, 0], err_horz=1.96, err_vert=3.92)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from navfuse.config import PipelineConfig
+from navfuse.config import DEFAULTS, PipelineConfig
 from navfuse.core import (GRAVITY, QUAT, euler_to_quat, quat_rotate,
                           yaw_variance)
 from navfuse.events import (
@@ -301,6 +301,27 @@ class TestSensorTable:
         pipe.ingest(imu_at(0.01))
         assert pipe.state.stamp == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("kind", ["imu", "imu2", "vslam"])
+    def test_degenerate_quaternion_dropped(self, kind):
+        pipe = FusionPipeline(PipelineConfig(ALL_ON))
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+
+        def session():
+            return [pipeline_module._encode(getattr(pipe, name))
+                    for name in pipe._SESSION if name != "diagnostics"]
+
+        before = session()
+        event = event_of(kind, 0.5, 0.3)
+        if kind == "vslam":
+            event.quaternion = np.zeros(4)
+        else:
+            event.orientation = np.full(4, 1e-13)
+        report, bumped = ingest_counting(pipe, event)
+        assert bumped == {"dropped_degenerate_quaternion": 1}
+        assert report.dropped == f"degenerate {kind} quaternion"
+        assert not report.updates
+        assert session() == before
+
     @pytest.mark.parametrize("kind", sorted(SWITCHES))
     def test_before_imu_clock(self, kind):
         pipe = FusionPipeline(PipelineConfig(ALL_ON))
@@ -310,6 +331,31 @@ class TestSensorTable:
         report, bumped = ingest_counting(pipe, event_of(kind, 0.005))
         assert bumped == {"dropped_before_clock": 1}
         assert report.dropped == "no imu clock yet"
+
+
+class TestConstruction:
+    """A setting the filter cannot use is refused when the pipeline is
+    built, not at the first event that would use it."""
+
+    @pytest.mark.parametrize("key", sorted(
+        k for k in DEFAULTS if k.startswith("ukf.q_")))
+    def test_negative_process_noise(self, key):
+        cfg = PipelineConfig({key: -1e-6})
+        with pytest.raises(ValueError):
+            FusionPipeline(cfg)
+
+    def test_coast_position_deflation(self):
+        cfg = PipelineConfig({"coast.position_inflation": 0.5})
+        with pytest.raises(ValueError):
+            FusionPipeline(cfg)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("key", sorted(
+        k for k in DEFAULTS if k.startswith("gates.")))
+    def test_nonpositive_gate(self, key, value):
+        cfg = PipelineConfig({key: value})
+        with pytest.raises(ValueError):
+            FusionPipeline(cfg)
 
 
 class TestGps:
@@ -808,6 +854,18 @@ class TestLifecycle:
         fix = pipe.ingest(gps_at([1.0, 0, 0], 100.001))
         assert fix.origin_set  # new origin after reset
 
+    def test_checkpoint_while_coasting_on_numpy_stamps(self, tmp_path):
+        """Numpy stamps leave the coast flag a Python bool, which a
+        checkpoint can hold."""
+        path = str(tmp_path / "ckpt.json")
+        pipe = FusionPipeline(PipelineConfig({"gnss.enabled": False}))
+        run(pipe, [imu_at(t) for t in np.arange(0.0, 6.0, 0.01)])
+        assert pipe.coast.active
+        pipe.save_checkpoint(path)
+        resumed = FusionPipeline(PipelineConfig({"gnss.enabled": False}))
+        resumed.load_checkpoint(path)
+        assert resumed.coast == pipe.coast
+
     def test_checkpoint_roundtrip_reproduces_reports(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
         tail = []
@@ -934,6 +992,24 @@ class TestBewzObservability:
                     var_start = r.cov_diag[22]
                 var_end = r.cov_diag[22]
         assert var_end < var_start
+
+    def test_bias_recovered_across_a_gps_blackout(self):
+        """The paper's 23rd state: the encoder yaw-rate bias is identified
+        online, held while coasting through a blackout, and recovered with
+        the simulator's sign (``core.ENC_YAW_BIAS``)."""
+        from navfuse.simulator import SimScenario, generate
+        bias = 0.02
+        _, events = generate(SimScenario.from_dict({
+            "seed": 1, "duration_s": 30.0,
+            "trajectory": {"type": "waypoints", "loop": True,
+                           "points": [[0, 0], [20, 0], [20, 15], [0, 15]]},
+            "encoder": {"rate_hz": 50.0, "bias_wz": bias},
+            "gps": {"rate_hz": 5.0,
+                    "dropouts": [{"start": 15.0, "end": 25.0}]},
+        }))
+        pipe = FusionPipeline(PipelineConfig())
+        assert any(r.coast for r in run(pipe, events))
+        assert abs(pipe.state.encoder_yaw_bias - bias) < 0.005
 
     def test_constant_without_heading_and_noise(self):
         # no GPS, no encoder: nothing couples to the encoder bias state

@@ -1,24 +1,28 @@
 import numpy as np
 import pytest
 
+from navfuse.config import DEFAULTS, PipelineConfig
 from navfuse.core import (
     ENC_YAW_BIAS,
     GYRO_BIAS,
     POS,
     QUAT,
+    STATE_DIM,
     FilterState,
-    ProcessNoiseConfig,
     euler_to_quat,
     quat_to_rotmat,
 )
-from navfuse.process import PropagationStep, noise_rates, \
+from navfuse.process import STATE_BLOCKS, PropagationStep, noise_rates, \
     process_noise_matrix, propagate_states
 
 from conftest import random_unit_quat
 
 
-def make_step(dt=0.01, coast=False, **noise):
-    return PropagationStep(dt, noise_rates(ProcessNoiseConfig(**noise), coast))
+def make_step(dt=0.01, frozen=(), position_scale=1.0, **noise):
+    """A step whose Q takes the ``ukf.<name>`` intensities given as
+    keywords, the rest at their defaults."""
+    cfg = PipelineConfig({f"ukf.{key}": value for key, value in noise.items()})
+    return PropagationStep(dt, noise_rates(cfg, frozen, position_scale))
 
 
 def advance(x, step):
@@ -114,11 +118,52 @@ class TestProcessNoise:
         assert np.allclose(np.diag(q)[GYRO_BIAS], 1e-10)
 
     def test_coast_inflates_position_block_only(self):
-        base = process_noise_matrix(make_step(0.01, coast=False,
-                                              coast_position_inflation=10.0))
-        coast = process_noise_matrix(make_step(0.01, coast=True,
-                                               coast_position_inflation=10.0))
+        base = process_noise_matrix(make_step(0.01))
+        coast = process_noise_matrix(make_step(0.01, position_scale=10.0))
         assert np.allclose(np.diag(coast)[POS], 10.0 * np.diag(base)[POS])
         off = np.ones(23, dtype=bool)
         off[POS] = False
         assert np.array_equal(np.diag(coast)[off], np.diag(base)[off])
+
+    def test_frozen_states_get_no_noise(self):
+        frozen = [ENC_YAW_BIAS, *range(GYRO_BIAS.start, GYRO_BIAS.stop)]
+        base = np.diag(process_noise_matrix(make_step(0.01)))
+        held = np.diag(process_noise_matrix(make_step(0.01, frozen=frozen)))
+        assert np.all(held[frozen] == 0.0) and np.all(base[frozen] > 0.0)
+        rest = np.ones(23, dtype=bool)
+        rest[frozen] = False
+        assert np.array_equal(held[rest], base[rest])
+
+    @pytest.mark.parametrize("value", [-1e-9, float("nan")])
+    def test_negative_intensity_rejected(self, value):
+        with pytest.raises(ValueError, match="ukf.q_ewz"):
+            make_step(0.01, q_ewz=value)
+
+
+class TestStateBlocks:
+    def test_blocks_cover_the_state_once(self):
+        indices = [i for block, _, _ in STATE_BLOCKS
+                   for i in range(STATE_DIM)[block]]
+        assert sorted(indices) == list(range(STATE_DIM))
+
+    def test_blocks_name_every_noise_and_initial_variance_key_once(self):
+        q_keys = [q_key for _, q_key, _ in STATE_BLOCKS]
+        var_keys = [var_key for _, _, var_key in STATE_BLOCKS]
+        assert sorted(q_keys) == sorted(
+            k for k in DEFAULTS if k.startswith("ukf.q_"))
+        assert sorted(var_keys) == sorted(
+            k for k in DEFAULTS
+            if k.startswith("init.") and k.endswith("_var"))
+
+    def test_noise_and_initial_covariance_follow_the_table(self):
+        from navfuse.pipeline import FusionPipeline
+        overrides = {}
+        for n, (_, q_key, var_key) in enumerate(STATE_BLOCKS):
+            overrides[q_key] = float(n + 1)
+            overrides[var_key] = float(10 * (n + 1))
+        cfg = PipelineConfig(overrides)
+        q = noise_rates(cfg)
+        p0 = np.diag(FusionPipeline(cfg).cov)
+        for n, (block, _, _) in enumerate(STATE_BLOCKS):
+            assert np.all(q[block] == n + 1)
+            assert np.all(p0[block] == 10 * (n + 1))

@@ -230,3 +230,14 @@ class TestStreams:
         radar_v = np.mean([e.velocity_body[0] for e in radar_mid])
         assert enc_v == pytest.approx(3.0, abs=0.1)   # 1.5 * 2.0 true speed
         assert radar_v == pytest.approx(2.0, abs=0.1)
+
+    def test_encoder_reads_yaw_rate_minus_its_bias(self):
+        # the convention of core.ENC_YAW_BIAS: an encoder reads omega_z - b
+        doc = scenario_dict()
+        doc["encoder"]["bias_wz"] = 0.02
+        truth, events = generate(SimScenario.from_dict(doc))
+        stamps = list(truth.stamps)
+        offsets = [e.yaw_rate - truth.omega[stamps.index(e.stamp), 2]
+                   for e in events if isinstance(e, EncoderSample)]
+        assert truth.encoder_yaw_bias == 0.02
+        assert np.mean(offsets) == pytest.approx(-0.02, abs=0.002)

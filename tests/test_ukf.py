@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from navfuse.config import PipelineConfig
 from navfuse.core import (
     ENC_YAW_BIAS,
     EPSILON_PD,
@@ -11,11 +12,10 @@ from navfuse.core import (
     STATE_DIM,
     FilterState,
     NumericalError,
-    ProcessNoiseConfig,
     rotation_distance,
 )
 from navfuse.measurements import MeasurementModel, imu_raw_model
-from navfuse.process import PropagationStep, noise_rates
+from navfuse.process import STATE_BLOCKS, PropagationStep, noise_rates
 from navfuse.ukf import (
     UkfParams,
     cap_omega_variance,
@@ -189,7 +189,7 @@ def quiet_noise(**kw):
                 q_omega=1e-6, q_accel=1e-4, q_gyro_bias=1e-9,
                 q_accel_bias=1e-9, q_ewz=1e-12)
     base.update(kw)
-    return ProcessNoiseConfig(**base)
+    return PipelineConfig({f"ukf.{key}": value for key, value in base.items()})
 
 
 class TestPredict:
@@ -200,9 +200,8 @@ class TestPredict:
         # stay (numerically) at rest
         for sl in (slice(7, 10), slice(10, 13), slice(13, 16)):
             p[sl, sl] = np.eye(3) * EPSILON_PD
-        step = PropagationStep(0.01, noise_rates(ProcessNoiseConfig(
-            q_position=0, q_orientation=0, q_velocity=0, q_omega=0,
-            q_accel=0, q_gyro_bias=0, q_accel_bias=0, q_ewz=0)))
+        step = PropagationStep(0.01, noise_rates(PipelineConfig(
+            {q_key: 0.0 for _, q_key, _ in STATE_BLOCKS})))
         x1, p1 = predict(x, p, step, PARAMS)
         assert x1.stamp == pytest.approx(1.01)
         assert np.max(np.abs(x1.as_vector() - x.as_vector())) < 1e-12
@@ -253,7 +252,7 @@ class TestPredict:
 
     def test_nan_angular_rate_raises(self):
         x = FilterState(angular_rate=np.array([np.nan, 0.0, 0.0]))
-        step = PropagationStep(0.01, noise_rates(ProcessNoiseConfig()))
+        step = PropagationStep(0.01, noise_rates(PipelineConfig()))
         with pytest.raises(NumericalError):
             predict(x, default_cov(), step, PARAMS)
 
@@ -262,7 +261,7 @@ class TestPredict:
             np.concatenate([rng.normal(size=3), random_unit_quat(rng),
                             rng.normal(size=16) * 0.3]))
         p = random_pd_matrix(rng, STATE_DIM, 0.02)
-        step = PropagationStep(0.01, noise_rates(ProcessNoiseConfig()))
+        step = PropagationStep(0.01, noise_rates(PipelineConfig()))
         for i in range(300):
             x, p = predict(x, p, step, PARAMS)
             assert np.array_equal(p, p.T)
@@ -419,7 +418,7 @@ class TestEngineWork:
         return counts
 
     def test_predict_factors_twice(self, calls):
-        step = PropagationStep(0.01, noise_rates(ProcessNoiseConfig()))
+        step = PropagationStep(0.01, noise_rates(PipelineConfig()))
         predict(FilterState(), default_cov(), step, PARAMS)
         # sigma points, then the positive-definiteness check
         assert calls == {"cholesky": 2}
