@@ -225,13 +225,21 @@ def cmd_sweep(args) -> int:
     runs = manifest.get("runs")
     if not runs or not isinstance(runs, list):
         raise CliError("manifest needs a list of runs", EXIT_CONFIG)
+    base_out = manifest.get("out", "sweep_out")
+    if not (isinstance(base_out, str) and base_out):
+        raise CliError("manifest out must be a non-empty path", EXIT_CONFIG)
     for entry in runs:
         if not (isinstance(entry, dict)
                 and all(isinstance(entry.get(key), str) and entry[key]
                         for key in ("name", "scenario"))):
             raise CliError("every manifest run needs a name and a scenario",
                            EXIT_CONFIG)
-    base_out = manifest.get("out", "sweep_out")
+        config, disable = entry.get("config"), entry.get("disable", [])
+        if not ((config is None or isinstance(config, str) and config)
+                and isinstance(disable, list)
+                and all(isinstance(name, str) for name in disable)):
+            raise CliError(f"manifest run {entry['name']}: config must be a "
+                           "path and disable a list of names", EXIT_CONFIG)
     for entry in runs:
         out = os.path.join(base_out, entry["name"])
         sim_out = os.path.join(out, "sim")

@@ -5,12 +5,16 @@ Each model bundles a batched measurement function ``h`` ((N, 23) rows of
 flat state vectors -> (N, dim) rows of measurement vectors), its noise
 matrix, an angular mask selecting components whose residuals wrap at +-pi,
 and a chi-squared gate threshold (the ``gates.*`` configuration keys).
+
+A model linear in the state (encoder, its vertical constraints, radar,
+ZUPT, GPS position without a lever arm) is declared by its (dim, 23) matrix
+H instead; ``h`` is derived from H and the engine updates it in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .core import (
     OMEGA,
     POS,
     QUAT,
+    STATE_DIM,
     VEL,
     quat_rotate,
     rotate_inv_vertical_rows,
@@ -35,15 +40,19 @@ from .geodesy import EnuOrigin, GeodeticCoord, geodetic_to_enu
 class MeasurementModel:
     """One measurement path the engine can consume.
 
-    ``r`` is replaced atomically between updates when the path adapts.
+    ``h`` is the batched measurement function, or the matrix H of a linear
+    model, then kept read-only as ``matrix`` (else None) with ``h`` derived
+    as ``rows @ H.T``.  ``r`` is replaced atomically between updates when
+    the path adapts.
     """
 
     name: str
     dim: int
-    h: Callable[[np.ndarray], np.ndarray]
+    h: Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
     r: np.ndarray
     gate: float
     angular: np.ndarray = None
+    matrix: Optional[np.ndarray] = field(default=None, init=False)
 
     def __post_init__(self):
         self.r = np.atleast_2d(np.asarray(self.r, dtype=float))
@@ -52,6 +61,21 @@ class MeasurementModel:
         self.wraps = bool(np.any(self.angular))
         if self.gate <= 0:
             raise ValueError("gate threshold must be > 0")
+        if not callable(self.h):
+            matrix = np.array(self.h, dtype=float)
+            if matrix.shape != (self.dim, STATE_DIM):
+                raise ValueError(f"{self.name}: matrix shape {matrix.shape}, "
+                                 f"expected {(self.dim, STATE_DIM)}")
+            if self.wraps:
+                raise ValueError(f"{self.name}: a linear model cannot wrap")
+            matrix.flags.writeable = False
+            self.matrix = matrix
+            self.h = lambda rows: rows @ matrix.T
+
+
+def _reading(index) -> np.ndarray:
+    """The matrix H reading the state components at ``index``, in order."""
+    return np.eye(STATE_DIM)[index]
 
 
 def euler_rows(q: np.ndarray, with_yaw: bool = True) -> np.ndarray:
@@ -105,35 +129,25 @@ def encoder_model(sigma_vx: float, sigma_vy: float, sigma_wz: float,
                   gate: float, b_ewz_enabled: bool = True) -> MeasurementModel:
     """3-DOF wheel odometry: body planar velocity and yaw rate with the
     encoder yaw-rate bias subtracted from the predicted reading."""
-
-    def h(x: np.ndarray) -> np.ndarray:
-        wz = x[:, OMEGA.start + 2]
-        if b_ewz_enabled:
-            wz = wz - x[:, ENC_YAW_BIAS]
-        return np.stack([x[:, VEL.start], x[:, VEL.start + 1], wz], axis=-1)
-
+    h = _reading([VEL.start, VEL.start + 1, OMEGA.start + 2])
+    if b_ewz_enabled:
+        h[2, ENC_YAW_BIAS] = -1.0
     r = np.diag([sigma_vx**2, sigma_vy**2, sigma_wz**2])
     return MeasurementModel("encoder", 3, h, r, gate)
 
 
 def encoder_vz_model(sigma: float, gate: float) -> MeasurementModel:
     """Non-holonomic ground constraint on body vertical velocity."""
-
-    def h(x: np.ndarray) -> np.ndarray:
-        return x[:, VEL.start + 2 : VEL.start + 3]
-
-    return MeasurementModel("encoder_vz", 1, h, np.array([[sigma**2]]), gate)
+    return MeasurementModel("encoder_vz", 1, _reading([VEL.start + 2]),
+                            np.array([[sigma**2]]), gate)
 
 
 def encoder_az_model(sigma: float, gate: float) -> MeasurementModel:
     """Constraint on body vertical acceleration; keeps local-gravity
     mismatch from leaking into the vertical channel through the
     acceleration state."""
-
-    def h(x: np.ndarray) -> np.ndarray:
-        return x[:, ACC.start + 2 : ACC.start + 3]
-
-    return MeasurementModel("encoder_az", 1, h, np.array([[sigma**2]]), gate)
+    return MeasurementModel("encoder_az", 1, _reading([ACC.start + 2]),
+                            np.array([[sigma**2]]), gate)
 
 
 def screen_gps_fix(
@@ -145,10 +159,20 @@ def screen_gps_fix(
     """Receiver-quality screen applied before any filter interaction: the
     reason a fix is screened out, or None when it passes.  A fix whose
     coordinates lie outside the geodetic range is screened out too, so it
-    can neither set the ENU origin nor reach the engine."""
+    can neither set the ENU origin nor reach the engine, and so is one
+    whose receiver covariance is not a symmetric positive-definite 3x3."""
     if not (-np.pi / 2 <= fix.lat <= np.pi / 2
             and -np.pi <= fix.lon <= np.pi):
         return f"latitude {fix.lat} or longitude {fix.lon} rad out of range"
+    if fix.covariance is not None:
+        r = np.asarray(fix.covariance, dtype=float)
+        r = r.reshape(3, 3) if r.size == 9 else None
+        if r is None or not np.allclose(r, r.T, rtol=1e-9, atol=0.0):
+            return "receiver covariance is not a symmetric 3x3 matrix"
+        try:
+            np.linalg.cholesky(r)
+        except np.linalg.LinAlgError:
+            return "receiver covariance is not positive definite"
     if fix.fix_type < min_fix_type:
         return (f"fix type {fix.fix_type.name} below "
                 f"{FixType(min_fix_type).name}")
@@ -191,12 +215,11 @@ def gps_position_model(r: np.ndarray, gate: float,
                        ) -> MeasurementModel:
     """3-DOF ENU position; the predicted measurement is shifted by the
     rotated lever arm when heading has been validated."""
+    if lever_offset is None:
+        return MeasurementModel("gps_pos", 3, _reading(POS), r, gate)
 
     def h(x: np.ndarray) -> np.ndarray:
-        pos = x[:, POS]
-        if lever_offset is not None:
-            pos = pos + quat_rotate(x[:, QUAT], lever_offset)
-        return pos
+        return x[:, POS] + quat_rotate(x[:, QUAT], lever_offset)
 
     return MeasurementModel("gps_pos", 3, h, r, gate)
 
@@ -258,11 +281,9 @@ def radar_velocity_model(sigma: float, gate: float) -> MeasurementModel:
     """2-DOF body-frame velocity from radar Doppler: same shape as the
     encoder velocity but independent of wheel contact, so no yaw-rate bias
     term and no ground constraints attached."""
-
-    def h(x: np.ndarray) -> np.ndarray:
-        return x[:, VEL.start : VEL.start + 2]
-
-    return MeasurementModel("radar_vel", 2, h, np.eye(2) * sigma**2, gate)
+    return MeasurementModel("radar_vel", 2,
+                            _reading([VEL.start, VEL.start + 1]),
+                            np.eye(2) * sigma**2, gate)
 
 
 def vslam_model(r: np.ndarray, gate: float, pos_floor: float = 0.01,
@@ -286,8 +307,5 @@ def vslam_model(r: np.ndarray, gate: float, pos_floor: float = 0.01,
 
 def zupt_model(sigma: float, gate: float) -> MeasurementModel:
     """Zero-velocity pseudo-measurement on all three body velocity axes."""
-
-    def h(x: np.ndarray) -> np.ndarray:
-        return x[:, VEL]
-
-    return MeasurementModel("zupt", 3, h, np.eye(3) * sigma**2, gate)
+    return MeasurementModel("zupt", 3, _reading(VEL),
+                            np.eye(3) * sigma**2, gate)

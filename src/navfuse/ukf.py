@@ -1,11 +1,14 @@
 """Sigma-point engine: generation, predict/update, and covariance hygiene.
 
-The filter runs a full-state 23-dimensional scaled unscented transform
-(2n+1 = 47 sigma points).  Quaternion components are treated as raw
-4-vectors with explicit hemisphere alignment before any averaging or
-differencing, and renormalization after perturbation or correction.  Every
-covariance leaving this module is symmetrized, eigenvalue-repaired to a
-positive-definite floor, and has its angular-rate variances capped.
+Predict, and an update through a measurement function, run a full-state
+23-dimensional scaled unscented transform (2n+1 = 47 sigma points).  A model
+declared by its matrix H updates in closed form, S = HPH^T + R and
+Pxz = PH^T: that transform of a linear map, but for Pxz's quaternion rows,
+which it projects onto the unit sphere's tangent space.  Quaternions are
+raw 4-vectors, hemisphere-aligned before any averaging or differencing and
+renormalized after perturbation or correction.  Every covariance leaving
+this module is symmetrized, eigenvalue-repaired to a positive-definite
+floor, and has its angular-rate variances capped.
 """
 
 from __future__ import annotations
@@ -246,8 +249,10 @@ def update(
 ) -> UpdateOutcome:
     """Standard UKF measurement update with gating and residual wrapping.
 
-    Angle-flagged measurement components use wrapped residuals throughout
-    (sigma mean, innovation, deviations).  The chi-squared gate takes the
+    A model with a matrix H skips the sigma points: nu = z - Hx,
+    S = HPH^T + R and Pxz = PH^T.  Angle-flagged measurement components
+    use wrapped residuals throughout (sigma mean, innovation, deviations).
+    The chi-squared gate takes the
     Mahalanobis distance d2 = nu^T S^-1 nu; one solve with the stacked
     right-hand side [nu | Pxz^T] gives both d2 and the Kalman gain.  A
     gated-out or numerically singular measurement leaves state and
@@ -267,15 +272,23 @@ def update(
             res[..., angular] = wrap_angle(res[..., angular])
         return res
 
-    wm, wc = params.weights()
-    points = generate_sigma_points(state.as_vector(), cov, params, epsilon)
-    zpts = model.h(points)
-    zbar = zpts[0] + wm @ wrapped(zpts - zpts[0])
-    dz = wrapped(zpts - zbar)
-    s = symmetrize((dz.T * wc) @ dz + model.r)
-    nu = wrapped(z - zbar)
-    dev = _deviations(points, points[0])
-    pxz = (dev.T * wc) @ dz
+    x = state.as_vector()
+    h = model.matrix
+    if h is not None:
+        pxz = cov @ h.T
+        s = symmetrize(h @ pxz + model.r)
+        nu = z - h @ x
+    else:
+        wm, wc = params.weights()
+        points = generate_sigma_points(x, cov, params, epsilon)
+        x = points[0]  # its quaternion renormalized
+        zpts = model.h(points)
+        zbar = zpts[0] + wm @ wrapped(zpts - zpts[0])
+        dz = wrapped(zpts - zbar)
+        s = symmetrize((dz.T * wc) @ dz + model.r)
+        nu = wrapped(z - zbar)
+        dev = _deviations(points, x)
+        pxz = (dev.T * wc) @ dz
     rhs = np.empty((model.dim, 1 + STATE_DIM))
     rhs[:, 0] = nu
     rhs[:, 1:] = pxz.T
@@ -294,7 +307,7 @@ def update(
         # BLAS kernel behind k @ nu, and with it the last bits of the result
         k = k.copy()
         k[frozen, :] = 0.0
-    new_vec = points[0] + k @ nu
+    new_vec = x + k @ nu
     new_vec[QUAT] = normalize_rows(new_vec[QUAT])
     if not np.isfinite(new_vec).all():
         raise NumericalError("update produced non-finite state")

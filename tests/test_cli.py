@@ -211,3 +211,19 @@ class TestSweep:
         manifest.write_text(yaml.safe_dump(doc))
         assert main(["sweep", "--manifest", str(manifest)]) == 2
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest_fields, run_fields", [
+        ({"out": 5}, {}),
+        ({}, {"config": 5}),  # would read and close file descriptor 5
+        ({}, {"disable": 5}),
+    ])
+    def test_mistyped_out_config_or_disable_is_a_config_error(
+            self, tmp_path, capsys, manifest_fields, run_fields):
+        run = {"name": "a", "scenario": write_scenario(tmp_path),
+               **run_fields}
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(yaml.safe_dump(
+            {"out": str(tmp_path / "sweep"), "runs": [run],
+             **manifest_fields}))
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        assert "manifest" in capsys.readouterr().err

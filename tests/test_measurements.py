@@ -8,6 +8,7 @@ from navfuse.core import FilterState, GRAVITY, euler_to_quat, quat_to_rotmat
 from navfuse.events import FixType, GpsFixSample
 from navfuse.geodesy import EnuOrigin, GeodeticCoord, enu_to_geodetic
 from navfuse.measurements import (
+    MeasurementModel,
     derive_gps_heading,
     encoder_az_model,
     encoder_model,
@@ -267,6 +268,50 @@ class TestZupt:
         model = zupt_model(0.01, 16.27)
         assert np.allclose(h1(model, state), [0.1, -0.2, 0.05])
         assert np.allclose(model.r, np.eye(3) * 1e-4)
+
+
+#: the written-out measurement functions the linear models replaced, as
+#: (model, reference h)
+WRITTEN_OUT = [
+    (encoder_model(0.03, 0.03, 0.02, 11.34),
+     lambda x: np.stack([x[:, 7], x[:, 8], x[:, 12] - x[:, 22]], axis=-1)),
+    (encoder_model(0.03, 0.03, 0.02, 11.34, b_ewz_enabled=False),
+     lambda x: np.stack([x[:, 7], x[:, 8], x[:, 12]], axis=-1)),
+    (encoder_vz_model(0.05, 11.34), lambda x: x[:, 9:10]),
+    (encoder_az_model(0.5, 11.34), lambda x: x[:, 15:16]),
+    (gps_position_model(np.eye(3), 16.27), lambda x: x[:, 0:3]),
+    (radar_velocity_model(0.1, 11.34), lambda x: x[:, 7:9]),
+    (zupt_model(0.01, 16.27), lambda x: x[:, 7:10]),
+]
+
+
+class TestLinearModels:
+    @pytest.mark.parametrize("model, reference", WRITTEN_OUT,
+                             ids=[m.name for m, _ in WRITTEN_OUT])
+    def test_matrix_reproduces_written_out_h(self, rng, model, reference):
+        assert model.matrix.shape == (model.dim, 23)
+        assert not model.matrix.flags.writeable
+        rows = rng.normal(size=(50, 23)) * 10.0
+        assert np.array_equal(model.h(rows), reference(rows))
+
+    def test_models_reading_the_quaternion_keep_a_function(self):
+        lever = gps_position_model(np.eye(3), 16.27,
+                                   lever_offset=np.array([0.5, 0.0, 0.3]))
+        for model in (imu_raw_model(0.005, 0.05, 15.09),
+                      imu_orientation_model(False, 0.02, 15.09), lever,
+                      gps_heading_model(0.04, 10.83),
+                      gps_velocity_model(0.3, 16.27),
+                      vslam_model(np.eye(6) * 0.01, 22.46)):
+            assert model.matrix is None, model.name
+
+    def test_construction_rejects_bad_matrix(self):
+        with pytest.raises(ValueError, match="shape"):
+            MeasurementModel("short", 2, np.eye(23)[:3], np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            MeasurementModel("narrow", 2, np.eye(2, 22), np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="wrap"):
+            MeasurementModel("yaw", 1, np.eye(23)[5:6], np.eye(1), 1.0,
+                             angular=np.array([True]))
 
 
 class TestZeroInnovationProperty:

@@ -358,6 +358,18 @@ class TestConstruction:
             FusionPipeline(cfg)
 
 
+    def test_linear_models_update_in_closed_form(self):
+        """The models linear in the state keep their matrix, so the engine
+        updates them without sigma points."""
+        pipe = FusionPipeline()
+        models = [pipe._encoder_model, pipe._vz_model, pipe._az_model,
+                  pipe._radar_model, pipe._zupt_model,
+                  pipeline_module.meas.gps_position_model(
+                      np.eye(3), DEFAULTS["gates.gps_pos"])]
+        for model in models:
+            assert model.matrix is not None, model.name
+
+
 class TestGps:
     def test_first_fix_sets_origin_without_jumping_state(self):
         pipe = FusionPipeline(PipelineConfig())
@@ -414,6 +426,27 @@ class TestGps:
         assert pipe.ingest(bad).dropped is not None
         assert pipe.diagnostics["gps_quality_rejected"] == 3
         assert pipe.diagnostics["engine_update_calls"] == calls
+
+    @pytest.mark.parametrize("covariance", [
+        -4.0 * np.eye(3),                          # fused with d2 < 0
+        np.ones(8),                                # not 3x3
+        np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1]]),  # not symmetric
+    ])
+    def test_fix_with_invalid_covariance_is_quality_rejected(self,
+                                                             covariance):
+        pipe = FusionPipeline(PipelineConfig())
+        pipe.ingest(imu_at(0.0))
+        pipe.ingest(gps_at([0, 0, 0], 0.005))  # origin
+        for t in np.arange(0.01, 0.5, 0.01):
+            pipe.ingest(imu_at(t))
+        before = pipe.state.as_vector()
+        calls = pipe.diagnostics["engine_update_calls"]
+        report = pipe.ingest(gps_at([0.0, 6.4, 0.0], 0.495,
+                                    covariance=covariance))
+        assert report.dropped is not None and not report.updates
+        assert pipe.diagnostics["gps_quality_rejected"] == 1
+        assert pipe.diagnostics["engine_update_calls"] == calls
+        assert np.array_equal(pipe.state.as_vector(), before)
 
     def test_spike_gated_and_state_bit_identical(self):
         pipe = FusionPipeline(PipelineConfig())

@@ -16,6 +16,7 @@ from navfuse.core import (
 )
 from navfuse.measurements import MeasurementModel, imu_raw_model
 from navfuse.process import STATE_BLOCKS, PropagationStep, noise_rates
+from navfuse import ukf
 from navfuse.ukf import (
     UkfParams,
     cap_omega_variance,
@@ -279,6 +280,12 @@ def linear_position_model(r_scalar=0.25, gate_threshold=1e12):
                             gate_threshold)
 
 
+def matrix_position_model(r_scalar=0.25, gate_threshold=1e12):
+    """``linear_position_model`` declared by its matrix: closed form."""
+    return MeasurementModel("linear_pos", 3, np.eye(STATE_DIM)[:3],
+                            np.eye(3) * r_scalar, gate_threshold)
+
+
 class TestUpdate:
     def test_zero_innovation_keeps_state_shrinks_cov(self):
         x = FilterState()
@@ -313,6 +320,35 @@ class TestUpdate:
             ox, op = oracle.update(ox, op, z, h19, model.r)
             assert np.max(np.abs(x.as_vector()[NON_QUAT] - ox)) < 1e-9
             assert np.max(np.abs(p[np.ix_(NON_QUAT, NON_QUAT)] - op)) < 1e-9
+
+    def test_closed_form_matches_kalman_oracle_and_sigma_path(self, rng):
+        vec = rng.normal(size=STATE_DIM) * 0.5
+        vec[QUAT] = random_unit_quat(rng)
+        x = sigma_x = FilterState.from_vector(vec)
+        p = sigma_p = scaled_quat_block(random_pd_matrix(rng, STATE_DIM,
+                                                         0.01), 1e-4)
+        matrix_model = matrix_position_model()
+        assert matrix_model.matrix is not None
+        assert linear_position_model().matrix is None
+        oracle = LinearKalmanOracle(np.eye(len(NON_QUAT)),
+                                    np.zeros(len(NON_QUAT)), 0)
+        ox = vec[NON_QUAT]
+        op = p[np.ix_(NON_QUAT, NON_QUAT)]
+        for k in range(10):
+            z = np.array([0.3 * k, -0.1, 0.05 * k])
+            out = update(x, p, z, matrix_model, PARAMS)
+            x, p = out.state, out.cov
+            ox, op = oracle.update(ox, op, z,
+                                   matrix_model.matrix[:, NON_QUAT],
+                                   matrix_model.r)
+            assert np.max(np.abs(x.as_vector()[NON_QUAT] - ox)) < 1e-12
+            assert np.max(np.abs(p[np.ix_(NON_QUAT, NON_QUAT)] - op)) < 1e-12
+            sig = update(sigma_x, sigma_p, z, linear_position_model(), PARAMS)
+            sigma_x, sigma_p = sig.state, sig.cov
+            assert np.max(np.abs(sigma_x.as_vector()[NON_QUAT]
+                                 - x.as_vector()[NON_QUAT])) < 1e-9
+            assert np.max(np.abs((sigma_p - p)[np.ix_(NON_QUAT, NON_QUAT)])
+                          ) < 1e-9
 
     def test_gated_measurement_is_strict_noop(self):
         x = FilterState()
@@ -409,23 +445,33 @@ class TestEngineWork:
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
-        for name in ("cholesky", "solve"):
-            def counted(*args, _fn=getattr(np.linalg, name), _name=name,
+        for owner, name in ((np.linalg, "cholesky"), (np.linalg, "solve"),
+                            (ukf, "generate_sigma_points")):
+            def counted(*args, _fn=getattr(owner, name), _name=name,
                         **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         return counts
 
     def test_predict_factors_twice(self, calls):
         step = PropagationStep(0.01, noise_rates(PipelineConfig()))
         predict(FilterState(), default_cov(), step, PARAMS)
         # sigma points, then the positive-definiteness check
-        assert calls == {"cholesky": 2}
+        assert calls == {"generate_sigma_points": 1, "cholesky": 2}
 
     def test_accepted_update_factors_twice_and_solves_once(self, calls):
         out = update(FilterState(), default_cov(), np.array([0.1, 0.0, 0.0]),
                      linear_position_model(), PARAMS)
         assert out.accepted
         # one stacked solve serves both the gate and the gain
-        assert calls == {"cholesky": 2, "solve": 1}
+        assert calls == {"generate_sigma_points": 1, "cholesky": 2,
+                         "solve": 1}
+
+    def test_accepted_matrix_update_factors_once_without_sigma_points(
+            self, calls):
+        out = update(FilterState(), default_cov(), np.array([0.1, 0.0, 0.0]),
+                     matrix_position_model(), PARAMS)
+        assert out.accepted
+        # only the positive-definiteness check factors
+        assert calls == {"cholesky": 1, "solve": 1}
