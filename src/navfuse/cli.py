@@ -23,10 +23,12 @@ from .evaluation import (
     blackout_segments,
     drift_rate,
     nis_series,
+    pose_line,
     read_trajectory,
     write_trajectory,
 )
-from .events import StreamFormatError, read_stream, write_stream
+from .events import (StreamFormatError, format_row, read_stream,
+                     write_stream)
 from .pipeline import FusionPipeline
 from .simulator import GenerationError, SimScenario, generate
 
@@ -45,17 +47,11 @@ class CliError(Exception):
 def _write_truth(truth, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(len(truth.stamps)):
-            cols = (
-                [truth.stamps[i]]
-                + list(truth.position[i])
-                + list(truth.quaternion[i])
-                + list(truth.velocity_body[i])
-                + list(truth.omega[i])
-                + list(truth.gyro_bias[i])
-                + list(truth.accel_bias[i])
-                + [truth.encoder_yaw_bias]
-            )
-            fh.write(" ".join(repr(float(c)) for c in cols) + "\n")
+            fh.write(format_row([
+                truth.stamps[i], *truth.position[i], *truth.quaternion[i],
+                *truth.velocity_body[i], *truth.omega[i],
+                *truth.gyro_bias[i], *truth.accel_bias[i],
+                truth.encoder_yaw_bias]) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -121,20 +117,15 @@ def cmd_run(args) -> int:
                         f"{rec.threshold!r} {rec.reason}\n")
                 if report.kind == "imu" and report.dropped is None:
                     s = report.state
-                    cols = [report.stamp, *s.position, s.quaternion[1],
-                            s.quaternion[2], s.quaternion[3],
-                            s.quaternion[0]]
-                    traj_fh.write(" ".join(
-                        repr(float(c)) for c in cols) + "\n")
-                    cols = (list(s.gyro_bias) + list(s.accel_bias)
-                            + [s.encoder_yaw_bias])
-                    bias_fh.write(f"{report.stamp!r} " + " ".join(
-                        repr(float(c)) for c in cols) + "\n")
+                    traj_fh.write(pose_line(report.stamp, s.position,
+                                            s.quaternion))
+                    bias_fh.write(format_row([
+                        report.stamp, *s.gyro_bias, *s.accel_bias,
+                        s.encoder_yaw_bias]) + "\n")
                 if report.kind == "gps" and report.dropped is None:
                     r = pipeline.adaptive["gps_pos"].r
-                    sig = np.sqrt(np.diag(r))
-                    sigma_fh.write(f"{report.stamp!r} " + " ".join(
-                        repr(float(c)) for c in sig) + "\n")
+                    sigma_fh.write(format_row(
+                        [report.stamp, *np.sqrt(np.diag(r))]) + "\n")
     except StreamFormatError as exc:
         raise CliError(str(exc), EXIT_DATA)
     except NumericalError as exc:

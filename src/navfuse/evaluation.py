@@ -12,6 +12,8 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
+from .events import format_row
+
 
 @dataclass
 class TrajectoryEstimate:
@@ -32,12 +34,16 @@ class TrajectoryEstimate:
         return len(self.stamps)
 
 
+def pose_line(stamp: float, position, quaternion) -> str:
+    """One trajectory row: stamp, x y z, qx qy qz qw."""
+    cols = [stamp, *position, *quaternion[1:], quaternion[0]]
+    return format_row(cols) + "\n"
+
+
 def write_trajectory(traj: TrajectoryEstimate, sink: TextIO) -> None:
     for i in range(len(traj)):
-        cols = [traj.stamps[i], *traj.positions[i],
-                traj.quaternions[i][1], traj.quaternions[i][2],
-                traj.quaternions[i][3], traj.quaternions[i][0]]
-        sink.write(" ".join(repr(float(c)) for c in cols) + "\n")
+        sink.write(pose_line(traj.stamps[i], traj.positions[i],
+                             traj.quaternions[i]))
 
 
 def read_trajectory(source: TextIO) -> TrajectoryEstimate:

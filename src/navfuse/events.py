@@ -105,7 +105,9 @@ class StreamFormatError(ValueError):
     """Raised with the offending line number on a malformed stream record."""
 
 
-def _fmt(values: Iterable[float]) -> str:
+def format_row(values: Iterable[float]) -> str:
+    """Numbers as text, each the repr of its float, space-separated: the
+    form of every numeric column the package writes."""
     return " ".join(repr(float(v)) for v in values)
 
 
@@ -156,7 +158,7 @@ def event_to_line(event: SensorEvent) -> str:
     else:
         cov = event.cov_diag if event.cov_diag is not None else [-1.0] * 6
         cols = list(event.position) + list(event.quaternion) + list(cov)
-    return f"{event.stamp!r} {kind} {_fmt(cols)}"
+    return f"{event.stamp!r} {kind} {format_row(cols)}"
 
 
 def _parse_floats(parts: list[str], lineno: int) -> list[float]:
@@ -164,6 +166,11 @@ def _parse_floats(parts: list[str], lineno: int) -> list[float]:
         return [float(p) for p in parts]
     except ValueError as exc:
         raise StreamFormatError(f"line {lineno}: bad number") from exc
+
+
+#: the payload column counts each stream kind accepts
+_COLUMNS = {"imu": (6, 10), "imu2": (6, 10), "encoder": (3,), "gps": (9,),
+            "gps_vel": (2,), "radar": (2,), "vslam": (13,)}
 
 
 def line_to_event(line: str, lineno: int = 0) -> SensorEvent:
@@ -176,19 +183,18 @@ def line_to_event(line: str, lineno: int = 0) -> SensorEvent:
         raise StreamFormatError(f"line {lineno}: bad stamp") from exc
     kind = parts[1]
     vals = _parse_floats(parts[2:], lineno)
+    if kind not in _COLUMNS:
+        raise StreamFormatError(f"line {lineno}: unknown sensor kind {kind!r}")
+    if len(vals) not in _COLUMNS[kind]:
+        counts = " or ".join(map(str, _COLUMNS[kind]))
+        raise StreamFormatError(f"line {lineno}: {kind} needs {counts} cols")
     if kind in ("imu", "imu2"):
-        if len(vals) not in (6, 10):
-            raise StreamFormatError(f"line {lineno}: imu needs 6 or 10 cols")
         orient = np.array(vals[6:10]) if len(vals) == 10 else None
         return ImuSample(stamp, np.array(vals[0:3]), np.array(vals[3:6]),
                          orient, source=1 if kind == "imu" else 2)
     if kind == "encoder":
-        if len(vals) != 3:
-            raise StreamFormatError(f"line {lineno}: encoder needs 3 cols")
         return EncoderSample(stamp, np.array(vals[0:2]), vals[2])
     if kind == "gps":
-        if len(vals) != 9:
-            raise StreamFormatError(f"line {lineno}: gps needs 9 cols")
         try:
             return GpsFixSample(
                 stamp,
@@ -208,24 +214,12 @@ def line_to_event(line: str, lineno: int = 0) -> SensorEvent:
             raise StreamFormatError(f"line {lineno}: bad gps record: {exc}") \
                 from exc
     if kind == "gps_vel":
-        if len(vals) != 2:
-            raise StreamFormatError(f"line {lineno}: gps_vel needs 2 cols")
         return GpsVelocitySample(stamp, np.array(vals))
     if kind == "radar":
-        if len(vals) != 2:
-            raise StreamFormatError(f"line {lineno}: radar needs 2 cols")
         return RadarVelocitySample(stamp, np.array(vals))
-    if kind == "vslam":
-        if len(vals) != 13:
-            raise StreamFormatError(f"line {lineno}: vslam needs 13 cols")
-        cov = np.array(vals[7:13])
-        return VslamPoseSample(
-            stamp,
-            np.array(vals[0:3]),
-            np.array(vals[3:7]),
-            None if np.all(cov < 0) else cov,
-        )
-    raise StreamFormatError(f"line {lineno}: unknown sensor kind {kind!r}")
+    cov = np.array(vals[7:13])
+    return VslamPoseSample(stamp, np.array(vals[0:3]), np.array(vals[3:7]),
+                           None if np.all(cov < 0) else cov)
 
 
 def write_stream(events: Iterable[SensorEvent], sink: TextIO) -> int:

@@ -160,10 +160,14 @@ def screen_gps_fix(
     reason a fix is screened out, or None when it passes.  A fix whose
     coordinates lie outside the geodetic range is screened out too, so it
     can neither set the ENU origin nor reach the engine, and so is one
-    whose receiver covariance is not a symmetric positive-definite 3x3."""
+    whose receiver covariance is not a symmetric positive-definite 3x3 or
+    whose 95% error bounds are not positive."""
     if not (-np.pi / 2 <= fix.lat <= np.pi / 2
             and -np.pi <= fix.lon <= np.pi):
         return f"latitude {fix.lat} or longitude {fix.lon} rad out of range"
+    for bound in (fix.err_horz, fix.err_vert):
+        if bound is not None and not bound > 0.0:
+            return f"error bound {bound} m is not positive"
     if fix.covariance is not None:
         r = np.asarray(fix.covariance, dtype=float)
         r = r.reshape(3, 3) if r.size == 9 else None

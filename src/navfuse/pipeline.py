@@ -10,16 +10,17 @@ must have a nonzero norm, whether it needs the IMU clock, and its handler.
 with a dropped-event report.
 
 Each primary-IMU event runs one prediction step plus its updates and leaves a
-snapshot in the replay ring.  GPS fixes, GPS velocity and VSLAM poses arrive
-late (receiver and mapping latency), so one stamped before the newest
-snapshot is applied there and the recorded IMU steps are re-run.  Encoder,
-radar and secondary-IMU samples arrive with negligible latency, at rates
-where a rewind per sample would cost a replay per sample, so they are
-applied where they arrive; replay re-runs only IMU steps, so such an update
-inside a rewound window does not survive it.  A primary-IMU stamp must
-advance the filter clock by at most ``_MAX_IMU_GAP``; one outside that
-window is dropped, and a second in a row restarts the session there, unless
-it lies at most ``_MAX_IMU_DELAY`` behind the clock, as late delivery does.
+snapshot in the replay ring.  Every handler fuses its event's updates through
+``FusionPipeline._fuse``.  A kind the table marks ``delayed`` (GPS fixes, GPS
+velocity and VSLAM poses, late by receiver and mapping latency) stamped
+before the newest snapshot is applied there and the recorded IMU steps are
+re-run.  Any other kind arrives with negligible latency, at rates where a
+rewind per sample would cost a replay per sample, so it is applied where it
+arrives; replay re-runs only IMU steps, so such an update inside a rewound
+window does not survive it.  A primary-IMU stamp must advance the filter
+clock by at most ``_MAX_IMU_GAP``; one outside that window is dropped, and a
+second in a row restarts the session there, unless it lies at most
+``_MAX_IMU_DELAY`` behind the clock, as late delivery does.
 
 A GPS fix that passes the receiver-quality screen gets its noise from the
 one GNSS policy, ``measurements.gps_fix_to_measurement``, with the
@@ -315,28 +316,52 @@ class FusionPipeline:
     def _count(self, key: str) -> None:
         self.diagnostics[key] = self.diagnostics.get(key, 0) + 1
 
-    def _apply_update(self, state: FilterState, cov: np.ndarray,
-                      z: np.ndarray, model, records: list[UpdateRecord],
-                      coast_active: bool, gate_scale: float = 1.0):
-        self._count("engine_update_calls")
-        outcome = ukf_update(state, cov, z, model, self._params,
-                             gate_scale=gate_scale,
-                             frozen=self._modes[coast_active][0])
-        records.append(UpdateRecord(model.name, outcome.accepted, outcome.d2,
-                                    model.dim, model.gate * gate_scale,
-                                    outcome.reason))
-        return outcome
+    def _apply_updates(self, state: FilterState, cov: np.ndarray,
+                       updates: list, coast_active: bool,
+                       records: list[UpdateRecord], chained: bool = False):
+        """Apply ``(z, model, gate_scale)`` updates in order, recording
+        each; with ``chained``, stop after the first rejected one.  Returns
+        the state, the covariance and each update's outcome."""
+        frozen = self._modes[coast_active][0]
+        outcomes = []
+        for z, model, gate_scale in updates:
+            self._count("engine_update_calls")
+            out = ukf_update(state, cov, z, model, self._params,
+                             gate_scale=gate_scale, frozen=frozen)
+            records.append(UpdateRecord(model.name, out.accepted, out.d2,
+                                        model.dim, model.gate * gate_scale,
+                                        out.reason))
+            outcomes.append(out)
+            state, cov = out.state, out.cov
+            if chained and not out.accepted:
+                break
+        return state, cov, outcomes
 
-    def _one_update(self, z: np.ndarray, model,
-                    records: list[UpdateRecord]) -> Callable:
-        """A bundle for ``_route_delayed`` that applies one update."""
+    def _fuse(self, stamp: float, kind: str, updates: list,
+              chained: bool = False):
+        """Fuse one event's updates (``_apply_updates``).  A ``delayed``
+        kind stamped before the newest snapshot is applied there and the
+        later IMU steps are replayed; anything else is applied to the
+        current state.  Returns the update records and the outcomes, which
+        are None when the event is older than the replay buffer."""
+        records: list[UpdateRecord] = []
 
-        def bundle(state: FilterState, cov: np.ndarray):
-            out = self._apply_update(state, cov, z, model, records,
-                                     self.coast.active)
-            return out.state, out.cov, out
+        def apply(state: FilterState, cov: np.ndarray):
+            return self._apply_updates(state, cov, updates, self.coast.active,
+                                       records, chained)
 
-        return bundle
+        last = self.ring.last_stamp
+        if not (SENSORS[kind].delayed and self.config["retro.enabled"]
+                and last is not None and stamp < last):
+            self.state, self.cov, outcomes = apply(self.state, self.cov)
+            return records, outcomes
+        replay = self.ring.apply_delayed(stamp, apply, self._imu_step)
+        if replay.status == "dropped_old":
+            self._count("retro_dropped_too_old")
+            return records, None
+        self._count("retro_replays")
+        self.state, self.cov = replay.state, replay.cov
+        return records, replay.result
 
     def _report(self, stamp: float, kind: str,
                 updates: Optional[list[UpdateRecord]] = None,
@@ -436,20 +461,14 @@ class FusionPipeline:
         rpy = quat_to_euler(quat_normalize(sample.orientation))
         return z_raw, np.array(rpy[: orient.dim])
 
-    def _imu_updates(self, state: FilterState, cov: np.ndarray, kind: str,
-                     z_raw: np.ndarray, z_orient: Optional[np.ndarray],
-                     coast_active: bool, records: list[UpdateRecord]
-                     ) -> tuple[FilterState, np.ndarray]:
-        """Raw gyro/accel update, then the orientation update when there is
-        an orientation measurement (see ``_imu_vectors``)."""
+    def _imu_update_list(self, kind: str, z_raw: np.ndarray,
+                         z_orient: Optional[np.ndarray]) -> list:
+        """The raw gyro/accel update, then the orientation update when there
+        is an orientation measurement (see ``_imu_vectors``)."""
         raw, orient = self._imu_models[kind]
-        out = self._apply_update(state, cov, z_raw, raw, records,
-                                 coast_active)
         if z_orient is None:
-            return out.state, out.cov
-        out = self._apply_update(out.state, out.cov, z_orient, orient,
-                                 records, coast_active)
-        return out.state, out.cov
+            return [(z_raw, raw, 1.0)]
+        return [(z_raw, raw, 1.0), (z_orient, orient, 1.0)]
 
     def _imu_step(self, state: FilterState, cov: np.ndarray, step: Snapshot,
                   records: Optional[list[UpdateRecord]] = None
@@ -458,7 +477,6 @@ class FusionPipeline:
         measurement vectors, and the ZUPT update while one was held.  Live
         ingestion and ring replay both run this, so the two paths are
         bit-identical."""
-        records = [] if records is None else records
         dt_total = step.stamp - state.stamp
         q_rate = self._modes[step.coast_active][1]
         while dt_total > 1e-12:
@@ -466,14 +484,12 @@ class FusionPipeline:
             state, cov = ukf_predict(state, cov, PropagationStep(dt, q_rate),
                                      self._params)
             dt_total -= dt
-        state, cov = self._imu_updates(state, cov, "imu", step.z_raw,
-                                       step.z_orient, step.coast_active,
-                                       records)
+        updates = self._imu_update_list("imu", step.z_raw, step.z_orient)
         if step.zupt_active:
-            out = self._apply_update(state, cov, np.zeros(3),
-                                     self._zupt_model, records,
-                                     step.coast_active)
-            state, cov = out.state, out.cov
+            updates.append((np.zeros(3), self._zupt_model, 1.0))
+        state, cov, _ = self._apply_updates(
+            state, cov, updates, step.coast_active,
+            [] if records is None else records)
         return state, cov
 
     def _imu_clock_restarted(self, stamp: float) -> bool:
@@ -527,64 +543,38 @@ class FusionPipeline:
         return self._report(sample.stamp, "imu", records)
 
     def _on_imu2(self, sample: ImuSample) -> StepReport:
-        records: list[UpdateRecord] = []
-        self.state, self.cov = self._imu_updates(
-            self.state, self.cov, "imu2", *self._imu_vectors(sample),
-            self.coast.active, records)
+        updates = self._imu_update_list("imu2", *self._imu_vectors(sample))
+        records, _ = self._fuse(sample.stamp, "imu2", updates)
         return self._report(sample.stamp, "imu2", records)
 
     def _on_encoder(self, sample: EncoderSample) -> StepReport:
         self._last_encoder_speed = abs(float(sample.velocity[0]))
-        records: list[UpdateRecord] = []
+        models = (self._encoder_model, self._vz_model, self._az_model)
+        for model in models:
+            model.r = self.adaptive[model.name].r.copy()
+        if self.coast.active:
+            # coasting leans on the bias-corrected encoder yaw rate for
+            # heading, so its noise is tightened by this factor
+            factor = self.config["coast.encoder_wz_factor"]
+            self._encoder_model.r[2, 2] *= factor
         z = np.array([sample.velocity[0], sample.velocity[1],
                       sample.yaw_rate])
-        for model, z in ((self._encoder_model, z),
-                         (self._vz_model, np.zeros(1)),
-                         (self._az_model, np.zeros(1))):
-            est = self.adaptive[model.name]
-            model.r = est.r.copy()
-            if model is self._encoder_model and self.coast.active:
-                # coasting leans on the bias-corrected encoder yaw rate
-                # for heading, so its noise is tightened by this factor
-                model.r[2, 2] *= self.config["coast.encoder_wz_factor"]
-            outcome = self._apply_update(self.state, self.cov, z, model,
-                                         records, self.coast.active)
-            self.state, self.cov = outcome.state, outcome.cov
+        records, outcomes = self._fuse(sample.stamp, "encoder", [
+            (z, self._encoder_model, 1.0),
+            (np.zeros(1), self._vz_model, 1.0),
+            (np.zeros(1), self._az_model, 1.0)])
+        for model, outcome in zip(models, outcomes):
             if outcome.accepted:
-                est.observe(outcome.innovation)
+                self.adaptive[model.name].observe(outcome.innovation)
         self._update_zupt()
         return self._report(sample.stamp, "encoder", records)
 
     def _on_radar(self, sample: RadarVelocitySample) -> StepReport:
-        records: list[UpdateRecord] = []
-        outcome = self._apply_update(self.state, self.cov,
-                                     sample.velocity_body,
-                                     self._radar_model, records,
-                                     self.coast.active)
-        self.state, self.cov = outcome.state, outcome.cov
+        records, _ = self._fuse(sample.stamp, "radar", [
+            (sample.velocity_body, self._radar_model, 1.0)])
         return self._report(sample.stamp, "radar", records)
 
     # -- late sensors: GPS, GPS velocity, VSLAM ---------------------------
-
-    def _route_delayed(self, stamp: float, bundle):
-        """Apply a measurement bundle at its epoch: directly when it is not
-        older than the newest snapshot (or replay is disabled), otherwise
-        rewind and replay.  Returns the bundle's result, or None when the
-        measurement is older than the replay buffer."""
-        retro = self.config["retro.enabled"]
-        if not (retro and self.ring.last_stamp is not None
-                and stamp < self.ring.last_stamp):
-            if retro and len(self.ring) == 0:
-                self._count("retro_empty_buffer")
-            self.state, self.cov, result = bundle(self.state, self.cov)
-            return result
-        outcome = self.ring.apply_delayed(stamp, bundle, self._imu_step)
-        if outcome.status == "dropped_old":
-            self._count("retro_dropped_too_old")
-            return None
-        self.state, self.cov = outcome.state, outcome.cov
-        self._count("retro_replays")
-        return outcome.result
 
     def _on_gps_fix(self, sample: GpsFixSample) -> StepReport:
         cfg = self.config
@@ -607,7 +597,6 @@ class FusionPipeline:
         # ``adaptive.gnss`` is off
         z, r = meas.gps_fix_to_measurement(
             sample, self.origin, self.adaptive["gps_pos"].r)
-        records: list[UpdateRecord] = []
         gate_scale = 1.0
         if self.coast.active and self.coast.relax_armed:
             gate_scale = cfg["coast.gate_relax"]
@@ -615,31 +604,24 @@ class FusionPipeline:
 
         lever = self._lever_offset if self._lever_validated else None
         model = meas.gps_position_model(r, cfg["gates.gps_pos"], lever)
+        updates = [(z, model, gate_scale)]
         heading_plan = self._plan_heading(z, r, sample.stamp)
-
-        def bundle(state: FilterState, cov: np.ndarray):
-            out = self._apply_update(state, cov, z, model, records,
-                                     self.coast.active, gate_scale=gate_scale)
-            state, cov = out.state, out.cov
-            if out.accepted and heading_plan is not None:
-                yaw_z, yaw_var_z = heading_plan
-                hmodel = meas.gps_heading_model(yaw_var_z,
-                                                cfg["gates.heading"])
-                hout = self._apply_update(state, cov, np.array([yaw_z]),
-                                          hmodel, records, self.coast.active)
-                state, cov = hout.state, hout.cov
-            return state, cov, out
-
-        result = self._route_delayed(sample.stamp, bundle)
-        if result is None:
+        if heading_plan is not None:
+            yaw_z, yaw_var_z = heading_plan
+            updates.append((np.array([yaw_z]), meas.gps_heading_model(
+                yaw_var_z, cfg["gates.heading"]), 1.0))
+        # the heading update runs only after an accepted position update
+        records, outcomes = self._fuse(sample.stamp, "gps", updates,
+                                       chained=True)
+        if outcomes is None:
             return self._report(sample.stamp, "gps", dropped=_TOO_OLD)
-        if result.accepted:
+        if outcomes[0].accepted:
             self.coast.last_accept = max(self.coast.last_accept or 0.0,
                                          sample.stamp)
             self.coast.active = False
             self._heading_anchor = (z[:2].copy(), sample.stamp,
                                     float(r[0, 0] + r[1, 1]))
-            self.adaptive["gps_pos"].observe(result.innovation)
+            self.adaptive["gps_pos"].observe(outcomes[0].innovation)
         return self._report(sample.stamp, "gps", records)
 
     def _plan_heading(self, z: np.ndarray, r: np.ndarray,
@@ -658,12 +640,10 @@ class FusionPipeline:
         )
 
     def _on_gps_velocity(self, sample: GpsVelocitySample) -> StepReport:
-        records: list[UpdateRecord] = []
-        bundle = self._one_update(sample.velocity_en, self._gps_vel_model,
-                                  records)
-        if self._route_delayed(sample.stamp, bundle) is None:
-            return self._report(sample.stamp, "gps_vel", dropped=_TOO_OLD)
-        return self._report(sample.stamp, "gps_vel", records)
+        records, outcomes = self._fuse(sample.stamp, "gps_vel", [
+            (sample.velocity_en, self._gps_vel_model, 1.0)])
+        return self._report(sample.stamp, "gps_vel", records,
+                            dropped=_TOO_OLD if outcomes is None else None)
 
     def _on_vslam(self, sample: VslamPoseSample) -> StepReport:
         cfg = self.config
@@ -686,12 +666,11 @@ class FusionPipeline:
         model = meas.vslam_model(r, cfg["gates.vslam"],
                                  cfg["vslam.pos_floor"],
                                  cfg["vslam.orient_floor"])
-        records: list[UpdateRecord] = []
-        result = self._route_delayed(sample.stamp,
-                                     self._one_update(z, model, records))
-        if result is None:
+        records, outcomes = self._fuse(sample.stamp, "vslam",
+                                       [(z, model, 1.0)])
+        if outcomes is None:
             return self._report(sample.stamp, "vslam", dropped=_TOO_OLD)
-        self._vslam_reinit_check(result.accepted)
+        self._vslam_reinit_check(outcomes[0].accepted)
         return self._report(sample.stamp, "vslam", records)
 
     def _vslam_reinit_check(self, accepted: bool) -> None:
@@ -748,18 +727,39 @@ class FusionPipeline:
                 state.validate()
             orient = self._imu_models["imu"][1]
             for e in ring.entries:
-                if not (_is_finite_vector(e.z_raw, 6)
+                if not (_is_finite_array(e.z_raw, (6,))
                         and (e.z_orient is None or orient is not None
-                             and _is_finite_vector(e.z_orient, orient.dim))):
+                             and _is_finite_array(e.z_orient,
+                                                  (orient.dim,)))):
                     raise ValueError("bad snapshot measurement vectors")
             stamps = [e.stamp for e in ring.entries]
             if (ring.capacity != self.config["retro.capacity"]
                     or len(stamps) > ring.capacity
                     or any(b <= a for a, b in zip(stamps, stamps[1:]))):
                 raise ValueError("replay ring over capacity or unordered")
-            if session["origin"] is not None:
-                # object.__new__ skipped GeodeticCoord's range check
-                GeodeticCoord(**vars(session["origin"].geodetic))
+            origin = session["origin"]
+            if origin is not None:
+                # the point is range-checked (object.__new__ skipped that),
+                # and the frame must be the one the point gives
+                point = GeodeticCoord(**vars(origin.geodetic))
+                if _encode(origin) != _encode(EnuOrigin.from_geodetic(point)):
+                    raise ValueError("origin frame does not match its point")
+            fresh = self._build_adaptive()
+            if session["adaptive"].keys() != fresh.keys():
+                raise ValueError("adaptive paths differ from the config")
+            for name, est in session["adaptive"].items():
+                # equal to the configured one but for its state: a symmetric
+                # R that factors, and a window of finite innovations
+                new, r, window = fresh[name], est.r, est._innovations
+                new.r, new._innovations = r, window
+                if not (_encode(new) == _encode(est)
+                        and _is_finite_array(r, (new.dim, new.dim))
+                        and np.array_equal(r, r.T)
+                        and window.maxlen == new.window
+                        and all(_is_finite_array(nu, (new.dim,))
+                                for nu in window)):
+                    raise ValueError(f"bad {name} noise estimator")
+                np.linalg.cholesky(r)
         except (AttributeError, KeyError, TypeError, ValueError,
                 NumericalError, RecursionError) as exc:
             raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
@@ -767,17 +767,20 @@ class FusionPipeline:
             setattr(self, name, value)
 
 
-#: the types a checkpoint may hold besides JSON scalars and containers
-_SESSION_TYPES = {cls.__name__: cls for cls in (
-    FilterState, Snapshot, StateSnapshotRing, AdaptiveEstimator, CoastState,
-    VslamAnchor, EnuOrigin, GeodeticCoord)}
+#: the types a checkpoint may hold besides JSON scalars and containers, each
+#: with the attributes a live instance carries, which are what it stores
+_SESSION_TYPES = {type(obj).__name__: (type(obj), tuple(
+    getattr(obj, "__slots__", None) or vars(obj))) for obj in (
+    FilterState(), Snapshot(0.0, None, None, None), StateSnapshotRing(),
+    CoastState(), VslamAnchor(), AdaptiveEstimator("", np.eye(1)),
+    GeodeticCoord(0, 0), EnuOrigin.from_geodetic(GeodeticCoord(0, 0)))}
 _SEQUENCES = {"list": list, "tuple": tuple, "deque": deque}
 #: the stored form of every array element: little-endian float64
 _ARRAY_DTYPE = np.dtype("<f8")
 
 
-def _is_finite_vector(value, length: int) -> bool:
-    return (isinstance(value, np.ndarray) and value.shape == (length,)
+def _is_finite_array(value, shape: tuple[int, ...]) -> bool:
+    return (isinstance(value, np.ndarray) and value.shape == shape
             and bool(np.isfinite(value).all()))
 
 
@@ -797,9 +800,9 @@ def _encode(value):
                 "maxlen": getattr(value, "maxlen", None)}
     if isinstance(value, dict):
         fields = value
-    elif _SESSION_TYPES.get(kind) is type(value):
-        fields = {name: getattr(value, name) for name in
-                  getattr(value, "__slots__", None) or vars(value)}
+    elif _SESSION_TYPES.get(kind, (None,))[0] is type(value):
+        fields = {name: getattr(value, name)
+                  for name in _SESSION_TYPES[kind][1]}
     else:
         raise TypeError(f"a checkpoint cannot hold a {kind}")
     return {"type": kind,
@@ -808,8 +811,8 @@ def _encode(value):
 
 def _decode(doc):
     """Inverse of ``_encode``.  It builds only arrays, the containers and
-    the ``_SESSION_TYPES``; any other type name is an error, and so is an
-    array payload whose byte count does not match its shape."""
+    the ``_SESSION_TYPES`` with exactly their attributes; anything else is an
+    error, and so is an array payload whose byte count misses its shape."""
     if not isinstance(doc, dict):
         return doc
     kind, value = doc["type"], doc["value"]
@@ -828,9 +831,13 @@ def _decode(doc):
     fields = {name: _decode(v) for name, v in value.items()}
     if kind == "dict":
         return fields
-    if kind not in _SESSION_TYPES:
+    cls, names = _SESSION_TYPES.get(kind, (None, None))
+    if cls is None:
         raise TypeError(f"unknown type {kind!r} in checkpoint")
-    obj = object.__new__(_SESSION_TYPES[kind])
+    if fields.keys() != set(names):
+        raise ValueError(f"{kind} attributes {sorted(fields)} are not "
+                         f"{sorted(names)}")
+    obj = object.__new__(cls)
     for name, v in fields.items():
         object.__setattr__(obj, name, v)  # frozen dataclasses too
     return obj
@@ -838,7 +845,8 @@ def _decode(doc):
 
 @dataclass(frozen=True)
 class SensorPolicy:
-    """One row of the sensor table (see the module docstring)."""
+    """One row of the sensor table (see the module docstring); which kinds
+    ``FusionPipeline._fuse`` applies at their stamp is ``delayed``."""
 
     enable_key: Optional[str]         # None: the sensor is always on
     disabled_counter: Optional[str]
@@ -847,6 +855,7 @@ class SensorPolicy:
     handler: Callable[[FusionPipeline, SensorEvent], StepReport]
     #: the payload's rotation field, which must have a nonzero norm
     quaternion: Optional[str] = None
+    delayed: bool = False             # late: fused at its stamp
 
 
 _IMU_FIELDS = ("gyro", "accel", "orientation")
@@ -866,13 +875,15 @@ SENSORS: dict[str, SensorPolicy] = {
     "gps": SensorPolicy("gnss.enabled", "dropped_gnss_disabled",
                         ("lat", "lon", "alt", "hdop", "vdop", "err_horz",
                          "err_vert", "covariance"), False,
-                        FusionPipeline._on_gps_fix),
+                        FusionPipeline._on_gps_fix, delayed=True),
     "gps_vel": SensorPolicy("gnss.velocity_enabled",
                             "dropped_gps_vel_disabled", ("velocity_en",),
-                            True, FusionPipeline._on_gps_velocity),
+                            True, FusionPipeline._on_gps_velocity,
+                            delayed=True),
     "radar": SensorPolicy("radar.enabled", "dropped_radar_disabled",
                           ("velocity_body",), True, FusionPipeline._on_radar),
     "vslam": SensorPolicy("vslam.enabled", "dropped_vslam_disabled",
                           ("position", "quaternion", "cov_diag"), True,
-                          FusionPipeline._on_vslam, "quaternion"),
+                          FusionPipeline._on_vslam, "quaternion",
+                          delayed=True),
 }

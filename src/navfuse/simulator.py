@@ -9,7 +9,7 @@ draws, so A/B scenario comparisons stay paired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -91,12 +91,9 @@ class SimScenario:
     radar: dict = field(default_factory=dict)
     vslam: dict = field(default_factory=dict)
 
-    _KNOWN = ("seed", "duration_s", "origin", "trajectory", "imu", "imu2",
-              "encoder", "gps", "gps_velocity", "radar", "vslam")
-
     @classmethod
     def from_dict(cls, doc: dict) -> "SimScenario":
-        unknown = sorted(set(doc) - set(cls._KNOWN))
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise GenerationError(f"unknown scenario keys: {unknown}")
         return cls(**doc)
@@ -421,13 +418,11 @@ def generate(scenario: SimScenario) -> tuple[GroundTruth, list[SensorEvent]]:
                     hdop = float(w["value"])
             enu = truth.position[i] + noise[k] * np.array(
                 [sxy * hdop, sxy * hdop, sz * vdop_default])
-            applied_fault = False
             for spike in spikes:
                 if abs(t - float(spike["t"])) < 0.5 / rate:
                     ang = np.radians(float(spike.get("direction_deg", 0.0)))
                     enu = truth.position[i] + float(spike["offset_m"]) * \
                         np.array([np.cos(ang), np.sin(ang), 0.0])
-                    applied_fault = True
             for cl in clusters:
                 start = float(cl["start"])
                 count = int(cl["count"])
@@ -440,7 +435,6 @@ def generate(scenario: SimScenario) -> tuple[GroundTruth, list[SensorEvent]]:
                     dist = fault_rng.uniform(lo, hi)
                     enu = truth.position[i] + dist * np.array(
                         [np.cos(ang), np.sin(ang), 0.0])
-                    applied_fault = True
             geo = ecef_to_geodetic(enu_to_ecef(enu, origin))
             events.append(GpsFixSample(
                 t, geo.lat, geo.lon, geo.alt, fix_type, hdop, vdop_default,

@@ -91,6 +91,16 @@ class TestErrors:
         with pytest.raises(StreamFormatError, match="unknown sensor"):
             line_to_event("0.0 sonar 1 2 3", lineno=1)
 
+    @pytest.mark.parametrize("kind, counts", [
+        ("imu", "6 or 10"), ("imu2", "6 or 10"), ("encoder", "3"),
+        ("gps", "9"), ("gps_vel", "2"), ("radar", "2"), ("vslam", "13"),
+    ])
+    def test_wrong_column_count(self, kind, counts):
+        for n in (1, 11, 14):
+            with pytest.raises(StreamFormatError,
+                               match=f"line 4: {kind} needs {counts} cols"):
+                line_to_event(f"0.5 {kind} " + " 0.5" * n, lineno=4)
+
     def test_bad_number(self):
         with pytest.raises(StreamFormatError):
             line_to_event("0.0 encoder 1 x 3", lineno=1)

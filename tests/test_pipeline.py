@@ -258,6 +258,10 @@ class TestSensorTable:
         assert {k: (row.enable_key, row.disabled_counter)
                 for k, row in SENSORS.items() if k != "imu"} == SWITCHES
 
+    def test_late_kinds_are_the_delayed_rows(self):
+        assert {k for k, row in SENSORS.items()
+                if row.delayed} == {"gps", "gps_vel", "vslam"}
+
     @pytest.mark.parametrize("kind", sorted(SWITCHES))
     def test_disabled(self, kind):
         key, counter = SWITCHES[kind]
@@ -446,6 +450,24 @@ class TestGps:
         assert report.dropped is not None and not report.updates
         assert pipe.diagnostics["gps_quality_rejected"] == 1
         assert pipe.diagnostics["engine_update_calls"] == calls
+        assert np.array_equal(pipe.state.as_vector(), before)
+
+    @pytest.mark.parametrize("horz, vert", [(-5.0, -5.0), (0.0, 0.0),
+                                            (5.0, 0.0)])
+    def test_fix_with_nonpositive_error_bound_is_quality_rejected(
+            self, horz, vert):
+        """A 95% bound is squared into R, so a negative one would pass for
+        its magnitude and a zero one would give R = 0."""
+        pipe = FusionPipeline(PipelineConfig())
+        pipe.ingest(imu_at(0.0))
+        pipe.ingest(gps_at([0, 0, 0], 0.005))  # origin
+        for t in np.arange(0.01, 0.5, 0.01):
+            pipe.ingest(imu_at(t))
+        before = pipe.state.as_vector()
+        report, bumped = ingest_counting(pipe, gps_at(
+            [0.0, 6.4, 0.0], 0.495, err_horz=horz, err_vert=vert))
+        assert report.dropped is not None and not report.updates
+        assert bumped == {"gps_quality_rejected": 1}
         assert np.array_equal(pipe.state.as_vector(), before)
 
     def test_spike_gated_and_state_bit_identical(self):
@@ -873,6 +895,54 @@ class TestRetrodiction:
         assert pipe.diagnostics["retro_dropped_too_old"] == 1
 
 
+class TestFusionRouting:
+    """Which events rewind: the kinds the sensor table marks ``delayed``."""
+
+    def _pipe(self, **overrides):
+        pipe = FusionPipeline(PipelineConfig({**ALL_ON, **overrides}))
+        pipe.ingest(imu_at(0.0))
+        pipe.ingest(gps_at([0, 0, 0], 0.0))  # origin
+        for t in np.arange(0.01, 0.5, 0.01):
+            pipe.ingest(imu_at(t))
+        return pipe
+
+    @pytest.mark.parametrize("kind", ["encoder", "radar", "imu2"])
+    def test_prompt_kind_stamped_in_the_past_is_fused_where_it_arrives(
+            self, kind):
+        pipe = self._pipe()
+        history = [e.state.as_vector() for e in pipe.ring.entries]
+        report, bumped = ingest_counting(pipe, event_of(kind, 0.3, 0.2))
+        assert report.dropped is None and report.updates
+        assert bumped == {"engine_update_calls": len(report.updates)}
+        assert pipe.state.stamp == pipe.ring.last_stamp
+        assert all(np.array_equal(e.state.as_vector(), old)
+                   for e, old in zip(pipe.ring.entries, history))
+
+    @pytest.mark.parametrize("kind", ["gps", "gps_vel", "vslam"])
+    def test_late_kind_replays_once_or_is_dropped_when_too_old(self, kind):
+        pipe = self._pipe(**{"retro.capacity": 10})
+        report, bumped = ingest_counting(pipe, event_of(kind, 0.45, 0.2))
+        assert report.dropped is None and report.updates
+        assert bumped["retro_replays"] == 1
+        report, bumped = ingest_counting(pipe, event_of(kind, 0.2, 0.2))
+        assert report.dropped == "older than replay buffer"
+        assert not report.updates
+        assert bumped == {"retro_dropped_too_old": 1}
+
+    @pytest.mark.parametrize("gate, paths", [
+        (16.27, ["gps_pos", "gps_heading"]),
+        (1e-6, ["gps_pos"]),
+    ])
+    def test_heading_update_only_after_an_accepted_position(self, gate,
+                                                            paths):
+        pipe = self._pipe(**{"gates.gps_pos": gate})
+        # an anchor 3 m behind at 6 m/s: both runs plan a heading update
+        pipe._heading_anchor = (np.array([-3.0, 0.0]), 0.0, 2.0)
+        report = pipe.ingest(gps_at([0.0, 0.0, 0.0], 0.5))
+        assert [rec.path for rec in report.updates] == paths
+        assert report.updates[0].accepted == (len(paths) == 2)
+
+
 class TestLifecycle:
     def test_reset_clears_session_state(self):
         pipe = FusionPipeline(PipelineConfig())
@@ -950,9 +1020,28 @@ class TestLifecycle:
           "z_raw"), array_doc(np.zeros(5))),
         (("session", "ring", "value", "entries", "value", 0, "value",
           "z_orient"), array_doc(np.array([0.0, np.nan]))),
+        (("session", "adaptive", "value", "encoder", "value", "observe"), 5),
+        (("session", "coast", "value", "relax_armed"), None),
+        (("session", "adaptive", "value", "encoder_vz", "value", "r"),
+         array_doc(np.array([[np.nan]]))),
+        (("session", "adaptive", "value", "gps_pos", "value", "r"),
+         array_doc(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                             [0.0, 0.0, 1.0]]))),
+        (("session", "adaptive", "value", "gps_pos", "value", "r"),
+         array_doc(np.eye(2))),
+        (("session", "adaptive", "value", "gps_pos", "value", "alpha"), 0.5),
+        (("session", "adaptive", "value", "gps_pos", "value",
+          "_innovations", "maxlen"), 7),
+        (("session", "adaptive", "value", "gps_pos", "value",
+          "_innovations", "value", 0), array_doc(np.array([np.nan, 0, 0]))),
+        (("session", "adaptive", "value", "encoder_az"), None),
+        (("session", "origin", "value", "rotation"), array_doc(-np.eye(3))),
     ], ids=["root", "missing", "state_shape", "cov_shape", "unknown_type",
             "garbled", "truncated", "payload_shape", "snapshot_z_raw",
-            "snapshot_z_orient"])
+            "snapshot_z_orient", "extra_attribute", "missing_attribute",
+            "estimator_r_nan", "estimator_r_indefinite",
+            "estimator_r_size", "estimator_setting", "innovation_window",
+            "innovation_nan", "estimator_missing", "origin_frame"])
     def test_malformed_checkpoint_changes_nothing(self, tmp_path, keys,
                                                   value):
         path = tmp_path / "ckpt.json"
