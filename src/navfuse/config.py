@@ -62,7 +62,6 @@ DEFAULTS: dict[str, Any] = {
     "encoder.sigma_vy": 0.03,
     "encoder.sigma_wz": 0.02,
     "encoder.vz_sigma": 0.05,
-    "encoder.az_sigma": 0.5,
     # GNSS
     "gnss.enabled": True,
     "gnss.sigma_xy": 1.0,
@@ -89,8 +88,10 @@ DEFAULTS: dict[str, Any] = {
     "vslam.singularity_deg": 1.0,
     # chi-squared gates on the squared Mahalanobis distance, each the
     # chi2(dof, p) quantile named; a gate must be > 0.  Three are shared:
-    # imu by imu_raw (6 dof) and orientation (2-3), encoder by encoder_vz,
-    # encoder_az (1) and radar (2), gps_pos by GPS velocity (2)
+    # imu by imu_raw (6 dof) and orientation (2-3), encoder by encoder_vz
+    # (1) and radar (2), gps_pos by GPS velocity (2).  The encoder and
+    # encoder_vz rows fuse in one update, but each is gated on its own d2
+    # given the other's accepted rows (ukf.update), so each keeps its gate
     "gates.imu": 15.09,      # chi2(5, 0.99)
     "gates.encoder": 11.34,  # chi2(3, 0.99)
     "gates.gps_pos": 16.27,  # chi2(3, 0.999)
@@ -101,7 +102,6 @@ DEFAULTS: dict[str, Any] = {
     "adaptive.gnss": True,
     "adaptive.encoder": False,
     "adaptive.vz": True,
-    "adaptive.az": True,
     "adaptive.window": 50,
     "adaptive.alpha": 0.01,
     # per-path noise floors (sigma) on the diagonal of the path's R, which
@@ -214,7 +214,6 @@ ABLATION_OVERRIDES: dict[str, dict[str, Any]] = {
         "adaptive.gnss": False,
         "adaptive.encoder": False,
         "adaptive.vz": False,
-        "adaptive.az": False,
     },
     "retrodiction": {"retro.enabled": False},
     "zupt": {"zupt.enabled": False},

@@ -6,9 +6,12 @@ flat state vectors -> (N, dim) rows of measurement vectors), its noise
 matrix, an angular mask selecting components whose residuals wrap at +-pi,
 and a chi-squared gate threshold (the ``gates.*`` configuration keys).
 
-A model linear in the state (encoder, its vertical constraints, radar,
-ZUPT, GPS position without a lever arm) is declared by its (dim, 23) matrix
-H instead; ``h`` is derived from H and the engine updates it in closed form.
+A model linear in the state (encoder, its vertical-velocity constraint,
+radar, ZUPT, GPS position without a lever arm) is declared by its (dim, 23)
+matrix H instead; ``h`` is derived from H and the engine updates it in closed
+form.  ``stack`` joins linear models into one whose rows the engine solves
+together while gating and reporting each model, its *block*, on its own
+(``ukf.update``); the encoder and its vertical constraint fuse that way.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ class MeasurementModel:
     ``h`` is the batched measurement function, or the matrix H of a linear
     model, then kept read-only as ``matrix`` (else None) with ``h`` derived
     as ``rows @ H.T``.  ``r`` is replaced atomically between updates when
-    the path adapts.
+    the path adapts.  ``blocks`` holds the linear models a ``stack`` was
+    built from, in row order; only a model with a matrix can have them.
     """
 
     name: str
@@ -52,6 +56,7 @@ class MeasurementModel:
     r: np.ndarray
     gate: float
     angular: np.ndarray = None
+    blocks: tuple["MeasurementModel", ...] = ()
     matrix: Optional[np.ndarray] = field(default=None, init=False)
 
     def __post_init__(self):
@@ -71,6 +76,34 @@ class MeasurementModel:
             matrix.flags.writeable = False
             self.matrix = matrix
             self.h = lambda rows: rows @ matrix.T
+        if self.blocks and (self.matrix is None or sum(
+                b.dim for b in self.blocks) != self.dim
+                or any(b.matrix is None for b in self.blocks)):
+            raise ValueError(f"{self.name}: blocks must be linear models "
+                             f"whose rows make up its matrix")
+
+
+def stack(*models: MeasurementModel) -> MeasurementModel:
+    """One linear model whose H is the models' rows stacked in order, named
+    after the first and keeping them as its ``blocks``.
+
+    The engine gates and reports each block on its own and reads each
+    block's current ``r``; the stacked ``r``, the blocks' R as stacked, and
+    ``gate``, the sum of their gates, are what the blocks held when stacked.
+    Only linear models stack: stacking is exact for them, because the
+    Mahalanobis distance splits by the chain rule, and not for sigma-point
+    paths, so a model without a matrix raises ``ValueError``.
+    """
+    if len(models) < 2 or any(m.matrix is None or m.blocks for m in models):
+        raise ValueError("stack needs two or more unstacked linear models")
+    r = np.zeros((sum(m.dim for m in models),) * 2)
+    start = 0
+    for m in models:
+        r[start:start + m.dim, start:start + m.dim] = m.r
+        start += m.dim
+    return MeasurementModel(models[0].name, len(r),
+                            np.vstack([m.matrix for m in models]), r,
+                            sum(m.gate for m in models), blocks=tuple(models))
 
 
 def _reading(index) -> np.ndarray:
@@ -139,14 +172,6 @@ def encoder_model(sigma_vx: float, sigma_vy: float, sigma_wz: float,
 def encoder_vz_model(sigma: float, gate: float) -> MeasurementModel:
     """Non-holonomic ground constraint on body vertical velocity."""
     return MeasurementModel("encoder_vz", 1, _reading([VEL.start + 2]),
-                            np.array([[sigma**2]]), gate)
-
-
-def encoder_az_model(sigma: float, gate: float) -> MeasurementModel:
-    """Constraint on body vertical acceleration; keeps local-gravity
-    mismatch from leaking into the vertical channel through the
-    acceleration state."""
-    return MeasurementModel("encoder_az", 1, _reading([ACC.start + 2]),
                             np.array([[sigma**2]]), gate)
 
 

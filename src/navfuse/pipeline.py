@@ -11,7 +11,10 @@ with a dropped-event report.
 
 Each primary-IMU event runs one prediction step plus its updates and leaves a
 snapshot in the replay ring.  Every handler fuses its event's updates through
-``FusionPipeline._fuse``.  A kind the table marks ``delayed`` (GPS fixes, GPS
+``FusionPipeline._fuse``, one engine call per update; an encoder sample is one
+call, its odometry and vertical-velocity constraint stacked
+(``measurements.stack``), with each block gated and recorded as its own
+path.  A kind the table marks ``delayed`` (GPS fixes, GPS
 velocity and VSLAM poses, late by receiver and mapping latency) stamped
 before the newest snapshot is applied there and the recorded IMU steps are
 re-run.  Any other kind arrives with negligible latency, at rates where a
@@ -33,8 +36,9 @@ the attributes ``FusionPipeline._SESSION`` lists and ``reset`` assigns
 (state, covariance, origin, replay ring, adaptive windows, anchors, mode
 timers, counters), with each array stored as its shape and the base64 of
 its little-endian float64 bytes.  Loading builds only the listed session
-types and validates all of it before assigning any, so a malformed file
-changes nothing and a resumed run is bit-identical to an uninterrupted one.
+types and validates all of it, down to each flag's, stamp's and anchor's
+type and shape, before assigning any, so a malformed file changes nothing
+and a resumed run is bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -215,15 +219,15 @@ class FusionPipeline:
             )
             for kind in ("imu", "imu2")
         }
-        self._encoder_model = meas.encoder_model(
-            cfg["encoder.sigma_vx"], cfg["encoder.sigma_vy"],
-            cfg["encoder.sigma_wz"], cfg["gates.encoder"],
-            b_ewz_enabled=cfg["features.b_ewz"],
-        )
-        self._vz_model = meas.encoder_vz_model(cfg["encoder.vz_sigma"],
-                                               cfg["gates.encoder"])
-        self._az_model = meas.encoder_az_model(cfg["encoder.az_sigma"],
-                                               cfg["gates.encoder"])
+        # one closed-form update per encoder sample: the wheel odometry and
+        # its vertical-velocity constraint, each gated on its own
+        self._encoder_model = meas.stack(
+            meas.encoder_model(cfg["encoder.sigma_vx"],
+                               cfg["encoder.sigma_vy"],
+                               cfg["encoder.sigma_wz"], cfg["gates.encoder"],
+                               b_ewz_enabled=cfg["features.b_ewz"]),
+            meas.encoder_vz_model(cfg["encoder.vz_sigma"],
+                                  cfg["gates.encoder"]))
         self._gps_vel_model = meas.gps_velocity_model(
             cfg["gnss.velocity_sigma"], cfg["gates.gps_pos"])
         self._radar_model = meas.radar_velocity_model(cfg["radar.sigma"],
@@ -269,7 +273,6 @@ class FusionPipeline:
                         gnss_floor, "adaptive.gnss"),
             "encoder": (enc, enc_floor, "adaptive.encoder"),
             "encoder_vz": (("encoder.vz_sigma",), None, "adaptive.vz"),
-            "encoder_az": (("encoder.az_sigma",), None, "adaptive.az"),
         }
         return {name: AdaptiveEstimator(
                     name, np.diag([cfg[key] ** 2 for key in sigmas]), floor,
@@ -319,19 +322,22 @@ class FusionPipeline:
     def _apply_updates(self, state: FilterState, cov: np.ndarray,
                        updates: list, coast_active: bool,
                        records: list[UpdateRecord], chained: bool = False):
-        """Apply ``(z, model, gate_scale)`` updates in order, recording
-        each; with ``chained``, stop after the first rejected one.  Returns
-        the state, the covariance and each update's outcome."""
+        """Apply ``(z, model, gate_scale)`` updates in order, one engine call
+        each, recording each path: every block of a stacked model is a path
+        of its own.  With ``chained``, stop after the first rejected update.
+        Returns the state, the covariance and each path's outcome."""
         frozen = self._modes[coast_active][0]
         outcomes = []
         for z, model, gate_scale in updates:
             self._count("engine_update_calls")
             out = ukf_update(state, cov, z, model, self._params,
                              gate_scale=gate_scale, frozen=frozen)
-            records.append(UpdateRecord(model.name, out.accepted, out.d2,
-                                        model.dim, model.gate * gate_scale,
-                                        out.reason))
-            outcomes.append(out)
+            for path, part in zip(model.blocks or (model,),
+                                  out.blocks or (out,)):
+                records.append(UpdateRecord(path.name, part.accepted, part.d2,
+                                            path.dim, path.gate * gate_scale,
+                                            part.reason))
+                outcomes.append(part)
             state, cov = out.state, out.cov
             if chained and not out.accepted:
                 break
@@ -549,23 +555,21 @@ class FusionPipeline:
 
     def _on_encoder(self, sample: EncoderSample) -> StepReport:
         self._last_encoder_speed = abs(float(sample.velocity[0]))
-        models = (self._encoder_model, self._vz_model, self._az_model)
-        for model in models:
-            model.r = self.adaptive[model.name].r.copy()
+        blocks = self._encoder_model.blocks
+        for block in blocks:
+            block.r = self.adaptive[block.name].r.copy()
         if self.coast.active:
             # coasting leans on the bias-corrected encoder yaw rate for
             # heading, so its noise is tightened by this factor
-            factor = self.config["coast.encoder_wz_factor"]
-            self._encoder_model.r[2, 2] *= factor
+            blocks[0].r[2, 2] *= self.config["coast.encoder_wz_factor"]
+        # the odometry reading, then the vertical velocity it implies: zero
         z = np.array([sample.velocity[0], sample.velocity[1],
-                      sample.yaw_rate])
-        records, outcomes = self._fuse(sample.stamp, "encoder", [
-            (z, self._encoder_model, 1.0),
-            (np.zeros(1), self._vz_model, 1.0),
-            (np.zeros(1), self._az_model, 1.0)])
-        for model, outcome in zip(models, outcomes):
+                      sample.yaw_rate, 0.0])
+        records, outcomes = self._fuse(sample.stamp, "encoder",
+                                       [(z, self._encoder_model, 1.0)])
+        for block, outcome in zip(blocks, outcomes):
             if outcome.accepted:
-                self.adaptive[model.name].observe(outcome.innovation)
+                self.adaptive[block.name].observe(outcome.innovation)
         self._update_zupt()
         return self._report(sample.stamp, "encoder", records)
 
@@ -744,6 +748,7 @@ class FusionPipeline:
                 point = GeodeticCoord(**vars(origin.geodetic))
                 if _encode(origin) != _encode(EnuOrigin.from_geodetic(point)):
                     raise ValueError("origin frame does not match its point")
+            _check_session_values(session)
             fresh = self._build_adaptive()
             if session["adaptive"].keys() != fresh.keys():
                 raise ValueError("adaptive paths differ from the config")
@@ -782,6 +787,51 @@ _ARRAY_DTYPE = np.dtype("<f8")
 def _is_finite_array(value, shape: tuple[int, ...]) -> bool:
     return (isinstance(value, np.ndarray) and value.shape == shape
             and bool(np.isfinite(value).all()))
+
+
+def _is_real(value) -> bool:
+    """A finite int or float, not a bool."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _check_session_values(session: dict) -> None:
+    """Raise ``ValueError`` unless each session value that is neither the
+    state, the ring, the origin nor an estimator has the type and shape a
+    live session gives it: flags, the replay snapshots' mode flags too,
+    are bools, stamps and speeds finite numbers or None, anchors finite
+    arrays of their sizes, counters ints.
+    A session object of the wrong type lacks an attribute read here, which
+    raises ``AttributeError``."""
+    coast, anchor = session["coast"], session["vslam_anchor"]
+    heading, raw = session["_heading_anchor"], session["_last_raw_vslam"]
+    counters, steps = session["diagnostics"], session["ring"].entries
+    checks = {
+        "flags": all(type(v) is bool for v in (
+            session["_started"], session["_zupt_active"],
+            session["_lever_validated"], coast.active, coast.relax_armed,
+            *(flag for e in steps for flag in (e.zupt_active,
+                                               e.coast_active)))),
+        "stamps": all(v is None or _is_real(v) for v in (
+            coast.last_accept, session["_last_encoder_speed"],
+            session["_last_imu_rate"], session["_lever_ok_since"],
+            session["_jump_stamp"], *(e.stamp for e in steps))),
+        "vslam_anchor": (_is_finite_array(anchor.position, (3,))
+                         and _is_finite_array(anchor.quaternion, (4,))
+                         and type(anchor.rejections) is int),
+        "_heading_anchor": heading is None or (
+            type(heading) is tuple and len(heading) == 3
+            and _is_finite_array(heading[0], (2,))
+            and _is_real(heading[1]) and _is_real(heading[2])),
+        "_last_raw_vslam": raw is None or (
+            type(raw) is tuple and len(raw) == 2
+            and _is_finite_array(raw[0], (3,))
+            and _is_finite_array(raw[1], (4,))),
+        "diagnostics": type(counters) is dict and all(
+            type(v) is int for v in counters.values()),
+    }
+    bad = [name for name, ok in checks.items() if not ok]
+    if bad:
+        raise ValueError(f"bad session values: {bad}")
 
 
 def _encode(value):

@@ -4,7 +4,9 @@ Predict, and an update through a measurement function, run a full-state
 23-dimensional scaled unscented transform (2n+1 = 47 sigma points).  A model
 declared by its matrix H updates in closed form, S = HPH^T + R and
 Pxz = PH^T: that transform of a linear map, but for Pxz's quaternion rows,
-which it projects onto the unit sphere's tangent space.  Quaternions are
+which it projects onto the unit sphere's tangent space.  A stacked linear
+model (``measurements.stack``) is one closed-form update that gates each of
+its blocks on its own (``update``).  Quaternions are
 raw 4-vectors, hemisphere-aligned before any averaging or differencing and
 renormalized after perturbation or correction.  Every covariance leaving
 this module is symmetrized, eigenvalue-repaired to a positive-definite
@@ -14,6 +16,7 @@ floor, and has its angular-rate variances capped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -75,9 +78,22 @@ class UkfParams:
 
 
 @dataclass
+class BlockOutcome:
+    """One block's share of a stacked update: its gate decision, and its d2
+    and innovation given the blocks accepted before it."""
+
+    accepted: bool
+    d2: float
+    innovation: np.ndarray
+    reason: str = "accepted"
+
+
+@dataclass
 class UpdateOutcome:
     """Result of one measurement update.  On rejection the returned state
-    and covariance are the untouched inputs."""
+    and covariance are the untouched inputs.  A stacked model's update is
+    accepted when any block is, its d2 is the sum of theirs, and ``blocks``
+    holds each block's outcome, in row order."""
 
     state: FilterState
     cov: np.ndarray
@@ -85,6 +101,7 @@ class UpdateOutcome:
     d2: float
     innovation: Optional[np.ndarray]
     reason: str = "accepted"
+    blocks: tuple[BlockOutcome, ...] = ()
 
 
 def symmetrize(p: np.ndarray) -> np.ndarray:
@@ -260,6 +277,15 @@ def update(
     rows are zeroed; the covariance then uses the general (suboptimal-gain)
     update form, which coincides with P - K S K^T for the unmasked optimal
     gain.
+
+    A stacked model (``measurements.stack``) adds each block's current R
+    to its diagonal part of S and gates its blocks in row order
+    (``_gate_blocks``): block b is accepted iff d2(A+b) - d2(A) <= its
+    gate times ``gate_scale``, where A is the blocks accepted before it.
+    State and covariance are then updated once from the accepted rows.  By
+    the chain rule that equals one call per block, in order, up to rounding
+    and the conditioning and quaternion renormalization between calls, as
+    long as no block after the first accepted one reads a ``frozen`` state.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (model.dim,):
@@ -276,7 +302,15 @@ def update(
     h = model.matrix
     if h is not None:
         pxz = cov @ h.T
-        s = symmetrize(h @ pxz + model.r)
+        if model.blocks:
+            block_rows = [slice(end - block.dim, end) for block, end in zip(
+                model.blocks, accumulate(b.dim for b in model.blocks))]
+            s = h @ pxz
+            for block, rows in zip(model.blocks, block_rows):
+                s[rows, rows] += block.r
+            s = symmetrize(s)
+        else:
+            s = symmetrize(h @ pxz + model.r)
         nu = z - h @ x
     else:
         wm, wc = params.weights()
@@ -289,17 +323,30 @@ def update(
         nu = wrapped(z - zbar)
         dev = _deviations(points, x)
         pxz = (dev.T * wc) @ dz
-    rhs = np.empty((model.dim, 1 + STATE_DIM))
-    rhs[:, 0] = nu
-    rhs[:, 1:] = pxz.T
-    try:
-        solved = np.linalg.solve(s, rhs)
-    except np.linalg.LinAlgError:
-        return UpdateOutcome(state, cov, False, float("inf"), nu,
-                             reason="singular")
-    d2 = float(nu @ solved[:, 0])
-    if not d2 <= model.gate * gate_scale:
-        return UpdateOutcome(state, cov, False, d2, nu, reason="gated")
+    innovation = nu
+    if model.blocks:
+        parts, rows, solved = _gate_blocks(model.blocks, block_rows, nu, s,
+                                           pxz, gate_scale)
+        d2 = sum(part.d2 for part in parts)
+        if rows is None:
+            singular = all(part.reason == "singular" for part in parts)
+            return UpdateOutcome(state, cov, False, d2, nu,
+                                 "singular" if singular else "gated", parts)
+        # the gain comes from the accepted rows alone
+        nu, s, pxz = nu[rows], _submatrix(s, rows), pxz[:, rows]
+    else:
+        parts = ()
+        rhs = np.empty((model.dim, 1 + STATE_DIM))
+        rhs[:, 0] = nu
+        rhs[:, 1:] = pxz.T
+        try:
+            solved = np.linalg.solve(s, rhs)
+        except np.linalg.LinAlgError:
+            return UpdateOutcome(state, cov, False, float("inf"), nu,
+                                 reason="singular")
+        d2 = float(nu @ solved[:, 0])
+        if not d2 <= model.gate * gate_scale:
+            return UpdateOutcome(state, cov, False, d2, nu, reason="gated")
 
     k = solved[:, 1:].T
     if frozen is not None and len(frozen):
@@ -316,4 +363,51 @@ def update(
     p_new = _condition(p_new, epsilon)
     new_state = FilterState.from_vector(new_vec, stamp=state.stamp,
                                         normalize=False)
-    return UpdateOutcome(new_state, p_new, True, d2, nu)
+    return UpdateOutcome(new_state, p_new, True, d2, innovation,
+                         blocks=parts)
+
+
+def _submatrix(s: np.ndarray, rows) -> np.ndarray:
+    """S restricted to ``rows``, a slice or an index array."""
+    return s[rows, rows] if isinstance(rows, slice) else s[np.ix_(rows, rows)]
+
+
+def _gate_blocks(blocks, block_rows: list[slice], nu: np.ndarray,
+                 s: np.ndarray, pxz: np.ndarray, gate_scale: float):
+    """Gate a stacked model's blocks, at ``block_rows``, in row order.
+
+    With A the rows accepted so far, block b's d2 is d2(A+b) - d2(A), taken
+    from one solve over A+b as nu_b|A . x_b, where x_b is the solution's b
+    part and nu_b|A = nu_b - S_bA S_AA^-1 nu_A is b's innovation given A.
+    A+b stays a slice while A is empty (b's own rows) or ends where b
+    starts, as when every block so far was accepted; else it is an index
+    array.  Returns each block's outcome, and the accepted rows with their
+    solve [S^-1 nu | S^-1 Pxz^T], or None and None when none was accepted.
+    """
+    parts: list[BlockOutcome] = []
+    rows, solved = None, None
+    for block, own in zip(blocks, block_rows):
+        if rows is None:
+            trial, nu_b = own, nu[own]
+        else:
+            nu_b = nu[own] - s[own, rows] @ solved[:, 0]
+            if isinstance(rows, slice) and rows.stop == own.start:
+                trial = slice(rows.start, own.stop)
+            else:
+                trial = np.r_[rows, own]  # slices expand to their indices
+        nu_trial = nu[trial]
+        rhs = np.empty((len(nu_trial), 1 + STATE_DIM))
+        rhs[:, 0] = nu_trial
+        rhs[:, 1:] = pxz[:, trial].T
+        try:
+            trial_solved = np.linalg.solve(_submatrix(s, trial), rhs)
+        except np.linalg.LinAlgError:
+            parts.append(BlockOutcome(False, float("inf"), nu_b, "singular"))
+            continue
+        d2 = float(nu_b @ trial_solved[-block.dim:, 0])
+        accepted = d2 <= block.gate * gate_scale
+        parts.append(BlockOutcome(accepted, d2, nu_b,
+                                  "accepted" if accepted else "gated"))
+        if accepted:
+            rows, solved = trial, trial_solved
+    return parts, rows, solved

@@ -11,6 +11,10 @@ change, regenerate the files and say why in CHANGES.md:
 
     PYTHONPATH=src python3 tests/test_golden.py --regenerate
 
+which prints, per scenario, the largest deviation from the file it replaces
+in each state block and in the covariance diagonal, and the counters that
+changed.
+
 The same scenarios check that a run resumed from a checkpoint taken halfway
 is bit-identical to the uninterrupted run, and that the paper's two
 ablations (no bias states, no encoder yaw-rate bias) hold their states at
@@ -27,6 +31,7 @@ import pytest
 
 from navfuse.config import PipelineConfig
 from navfuse.pipeline import FusionPipeline
+from navfuse.process import STATE_BLOCKS
 from navfuse.simulator import SimScenario, generate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -139,9 +144,36 @@ def test_scenarios_exercise_their_paths():
     assert diag["figure_eight_dense"]["retro_replays"] > 0
 
 
+def deviations(old: dict, new: dict) -> dict:
+    """The largest absolute difference of ``new`` from ``old`` per state
+    block of the trajectory (named after its initial-variance key) and in
+    the covariance diagonal, and every counter whose value changed."""
+    old_x = np.asarray(old["trajectory"])[:, 1:]
+    new_x = np.asarray(new["trajectory"])[:, 1:]
+    if old_x.shape != new_x.shape:
+        return {"trajectory_shape": (old_x.shape, new_x.shape)}
+    out = {var_key.split(".")[1].removesuffix("_var"):
+           float(np.abs(new_x[:, block] - old_x[:, block]).max())
+           for block, _, var_key in STATE_BLOCKS}
+    out["cov_diag"] = float(np.abs(np.subtract(new["cov_diag"],
+                                               old["cov_diag"])).max())
+    counters = old["diagnostics"].keys() | new["diagnostics"].keys()
+    out.update({key: (old["diagnostics"].get(key),
+                      new["diagnostics"].get(key))
+                for key in sorted(counters)
+                if old["diagnostics"].get(key) != new["diagnostics"].get(key)})
+    return out
+
+
 if __name__ == "__main__" and "--regenerate" in sys.argv:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for key in sorted(SCENARIOS):
         path = GOLDEN_DIR / f"{key}.json"
-        path.write_text(json.dumps(run_scenario(key), indent=0) + "\n")
+        new = run_scenario(key)
+        if path.exists():
+            for name, value in deviations(json.loads(path.read_text()),
+                                          new).items():
+                print(f"{key} {name} {value:.2g}"
+                      if isinstance(value, float) else f"{key} {name} {value}")
+        path.write_text(json.dumps(new, indent=0) + "\n")
         print(f"wrote {path}")

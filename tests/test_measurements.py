@@ -10,7 +10,6 @@ from navfuse.geodesy import EnuOrigin, GeodeticCoord, enu_to_geodetic
 from navfuse.measurements import (
     MeasurementModel,
     derive_gps_heading,
-    encoder_az_model,
     encoder_model,
     encoder_vz_model,
     gps_fix_to_measurement,
@@ -21,6 +20,7 @@ from navfuse.measurements import (
     imu_raw_model,
     radar_velocity_model,
     screen_gps_fix,
+    stack,
     vslam_model,
     zupt_model,
 )
@@ -115,8 +115,6 @@ class TestEncoder:
                             acceleration=np.array([0.0, 0.0, -0.2]))
         assert h1(encoder_vz_model(0.05, 11.34), state)[0] == \
             pytest.approx(0.3)
-        assert h1(encoder_az_model(0.5, 11.34), state)[0] == \
-            pytest.approx(-0.2)
 
 
 class TestGpsPosition:
@@ -278,7 +276,10 @@ WRITTEN_OUT = [
     (encoder_model(0.03, 0.03, 0.02, 11.34, b_ewz_enabled=False),
      lambda x: np.stack([x[:, 7], x[:, 8], x[:, 12]], axis=-1)),
     (encoder_vz_model(0.05, 11.34), lambda x: x[:, 9:10]),
-    (encoder_az_model(0.5, 11.34), lambda x: x[:, 15:16]),
+    (stack(encoder_model(0.03, 0.03, 0.02, 11.34),
+           encoder_vz_model(0.05, 11.34)),
+     lambda x: np.stack([x[:, 7], x[:, 8], x[:, 12] - x[:, 22], x[:, 9]],
+                        axis=-1)),
     (gps_position_model(np.eye(3), 16.27), lambda x: x[:, 0:3]),
     (radar_velocity_model(0.1, 11.34), lambda x: x[:, 7:9]),
     (zupt_model(0.01, 16.27), lambda x: x[:, 7:10]),
@@ -313,6 +314,30 @@ class TestLinearModels:
             MeasurementModel("yaw", 1, np.eye(23)[5:6], np.eye(1), 1.0,
                              angular=np.array([True]))
 
+    def test_stack_keeps_its_blocks_in_row_order(self):
+        enc = encoder_model(0.03, 0.03, 0.02, 11.34)
+        vz = encoder_vz_model(0.05, 11.34)
+        model = stack(enc, vz)
+        assert model.name == "encoder" and model.dim == 4
+        assert model.blocks[0] is enc and model.blocks[1] is vz
+        assert np.array_equal(model.matrix, np.vstack([enc.matrix,
+                                                       vz.matrix]))
+        assert np.array_equal(model.r, np.diag([0.03**2, 0.03**2,
+                                                0.02**2, 0.05**2]))
+
+    def test_only_linear_models_stack(self):
+        enc = encoder_model(0.03, 0.03, 0.02, 11.34)
+        with pytest.raises(ValueError):
+            stack(enc, gps_heading_model(0.04, 10.83))
+        with pytest.raises(ValueError):
+            stack(enc)
+        with pytest.raises(ValueError):
+            stack(stack(enc, encoder_vz_model(0.05, 11.34)), enc)
+        # a blocked model without a matrix is refused at construction
+        with pytest.raises(ValueError, match="blocks"):
+            MeasurementModel("sigma", 3, lambda x: x[:, 7:10], np.eye(3),
+                             1.0, blocks=(enc,))
+
 
 class TestZeroInnovationProperty:
     def test_every_model_zeroes_out_on_matching_state(self, rng):
@@ -327,7 +352,6 @@ class TestZeroInnovationProperty:
                 imu_orientation_model(True, 0.02, 15.09),
                 encoder_model(0.03, 0.03, 0.02, 11.34),
                 encoder_vz_model(0.05, 11.34),
-                encoder_az_model(0.5, 11.34),
                 gps_position_model(np.eye(3), 16.27),
                 gps_heading_model(0.04, 10.83),
                 gps_velocity_model(0.3, 16.27),

@@ -366,12 +366,36 @@ class TestConstruction:
         """The models linear in the state keep their matrix, so the engine
         updates them without sigma points."""
         pipe = FusionPipeline()
-        models = [pipe._encoder_model, pipe._vz_model, pipe._az_model,
+        models = [pipe._encoder_model, *pipe._encoder_model.blocks,
                   pipe._radar_model, pipe._zupt_model,
                   pipeline_module.meas.gps_position_model(
                       np.eye(3), DEFAULTS["gates.gps_pos"])]
         for model in models:
             assert model.matrix is not None, model.name
+
+    def test_encoder_sample_is_one_closed_form_update(self, monkeypatch):
+        """The odometry and its vertical-velocity constraint are stacked:
+        one engine call, one conditioning, no sigma points, one record per
+        path."""
+        from navfuse import ukf
+        pipe = FusionPipeline()
+        pipe.ingest(imu_at(0.0))
+        calls = {"ukf_update": 0, "_condition": 0,
+                 "generate_sigma_points": 0}
+        for owner, name in ((pipeline_module, "ukf_update"),
+                            (ukf, "_condition"),
+                            (ukf, "generate_sigma_points")):
+            def counted(*args, _fn=getattr(owner, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        report, bumped = ingest_counting(pipe, encoder_at(0.005, vx=0.01))
+        assert calls == {"ukf_update": 1, "_condition": 1,
+                         "generate_sigma_points": 0}
+        assert bumped == {"engine_update_calls": 1}
+        assert [(r.path, r.accepted) for r in report.updates] == [
+            ("encoder", True), ("encoder_vz", True)]
 
 
 class TestGps:
@@ -906,14 +930,23 @@ class TestFusionRouting:
             pipe.ingest(imu_at(t))
         return pipe
 
+    #: kind -> the paths one event (``event_of``, which gives an IMU no
+    #: orientation) records, and the engine calls it makes: the encoder's
+    #: two paths are one stacked call
+    PROMPT = {"encoder": (["encoder", "encoder_vz"], 1),
+              "radar": (["radar_vel"], 1),
+              "imu2": (["imu_raw"], 1)}
+
     @pytest.mark.parametrize("kind", ["encoder", "radar", "imu2"])
     def test_prompt_kind_stamped_in_the_past_is_fused_where_it_arrives(
             self, kind):
         pipe = self._pipe()
         history = [e.state.as_vector() for e in pipe.ring.entries]
         report, bumped = ingest_counting(pipe, event_of(kind, 0.3, 0.2))
-        assert report.dropped is None and report.updates
-        assert bumped == {"engine_update_calls": len(report.updates)}
+        assert report.dropped is None
+        paths, engine_calls = self.PROMPT[kind]
+        assert [rec.path for rec in report.updates] == paths
+        assert bumped == {"engine_update_calls": engine_calls}
         assert pipe.state.stamp == pipe.ring.last_stamp
         assert all(np.array_equal(e.state.as_vector(), old)
                    for e, old in zip(pipe.ring.entries, history))
@@ -1034,14 +1067,22 @@ class TestLifecycle:
           "_innovations", "maxlen"), 7),
         (("session", "adaptive", "value", "gps_pos", "value",
           "_innovations", "value", 0), array_doc(np.array([np.nan, 0, 0]))),
-        (("session", "adaptive", "value", "encoder_az"), None),
+        (("session", "adaptive", "value", "encoder_vz"), None),
         (("session", "origin", "value", "rotation"), array_doc(-np.eye(3))),
+        (("session", "coast", "value", "last_accept"), "x"),
+        (("session", "vslam_anchor", "value", "position"),
+         array_doc(np.zeros(2))),
+        (("session", "_heading_anchor"), 5),
+        (("session", "ring", "value", "entries", "value", 0, "value",
+          "coast_active"), 5),
     ], ids=["root", "missing", "state_shape", "cov_shape", "unknown_type",
             "garbled", "truncated", "payload_shape", "snapshot_z_raw",
             "snapshot_z_orient", "extra_attribute", "missing_attribute",
             "estimator_r_nan", "estimator_r_indefinite",
             "estimator_r_size", "estimator_setting", "innovation_window",
-            "innovation_nan", "estimator_missing", "origin_frame"])
+            "innovation_nan", "estimator_missing", "origin_frame",
+            "coast_stamp_type", "vslam_anchor_shape",
+            "heading_anchor_type", "snapshot_mode_type"])
     def test_malformed_checkpoint_changes_nothing(self, tmp_path, keys,
                                                   value):
         path = tmp_path / "ckpt.json"

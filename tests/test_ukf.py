@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navfuse.config import PipelineConfig
 from navfuse.core import (
@@ -14,7 +15,13 @@ from navfuse.core import (
     NumericalError,
     rotation_distance,
 )
-from navfuse.measurements import MeasurementModel, imu_raw_model
+from navfuse.measurements import (
+    MeasurementModel,
+    encoder_model,
+    encoder_vz_model,
+    imu_raw_model,
+    stack,
+)
 from navfuse.process import STATE_BLOCKS, PropagationStep, noise_rates
 from navfuse import ukf
 from navfuse.ukf import (
@@ -446,7 +453,8 @@ class TestEngineWork:
     def calls(self, monkeypatch):
         counts = Counter()
         for owner, name in ((np.linalg, "cholesky"), (np.linalg, "solve"),
-                            (ukf, "generate_sigma_points")):
+                            (ukf, "generate_sigma_points"),
+                            (ukf, "_condition")):
             def counted(*args, _fn=getattr(owner, name), _name=name,
                         **kwargs):
                 counts[_name] += 1
@@ -458,7 +466,8 @@ class TestEngineWork:
         step = PropagationStep(0.01, noise_rates(PipelineConfig()))
         predict(FilterState(), default_cov(), step, PARAMS)
         # sigma points, then the positive-definiteness check
-        assert calls == {"generate_sigma_points": 1, "cholesky": 2}
+        assert calls == {"generate_sigma_points": 1, "cholesky": 2,
+                         "_condition": 1}
 
     def test_accepted_update_factors_twice_and_solves_once(self, calls):
         out = update(FilterState(), default_cov(), np.array([0.1, 0.0, 0.0]),
@@ -466,7 +475,7 @@ class TestEngineWork:
         assert out.accepted
         # one stacked solve serves both the gate and the gain
         assert calls == {"generate_sigma_points": 1, "cholesky": 2,
-                         "solve": 1}
+                         "solve": 1, "_condition": 1}
 
     def test_accepted_matrix_update_factors_once_without_sigma_points(
             self, calls):
@@ -474,4 +483,98 @@ class TestEngineWork:
                      matrix_position_model(), PARAMS)
         assert out.accepted
         # only the positive-definiteness check factors
-        assert calls == {"cholesky": 1, "solve": 1}
+        assert calls == {"cholesky": 1, "solve": 1, "_condition": 1}
+
+    @pytest.mark.parametrize("z, accepted, solves", [
+        ([0.1, 0.0, 0.0, 0.0], [True, True], 2),
+        ([50.0, 0.0, 0.0, 0.0], [False, True], 2),
+        ([50.0, 0.0, 0.0, 50.0], [False, False], 2),
+    ], ids=["both", "vz_only", "neither"])
+    def test_stacked_update_solves_per_block_and_conditions_once(
+            self, calls, z, accepted, solves):
+        model = stack(encoder_model(0.03, 0.03, 0.02, 11.34),
+                      encoder_vz_model(0.05, 11.34))
+        out = update(FilterState(), default_cov(), np.array(z), model,
+                     PARAMS)
+        assert [part.accepted for part in out.blocks] == accepted
+        # one solve per block; state and covariance change once, if at all
+        work = {"cholesky": 1, "_condition": 1} if any(accepted) else {}
+        assert calls == {"solve": solves, **work}
+
+
+#: the frozen sets of the pipeline's modes: none, b_ewz while coasting, and
+#: every bias with the bias states off
+FROZEN_SETS = ([], [ENC_YAW_BIAS], list(range(16, STATE_DIM)))
+
+
+class TestStackedUpdate:
+    """A stacked linear model is one engine call that must equal one call
+    per block, in order, gate decisions included."""
+
+    @staticmethod
+    def blocks(rng, dims, frozen):
+        """Linear models with random rows over the non-quaternion states;
+        only the first may read a frozen state."""
+        free = [i for i in NON_QUAT if i not in frozen]
+        models = []
+        for b, dim in enumerate(dims):
+            cols = NON_QUAT if b == 0 else free
+            h = np.zeros((dim, STATE_DIM))
+            h[:, cols] = rng.normal(size=(dim, len(cols))) * (
+                rng.random((dim, len(cols))) < 0.3)
+            h[np.arange(dim), rng.choice(cols, dim, replace=False)] += 1.0
+            models.append(MeasurementModel(f"b{b}", dim, h,
+                                           random_pd_matrix(rng, dim, 0.01),
+                                           1.0))
+        return models
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+           pattern=st.integers(0, 7),
+           frozen=st.sampled_from(FROZEN_SETS))
+    def test_equals_sequential_single_block_calls(self, seed, dims, pattern,
+                                                  frozen):
+        rng = np.random.default_rng(seed)
+        vec = np.zeros(STATE_DIM)
+        vec[NON_QUAT] = rng.normal(size=len(NON_QUAT))
+        vec[QUAT] = [1.0, 0.0, 0.0, 0.0]
+        state = FilterState.from_vector(vec)
+        # the quaternion block is uncorrelated with every row H reads
+        cov = np.zeros((STATE_DIM, STATE_DIM))
+        cov[np.ix_(NON_QUAT, NON_QUAT)] = random_pd_matrix(
+            rng, len(NON_QUAT), 0.01)
+        cov[QUAT, QUAT] = np.eye(4) * 1e-4
+        models = self.blocks(rng, dims, frozen)
+        # accept/reject forced through the gates, bit b of ``pattern``
+        for b, model in enumerate(models):
+            model.gate = 1e12 if pattern >> b & 1 else 1e-300
+        stacked = stack(*models)
+        z = stacked.h(vec[None, :])[0] + rng.normal(size=stacked.dim)
+        out = update(state, cov, z, stacked, PARAMS, frozen=frozen)
+
+        start, seq_state, seq_cov = 0, state, cov
+        for model, part in zip(models, out.blocks):
+            one = update(seq_state, seq_cov, z[start:start + model.dim],
+                         model, PARAMS, frozen=frozen)
+            start += model.dim
+            assert part.accepted == one.accepted == bool(
+                pattern >> models.index(model) & 1)
+            assert part.d2 == pytest.approx(one.d2, rel=1e-9, abs=1e-12)
+            np.testing.assert_allclose(part.innovation, one.innovation,
+                                       rtol=1e-9, atol=1e-12)
+            seq_state, seq_cov = one.state, one.cov
+        assert out.accepted == any(part.accepted for part in out.blocks)
+        np.testing.assert_allclose(out.state.as_vector(),
+                                   seq_state.as_vector(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.cov, seq_cov, rtol=0, atol=1e-12)
+        if not out.accepted:
+            assert out.state is state and out.cov is cov
+
+    def test_blocked_model_without_matrix_is_refused(self):
+        enc = encoder_model(0.03, 0.03, 0.02, 11.34)
+        with pytest.raises(ValueError):
+            MeasurementModel("sigma", 3, lambda x: x[:, 7:10], np.eye(3),
+                             1.0, blocks=(enc,))
+        with pytest.raises(ValueError):
+            stack(enc, imu_raw_model(0.005, 0.05, 15.09))
