@@ -163,11 +163,12 @@ def cmd_evaluate(args) -> int:
             est = read_trajectory(fh)
         with open(args.ref, "r", encoding="utf-8") as fh:
             ref = read_trajectory(fh)
+        ate = ate_rmse(est, ref, max_dt=args.max_dt)  # needs pose pairs
     except ValueError as exc:
         raise CliError(f"bad trajectory: {exc}", EXIT_DATA)
     os.makedirs(args.out, exist_ok=True)
     metrics = {
-        "ate_rmse_m": ate_rmse(est, ref, max_dt=args.max_dt),
+        "ate_rmse_m": ate,
         "ate_rmse_unaligned_m": ate_rmse(est, ref, max_dt=args.max_dt,
                                          align=False),
         "est_poses": len(est),

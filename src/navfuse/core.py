@@ -8,6 +8,8 @@ maps body-frame vectors into the world (local ENU) frame.
 The filter state is a flat 23-vector ordered as position, quaternion, body
 velocity, body angular rate, body acceleration, gyro bias, accel bias, and
 the wheel-encoder yaw-rate bias.  All slices below index into that layout.
+The engine and the pipeline work on that vector as a plain array;
+``FilterState`` is a named view of it, for reports and validation.
 """
 
 from __future__ import annotations
@@ -331,7 +333,7 @@ def _component(sl: slice) -> property:
 
 
 class FilterState:
-    """The 23-dimensional filter state plus its timestamp.
+    """A named view of the 23-dimensional filter state.
 
     The state is held as one flat ``vector`` in the layout above; the named
     components (``position``, ``quaternion``, ...) are views into it, so
@@ -339,7 +341,7 @@ class FilterState:
     components; omitted ones default to zero and the identity quaternion.
     """
 
-    __slots__ = ("vector", "stamp")
+    __slots__ = ("vector",)
 
     position = _component(POS)
     quaternion = _component(QUAT)
@@ -351,8 +353,7 @@ class FilterState:
 
     def __init__(self, position=None, quaternion=None, velocity=None,
                  angular_rate=None, acceleration=None, gyro_bias=None,
-                 accel_bias=None, encoder_yaw_bias: float = 0.0,
-                 stamp: float = 0.0):
+                 accel_bias=None, encoder_yaw_bias: float = 0.0):
         vec = np.zeros(STATE_DIM)
         vec[QUAT] = quat_identity()
         for sl, value in ((POS, position), (QUAT, quaternion),
@@ -363,7 +364,6 @@ class FilterState:
                 vec[sl] = value
         vec[ENC_YAW_BIAS] = encoder_yaw_bias
         self.vector = vec
-        self.stamp = stamp
 
     @property
     def encoder_yaw_bias(self) -> float:
@@ -374,13 +374,13 @@ class FilterState:
         self.vector[ENC_YAW_BIAS] = value
 
     def __repr__(self) -> str:
-        return f"FilterState(stamp={self.stamp!r}, vector={self.vector!r})"
+        return f"FilterState(vector={self.vector!r})"
 
     def as_vector(self) -> np.ndarray:
         return self.vector.copy()
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray, stamp: float = 0.0,
+    def from_vector(cls, vec: np.ndarray,
                     normalize: bool = True) -> "FilterState":
         vec = np.array(vec, dtype=float)
         if vec.shape != (STATE_DIM,):
@@ -389,12 +389,7 @@ class FilterState:
             vec[QUAT] = quat_normalize(vec[QUAT])
         state = cls.__new__(cls)
         state.vector = vec
-        state.stamp = stamp
         return state
-
-    def copy(self) -> "FilterState":
-        return FilterState.from_vector(self.vector, self.stamp,
-                                       normalize=False)
 
     def validate(self) -> None:
         """Hard error naming the offending component on NaN/Inf or a

@@ -185,19 +185,18 @@ def screen_gps_fix(
     reason a fix is screened out, or None when it passes.  A fix whose
     coordinates lie outside the geodetic range is screened out too, so it
     can neither set the ENU origin nor reach the engine, and so is one
-    whose receiver covariance is not a symmetric positive-definite 3x3 or
-    whose 95% error bounds are not positive."""
+    whose receiver covariance is not symmetric positive-definite or whose
+    95% error bounds are not positive."""
     if not (-np.pi / 2 <= fix.lat <= np.pi / 2
             and -np.pi <= fix.lon <= np.pi):
         return f"latitude {fix.lat} or longitude {fix.lon} rad out of range"
     for bound in (fix.err_horz, fix.err_vert):
         if bound is not None and not bound > 0.0:
             return f"error bound {bound} m is not positive"
-    if fix.covariance is not None:
+    if fix.covariance is not None:  # 3x3, which ``pipeline.SENSORS`` checks
         r = np.asarray(fix.covariance, dtype=float)
-        r = r.reshape(3, 3) if r.size == 9 else None
-        if r is None or not np.allclose(r, r.T, rtol=1e-9, atol=0.0):
-            return "receiver covariance is not a symmetric 3x3 matrix"
+        if not np.allclose(r, r.T, rtol=1e-9, atol=0.0):
+            return "receiver covariance is not symmetric"
         try:
             np.linalg.cholesky(r)
         except np.linalg.LinAlgError:
@@ -228,7 +227,7 @@ def gps_fix_to_measurement(
     """
     z = geodetic_to_enu(GeodeticCoord(fix.lat, fix.lon, fix.alt), origin)
     if fix.covariance is not None:
-        r = np.asarray(fix.covariance, dtype=float).reshape(3, 3)
+        r = np.asarray(fix.covariance, dtype=float)
     elif fix.err_horz is not None and fix.err_vert is not None:
         sh = fix.err_horz / 1.96
         sv = fix.err_vert / 1.96

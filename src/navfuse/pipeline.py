@@ -4,26 +4,29 @@ Events are processed strictly in arrival order by one consumer, so a recorded
 sequence always gives the same output.  ``SENSORS`` holds the per-sensor
 policy, one row per stream kind (``events.event_kind``): the switch that
 enables the sensor and the counter a disabled event bumps, the payload fields
-that must be finite (the stamp always must be), the quaternion field that
-must have a nonzero norm, whether it needs the IMU clock, and its handler.
-``ingest`` makes these checks in that order and answers the first failure
-with a dropped-event report.
+with the shape each must have (all must be finite, and so must the stamp),
+the quaternion field that must have a nonzero norm, whether it needs the IMU
+clock, and its handler.  ``ingest`` makes these checks in that order and
+answers the first failure with a dropped-event report.
 
-Each primary-IMU event runs one prediction step plus its updates and leaves a
-snapshot in the replay ring.  Every handler fuses its event's updates through
-``FusionPipeline._fuse``, one engine call per update; an encoder sample is one
-call, its odometry and vertical-velocity constraint stacked
-(``measurements.stack``), with each block gated and recorded as its own
-path.  A kind the table marks ``delayed`` (GPS fixes, GPS
-velocity and VSLAM poses, late by receiver and mapping latency) stamped
-before the newest snapshot is applied there and the recorded IMU steps are
-re-run.  Any other kind arrives with negligible latency, at rates where a
-rewind per sample would cost a replay per sample, so it is applied where it
-arrives; replay re-runs only IMU steps, so such an update inside a rewound
-window does not survive it.  A primary-IMU stamp must advance the filter
-clock by at most ``_MAX_IMU_GAP``; one outside that window is dropped, and a
-second in a row restarts the session there, unless it lies at most
-``_MAX_IMU_DELAY`` behind the clock, as late delivery does.
+The session holds the state as the flat 23-vector ``x`` and its covariance
+``cov``.  Each primary-IMU event runs one prediction step plus its updates
+and leaves a snapshot in the replay ring, sharing the session's arrays,
+which the engine never writes into.  The filter clock is the newest
+snapshot's stamp (``ring.last_stamp``), None while the ring is empty.
+Every handler fuses its event's updates through ``FusionPipeline._fuse``,
+one engine call per update; an encoder sample is one call, its odometry and
+vertical-velocity constraint stacked (``measurements.stack``), with each
+block gated and recorded as its own path.  A kind the table marks
+``delayed`` (GPS fixes, GPS velocity and VSLAM poses, late by receiver and
+mapping latency) stamped before the newest snapshot is applied there and
+the recorded IMU steps are re-run.  Any other kind arrives with negligible
+latency, at rates where a rewind per sample would cost a replay per sample,
+so it is applied where it arrives; replay re-runs only IMU steps, so such
+an update inside a rewound window does not survive it.  A primary-IMU stamp
+must advance the filter clock by at most ``_MAX_IMU_GAP``; one outside that
+window is dropped, and a second in a row restarts the session there, unless
+it lies at most ``_MAX_IMU_DELAY`` behind the clock, as late delivery does.
 
 A GPS fix that passes the receiver-quality screen gets its noise from the
 one GNSS policy, ``measurements.gps_fix_to_measurement``, with the
@@ -31,14 +34,15 @@ one GNSS policy, ``measurements.gps_fix_to_measurement``, with the
 estimator, derive a course-over-ground heading from the previous accepted
 fix, and are shifted by the antenna lever arm once heading is validated.
 
-A checkpoint is a JSON file: version, configuration hash, and the session,
-the attributes ``FusionPipeline._SESSION`` lists and ``reset`` assigns
-(state, covariance, origin, replay ring, adaptive windows, anchors, mode
-timers, counters), with each array stored as its shape and the base64 of
-its little-endian float64 bytes.  Loading builds only the listed session
-types and validates all of it, down to each flag's, stamp's and anchor's
-type and shape, before assigning any, so a malformed file changes nothing
-and a resumed run is bit-identical to an uninterrupted one.
+A checkpoint (version 4) is a JSON file: version, configuration hash, and
+the session, the attributes ``FusionPipeline._SESSION`` lists and ``reset``
+assigns (``x``, covariance, origin, replay ring and so the clock, adaptive
+windows, anchors, mode timers, counters), with each array stored as its
+shape and the base64 of its little-endian float64 bytes.  Loading builds
+only the listed session types and validates all of it, down to each flag's,
+stamp's and anchor's type and shape, before assigning any, so a malformed
+file changes nothing and a resumed run is bit-identical to an
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .config import DEFAULTS, PipelineConfig
 from .core import (
     ENC_YAW_BIAS,
     GYRO_BIAS,
+    POS,
     QUAT,
     QUAT_NORM_MIN,
     STATE_DIM,
@@ -97,7 +102,7 @@ _MAX_IMU_GAP = 10.0
 _MAX_IMU_DELAY = 0.5
 _TOO_OLD = "older than replay buffer"
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def zupt_trigger(last_encoder_speed: Optional[float],
@@ -112,7 +117,15 @@ def zupt_trigger(last_encoder_speed: Optional[float],
             and last_imu_rate < rate_threshold)
 
 
-def _all_finite(event: SensorEvent, fields: tuple[str, ...]) -> bool:
+def _well_shaped(event: SensorEvent,
+                 shapes: dict[str, tuple[int, ...]]) -> bool:
+    """Each present (not None) field has its shape, a non-array ()."""
+    return all(value is None or getattr(value, "shape", ()) == shape
+               for value, shape in ((getattr(event, name), shape)
+                                    for name, shape in shapes.items()))
+
+
+def _all_finite(event: SensorEvent, fields) -> bool:
     """The stamp and every named field that is present (not None) are
     finite."""
     return math.isfinite(event.stamp) and all(
@@ -282,8 +295,8 @@ class FusionPipeline:
 
     #: the session: every attribute ``reset`` assigns, which is exactly
     #: what a checkpoint saves and restores
-    _SESSION = ("state", "cov", "origin", "ring", "adaptive", "vslam_anchor",
-                "_last_raw_vslam", "coast", "_started", "_zupt_active",
+    _SESSION = ("x", "cov", "origin", "ring", "adaptive", "vslam_anchor",
+                "_last_raw_vslam", "coast", "_zupt_active",
                 "_last_encoder_speed", "_last_imu_rate", "_heading_anchor",
                 "_lever_ok_since", "_lever_validated", "_jump_stamp",
                 "diagnostics")
@@ -292,7 +305,7 @@ class FusionPipeline:
         """Restore the configured initial state and clear all session
         memory (``_SESSION``): origin, adaptive windows, ring, anchors."""
         cfg = self.config
-        self.state = FilterState()
+        self.x = FilterState().vector
         diag = np.empty(STATE_DIM)
         for block, _, var_key in STATE_BLOCKS:
             diag[block] = cfg[var_key]
@@ -303,7 +316,6 @@ class FusionPipeline:
         self.vslam_anchor = VslamAnchor()
         self._last_raw_vslam: Optional[tuple[np.ndarray, np.ndarray]] = None
         self.coast = CoastState()
-        self._started = False
         self._zupt_active = False
         self._last_encoder_speed: Optional[float] = None
         self._last_imu_rate: Optional[float] = None
@@ -316,10 +328,15 @@ class FusionPipeline:
     # ------------------------------------------------------------------
     # helpers
 
+    @property
+    def state(self) -> FilterState:
+        """The state's named components, as a copy of ``x``."""
+        return FilterState.from_vector(self.x, normalize=False)
+
     def _count(self, key: str) -> None:
         self.diagnostics[key] = self.diagnostics.get(key, 0) + 1
 
-    def _apply_updates(self, state: FilterState, cov: np.ndarray,
+    def _apply_updates(self, x: np.ndarray, cov: np.ndarray,
                        updates: list, coast_active: bool,
                        records: list[UpdateRecord], chained: bool = False):
         """Apply ``(z, model, gate_scale)`` updates in order, one engine call
@@ -330,7 +347,7 @@ class FusionPipeline:
         outcomes = []
         for z, model, gate_scale in updates:
             self._count("engine_update_calls")
-            out = ukf_update(state, cov, z, model, self._params,
+            out = ukf_update(x, cov, z, model, self._params,
                              gate_scale=gate_scale, frozen=frozen)
             for path, part in zip(model.blocks or (model,),
                                   out.blocks or (out,)):
@@ -338,10 +355,10 @@ class FusionPipeline:
                                             path.dim, path.gate * gate_scale,
                                             part.reason))
                 outcomes.append(part)
-            state, cov = out.state, out.cov
+            x, cov = out.x, out.cov
             if chained and not out.accepted:
                 break
-        return state, cov, outcomes
+        return x, cov, outcomes
 
     def _fuse(self, stamp: float, kind: str, updates: list,
               chained: bool = False):
@@ -352,38 +369,30 @@ class FusionPipeline:
         are None when the event is older than the replay buffer."""
         records: list[UpdateRecord] = []
 
-        def apply(state: FilterState, cov: np.ndarray):
-            return self._apply_updates(state, cov, updates, self.coast.active,
+        def apply(x: np.ndarray, cov: np.ndarray):
+            return self._apply_updates(x, cov, updates, self.coast.active,
                                        records, chained)
 
-        last = self.ring.last_stamp
+        # every kind that is fused needs the clock, so the ring has a snapshot
         if not (SENSORS[kind].delayed and self.config["retro.enabled"]
-                and last is not None and stamp < last):
-            self.state, self.cov, outcomes = apply(self.state, self.cov)
+                and stamp < self.ring.last_stamp):
+            self.x, self.cov, outcomes = apply(self.x, self.cov)
             return records, outcomes
         replay = self.ring.apply_delayed(stamp, apply, self._imu_step)
         if replay.status == "dropped_old":
             self._count("retro_dropped_too_old")
             return records, None
         self._count("retro_replays")
-        self.state, self.cov = replay.state, replay.cov
+        self.x, self.cov = replay.x, replay.cov
         return records, replay.result
 
     def _report(self, stamp: float, kind: str,
                 updates: Optional[list[UpdateRecord]] = None,
                 origin_set: bool = False,
                 dropped: Optional[str] = None) -> StepReport:
-        return StepReport(
-            stamp=stamp,
-            kind=kind,
-            state=self.state.copy(),
-            cov_diag=np.diag(self.cov).copy(),
-            updates=updates or [],
-            coast=self.coast.active,
-            zupt=self._zupt_active,
-            origin_set=origin_set,
-            dropped=dropped,
-        )
+        return StepReport(stamp, kind, self.state, np.diag(self.cov).copy(),
+                          updates or [], self.coast.active, self._zupt_active,
+                          origin_set, dropped)
 
     def _drop(self, stamp: float, kind: str, counter: str,
               reason: str) -> StepReport:
@@ -424,7 +433,7 @@ class FusionPipeline:
         heading must be known before the offset can be rotated."""
         if not np.any(self._lever_offset):
             return
-        var = yaw_variance(self.state.quaternion, self.cov[QUAT, QUAT])
+        var = yaw_variance(self.x[QUAT], self.cov[QUAT, QUAT])
         if var < self.config["lever.yaw_var_threshold"]:
             if self._lever_ok_since is None:
                 self._lever_ok_since = now
@@ -442,14 +451,17 @@ class FusionPipeline:
         if row.enable_key is not None and not self.config[row.enable_key]:
             return self._drop(event.stamp, kind, row.disabled_counter,
                               f"{kind} disabled")
-        if not _all_finite(event, row.finite):
+        if not _well_shaped(event, row.shapes):
+            return self._drop(event.stamp, kind, "dropped_malformed",
+                              f"malformed {kind}")
+        if not _all_finite(event, row.shapes):
             return self._drop(event.stamp, kind, "dropped_nonfinite",
                               f"non-finite {kind}")
         if row.quaternion and _degenerate(getattr(event, row.quaternion)):
             return self._drop(event.stamp, kind,
                               "dropped_degenerate_quaternion",
                               f"degenerate {kind} quaternion")
-        if row.needs_clock and not self._started:
+        if row.needs_clock and self.ring.last_stamp is None:
             return self._drop(event.stamp, kind, "dropped_before_clock",
                               "no imu clock yet")
         return row.handler(self, event)
@@ -472,31 +484,30 @@ class FusionPipeline:
         """The raw gyro/accel update, then the orientation update when there
         is an orientation measurement (see ``_imu_vectors``)."""
         raw, orient = self._imu_models[kind]
-        if z_orient is None:
-            return [(z_raw, raw, 1.0)]
-        return [(z_raw, raw, 1.0), (z_orient, orient, 1.0)]
+        return [(z_raw, raw, 1.0)] + ([] if z_orient is None
+                                      else [(z_orient, orient, 1.0)])
 
-    def _imu_step(self, state: FilterState, cov: np.ndarray, step: Snapshot,
-                  records: Optional[list[UpdateRecord]] = None
-                  ) -> tuple[FilterState, np.ndarray]:
-        """Predict to the step's IMU stamp, run the updates of its stored
-        measurement vectors, and the ZUPT update while one was held.  Live
-        ingestion and ring replay both run this, so the two paths are
-        bit-identical."""
-        dt_total = step.stamp - state.stamp
+    def _imu_step(self, x: np.ndarray, cov: np.ndarray, stamp: float,
+                  step: Snapshot, records: Optional[list[UpdateRecord]] = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Predict from ``stamp`` to the step's IMU stamp, run the updates
+        of its stored measurement vectors, and the ZUPT update while one was
+        held.  Live ingestion and ring replay both run this, so the two
+        paths are bit-identical."""
+        dt_total = step.stamp - stamp
         q_rate = self._modes[step.coast_active][1]
         while dt_total > 1e-12:
             dt = min(dt_total, _MAX_STEP_DT)
-            state, cov = ukf_predict(state, cov, PropagationStep(dt, q_rate),
-                                     self._params)
+            x, cov = ukf_predict(x, cov, PropagationStep(dt, q_rate),
+                                 self._params)
             dt_total -= dt
         updates = self._imu_update_list("imu", step.z_raw, step.z_orient)
         if step.zupt_active:
             updates.append((np.zeros(3), self._zupt_model, 1.0))
-        state, cov, _ = self._apply_updates(
-            state, cov, updates, step.coast_active,
+        x, cov, _ = self._apply_updates(
+            x, cov, updates, step.coast_active,
             [] if records is None else records)
-        return state, cov
+        return x, cov
 
     def _imu_clock_restarted(self, stamp: float) -> bool:
         """Whether ``stamp`` confirms a jump of the primary-IMU clock, ahead
@@ -509,7 +520,7 @@ class FusionPipeline:
         ring can be carried across it."""
         if not (self._jump_stamp is not None
                 and 0.0 < stamp - self._jump_stamp <= _MAX_IMU_GAP
-                and not -_MAX_IMU_DELAY <= stamp - self.state.stamp
+                and not -_MAX_IMU_DELAY <= stamp - self.ring.last_stamp
                 <= _MAX_IMU_GAP):
             return False
         diagnostics = self.diagnostics
@@ -519,15 +530,14 @@ class FusionPipeline:
         return True
 
     def _on_imu(self, sample: ImuSample) -> StepReport:
-        if not self._started or self._imu_clock_restarted(sample.stamp):
-            self.state = FilterState.from_vector(self.state.as_vector(),
-                                                 stamp=sample.stamp)
-            self._started = True
-        elif not 0.0 < sample.stamp - self.state.stamp <= _MAX_IMU_GAP:
+        clock = self.ring.last_stamp
+        if clock is None or self._imu_clock_restarted(sample.stamp):
+            clock = sample.stamp  # the first step predicts nothing
+        elif not 0.0 < sample.stamp - clock <= _MAX_IMU_GAP:
             # a lone stamp outside the window is dropped; the next one may
             # confirm a jump
             self._jump_stamp = sample.stamp
-            if sample.stamp <= self.state.stamp:
+            if sample.stamp <= clock:
                 return self._drop(sample.stamp, "imu",
                                   "dropped_imu_out_of_order",
                                   "imu stamp not increasing")
@@ -540,13 +550,14 @@ class FusionPipeline:
         step = Snapshot(sample.stamp, None, None, *self._imu_vectors(sample),
                         self._zupt_active, self.coast.active)
         records: list[UpdateRecord] = []
-        self.state, self.cov = self._imu_step(self.state, self.cov, step,
-                                              records)
-        self.state.validate()
-        step.state, step.cov = self.state.copy(), self.cov.copy()
+        self.x, self.cov = self._imu_step(self.x, self.cov, clock, step,
+                                          records)
+        report = self._report(sample.stamp, "imu", records)
+        report.state.validate()
+        step.x, step.cov = self.x, self.cov
         self.ring.record(step)
         self._update_lever(sample.stamp)
-        return self._report(sample.stamp, "imu", records)
+        return report
 
     def _on_imu2(self, sample: ImuSample) -> StepReport:
         updates = self._imu_update_list("imu2", *self._imu_vectors(sample))
@@ -593,7 +604,7 @@ class FusionPipeline:
                 GeodeticCoord(sample.lat, sample.lon, sample.alt))
             self._count("origin_set")
             return self._report(sample.stamp, "gps", origin_set=True)
-        if not self._started:
+        if self.ring.last_stamp is None:
             return self._drop(sample.stamp, "gps", "dropped_before_clock",
                               "no imu clock yet")
 
@@ -651,7 +662,7 @@ class FusionPipeline:
 
     def _on_vslam(self, sample: VslamPoseSample) -> StepReport:
         cfg = self.config
-        pitch = quat_to_euler(self.state.quaternion)[1]
+        pitch = quat_to_euler(self.x[QUAT])[1]
         limit = np.radians(90.0 - cfg["vslam.singularity_deg"])
         if abs(pitch) > limit:
             return self._drop(sample.stamp, "vslam",
@@ -683,12 +694,9 @@ class FusionPipeline:
             return
         self.vslam_anchor.rejections += 1
         if self.vslam_anchor.rejections >= self.config["vslam.reinit_n"]:
-            if self._last_raw_vslam is not None:
-                raw_p, raw_q = self._last_raw_vslam
-                self.vslam_anchor.reanchor(self.state.position,
-                                           self.state.quaternion,
-                                           raw_p, raw_q)
-                self._count("vslam_reanchors")
+            self.vslam_anchor.reanchor(self.x[POS], self.x[QUAT],
+                                       *self._last_raw_vslam)
+            self._count("vslam_reanchors")
 
     # ------------------------------------------------------------------
     # persistence
@@ -722,13 +730,12 @@ class FusionPipeline:
             session = {name: _decode(doc["session"][name])
                        for name in self._SESSION}
             ring = session["ring"]
-            for state, cov in ([(session["state"], session["cov"])]
-                               + [(e.state, e.cov) for e in ring.entries]):
-                if (state.vector.shape != (STATE_DIM,)
-                        or cov.shape != (STATE_DIM, STATE_DIM)
-                        or not np.isfinite(cov).all()):
-                    raise ValueError("bad state shape or covariance")
-                state.validate()
+            for x, cov in ([(session["x"], session["cov"])]
+                           + [(e.x, e.cov) for e in ring.entries]):
+                if not (isinstance(x, np.ndarray)
+                        and _is_finite_array(cov, (STATE_DIM, STATE_DIM))):
+                    raise ValueError("bad state or covariance")
+                FilterState.from_vector(x, normalize=False).validate()
             orient = self._imu_models["imu"][1]
             for e in ring.entries:
                 if not (_is_finite_array(e.z_raw, (6,))
@@ -774,11 +781,10 @@ class FusionPipeline:
 
 #: the types a checkpoint may hold besides JSON scalars and containers, each
 #: with the attributes a live instance carries, which are what it stores
-_SESSION_TYPES = {type(obj).__name__: (type(obj), tuple(
-    getattr(obj, "__slots__", None) or vars(obj))) for obj in (
-    FilterState(), Snapshot(0.0, None, None, None), StateSnapshotRing(),
-    CoastState(), VslamAnchor(), AdaptiveEstimator("", np.eye(1)),
-    GeodeticCoord(0, 0), EnuOrigin.from_geodetic(GeodeticCoord(0, 0)))}
+_SESSION_TYPES = {type(o).__name__: (type(o), tuple(vars(o))) for o in (
+    Snapshot(0.0, None, None, None), StateSnapshotRing(), CoastState(),
+    VslamAnchor(), AdaptiveEstimator("", np.eye(1)), GeodeticCoord(0, 0),
+    EnuOrigin.from_geodetic(GeodeticCoord(0, 0)))}
 _SEQUENCES = {"list": list, "tuple": tuple, "deque": deque}
 #: the stored form of every array element: little-endian float64
 _ARRAY_DTYPE = np.dtype("<f8")
@@ -807,8 +813,8 @@ def _check_session_values(session: dict) -> None:
     counters, steps = session["diagnostics"], session["ring"].entries
     checks = {
         "flags": all(type(v) is bool for v in (
-            session["_started"], session["_zupt_active"],
-            session["_lever_validated"], coast.active, coast.relax_armed,
+            session["_zupt_active"], session["_lever_validated"],
+            coast.active, coast.relax_armed,
             *(flag for e in steps for flag in (e.zupt_active,
                                                e.coast_active)))),
         "stamps": all(v is None or _is_real(v) for v in (
@@ -900,7 +906,7 @@ class SensorPolicy:
 
     enable_key: Optional[str]         # None: the sensor is always on
     disabled_counter: Optional[str]
-    finite: tuple[str, ...]           # payload fields; None counts as absent
+    shapes: dict[str, tuple[int, ...]]  # payload field: shape; None: absent
     needs_clock: bool
     handler: Callable[[FusionPipeline, SensorEvent], StepReport]
     #: the payload's rotation field, which must have a nonzero norm
@@ -908,7 +914,7 @@ class SensorPolicy:
     delayed: bool = False             # late: fused at its stamp
 
 
-_IMU_FIELDS = ("gyro", "accel", "orientation")
+_IMU_FIELDS = {"gyro": (3,), "accel": (3,), "orientation": (4,)}
 
 SENSORS: dict[str, SensorPolicy] = {
     # the primary IMU starts the clock and is always on
@@ -918,22 +924,25 @@ SENSORS: dict[str, SensorPolicy] = {
                          _IMU_FIELDS, True, FusionPipeline._on_imu2,
                          "orientation"),
     "encoder": SensorPolicy("encoder.enabled", "dropped_encoder_disabled",
-                            ("velocity", "yaw_rate"), True,
+                            {"velocity": (2,), "yaw_rate": ()}, True,
                             FusionPipeline._on_encoder),
     # the first fix sets the origin without the clock; the handler checks
     # the clock after that
     "gps": SensorPolicy("gnss.enabled", "dropped_gnss_disabled",
-                        ("lat", "lon", "alt", "hdop", "vdop", "err_horz",
-                         "err_vert", "covariance"), False,
+                        {**dict.fromkeys(("lat", "lon", "alt", "hdop", "vdop",
+                                          "err_horz", "err_vert"), ()),
+                         "covariance": (3, 3)}, False,
                         FusionPipeline._on_gps_fix, delayed=True),
     "gps_vel": SensorPolicy("gnss.velocity_enabled",
-                            "dropped_gps_vel_disabled", ("velocity_en",),
+                            "dropped_gps_vel_disabled", {"velocity_en": (2,)},
                             True, FusionPipeline._on_gps_velocity,
                             delayed=True),
     "radar": SensorPolicy("radar.enabled", "dropped_radar_disabled",
-                          ("velocity_body",), True, FusionPipeline._on_radar),
+                          {"velocity_body": (2,)}, True,
+                          FusionPipeline._on_radar),
     "vslam": SensorPolicy("vslam.enabled", "dropped_vslam_disabled",
-                          ("position", "quaternion", "cov_diag"), True,
+                          {"position": (3,), "quaternion": (4,),
+                           "cov_diag": (6,)}, True,
                           FusionPipeline._on_vslam, "quaternion",
                           delayed=True),
 }

@@ -1,13 +1,17 @@
 """State snapshot ring and delayed-measurement replay.
 
 The pipeline records a snapshot after every primary-IMU step: the step's
-measurement vectors and modes, and the state and covariance after it.  When a
-delayed measurement arrives, the ring restores the newest snapshot at or
-before the measurement epoch, applies the measurement there, and re-runs
-the recorded IMU steps forward, rewriting the stored states along the way.
+stamp, measurement vectors and modes, and the state ``x`` and covariance
+after it.  The newest snapshot's stamp is the filter clock.  When a delayed
+measurement arrives, the ring restores the newest snapshot at or before the
+measurement epoch, applies the measurement there, and re-runs the recorded
+IMU steps forward, each from the stamp of the snapshot before it, rewriting
+the stored states along the way.
 Only IMU steps are replayed; lower-latency sensors are applied where they
 arrived.  Measurements older than the buffered span are dropped (applying
 them stale would reintroduce exactly the error replay exists to remove).
+Snapshots hold the arrays they are given, uncopied; the engine never writes
+into an array, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -18,13 +22,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FilterState
-
 
 @dataclass
 class Snapshot:
     """One primary-IMU step: its sample's measurement vectors and the modes
-    it ran under, and the state and covariance after it.
+    it ran under, and the state ``x`` and covariance after it.
 
     ``z_raw`` is the sample's gyro and accel, and ``z_orient`` its roll,
     pitch (and yaw when the source has a magnetometer), or None when the
@@ -32,7 +34,7 @@ class Snapshot:
     sample arrives, so a replay re-runs only the filter arithmetic."""
 
     stamp: float
-    state: FilterState
+    x: np.ndarray
     cov: np.ndarray
     z_raw: np.ndarray
     z_orient: Optional[np.ndarray] = None
@@ -44,7 +46,7 @@ class Snapshot:
 class ReplayOutcome:
     status: str  # "applied", "dropped_old", "empty"
     steps_replayed: int = 0
-    state: Optional[FilterState] = None
+    x: Optional[np.ndarray] = None
     cov: Optional[np.ndarray] = None
     result: object = None
 
@@ -66,10 +68,6 @@ class StateSnapshotRing:
     def last_stamp(self) -> Optional[float]:
         return self.entries[-1].stamp if self.entries else None
 
-    @property
-    def first_stamp(self) -> Optional[float]:
-        return self.entries[0].stamp if self.entries else None
-
     def record(self, snapshot: Snapshot) -> None:
         if self.entries and snapshot.stamp <= self.entries[-1].stamp:
             raise ValueError("snapshot stamps must be strictly increasing")
@@ -85,16 +83,17 @@ class StateSnapshotRing:
     def apply_delayed(
         self,
         stamp: float,
-        apply_fn: Callable[[FilterState, np.ndarray], tuple],
-        replay_fn: Callable[[FilterState, np.ndarray, Snapshot], tuple],
+        apply_fn: Callable[[np.ndarray, np.ndarray], tuple],
+        replay_fn: Callable[[np.ndarray, np.ndarray, float, Snapshot], tuple],
     ) -> ReplayOutcome:
         """Rewind, apply, and replay one delayed measurement.
 
-        ``apply_fn(state, cov) -> (state, cov, result)`` performs the
-        measurement update at the restored epoch; ``replay_fn(state, cov,
-        snapshot) -> (state, cov)`` re-runs one recorded IMU step.  The
-        ring's stored states are replaced with the replayed ones so later
-        delayed measurements rewind onto corrected history.
+        ``apply_fn(x, cov) -> (x, cov, result)`` performs the measurement
+        update at the restored epoch; ``replay_fn(x, cov, stamp, snapshot)
+        -> (x, cov)`` re-runs one recorded IMU step from ``stamp``, the
+        stamp of the snapshot before it.  The ring's stored states are
+        replaced with the replayed ones so later delayed measurements rewind
+        onto corrected history.
         """
         if not self.entries:
             return ReplayOutcome(status="empty")
@@ -102,14 +101,13 @@ class StateSnapshotRing:
             return ReplayOutcome(status="dropped_old")
         idx = self.nearest_at_or_before(stamp)
         base = self.entries[idx]
-        state, cov, result = apply_fn(base.state, base.cov)
-        self.entries[idx].state = state
-        self.entries[idx].cov = cov
-        steps = 0
+        x, cov, result = apply_fn(base.x, base.cov)
+        base.x, base.cov = x, cov
+        prev = base.stamp
         for entry in self.entries[idx + 1 :]:
-            state, cov = replay_fn(state, cov, entry)
-            entry.state = state
-            entry.cov = cov
-            steps += 1
-        return ReplayOutcome(status="applied", steps_replayed=steps,
-                             state=state, cov=cov, result=result)
+            x, cov = replay_fn(x, cov, prev, entry)
+            entry.x, entry.cov = x, cov
+            prev = entry.stamp
+        return ReplayOutcome(status="applied",
+                             steps_replayed=len(self.entries) - idx - 1,
+                             x=x, cov=cov, result=result)

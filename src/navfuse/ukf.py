@@ -10,7 +10,9 @@ its blocks on its own (``update``).  Quaternions are
 raw 4-vectors, hemisphere-aligned before any averaging or differencing and
 renormalized after perturbation or correction.  Every covariance leaving
 this module is symmetrized, eigenvalue-repaired to a positive-definite
-floor, and has its angular-rate variances capped.
+floor, and has its angular-rate variances capped.  The engine takes and
+returns plain arrays, the flat state ``x`` and its covariance, knows no
+clock, and never writes into its inputs, so callers may share them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .core import (
     OMEGA_VAR_CAP,
     QUAT,
     STATE_DIM,
-    FilterState,
     NumericalError,
     normalize_rows,
     wrap_angle,
@@ -91,11 +92,11 @@ class BlockOutcome:
 @dataclass
 class UpdateOutcome:
     """Result of one measurement update.  On rejection the returned state
-    and covariance are the untouched inputs.  A stacked model's update is
+    ``x`` and covariance are the untouched inputs.  A stacked model's update is
     accepted when any block is, its d2 is the sum of theirs, and ``blocks``
     holds each block's outcome, in row order."""
 
-    state: FilterState
+    x: np.ndarray
     cov: np.ndarray
     accepted: bool
     d2: float
@@ -223,20 +224,21 @@ def _deviations(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 
 def predict(
-    state: FilterState,
+    x: np.ndarray,
     cov: np.ndarray,
     step: PropagationStep,
     params: UkfParams,
     transition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     epsilon: float = EPSILON_PD,
-) -> tuple[FilterState, np.ndarray]:
-    """Propagate mean and covariance through one process step.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate the flat state ``x`` and its covariance through one
+    process step, returning new arrays.
 
     ``transition`` overrides the kinematic model with an arbitrary batched
     map over flat state rows (used by oracle tests); the process noise of
     ``step`` is added either way.
     """
-    points = generate_sigma_points(state.as_vector(), cov, params, epsilon)
+    points = generate_sigma_points(x, cov, params, epsilon)
     if transition is None:
         # the kinematic step renormalizes its quaternions already
         propagated = propagate_states(points, step.dt)
@@ -249,13 +251,11 @@ def predict(
         raise NumericalError("prediction produced non-finite mean")
     dev = _deviations(propagated, mean)
     p_out = (dev.T * wc) @ dev + process_noise_matrix(step)
-    p_out = _condition(p_out, epsilon)
-    return (FilterState.from_vector(mean, stamp=state.stamp + step.dt,
-                                    normalize=False), p_out)
+    return mean, _condition(p_out, epsilon)
 
 
 def update(
-    state: FilterState,
+    x: np.ndarray,
     cov: np.ndarray,
     z: np.ndarray,
     model,
@@ -264,7 +264,8 @@ def update(
     frozen: Optional[Sequence[int]] = None,
     epsilon: float = EPSILON_PD,
 ) -> UpdateOutcome:
-    """Standard UKF measurement update with gating and residual wrapping.
+    """Standard UKF measurement update of the flat state ``x`` and its
+    covariance, with gating and residual wrapping.
 
     A model with a matrix H skips the sigma points: nu = z - Hx,
     S = HPH^T + R and Pxz = PH^T.  Angle-flagged measurement components
@@ -298,8 +299,7 @@ def update(
             res[..., angular] = wrap_angle(res[..., angular])
         return res
 
-    x = state.as_vector()
-    h = model.matrix
+    mean, h = x, model.matrix
     if h is not None:
         pxz = cov @ h.T
         if model.blocks:
@@ -315,13 +315,13 @@ def update(
     else:
         wm, wc = params.weights()
         points = generate_sigma_points(x, cov, params, epsilon)
-        x = points[0]  # its quaternion renormalized
+        mean = points[0]  # x with its quaternion renormalized
         zpts = model.h(points)
         zbar = zpts[0] + wm @ wrapped(zpts - zpts[0])
         dz = wrapped(zpts - zbar)
         s = symmetrize((dz.T * wc) @ dz + model.r)
         nu = wrapped(z - zbar)
-        dev = _deviations(points, x)
+        dev = _deviations(points, mean)
         pxz = (dev.T * wc) @ dz
     innovation = nu
     if model.blocks:
@@ -330,7 +330,7 @@ def update(
         d2 = sum(part.d2 for part in parts)
         if rows is None:
             singular = all(part.reason == "singular" for part in parts)
-            return UpdateOutcome(state, cov, False, d2, nu,
+            return UpdateOutcome(x, cov, False, d2, nu,
                                  "singular" if singular else "gated", parts)
         # the gain comes from the accepted rows alone
         nu, s, pxz = nu[rows], _submatrix(s, rows), pxz[:, rows]
@@ -342,11 +342,11 @@ def update(
         try:
             solved = np.linalg.solve(s, rhs)
         except np.linalg.LinAlgError:
-            return UpdateOutcome(state, cov, False, float("inf"), nu,
+            return UpdateOutcome(x, cov, False, float("inf"), nu,
                                  reason="singular")
         d2 = float(nu @ solved[:, 0])
         if not d2 <= model.gate * gate_scale:
-            return UpdateOutcome(state, cov, False, d2, nu, reason="gated")
+            return UpdateOutcome(x, cov, False, d2, nu, reason="gated")
 
     k = solved[:, 1:].T
     if frozen is not None and len(frozen):
@@ -354,17 +354,14 @@ def update(
         # BLAS kernel behind k @ nu, and with it the last bits of the result
         k = k.copy()
         k[frozen, :] = 0.0
-    new_vec = x + k @ nu
+    new_vec = mean + k @ nu
     new_vec[QUAT] = normalize_rows(new_vec[QUAT])
     if not np.isfinite(new_vec).all():
         raise NumericalError("update produced non-finite state")
     k_pxz = k @ pxz.T  # its transpose is pxz @ k.T, bit for bit
     p_new = cov - k_pxz - k_pxz.T + k @ s @ k.T
-    p_new = _condition(p_new, epsilon)
-    new_state = FilterState.from_vector(new_vec, stamp=state.stamp,
-                                        normalize=False)
-    return UpdateOutcome(new_state, p_new, True, d2, innovation,
-                         blocks=parts)
+    return UpdateOutcome(new_vec, _condition(p_new, epsilon), True, d2,
+                         innovation, blocks=parts)
 
 
 def _submatrix(s: np.ndarray, rows) -> np.ndarray:

@@ -111,6 +111,19 @@ class TestRunAndEvaluate:
         assert sorted(os.listdir(out)) == ["d2_imu_orientation.txt",
                                            "metrics.txt"]
 
+    def test_evaluate_without_pose_pairs_is_data_error(self, tmp_path,
+                                                       capsys):
+        (tmp_path / "est.txt").write_text(
+            "0.0 0 0 0 0 0 0 1\n0.1 1 0 0 0 0 0 1\n")
+        (tmp_path / "ref.txt").write_text(
+            "5.0 0 0 0 0 0 0 1\n5.1 1 0 0 0 0 0 1\n")
+        assert main(["evaluate", "--est", str(tmp_path / "est.txt"),
+                     "--ref", str(tmp_path / "ref.txt"),
+                     "--out", str(tmp_path / "eval")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "pose pairs" in err
+        assert not (tmp_path / "eval").exists()
+
     def test_run_determinism_byte_identical(self, sim_dir, tmp_path):
         outs = []
         for name in ("r1", "r2"):

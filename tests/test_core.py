@@ -209,9 +209,9 @@ class TestStateVector:
     def test_flatten_roundtrip_exact(self, rng):
         vec = rng.normal(size=STATE_DIM)
         vec[QUAT] = random_unit_quat(rng)
-        state = FilterState.from_vector(vec, stamp=12.5, normalize=False)
+        state = FilterState.from_vector(vec, normalize=False)
         assert np.array_equal(state.as_vector(), vec)
-        assert state.stamp == 12.5
+        assert not hasattr(state, "stamp")
 
     def test_dimension_is_23(self):
         assert FilterState().as_vector().shape == (STATE_DIM,) == (23,)

@@ -74,6 +74,12 @@ def ingest_counting(pipe, event):
     return report, bumped
 
 
+def session_of(pipe):
+    """The session but for its counters, as a checkpoint stores it."""
+    return [pipeline_module._encode(getattr(pipe, name))
+            for name in pipe._SESSION if name != "diagnostics"]
+
+
 def array_doc(a):
     """An array as a checkpoint stores it."""
     return {"type": "ndarray", "shape": list(a.shape),
@@ -161,20 +167,21 @@ class TestBasics:
         pipe.ingest(imu_at(0.0))
         report = pipe.ingest(imu_at(1.7))
         assert report.dropped is None
-        assert pipe.state.stamp == pytest.approx(1.7)
+        assert pipe.ring.last_stamp == pytest.approx(1.7)
 
     def test_imu_time_jump_dropped_without_predicting(self, monkeypatch):
         pipe = FusionPipeline(PipelineConfig())
         run(pipe, stationary_stream(0.5))
-        state, cov, ring = pipe.state, pipe.cov, list(pipe.ring.entries)
+        x, cov, ring = pipe.x, pipe.cov, list(pipe.ring.entries)
         predicts = []
         monkeypatch.setattr(pipeline_module, "ukf_predict",
                             lambda *args, **kw: predicts.append(args))
-        report, bumped = ingest_counting(pipe, imu_at(state.stamp + 1e6))
+        report, bumped = ingest_counting(pipe,
+                                         imu_at(pipe.ring.last_stamp + 1e6))
         assert report.dropped is not None
         assert bumped == {"dropped_imu_time_jump": 1}
         assert predicts == []
-        assert pipe.state is state and pipe.cov is cov
+        assert pipe.x is x and pipe.cov is cov
         assert pipe.ring.entries == ring
 
     def test_confirmed_imu_time_jump_restarts_and_fuses_again(self,
@@ -182,7 +189,7 @@ class TestBasics:
         pipe = FusionPipeline(PipelineConfig())
         run(pipe, stationary_stream(0.5, gps_rate=5.0))
         assert pipe.origin is not None
-        jump = pipe.state.stamp + 1e6
+        jump = pipe.ring.last_stamp + 1e6
         predicts = []
 
         def counting_predict(*args, **kw):
@@ -197,13 +204,13 @@ class TestBasics:
         assert report.dropped is None
         assert bumped["imu_clock_restarts"] == 1
         assert predicts == []
-        assert pipe.state.stamp == jump + 0.01
+        assert pipe.ring.last_stamp == jump + 0.01
         assert pipe.origin is None
         assert [e.stamp for e in pipe.ring.entries] == [jump + 0.01]
         report = pipe.ingest(imu_at(jump + 0.02))
         assert report.dropped is None
         assert predicts == [pytest.approx(0.01)]
-        assert pipe.state.stamp == jump + 0.02
+        assert pipe.ring.last_stamp == jump + 0.02
         assert pipe.diagnostics["dropped_imu_time_jump"] == 1
         assert pipe.diagnostics["imu_clock_restarts"] == 1
 
@@ -213,7 +220,7 @@ class TestBasics:
         reports = run(pipe, [imu_at(k / 1000) for k in range(1, 200)])
         assert reports[0].dropped is not None
         assert all(r.dropped is None for r in reports[1:])
-        assert pipe.state.stamp == 0.199
+        assert pipe.ring.last_stamp == 0.199
         assert pipe.diagnostics["dropped_imu_out_of_order"] == 1
         assert pipe.diagnostics["imu_clock_restarts"] == 1
 
@@ -229,17 +236,17 @@ class TestBasics:
         reports = run(pipe, [imu_at(t) for t in stale])
         assert all(r.dropped is not None for r in reports)
         assert pipe.ingest(imu_at(0.5)).dropped is None
-        assert pipe.state.stamp == 0.5
+        assert pipe.ring.last_stamp == 0.5
         assert pipe.diagnostics["dropped_imu_out_of_order"] == len(stale)
         assert "imu_clock_restarts" not in pipe.diagnostics
 
     def test_lone_imu_time_jump_keeps_the_clock(self):
         pipe = FusionPipeline(PipelineConfig())
         run(pipe, stationary_stream(0.5))
-        now = pipe.state.stamp
+        now = pipe.ring.last_stamp
         for stamp in (now + 1e6, now + 0.01, now + 1e6 + 0.01, now + 0.02):
             pipe.ingest(imu_at(stamp))
-        assert pipe.state.stamp == now + 0.02
+        assert pipe.ring.last_stamp == now + 0.02
         assert pipe.diagnostics["dropped_imu_time_jump"] == 2
         assert "imu_clock_restarts" not in pipe.diagnostics
 
@@ -303,18 +310,13 @@ class TestSensorTable:
         assert bumped == {"dropped_nonfinite": 1}
         pipe.ingest(imu_at(0.0))
         pipe.ingest(imu_at(0.01))
-        assert pipe.state.stamp == pytest.approx(0.01)
+        assert pipe.ring.last_stamp == pytest.approx(0.01)
 
     @pytest.mark.parametrize("kind", ["imu", "imu2", "vslam"])
     def test_degenerate_quaternion_dropped(self, kind):
         pipe = FusionPipeline(PipelineConfig(ALL_ON))
         run(pipe, stationary_stream(0.5, gps_rate=5.0))
-
-        def session():
-            return [pipeline_module._encode(getattr(pipe, name))
-                    for name in pipe._SESSION if name != "diagnostics"]
-
-        before = session()
+        before = session_of(pipe)
         event = event_of(kind, 0.5, 0.3)
         if kind == "vslam":
             event.quaternion = np.zeros(4)
@@ -324,7 +326,32 @@ class TestSensorTable:
         assert bumped == {"dropped_degenerate_quaternion": 1}
         assert report.dropped == f"degenerate {kind} quaternion"
         assert not report.updates
-        assert session() == before
+        assert session_of(pipe) == before
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("imu", "gyro", np.zeros(2)),
+        ("imu", "orientation", np.array([1.0, 0.0, 0.0])),
+        ("encoder", "velocity", np.zeros(3)),
+        ("encoder", "velocity", np.zeros(1)),
+        ("radar", "velocity_body", np.zeros(3)),
+        ("gps_vel", "velocity_en", np.zeros(3)),
+        ("vslam", "position", np.zeros(2)),
+        ("vslam", "cov_diag", np.ones(5)),
+        ("gps", "covariance", np.ones(8)),
+    ], ids=["imu_gyro", "imu_orientation", "encoder_3", "encoder_1",
+            "radar", "gps_vel", "vslam_position", "vslam_cov_diag",
+            "gps_covariance"])
+    def test_malformed_payload_dropped(self, kind, name, value):
+        pipe = FusionPipeline(PipelineConfig(ALL_ON))
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+        before = session_of(pipe)
+        event = event_of(kind, 0.5, 0.3)
+        setattr(event, name, value)
+        report, bumped = ingest_counting(pipe, event)
+        assert bumped == {"dropped_malformed": 1}
+        assert report.dropped == f"malformed {kind}"
+        assert not report.updates
+        assert session_of(pipe) == before
 
     @pytest.mark.parametrize("kind", sorted(SWITCHES))
     def test_before_imu_clock(self, kind):
@@ -457,7 +484,7 @@ class TestGps:
 
     @pytest.mark.parametrize("covariance", [
         -4.0 * np.eye(3),                          # fused with d2 < 0
-        np.ones(8),                                # not 3x3
+        np.diag([1.0, -1.0, 1.0]),                 # indefinite
         np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1]]),  # not symmetric
     ])
     def test_fix_with_invalid_covariance_is_quality_rejected(self,
@@ -822,12 +849,12 @@ class TestAuxiliarySensors:
         cfg = PipelineConfig({"imu2.enabled": True})
         pipe = FusionPipeline(cfg)
         pipe.ingest(imu_at(0.0))
-        stamp_before = pipe.state.stamp
+        stamp_before = pipe.ring.last_stamp
         report = pipe.ingest(ImuSample(0.005, np.zeros(3), GRAVITY.copy(),
                                        None, source=2))
         assert report.kind == "imu2"
         assert report.updates  # fused
-        assert pipe.state.stamp == stamp_before  # clock untouched
+        assert pipe.ring.last_stamp == stamp_before  # clock untouched
         cfg_off = PipelineConfig()
         pipe2 = FusionPipeline(cfg_off)
         pipe2.ingest(imu_at(0.0))
@@ -941,14 +968,15 @@ class TestFusionRouting:
     def test_prompt_kind_stamped_in_the_past_is_fused_where_it_arrives(
             self, kind):
         pipe = self._pipe()
-        history = [e.state.as_vector() for e in pipe.ring.entries]
+        clock = pipe.ring.last_stamp
+        history = [e.x.copy() for e in pipe.ring.entries]
         report, bumped = ingest_counting(pipe, event_of(kind, 0.3, 0.2))
         assert report.dropped is None
         paths, engine_calls = self.PROMPT[kind]
         assert [rec.path for rec in report.updates] == paths
         assert bumped == {"engine_update_calls": engine_calls}
-        assert pipe.state.stamp == pipe.ring.last_stamp
-        assert all(np.array_equal(e.state.as_vector(), old)
+        assert pipe.ring.last_stamp == clock
+        assert all(np.array_equal(e.x, old)
                    for e, old in zip(pipe.ring.entries, history))
 
     @pytest.mark.parametrize("kind", ["gps", "gps_vel", "vslam"])
@@ -1041,8 +1069,13 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("keys, value", [
         ((), []),                                           # wrong root type
-        (("session", "_started"), None),                    # missing key
-        (("session", "state", "value", "vector"), array_doc(np.zeros(5))),
+        (("version",), 3),
+        (("session", "_zupt_active"), None),                # missing key
+        (("session", "x"), array_doc(np.zeros(5))),
+        (("session", "x"), {"type": "list", "maxlen": None,
+                            "value": [0.0] * 3 + [1.0] + [0.0] * 19}),
+        (("session", "ring", "value", "entries", "value", 0, "value", "x"),
+         array_doc(np.ones(23))),                         # non-unit quaternion
         (("session", "cov"), array_doc(np.zeros((23, 3)))),
         (("session", "coast", "type"), "Popen"),            # unknown type
         (("session", "cov", "value"), "not base64!"),       # garbled bytes
@@ -1075,7 +1108,8 @@ class TestLifecycle:
         (("session", "_heading_anchor"), 5),
         (("session", "ring", "value", "entries", "value", 0, "value",
           "coast_active"), 5),
-    ], ids=["root", "missing", "state_shape", "cov_shape", "unknown_type",
+    ], ids=["root", "version_3", "missing", "state_shape", "state_list",
+            "snapshot_state", "cov_shape", "unknown_type",
             "garbled", "truncated", "payload_shape", "snapshot_z_raw",
             "snapshot_z_orient", "extra_attribute", "missing_attribute",
             "estimator_r_nan", "estimator_r_indefinite",

@@ -28,14 +28,13 @@ def make_step(dt=0.01, frozen=(), position_scale=1.0, **noise):
 def advance(x, step):
     """One kinematic step of a single state."""
     rows = propagate_states(x.as_vector()[None, :], step.dt)
-    return FilterState.from_vector(rows[0], stamp=x.stamp + step.dt)
+    return FilterState.from_vector(rows[0])
 
 
 class TestPropagate:
-    def test_rest_state_only_advances_stamp(self):
-        x = FilterState(stamp=3.0)
+    def test_rest_state_stays_put(self):
+        x = FilterState()
         out = advance(x, make_step(0.02))
-        assert out.stamp == pytest.approx(3.02)
         assert np.array_equal(out.as_vector(), x.as_vector())
 
     def test_forward_velocity_moves_position(self):

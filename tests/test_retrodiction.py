@@ -6,9 +6,8 @@ from navfuse.retrodiction import ReplayOutcome, Snapshot, StateSnapshotRing
 
 
 def snap(stamp, marker=0.0):
-    state = FilterState(stamp=stamp)
-    state.position = np.array([marker, 0.0, 0.0])
-    return Snapshot(stamp, state, np.eye(23) * (1.0 + marker), np.zeros(6))
+    x = FilterState(position=[marker, 0.0, 0.0]).vector
+    return Snapshot(stamp, x, np.eye(23) * (1.0 + marker), np.zeros(6))
 
 
 class TestRing:
@@ -17,7 +16,7 @@ class TestRing:
         for k in range(101):
             ring.record(snap(0.01 * k, marker=k))
         assert len(ring) == 100
-        assert ring.first_stamp == pytest.approx(0.01)
+        assert ring.entries[0].stamp == pytest.approx(0.01)
         assert ring.last_stamp == pytest.approx(1.0)
 
     def test_stamps_must_increase(self):
@@ -43,19 +42,15 @@ class TestRing:
 class TestApplyDelayed:
     @staticmethod
     def _fns():
-        calls = {"applied_at": None, "replayed": []}
+        calls = {"applied_to": None, "replayed": []}
 
-        def apply_fn(state, cov):
-            calls["applied_at"] = state.stamp
-            new = state.copy()
-            new.position = new.position + 1.0
-            return new, cov * 2.0, "ok"
+        def apply_fn(x, cov):
+            calls["applied_to"] = x[0]  # the restored snapshot's marker
+            return x + 1.0, cov * 2.0, "ok"
 
-        def replay_fn(state, cov, snapshot):
-            calls["replayed"].append(snapshot.stamp)
-            new = state.copy()
-            new.stamp = snapshot.stamp
-            return new, cov
+        def replay_fn(x, cov, stamp, snapshot):
+            calls["replayed"].append((stamp, snapshot.stamp))
+            return x.copy(), cov
 
         return calls, apply_fn, replay_fn
 
@@ -69,13 +64,13 @@ class TestApplyDelayed:
         ring = StateSnapshotRing(10)
         for k in range(5):
             ring.record(snap(1.0 + 0.01 * k, marker=k))
-        before = [e.state.position.copy() for e in ring.entries]
+        before = [e.x.copy() for e in ring.entries]
         calls, apply_fn, replay_fn = self._fns()
         out = ring.apply_delayed(0.5, apply_fn, replay_fn)
         assert out.status == "dropped_old"
-        assert calls["applied_at"] is None
+        assert calls["applied_to"] is None
         for e, b in zip(ring.entries, before):
-            assert np.array_equal(e.state.position, b)
+            assert np.array_equal(e.x, b)
 
     def test_zero_delay_replays_nothing(self):
         ring = StateSnapshotRing(10)
@@ -85,7 +80,7 @@ class TestApplyDelayed:
         out = ring.apply_delayed(0.04, apply_fn, replay_fn)
         assert out.status == "applied"
         assert out.steps_replayed == 0
-        assert calls["applied_at"] == pytest.approx(0.04)
+        assert calls["applied_to"] == 4
 
     def test_restores_nearest_at_or_before_and_replays_forward(self):
         ring = StateSnapshotRing(10)
@@ -94,11 +89,14 @@ class TestApplyDelayed:
         calls, apply_fn, replay_fn = self._fns()
         out = ring.apply_delayed(0.0349, apply_fn, replay_fn)
         assert out.status == "applied"
-        assert calls["applied_at"] == pytest.approx(0.03)
+        assert calls["applied_to"] == 3
         assert out.steps_replayed == 4
-        assert calls["replayed"] == pytest.approx([0.04, 0.05, 0.06, 0.07])
+        # each replayed step starts from the stamp of the snapshot before it
+        stamps = [e.stamp for e in ring.entries]
+        assert calls["replayed"] == list(zip(stamps[3:7], stamps[4:8]))
         # the ring's stored history was rewritten with replayed states
-        assert ring.entries[3].state.position[0] == pytest.approx(4.0)
+        assert ring.entries[3].x[0] == pytest.approx(4.0)
+        assert ring.entries[7].x[0] == pytest.approx(4.0)
         assert ring.entries[3].cov[0, 0] == pytest.approx(2.0 * (1.0 + 3.0))
 
     def test_replay_determinism(self):
@@ -108,7 +106,7 @@ class TestApplyDelayed:
                 ring.record(snap(0.01 * k, marker=k))
             _, apply_fn, replay_fn = self._fns()
             out = ring.apply_delayed(0.0349, apply_fn, replay_fn)
-            return out.state.as_vector(), out.cov
+            return out.x, out.cov
 
         s1, c1 = run()
         s2, c2 = run()

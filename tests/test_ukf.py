@@ -202,7 +202,7 @@ def quiet_noise(**kw):
 
 class TestPredict:
     def test_fixed_point_at_rest(self):
-        x = FilterState(stamp=1.0)
+        x = FilterState().vector
         p = default_cov()
         # kinematic variances at the repair floor so perturbed sigma points
         # stay (numerically) at rest
@@ -211,8 +211,7 @@ class TestPredict:
         step = PropagationStep(0.01, noise_rates(PipelineConfig(
             {q_key: 0.0 for _, q_key, _ in STATE_BLOCKS})))
         x1, p1 = predict(x, p, step, PARAMS)
-        assert x1.stamp == pytest.approx(1.01)
-        assert np.max(np.abs(x1.as_vector() - x.as_vector())) < 1e-12
+        assert np.max(np.abs(x1 - x)) < 1e-12
         # everything but the quaternion block is already invariant; the
         # quaternion block settles into tangent form after one transform
         mask = np.ones(STATE_DIM, dtype=bool)
@@ -223,7 +222,7 @@ class TestPredict:
         xi, pi = x1, p1
         for _ in range(5):
             x2, p2 = predict(xi, pi, step, PARAMS)
-            assert np.max(np.abs(x2.as_vector() - x.as_vector())) < 1e-12
+            assert np.max(np.abs(x2 - x)) < 1e-12
             assert np.max(np.abs((p2 - pi)[np.ix_(mask, mask)])) < 1e-10
             q_drift = np.max(np.abs((p2 - pi)[QUAT, QUAT]))
             assert q_drift < 5.0 * np.max(np.diag(pi)[QUAT]) ** 2
@@ -242,7 +241,7 @@ class TestPredict:
         vec[QUAT] = [1.0, 0, 0, 0]
         vec[7:10] = [1.0, -0.5, 0.2]
         vec[13:16] = [0.1, 0.0, -0.05]
-        x = FilterState.from_vector(vec)
+        x = vec
         p = default_cov()
 
         oracle = LinearKalmanOracle(a23[np.ix_(NON_QUAT, NON_QUAT)],
@@ -255,19 +254,18 @@ class TestPredict:
         for _ in range(20):
             x, p = predict(x, p, step, PARAMS, transition=transition)
             ox, op = oracle.predict(ox, op)
-            assert np.max(np.abs(x.as_vector()[NON_QUAT] - ox)) < 1e-9
+            assert np.max(np.abs(x[NON_QUAT] - ox)) < 1e-9
             assert np.max(np.abs(p[np.ix_(NON_QUAT, NON_QUAT)] - op)) < 1e-9
 
     def test_nan_angular_rate_raises(self):
-        x = FilterState(angular_rate=np.array([np.nan, 0.0, 0.0]))
+        x = FilterState(angular_rate=np.array([np.nan, 0.0, 0.0])).vector
         step = PropagationStep(0.01, noise_rates(PipelineConfig()))
         with pytest.raises(NumericalError):
             predict(x, default_cov(), step, PARAMS)
 
     def test_fuzz_invariants(self, rng):
-        x = FilterState.from_vector(
-            np.concatenate([rng.normal(size=3), random_unit_quat(rng),
-                            rng.normal(size=16) * 0.3]))
+        x = np.concatenate([rng.normal(size=3), random_unit_quat(rng),
+                            rng.normal(size=16) * 0.3])
         p = random_pd_matrix(rng, STATE_DIM, 0.02)
         step = PropagationStep(0.01, noise_rates(PipelineConfig()))
         for i in range(300):
@@ -295,43 +293,41 @@ def matrix_position_model(r_scalar=0.25, gate_threshold=1e12):
 
 class TestUpdate:
     def test_zero_innovation_keeps_state_shrinks_cov(self):
-        x = FilterState()
+        x = FilterState().vector
         p = default_cov()
         model = imu_raw_model(0.005, 0.05, 1e12)
         # recover the sigma-mean prediction so z equals z_hat exactly
-        probe = update(x, p, np.asarray(model.h(x.as_vector()[None, :]))[0],
+        probe = update(x, p, np.asarray(model.h(x[None, :]))[0],
                        model, PARAMS)
-        z = np.asarray(model.h(x.as_vector()[None, :]))[0] - probe.innovation
+        z = np.asarray(model.h(x[None, :]))[0] - probe.innovation
         out = update(x, p, z, model, PARAMS)
         assert out.accepted and out.d2 == pytest.approx(0.0, abs=1e-18)
-        assert np.max(np.abs(out.state.as_vector() - x.as_vector())) < 1e-15
+        assert np.max(np.abs(out.x - x)) < 1e-15
         assert np.trace(out.cov) < np.trace(p)
 
     def test_linear_update_matches_kalman_oracle(self, rng):
-        x = FilterState.from_vector(np.zeros(STATE_DIM) + 1e-12)
-        vec = x.as_vector()
-        vec[QUAT] = [1, 0, 0, 0]
-        x = FilterState.from_vector(vec)
+        x = np.zeros(STATE_DIM) + 1e-12
+        x[QUAT] = [1, 0, 0, 0]
         p = default_cov()
         model = linear_position_model()
         h19 = np.zeros((3, len(NON_QUAT)))
         h19[:, 0:3] = np.eye(3)
         oracle = LinearKalmanOracle(np.eye(len(NON_QUAT)),
                                     np.zeros(len(NON_QUAT)), 0)
-        ox = x.as_vector()[NON_QUAT]
+        ox = x[NON_QUAT]
         op = p[np.ix_(NON_QUAT, NON_QUAT)]
         for k in range(10):
             z = np.array([0.3 * k, -0.1, 0.05 * k])
             out = update(x, p, z, model, PARAMS)
-            x, p = out.state, out.cov
+            x, p = out.x, out.cov
             ox, op = oracle.update(ox, op, z, h19, model.r)
-            assert np.max(np.abs(x.as_vector()[NON_QUAT] - ox)) < 1e-9
+            assert np.max(np.abs(x[NON_QUAT] - ox)) < 1e-9
             assert np.max(np.abs(p[np.ix_(NON_QUAT, NON_QUAT)] - op)) < 1e-9
 
     def test_closed_form_matches_kalman_oracle_and_sigma_path(self, rng):
         vec = rng.normal(size=STATE_DIM) * 0.5
         vec[QUAT] = random_unit_quat(rng)
-        x = sigma_x = FilterState.from_vector(vec)
+        x = sigma_x = vec
         p = sigma_p = scaled_quat_block(random_pd_matrix(rng, STATE_DIM,
                                                          0.01), 1e-4)
         matrix_model = matrix_position_model()
@@ -344,32 +340,30 @@ class TestUpdate:
         for k in range(10):
             z = np.array([0.3 * k, -0.1, 0.05 * k])
             out = update(x, p, z, matrix_model, PARAMS)
-            x, p = out.state, out.cov
+            x, p = out.x, out.cov
             ox, op = oracle.update(ox, op, z,
                                    matrix_model.matrix[:, NON_QUAT],
                                    matrix_model.r)
-            assert np.max(np.abs(x.as_vector()[NON_QUAT] - ox)) < 1e-12
+            assert np.max(np.abs(x[NON_QUAT] - ox)) < 1e-12
             assert np.max(np.abs(p[np.ix_(NON_QUAT, NON_QUAT)] - op)) < 1e-12
             sig = update(sigma_x, sigma_p, z, linear_position_model(), PARAMS)
-            sigma_x, sigma_p = sig.state, sig.cov
-            assert np.max(np.abs(sigma_x.as_vector()[NON_QUAT]
-                                 - x.as_vector()[NON_QUAT])) < 1e-9
+            sigma_x, sigma_p = sig.x, sig.cov
+            assert np.max(np.abs(sigma_x[NON_QUAT] - x[NON_QUAT])) < 1e-9
             assert np.max(np.abs((sigma_p - p)[np.ix_(NON_QUAT, NON_QUAT)])
                           ) < 1e-9
 
     def test_gated_measurement_is_strict_noop(self):
-        x = FilterState()
+        x = FilterState().vector
         p = default_cov()
         model = linear_position_model(r_scalar=0.01, gate_threshold=16.27)
         z = np.array([500.0, 0.0, 0.0])
         out = update(x, p, z, model, PARAMS)
         assert not out.accepted and out.reason == "gated"
         assert out.d2 > 1e3 * 16.27
-        assert out.state is x and out.cov is p
-        assert np.array_equal(out.state.as_vector(), x.as_vector())
+        assert out.x is x and out.cov is p
 
     def test_singular_innovation_covariance_rejects_without_crash(self):
-        x = FilterState()
+        x = FilterState().vector
         p = default_cov()
 
         def h(states):
@@ -378,10 +372,10 @@ class TestUpdate:
         model = MeasurementModel("degenerate", 2, h, np.zeros((2, 2)), 10.0)
         out = update(x, p, np.zeros(2), model, PARAMS)
         assert not out.accepted and out.reason == "singular"
-        assert out.state is x
+        assert out.x is x
 
     def test_frozen_rows_hold_state_and_variance(self):
-        x = FilterState(velocity=np.array([1.0, 0, 0]))
+        x = FilterState(velocity=np.array([1.0, 0, 0])).vector
         p = default_cov()
         p[ENC_YAW_BIAS, 12] = p[12, ENC_YAW_BIAS] = 5e-5  # couple to omega_z
 
@@ -394,8 +388,8 @@ class TestUpdate:
         z = np.array([0.0, 0.0, 0.02])
         free = update(x, p, z, model, PARAMS)
         frozen = update(x, p, z, model, PARAMS, frozen=[ENC_YAW_BIAS])
-        assert free.state.encoder_yaw_bias != x.encoder_yaw_bias
-        assert frozen.state.encoder_yaw_bias == x.encoder_yaw_bias
+        assert free.x[ENC_YAW_BIAS] != x[ENC_YAW_BIAS]
+        assert frozen.x[ENC_YAW_BIAS] == x[ENC_YAW_BIAS]
         assert frozen.cov[ENC_YAW_BIAS, ENC_YAW_BIAS] == pytest.approx(
             p[ENC_YAW_BIAS, ENC_YAW_BIAS])
 
@@ -407,11 +401,58 @@ class TestUpdate:
         model = MeasurementModel("yaw_only", 1, h, np.array([[0.05]]), 1e12,
                                  angular=np.array([True]))
         from navfuse.core import euler_to_quat
-        x = FilterState(quaternion=euler_to_quat(0, 0, np.radians(-179.0)))
+        x = FilterState(quaternion=euler_to_quat(0, 0,
+                                                 np.radians(-179.0))).vector
         p = default_cov()
         out = update(x, p, np.array([np.radians(179.0)]), model, PARAMS)
         # residual is -2 degrees, not +358
         assert out.innovation[0] == pytest.approx(np.radians(-2.0), abs=1e-4)
+
+
+def read_only_inputs():
+    """A moving state and the default covariance, both read-only."""
+    x, cov = FilterState(velocity=[1.0, 0.0, 0.0]).vector, default_cov()
+    x.flags.writeable = False
+    cov.flags.writeable = False
+    return x, cov
+
+
+def degenerate_model():
+    """A sigma-point model whose innovation covariance is singular."""
+    return MeasurementModel(
+        "degenerate", 2, lambda s: np.zeros((np.atleast_2d(s).shape[0], 2)),
+        np.zeros((2, 2)), 10.0)
+
+
+class TestInputsUntouched:
+    """The engine never writes into the state or covariance it is given
+    (a write into a read-only array raises): the pipeline's replay ring
+    shares them with the session."""
+
+    def test_predict(self):
+        x, p = read_only_inputs()
+        step = PropagationStep(0.01, noise_rates(PipelineConfig()))
+        x1, p1 = predict(x, p, step, PARAMS)
+        assert x1 is not x and p1 is not p
+
+    @pytest.mark.parametrize("z, model, frozen, reason", [
+        ([0.1, 0.0, 0.0], linear_position_model(), None, "accepted"),
+        ([0.1, 0.0, 0.0], matrix_position_model(), None, "accepted"),
+        ([0.1, 0.0, 0.0, 0.0], stack(encoder_model(0.03, 0.03, 0.02, 11.34),
+                                     encoder_vz_model(0.05, 11.34)),
+         None, "accepted"),
+        ([500.0, 0.0, 0.0], matrix_position_model(0.01, 16.27), None,
+         "gated"),
+        ([0.0, 0.0], degenerate_model(), None, "singular"),
+        ([0.1, 0.0, 0.02], encoder_model(0.03, 0.03, 0.02, 11.34),
+         [ENC_YAW_BIAS], "accepted"),
+    ], ids=["sigma", "linear", "stacked", "gated", "singular", "frozen"])
+    def test_update(self, z, model, frozen, reason):
+        x, p = read_only_inputs()
+        out = update(x, p, np.array(z), model, PARAMS, frozen=frozen)
+        assert out.reason == reason
+        # a rejected update hands its inputs back; an accepted one new arrays
+        assert (out.x is x and out.cov is p) == (reason != "accepted")
 
 
 def gate_through_update(nu, s, threshold):
@@ -422,7 +463,7 @@ def gate_through_update(nu, s, threshold):
     p = default_cov()
     p[:m, :m] = 0.5 * s
     model = MeasurementModel("pos", m, lambda x: x[:, :m], 0.5 * s, threshold)
-    out = update(FilterState(), p, nu, model, PARAMS)
+    out = update(FilterState().vector, p, nu, model, PARAMS)
     return out.accepted, out.d2
 
 
@@ -464,14 +505,15 @@ class TestEngineWork:
 
     def test_predict_factors_twice(self, calls):
         step = PropagationStep(0.01, noise_rates(PipelineConfig()))
-        predict(FilterState(), default_cov(), step, PARAMS)
+        predict(FilterState().vector, default_cov(), step, PARAMS)
         # sigma points, then the positive-definiteness check
         assert calls == {"generate_sigma_points": 1, "cholesky": 2,
                          "_condition": 1}
 
     def test_accepted_update_factors_twice_and_solves_once(self, calls):
-        out = update(FilterState(), default_cov(), np.array([0.1, 0.0, 0.0]),
-                     linear_position_model(), PARAMS)
+        out = update(FilterState().vector, default_cov(),
+                     np.array([0.1, 0.0, 0.0]), linear_position_model(),
+                     PARAMS)
         assert out.accepted
         # one stacked solve serves both the gate and the gain
         assert calls == {"generate_sigma_points": 1, "cholesky": 2,
@@ -479,8 +521,9 @@ class TestEngineWork:
 
     def test_accepted_matrix_update_factors_once_without_sigma_points(
             self, calls):
-        out = update(FilterState(), default_cov(), np.array([0.1, 0.0, 0.0]),
-                     matrix_position_model(), PARAMS)
+        out = update(FilterState().vector, default_cov(),
+                     np.array([0.1, 0.0, 0.0]), matrix_position_model(),
+                     PARAMS)
         assert out.accepted
         # only the positive-definiteness check factors
         assert calls == {"cholesky": 1, "solve": 1, "_condition": 1}
@@ -494,7 +537,7 @@ class TestEngineWork:
             self, calls, z, accepted, solves):
         model = stack(encoder_model(0.03, 0.03, 0.02, 11.34),
                       encoder_vz_model(0.05, 11.34))
-        out = update(FilterState(), default_cov(), np.array(z), model,
+        out = update(FilterState().vector, default_cov(), np.array(z), model,
                      PARAMS)
         assert [part.accepted for part in out.blocks] == accepted
         # one solve per block; state and covariance change once, if at all
@@ -539,7 +582,7 @@ class TestStackedUpdate:
         vec = np.zeros(STATE_DIM)
         vec[NON_QUAT] = rng.normal(size=len(NON_QUAT))
         vec[QUAT] = [1.0, 0.0, 0.0, 0.0]
-        state = FilterState.from_vector(vec)
+        state = vec
         # the quaternion block is uncorrelated with every row H reads
         cov = np.zeros((STATE_DIM, STATE_DIM))
         cov[np.ix_(NON_QUAT, NON_QUAT)] = random_pd_matrix(
@@ -563,13 +606,12 @@ class TestStackedUpdate:
             assert part.d2 == pytest.approx(one.d2, rel=1e-9, abs=1e-12)
             np.testing.assert_allclose(part.innovation, one.innovation,
                                        rtol=1e-9, atol=1e-12)
-            seq_state, seq_cov = one.state, one.cov
+            seq_state, seq_cov = one.x, one.cov
         assert out.accepted == any(part.accepted for part in out.blocks)
-        np.testing.assert_allclose(out.state.as_vector(),
-                                   seq_state.as_vector(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.x, seq_state, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.cov, seq_cov, rtol=0, atol=1e-12)
         if not out.accepted:
-            assert out.state is state and out.cov is cov
+            assert out.x is state and out.cov is cov
 
     def test_blocked_model_without_matrix_is_refused(self):
         enc = encoder_model(0.03, 0.03, 0.02, 11.34)
