@@ -14,6 +14,8 @@ The engine and the pipeline work on that vector as a plain array;
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 STATE_DIM = 23
@@ -261,13 +263,14 @@ def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
 def quat_to_euler(q: np.ndarray) -> tuple[float, float, float]:
     """ZYX (roll, pitch, yaw) extraction; pitch clamped at the +-90 deg
     singularity.  Yaw 0 points along world x (east), counterclockwise
-    positive."""
-    w, x, y, z = np.asarray(q, dtype=float)
+    positive.  Plain float math; ``euler_rows`` is the batched form."""
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
     sin_pitch = -2.0 * (x * z - w * y)
-    pitch = np.arcsin(np.clip(sin_pitch, -1.0, 1.0))
-    roll = np.arctan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
-    yaw = np.arctan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z))
-    return float(roll), float(pitch), float(yaw)
+    # max/min in this order keep a NaN, as a clip would
+    pitch = math.asin(min(max(sin_pitch, -1.0), 1.0))
+    roll = math.atan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
+    yaw = math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z))
+    return roll, pitch, yaw
 
 
 def euler_to_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -279,8 +282,14 @@ def euler_to_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
 
 def wrap_angle(a):
-    """Wrap angle(s) into (-pi, pi]."""
+    """Wrap angle(s) into (-pi, pi].  An array whose values all lie there
+    already is returned as it is, bit for bit; anything else, and every
+    scalar, goes through (a + pi) mod 2 pi - pi, which can move an
+    in-range value by its last bit."""
     a = np.asarray(a, dtype=float)
+    # a NaN fails both comparisons, and so takes the formula
+    if a.ndim and a.size and -np.pi < a.min() and a.max() <= np.pi:
+        return a
     wrapped = np.remainder(a + np.pi, 2.0 * np.pi)
     wrapped = np.where(wrapped <= 0.0, wrapped + 2.0 * np.pi, wrapped)
     out = wrapped - np.pi
@@ -399,5 +408,6 @@ class FilterState:
             for name, sl in _STATE_FIELD_SLICES:
                 if not np.isfinite(vec[sl]).all():
                     raise NumericalError(f"non-finite filter state: {name}")
-        if abs(np.linalg.norm(self.quaternion) - 1.0) > 1e-9:
+        q = vec[QUAT]
+        if abs(math.sqrt(q @ q) - 1.0) > 1e-9:
             raise NumericalError("state quaternion lost unit norm")

@@ -185,8 +185,10 @@ def screen_gps_fix(
     reason a fix is screened out, or None when it passes.  A fix whose
     coordinates lie outside the geodetic range is screened out too, so it
     can neither set the ENU origin nor reach the engine, and so is one
-    whose receiver covariance is not symmetric positive-definite or whose
-    95% error bounds are not positive."""
+    whose receiver covariance is not symmetric positive-definite, whose
+    95% error bounds are not positive, or that gives no noise source for
+    ``gps_fix_to_measurement``: no covariance, no pair of error bounds and
+    no pair of DOPs."""
     if not (-np.pi / 2 <= fix.lat <= np.pi / 2
             and -np.pi <= fix.lon <= np.pi):
         return f"latitude {fix.lat} or longitude {fix.lon} rad out of range"
@@ -201,6 +203,10 @@ def screen_gps_fix(
             np.linalg.cholesky(r)
         except np.linalg.LinAlgError:
             return "receiver covariance is not positive definite"
+    if (fix.covariance is None
+            and (fix.err_horz is None or fix.err_vert is None)
+            and (fix.hdop is None or fix.vdop is None)):
+        return "no covariance, error bounds or dilution of precision"
     if fix.fix_type < min_fix_type:
         return (f"fix type {fix.fix_type.name} below "
                 f"{FixType(min_fix_type).name}")

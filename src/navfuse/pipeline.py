@@ -6,8 +6,11 @@ policy, one row per stream kind (``events.event_kind``): the switch that
 enables the sensor and the counter a disabled event bumps, the payload fields
 with the shape each must have (all must be finite, and so must the stamp),
 the quaternion field that must have a nonzero norm, whether it needs the IMU
-clock, and its handler.  ``ingest`` makes these checks in that order and
-answers the first failure with a dropped-event report.
+clock, and its handler.  Only the fields a row marks ``optional`` may be
+None, meaning absent: IMU orientation, the VSLAM covariance diagonal, and
+the GPS DOPs, error bounds and covariance.  A None in any other field is
+malformed.  ``ingest`` makes these checks in that order and answers the
+first failure with a dropped-event report, before the session changes.
 
 The session holds the state as the flat 23-vector ``x`` and its covariance
 ``cov``.  Each primary-IMU event runs one prediction step plus its updates
@@ -117,25 +120,36 @@ def zupt_trigger(last_encoder_speed: Optional[float],
             and last_imu_rate < rate_threshold)
 
 
-def _well_shaped(event: SensorEvent,
-                 shapes: dict[str, tuple[int, ...]]) -> bool:
-    """Each present (not None) field has its shape, a non-array ()."""
-    return all(value is None or getattr(value, "shape", ()) == shape
-               for value, shape in ((getattr(event, name), shape)
-                                    for name, shape in shapes.items()))
+#: (counter, reason) of an event whose payload fails the sensor table
+_MALFORMED = ("dropped_malformed", "malformed {}")
+_NONFINITE = ("dropped_nonfinite", "non-finite {}")
+_DEGENERATE = ("dropped_degenerate_quaternion", "degenerate {} quaternion")
 
 
-def _all_finite(event: SensorEvent, fields) -> bool:
-    """The stamp and every named field that is present (not None) are
-    finite."""
-    return math.isfinite(event.stamp) and all(
-        value is None or np.isfinite(value).all()
-        for value in (getattr(event, name) for name in fields))
-
-
-def _degenerate(q: Optional[np.ndarray]) -> bool:
-    """A present quaternion too short to normalize (``quat_normalize``)."""
-    return q is not None and float(np.sqrt((q * q).sum())) < QUAT_NORM_MIN
+def _payload_fault(event: SensorEvent, row: "SensorPolicy"
+                   ) -> Optional[tuple[str, str]]:
+    """One pass over the row's fields: ``_MALFORMED`` when a field lacks its
+    shape (a non-array's is ()) or is None without being ``optional``, else
+    ``_NONFINITE`` when the stamp or a field is not finite, else
+    ``_DEGENERATE`` when the ``quaternion`` field is too short to normalize
+    (``quat_normalize``), else None."""
+    finite, degenerate = math.isfinite(event.stamp), False
+    for name, shape in row.shapes.items():
+        value = getattr(event, name)
+        if value is None:
+            if name in row.optional:
+                continue
+            return _MALFORMED
+        if getattr(value, "shape", ()) != shape:
+            return _MALFORMED
+        if finite:
+            finite = (np.isfinite(value).all() if shape
+                      else math.isfinite(value))
+        if finite and name == row.quaternion:
+            degenerate = math.sqrt((value * value).sum()) < QUAT_NORM_MIN
+    if not finite:
+        return _NONFINITE
+    return _DEGENERATE if degenerate else None
 
 
 @dataclass
@@ -250,6 +264,7 @@ class FusionPipeline:
         # body-frame base->antenna offset (``_update_lever``)
         self._lever_offset = np.array([cfg["lever.arm_x"], cfg["lever.arm_y"],
                                        cfg["lever.arm_z"]])
+        self._has_lever = bool(np.any(self._lever_offset))
 
         # per coast mode (off, on): the states the filter holds, which get
         # neither gain nor process noise, and Q's per-second diagonal
@@ -390,7 +405,7 @@ class FusionPipeline:
                 updates: Optional[list[UpdateRecord]] = None,
                 origin_set: bool = False,
                 dropped: Optional[str] = None) -> StepReport:
-        return StepReport(stamp, kind, self.state, np.diag(self.cov).copy(),
+        return StepReport(stamp, kind, self.state, self.cov.diagonal().copy(),
                           updates or [], self.coast.active, self._zupt_active,
                           origin_set, dropped)
 
@@ -431,7 +446,7 @@ class FusionPipeline:
         """The lever arm applies to GPS fixes for good once yaw variance has
         stayed below ``lever.yaw_var_threshold`` for ``lever.hold_s``, as
         heading must be known before the offset can be rotated."""
-        if not np.any(self._lever_offset):
+        if not self._has_lever:
             return
         var = yaw_variance(self.x[QUAT], self.cov[QUAT, QUAT])
         if var < self.config["lever.yaw_var_threshold"]:
@@ -451,16 +466,10 @@ class FusionPipeline:
         if row.enable_key is not None and not self.config[row.enable_key]:
             return self._drop(event.stamp, kind, row.disabled_counter,
                               f"{kind} disabled")
-        if not _well_shaped(event, row.shapes):
-            return self._drop(event.stamp, kind, "dropped_malformed",
-                              f"malformed {kind}")
-        if not _all_finite(event, row.shapes):
-            return self._drop(event.stamp, kind, "dropped_nonfinite",
-                              f"non-finite {kind}")
-        if row.quaternion and _degenerate(getattr(event, row.quaternion)):
-            return self._drop(event.stamp, kind,
-                              "dropped_degenerate_quaternion",
-                              f"degenerate {kind} quaternion")
+        fault = _payload_fault(event, row)
+        if fault is not None:
+            counter, reason = fault
+            return self._drop(event.stamp, kind, counter, reason.format(kind))
         if row.needs_clock and self.ring.last_stamp is None:
             return self._drop(event.stamp, kind, "dropped_before_clock",
                               "no imu clock yet")
@@ -476,7 +485,10 @@ class FusionPipeline:
         z_raw = np.concatenate([sample.gyro, sample.accel])
         if orient is None or sample.orientation is None:
             return z_raw, None
-        rpy = quat_to_euler(quat_normalize(sample.orientation))
+        # ``ingest`` dropped a quaternion too short to normalize
+        w, x, y, z = sample.orientation.tolist()
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        rpy = quat_to_euler((w / norm, x / norm, y / norm, z / norm))
         return z_raw, np.array(rpy[: orient.dim])
 
     def _imu_update_list(self, kind: str, z_raw: np.ndarray,
@@ -545,7 +557,7 @@ class FusionPipeline:
                               "imu stamp jumped ahead")
         self._jump_stamp = None
         self._update_coast(sample.stamp)
-        self._last_imu_rate = float(np.linalg.norm(sample.gyro))
+        self._last_imu_rate = math.sqrt(sample.gyro @ sample.gyro)
         self._update_zupt()
         step = Snapshot(sample.stamp, None, None, *self._imu_vectors(sample),
                         self._zupt_active, self.coast.active)
@@ -906,33 +918,41 @@ class SensorPolicy:
 
     enable_key: Optional[str]         # None: the sensor is always on
     disabled_counter: Optional[str]
-    shapes: dict[str, tuple[int, ...]]  # payload field: shape; None: absent
+    shapes: dict[str, tuple[int, ...]]  # payload field: its shape
     needs_clock: bool
     handler: Callable[[FusionPipeline, SensorEvent], StepReport]
     #: the payload's rotation field, which must have a nonzero norm
     quaternion: Optional[str] = None
     delayed: bool = False             # late: fused at its stamp
+    #: the payload fields that may be None, meaning absent; a None in any
+    #: other field drops the event as malformed
+    optional: frozenset[str] = frozenset()
 
 
 _IMU_FIELDS = {"gyro": (3,), "accel": (3,), "orientation": (4,)}
+_IMU_OPTIONAL = frozenset({"orientation"})
 
 SENSORS: dict[str, SensorPolicy] = {
     # the primary IMU starts the clock and is always on
     "imu": SensorPolicy(None, None, _IMU_FIELDS, False,
-                        FusionPipeline._on_imu, "orientation"),
+                        FusionPipeline._on_imu, "orientation",
+                        optional=_IMU_OPTIONAL),
     "imu2": SensorPolicy("imu2.enabled", "dropped_imu2_disabled",
                          _IMU_FIELDS, True, FusionPipeline._on_imu2,
-                         "orientation"),
+                         "orientation", optional=_IMU_OPTIONAL),
     "encoder": SensorPolicy("encoder.enabled", "dropped_encoder_disabled",
                             {"velocity": (2,), "yaw_rate": ()}, True,
                             FusionPipeline._on_encoder),
     # the first fix sets the origin without the clock; the handler checks
     # the clock after that
     "gps": SensorPolicy("gnss.enabled", "dropped_gnss_disabled",
-                        {**dict.fromkeys(("lat", "lon", "alt", "hdop", "vdop",
-                                          "err_horz", "err_vert"), ()),
+                        {**dict.fromkeys(("lat", "lon", "alt", "fix_type",
+                                          "hdop", "vdop", "err_horz",
+                                          "err_vert"), ()),
                          "covariance": (3, 3)}, False,
-                        FusionPipeline._on_gps_fix, delayed=True),
+                        FusionPipeline._on_gps_fix, delayed=True,
+                        optional=frozenset({"hdop", "vdop", "err_horz",
+                                            "err_vert", "covariance"})),
     "gps_vel": SensorPolicy("gnss.velocity_enabled",
                             "dropped_gps_vel_disabled", {"velocity_en": (2,)},
                             True, FusionPipeline._on_gps_velocity,
@@ -944,5 +964,5 @@ SENSORS: dict[str, SensorPolicy] = {
                           {"position": (3,), "quaternion": (4,),
                            "cov_diag": (6,)}, True,
                           FusionPipeline._on_vslam, "quaternion",
-                          delayed=True),
+                          delayed=True, optional=frozenset({"cov_diag"})),
 }

@@ -36,7 +36,6 @@ from .core import (
 from .process import PropagationStep, process_noise_matrix, propagate_states
 
 _OMEGA_INDICES = range(OMEGA.start, OMEGA.stop)
-_W0, _W1, _W2 = _OMEGA_INDICES
 _N_SIGMA = 2 * STATE_DIM + 1
 
 
@@ -117,14 +116,23 @@ def _add_to_diagonal(p: np.ndarray, value: float) -> np.ndarray:
     return out
 
 
+_EPSILON_EYE = EPSILON_PD * np.eye(STATE_DIM)
+_EPSILON_EYE.flags.writeable = False
+
+
 def repair_pd(p: np.ndarray, epsilon: float = EPSILON_PD) -> np.ndarray:
     """Shift all eigenvalues up by (-lambda_min + epsilon) when the smallest
-    drops below the floor; the identity shift preserves eigenvectors."""
+    drops below the floor; the identity shift preserves eigenvectors.  The
+    happy path returns the symmetrized P once P - epsilon I factors, as
+    lambda_min >= epsilon then; for the default floor on a 23x23 P it
+    subtracts ``_EPSILON_EYE``, for any other a copy's shifted diagonal."""
     p = symmetrize(p)
-    # cheap happy path: P - eps*I admitting a Cholesky factor means
-    # lambda_min >= eps already
+    if epsilon == EPSILON_PD and p.shape == _EPSILON_EYE.shape:
+        shifted = p - _EPSILON_EYE
+    else:
+        shifted = _add_to_diagonal(p, -epsilon)
     try:
-        np.linalg.cholesky(_add_to_diagonal(p, -epsilon))
+        np.linalg.cholesky(shifted)
         return p
     except np.linalg.LinAlgError:
         pass
@@ -148,8 +156,8 @@ def cap_omega_variance(p: np.ndarray, cap: float = OMEGA_VAR_CAP) -> np.ndarray:
 
 
 def _omega_over_cap(p: np.ndarray) -> bool:
-    return (p[_W0, _W0] > OMEGA_VAR_CAP or p[_W1, _W1] > OMEGA_VAR_CAP
-            or p[_W2, _W2] > OMEGA_VAR_CAP)
+    w0, w1, w2 = p.diagonal()[OMEGA].tolist()
+    return w0 > OMEGA_VAR_CAP or w1 > OMEGA_VAR_CAP or w2 > OMEGA_VAR_CAP
 
 
 def _condition(p: np.ndarray, epsilon: float) -> np.ndarray:
@@ -292,9 +300,13 @@ def update(
     if z.shape != (model.dim,):
         raise ValueError(f"measurement dim mismatch: {z.shape} vs {model.dim}")
     angular = model.angular if model.wraps else None
+    # a model of angles only wraps residuals whole, in range as they are
+    all_angular = angular is not None and angular.all()
 
     def wrapped(res: np.ndarray) -> np.ndarray:
         # every residual passed here is a fresh array, so wrap in place
+        if all_angular:
+            return wrap_angle(res)
         if angular is not None:
             res[..., angular] = wrap_angle(res[..., angular])
         return res

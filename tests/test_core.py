@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from navfuse.core import (
     _hamilton,
@@ -252,6 +253,69 @@ class TestAngles:
             assert abs(wrap_angle(r2 - roll)) < 1e-10
             assert abs(p2 - pitch) < 1e-10
             assert abs(wrap_angle(y2 - yaw)) < 1e-10
+
+    @staticmethod
+    def numpy_euler(q):
+        """The numpy form of the ZYX extraction, with ``np.clip``."""
+        w, x, y, z = q
+        sin_pitch = -2.0 * (x * z - w * y)
+        return (np.arctan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+                np.arcsin(np.clip(sin_pitch, -1.0, 1.0)),
+                np.arctan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z)))
+
+    @given(st.one_of(
+        # any unit quaternion
+        hnp.arrays(float, 4, elements=st.floats(-1.0, 1.0)).filter(
+            lambda q: q @ q > 1e-6).map(lambda q: q / np.linalg.norm(q)),
+        # gimbal lock, where about half have |sin pitch| > 1 by rounding
+        st.builds(lambda r, s, y: euler_to_quat(r, s * np.pi / 2, y),
+                  st.floats(-np.pi, np.pi), st.sampled_from([-1.0, 1.0]),
+                  st.floats(-np.pi, np.pi))))
+    @example(np.array([0.1293332778042926, 0.6951783247860923,
+                       -0.12933327780429257, 0.6951783247860924]))
+    @settings(max_examples=300, deadline=None)
+    def test_euler_matches_the_numpy_formula(self, q):
+        rpy = quat_to_euler(q)
+        assert all(type(v) is float for v in rpy)
+        np.testing.assert_allclose(rpy, self.numpy_euler(q), rtol=0,
+                                   atol=1e-15)
+        assert abs(rpy[1]) <= np.pi / 2
+
+    def test_euler_clamps_sin_pitch_past_one(self):
+        q = np.array([0.1293332778042926, 0.6951783247860923,
+                      -0.12933327780429257, 0.6951783247860924])
+        w, x, y, z = q
+        assert -2.0 * (x * z - w * y) < -1.0
+        assert quat_to_euler(q)[1] == -np.pi / 2
+
+    @staticmethod
+    def formula_wrap(a):
+        """(a + pi) mod 2 pi - pi, mapping -pi to pi, on every input."""
+        wrapped = np.remainder(np.asarray(a, dtype=float) + np.pi, 2 * np.pi)
+        return np.where(wrapped <= 0.0, wrapped + 2 * np.pi, wrapped) - np.pi
+
+    @given(hnp.arrays(float, st.integers(1, 6), elements=st.floats(
+        -np.pi, np.pi, exclude_min=True)))
+    @settings(max_examples=200, deadline=None)
+    def test_wrap_returns_in_range_arrays_unchanged(self, a):
+        before = a.copy()
+        out = wrap_angle(a)
+        assert out.tobytes() == before.tobytes()
+
+    @given(st.floats(-50.0, 50.0))
+    @settings(max_examples=200, deadline=None)
+    def test_wrap_scalars_take_the_formula(self, a):
+        assert wrap_angle(a) == float(self.formula_wrap(a))
+
+    def test_wrap_out_of_range_and_minus_pi(self):
+        for a in (-np.pi, 3 * np.pi, -3 * np.pi):
+            expected = self.formula_wrap(a)
+            assert wrap_angle(a) == float(expected)
+            out = wrap_angle(np.array([0.5, a]))
+            assert out.tobytes() == self.formula_wrap([0.5, a]).tobytes()
+        assert wrap_angle(-np.pi) == np.pi
+        assert wrap_angle(np.array([-np.pi]))[0] == np.pi
+        assert np.isnan(wrap_angle(np.array([0.0, np.nan]))[1])
 
     def test_canonical_w_nonnegative(self, rng):
         for _ in range(20):

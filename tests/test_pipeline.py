@@ -353,6 +353,35 @@ class TestSensorTable:
         assert not report.updates
         assert session_of(pipe) == before
 
+    @pytest.mark.parametrize("kind, name", [
+        ("imu", "gyro"), ("imu", "accel"), ("imu2", "gyro"),
+        ("encoder", "yaw_rate"), ("encoder", "velocity"),
+        ("radar", "velocity_body"), ("gps_vel", "velocity_en"),
+        ("gps", "fix_type"), ("gps", "lat"), ("vslam", "position"),
+        ("vslam", "quaternion"),
+    ])
+    def test_none_in_a_required_field_dropped(self, kind, name):
+        """Only the fields the table marks optional may be None."""
+        pipe = FusionPipeline(PipelineConfig(ALL_ON))
+        run(pipe, [imu_at(k * 0.01) for k in range(5)])
+        if kind == "gps":
+            assert pipe.ingest(event_of("gps", 0.04)).origin_set
+        before = session_of(pipe)
+        event = event_of(kind, 0.05, 0.3)
+        setattr(event, name, None)
+        report, bumped = ingest_counting(pipe, event)
+        assert bumped == {"dropped_malformed": 1}
+        assert report.dropped == f"malformed {kind}"
+        assert not report.updates
+        assert session_of(pipe) == before
+
+    def test_optional_fields_are_the_absent_ones(self):
+        assert {k: row.optional for k, row in SENSORS.items()
+                if row.optional} == {
+            "imu": {"orientation"}, "imu2": {"orientation"},
+            "vslam": {"cov_diag"},
+            "gps": {"hdop", "vdop", "err_horz", "err_vert", "covariance"}}
+
     @pytest.mark.parametrize("kind", sorted(SWITCHES))
     def test_before_imu_clock(self, kind):
         pipe = FusionPipeline(PipelineConfig(ALL_ON))
@@ -423,6 +452,31 @@ class TestConstruction:
         assert bumped == {"engine_update_calls": 1}
         assert [(r.path, r.accepted) for r in report.updates] == [
             ("encoder", True), ("encoder_vz", True)]
+
+    def test_plain_imu_event_engine_work(self, monkeypatch):
+        """A primary-IMU sample with orientation, no ZUPT held and no
+        repair firing: one predict and the raw and orientation updates,
+        each one sigma set, one Cholesky and one conditioning, and each
+        update one solve."""
+        from navfuse import ukf
+        pipe = FusionPipeline()
+        orientation = np.array([1.0, 0.0, 0.0, 0.0])
+        pipe.ingest(imu_at(0.0, orientation=orientation))
+        calls = dict.fromkeys(("generate_sigma_points", "repair_pd",
+                               "cholesky", "solve", "eigvalsh"), 0)
+        for owner, name in ((ukf, "generate_sigma_points"),
+                            (ukf, "repair_pd"), (np.linalg, "cholesky"),
+                            (np.linalg, "solve"), (np.linalg, "eigvalsh")):
+            def counted(*args, _fn=getattr(owner, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        report = pipe.ingest(imu_at(0.01, orientation=orientation))
+        assert [r.path for r in report.updates] == ["imu_raw",
+                                                    "imu_orientation"]
+        assert calls == {"generate_sigma_points": 3, "repair_pd": 3,
+                         "cholesky": 6, "solve": 2, "eigvalsh": 0}
 
 
 class TestGps:
@@ -540,6 +594,26 @@ class TestGps:
         assert np.array_equal(pipe.state.as_vector(), state_before)
         assert np.array_equal(pipe.cov, cov_before)
 
+
+    @pytest.mark.parametrize("dop", ["hdop", "vdop"])
+    def test_fix_without_a_noise_source_is_quality_rejected(self, dop):
+        """No covariance, no pair of error bounds and a missing DOP leave
+        the noise policy nothing to build R from."""
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+        before = session_of(pipe)
+        report, bumped = ingest_counting(
+            pipe, gps_at([0.0, 0.0, 0.0], 0.5, err_horz=1.0, **{dop: None}))
+        assert bumped == {"gps_quality_rejected": 1}
+        assert report.dropped == ("no covariance, error bounds or dilution "
+                                  "of precision")
+        assert not report.updates
+        assert session_of(pipe) == before
+        # both bounds are a noise source without the DOPs
+        report = pipe.ingest(gps_at([0.0, 0.0, 0.0], 0.51, err_horz=1.0,
+                                    err_vert=2.0, **{dop: None}))
+        assert report.dropped is None
+        assert [r.path for r in report.updates] == ["gps_pos"]
 
     @pytest.mark.parametrize("field", ["hdop", "vdop", "err_horz",
                                        "err_vert"])
