@@ -92,14 +92,16 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- row kernels ------------------------------------------------------------
-# The engine calls these on (47, 4) sigma-point rows.  They skip input checks
-# (the engine checks the finiteness of each predict/update result once) and
-# accept any leading shape; the public functions below wrap them with checks.
+# -- column kernels ---------------------------------------------------------
+# The engine calls these on contiguous blocks of its (23, 47) sigma cloud:
+# component axis first, (4, N) quaternions and (3, N) vectors (1-D inputs are
+# both layouts).  They skip input checks (the engine checks the finiteness of
+# each predict/update result once); the public functions below wrap them
+# with checks, passing them transposed views of their (..., k) row arrays.
 #
 # The Hamilton product is bilinear in (a, b), and R(q) - I is a quadratic
-# form in q, so each is one outer product times a constant matrix: a few
-# numpy calls over all rows instead of one per term and column.  Each output
+# form in q, so each is a constant matrix times one outer product: a few
+# numpy calls over all columns instead of one per term and column.  Each output
 # component is the same sum of the same products as the written-out formula,
 # summed in the matrix product's order instead, so results can differ from
 # that formula in the last bit.  An entry of R(q) - I is the sum of two
@@ -127,11 +129,11 @@ _ROTATION_TERMS = (
 
 
 def _bilinear_basis(outputs: int, entries) -> np.ndarray:
-    """(16, outputs) matrix taking the flattened outer product a_i b_j (row
+    """(outputs, 16) matrix taking the flattened outer product a_i b_j (entry
     4i + j) to the outputs; ``entries`` yields (output, coefficient, i, j)."""
-    basis = np.zeros((16, outputs))
+    basis = np.zeros((outputs, 16))
     for k, coef, i, j in entries:
-        basis[4 * i + j, k] = coef
+        basis[k, 4 * i + j] = coef
     basis.flags.writeable = False
     return basis
 
@@ -139,7 +141,7 @@ def _bilinear_basis(outputs: int, entries) -> np.ndarray:
 _HAMILTON = _bilinear_basis(4, ((k, sign, i, j)
                                 for i, row in enumerate(_UNIT_PRODUCTS)
                                 for j, (k, sign) in enumerate(row)))
-#: R(q) - I as 9 outputs in row-major order
+#: R(q) - I as 9 outputs, entry [r][c] at 3r + c
 _ROTATION = _bilinear_basis(9, ((3 * r + c, coef, i, j)
                                 for r, row in enumerate(_ROTATION_TERMS)
                                 for c, terms in enumerate(row)
@@ -147,66 +149,80 @@ _ROTATION = _bilinear_basis(9, ((3 * r + c, coef, i, j)
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flattened outer products a_i b_j of quaternion rows, (..., 16)."""
-    ab = a[..., :, None] * b[..., None, :]
-    return ab.reshape(ab.shape[:-2] + (16,))
+    """Flattened outer products a_i b_j of quaternion columns, (16, N)."""
+    ab = a[:, None] * b[None, :]
+    return ab.reshape((16,) + ab.shape[2:])
 
 
-def normalize_rows(q: np.ndarray) -> np.ndarray:
-    """Quaternion rows divided by their norms, unchecked."""
-    return q / np.sqrt((q * q).sum(axis=-1, keepdims=True))
+def normalize_cols(q: np.ndarray, out=None) -> np.ndarray:
+    """Quaternion columns divided by their norms, unchecked; into ``out``
+    when given, which may be ``q`` itself."""
+    return np.divide(q, np.sqrt((q * q).sum(axis=0)), out=out)
 
 
 def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unnormalized Hamilton product of broadcastable quaternion arrays."""
-    return _outer(a, b) @ _HAMILTON
+    """Unnormalized Hamilton product of quaternion columns."""
+    return _HAMILTON @ _outer(a, b)
 
 
-def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Renormalized Hamilton product of equal-shape quaternion arrays,
+def quat_mul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Renormalized Hamilton product of equal-shape quaternion columns,
     unchecked."""
-    return normalize_rows(_hamilton(a, b))
+    return normalize_cols(_hamilton(a, b))
 
 
-def quat_exp_rows(omega: np.ndarray, dt: float) -> np.ndarray:
-    """``quat_exp`` over rate rows before its renormalization, unchecked.
+def quat_exp_cols(omega: np.ndarray, dt: float) -> np.ndarray:
+    """``quat_exp`` over rate columns before its renormalization, unchecked.
 
     Its norm is 1 up to rounding on the exact branch and 1 + O(|omega dt|^2)
-    on the first-order one; a caller that composes it with ``quat_mul_rows``
+    on the first-order one; a caller that composes it with ``quat_mul_cols``
     renormalizes the product anyway."""
-    rate = np.sqrt((omega * omega).sum(axis=-1, keepdims=True))
+    rate = np.sqrt((omega * omega).sum(axis=0))
     half = rate * (0.5 * dt)
     small = rate <= EPSILON_OMEGA
-    any_small = small.any()
+    any_small = np.count_nonzero(small)
     if any_small:
         # sin(theta)/||omega|| is safe: the small branch covers rate ~ 0
         rate = np.where(small, 1.0, rate)
-    q = np.empty(omega.shape[:-1] + (4,))
-    q[..., :1] = np.cos(half)
-    q[..., 1:] = np.sin(half) / rate * omega
+    q = np.empty((4,) + omega.shape[1:])
+    np.cos(half, out=q[:1])
+    np.multiply(np.sin(half) / rate, omega, out=q[1:])
     if any_small:
         first_order = np.concatenate(
-            [np.ones_like(half), 0.5 * dt * omega], axis=-1)
+            [np.ones_like(half)[None], 0.5 * dt * omega])
         q = np.where(small, first_order, q)
     return q
 
 
-def _rotate(q: np.ndarray, v: np.ndarray, inverse: bool) -> np.ndarray:
-    """v + (R(q) - I) v, or v + (R(q) - I)^T v for the inverse rotation;
-    broadcasts over leading dimensions."""
-    m = (_outer(q, q) @ _ROTATION).reshape(q.shape[:-1] + (3, 3))
+def quat_rotate_cols(q: np.ndarray, v: np.ndarray,
+                     inverse: bool = False) -> np.ndarray:
+    """v + (R(q) - I) v, or v + (R(q) - I)^T v for the inverse rotation,
+    over columns, unchecked; a (3, 1) ``v`` is one vector for every q."""
+    m = (_ROTATION @ _outer(q, q)).reshape((3, 3) + q.shape[1:])
     if inverse:
-        return v + (v[..., None, :] @ m)[..., 0, :]
-    return v + (m @ v[..., None])[..., 0]
+        return v + (m * v[:, None]).sum(axis=0)
+    return v + (m * v[None]).sum(axis=1)
 
 
-def rotate_inv_vertical_rows(q: np.ndarray, g: float) -> np.ndarray:
-    """R(q)^T [0, 0, g] over quaternion rows: ``quat_rotate_inv`` with the
-    zero terms of a vertical vector dropped (the two may differ by
+def rotate_inv_vertical_cols(q: np.ndarray, g: float) -> np.ndarray:
+    """R(q)^T [0, 0, g] over quaternion columns: ``quat_rotate_cols`` with
+    the zero terms of a vertical vector dropped (the two may differ by
     rounding, as BLAS may sum the smaller matmul in another order)."""
-    out = g * (_outer(q, q) @ _ROTATION[:, 6:])
-    out[..., 2] += g
+    out = g * (_ROTATION[6:] @ _outer(q, q))
+    out[2] += g
     return out
+
+
+def _through_cols(kernel, *rows, **kwargs) -> np.ndarray:
+    """``kernel`` on (..., k) row arrays, 1-D ones as they are, batches as
+    (k, M) views of their rows broadcast together; returns rows."""
+    rows = [np.asarray(a, dtype=float) for a in rows]
+    if all(a.ndim == 1 for a in rows):
+        return kernel(*rows, **kwargs)
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in rows))
+    out = kernel(*(np.broadcast_to(a, lead + a.shape[-1:])
+                   .reshape(-1, a.shape[-1]).T for a in rows), **kwargs)
+    return out.T.reshape(lead + out.shape[:1])
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,7 +231,7 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NumericalError("non-finite quaternion input")
-    return quat_normalize(_hamilton(a, b))
+    return quat_normalize(_through_cols(_hamilton, a, b))
 
 
 def quat_exp(omega: np.ndarray, dt: float) -> np.ndarray:
@@ -230,7 +246,7 @@ def quat_exp(omega: np.ndarray, dt: float) -> np.ndarray:
         raise ValueError("dt must be non-negative")
     if not np.isfinite(omega).all():
         raise NumericalError("non-finite angular rate")
-    return quat_normalize(quat_exp_rows(omega, dt))
+    return quat_normalize(_through_cols(quat_exp_cols, omega, dt=dt))
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -238,14 +254,12 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     R(q) = (1 - 2|q_v|^2) I + 2 q_v q_v^T + 2 w [q_v]x, which for a non-unit
     q is the written-out v + w t + q_v x t with t = 2 q_v x v."""
-    return _rotate(np.asarray(q, dtype=float), np.asarray(v, dtype=float),
-                   inverse=False)
+    return _through_cols(quat_rotate_cols, q, v)
 
 
 def quat_rotate_inv(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply R(q)^T to v (world -> body for a world-from-body quaternion)."""
-    return _rotate(np.asarray(q, dtype=float), np.asarray(v, dtype=float),
-                   inverse=True)
+    return _through_cols(quat_rotate_cols, q, v, inverse=True)
 
 
 def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
@@ -263,7 +277,8 @@ def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
 def quat_to_euler(q: np.ndarray) -> tuple[float, float, float]:
     """ZYX (roll, pitch, yaw) extraction; pitch clamped at the +-90 deg
     singularity.  Yaw 0 points along world x (east), counterclockwise
-    positive.  Plain float math; ``euler_rows`` is the batched form."""
+    positive.  Plain float math; ``measurements.euler_cols`` is the
+    batched form."""
     w, x, y, z = np.asarray(q, dtype=float).tolist()
     sin_pitch = -2.0 * (x * z - w * y)
     # max/min in this order keep a NaN, as a clip would

@@ -1,10 +1,11 @@
 """Measurement models for every sensor path, and the GPS fix screen and
 noise policy (``gps_fix_to_measurement``).
 
-Each model bundles a batched measurement function ``h`` ((N, 23) rows of
-flat state vectors -> (N, dim) rows of measurement vectors), its noise
-matrix, an angular mask selecting components whose residuals wrap at +-pi,
-and a chi-squared gate threshold (the ``gates.*`` configuration keys).
+Each model bundles a batched measurement function ``h`` ((23, N) columns
+of flat state vectors, the engine's component-major sigma cloud, -> (dim, N)
+columns of measurement vectors), its noise matrix, an angular mask selecting
+components whose residuals wrap at +-pi, and a chi-squared gate threshold
+(the ``gates.*`` configuration keys).
 
 A model linear in the state (encoder, its vertical-velocity constraint,
 radar, ZUPT, GPS position without a lever arm) is declared by its (dim, 23)
@@ -32,8 +33,8 @@ from .core import (
     QUAT,
     STATE_DIM,
     VEL,
-    quat_rotate,
-    rotate_inv_vertical_rows,
+    quat_rotate_cols,
+    rotate_inv_vertical_cols,
 )
 from .events import FixType, GpsFixSample
 from .geodesy import EnuOrigin, GeodeticCoord, geodetic_to_enu
@@ -45,7 +46,7 @@ class MeasurementModel:
 
     ``h`` is the batched measurement function, or the matrix H of a linear
     model, then kept read-only as ``matrix`` (else None) with ``h`` derived
-    as ``rows @ H.T``.  ``r`` is replaced atomically between updates when
+    as ``H @ cols``.  ``r`` is replaced atomically between updates when
     the path adapts.  ``blocks`` holds the linear models a ``stack`` was
     built from, in row order; only a model with a matrix can have them.
     """
@@ -75,7 +76,7 @@ class MeasurementModel:
                 raise ValueError(f"{self.name}: a linear model cannot wrap")
             matrix.flags.writeable = False
             self.matrix = matrix
-            self.h = lambda rows: rows @ matrix.T
+            self.h = lambda cols: matrix @ cols
         if self.blocks and (self.matrix is None or sum(
                 b.dim for b in self.blocks) != self.dim
                 or any(b.matrix is None for b in self.blocks)):
@@ -111,17 +112,21 @@ def _reading(index) -> np.ndarray:
     return np.eye(STATE_DIM)[index]
 
 
-def euler_rows(q: np.ndarray, with_yaw: bool = True) -> np.ndarray:
-    """Vectorized ZYX (roll, pitch, yaw) extraction over (N, 4) quaternion
-    rows; ``with_yaw=False`` gives roll and pitch only."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    out = np.empty((q.shape[0], 3 if with_yaw else 2))
-    out[:, 0] = np.arctan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
+def _yaw_cols(w, x, y, z) -> np.ndarray:
+    """ZYX yaw of quaternion columns given as their four rows."""
+    return np.arctan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z))
+
+
+def euler_cols(q: np.ndarray, with_yaw: bool = True) -> np.ndarray:
+    """Vectorized ZYX (roll, pitch, yaw) extraction over (4, N) quaternion
+    columns, as (3, N); ``with_yaw=False`` gives roll and pitch only."""
+    w, x, y, z = q
+    out = np.empty((3 if with_yaw else 2, q.shape[1]))
+    out[0] = np.arctan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
     sin_pitch = -2.0 * (x * z - w * y)
-    out[:, 1] = np.arcsin(np.minimum(np.maximum(sin_pitch, -1.0), 1.0))
+    out[1] = np.arcsin(np.minimum(np.maximum(sin_pitch, -1.0), 1.0))
     if with_yaw:
-        out[:, 2] = np.arctan2(2.0 * (x * y + w * z),
-                               1.0 - 2.0 * (y * y + z * z))
+        out[2] = _yaw_cols(w, x, y, z)
     return out
 
 
@@ -133,10 +138,10 @@ def imu_raw_model(sigma_gyro: float, sigma_accel: float,
     g = float(GRAVITY[2])
 
     def h(x: np.ndarray) -> np.ndarray:
-        out = np.empty((x.shape[0], 6))
-        out[:, :3] = x[:, OMEGA] + x[:, GYRO_BIAS]
-        out[:, 3:] = (x[:, ACC] + x[:, ACCEL_BIAS]
-                      + rotate_inv_vertical_rows(x[:, QUAT], g))
+        out = np.empty((6, x.shape[1]))
+        np.add(x[OMEGA], x[GYRO_BIAS], out=out[:3])
+        np.add(x[ACC], x[ACCEL_BIAS], out=out[3:])
+        out[3:] += rotate_inv_vertical_cols(x[QUAT], g)
         return out
 
     r = np.diag([sigma_gyro**2] * 3 + [sigma_accel**2] * 3)
@@ -150,7 +155,7 @@ def imu_orientation_model(has_magnetometer: bool, sigma_orient: float,
     dim = 3 if has_magnetometer else 2
 
     def h(x: np.ndarray) -> np.ndarray:
-        return euler_rows(x[:, QUAT], with_yaw=has_magnetometer)
+        return euler_cols(x[QUAT], with_yaw=has_magnetometer)
 
     r = np.eye(dim) * sigma_orient**2
     name = "imu_orientation_3dof" if has_magnetometer else "imu_orientation"
@@ -207,8 +212,8 @@ def screen_gps_fix(
             and (fix.err_horz is None or fix.err_vert is None)
             and (fix.hdop is None or fix.vdop is None)):
         return "no covariance, error bounds or dilution of precision"
-    if fix.fix_type < min_fix_type:
-        return (f"fix type {fix.fix_type.name} below "
+    if FixType(fix.fix_type) < min_fix_type:
+        return (f"fix type {FixType(fix.fix_type).name} below "
                 f"{FixType(min_fix_type).name}")
     if fix.hdop is not None and fix.hdop > max_hdop:
         return f"hdop {fix.hdop} above {max_hdop}"
@@ -251,9 +256,10 @@ def gps_position_model(r: np.ndarray, gate: float,
     rotated lever arm when heading has been validated."""
     if lever_offset is None:
         return MeasurementModel("gps_pos", 3, _reading(POS), r, gate)
+    lever = np.reshape(lever_offset, (3, 1))
 
     def h(x: np.ndarray) -> np.ndarray:
-        return x[:, POS] + quat_rotate(x[:, QUAT], lever_offset)
+        return x[POS] + quat_rotate_cols(x[QUAT], lever)
 
     return MeasurementModel("gps_pos", 3, h, r, gate)
 
@@ -296,7 +302,7 @@ def gps_heading_model(variance: float, gate: float) -> MeasurementModel:
     the encoder yaw-rate bias observable through the cross-covariance."""
 
     def h(x: np.ndarray) -> np.ndarray:
-        return euler_rows(x[:, QUAT])[:, 2:3]
+        return _yaw_cols(*x[QUAT])[None]
 
     return MeasurementModel("gps_heading", 1, h, np.array([[variance]]), gate,
                             angular=np.array([True]))
@@ -306,7 +312,7 @@ def gps_velocity_model(sigma: float, gate: float) -> MeasurementModel:
     """2-DOF east/north world velocity from receiver Doppler."""
 
     def h(x: np.ndarray) -> np.ndarray:
-        return quat_rotate(x[:, QUAT], x[:, VEL])[:, :2]
+        return quat_rotate_cols(x[QUAT], x[VEL])[:2]
 
     return MeasurementModel("gps_vel", 2, h, np.eye(2) * sigma**2, gate)
 
@@ -333,7 +339,7 @@ def vslam_model(r: np.ndarray, gate: float, pos_floor: float = 0.01,
     r[idx, idx] = np.maximum(np.diag(r), floor)
 
     def h(x: np.ndarray) -> np.ndarray:
-        return np.concatenate([x[:, POS], euler_rows(x[:, QUAT])], axis=-1)
+        return np.concatenate([x[POS], euler_cols(x[QUAT])])
 
     angular = np.array([False, False, False, False, False, True])
     return MeasurementModel("vslam", 6, h, r, gate, angular=angular)

@@ -8,9 +8,10 @@ with the shape each must have (all must be finite, and so must the stamp),
 the quaternion field that must have a nonzero norm, whether it needs the IMU
 clock, and its handler.  Only the fields a row marks ``optional`` may be
 None, meaning absent: IMU orientation, the VSLAM covariance diagonal, and
-the GPS DOPs, error bounds and covariance.  A None in any other field is
-malformed.  ``ingest`` makes these checks in that order and answers the
-first failure with a dropped-event report, before the session changes.
+the GPS DOPs, satellite count, error bounds and covariance.  A None in any
+other field is malformed, and so is a GPS ``fix_type`` other than a
+``FixType`` value.  ``ingest`` makes these checks in that order and answers
+the first failure with a dropped-event report, before the session changes.
 
 The session holds the state as the flat 23-vector ``x`` and its covariance
 ``cov``.  Each primary-IMU event runs one prediction step plus its updates
@@ -124,12 +125,15 @@ def zupt_trigger(last_encoder_speed: Optional[float],
 _MALFORMED = ("dropped_malformed", "malformed {}")
 _NONFINITE = ("dropped_nonfinite", "non-finite {}")
 _DEGENERATE = ("dropped_degenerate_quaternion", "degenerate {} quaternion")
+#: the values a GPS ``fix_type`` may take: any other is malformed
+_FIX_TYPES = tuple(FixType)
 
 
 def _payload_fault(event: SensorEvent, row: "SensorPolicy"
                    ) -> Optional[tuple[str, str]]:
     """One pass over the row's fields: ``_MALFORMED`` when a field lacks its
-    shape (a non-array's is ()) or is None without being ``optional``, else
+    shape (a non-array's is ()), is None without being ``optional``, or is a
+    ``fix_type`` that equals no ``FixType`` value, else
     ``_NONFINITE`` when the stamp or a field is not finite, else
     ``_DEGENERATE`` when the ``quaternion`` field is too short to normalize
     (``quat_normalize``), else None."""
@@ -140,7 +144,8 @@ def _payload_fault(event: SensorEvent, row: "SensorPolicy"
             if name in row.optional:
                 continue
             return _MALFORMED
-        if getattr(value, "shape", ()) != shape:
+        if getattr(value, "shape", ()) != shape or (
+                name == "fix_type" and value not in _FIX_TYPES):
             return _MALFORMED
         if finite:
             finite = (np.isfinite(value).all() if shape
@@ -947,12 +952,13 @@ SENSORS: dict[str, SensorPolicy] = {
     # the clock after that
     "gps": SensorPolicy("gnss.enabled", "dropped_gnss_disabled",
                         {**dict.fromkeys(("lat", "lon", "alt", "fix_type",
-                                          "hdop", "vdop", "err_horz",
-                                          "err_vert"), ()),
+                                          "hdop", "vdop", "satellites",
+                                          "err_horz", "err_vert"), ()),
                          "covariance": (3, 3)}, False,
                         FusionPipeline._on_gps_fix, delayed=True,
-                        optional=frozenset({"hdop", "vdop", "err_horz",
-                                            "err_vert", "covariance"})),
+                        optional=frozenset({"hdop", "vdop", "satellites",
+                                            "err_horz", "err_vert",
+                                            "covariance"})),
     "gps_vel": SensorPolicy("gnss.velocity_enabled",
                             "dropped_gps_vel_disabled", {"velocity_en": (2,)},
                             True, FusionPipeline._on_gps_velocity,

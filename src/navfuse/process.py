@@ -28,9 +28,9 @@ from .core import (
     QUAT,
     STATE_DIM,
     VEL,
-    quat_exp_rows,
-    quat_mul_rows,
-    quat_rotate,
+    quat_exp_cols,
+    quat_mul_cols,
+    quat_rotate_cols,
 )
 
 
@@ -63,16 +63,16 @@ class PropagationStep:
 
 
 def propagate_states(states: np.ndarray, dt: float) -> np.ndarray:
-    """Vectorized kinematic step over (N, 23) rows of flat state vectors.
+    """Vectorized kinematic step over (23, N) columns of flat state vectors.
 
-    Input checks are left to the caller: a non-finite row propagates as
+    Input checks are left to the caller: a non-finite column propagates as
     non-finite numbers (the engine checks each predicted mean)."""
     out = states.copy()
-    q = states[:, QUAT]
-    out[:, POS] += dt * quat_rotate(q, states[:, VEL])
+    q = states[QUAT]
+    out[POS] += dt * quat_rotate_cols(q, states[VEL])
     # the rate increment is left unnormalized: the product is renormalized
-    out[:, QUAT] = quat_mul_rows(q, quat_exp_rows(states[:, OMEGA], dt))
-    out[:, VEL] += dt * states[:, ACC]
+    out[QUAT] = quat_mul_cols(q, quat_exp_cols(states[OMEGA], dt))
+    out[VEL] += dt * states[ACC]
     return out
 
 

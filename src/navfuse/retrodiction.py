@@ -76,8 +76,8 @@ class StateSnapshotRing:
             self.entries.pop(0)
 
     def nearest_at_or_before(self, stamp: float) -> Optional[int]:
-        stamps = [e.stamp for e in self.entries]
-        idx = bisect.bisect_right(stamps, stamp) - 1
+        idx = bisect.bisect_right(self.entries, stamp,
+                                  key=lambda e: e.stamp) - 1
         return idx if idx >= 0 else None
 
     def apply_delayed(

@@ -1,22 +1,26 @@
 """Sigma-point engine: generation, predict/update, and covariance hygiene.
 
 Predict, and an update through a measurement function, run a full-state
-23-dimensional scaled unscented transform (2n+1 = 47 sigma points).  A model
-declared by its matrix H updates in closed form, S = HPH^T + R and
-Pxz = PH^T: that transform of a linear map, but for Pxz's quaternion rows,
-which it projects onto the unit sphere's tangent space.  A stacked linear
-model (``measurements.stack``) is one closed-form update that gates each of
-its blocks on its own (``update``).  Quaternions are
-raw 4-vectors, hemisphere-aligned before any averaging or differencing and
-renormalized after perturbation or correction.  Every covariance leaving
-this module is symmetrized, eigenvalue-repaired to a positive-definite
-floor, and has its angular-rate variances capped.  The engine takes and
-returns plain arrays, the flat state ``x`` and its covariance, knows no
-clock, and never writes into its inputs, so callers may share them.
+23-dimensional scaled unscented transform (2n+1 = 47 sigma points), held
+component-major: one C-contiguous (23, 47) array whose column j is sigma
+point j, so each state block (``points[QUAT]``, ...) is a contiguous row
+slice, and the moments sum along the last axis.  A model declared by its
+matrix H updates in closed form, S = HPH^T + R and Pxz = PH^T: that
+transform of a linear map, but for Pxz's quaternion rows, which it projects
+onto the unit sphere's tangent space.  A stacked linear model
+(``measurements.stack``) is one closed-form update that gates each of its
+blocks on its own (``update``).  Quaternions are raw 4-vectors,
+hemisphere-aligned before any averaging or differencing and renormalized
+after perturbation or correction.  Every covariance leaving this module is
+symmetrized, eigenvalue-repaired to a positive-definite floor, and has its
+angular-rate variances capped.  The engine takes and returns plain arrays,
+the flat state ``x`` and its covariance, knows no clock, and never writes
+into its inputs, so callers may share them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
@@ -30,7 +34,7 @@ from .core import (
     QUAT,
     STATE_DIM,
     NumericalError,
-    normalize_rows,
+    normalize_cols,
     wrap_angle,
 )
 from .process import PropagationStep, process_noise_matrix, propagate_states
@@ -172,13 +176,13 @@ def _condition(p: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def align_quat_hemisphere(points: np.ndarray, ref_q: np.ndarray) -> np.ndarray:
-    """Flip sigma quaternions lying in the hemisphere opposite ref_q.  The
-    input comes back as is when none does; otherwise a flipped copy."""
-    flip = points[:, QUAT] @ ref_q < 0.0
-    if not flip.any():
+    """Flip sigma quaternions (columns) lying in the hemisphere opposite
+    ref_q.  The input comes back as is when none does; else a flipped copy."""
+    flip = ref_q @ points[QUAT] < 0.0
+    if not np.count_nonzero(flip):
         return points
     pts = points.copy()
-    pts[flip, QUAT] *= -1.0
+    pts[QUAT, flip] *= -1.0
     return pts
 
 
@@ -188,8 +192,9 @@ def generate_sigma_points(
     params: UkfParams,
     epsilon: float = EPSILON_PD,
 ) -> np.ndarray:
-    """Scaled sigma points, as (47, 23) rows, around the flat state ``x``
-    from the Cholesky factor of (n+lam)*P.
+    """Scaled sigma points as the columns of a C-contiguous (23, 47) array:
+    the flat state ``x``, then ``x`` plus and ``x`` minus each column of
+    the Cholesky factor of (n+lam)*P.
 
     ``cov`` must be symmetric, as every covariance leaving this module is:
     the factorization reads only its lower triangle.  The covariance is
@@ -206,29 +211,29 @@ def generate_sigma_points(
                 "covariance square root failed after repair"
             ) from exc
     n = STATE_DIM
-    points = np.empty((_N_SIGMA, n))
-    points[0] = x
-    np.add(x, root.T, out=points[1 : n + 1])
-    np.subtract(x, root.T, out=points[n + 1 :])
-    points[:, QUAT] = normalize_rows(points[:, QUAT])
+    points = np.empty((n, _N_SIGMA))
+    points[:, 0] = x
+    np.add(x[:, None], root, out=points[:, 1 : n + 1])
+    np.subtract(x[:, None], root, out=points[:, n + 1 :])
+    normalize_cols(points[QUAT], out=points[QUAT])
     return points
 
 
 def mean_of_sigmas(points: np.ndarray, wm: np.ndarray) -> np.ndarray:
-    """Weighted mean of sigma rows as a flat state; quaternions are
+    """Weighted mean of sigma columns as a flat state; quaternions are
     hemisphere-aligned to sigma 0 before averaging, then renormalized."""
-    mean = wm @ align_quat_hemisphere(points, points[0, QUAT])
+    mean = align_quat_hemisphere(points, points[QUAT, 0]) @ wm
     q = mean[QUAT]
-    norm = np.sqrt((q * q).sum())
+    norm = math.sqrt(q @ q)
     if norm < 1e-6:
         raise NumericalError("averaged quaternion is degenerate")
-    mean[QUAT] = q / norm
+    q /= norm
     return mean
 
 
 def _deviations(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Raw sigma-minus-mean differences with hemisphere-aligned quaternions."""
-    return align_quat_hemisphere(points, mean[QUAT]) - mean
+    return align_quat_hemisphere(points, mean[QUAT]) - mean[:, None]
 
 
 def predict(
@@ -243,8 +248,8 @@ def predict(
     process step, returning new arrays.
 
     ``transition`` overrides the kinematic model with an arbitrary batched
-    map over flat state rows (used by oracle tests); the process noise of
-    ``step`` is added either way.
+    map over the (23, 47) sigma columns (used by oracle tests); the process
+    noise of ``step`` is added either way.
     """
     points = generate_sigma_points(x, cov, params, epsilon)
     if transition is None:
@@ -252,13 +257,13 @@ def predict(
         propagated = propagate_states(points, step.dt)
     else:
         propagated = np.array(transition(points), dtype=float)
-        propagated[:, QUAT] = normalize_rows(propagated[:, QUAT])
+        normalize_cols(propagated[QUAT], out=propagated[QUAT])
     wm, wc = params.weights()
     mean = mean_of_sigmas(propagated, wm)
     if not np.isfinite(mean).all():
         raise NumericalError("prediction produced non-finite mean")
     dev = _deviations(propagated, mean)
-    p_out = (dev.T * wc) @ dev + process_noise_matrix(step)
+    p_out = (dev * wc) @ dev.T + process_noise_matrix(step)
     return mean, _condition(p_out, epsilon)
 
 
@@ -308,7 +313,7 @@ def update(
         if all_angular:
             return wrap_angle(res)
         if angular is not None:
-            res[..., angular] = wrap_angle(res[..., angular])
+            res[angular] = wrap_angle(res[angular])
         return res
 
     mean, h = x, model.matrix
@@ -327,14 +332,14 @@ def update(
     else:
         wm, wc = params.weights()
         points = generate_sigma_points(x, cov, params, epsilon)
-        mean = points[0]  # x with its quaternion renormalized
+        mean = points[:, 0]  # x with its quaternion renormalized
         zpts = model.h(points)
-        zbar = zpts[0] + wm @ wrapped(zpts - zpts[0])
-        dz = wrapped(zpts - zbar)
-        s = symmetrize((dz.T * wc) @ dz + model.r)
+        zbar = zpts[:, 0] + wrapped(zpts - zpts[:, :1]) @ wm
+        dz = wrapped(zpts - zbar[:, None])
+        dz_w = dz * wc
+        s = symmetrize(dz_w @ dz.T + model.r)
         nu = wrapped(z - zbar)
-        dev = _deviations(points, mean)
-        pxz = (dev.T * wc) @ dz
+        pxz = (dz_w @ _deviations(points, mean).T).T
     innovation = nu
     if model.blocks:
         parts, rows, solved = _gate_blocks(model.blocks, block_rows, nu, s,
@@ -367,7 +372,7 @@ def update(
         k = k.copy()
         k[frozen, :] = 0.0
     new_vec = mean + k @ nu
-    new_vec[QUAT] = normalize_rows(new_vec[QUAT])
+    new_vec[QUAT] /= math.sqrt(new_vec[QUAT] @ new_vec[QUAT])
     if not np.isfinite(new_vec).all():
         raise NumericalError("update produced non-finite state")
     k_pxz = k @ pxz.T  # its transpose is pxz @ k.T, bit for bit

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 
 @pytest.fixture
@@ -11,6 +13,21 @@ def random_unit_quat(rng, n=None):
     shape = (4,) if n is None else (n, 4)
     q = rng.normal(size=shape)
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def state_columns(max_columns=8, bound=3.0):
+    """Hypothesis strategy: a C-contiguous (23, N) array of flat state
+    columns, as the engine's sigma cloud holds them, with entries in
+    [-bound, bound] and each quaternion (rows 3-6) normalized."""
+    def build(cols):
+        q = cols[3:7]
+        cols[3:7] = q / np.sqrt((q * q).sum(axis=0))
+        return cols
+
+    arrays = st.integers(1, max_columns).flatmap(lambda n: hnp.arrays(
+        float, (23, n), elements=st.floats(-bound, bound)))
+    return arrays.filter(
+        lambda c: ((c[3:7] ** 2).sum(axis=0) > 1e-6).all()).map(build)
 
 
 def random_pd_matrix(rng, dim, scale=1.0):

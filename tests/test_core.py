@@ -15,14 +15,14 @@ from navfuse.core import (
     quat_conjugate,
     quat_exp,
     quat_mul,
-    quat_exp_rows,
-    quat_mul_rows,
+    quat_exp_cols,
+    quat_mul_cols,
     quat_normalize,
     quat_rotate,
     quat_rotate_inv,
     quat_to_euler,
     quat_to_rotmat,
-    rotate_inv_vertical_rows,
+    rotate_inv_vertical_cols,
     rotation_distance,
     wrap_angle,
     yaw_variance,
@@ -113,24 +113,56 @@ class TestRotate:
 
 
 class TestRowKernels:
-    """The unchecked (47, 4) row kernels the engine uses against the
-    checked public functions."""
+    """The unchecked component-first kernels the engine uses, on (4, 47)
+    and (3, 47) columns, against the checked public functions on the same
+    quaternions and vectors as (47, 4) and (47, 3) rows."""
 
     def test_mul_rows_match_quat_mul(self, rng):
         a, b = random_unit_quat(rng, 47), random_unit_quat(rng, 47)
-        assert np.max(np.abs(quat_mul_rows(a, b) - quat_mul(a, b))) <= 1e-15
+        diff = quat_mul_cols(a.T, b.T).T - quat_mul(a, b)
+        assert np.max(np.abs(diff)) <= 1e-15
 
     def test_exp_rows_match_quat_exp(self, rng):
         omega = rng.normal(size=(47, 3))
         omega[:5] *= 1e-9  # rows on the first-order branch
         for dt in (0.01, 0.5):
-            diff = quat_exp_rows(omega, dt) - quat_exp(omega, dt)
+            diff = quat_exp_cols(omega.T, dt).T - quat_exp(omega, dt)
             assert np.max(np.abs(diff)) <= 1e-15
+
+    def test_row_wrappers_on_batches_match_per_row_calls(self, rng):
+        """The public functions pass (N, k) batches to the column kernels
+        as transposed views and 1-D inputs as they are; both give the same
+        rows, up to the last bit a matrix product may sum differently."""
+        n = 200
+        a, b = random_unit_quat(rng, n), random_unit_quat(rng, n)
+        omega, v = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        omega[:5] *= 1e-9  # rows on the first-order branch
+        batches = {
+            "mul": (quat_mul(a, b), [quat_mul(a[i], b[i]) for i in range(n)]),
+            "exp": (quat_exp(omega, 0.01),
+                    [quat_exp(omega[i], 0.01) for i in range(n)]),
+            "rotate": (quat_rotate(a, v),
+                       [quat_rotate(a[i], v[i]) for i in range(n)]),
+            "rotate_inv": (quat_rotate_inv(a, v),
+                           [quat_rotate_inv(a[i], v[i]) for i in range(n)]),
+            # one vector for every quaternion, and one quaternion for all
+            "rotate_one_v": (quat_rotate(a, v[0]),
+                             [quat_rotate(a[i], v[0]) for i in range(n)]),
+            "rotate_one_q": (quat_rotate_inv(a[0], v),
+                             [quat_rotate_inv(a[0], v[i]) for i in range(n)]),
+        }
+        for name, (batch, rows) in batches.items():
+            assert batch.shape == np.shape(rows), name
+            np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-15,
+                                       err_msg=name)
+        stacked = quat_mul(np.stack([a, b]), b)  # leading shape (2, n)
+        np.testing.assert_allclose(stacked[0], quat_mul(a, b), rtol=0,
+                                   atol=1e-15)
 
     def test_vertical_rotate_inv_matches_quat_rotate_inv(self, rng):
         q = random_unit_quat(rng, 47)
         g = 9.80665
-        diff = (rotate_inv_vertical_rows(q, g)
+        diff = (rotate_inv_vertical_cols(q.T, g).T
                 - quat_rotate_inv(q, np.array([0.0, 0.0, g])))
         assert np.max(np.abs(diff)) <= 1e-15
 
@@ -182,9 +214,11 @@ class TestBilinearKernels:
             ref = hamilton_reference(a, b)
             size = (np.linalg.norm(a, axis=-1)
                     * np.linalg.norm(b, axis=-1))[:, None]
-            assert np.all(np.abs(_hamilton(a, b) - ref) <= 8 * EPS * size)
+            assert np.all(np.abs(_hamilton(a.T, b.T).T - ref)
+                          <= 8 * EPS * size)
             unit_ref = ref / np.linalg.norm(ref, axis=-1, keepdims=True)
-            assert np.max(np.abs(quat_mul_rows(a, b) - unit_ref)) <= 16 * EPS
+            assert np.max(np.abs(quat_mul_cols(a.T, b.T).T - unit_ref)) \
+                <= 16 * EPS
             assert np.max(np.abs(quat_mul(a, b) - unit_ref)) <= 16 * EPS
             for i in range(0, len(a), 97):
                 assert np.max(np.abs(quat_mul(a[i], b[i])

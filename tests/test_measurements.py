@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from navfuse.config import DEFAULTS
-from navfuse.core import FilterState, GRAVITY, euler_to_quat, quat_to_rotmat
+from navfuse.core import (FilterState, GRAVITY, euler_to_quat, quat_to_euler,
+                          quat_to_rotmat)
 from navfuse.events import FixType, GpsFixSample
 from navfuse.geodesy import EnuOrigin, GeodeticCoord, enu_to_geodetic
 from navfuse.measurements import (
     MeasurementModel,
     derive_gps_heading,
+    euler_cols,
     encoder_model,
     encoder_vz_model,
     gps_fix_to_measurement,
@@ -25,13 +27,15 @@ from navfuse.measurements import (
     zupt_model,
 )
 
+from conftest import state_columns
+
 ORIGIN = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(45.0, -75.6, 80.0))
 #: a GPS base noise of sigma 0.8 m horizontally and 1.5 m vertically
 BASE_R = np.diag([0.64, 0.64, 2.25])
 
 
 def h1(model, state: FilterState) -> np.ndarray:
-    return np.asarray(model.h(state.as_vector()[None, :]))[0]
+    return np.asarray(model.h(state.as_vector()[:, None]))[:, 0]
 
 
 def fix_at(enu, stamp=0.0, **kw):
@@ -73,6 +77,52 @@ class TestImuRaw:
         assert np.allclose(z[3:], oracle, atol=1e-12)
         # gravity reaction moves to the lateral axis
         assert abs(z[4] - 9.80665) < 1e-9
+
+
+class TestImuRawColumns:
+    @given(state_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_h_matches_the_written_out_reading(self, cols):
+        """h over (23, N) columns against each column's reading written
+        out: rates plus gyro bias, accelerations plus accel bias plus
+        R(q)^T [0, 0, g] as g times the last row of R(q) - I, plus g."""
+        g = float(GRAVITY[2])
+        out = imu_raw_model(0.005, 0.05, 15.09).h(cols)
+        assert out.shape == (6, cols.shape[1])
+        for j in range(cols.shape[1]):
+            s = cols[:, j].tolist()
+            w, x, y, z = s[3:7]
+            gravity = (g * (2.0 * (x * z - w * y)), g * (2.0 * (y * z + w * x)),
+                       g * (-2.0 * (x * x + y * y)) + g)
+            expected = [s[10 + i] + s[16 + i] for i in range(3)] + [
+                s[13 + i] + s[19 + i] + gravity[i] for i in range(3)]
+            np.testing.assert_allclose(out[:, j], expected, rtol=0,
+                                       atol=1e-15)
+
+
+class TestEulerColumns:
+    @given(st.one_of(
+        state_columns().map(lambda c: c[3:7]),
+        # gimbal lock, where about half have |sin pitch| > 1 by rounding
+        st.lists(st.builds(lambda r, s, y: euler_to_quat(r, s * np.pi / 2, y),
+                           st.floats(-np.pi, np.pi),
+                           st.sampled_from([-1.0, 1.0]),
+                           st.floats(-np.pi, np.pi)),
+                 min_size=1, max_size=6).map(
+            lambda qs: np.ascontiguousarray(np.array(qs).T))))
+    @example(np.array([[0.1293332778042926], [0.6951783247860923],
+                       [-0.12933327780429257], [0.6951783247860924]]))
+    @settings(max_examples=300, deadline=None)
+    def test_columns_match_the_per_column_extraction(self, q):
+        """Roll, pitch and yaw of (4, N) columns against ``quat_to_euler``
+        (the ZYX formulas written out in Python floats) column by column,
+        to 1e-15; roll and pitch alone are the first two rows."""
+        rpy = euler_cols(q)
+        assert rpy.shape == (3, q.shape[1])
+        for j in range(q.shape[1]):
+            np.testing.assert_allclose(rpy[:, j], quat_to_euler(q[:, j]),
+                                       rtol=0, atol=1e-15)
+        assert np.array_equal(euler_cols(q, with_yaw=False), rpy[:2])
 
 
 class TestImuOrientation:
@@ -293,7 +343,7 @@ class TestLinearModels:
         assert model.matrix.shape == (model.dim, 23)
         assert not model.matrix.flags.writeable
         rows = rng.normal(size=(50, 23)) * 10.0
-        assert np.array_equal(model.h(rows), reference(rows))
+        assert np.array_equal(model.h(rows.T), reference(rows).T)
 
     def test_models_reading_the_quaternion_keep_a_function(self):
         lever = gps_position_model(np.eye(3), 16.27,
@@ -335,7 +385,7 @@ class TestLinearModels:
             stack(stack(enc, encoder_vz_model(0.05, 11.34)), enc)
         # a blocked model without a matrix is refused at construction
         with pytest.raises(ValueError, match="blocks"):
-            MeasurementModel("sigma", 3, lambda x: x[:, 7:10], np.eye(3),
+            MeasurementModel("sigma", 3, lambda x: x[7:10], np.eye(3),
                              1.0, blocks=(enc,))
 
 

@@ -380,7 +380,51 @@ class TestSensorTable:
                 if row.optional} == {
             "imu": {"orientation"}, "imu2": {"orientation"},
             "vslam": {"cov_diag"},
-            "gps": {"hdop", "vdop", "err_horz", "err_vert", "covariance"}}
+            "gps": {"hdop", "vdop", "satellites", "err_horz", "err_vert",
+                    "covariance"}}
+
+    @pytest.mark.parametrize("fix_type", [
+        7, -1, 2.5, np.nan, np.inf, np.array(5), "2"])
+    def test_fix_type_that_is_no_fix_type_dropped(self, fix_type):
+        """A ``fix_type`` other than the integral values 0-4 is malformed:
+        it neither sets the origin nor reaches the engine."""
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, [imu_at(k * 0.01) for k in range(5)])
+        before = session_of(pipe)
+        report, bumped = ingest_counting(
+            pipe, gps_at([0.0, 0.0, 0.0], 0.05, fix_type=fix_type))
+        assert bumped == {"dropped_malformed": 1}
+        assert report.dropped == "malformed gps"
+        assert session_of(pipe) == before and pipe.origin is None
+
+    @pytest.mark.parametrize("fix_type, origin_set", [
+        (0, False), (1, True), (4.0, True), (np.int64(3), True),
+        (np.array(2), True)])
+    def test_plain_fix_type_values_are_screened(self, fix_type, origin_set):
+        """The integral values 0-4 pass as the ``FixType`` they equal: a
+        plain 0 is screened out below the minimum, a plain 1-4 is not."""
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, [imu_at(k * 0.01) for k in range(5)])
+        report = pipe.ingest(gps_at([0.0, 0.0, 0.0], 0.05,
+                                    fix_type=fix_type))
+        assert report.origin_set == origin_set
+        if not origin_set:
+            assert report.dropped == "fix type NONE below GPS"
+            assert pipe.diagnostics["gps_quality_rejected"] == 1
+
+    @pytest.mark.parametrize("satellites", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_satellites_dropped(self, satellites):
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, [imu_at(k * 0.01) for k in range(5)])
+        before = session_of(pipe)
+        report, bumped = ingest_counting(
+            pipe, gps_at([0.0, 0.0, 0.0], 0.05, satellites=satellites))
+        assert bumped == {"dropped_nonfinite": 1}
+        assert report.dropped == "non-finite gps"
+        assert session_of(pipe) == before and pipe.origin is None
+        # an absent count is no count: the fix sets the origin
+        assert pipe.ingest(gps_at([0.0, 0.0, 0.0], 0.06,
+                                  satellites=None)).origin_set
 
     @pytest.mark.parametrize("kind", sorted(SWITCHES))
     def test_before_imu_clock(self, kind):

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navfuse.config import DEFAULTS, PipelineConfig
 from navfuse.core import (
     ENC_YAW_BIAS,
+    EPSILON_OMEGA,
     GYRO_BIAS,
     POS,
     QUAT,
@@ -15,7 +19,7 @@ from navfuse.core import (
 from navfuse.process import STATE_BLOCKS, PropagationStep, noise_rates, \
     process_noise_matrix, propagate_states
 
-from conftest import random_unit_quat
+from conftest import random_unit_quat, state_columns
 
 
 def make_step(dt=0.01, frozen=(), position_scale=1.0, **noise):
@@ -27,11 +31,48 @@ def make_step(dt=0.01, frozen=(), position_scale=1.0, **noise):
 
 def advance(x, step):
     """One kinematic step of a single state."""
-    rows = propagate_states(x.as_vector()[None, :], step.dt)
-    return FilterState.from_vector(rows[0])
+    cols = propagate_states(x.as_vector()[:, None], step.dt)
+    return FilterState.from_vector(cols[:, 0])
+
+
+def propagate_column(s, dt):
+    """One state's kinematic step written out term by term in Python
+    floats: position, quaternion and velocity, as a flat 16-vector."""
+    px, py, pz, w, x, y, z, vx, vy, vz, wx, wy, wz, ax, ay, az = \
+        s[:16].tolist()
+    r = quat_to_rotmat(np.array([w, x, y, z])).tolist()
+    pos = [p + dt * (row[0] * vx + row[1] * vy + row[2] * vz)
+           for p, row in zip((px, py, pz), r)]
+    rate = math.sqrt(wx * wx + wy * wy + wz * wz)
+    if rate <= EPSILON_OMEGA:
+        ew, scale = 1.0, 0.5 * dt
+    else:
+        ew, scale = math.cos(0.5 * dt * rate), math.sin(0.5 * dt * rate) / rate
+    ex, ey, ez = scale * wx, scale * wy, scale * wz
+    q = [w * ew - x * ex - y * ey - z * ez,
+         w * ex + x * ew + y * ez - z * ey,
+         w * ey - x * ez + y * ew + z * ex,
+         w * ez + x * ey - y * ex + z * ew]
+    norm = math.sqrt(sum(c * c for c in q))
+    vel = [v + dt * a for v, a in ((vx, ax), (vy, ay), (vz, az))]
+    return np.array(pos + [c / norm for c in q] + vel)
 
 
 class TestPropagate:
+    @given(state_columns(), st.floats(1e-3, 0.1))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_match_the_written_out_step(self, cols, dt):
+        """The component-major kernel against the step written out per
+        column: position, quaternion and velocity rows to 1e-15 (they
+        differ only in summation order), the held rows bit for bit."""
+        out = propagate_states(cols, dt)
+        assert out.shape == cols.shape
+        for j in range(cols.shape[1]):
+            np.testing.assert_allclose(out[:10, j],
+                                       propagate_column(cols[:, j], dt)[:10],
+                                       rtol=0, atol=1e-15)
+        assert np.array_equal(out[10:], cols[10:])
+
     def test_rest_state_stays_put(self):
         x = FilterState()
         out = advance(x, make_step(0.02))
@@ -91,10 +132,10 @@ class TestPropagate:
         states = rng.normal(size=(1000, 23))
         states[:, QUAT] = random_unit_quat(rng, 1000)
         states[:, 10:13] *= 0.5
-        x = states
+        x = states.T
         for _ in range(1000):
             x = propagate_states(x, 0.01)
-        norms = np.linalg.norm(x[:, QUAT], axis=-1)
+        norms = np.linalg.norm(x[QUAT], axis=0)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
         assert np.all(np.isfinite(x))
 

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from navfuse.config import PipelineConfig
 from navfuse.core import (
@@ -26,6 +26,7 @@ from navfuse.process import STATE_BLOCKS, PropagationStep, noise_rates
 from navfuse import ukf
 from navfuse.ukf import (
     UkfParams,
+    align_quat_hemisphere,
     cap_omega_variance,
     generate_sigma_points,
     mean_of_sigmas,
@@ -34,7 +35,8 @@ from navfuse.ukf import (
     update,
 )
 
-from conftest import LinearKalmanOracle, random_pd_matrix, random_unit_quat
+from conftest import (LinearKalmanOracle, random_pd_matrix, random_unit_quat,
+                      state_columns)
 
 NON_QUAT = np.array([i for i in range(STATE_DIM)
                      if i not in range(QUAT.start, QUAT.stop)])
@@ -79,12 +81,12 @@ class TestSigmaPoints:
     def test_count_and_center(self):
         x = FilterState().as_vector()
         s = generate_sigma_points(x, np.eye(STATE_DIM) * 0.04, PARAMS)
-        assert s.shape == (47, STATE_DIM)
-        assert np.allclose(s[0], x)
+        assert s.shape == (STATE_DIM, 47)
+        assert np.allclose(s[:, 0], x)
 
     def test_symmetric_pairs_in_non_quaternion_components(self):
         base = FilterState().as_vector()
-        s = generate_sigma_points(base, np.eye(STATE_DIM) * 0.04, PARAMS)
+        s = generate_sigma_points(base, np.eye(STATE_DIM) * 0.04, PARAMS).T
         plus = s[1:24][:, NON_QUAT] - base[NON_QUAT]
         minus = s[24:][:, NON_QUAT] - base[NON_QUAT]
         assert np.allclose(plus, -minus, atol=1e-12)
@@ -92,8 +94,24 @@ class TestSigmaPoints:
     def test_quaternions_unit_norm(self, rng):
         p = random_pd_matrix(rng, STATE_DIM, 0.01)
         s = generate_sigma_points(FilterState().as_vector(), p, PARAMS)
-        norms = np.linalg.norm(s[:, QUAT], axis=-1)
+        norms = np.linalg.norm(s[QUAT], axis=0)
         assert np.allclose(norms, 1.0, atol=1e-12)
+
+    def test_columns_are_the_state_plus_and_minus_the_root(self, rng):
+        """One C-contiguous (23, 47) cloud: column 0 is x, columns 1-23 and
+        24-46 are x plus and minus the columns of chol((n+lam)P), bit for
+        bit, their quaternion rows then divided by their norms."""
+        x = rng.normal(size=STATE_DIM)
+        x[QUAT] = random_unit_quat(rng)
+        p = random_pd_matrix(rng, STATE_DIM, 0.01)
+        s = generate_sigma_points(x, p, PARAMS)
+        assert s.shape == (STATE_DIM, 47) and s.flags.c_contiguous
+        root = np.linalg.cholesky(PARAMS.spread * p)
+        expected = np.hstack([x[:, None], x[:, None] + root,
+                              x[:, None] - root])
+        q = expected[QUAT]
+        expected[QUAT] = q / np.sqrt((q * q).sum(axis=0))
+        assert s.tobytes() == expected.tobytes()
 
     def test_mean_recovers_generating_state(self, rng):
         for _ in range(5):
@@ -106,11 +124,33 @@ class TestSigmaPoints:
             assert rotation_distance(m[QUAT], vec[QUAT]) < 1e-8
 
 
+class TestHemisphereAlignment:
+    @given(state_columns(), st.lists(st.floats(-1.0, 1.0), min_size=4,
+                                     max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_flips_only_the_columns_opposite_the_reference(self, cols, ref):
+        """Exactly the columns whose quaternion has a negative dot product
+        with the reference get it negated, bit for bit; every other entry
+        is kept, and a cloud needing no flip comes back as it is."""
+        ref = np.array(ref)
+        dots = [sum(r * c for r, c in zip(ref, cols[QUAT, j]))
+                for j in range(cols.shape[1])]
+        # a dot product within rounding of zero may take either sign
+        assume(all(abs(d) > 1e-12 for d in dots))
+        out = align_quat_hemisphere(cols, ref)
+        expected = cols.copy()
+        for j, d in enumerate(dots):
+            if d < 0.0:
+                expected[QUAT, j] = -cols[QUAT, j]
+        assert out.tobytes() == expected.tobytes()
+        assert (out is cols) == np.array_equal(expected, cols)
+
+
 class TestMeanOfSigmas:
     def test_identical_sigmas_return_that_state(self, rng):
         vec = rng.normal(size=STATE_DIM)
         vec[QUAT] = random_unit_quat(rng)
-        m = mean_of_sigmas(np.tile(vec, (47, 1)), PARAMS.wm)
+        m = mean_of_sigmas(np.tile(vec, (47, 1)).T, PARAMS.wm)
         assert np.allclose(m, vec, atol=1e-9)
 
     def test_opposite_hemisphere_quaternions_average_correctly(self):
@@ -120,7 +160,7 @@ class TestMeanOfSigmas:
         flipped[QUAT] = -flipped[QUAT]
         points = np.tile(vec, (47, 1))
         points[1::2] = flipped
-        m = mean_of_sigmas(points, PARAMS.wm)
+        m = mean_of_sigmas(points.T, PARAMS.wm)
         assert rotation_distance(m[QUAT], vec[QUAT]) < 1e-12
 
     def test_sign_flips_leave_rotation_unchanged(self, rng):
@@ -129,9 +169,9 @@ class TestMeanOfSigmas:
         m0 = mean_of_sigmas(s, PARAMS.wm)
         for _ in range(5):
             flips = rng.random(47) < 0.5
-            pts = s.copy()
+            pts = s.T.copy()
             pts[flips, QUAT.start:QUAT.stop] *= -1.0
-            m1 = mean_of_sigmas(pts, PARAMS.wm)
+            m1 = mean_of_sigmas(pts.T, PARAMS.wm)
             assert rotation_distance(m0[QUAT], m1[QUAT]) <= 1e-9
 
 
@@ -250,7 +290,7 @@ class TestPredict:
         ox = vec[NON_QUAT]
         op = p[np.ix_(NON_QUAT, NON_QUAT)]
 
-        transition = lambda pts: pts @ a23.T
+        transition = lambda pts: a23 @ pts
         for _ in range(20):
             x, p = predict(x, p, step, PARAMS, transition=transition)
             ox, op = oracle.predict(ox, op)
@@ -279,7 +319,7 @@ class TestPredict:
 
 def linear_position_model(r_scalar=0.25, gate_threshold=1e12):
     def h(states):
-        return np.atleast_2d(states)[:, 0:3]
+        return states[0:3]
 
     return MeasurementModel("linear_pos", 3, h, np.eye(3) * r_scalar,
                             gate_threshold)
@@ -297,9 +337,9 @@ class TestUpdate:
         p = default_cov()
         model = imu_raw_model(0.005, 0.05, 1e12)
         # recover the sigma-mean prediction so z equals z_hat exactly
-        probe = update(x, p, np.asarray(model.h(x[None, :]))[0],
+        probe = update(x, p, np.asarray(model.h(x[:, None]))[:, 0],
                        model, PARAMS)
-        z = np.asarray(model.h(x[None, :]))[0] - probe.innovation
+        z = np.asarray(model.h(x[:, None]))[:, 0] - probe.innovation
         out = update(x, p, z, model, PARAMS)
         assert out.accepted and out.d2 == pytest.approx(0.0, abs=1e-18)
         assert np.max(np.abs(out.x - x)) < 1e-15
@@ -367,7 +407,7 @@ class TestUpdate:
         p = default_cov()
 
         def h(states):
-            return np.zeros((np.atleast_2d(states).shape[0], 2))
+            return np.zeros((2, states.shape[1]))
 
         model = MeasurementModel("degenerate", 2, h, np.zeros((2, 2)), 10.0)
         out = update(x, p, np.zeros(2), model, PARAMS)
@@ -380,9 +420,8 @@ class TestUpdate:
         p[ENC_YAW_BIAS, 12] = p[12, ENC_YAW_BIAS] = 5e-5  # couple to omega_z
 
         def h(states):
-            s = np.atleast_2d(states)
-            return s[:, 10:13] - s[:, ENC_YAW_BIAS:ENC_YAW_BIAS + 1] * \
-                np.array([0.0, 0.0, 1.0])
+            return states[10:13] - states[ENC_YAW_BIAS:ENC_YAW_BIAS + 1] * \
+                np.array([[0.0], [0.0], [1.0]])
 
         model = MeasurementModel("enc_like", 3, h, np.eye(3) * 1e-4, 1e12)
         z = np.array([0.0, 0.0, 0.02])
@@ -395,8 +434,8 @@ class TestUpdate:
 
     def test_angular_residual_wraps(self):
         def h(states):
-            from navfuse.measurements import euler_rows
-            return euler_rows(np.atleast_2d(states)[:, QUAT])[:, 2:3]
+            from navfuse.measurements import euler_cols
+            return euler_cols(states[QUAT])[2:3]
 
         model = MeasurementModel("yaw_only", 1, h, np.array([[0.05]]), 1e12,
                                  angular=np.array([True]))
@@ -420,7 +459,7 @@ def read_only_inputs():
 def degenerate_model():
     """A sigma-point model whose innovation covariance is singular."""
     return MeasurementModel(
-        "degenerate", 2, lambda s: np.zeros((np.atleast_2d(s).shape[0], 2)),
+        "degenerate", 2, lambda s: np.zeros((2, s.shape[1])),
         np.zeros((2, 2)), 10.0)
 
 
@@ -462,7 +501,7 @@ def gate_through_update(nu, s, threshold):
     m = len(nu)
     p = default_cov()
     p[:m, :m] = 0.5 * s
-    model = MeasurementModel("pos", m, lambda x: x[:, :m], 0.5 * s, threshold)
+    model = MeasurementModel("pos", m, lambda x: x[:m], 0.5 * s, threshold)
     out = update(FilterState().vector, p, nu, model, PARAMS)
     return out.accepted, out.d2
 
@@ -593,7 +632,7 @@ class TestStackedUpdate:
         for b, model in enumerate(models):
             model.gate = 1e12 if pattern >> b & 1 else 1e-300
         stacked = stack(*models)
-        z = stacked.h(vec[None, :])[0] + rng.normal(size=stacked.dim)
+        z = stacked.h(vec[:, None])[:, 0] + rng.normal(size=stacked.dim)
         out = update(state, cov, z, stacked, PARAMS, frozen=frozen)
 
         start, seq_state, seq_cov = 0, state, cov
@@ -616,7 +655,7 @@ class TestStackedUpdate:
     def test_blocked_model_without_matrix_is_refused(self):
         enc = encoder_model(0.03, 0.03, 0.02, 11.34)
         with pytest.raises(ValueError):
-            MeasurementModel("sigma", 3, lambda x: x[:, 7:10], np.eye(3),
+            MeasurementModel("sigma", 3, lambda x: x[7:10], np.eye(3),
                              1.0, blocks=(enc,))
         with pytest.raises(ValueError):
             stack(enc, imu_raw_model(0.005, 0.05, 15.09))
