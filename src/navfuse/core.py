@@ -63,6 +63,12 @@ class NumericalError(RuntimeError):
     """Raised when the filter produces non-finite or degenerate numbers."""
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite: one flattened a.a by ``np.vdot``,
+    which warns of no overflow, and each entry only when that is not."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def quat_identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -157,7 +163,7 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def normalize_cols(q: np.ndarray, out=None) -> np.ndarray:
     """Quaternion columns divided by their norms, unchecked; into ``out``
     when given, which may be ``q`` itself."""
-    return np.divide(q, np.sqrt((q * q).sum(axis=0)), out=out)
+    return np.divide(q, np.sqrt(np.add.reduce(q * q, axis=0)), out=out)
 
 
 def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,7 +183,7 @@ def quat_exp_cols(omega: np.ndarray, dt: float) -> np.ndarray:
     Its norm is 1 up to rounding on the exact branch and 1 + O(|omega dt|^2)
     on the first-order one; a caller that composes it with ``quat_mul_cols``
     renormalizes the product anyway."""
-    rate = np.sqrt((omega * omega).sum(axis=0))
+    rate = np.sqrt(np.add.reduce(omega * omega, axis=0))
     half = rate * (0.5 * dt)
     small = rate <= EPSILON_OMEGA
     any_small = np.count_nonzero(small)
@@ -200,8 +206,8 @@ def quat_rotate_cols(q: np.ndarray, v: np.ndarray,
     over columns, unchecked; a (3, 1) ``v`` is one vector for every q."""
     m = (_ROTATION @ _outer(q, q)).reshape((3, 3) + q.shape[1:])
     if inverse:
-        return v + (m * v[:, None]).sum(axis=0)
-    return v + (m * v[None]).sum(axis=1)
+        return v + np.add.reduce(m * v[:, None], axis=0)
+    return v + np.add.reduce(m * v[None], axis=1)
 
 
 def rotate_inv_vertical_cols(q: np.ndarray, g: float) -> np.ndarray:
@@ -302,9 +308,11 @@ def wrap_angle(a):
     scalar, goes through (a + pi) mod 2 pi - pi, which can move an
     in-range value by its last bit."""
     a = np.asarray(a, dtype=float)
-    # a NaN fails both comparisons, and so takes the formula
-    if a.ndim and a.size and -np.pi < a.min() and a.max() <= np.pi:
-        return a
+    if a.ndim and a.size:
+        # a NaN propagates through the maximum and fails both comparisons
+        top = np.maximum.reduce(np.abs(a), axis=None)
+        if top < np.pi or (top == np.pi and a.min() > -np.pi):
+            return a
     wrapped = np.remainder(a + np.pi, 2.0 * np.pi)
     wrapped = np.where(wrapped <= 0.0, wrapped + 2.0 * np.pi, wrapped)
     out = wrapped - np.pi
@@ -419,7 +427,7 @@ class FilterState:
         """Hard error naming the offending component on NaN/Inf or a
         non-unit quaternion."""
         vec = self.vector
-        if not np.isfinite(vec).all():
+        if not all_finite(vec):
             for name, sl in _STATE_FIELD_SLICES:
                 if not np.isfinite(vec[sl]).all():
                     raise NumericalError(f"non-finite filter state: {name}")

@@ -65,6 +65,7 @@ class MeasurementModel:
         if self.angular is None:
             self.angular = np.zeros(self.dim, dtype=bool)
         self.wraps = bool(np.any(self.angular))
+        self.all_angular = self.wraps and bool(self.angular.all())
         if self.gate <= 0:
             raise ValueError("gate threshold must be > 0")
         if not callable(self.h):

@@ -27,7 +27,9 @@ mapping latency) stamped before the newest snapshot is applied there and
 the recorded IMU steps are re-run.  Any other kind arrives with negligible
 latency, at rates where a rewind per sample would cost a replay per sample,
 so it is applied where it arrives; replay re-runs only IMU steps, so such
-an update inside a rewound window does not survive it.  A primary-IMU stamp
+an update inside a rewound window does not survive it.  A delayed event
+whose every update is rejected rewinds nothing, so the live state stands
+(``retro_unchanged``).  A primary-IMU stamp
 must advance the filter clock by at most ``_MAX_IMU_GAP``; one outside that
 window is dropped, and a second in a row restarts the session there, unless
 it lies at most ``_MAX_IMU_DELAY`` behind the clock, as late delivery does.
@@ -72,6 +74,7 @@ from .core import (
     STATE_DIM,
     FilterState,
     NumericalError,
+    all_finite,
     quat_conjugate,
     quat_mul,
     quat_normalize,
@@ -148,8 +151,7 @@ def _payload_fault(event: SensorEvent, row: "SensorPolicy"
                 name == "fix_type" and value not in _FIX_TYPES):
             return _MALFORMED
         if finite:
-            finite = (np.isfinite(value).all() if shape
-                      else math.isfinite(value))
+            finite = all_finite(value) if shape else math.isfinite(value)
         if finite and name == row.quaternion:
             degenerate = math.sqrt((value * value).sum()) < QUAT_NORM_MIN
     if not finite:
@@ -384,9 +386,9 @@ class FusionPipeline:
               chained: bool = False):
         """Fuse one event's updates (``_apply_updates``).  A ``delayed``
         kind stamped before the newest snapshot is applied there and the
-        later IMU steps are replayed; anything else is applied to the
-        current state.  Returns the update records and the outcomes, which
-        are None when the event is older than the replay buffer."""
+        later IMU steps are replayed if any update was accepted; anything
+        else is applied to the current state.  Returns the update records
+        and the outcomes, None when the event is older than the buffer."""
         records: list[UpdateRecord] = []
 
         def apply(x: np.ndarray, cov: np.ndarray):
@@ -402,6 +404,9 @@ class FusionPipeline:
         if replay.status == "dropped_old":
             self._count("retro_dropped_too_old")
             return records, None
+        if replay.status == "unchanged":  # the live state stands
+            self._count("retro_unchanged")
+            return records, replay.result
         self._count("retro_replays")
         self.x, self.cov = replay.x, replay.cov
         return records, replay.result

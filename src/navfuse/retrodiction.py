@@ -44,7 +44,7 @@ class Snapshot:
 
 @dataclass
 class ReplayOutcome:
-    status: str  # "applied", "dropped_old", "empty"
+    status: str  # "applied", "unchanged", "dropped_old", "empty"
     steps_replayed: int = 0
     x: Optional[np.ndarray] = None
     cov: Optional[np.ndarray] = None
@@ -93,7 +93,8 @@ class StateSnapshotRing:
         -> (x, cov)`` re-runs one recorded IMU step from ``stamp``, the
         stamp of the snapshot before it.  The ring's stored states are
         replaced with the replayed ones so later delayed measurements rewind
-        onto corrected history.
+        onto corrected history.  When ``apply_fn`` returns the restored
+        arrays themselves, nothing is replayed: the status is "unchanged".
         """
         if not self.entries:
             return ReplayOutcome(status="empty")
@@ -102,6 +103,8 @@ class StateSnapshotRing:
         idx = self.nearest_at_or_before(stamp)
         base = self.entries[idx]
         x, cov, result = apply_fn(base.x, base.cov)
+        if x is base.x and cov is base.cov:
+            return ReplayOutcome(status="unchanged", result=result)
         base.x, base.cov = x, cov
         prev = base.stamp
         for entry in self.entries[idx + 1 :]:

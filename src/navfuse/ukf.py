@@ -16,6 +16,10 @@ symmetrized, eigenvalue-repaired to a positive-definite floor, and has its
 angular-rate variances capped.  The engine takes and returns plain arrays,
 the flat state ``x`` and its covariance, knows no clock, and never writes
 into its inputs, so callers may share them.
+
+Every factorization and solve goes through ``_cholesky`` and ``_solve``:
+numpy's own LAPACK gufuncs in ``np.linalg``'s error state, bit for bit its
+results and failures, without a wrapper that costs more than LAPACK at 23x23.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (
     EPSILON_PD,
@@ -34,6 +39,7 @@ from .core import (
     QUAT,
     STATE_DIM,
     NumericalError,
+    all_finite,
     normalize_cols,
     wrap_angle,
 )
@@ -108,6 +114,20 @@ class UpdateOutcome:
     blocks: tuple[BlockOutcome, ...] = ()
 
 
+def _linalg_error(err, flag):
+    raise np.linalg.LinAlgError("factorization failed")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    with np.errstate(all="ignore", invalid="call", call=_linalg_error):
+        return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a 2-D b
+    with np.errstate(all="ignore", invalid="call", call=_linalg_error):
+        return _umath_linalg.solve(a, b, signature="dd->d")
+
+
 def symmetrize(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
@@ -136,7 +156,7 @@ def repair_pd(p: np.ndarray, epsilon: float = EPSILON_PD) -> np.ndarray:
     else:
         shifted = _add_to_diagonal(p, -epsilon)
     try:
-        np.linalg.cholesky(shifted)
+        _cholesky(shifted)
         return p
     except np.linalg.LinAlgError:
         pass
@@ -202,10 +222,10 @@ def generate_sigma_points(
     error.  Perturbed quaternions are renormalized.
     """
     try:
-        root = np.linalg.cholesky(params.spread * cov)
+        root = _cholesky(params.spread * cov)
     except np.linalg.LinAlgError:
         try:
-            root = np.linalg.cholesky(params.spread * repair_pd(cov, epsilon))
+            root = _cholesky(params.spread * repair_pd(cov, epsilon))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "covariance square root failed after repair"
@@ -260,7 +280,7 @@ def predict(
         normalize_cols(propagated[QUAT], out=propagated[QUAT])
     wm, wc = params.weights()
     mean = mean_of_sigmas(propagated, wm)
-    if not np.isfinite(mean).all():
+    if not all_finite(mean):
         raise NumericalError("prediction produced non-finite mean")
     dev = _deviations(propagated, mean)
     p_out = (dev * wc) @ dev.T + process_noise_matrix(step)
@@ -304,16 +324,13 @@ def update(
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (model.dim,):
         raise ValueError(f"measurement dim mismatch: {z.shape} vs {model.dim}")
-    angular = model.angular if model.wraps else None
-    # a model of angles only wraps residuals whole, in range as they are
-    all_angular = angular is not None and angular.all()
-
     def wrapped(res: np.ndarray) -> np.ndarray:
-        # every residual passed here is a fresh array, so wrap in place
-        if all_angular:
+        # every residual passed here is a fresh array, so wrap in place; a
+        # model of angles only wraps residuals whole, in range as they are
+        if model.all_angular:
             return wrap_angle(res)
-        if angular is not None:
-            res[angular] = wrap_angle(res[angular])
+        if model.wraps:
+            res[model.angular] = wrap_angle(res[model.angular])
         return res
 
     mean, h = x, model.matrix
@@ -357,7 +374,7 @@ def update(
         rhs[:, 0] = nu
         rhs[:, 1:] = pxz.T
         try:
-            solved = np.linalg.solve(s, rhs)
+            solved = _solve(s, rhs)
         except np.linalg.LinAlgError:
             return UpdateOutcome(x, cov, False, float("inf"), nu,
                                  reason="singular")
@@ -373,7 +390,7 @@ def update(
         k[frozen, :] = 0.0
     new_vec = mean + k @ nu
     new_vec[QUAT] /= math.sqrt(new_vec[QUAT] @ new_vec[QUAT])
-    if not np.isfinite(new_vec).all():
+    if not all_finite(new_vec):
         raise NumericalError("update produced non-finite state")
     k_pxz = k @ pxz.T  # its transpose is pxz @ k.T, bit for bit
     p_new = cov - k_pxz - k_pxz.T + k @ s @ k.T
@@ -414,7 +431,7 @@ def _gate_blocks(blocks, block_rows: list[slice], nu: np.ndarray,
         rhs[:, 0] = nu_trial
         rhs[:, 1:] = pxz[:, trial].T
         try:
-            trial_solved = np.linalg.solve(_submatrix(s, trial), rhs)
+            trial_solved = _solve(_submatrix(s, trial), rhs)
         except np.linalg.LinAlgError:
             parts.append(BlockOutcome(False, float("inf"), nu_b, "singular"))
             continue

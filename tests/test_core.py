@@ -257,6 +257,14 @@ class TestStateVector:
         with pytest.raises(NumericalError, match="velocity"):
             state.validate()
 
+    def test_validate_accepts_a_finite_state_whose_dot_overflows(self):
+        state = FilterState()
+        state.velocity = np.array([1e200, 0.0, 0.0])
+        state.validate()
+        state.velocity = np.array([1e200, np.nan, 0.0])
+        with pytest.raises(NumericalError, match="velocity"):
+            state.validate()
+
     def test_validate_checks_quaternion_norm(self):
         state = FilterState()
         state.quaternion = np.array([1.0, 0.0, 0.0, 1e-3])
@@ -350,6 +358,22 @@ class TestAngles:
         assert wrap_angle(-np.pi) == np.pi
         assert wrap_angle(np.array([-np.pi]))[0] == np.pi
         assert np.isnan(wrap_angle(np.array([0.0, np.nan]))[1])
+
+    def test_wrap_range_test_boundaries(self):
+        """The in-range test takes max |a|, and the minimum only when that
+        is exactly pi: pi stays, -pi takes the formula, over any shape."""
+        for a in (np.array([np.pi, -1.0]),
+                  np.array([[0.5, np.pi], [-3.0, 0.0]]),
+                  np.array([np.nextafter(-np.pi, 0.0), 3.0])):
+            assert wrap_angle(a) is a
+        for a in (np.array([np.pi, -np.pi]), np.array([[0.5], [-np.pi]]),
+                  np.array([[0.5, 0.0], [1.0, 4.0]])):
+            out = wrap_angle(a)
+            assert out is not a
+            assert out.tobytes() == self.formula_wrap(a).tobytes()
+        assert wrap_angle(np.array([np.pi, -np.pi]))[1] == np.pi
+        a = np.array([[0.1, np.nan]])
+        assert wrap_angle(a).tobytes() == self.formula_wrap(a).tobytes()
 
     def test_canonical_w_nonnegative(self, rng):
         for _ in range(20):

@@ -290,6 +290,19 @@ class TestSensorTable:
         assert report.dropped == f"non-finite {kind}"
         assert np.array_equal(pipe.state.as_vector(), before)
 
+    def test_finite_check_takes_the_flattened_dot_product(self):
+        """A finite payload whose x.x overflows passes; one NaN anywhere in
+        a (3, 3) field fails."""
+        fault = pipeline_module._payload_fault
+        assert fault(imu_at(0.01, gyro=(1e200, 0, 0)), SENSORS["imu"]) is None
+        cov = np.eye(3)
+        cov[1, 2] = np.nan
+        fix = gps_at([0, 0, 0], 0.015, covariance=cov)
+        assert fault(fix, SENSORS["gps"]) == ("dropped_nonfinite",
+                                              "non-finite {}")
+        fix.covariance = np.eye(3) * 1e200
+        assert fault(fix, SENSORS["gps"]) is None
+
     @pytest.mark.parametrize("kind", sorted(SENSORS))
     def test_nonfinite_stamp(self, kind):
         pipe = FusionPipeline(PipelineConfig(ALL_ON))
@@ -507,10 +520,10 @@ class TestConstruction:
         orientation = np.array([1.0, 0.0, 0.0, 0.0])
         pipe.ingest(imu_at(0.0, orientation=orientation))
         calls = dict.fromkeys(("generate_sigma_points", "repair_pd",
-                               "cholesky", "solve", "eigvalsh"), 0)
+                               "_cholesky", "_solve", "eigvalsh"), 0)
         for owner, name in ((ukf, "generate_sigma_points"),
-                            (ukf, "repair_pd"), (np.linalg, "cholesky"),
-                            (np.linalg, "solve"), (np.linalg, "eigvalsh")):
+                            (ukf, "repair_pd"), (ukf, "_cholesky"),
+                            (ukf, "_solve"), (np.linalg, "eigvalsh")):
             def counted(*args, _fn=getattr(owner, name), _name=name,
                         **kwargs):
                 calls[_name] += 1
@@ -520,7 +533,7 @@ class TestConstruction:
         assert [r.path for r in report.updates] == ["imu_raw",
                                                     "imu_orientation"]
         assert calls == {"generate_sigma_points": 3, "repair_pd": 3,
-                         "cholesky": 6, "solve": 2, "eigvalsh": 0}
+                         "_cholesky": 6, "_solve": 2, "eigvalsh": 0}
 
 
 class TestGps:
@@ -1051,6 +1064,32 @@ class TestRetrodiction:
         pipe.ingest(gps_at([0.1, 0, 0], 0.1))
         assert pipe.diagnostics["retro_replays"] == 1
         assert len(euler_calls) == 0
+
+    def test_gated_late_fix_rewinds_nothing(self):
+        """A late fix far outside the gate leaves the live state and every
+        snapshot as they were, so an encoder update fused inside its window
+        survives it."""
+        def build(encoder):
+            pipe = FusionPipeline(PipelineConfig({"zupt.enabled": False}))
+            pipe.ingest(imu_at(0.0))
+            pipe.ingest(gps_at([0, 0, 0], 0.0))  # origin
+            for k in range(1, 51):
+                pipe.ingest(imu_at(k * 0.01))
+                if encoder and k == 45:
+                    pipe.ingest(encoder_at(k * 0.01 + 0.005, vx=0.5))
+            return pipe
+
+        pipe = build(encoder=True)
+        assert not np.array_equal(pipe.x, build(encoder=False).x)
+        x, cov = pipe.x, pipe.cov
+        arrays = [(e.x, e.cov) for e in pipe.ring.entries]
+        report, bumped = ingest_counting(pipe, gps_at([500.0, 0, 0], 0.3))
+        assert [(r.path, r.accepted) for r in report.updates] == [
+            ("gps_pos", False)]
+        assert bumped == {"engine_update_calls": 1, "retro_unchanged": 1}
+        assert pipe.x is x and pipe.cov is cov
+        assert all(e.x is ex and e.cov is ec
+                   for e, (ex, ec) in zip(pipe.ring.entries, arrays))
 
     def test_too_old_measurement_dropped(self):
         cfg = PipelineConfig({"retro.capacity": 10})

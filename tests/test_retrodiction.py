@@ -99,6 +99,20 @@ class TestApplyDelayed:
         assert ring.entries[7].x[0] == pytest.approx(4.0)
         assert ring.entries[3].cov[0, 0] == pytest.approx(2.0 * (1.0 + 3.0))
 
+    def test_unchanged_state_is_not_replayed(self):
+        ring = StateSnapshotRing(10)
+        for k in range(8):
+            ring.record(snap(0.01 * k, marker=k))
+        before = [(e.x, e.cov) for e in ring.entries]
+        calls, _, replay_fn = self._fns()
+        out = ring.apply_delayed(0.0349, lambda x, cov: (x, cov, "gated"),
+                                 replay_fn)
+        assert out.status == "unchanged" and out.result == "gated"
+        assert out.x is None and out.steps_replayed == 0
+        assert calls["replayed"] == []
+        assert all(e.x is x and e.cov is cov
+                   for e, (x, cov) in zip(ring.entries, before))
+
     def test_replay_determinism(self):
         def run():
             ring = StateSnapshotRing(10)

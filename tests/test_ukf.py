@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -303,6 +304,13 @@ class TestPredict:
         with pytest.raises(NumericalError):
             predict(x, default_cov(), step, PARAMS)
 
+    def test_finite_state_whose_dot_overflows_is_accepted(self):
+        x = FilterState(position=[1e155, 0.0, 0.0]).vector
+        assert np.vdot(x, x) == np.inf
+        step = PropagationStep(0.01, noise_rates(PipelineConfig()))
+        x1, _ = predict(x, default_cov(), step, PARAMS)
+        assert np.isfinite(x1).all() and x1[0] == pytest.approx(1e155)
+
     def test_fuzz_invariants(self, rng):
         x = np.concatenate([rng.normal(size=3), random_unit_quat(rng),
                             rng.normal(size=16) * 0.3])
@@ -526,13 +534,74 @@ class TestGate:
                 assert d2c == pytest.approx(d2, rel=1e-9)
 
 
+def outcome(fn, *args):
+    """What ``fn(*args)`` does: the exception type it raises, or its
+    result's shape and bytes; recording any warning it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except Exception as exc:  # compared below, whatever it is
+            result = type(exc)
+        else:
+            result = (result.shape, result.tobytes())
+    assert not caught, [str(w.message) for w in caught]
+    return result
+
+
+class TestLinalgSeam:
+    """``_cholesky`` and ``_solve`` are ``np.linalg.cholesky`` and
+    ``np.linalg.solve`` without the wrapper: same bits, same failures, and
+    no warning either way."""
+
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-8, 1e4))
+    @settings(max_examples=60, deadline=None)
+    def test_cholesky_matches_numpy_on_spd(self, seed, scale):
+        p = random_pd_matrix(np.random.default_rng(seed), STATE_DIM, scale)
+        p = ukf.symmetrize(p)
+        assert outcome(ukf._cholesky, p) == outcome(np.linalg.cholesky, p)
+        assert outcome(ukf._cholesky, p)[0] == (STATE_DIM, STATE_DIM)
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_solve_matches_numpy(self, dim, seed, strided):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(2 * dim, 2 * dim))
+        # a strided view, as a stacked update's submatrix of S can be
+        a = a[::2, ::2] if strided else a[:dim, :dim].copy()
+        b = rng.normal(size=(dim, 1 + STATE_DIM))
+        assert outcome(ukf._solve, a, b) == outcome(np.linalg.solve, a, b)
+        assert outcome(ukf._solve, a, b)[0] == (dim, 1 + STATE_DIM)
+
+    @pytest.mark.parametrize("case", ["indefinite", "nan", "singular"])
+    @pytest.mark.parametrize("dim", [1, 3, STATE_DIM])
+    def test_failures_match_numpy(self, case, dim):
+        a = default_cov()[:dim, :dim].copy()
+        if case == "indefinite":
+            a[-1, -1] = -a[-1, -1]
+        elif case == "nan":
+            a[0, 0] = np.nan
+        else:
+            a[-1, :] = a[-1, -1] = 0.0
+            a[:, -1] = 0.0
+        b = np.ones((dim, 1 + STATE_DIM))
+        chol = outcome(ukf._cholesky, a)
+        assert chol == outcome(np.linalg.cholesky, a)
+        solved = outcome(ukf._solve, a, b)
+        assert solved == outcome(np.linalg.solve, a, b)
+        if case != "nan":
+            assert chol is np.linalg.LinAlgError
+        if case == "singular":
+            assert solved is np.linalg.LinAlgError
+
+
 class TestEngineWork:
     """Guards the number of factorizations and solves per engine call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
-        for owner, name in ((np.linalg, "cholesky"), (np.linalg, "solve"),
+        for owner, name in ((ukf, "_cholesky"), (ukf, "_solve"),
                             (ukf, "generate_sigma_points"),
                             (ukf, "_condition")):
             def counted(*args, _fn=getattr(owner, name), _name=name,
@@ -546,7 +615,7 @@ class TestEngineWork:
         step = PropagationStep(0.01, noise_rates(PipelineConfig()))
         predict(FilterState().vector, default_cov(), step, PARAMS)
         # sigma points, then the positive-definiteness check
-        assert calls == {"generate_sigma_points": 1, "cholesky": 2,
+        assert calls == {"generate_sigma_points": 1, "_cholesky": 2,
                          "_condition": 1}
 
     def test_accepted_update_factors_twice_and_solves_once(self, calls):
@@ -555,8 +624,8 @@ class TestEngineWork:
                      PARAMS)
         assert out.accepted
         # one stacked solve serves both the gate and the gain
-        assert calls == {"generate_sigma_points": 1, "cholesky": 2,
-                         "solve": 1, "_condition": 1}
+        assert calls == {"generate_sigma_points": 1, "_cholesky": 2,
+                         "_solve": 1, "_condition": 1}
 
     def test_accepted_matrix_update_factors_once_without_sigma_points(
             self, calls):
@@ -565,7 +634,7 @@ class TestEngineWork:
                      PARAMS)
         assert out.accepted
         # only the positive-definiteness check factors
-        assert calls == {"cholesky": 1, "solve": 1, "_condition": 1}
+        assert calls == {"_cholesky": 1, "_solve": 1, "_condition": 1}
 
     @pytest.mark.parametrize("z, accepted, solves", [
         ([0.1, 0.0, 0.0, 0.0], [True, True], 2),
@@ -580,8 +649,8 @@ class TestEngineWork:
                      PARAMS)
         assert [part.accepted for part in out.blocks] == accepted
         # one solve per block; state and covariance change once, if at all
-        work = {"cholesky": 1, "_condition": 1} if any(accepted) else {}
-        assert calls == {"solve": solves, **work}
+        work = {"_cholesky": 1, "_condition": 1} if any(accepted) else {}
+        assert calls == {"_solve": solves, **work}
 
 
 #: the frozen sets of the pipeline's modes: none, b_ewz while coasting, and
