@@ -253,15 +253,9 @@ class TestStateVector:
 
     def test_validate_names_offender(self):
         state = FilterState()
-        state.velocity = np.array([0.0, np.inf, 0.0])
-        with pytest.raises(NumericalError, match="velocity"):
-            state.validate()
-
-    def test_validate_accepts_a_finite_state_whose_dot_overflows(self):
-        state = FilterState()
-        state.velocity = np.array([1e200, 0.0, 0.0])
+        state.velocity = np.array([1e200, 0.0, 0.0])  # finite; v @ v is not
         state.validate()
-        state.velocity = np.array([1e200, np.nan, 0.0])
+        state.velocity = np.array([0.0, np.inf, 0.0])
         with pytest.raises(NumericalError, match="velocity"):
             state.validate()
 

@@ -513,17 +513,19 @@ class TestConstruction:
     def test_plain_imu_event_engine_work(self, monkeypatch):
         """A primary-IMU sample with orientation, no ZUPT held and no
         repair firing: one predict and the raw and orientation updates,
-        each one sigma set, one Cholesky and one conditioning, and each
-        update one solve."""
+        each one sigma set (``_cholesky``) and one conditioning (one
+        ``np.linalg.cholesky``), and each update one solve."""
         from navfuse import ukf
         pipe = FusionPipeline()
         orientation = np.array([1.0, 0.0, 0.0, 0.0])
         pipe.ingest(imu_at(0.0, orientation=orientation))
         calls = dict.fromkeys(("generate_sigma_points", "repair_pd",
-                               "_cholesky", "_solve", "eigvalsh"), 0)
+                               "_cholesky", "cholesky", "_solve",
+                               "eigvalsh"), 0)
         for owner, name in ((ukf, "generate_sigma_points"),
                             (ukf, "repair_pd"), (ukf, "_cholesky"),
-                            (ukf, "_solve"), (np.linalg, "eigvalsh")):
+                            (np.linalg, "cholesky"), (ukf, "_solve"),
+                            (np.linalg, "eigvalsh")):
             def counted(*args, _fn=getattr(owner, name), _name=name,
                         **kwargs):
                 calls[_name] += 1
@@ -533,7 +535,8 @@ class TestConstruction:
         assert [r.path for r in report.updates] == ["imu_raw",
                                                     "imu_orientation"]
         assert calls == {"generate_sigma_points": 3, "repair_pd": 3,
-                         "_cholesky": 6, "_solve": 2, "eigvalsh": 0}
+                         "_cholesky": 3, "cholesky": 3, "_solve": 2,
+                         "eigvalsh": 0}
 
 
 class TestGps:
