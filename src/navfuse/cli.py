@@ -30,7 +30,7 @@ from .evaluation import (
 from .events import (StreamFormatError, format_row, read_stream,
                      write_stream)
 from .pipeline import FusionPipeline
-from .simulator import GenerationError, SimScenario, generate
+from .simulator import SimScenario, generate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,8 +61,11 @@ def cmd_simulate(args) -> int:
     try:
         scenario = SimScenario.from_yaml(args.scenario)
         truth, events = generate(scenario)
-    except GenerationError as exc:
-        raise CliError(f"scenario error: {exc}", EXIT_CONFIG)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # a ``GenerationError``, or a section, key or value missing or of
+        # the wrong type
+        raise CliError(f"scenario error: {type(exc).__name__}: {exc}",
+                       EXIT_CONFIG)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "stream.txt"), "w",
               encoding="utf-8") as fh:
@@ -164,8 +167,10 @@ def cmd_evaluate(args) -> int:
         with open(args.ref, "r", encoding="utf-8") as fh:
             ref = read_trajectory(fh)
         ate = ate_rmse(est, ref, max_dt=args.max_dt)  # needs pose pairs
+        records = (_read_steps(args.steps)
+                   if args.steps and os.path.exists(args.steps) else None)
     except ValueError as exc:
-        raise CliError(f"bad trajectory: {exc}", EXIT_DATA)
+        raise CliError(f"bad trajectory or steps file: {exc}", EXIT_DATA)
     os.makedirs(args.out, exist_ok=True)
     metrics = {
         "ate_rmse_m": ate,
@@ -174,8 +179,7 @@ def cmd_evaluate(args) -> int:
         "est_poses": len(est),
         "ref_poses": len(ref),
     }
-    if args.steps and os.path.exists(args.steps):
-        records = _read_steps(args.steps)
+    if records is not None:
         gps_stamps = [t for t, rec in records
                       if rec.path == "gps_pos" and rec.accepted]
         segments = blackout_segments(gps_stamps, args.blackout_s)

@@ -11,13 +11,14 @@ A model linear in the state (encoder, its vertical-velocity constraint,
 radar, ZUPT, GPS position without a lever arm) is declared by its (dim, 23)
 matrix H instead; ``h`` is derived from H and the engine updates it in closed
 form.  ``stack`` joins linear models into one whose rows the engine solves
-together while gating and reporting each model, its *block*, on its own
+together while gating and recording each model, its *block*, on its own
 (``ukf.update``); the encoder and its vertical constraint fuse that way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -49,6 +50,8 @@ class MeasurementModel:
     as ``H @ cols``.  ``r`` is replaced atomically between updates when
     the path adapts.  ``blocks`` holds the linear models a ``stack`` was
     built from, in row order; only a model with a matrix can have them.
+    ``parts``, built once here, pairs each path the engine gates with its
+    rows: each block with its slice, or the model itself with all its rows.
     """
 
     name: str
@@ -83,6 +86,9 @@ class MeasurementModel:
                 or any(b.matrix is None for b in self.blocks)):
             raise ValueError(f"{self.name}: blocks must be linear models "
                              f"whose rows make up its matrix")
+        ends = accumulate(b.dim for b in self.blocks or (self,))
+        self.parts = tuple((b, slice(end - b.dim, end))
+                           for b, end in zip(self.blocks or (self,), ends))
 
 
 def stack(*models: MeasurementModel) -> MeasurementModel:

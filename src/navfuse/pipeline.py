@@ -5,10 +5,10 @@ sequence always gives the same output.  ``SENSORS`` holds the per-sensor
 policy, one row per stream kind (``events.event_kind``): the switch that
 enables the sensor and the counter a disabled event bumps, the payload fields
 with the shape each must have (all must be finite, and so must the stamp),
-the quaternion field that must have a nonzero norm, whether it needs the IMU
-clock, and its handler.  Only the fields a row marks ``optional`` may be
-None, meaning absent: IMU orientation, the VSLAM covariance diagonal, and
-the GPS DOPs, satellite count, error bounds and covariance.  A None in any
+the quaternion field whose norm must be finite and nonzero, whether it needs
+the IMU clock, and its handler.  Only the fields a row marks ``optional``
+may be None, meaning absent: IMU orientation, the VSLAM covariance diagonal,
+and the GPS DOPs, satellite count, error bounds and covariance.  A None in any
 other field is malformed, and so is a GPS ``fix_type`` other than a
 ``FixType`` value.  ``ingest`` makes these checks in that order and answers
 the first failure with a dropped-event report, before the session changes.
@@ -19,9 +19,10 @@ and leaves a snapshot in the replay ring, sharing the session's arrays,
 which the engine never writes into.  The filter clock is the newest
 snapshot's stamp (``ring.last_stamp``), None while the ring is empty.
 Every handler fuses its event's updates through ``FusionPipeline._fuse``,
-one engine call per update; an encoder sample is one call, its odometry and
-vertical-velocity constraint stacked (``measurements.stack``), with each
-block gated and recorded as its own path.  A kind the table marks
+one engine call per update, and reports the engine's ``UpdateRecord`` of
+each path, from which it reads its decisions and innovations too; an
+encoder sample is one call, its odometry and vertical-velocity constraint
+stacked (``measurements.stack``), each a path.  A kind the table marks
 ``delayed`` (GPS fixes, GPS velocity and VSLAM poses, late by receiver and
 mapping latency) stamped before the newest snapshot is applied there and
 the recorded IMU steps are re-run.  Any other kind arrives with negligible
@@ -95,7 +96,8 @@ from .events import (
 )
 from .geodesy import EnuOrigin, GeodeticCoord
 from .retrodiction import Snapshot, StateSnapshotRing
-from .ukf import UkfParams, update as ukf_update, predict as ukf_predict
+from .ukf import (UkfParams, UpdateRecord, update as ukf_update,
+                  predict as ukf_predict)
 from .process import STATE_BLOCKS, PropagationStep, noise_rates
 
 _MAX_STEP_DT = 0.5
@@ -139,7 +141,8 @@ def _payload_fault(event: SensorEvent, row: "SensorPolicy"
     ``fix_type`` that equals no ``FixType`` value, else
     ``_NONFINITE`` when the stamp or a field is not finite, else
     ``_DEGENERATE`` when the ``quaternion`` field is too short to normalize
-    (``quat_normalize``), else None."""
+    (``quat_normalize``) or too long for its norm to be finite, else None.
+    The norm is one ``np.vdot``, which warns of no overflow."""
     finite, degenerate = math.isfinite(event.stamp), False
     for name, shape in row.shapes.items():
         value = getattr(event, name)
@@ -153,7 +156,8 @@ def _payload_fault(event: SensorEvent, row: "SensorPolicy"
         if finite:
             finite = all_finite(value) if shape else math.isfinite(value)
         if finite and name == row.quaternion:
-            degenerate = math.sqrt((value * value).sum()) < QUAT_NORM_MIN
+            norm = math.sqrt(np.vdot(value, value))
+            degenerate = not QUAT_NORM_MIN <= norm < math.inf
     if not finite:
         return _NONFINITE
     return _DEGENERATE if degenerate else None
@@ -186,16 +190,6 @@ class VslamAnchor:
         self.quaternion = quat_mul(filter_q, quat_conjugate(raw_q))
         self.position = filter_p - quat_rotate(self.quaternion, raw_p)
         self.rejections = 0
-
-
-@dataclass
-class UpdateRecord:
-    path: str
-    accepted: bool
-    d2: float
-    dim: int
-    threshold: float
-    reason: str = "accepted"
 
 
 @dataclass
@@ -362,33 +356,27 @@ class FusionPipeline:
                        updates: list, coast_active: bool,
                        records: list[UpdateRecord], chained: bool = False):
         """Apply ``(z, model, gate_scale)`` updates in order, one engine call
-        each, recording each path: every block of a stacked model is a path
-        of its own.  With ``chained``, stop after the first rejected update.
-        Returns the state, the covariance and each path's outcome."""
+        each, appending the engine's record of each path to ``records``.
+        With ``chained``, stop after the first rejected update.  Returns
+        the state and the covariance."""
         frozen = self._modes[coast_active][0]
-        outcomes = []
         for z, model, gate_scale in updates:
             self._count("engine_update_calls")
             out = ukf_update(x, cov, z, model, self._params,
                              gate_scale=gate_scale, frozen=frozen)
-            for path, part in zip(model.blocks or (model,),
-                                  out.blocks or (out,)):
-                records.append(UpdateRecord(path.name, part.accepted, part.d2,
-                                            path.dim, path.gate * gate_scale,
-                                            part.reason))
-                outcomes.append(part)
+            records.extend(out.records)
             x, cov = out.x, out.cov
             if chained and not out.accepted:
                 break
-        return x, cov, outcomes
+        return x, cov
 
     def _fuse(self, stamp: float, kind: str, updates: list,
-              chained: bool = False):
+              chained: bool = False) -> Optional[list[UpdateRecord]]:
         """Fuse one event's updates (``_apply_updates``).  A ``delayed``
         kind stamped before the newest snapshot is applied there and the
         later IMU steps are replayed if any update was accepted; anything
-        else is applied to the current state.  Returns the update records
-        and the outcomes, None when the event is older than the buffer."""
+        else is applied to the current state.  Returns the update records,
+        None when the event is older than the buffer."""
         records: list[UpdateRecord] = []
 
         def apply(x: np.ndarray, cov: np.ndarray):
@@ -398,18 +386,18 @@ class FusionPipeline:
         # every kind that is fused needs the clock, so the ring has a snapshot
         if not (SENSORS[kind].delayed and self.config["retro.enabled"]
                 and stamp < self.ring.last_stamp):
-            self.x, self.cov, outcomes = apply(self.x, self.cov)
-            return records, outcomes
+            self.x, self.cov = apply(self.x, self.cov)
+            return records
         replay = self.ring.apply_delayed(stamp, apply, self._imu_step)
         if replay.status == "dropped_old":
             self._count("retro_dropped_too_old")
-            return records, None
+            return None
         if replay.status == "unchanged":  # the live state stands
             self._count("retro_unchanged")
-            return records, replay.result
-        self._count("retro_replays")
-        self.x, self.cov = replay.x, replay.cov
-        return records, replay.result
+        else:
+            self._count("retro_replays")
+            self.x, self.cov = replay.x, replay.cov
+        return records
 
     def _report(self, stamp: float, kind: str,
                 updates: Optional[list[UpdateRecord]] = None,
@@ -526,10 +514,8 @@ class FusionPipeline:
         updates = self._imu_update_list("imu", step.z_raw, step.z_orient)
         if step.zupt_active:
             updates.append((np.zeros(3), self._zupt_model, 1.0))
-        x, cov, _ = self._apply_updates(
-            x, cov, updates, step.coast_active,
-            [] if records is None else records)
-        return x, cov
+        return self._apply_updates(x, cov, updates, step.coast_active,
+                                   [] if records is None else records)
 
     def _imu_clock_restarted(self, stamp: float) -> bool:
         """Whether ``stamp`` confirms a jump of the primary-IMU clock, ahead
@@ -567,7 +553,7 @@ class FusionPipeline:
                               "imu stamp jumped ahead")
         self._jump_stamp = None
         self._update_coast(sample.stamp)
-        self._last_imu_rate = math.sqrt(sample.gyro @ sample.gyro)
+        self._last_imu_rate = math.sqrt(np.vdot(sample.gyro, sample.gyro))
         self._update_zupt()
         step = Snapshot(sample.stamp, None, None, *self._imu_vectors(sample),
                         self._zupt_active, self.coast.active)
@@ -583,8 +569,8 @@ class FusionPipeline:
 
     def _on_imu2(self, sample: ImuSample) -> StepReport:
         updates = self._imu_update_list("imu2", *self._imu_vectors(sample))
-        records, _ = self._fuse(sample.stamp, "imu2", updates)
-        return self._report(sample.stamp, "imu2", records)
+        return self._report(sample.stamp, "imu2",
+                            self._fuse(sample.stamp, "imu2", updates))
 
     def _on_encoder(self, sample: EncoderSample) -> StepReport:
         self._last_encoder_speed = abs(float(sample.velocity[0]))
@@ -598,18 +584,18 @@ class FusionPipeline:
         # the odometry reading, then the vertical velocity it implies: zero
         z = np.array([sample.velocity[0], sample.velocity[1],
                       sample.yaw_rate, 0.0])
-        records, outcomes = self._fuse(sample.stamp, "encoder",
-                                       [(z, self._encoder_model, 1.0)])
-        for block, outcome in zip(blocks, outcomes):
-            if outcome.accepted:
-                self.adaptive[block.name].observe(outcome.innovation)
+        records = self._fuse(sample.stamp, "encoder",
+                             [(z, self._encoder_model, 1.0)])
+        for rec in records:  # one per block, each an adaptive path
+            if rec.accepted:
+                self.adaptive[rec.path].observe(rec.innovation)
         self._update_zupt()
         return self._report(sample.stamp, "encoder", records)
 
     def _on_radar(self, sample: RadarVelocitySample) -> StepReport:
-        records, _ = self._fuse(sample.stamp, "radar", [
-            (sample.velocity_body, self._radar_model, 1.0)])
-        return self._report(sample.stamp, "radar", records)
+        return self._report(sample.stamp, "radar", self._fuse(
+            sample.stamp, "radar",
+            [(sample.velocity_body, self._radar_model, 1.0)]))
 
     # -- late sensors: GPS, GPS velocity, VSLAM ---------------------------
 
@@ -648,17 +634,16 @@ class FusionPipeline:
             updates.append((np.array([yaw_z]), meas.gps_heading_model(
                 yaw_var_z, cfg["gates.heading"]), 1.0))
         # the heading update runs only after an accepted position update
-        records, outcomes = self._fuse(sample.stamp, "gps", updates,
-                                       chained=True)
-        if outcomes is None:
+        records = self._fuse(sample.stamp, "gps", updates, chained=True)
+        if records is None:
             return self._report(sample.stamp, "gps", dropped=_TOO_OLD)
-        if outcomes[0].accepted:
+        if records[0].accepted:
             self.coast.last_accept = max(self.coast.last_accept or 0.0,
                                          sample.stamp)
             self.coast.active = False
             self._heading_anchor = (z[:2].copy(), sample.stamp,
                                     float(r[0, 0] + r[1, 1]))
-            self.adaptive["gps_pos"].observe(outcomes[0].innovation)
+            self.adaptive["gps_pos"].observe(records[0].innovation)
         return self._report(sample.stamp, "gps", records)
 
     def _plan_heading(self, z: np.ndarray, r: np.ndarray,
@@ -677,10 +662,10 @@ class FusionPipeline:
         )
 
     def _on_gps_velocity(self, sample: GpsVelocitySample) -> StepReport:
-        records, outcomes = self._fuse(sample.stamp, "gps_vel", [
+        records = self._fuse(sample.stamp, "gps_vel", [
             (sample.velocity_en, self._gps_vel_model, 1.0)])
         return self._report(sample.stamp, "gps_vel", records,
-                            dropped=_TOO_OLD if outcomes is None else None)
+                            dropped=_TOO_OLD if records is None else None)
 
     def _on_vslam(self, sample: VslamPoseSample) -> StepReport:
         cfg = self.config
@@ -703,11 +688,10 @@ class FusionPipeline:
         model = meas.vslam_model(r, cfg["gates.vslam"],
                                  cfg["vslam.pos_floor"],
                                  cfg["vslam.orient_floor"])
-        records, outcomes = self._fuse(sample.stamp, "vslam",
-                                       [(z, model, 1.0)])
-        if outcomes is None:
+        records = self._fuse(sample.stamp, "vslam", [(z, model, 1.0)])
+        if records is None:
             return self._report(sample.stamp, "vslam", dropped=_TOO_OLD)
-        self._vslam_reinit_check(outcomes[0].accepted)
+        self._vslam_reinit_check(records[0].accepted)
         return self._report(sample.stamp, "vslam", records)
 
     def _vslam_reinit_check(self, accepted: bool) -> None:
@@ -931,7 +915,7 @@ class SensorPolicy:
     shapes: dict[str, tuple[int, ...]]  # payload field: its shape
     needs_clock: bool
     handler: Callable[[FusionPipeline, SensorEvent], StepReport]
-    #: the payload's rotation field, which must have a nonzero norm
+    #: the payload's rotation field, whose norm must be finite and nonzero
     quaternion: Optional[str] = None
     delayed: bool = False             # late: fused at its stamp
     #: the payload fields that may be None, meaning absent; a None in any

@@ -6,7 +6,9 @@ after it.  The newest snapshot's stamp is the filter clock.  When a delayed
 measurement arrives, the ring restores the newest snapshot at or before the
 measurement epoch, applies the measurement there, and re-runs the recorded
 IMU steps forward, each from the stamp of the snapshot before it, rewriting
-the stored states along the way.
+the stored states along the way.  The ring sees only the state and
+covariance the caller's update returns; what that update decided stays with
+the caller.
 Only IMU steps are replayed; lower-latency sensors are applied where they
 arrived.  Measurements older than the buffered span are dropped (applying
 them stale would reintroduce exactly the error replay exists to remove).
@@ -48,7 +50,6 @@ class ReplayOutcome:
     steps_replayed: int = 0
     x: Optional[np.ndarray] = None
     cov: Optional[np.ndarray] = None
-    result: object = None
 
 
 class StateSnapshotRing:
@@ -88,8 +89,8 @@ class StateSnapshotRing:
     ) -> ReplayOutcome:
         """Rewind, apply, and replay one delayed measurement.
 
-        ``apply_fn(x, cov) -> (x, cov, result)`` performs the measurement
-        update at the restored epoch; ``replay_fn(x, cov, stamp, snapshot)
+        ``apply_fn(x, cov) -> (x, cov)`` performs the measurement update at
+        the restored epoch; ``replay_fn(x, cov, stamp, snapshot)
         -> (x, cov)`` re-runs one recorded IMU step from ``stamp``, the
         stamp of the snapshot before it.  The ring's stored states are
         replaced with the replayed ones so later delayed measurements rewind
@@ -102,9 +103,9 @@ class StateSnapshotRing:
             return ReplayOutcome(status="dropped_old")
         idx = self.nearest_at_or_before(stamp)
         base = self.entries[idx]
-        x, cov, result = apply_fn(base.x, base.cov)
+        x, cov = apply_fn(base.x, base.cov)
         if x is base.x and cov is base.cov:
-            return ReplayOutcome(status="unchanged", result=result)
+            return ReplayOutcome(status="unchanged")
         base.x, base.cov = x, cov
         prev = base.stamp
         for entry in self.entries[idx + 1 :]:
@@ -113,4 +114,4 @@ class StateSnapshotRing:
             prev = entry.stamp
         return ReplayOutcome(status="applied",
                              steps_replayed=len(self.entries) - idx - 1,
-                             x=x, cov=cov, result=result)
+                             x=x, cov=cov)

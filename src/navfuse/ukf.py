@@ -7,15 +7,17 @@ point j, so each state block (``points[QUAT]``, ...) is a contiguous row
 slice, and the moments sum along the last axis.  A model declared by its
 matrix H updates in closed form, S = HPH^T + R and Pxz = PH^T: that
 transform of a linear map, but for Pxz's quaternion rows, which it projects
-onto the unit sphere's tangent space.  A stacked linear model
-(``measurements.stack``) is one closed-form update that gates each of its
-blocks on its own (``update``).  Quaternions are raw 4-vectors,
-hemisphere-aligned before any averaging or differencing and renormalized
-after perturbation or correction.  Every covariance leaving this module is
-symmetrized, eigenvalue-repaired to a positive-definite floor, and has its
-angular-rate variances capped.  The engine takes and returns plain arrays,
-the flat state ``x`` and its covariance, knows no clock, and never writes
-into its inputs, so callers may share them.
+onto the unit sphere's tangent space.  Every update gates through one
+path, ``_gate_blocks``, and records each block's decision as an
+``UpdateRecord``: a stacked linear model (``measurements.stack``) is one
+closed-form update with a block per model, any other model one block.
+Quaternions are raw 4-vectors, hemisphere-aligned before any averaging or
+differencing and renormalized after perturbation or correction.  Every
+covariance leaving this module is symmetrized, eigenvalue-repaired to a
+positive-definite floor, and has its angular-rate variances capped.  The
+engine takes and returns plain arrays, the flat state ``x`` and its
+covariance, knows no clock, and never writes into its inputs, so callers
+may share them.
 
 Sigma points and gains factor and solve through ``_cholesky`` and
 ``_solve``: numpy's own LAPACK gufuncs in ``np.linalg``'s error state, bit
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -90,30 +91,29 @@ class UkfParams:
 
 
 @dataclass
-class BlockOutcome:
-    """One block's share of a stacked update: its gate decision, and its d2
-    and innovation given the blocks accepted before it."""
+class UpdateRecord:
+    """One path's gate decision: its d2 against ``threshold``, the gate
+    times its scale, and its innovation given the blocks accepted before
+    it (None when read back from a steps file)."""
 
+    path: str
     accepted: bool
     d2: float
-    innovation: np.ndarray
-    reason: str = "accepted"
+    dim: int
+    threshold: float
+    reason: str = "accepted"  # or "gated", "singular"
+    innovation: Optional[np.ndarray] = None
 
 
 @dataclass
 class UpdateOutcome:
-    """Result of one measurement update.  On rejection the returned state
-    ``x`` and covariance are the untouched inputs.  A stacked model's update is
-    accepted when any block is, its d2 is the sum of theirs, and ``blocks``
-    holds each block's outcome, in row order."""
+    """The state and covariance, the untouched inputs unless some path was
+    accepted, and one record per path, in row order."""
 
     x: np.ndarray
     cov: np.ndarray
     accepted: bool
-    d2: float
-    innovation: Optional[np.ndarray]
-    reason: str = "accepted"
-    blocks: tuple[BlockOutcome, ...] = ()
+    records: list[UpdateRecord]
 
 
 def _linalg_error(err, flag):
@@ -212,7 +212,6 @@ def generate_sigma_points(
     x: np.ndarray,
     cov: np.ndarray,
     params: UkfParams,
-    epsilon: float = EPSILON_PD,
 ) -> np.ndarray:
     """Scaled sigma points as the columns of a C-contiguous (23, 47) array:
     the flat state ``x``, then ``x`` plus and ``x`` minus each column of
@@ -227,7 +226,7 @@ def generate_sigma_points(
         root = _cholesky(params.spread * cov)
     except np.linalg.LinAlgError:
         try:
-            root = _cholesky(params.spread * repair_pd(cov, epsilon))
+            root = _cholesky(params.spread * repair_pd(cov))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "covariance square root failed after repair"
@@ -264,7 +263,6 @@ def predict(
     step: PropagationStep,
     params: UkfParams,
     transition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    epsilon: float = EPSILON_PD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate the flat state ``x`` and its covariance through one
     process step, returning new arrays.
@@ -273,7 +271,7 @@ def predict(
     map over the (23, 47) sigma columns (used by oracle tests); the process
     noise of ``step`` is added either way.
     """
-    points = generate_sigma_points(x, cov, params, epsilon)
+    points = generate_sigma_points(x, cov, params)
     if transition is None:
         # the kinematic step renormalizes its quaternions already
         propagated = propagate_states(points, step.dt)
@@ -286,7 +284,7 @@ def predict(
         raise NumericalError("prediction produced non-finite mean")
     dev = _deviations(propagated, mean)
     p_out = (dev * wc) @ dev.T + process_noise_matrix(step)
-    return mean, _condition(p_out, epsilon)
+    return mean, _condition(p_out, EPSILON_PD)
 
 
 def update(
@@ -297,31 +295,26 @@ def update(
     params: UkfParams,
     gate_scale: float = 1.0,
     frozen: Optional[Sequence[int]] = None,
-    epsilon: float = EPSILON_PD,
 ) -> UpdateOutcome:
     """Standard UKF measurement update of the flat state ``x`` and its
     covariance, with gating and residual wrapping.
 
     A model with a matrix H skips the sigma points: nu = z - Hx,
-    S = HPH^T + R and Pxz = PH^T.  Angle-flagged measurement components
-    use wrapped residuals throughout (sigma mean, innovation, deviations).
-    The chi-squared gate takes the
-    Mahalanobis distance d2 = nu^T S^-1 nu; one solve with the stacked
-    right-hand side [nu | Pxz^T] gives both d2 and the Kalman gain.  A
-    gated-out or numerically singular measurement leaves state and
-    covariance untouched.  ``frozen`` lists state indices whose Kalman gain
-    rows are zeroed; the covariance then uses the general (suboptimal-gain)
-    update form, which coincides with P - K S K^T for the unmasked optimal
-    gain.
+    S = HPH^T + R and Pxz = PH^T, with each block's current R added to its
+    diagonal part of S.  Angle-flagged measurement components use wrapped
+    residuals throughout (sigma mean, innovation, deviations).  Every model
+    gates through ``_gate_blocks``, an unstacked one as the single block at
+    its rows; each block's record is in the outcome, and state and
+    covariance are updated once from the accepted rows.  A gated-out or
+    numerically singular measurement leaves state and covariance untouched.
+    ``frozen`` lists state indices whose Kalman gain rows are zeroed; the
+    covariance then uses the general (suboptimal-gain) update form, which
+    coincides with P - K S K^T for the unmasked optimal gain.
 
-    A stacked model (``measurements.stack``) adds each block's current R
-    to its diagonal part of S and gates its blocks in row order
-    (``_gate_blocks``): block b is accepted iff d2(A+b) - d2(A) <= its
-    gate times ``gate_scale``, where A is the blocks accepted before it.
-    State and covariance are then updated once from the accepted rows.  By
-    the chain rule that equals one call per block, in order, up to rounding
-    and the conditioning and quaternion renormalization between calls, as
-    long as no block after the first accepted one reads a ``frozen`` state.
+    For a stacked model (``measurements.stack``), by the chain rule one
+    call equals one call per block, in order, up to rounding and the
+    conditioning and quaternion renormalization between calls, as long as
+    no block after the first accepted one reads a ``frozen`` state.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (model.dim,):
@@ -338,19 +331,14 @@ def update(
     mean, h = x, model.matrix
     if h is not None:
         pxz = cov @ h.T
-        if model.blocks:
-            block_rows = [slice(end - block.dim, end) for block, end in zip(
-                model.blocks, accumulate(b.dim for b in model.blocks))]
-            s = h @ pxz
-            for block, rows in zip(model.blocks, block_rows):
-                s[rows, rows] += block.r
-            s = symmetrize(s)
-        else:
-            s = symmetrize(h @ pxz + model.r)
+        s = h @ pxz
+        for block, rows in model.parts:
+            s[rows, rows] += block.r
+        s = symmetrize(s)
         nu = z - h @ x
     else:
         wm, wc = params.weights()
-        points = generate_sigma_points(x, cov, params, epsilon)
+        points = generate_sigma_points(x, cov, params)
         mean = points[:, 0]  # x with its quaternion renormalized
         zpts = model.h(points)
         zbar = zpts[:, 0] + wrapped(zpts - zpts[:, :1]) @ wm
@@ -359,31 +347,11 @@ def update(
         s = symmetrize(dz_w @ dz.T + model.r)
         nu = wrapped(z - zbar)
         pxz = (dz_w @ _deviations(points, mean).T).T
-    innovation = nu
-    if model.blocks:
-        parts, rows, solved = _gate_blocks(model.blocks, block_rows, nu, s,
-                                           pxz, gate_scale)
-        d2 = sum(part.d2 for part in parts)
-        if rows is None:
-            singular = all(part.reason == "singular" for part in parts)
-            return UpdateOutcome(x, cov, False, d2, nu,
-                                 "singular" if singular else "gated", parts)
-        # the gain comes from the accepted rows alone
-        nu, s, pxz = nu[rows], _submatrix(s, rows), pxz[:, rows]
-    else:
-        parts = ()
-        rhs = np.empty((model.dim, 1 + STATE_DIM))
-        rhs[:, 0] = nu
-        rhs[:, 1:] = pxz.T
-        try:
-            solved = _solve(s, rhs)
-        except np.linalg.LinAlgError:
-            return UpdateOutcome(x, cov, False, float("inf"), nu,
-                                 reason="singular")
-        d2 = float(nu @ solved[:, 0])
-        if not d2 <= model.gate * gate_scale:
-            return UpdateOutcome(x, cov, False, d2, nu, reason="gated")
-
+    records, rows, solved = _gate_blocks(model.parts, nu, s, pxz, gate_scale)
+    if rows is None:
+        return UpdateOutcome(x, cov, False, records)
+    # the gain comes from the accepted rows alone
+    nu, s, pxz = nu[rows], _submatrix(s, rows), pxz[:, rows]
     k = solved[:, 1:].T
     if frozen is not None and len(frozen):
         # zero rows of a C-ordered copy: the gain's memory order picks the
@@ -396,8 +364,8 @@ def update(
         raise NumericalError("update produced non-finite state")
     k_pxz = k @ pxz.T  # its transpose is pxz @ k.T, bit for bit
     p_new = cov - k_pxz - k_pxz.T + k @ s @ k.T
-    return UpdateOutcome(new_vec, _condition(p_new, epsilon), True, d2,
-                         innovation, blocks=parts)
+    return UpdateOutcome(new_vec, _condition(p_new, EPSILON_PD), True,
+                         records)
 
 
 def _submatrix(s: np.ndarray, rows) -> np.ndarray:
@@ -405,21 +373,25 @@ def _submatrix(s: np.ndarray, rows) -> np.ndarray:
     return s[rows, rows] if isinstance(rows, slice) else s[np.ix_(rows, rows)]
 
 
-def _gate_blocks(blocks, block_rows: list[slice], nu: np.ndarray,
-                 s: np.ndarray, pxz: np.ndarray, gate_scale: float):
-    """Gate a stacked model's blocks, at ``block_rows``, in row order.
+def _gate_blocks(parts, nu: np.ndarray, s: np.ndarray, pxz: np.ndarray,
+                 gate_scale: float):
+    """Gate a model's blocks, ``parts`` as (block, its rows), in row order:
+    block b is accepted iff d2(A+b) - d2(A) <= its gate times
+    ``gate_scale``, where A is the rows accepted before it.
 
-    With A the rows accepted so far, block b's d2 is d2(A+b) - d2(A), taken
-    from one solve over A+b as nu_b|A . x_b, where x_b is the solution's b
-    part and nu_b|A = nu_b - S_bA S_AA^-1 nu_A is b's innovation given A.
-    A+b stays a slice while A is empty (b's own rows) or ends where b
-    starts, as when every block so far was accepted; else it is an index
-    array.  Returns each block's outcome, and the accepted rows with their
-    solve [S^-1 nu | S^-1 Pxz^T], or None and None when none was accepted.
+    Block b's d2 is taken from one solve over A+b as nu_b|A . x_b, where x_b
+    is the solution's b part and nu_b|A = nu_b - S_bA S_AA^-1 nu_A is b's
+    innovation given A; the solve's right-hand side [nu | Pxz^T] gives the
+    Kalman gain too.  A+b stays a slice while A is empty (b's own rows) or
+    ends where b starts, as when every block so far was accepted; else it is
+    an index array.  d2 is one ``np.vdot``, which warns of no overflow: a
+    finite innovation too large to square gates at d2 = inf.  Returns each
+    block's ``UpdateRecord``, and the accepted rows with their solve
+    [S^-1 nu | S^-1 Pxz^T], or None and None when none was accepted.
     """
-    parts: list[BlockOutcome] = []
+    records: list[UpdateRecord] = []
     rows, solved = None, None
-    for block, own in zip(blocks, block_rows):
+    for block, own in parts:
         if rows is None:
             trial, nu_b = own, nu[own]
         else:
@@ -432,15 +404,16 @@ def _gate_blocks(blocks, block_rows: list[slice], nu: np.ndarray,
         rhs = np.empty((len(nu_trial), 1 + STATE_DIM))
         rhs[:, 0] = nu_trial
         rhs[:, 1:] = pxz[:, trial].T
+        threshold = block.gate * gate_scale
         try:
             trial_solved = _solve(_submatrix(s, trial), rhs)
         except np.linalg.LinAlgError:
-            parts.append(BlockOutcome(False, float("inf"), nu_b, "singular"))
-            continue
-        d2 = float(nu_b @ trial_solved[-block.dim:, 0])
-        accepted = d2 <= block.gate * gate_scale
-        parts.append(BlockOutcome(accepted, d2, nu_b,
-                                  "accepted" if accepted else "gated"))
-        if accepted:
+            d2, reason = float("inf"), "singular"
+        else:
+            d2 = float(np.vdot(nu_b, trial_solved[-block.dim:, 0]))
+            reason = "accepted" if d2 <= threshold else "gated"
+        records.append(UpdateRecord(block.name, reason == "accepted", d2,
+                                    block.dim, threshold, reason, nu_b))
+        if reason == "accepted":
             rows, solved = trial, trial_solved
-    return parts, rows, solved
+    return records, rows, solved

@@ -1,14 +1,20 @@
 """The benchmark's tracer wraps navfuse entry points by name
 (``bench/tracing.py``).  Renaming one breaks the traced benchmark run, so
 this fast check installs every wrapper and requires each original back
-afterwards.  The benchmark worker times its set-up imports (``setup_s``),
-so a second check keeps scipy out of them."""
+afterwards, and a short traced run with late GPS fixes requires the spans
+the per-layer metrics read: ``ukf.update`` tagged by the model, its fourth
+argument, and the replays ``StateSnapshotRing.apply_delayed`` reports.  The
+benchmark worker times its set-up imports (``setup_s``), so a last check
+keeps scipy out of them."""
 
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from navfuse.pipeline import FusionPipeline
+from navfuse.simulator import SimScenario, generate
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -29,6 +35,21 @@ def test_tracer_wraps_and_restores_every_entry_point():
             assert owner.__dict__[attr] is not original, attr
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, attr
+
+
+def test_traced_run_tags_update_paths_and_counts_replays():
+    scenario = SimScenario(seed=3, duration_s=3.0,
+                           trajectory={"type": "circle", "radius": 15.0,
+                                       "speed": 2.0, "accel": 0.5},
+                           gps={"rate_hz": 5.0, "delay_s": 0.2})
+    _, events = generate(scenario)
+    pipe = FusionPipeline()
+    with load_tracing().Tracer().installed() as tracer:
+        for event in events:
+            pipe.ingest(event)
+    assert {"imu_raw", "imu_orientation", "encoder",
+            "gps_pos"} <= set(tracer.tags.values())
+    assert tracer.counts["retro.replays"] > 0
 
 
 def test_worker_setup_imports_load_no_scipy():

@@ -52,6 +52,16 @@ class TestSimulate:
         assert main(["simulate", "--scenario", scen, "--out",
                      str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("gps", [
+        {"rate_hz": "fast"}, {"dropouts": [{"end": 3.0}]}, [1, 2],
+    ], ids=["value", "missing_key", "section"])
+    def test_malformed_scenario_is_config_error(self, tmp_path, capsys, gps):
+        scen = write_scenario(tmp_path, {**SCENARIO, "gps": gps})
+        assert main(["simulate", "--scenario", scen, "--out",
+                     str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRunAndEvaluate:
     @pytest.fixture
@@ -110,6 +120,19 @@ class TestRunAndEvaluate:
                        for key in metrics)
         assert sorted(os.listdir(out)) == ["d2_imu_orientation.txt",
                                            "metrics.txt"]
+
+    def test_evaluate_bad_steps_line_is_data_error(self, tmp_path, capsys):
+        traj = "".join(f"{0.1 * k!r} {k} 0 0 0 0 0 1\n" for k in range(5))
+        (tmp_path / "traj.txt").write_text(traj)
+        (tmp_path / "steps.txt").write_text(
+            "0.1 imu_orientation 1 high 2 15.09 accepted\n")
+        assert main(["evaluate", "--est", str(tmp_path / "traj.txt"),
+                     "--ref", str(tmp_path / "traj.txt"),
+                     "--steps", str(tmp_path / "steps.txt"),
+                     "--out", str(tmp_path / "eval")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "eval").exists()
 
     def test_evaluate_without_pose_pairs_is_data_error(self, tmp_path,
                                                        capsys):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from navfuse.config import DEFAULTS, PipelineConfig
-from navfuse.core import (GRAVITY, QUAT, euler_to_quat, quat_rotate,
-                          yaw_variance)
+from navfuse.core import (GRAVITY, OMEGA, OMEGA_VAR_CAP, QUAT, euler_to_quat,
+                          quat_rotate, yaw_variance)
 from navfuse.events import (
     EncoderSample,
     FixType,
@@ -120,6 +120,19 @@ def event_of(kind, stamp, x=0.0):
 
 
 class TestBasics:
+    def test_omega_variance_cap_holds_in_a_run(self):
+        """With every IMU update gated and ``ukf.q_omega`` at 1.0, omega's
+        variance would pass 1.0 within a second and reach about 2 by the
+        end; ``ukf.cap_omega_variance`` holds it at the cap."""
+        pipe = FusionPipeline(PipelineConfig({"gates.imu": 1e-12,
+                                              "ukf.q_omega": 1.0}))
+        reports = run(pipe, [imu_at(0.01 * k, gyro=(0.01, 0, 0))
+                             for k in range(200)])
+        assert not any(rec.accepted for r in reports for rec in r.updates)
+        assert all(np.all(r.cov_diag[OMEGA] <= OMEGA_VAR_CAP)
+                   for r in reports)
+        assert np.all(reports[-1].cov_diag[OMEGA] == OMEGA_VAR_CAP)
+
     def test_one_report_per_imu_event(self):
         pipe = FusionPipeline(PipelineConfig())
         events = stationary_stream(2.0, gps_rate=5.0)
@@ -325,21 +338,44 @@ class TestSensorTable:
         pipe.ingest(imu_at(0.01))
         assert pipe.ring.last_stamp == pytest.approx(0.01)
 
-    @pytest.mark.parametrize("kind", ["imu", "imu2", "vslam"])
-    def test_degenerate_quaternion_dropped(self, kind):
+    @pytest.mark.parametrize("kind, quaternion", [
+        ("imu", [1e-13] * 4), ("imu2", [1e-13] * 4), ("vslam", [0.0] * 4),
+        # a norm that overflows: normalized, the quaternion would be all
+        # zeros, a crash for VSLAM and a roll of zero for this 90 degree one
+        ("vslam", [1e300, 0.0, 0.0, 0.0]), ("imu", [1e300, 1e300, 0.0, 0.0]),
+    ], ids=["imu", "imu2", "vslam", "vslam_overflow", "imu_overflow"])
+    def test_degenerate_quaternion_dropped(self, kind, quaternion):
         pipe = FusionPipeline(PipelineConfig(ALL_ON))
         run(pipe, stationary_stream(0.5, gps_rate=5.0))
         before = session_of(pipe)
         event = event_of(kind, 0.5, 0.3)
-        if kind == "vslam":
-            event.quaternion = np.zeros(4)
-        else:
-            event.orientation = np.full(4, 1e-13)
+        setattr(event, "quaternion" if kind == "vslam" else "orientation",
+                np.array(quaternion))
         report, bumped = ingest_counting(pipe, event)
         assert bumped == {"dropped_degenerate_quaternion": 1}
         assert report.dropped == f"degenerate {kind} quaternion"
         assert not report.updates
         assert session_of(pipe) == before
+
+    @pytest.mark.parametrize("kind, field, path", [
+        ("imu", "gyro", "imu_raw"),
+        ("imu", "accel", "imu_raw"),
+        ("encoder", "velocity", "encoder"),
+        ("radar", "velocity_body", "radar_vel"),
+        ("vslam", "position", "vslam"),
+    ])
+    def test_finite_payload_too_large_to_square_gates_at_infinity(
+            self, kind, field, path):
+        """Its d2 overflows: the update is gated, and no overflow warning
+        (an error under this suite's filter) is raised."""
+        pipe = FusionPipeline(PipelineConfig(ALL_ON))
+        run(pipe, [imu_at(0.01 * k) for k in range(20)])
+        event = event_of(kind, 0.2)
+        getattr(event, field)[0] = 1e300
+        report = pipe.ingest(event)
+        [rec] = [rec for rec in report.updates if rec.path == path]
+        assert (rec.accepted, rec.reason, rec.d2) == (False, "gated", np.inf)
+        pipe.state.validate()
 
     @pytest.mark.parametrize("kind, name, value", [
         ("imu", "gyro", np.zeros(2)),

@@ -46,7 +46,7 @@ class TestApplyDelayed:
 
         def apply_fn(x, cov):
             calls["applied_to"] = x[0]  # the restored snapshot's marker
-            return x + 1.0, cov * 2.0, "ok"
+            return x + 1.0, cov * 2.0
 
         def replay_fn(x, cov, stamp, snapshot):
             calls["replayed"].append((stamp, snapshot.stamp))
@@ -105,9 +105,13 @@ class TestApplyDelayed:
             ring.record(snap(0.01 * k, marker=k))
         before = [(e.x, e.cov) for e in ring.entries]
         calls, _, replay_fn = self._fns()
-        out = ring.apply_delayed(0.0349, lambda x, cov: (x, cov, "gated"),
-                                 replay_fn)
-        assert out.status == "unchanged" and out.result == "gated"
+
+        def gated(x, cov):  # what it decided stays with the caller
+            calls["applied_to"] = x[0]
+            return x, cov
+
+        out = ring.apply_delayed(0.0349, gated, replay_fn)
+        assert out.status == "unchanged" and calls["applied_to"] == 3
         assert out.x is None and out.steps_replayed == 0
         assert calls["replayed"] == []
         assert all(e.x is x and e.cov is cov

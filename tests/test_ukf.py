@@ -345,11 +345,12 @@ class TestUpdate:
         p = default_cov()
         model = imu_raw_model(0.005, 0.05, 1e12)
         # recover the sigma-mean prediction so z equals z_hat exactly
-        probe = update(x, p, np.asarray(model.h(x[:, None]))[:, 0],
-                       model, PARAMS)
-        z = np.asarray(model.h(x[:, None]))[:, 0] - probe.innovation
+        z_hat = np.asarray(model.h(x[:, None]))[:, 0]
+        probe = update(x, p, z_hat, model, PARAMS)
+        z = z_hat - probe.records[0].innovation
         out = update(x, p, z, model, PARAMS)
-        assert out.accepted and out.d2 == pytest.approx(0.0, abs=1e-18)
+        [rec] = out.records
+        assert out.accepted and rec.d2 == pytest.approx(0.0, abs=1e-18)
         assert np.max(np.abs(out.x - x)) < 1e-15
         assert np.trace(out.cov) < np.trace(p)
 
@@ -406,8 +407,9 @@ class TestUpdate:
         model = linear_position_model(r_scalar=0.01, gate_threshold=16.27)
         z = np.array([500.0, 0.0, 0.0])
         out = update(x, p, z, model, PARAMS)
-        assert not out.accepted and out.reason == "gated"
-        assert out.d2 > 1e3 * 16.27
+        [rec] = out.records
+        assert not out.accepted and rec.reason == "gated"
+        assert rec.d2 > 1e3 * 16.27
         assert out.x is x and out.cov is p
 
     def test_singular_innovation_covariance_rejects_without_crash(self):
@@ -419,7 +421,7 @@ class TestUpdate:
 
         model = MeasurementModel("degenerate", 2, h, np.zeros((2, 2)), 10.0)
         out = update(x, p, np.zeros(2), model, PARAMS)
-        assert not out.accepted and out.reason == "singular"
+        assert not out.accepted and out.records[0].reason == "singular"
         assert out.x is x
 
     def test_frozen_rows_hold_state_and_variance(self):
@@ -453,7 +455,8 @@ class TestUpdate:
         p = default_cov()
         out = update(x, p, np.array([np.radians(179.0)]), model, PARAMS)
         # residual is -2 degrees, not +358
-        assert out.innovation[0] == pytest.approx(np.radians(-2.0), abs=1e-4)
+        assert out.records[0].innovation[0] == pytest.approx(
+            np.radians(-2.0), abs=1e-4)
 
 
 def read_only_inputs():
@@ -497,7 +500,7 @@ class TestInputsUntouched:
     def test_update(self, z, model, frozen, reason):
         x, p = read_only_inputs()
         out = update(x, p, np.array(z), model, PARAMS, frozen=frozen)
-        assert out.reason == reason
+        assert {rec.reason for rec in out.records} == {reason}
         # a rejected update hands its inputs back; an accepted one new arrays
         assert (out.x is x and out.cov is p) == (reason != "accepted")
 
@@ -511,7 +514,7 @@ def gate_through_update(nu, s, threshold):
     p[:m, :m] = 0.5 * s
     model = MeasurementModel("pos", m, lambda x: x[:m], 0.5 * s, threshold)
     out = update(FilterState().vector, p, nu, model, PARAMS)
-    return out.accepted, out.d2
+    return out.accepted, out.records[0].d2
 
 
 class TestGate:
@@ -650,7 +653,7 @@ class TestEngineWork:
                       encoder_vz_model(0.05, 11.34))
         out = update(FilterState().vector, default_cov(), np.array(z), model,
                      PARAMS)
-        assert [part.accepted for part in out.blocks] == accepted
+        assert [rec.accepted for rec in out.records] == accepted
         # one solve per block; state and covariance change once, if at all
         work = {"cholesky": 1, "_condition": 1} if any(accepted) else {}
         assert calls == {"_solve": solves, **work}
@@ -708,17 +711,19 @@ class TestStackedUpdate:
         out = update(state, cov, z, stacked, PARAMS, frozen=frozen)
 
         start, seq_state, seq_cov = 0, state, cov
-        for model, part in zip(models, out.blocks):
+        for model, part in zip(models, out.records):
             one = update(seq_state, seq_cov, z[start:start + model.dim],
                          model, PARAMS, frozen=frozen)
             start += model.dim
             assert part.accepted == one.accepted == bool(
                 pattern >> models.index(model) & 1)
-            assert part.d2 == pytest.approx(one.d2, rel=1e-9, abs=1e-12)
-            np.testing.assert_allclose(part.innovation, one.innovation,
+            [single] = one.records
+            assert (part.path, part.dim) == (model.name, model.dim)
+            assert part.d2 == pytest.approx(single.d2, rel=1e-9, abs=1e-12)
+            np.testing.assert_allclose(part.innovation, single.innovation,
                                        rtol=1e-9, atol=1e-12)
             seq_state, seq_cov = one.x, one.cov
-        assert out.accepted == any(part.accepted for part in out.blocks)
+        assert out.accepted == any(part.accepted for part in out.records)
         np.testing.assert_allclose(out.x, seq_state, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.cov, seq_cov, rtol=0, atol=1e-12)
         if not out.accepted:
