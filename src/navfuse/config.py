@@ -90,8 +90,9 @@ DEFAULTS: dict[str, Any] = {
     # chi2(dof, p) quantile named; a gate must be > 0.  Three are shared:
     # imu by imu_raw (6 dof) and orientation (2-3), encoder by encoder_vz
     # (1) and radar (2), gps_pos by GPS velocity (2).  The encoder and
-    # encoder_vz rows fuse in one update, but each is gated on its own d2
-    # given the other's accepted rows (ukf.update), so each keeps its gate
+    # encoder_vz rows fuse in one update, and so do imu_raw and orientation,
+    # but each is gated on its own d2 given the accepted rows before it
+    # (ukf.update), so each keeps its gate
     "gates.imu": 15.09,      # chi2(5, 0.99)
     "gates.encoder": 11.34,  # chi2(3, 0.99)
     "gates.gps_pos": 16.27,  # chi2(3, 0.999)

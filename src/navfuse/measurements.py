@@ -10,9 +10,11 @@ components whose residuals wrap at +-pi, and a chi-squared gate threshold
 A model linear in the state (encoder, its vertical-velocity constraint,
 radar, ZUPT, GPS position without a lever arm) is declared by its (dim, 23)
 matrix H instead; ``h`` is derived from H and the engine updates it in closed
-form.  ``stack`` joins linear models into one whose rows the engine solves
-together while gating and recording each model, its *block*, on its own
-(``ukf.update``); the encoder and its vertical constraint fuse that way.
+form.  ``stack`` joins models of one kind, all linear or all through ``h``,
+into one whose rows the engine solves together while gating and recording
+each model, its *block*, on its own (``ukf.update``); the encoder and its
+vertical constraint fuse that way in closed form, and an IMU sample's raw
+and orientation rows from one sigma set.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class MeasurementModel:
     ``h`` is the batched measurement function, or the matrix H of a linear
     model, then kept read-only as ``matrix`` (else None) with ``h`` derived
     as ``H @ cols``.  ``r`` is replaced atomically between updates when
-    the path adapts.  ``blocks`` holds the linear models a ``stack`` was
-    built from, in row order; only a model with a matrix can have them.
+    the path adapts.  ``blocks`` holds the models a ``stack`` was built
+    from, in row order, each with a matrix exactly when the stack has one.
     ``parts``, built once here, pairs each path the engine gates with its
     rows: each block with its slice, or the model itself with all its rows.
     """
@@ -81,37 +83,56 @@ class MeasurementModel:
             matrix.flags.writeable = False
             self.matrix = matrix
             self.h = lambda cols: matrix @ cols
-        if self.blocks and (self.matrix is None or sum(
-                b.dim for b in self.blocks) != self.dim
-                or any(b.matrix is None for b in self.blocks)):
-            raise ValueError(f"{self.name}: blocks must be linear models "
-                             f"whose rows make up its matrix")
+        if self.blocks and (sum(b.dim for b in self.blocks) != self.dim
+                            or any((b.matrix is None) != (self.matrix is None)
+                                   for b in self.blocks)):
+            raise ValueError(f"{self.name}: blocks must make up its rows, "
+                             f"all linear or all not, as it is")
         ends = accumulate(b.dim for b in self.blocks or (self,))
         self.parts = tuple((b, slice(end - b.dim, end))
                            for b, end in zip(self.blocks or (self,), ends))
 
 
 def stack(*models: MeasurementModel) -> MeasurementModel:
-    """One linear model whose H is the models' rows stacked in order, named
-    after the first and keeping them as its ``blocks``.
+    """One model whose rows are the models' stacked in order, named after
+    the first and keeping them as its ``blocks``: all linear, a linear
+    model with their H stacked, or none linear, a sigma-point model whose
+    ``h`` fills one array block by block and whose angular mask is theirs
+    concatenated; a mix raises ``ValueError``.
 
     The engine gates and reports each block on its own and reads each
     block's current ``r``; the stacked ``r``, the blocks' R as stacked, and
     ``gate``, the sum of their gates, are what the blocks held when stacked.
-    Only linear models stack: stacking is exact for them, because the
-    Mahalanobis distance splits by the chain rule, and not for sigma-point
-    paths, so a model without a matrix raises ``ValueError``.
+    A linear stack updates as the blocks would one after another, as the
+    Mahalanobis distance splits by the chain rule; a sigma stack is one
+    sigma set for the stacked measurement (``ukf.update``).
     """
-    if len(models) < 2 or any(m.matrix is None or m.blocks for m in models):
-        raise ValueError("stack needs two or more unstacked linear models")
-    r = np.zeros((sum(m.dim for m in models),) * 2)
-    start = 0
-    for m in models:
-        r[start:start + m.dim, start:start + m.dim] = m.r
-        start += m.dim
-    return MeasurementModel(models[0].name, len(r),
-                            np.vstack([m.matrix for m in models]), r,
-                            sum(m.gate for m in models), blocks=tuple(models))
+    if len(models) < 2 or any(m.blocks for m in models):
+        raise ValueError("stack needs two or more unstacked models")
+    linear = models[0].matrix is not None
+    if any((m.matrix is not None) != linear for m in models):
+        raise ValueError("stack needs models all linear or none linear")
+    parts = [(m, slice(end - m.dim, end))
+             for m, end in zip(models, accumulate(m.dim for m in models))]
+    dim = sum(m.dim for m in models)
+    r = np.zeros((dim, dim))
+    for m, rows in parts:
+        r[rows, rows] = m.r
+    gate = sum(m.gate for m in models)
+    if linear:
+        return MeasurementModel(models[0].name, dim,
+                                np.vstack([m.matrix for m in models]), r,
+                                gate, blocks=models)
+
+    def h(cols: np.ndarray) -> np.ndarray:
+        out = np.empty((dim, cols.shape[1]))
+        for m, rows in parts:
+            out[rows] = m.h(cols)
+        return out
+
+    return MeasurementModel(models[0].name, dim, h, r, gate,
+                            np.concatenate([m.angular for m in models]),
+                            blocks=models)
 
 
 def _reading(index) -> np.ndarray:

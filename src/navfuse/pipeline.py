@@ -20,20 +20,23 @@ which the engine never writes into.  The filter clock is the newest
 snapshot's stamp (``ring.last_stamp``), None while the ring is empty.
 Every handler fuses its event's updates through ``FusionPipeline._fuse``,
 one engine call per update, and reports the engine's ``UpdateRecord`` of
-each path, from which it reads its decisions and innovations too; an
-encoder sample is one call, its odometry and vertical-velocity constraint
-stacked (``measurements.stack``), each a path.  A kind the table marks
-``delayed`` (GPS fixes, GPS velocity and VSLAM poses, late by receiver and
-mapping latency) stamped before the newest snapshot is applied there and
-the recorded IMU steps are re-run.  Any other kind arrives with negligible
-latency, at rates where a rewind per sample would cost a replay per sample,
-so it is applied where it arrives; replay re-runs only IMU steps, so such
-an update inside a rewound window does not survive it.  A delayed event
-whose every update is rejected rewinds nothing, so the live state stands
-(``retro_unchanged``).  A primary-IMU stamp
-must advance the filter clock by at most ``_MAX_IMU_GAP``; one outside that
-window is dropped, and a second in a row restarts the session there, unless
-it lies at most ``_MAX_IMU_DELAY`` behind the clock, as late delivery does.
+each path, from which it reads its decisions and innovations too.  An
+update may stack paths (``measurements.stack``), each still gated and
+recorded on its own: an encoder sample is one call, its odometry and
+vertical-velocity constraint in closed form, and an IMU sample with
+orientation is one call, its raw gyro/accel and orientation rows from one
+sigma set.  A kind the table marks ``delayed`` (GPS fixes, GPS velocity and
+VSLAM poses, late by receiver and mapping latency) stamped before the
+newest snapshot is applied there and the recorded IMU steps are re-run.
+Any other kind arrives with negligible latency, at rates where a rewind per
+sample would cost a replay per sample, so it is applied where it arrives;
+replay re-runs only IMU steps, so such an update inside a rewound window
+does not survive it.  A delayed event whose every update is rejected
+rewinds nothing, so the live state stands (``retro_unchanged``).  A
+primary-IMU stamp must advance the filter clock by at most
+``_MAX_IMU_GAP``; one outside that window is dropped, and a second in a row
+restarts the session there, unless it lies at most ``_MAX_IMU_DELAY``
+behind the clock, as late delivery does.
 
 A GPS fix that passes the receiver-quality screen gets its noise from the
 one GNSS policy, ``measurements.gps_fix_to_measurement``, with the
@@ -233,20 +236,18 @@ class FusionPipeline:
         for key in DEFAULTS:
             if key.startswith("gates.") and not cfg[key] > 0.0:
                 raise ValueError(f"{key} must be > 0")
-        # per IMU kind: the raw model, and the orientation model or None
-        # when that source's orientation is not used
-        self._imu_models = {
-            kind: (
-                meas.imu_raw_model(cfg[f"{kind}.sigma_gyro"],
-                                   cfg[f"{kind}.sigma_accel"],
-                                   cfg["gates.imu"]),
-                meas.imu_orientation_model(cfg[f"{kind}.has_magnetometer"],
-                                           cfg[f"{kind}.sigma_orient"],
-                                           cfg["gates.imu"])
-                if cfg[f"{kind}.use_orientation"] else None,
-            )
-            for kind in ("imu", "imu2")
-        }
+        # per IMU kind: the raw model, and the raw and orientation models
+        # stacked, one sigma set per sample with each block gated on its
+        # own, or None when that source's orientation is not used
+        self._imu_models = {}
+        for kind in ("imu", "imu2"):
+            raw = meas.imu_raw_model(cfg[f"{kind}.sigma_gyro"],
+                                     cfg[f"{kind}.sigma_accel"],
+                                     cfg["gates.imu"])
+            joint = meas.stack(raw, meas.imu_orientation_model(
+                cfg[f"{kind}.has_magnetometer"], cfg[f"{kind}.sigma_orient"],
+                cfg["gates.imu"])) if cfg[f"{kind}.use_orientation"] else None
+            self._imu_models[kind] = (raw, joint)
         # one closed-form update per encoder sample: the wheel odometry and
         # its vertical-velocity constraint, each gated on its own
         self._encoder_model = meas.stack(
@@ -476,26 +477,27 @@ class FusionPipeline:
     def _imu_vectors(self, sample: ImuSample
                      ) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """The sample's measurement vectors: gyro and accel for the raw
-        update, and roll, pitch (and yaw with a magnetometer) for the
-        orientation update, or None when the source has no orientation
+        rows, and roll, pitch (and yaw with a magnetometer) for the
+        orientation rows, or None when the source has no orientation
         model or the sample no orientation."""
-        orient = self._imu_models[event_kind(sample)][1]
+        joint = self._imu_models[event_kind(sample)][1]
         z_raw = np.concatenate([sample.gyro, sample.accel])
-        if orient is None or sample.orientation is None:
+        if joint is None or sample.orientation is None:
             return z_raw, None
         # ``ingest`` dropped a quaternion too short to normalize
         w, x, y, z = sample.orientation.tolist()
         norm = math.sqrt(w * w + x * x + y * y + z * z)
         rpy = quat_to_euler((w / norm, x / norm, y / norm, z / norm))
-        return z_raw, np.array(rpy[: orient.dim])
+        return z_raw, np.array(rpy[: joint.blocks[1].dim])
 
     def _imu_update_list(self, kind: str, z_raw: np.ndarray,
                          z_orient: Optional[np.ndarray]) -> list:
-        """The raw gyro/accel update, then the orientation update when there
-        is an orientation measurement (see ``_imu_vectors``)."""
-        raw, orient = self._imu_models[kind]
-        return [(z_raw, raw, 1.0)] + ([] if z_orient is None
-                                      else [(z_orient, orient, 1.0)])
+        """One update: the raw gyro/accel rows, stacked with the orientation
+        rows when there is an orientation measurement (``_imu_vectors``)."""
+        raw, joint = self._imu_models[kind]
+        if z_orient is None:
+            return [(z_raw, raw, 1.0)]
+        return [(np.concatenate([z_raw, z_orient]), joint, 1.0)]
 
     def _imu_step(self, x: np.ndarray, cov: np.ndarray, stamp: float,
                   step: Snapshot, records: Optional[list[UpdateRecord]] = None
@@ -742,12 +744,12 @@ class FusionPipeline:
                         and _is_finite_array(cov, (STATE_DIM, STATE_DIM))):
                     raise ValueError("bad state or covariance")
                 FilterState.from_vector(x, normalize=False).validate()
-            orient = self._imu_models["imu"][1]
+            joint = self._imu_models["imu"][1]
             for e in ring.entries:
                 if not (_is_finite_array(e.z_raw, (6,))
-                        and (e.z_orient is None or orient is not None
+                        and (e.z_orient is None or joint is not None
                              and _is_finite_array(e.z_orient,
-                                                  (orient.dim,)))):
+                                                  (joint.blocks[1].dim,)))):
                     raise ValueError("bad snapshot measurement vectors")
             stamps = [e.stamp for e in ring.entries]
             if (ring.capacity != self.config["retro.capacity"]
@@ -810,8 +812,10 @@ def _check_session_values(session: dict) -> None:
     """Raise ``ValueError`` unless each session value that is neither the
     state, the ring, the origin nor an estimator has the type and shape a
     live session gives it: flags, the replay snapshots' mode flags too,
-    are bools, stamps and speeds finite numbers or None, anchors finite
-    arrays of their sizes, counters ints.
+    are bools, stamps finite numbers or None, the last encoder speed and
+    IMU rate readings None or numbers >= 0 (inf, a gyro too large to
+    square, reads as a rate), anchors finite arrays of their sizes,
+    counters ints.
     A session object of the wrong type lacks an attribute read here, which
     raises ``AttributeError``."""
     coast, anchor = session["coast"], session["vslam_anchor"]
@@ -824,9 +828,11 @@ def _check_session_values(session: dict) -> None:
             *(flag for e in steps for flag in (e.zupt_active,
                                                e.coast_active)))),
         "stamps": all(v is None or _is_real(v) for v in (
-            coast.last_accept, session["_last_encoder_speed"],
-            session["_last_imu_rate"], session["_lever_ok_since"],
+            coast.last_accept, session["_lever_ok_since"],
             session["_jump_stamp"], *(e.stamp for e in steps))),
+        "readings": all(v is None or type(v) in (int, float) and v >= 0.0
+                        for v in (session["_last_encoder_speed"],
+                                  session["_last_imu_rate"])),
         "vslam_anchor": (_is_finite_array(anchor.position, (3,))
                          and _is_finite_array(anchor.quaternion, (4,))
                          and type(anchor.rejections) is int),

@@ -32,7 +32,7 @@ class Snapshot:
 
     ``z_raw`` is the sample's gyro and accel, and ``z_orient`` its roll,
     pitch (and yaw when the source has a magnetometer), or None when the
-    step made no orientation update.  Both are computed once, when the
+    step fused no orientation rows.  Both are computed once, when the
     sample arrives, so a replay re-runs only the filter arithmetic."""
 
     stamp: float

@@ -9,8 +9,9 @@ matrix H updates in closed form, S = HPH^T + R and Pxz = PH^T: that
 transform of a linear map, but for Pxz's quaternion rows, which it projects
 onto the unit sphere's tangent space.  Every update gates through one
 path, ``_gate_blocks``, and records each block's decision as an
-``UpdateRecord``: a stacked linear model (``measurements.stack``) is one
-closed-form update with a block per model, any other model one block.
+``UpdateRecord``: a stacked model (``measurements.stack``) is one update
+with a block per model, closed-form for a linear stack and one sigma set
+for a sigma-point stack, and any other model is one block.
 Quaternions are raw 4-vectors, hemisphere-aligned before any averaging or
 differencing and renormalized after perturbation or correction.  Every
 covariance leaving this module is symmetrized, eigenvalue-repaired to a
@@ -300,8 +301,9 @@ def update(
     covariance, with gating and residual wrapping.
 
     A model with a matrix H skips the sigma points: nu = z - Hx,
-    S = HPH^T + R and Pxz = PH^T, with each block's current R added to its
-    diagonal part of S.  Angle-flagged measurement components use wrapped
+    S = HPH^T + R and Pxz = PH^T; any other model takes S and Pxz from one
+    sigma set.  Either way each block's current R is added to its diagonal
+    part of S.  Angle-flagged measurement components use wrapped
     residuals throughout (sigma mean, innovation, deviations).  Every model
     gates through ``_gate_blocks``, an unstacked one as the single block at
     its rows; each block's record is in the outcome, and state and
@@ -311,10 +313,14 @@ def update(
     covariance then uses the general (suboptimal-gain) update form, which
     coincides with P - K S K^T for the unmasked optimal gain.
 
-    For a stacked model (``measurements.stack``), by the chain rule one
-    call equals one call per block, in order, up to rounding and the
+    For a stacked linear model (``measurements.stack``), by the chain rule
+    one call equals one call per block, in order, up to rounding and the
     conditioning and quaternion renormalization between calls, as long as
-    no block after the first accepted one reads a ``frozen`` state.
+    no block after the first accepted one reads a ``frozen`` state.  A
+    sigma-point stack is the update of the stacked measurement from one
+    sigma set, each block gated on its d2 given the accepted blocks before
+    it; it equals the calls per block only where the blocks' ``h`` are
+    linear in the states the sigma points spread.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (model.dim,):
@@ -332,9 +338,6 @@ def update(
     if h is not None:
         pxz = cov @ h.T
         s = h @ pxz
-        for block, rows in model.parts:
-            s[rows, rows] += block.r
-        s = symmetrize(s)
         nu = z - h @ x
     else:
         wm, wc = params.weights()
@@ -344,9 +347,12 @@ def update(
         zbar = zpts[:, 0] + wrapped(zpts - zpts[:, :1]) @ wm
         dz = wrapped(zpts - zbar[:, None])
         dz_w = dz * wc
-        s = symmetrize(dz_w @ dz.T + model.r)
+        s = dz_w @ dz.T
         nu = wrapped(z - zbar)
         pxz = (dz_w @ _deviations(points, mean).T).T
+    for block, rows in model.parts:
+        s[rows, rows] += block.r
+    s = symmetrize(s)
     records, rows, solved = _gate_blocks(model.parts, nu, s, pxz, gate_scale)
     if rows is None:
         return UpdateOutcome(x, cov, False, records)
@@ -381,16 +387,20 @@ def _gate_blocks(parts, nu: np.ndarray, s: np.ndarray, pxz: np.ndarray,
 
     Block b's d2 is taken from one solve over A+b as nu_b|A . x_b, where x_b
     is the solution's b part and nu_b|A = nu_b - S_bA S_AA^-1 nu_A is b's
-    innovation given A; the solve's right-hand side [nu | Pxz^T] gives the
-    Kalman gain too.  A+b stays a slice while A is empty (b's own rows) or
-    ends where b starts, as when every block so far was accepted; else it is
-    an index array.  d2 is one ``np.vdot``, which warns of no overflow: a
-    finite innovation too large to square gates at d2 = inf.  Returns each
+    innovation given A; the solve's right-hand side, rows A+b of
+    [nu | Pxz^T] as built once per call, gives the Kalman gain too.  A+b
+    stays a slice while A is empty (b's own rows) or ends where b starts, as
+    when every block so far was accepted; else it is an index array.  d2 is
+    one ``np.vdot``, which warns of no overflow: a finite innovation too
+    large to square gates at d2 = inf.  Returns each
     block's ``UpdateRecord``, and the accepted rows with their solve
     [S^-1 nu | S^-1 Pxz^T], or None and None when none was accepted.
     """
     records: list[UpdateRecord] = []
     rows, solved = None, None
+    rhs = np.empty((len(nu), 1 + STATE_DIM))
+    rhs[:, 0] = nu
+    rhs[:, 1:] = pxz.T
     for block, own in parts:
         if rows is None:
             trial, nu_b = own, nu[own]
@@ -400,13 +410,9 @@ def _gate_blocks(parts, nu: np.ndarray, s: np.ndarray, pxz: np.ndarray,
                 trial = slice(rows.start, own.stop)
             else:
                 trial = np.r_[rows, own]  # slices expand to their indices
-        nu_trial = nu[trial]
-        rhs = np.empty((len(nu_trial), 1 + STATE_DIM))
-        rhs[:, 0] = nu_trial
-        rhs[:, 1:] = pxz[:, trial].T
         threshold = block.gate * gate_scale
         try:
-            trial_solved = _solve(_submatrix(s, trial), rhs)
+            trial_solved = _solve(_submatrix(s, trial), rhs[trial])
         except np.linalg.LinAlgError:
             d2, reason = float("inf"), "singular"
         else:

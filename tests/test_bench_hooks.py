@@ -2,8 +2,10 @@
 (``bench/tracing.py``).  Renaming one breaks the traced benchmark run, so
 this fast check installs every wrapper and requires each original back
 afterwards, and a short traced run with late GPS fixes requires the spans
-the per-layer metrics read: ``ukf.update`` tagged by the model, its fourth
-argument, and the replays ``StateSnapshotRing.apply_delayed`` reports.  The
+the per-layer metrics read: ``ukf.update`` tagged by the model's name, its
+fourth argument (a stacked model's is its first block's, so the IMU
+orientation rows ride in the ``imu_raw`` call and show in the reports), and
+the replays ``StateSnapshotRing.apply_delayed`` reports.  The
 benchmark worker times its set-up imports (``setup_s``), so a last check
 keeps scipy out of them."""
 
@@ -45,10 +47,10 @@ def test_traced_run_tags_update_paths_and_counts_replays():
     _, events = generate(scenario)
     pipe = FusionPipeline()
     with load_tracing().Tracer().installed() as tracer:
-        for event in events:
-            pipe.ingest(event)
-    assert {"imu_raw", "imu_orientation", "encoder",
-            "gps_pos"} <= set(tracer.tags.values())
+        reports = [pipe.ingest(event) for event in events]
+    assert {"imu_raw", "encoder", "gps_pos"} <= set(tracer.tags.values())
+    assert "imu_orientation" in {rec.path for report in reports
+                                 for rec in report.updates}
     assert tracer.counts["retro.replays"] > 0
 
 

@@ -375,18 +375,40 @@ class TestLinearModels:
         assert np.array_equal(model.r, np.diag([0.03**2, 0.03**2,
                                                 0.02**2, 0.05**2]))
 
-    def test_only_linear_models_stack(self):
+    def test_sigma_stack_fills_its_rows_block_by_block(self, rng):
+        raw = imu_raw_model(0.005, 0.05, 15.09)
+        orient = imu_orientation_model(False, 0.02, 15.09)
+        model = stack(raw, orient)
+        assert model.name == "imu_raw" and model.dim == 8
+        assert model.matrix is None
+        assert model.blocks[0] is raw and model.blocks[1] is orient
+        assert model.angular.tolist() == [False] * 6 + [True] * 2
+        assert np.array_equal(model.r, np.diag([0.005**2] * 3
+                                               + [0.05**2] * 3
+                                               + [0.02**2] * 2))
+        cols = rng.normal(size=(23, 47))
+        cols[3:7] /= np.linalg.norm(cols[3:7], axis=0)
+        assert np.array_equal(model.h(cols),
+                              np.vstack([raw.h(cols), orient.h(cols)]))
+
+    def test_only_models_of_one_kind_stack(self):
         enc = encoder_model(0.03, 0.03, 0.02, 11.34)
-        with pytest.raises(ValueError):
-            stack(enc, gps_heading_model(0.04, 10.83))
+        heading = gps_heading_model(0.04, 10.83)
+        with pytest.raises(ValueError, match="all linear or none"):
+            stack(enc, heading)
+        with pytest.raises(ValueError, match="all linear or none"):
+            stack(heading, enc)
         with pytest.raises(ValueError):
             stack(enc)
         with pytest.raises(ValueError):
             stack(stack(enc, encoder_vz_model(0.05, 11.34)), enc)
-        # a blocked model without a matrix is refused at construction
+        # blocks of the other kind are refused at construction
         with pytest.raises(ValueError, match="blocks"):
             MeasurementModel("sigma", 3, lambda x: x[7:10], np.eye(3),
                              1.0, blocks=(enc,))
+        with pytest.raises(ValueError, match="blocks"):
+            MeasurementModel("linear", 1, np.eye(23)[:1], np.eye(1), 1.0,
+                             blocks=(heading,))
 
 
 class TestZeroInnovationProperty:

@@ -548,31 +548,36 @@ class TestConstruction:
 
     def test_plain_imu_event_engine_work(self, monkeypatch):
         """A primary-IMU sample with orientation, no ZUPT held and no
-        repair firing: one predict and the raw and orientation updates,
-        each one sigma set (``_cholesky``) and one conditioning (one
-        ``np.linalg.cholesky``), and each update one solve."""
+        repair firing: one predict and one update of the raw and
+        orientation rows stacked, each one sigma set (``_cholesky``) and
+        one conditioning (one ``np.linalg.cholesky``), and one solve per
+        gated block.  It counts the third sample, because the second one's
+        update, the first from the initial quaternion variance, repairs its
+        covariance."""
         from navfuse import ukf
         pipe = FusionPipeline()
         orientation = np.array([1.0, 0.0, 0.0, 0.0])
         pipe.ingest(imu_at(0.0, orientation=orientation))
+        pipe.ingest(imu_at(0.01, orientation=orientation))
         calls = dict.fromkeys(("generate_sigma_points", "repair_pd",
                                "_cholesky", "cholesky", "_solve",
-                               "eigvalsh"), 0)
+                               "eigvalsh", "ukf_update"), 0)
         for owner, name in ((ukf, "generate_sigma_points"),
                             (ukf, "repair_pd"), (ukf, "_cholesky"),
                             (np.linalg, "cholesky"), (ukf, "_solve"),
-                            (np.linalg, "eigvalsh")):
+                            (np.linalg, "eigvalsh"),
+                            (pipeline_module, "ukf_update")):
             def counted(*args, _fn=getattr(owner, name), _name=name,
                         **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
-        report = pipe.ingest(imu_at(0.01, orientation=orientation))
+        report = pipe.ingest(imu_at(0.02, orientation=orientation))
         assert [r.path for r in report.updates] == ["imu_raw",
                                                     "imu_orientation"]
-        assert calls == {"generate_sigma_points": 3, "repair_pd": 3,
-                         "_cholesky": 3, "cholesky": 3, "_solve": 2,
-                         "eigvalsh": 0}
+        assert calls == {"generate_sigma_points": 2, "repair_pd": 2,
+                         "_cholesky": 2, "cholesky": 2, "_solve": 2,
+                         "eigvalsh": 0, "ukf_update": 1}
 
 
 class TestGps:
@@ -1090,10 +1095,9 @@ class TestRetrodiction:
             fused.clear()
             pipe.ingest(imu_at(k * 0.01, orientation=orientation))
             entry = pipe.ring.entries[-1]
-            assert [name for name, _ in fused] == ["imu_raw",
-                                                   "imu_orientation"]
-            assert np.array_equal(entry.z_raw, fused[0][1])
-            assert np.array_equal(entry.z_orient, fused[1][1])
+            assert [name for name, _ in fused] == ["imu_raw"]
+            assert np.array_equal(
+                np.concatenate([entry.z_raw, entry.z_orient]), fused[0][1])
 
         euler_calls = []
         live_euler = pipeline_module.quat_to_euler
@@ -1248,6 +1252,27 @@ class TestLifecycle:
                  if r.kind == "imu"]
         assert np.array_equal(np.array(cont1), np.array(cont2))
 
+    def test_checkpoint_after_huge_gyro_sample_resumes(self, tmp_path):
+        """A finite gyro too large to square leaves an infinite IMU rate
+        reading, which a checkpoint saves and loads like any other."""
+        path = str(tmp_path / "ckpt.json")
+        head = [imu_at(k * 0.01) for k in range(20)]
+        head.append(imu_at(0.2, gyro=(1e300, 0, 0)))
+        tail = [e for k in range(21, 120)
+                for e in (imu_at(k * 0.01), encoder_at(k * 0.01 + 0.005))]
+
+        pipe1 = FusionPipeline(PipelineConfig())
+        run(pipe1, head)
+        assert pipe1._last_imu_rate == float("inf")
+        pipe1.save_checkpoint(path)
+        cont1 = [(r.state.as_vector(), r.cov_diag) for r in run(pipe1, tail)]
+
+        pipe2 = FusionPipeline(PipelineConfig())
+        pipe2.load_checkpoint(path)
+        assert pipe2._last_imu_rate == float("inf")
+        cont2 = [(r.state.as_vector(), r.cov_diag) for r in run(pipe2, tail)]
+        assert np.array_equal(np.array(cont1), np.array(cont2))
+
     def test_reset_assigns_exactly_the_session(self):
         """``_SESSION`` is what checkpoints save, so an attribute ``reset``
         assigns but the declaration misses would not survive a resume."""
@@ -1304,6 +1329,8 @@ class TestLifecycle:
         (("session", "_heading_anchor"), 5),
         (("session", "ring", "value", "entries", "value", 0, "value",
           "coast_active"), 5),
+        (("session", "_last_imu_rate"), float("nan")),
+        (("session", "_last_encoder_speed"), -1.0),
     ], ids=["root", "version_3", "missing", "state_shape", "state_list",
             "snapshot_state", "cov_shape", "unknown_type",
             "garbled", "truncated", "payload_shape", "snapshot_z_raw",
@@ -1312,7 +1339,8 @@ class TestLifecycle:
             "estimator_r_size", "estimator_setting", "innovation_window",
             "innovation_nan", "estimator_missing", "origin_frame",
             "coast_stamp_type", "vslam_anchor_shape",
-            "heading_anchor_type", "snapshot_mode_type"])
+            "heading_anchor_type", "snapshot_mode_type", "imu_rate_nan",
+            "encoder_speed_negative"])
     def test_malformed_checkpoint_changes_nothing(self, tmp_path, keys,
                                                   value):
         path = tmp_path / "ckpt.json"

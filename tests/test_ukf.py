@@ -9,6 +9,7 @@ from navfuse.config import PipelineConfig
 from navfuse.core import (
     ENC_YAW_BIAS,
     EPSILON_PD,
+    GRAVITY,
     OMEGA,
     QUAT,
     STATE_DIM,
@@ -20,6 +21,7 @@ from navfuse.measurements import (
     MeasurementModel,
     encoder_model,
     encoder_vz_model,
+    imu_orientation_model,
     imu_raw_model,
     stack,
 )
@@ -736,3 +738,75 @@ class TestStackedUpdate:
                              1.0, blocks=(enc,))
         with pytest.raises(ValueError):
             stack(enc, imu_raw_model(0.005, 0.05, 15.09))
+
+
+class TestStackedSigmaUpdate:
+    """A stacked sigma-point model is one sigma set for all its rows, each
+    block gated on its own given the blocks accepted before it."""
+
+    @staticmethod
+    def sigma_blocks(rng):
+        """Two models through ``h``, each a random linear map of the
+        non-quaternion states."""
+        models = []
+        for b, dim in enumerate((3, 2)):
+            h = np.zeros((dim, STATE_DIM))
+            h[:, NON_QUAT] = rng.normal(size=(dim, len(NON_QUAT))) * (
+                rng.random((dim, len(NON_QUAT))) < 0.3)
+            h[np.arange(dim), rng.choice(NON_QUAT, dim, replace=False)] += 1.0
+            models.append(MeasurementModel(
+                f"b{b}", dim, lambda cols, h=h: h @ cols,
+                random_pd_matrix(rng, dim, 0.01), 1.0))
+        return models
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("pattern", range(4))
+    def test_linear_h_equals_sequential_calls(self, seed, pattern):
+        rng = np.random.default_rng(seed)
+        x = FilterState().vector
+        x[NON_QUAT] = rng.normal(size=len(NON_QUAT))
+        cov = default_cov()
+        models = self.sigma_blocks(rng)
+        # accept/reject forced through the gates, bit b of ``pattern``
+        for b, model in enumerate(models):
+            model.gate = 1e12 if pattern >> b & 1 else 1e-300
+        stacked = stack(*models)
+        assert stacked.matrix is None
+        # the engine reads each block's current R, not the stacked one
+        models[1].r = models[1].r * 4.0
+        z = stacked.h(x[:, None])[:, 0] + rng.normal(size=stacked.dim)
+        out = update(x, cov, z, stacked, PARAMS)
+
+        start, seq_x, seq_cov = 0, x, cov
+        for b, (model, part) in enumerate(zip(models, out.records)):
+            one = update(seq_x, seq_cov, z[start:start + model.dim], model,
+                         PARAMS)
+            start += model.dim
+            [single] = one.records
+            assert part.accepted == single.accepted == bool(pattern >> b & 1)
+            assert (part.path, part.dim) == (model.name, model.dim)
+            assert part.d2 == pytest.approx(single.d2, rel=1e-9, abs=1e-12)
+            np.testing.assert_allclose(part.innovation, single.innovation,
+                                       rtol=1e-9, atol=1e-12)
+            seq_x, seq_cov = one.x, one.cov
+        np.testing.assert_allclose(out.x, seq_x, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out.cov, seq_cov, rtol=0, atol=1e-9)
+
+    def test_gated_raw_block_leaves_the_orientation_update(self):
+        """A gyro reading of 5 rad/s against a still state is gated; the
+        roll/pitch rows are then the update from the same prior that an
+        orientation model alone gives."""
+        raw = imu_raw_model(0.005, 0.05, 15.09)
+        orient = imu_orientation_model(False, 0.02, 15.09)
+        x, cov = FilterState().vector, default_cov()
+        z_orient = np.array([0.01, -0.02])
+        z = np.concatenate([[5.0, 0.0, 0.0], GRAVITY, z_orient])
+        out = update(x, cov, z, stack(raw, orient), PARAMS)
+        alone = update(x, cov, z_orient, orient, PARAMS)
+        assert [r.reason for r in out.records] == ["gated", "accepted"]
+        [single] = alone.records
+        assert out.records[1].d2 == pytest.approx(single.d2, rel=1e-12)
+        np.testing.assert_allclose(out.records[1].innovation,
+                                   single.innovation, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.x, alone.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.cov, alone.cov, rtol=0, atol=1e-12)
