@@ -152,6 +152,7 @@ _ROTATION = _bilinear_basis(9, ((3 * r + c, coef, i, j)
                                 for r, row in enumerate(_ROTATION_TERMS)
                                 for c, terms in enumerate(row)
                                 for coef, i, j in terms))
+_TILT_YAW = _ROTATION[[6, 7, 8, 0, 3]]  # m20, m21, m22, m00, m10
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,13 +211,13 @@ def quat_rotate_cols(q: np.ndarray, v: np.ndarray,
     return v + np.add.reduce(m * v[None], axis=1)
 
 
-def rotate_inv_vertical_cols(q: np.ndarray, g: float) -> np.ndarray:
-    """R(q)^T [0, 0, g] over quaternion columns: ``quat_rotate_cols`` with
-    the zero terms of a vertical vector dropped (the two may differ by
-    rounding, as BLAS may sum the smaller matmul in another order)."""
-    out = g * (_ROTATION[6:] @ _outer(q, q))
-    out[2] += g
-    return out
+def rotation_rows_cols(q: np.ndarray, rows: int = 5) -> np.ndarray:
+    """The first ``rows`` of m20, m21, m22, m00, m10, m = R(q) - I, over
+    quaternion columns, unchecked, from one matmul: R's third row, which
+    gravity, roll and pitch read, then the entries yaw reads.  Each equals
+    its formula written out bit for bit, but that a matmul's sum is never
+    -0."""
+    return _TILT_YAW[:rows] @ _outer(q, q)
 
 
 def _through_cols(kernel, *rows, **kwargs) -> np.ndarray:

@@ -14,7 +14,9 @@ form.  ``stack`` joins models of one kind, all linear or all through ``h``,
 into one whose rows the engine solves together while gating and recording
 each model, its *block*, on its own (``ukf.update``); the encoder and its
 vertical constraint fuse that way in closed form, and an IMU sample's raw
-and orientation rows from one sigma set.
+and orientation rows from one sigma set and one ``imu_cols`` call.  The
+IMU, Euler and heading readings take the entries of R(q) - I they need
+from one matmul (``core.rotation_rows_cols``), bit for bit as written out.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .core import (
     STATE_DIM,
     VEL,
     quat_rotate_cols,
-    rotate_inv_vertical_cols,
+    rotation_rows_cols,
+    wrap_angle,
 )
 from .events import FixType, GpsFixSample
 from .geodesy import EnuOrigin, GeodeticCoord, geodetic_to_enu
@@ -69,8 +72,12 @@ class MeasurementModel:
         self.r = np.atleast_2d(np.asarray(self.r, dtype=float))
         if self.angular is None:
             self.angular = np.zeros(self.dim, dtype=bool)
-        self.wraps = bool(np.any(self.angular))
-        self.all_angular = self.wraps and bool(self.angular.all())
+        # the rows ``wrapped`` wraps: a slice, so a view, when contiguous
+        i = np.flatnonzero(self.angular).tolist()
+        self.wraps = bool(i)
+        contiguous = self.wraps and i[-1] - i[0] == len(i) - 1
+        self.angular_rows = (slice(i[0], i[-1] + 1) if contiguous
+                             else self.angular)
         if self.gate <= 0:
             raise ValueError("gate threshold must be > 0")
         if not callable(self.h):
@@ -92,13 +99,23 @@ class MeasurementModel:
         self.parts = tuple((b, slice(end - b.dim, end))
                            for b, end in zip(self.blocks or (self,), ends))
 
+    def wrapped(self, res: np.ndarray) -> np.ndarray:
+        """``res``, a fresh residual array, with its angular rows wrapped in
+        place; rows ``wrap_angle`` returns as they are are not written."""
+        if self.wraps:
+            angles = res[self.angular_rows]
+            out = wrap_angle(angles)
+            if out is not angles:
+                res[self.angular_rows] = out
+        return res
 
-def stack(*models: MeasurementModel) -> MeasurementModel:
+
+def stack(*models: MeasurementModel, h=None) -> MeasurementModel:
     """One model whose rows are the models' stacked in order, named after
     the first and keeping them as its ``blocks``: all linear, a linear
     model with their H stacked, or none linear, a sigma-point model whose
-    ``h`` fills one array block by block and whose angular mask is theirs
-    concatenated; a mix raises ``ValueError``.
+    ``h`` is ``h`` or fills one array block by block and whose angular mask
+    is theirs concatenated; a mix raises ``ValueError``.
 
     The engine gates and reports each block on its own and reads each
     block's current ``r``; the stacked ``r``, the blocks' R as stacked, and
@@ -124,13 +141,13 @@ def stack(*models: MeasurementModel) -> MeasurementModel:
                                 np.vstack([m.matrix for m in models]), r,
                                 gate, blocks=models)
 
-    def h(cols: np.ndarray) -> np.ndarray:
+    def filled(cols: np.ndarray) -> np.ndarray:
         out = np.empty((dim, cols.shape[1]))
         for m, rows in parts:
             out[rows] = m.h(cols)
         return out
 
-    return MeasurementModel(models[0].name, dim, h, r, gate,
+    return MeasurementModel(models[0].name, dim, h or filled, r, gate,
                             np.concatenate([m.angular for m in models]),
                             blocks=models)
 
@@ -140,40 +157,51 @@ def _reading(index) -> np.ndarray:
     return np.eye(STATE_DIM)[index]
 
 
-def _yaw_cols(w, x, y, z) -> np.ndarray:
-    """ZYX yaw of quaternion columns given as their four rows."""
-    return np.arctan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z))
+def _euler_rows(m: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Roll atan2(m21, 1 + m22), pitch asin(-m20) clipped and, given a
+    third row of ``out``, yaw atan2(m10, 1 + m00), m = rotation_rows_cols(q).
+    An m with a zero is recomputed written out: there 2(a + b) is -0 when
+    a and b are, a matmul's sum never, and atan2 and asin keep that sign."""
+    if np.count_nonzero(m) < m.size:
+        w, x, y, z = q
+        m = 2.0 * np.array([x * z - w * y, y * z + w * x, -(x * x + y * y),
+                            -(y * y + z * z), x * y + w * z])
+    np.arctan2(m[1], 1.0 + m[2], out=out[0])
+    np.arcsin(np.minimum(np.maximum(-m[0], -1.0), 1.0), out=out[1])
+    if len(out) == 3:
+        np.arctan2(m[4], 1.0 + m[3], out=out[2])
+    return out
 
 
 def euler_cols(q: np.ndarray, with_yaw: bool = True) -> np.ndarray:
     """Vectorized ZYX (roll, pitch, yaw) extraction over (4, N) quaternion
     columns, as (3, N); ``with_yaw=False`` gives roll and pitch only."""
-    w, x, y, z = q
-    out = np.empty((3 if with_yaw else 2, q.shape[1]))
-    out[0] = np.arctan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
-    sin_pitch = -2.0 * (x * z - w * y)
-    out[1] = np.arcsin(np.minimum(np.maximum(sin_pitch, -1.0), 1.0))
-    if with_yaw:
-        out[2] = _yaw_cols(w, x, y, z)
+    return _euler_rows(rotation_rows_cols(q, 5 if with_yaw else 3), q,
+                       np.empty((3 if with_yaw else 2, q.shape[1])))
+
+
+def imu_cols(x: np.ndarray, angles: int = 0) -> np.ndarray:
+    """The IMU reading of (23, N) state columns, rates and accelerations
+    plus biases, the latter plus R(q)^T [0, 0, g], then ``angles`` rows of
+    roll, pitch (and yaw), all from one ``rotation_rows_cols`` product."""
+    m = rotation_rows_cols(x[QUAT], 5 if angles == 3 else 3)
+    out = np.empty((6 + angles, x.shape[1]))
+    np.add(x[OMEGA], x[GYRO_BIAS], out=out[:3])
+    np.add(x[ACC], x[ACCEL_BIAS], out=out[3:6])
+    reaction = GRAVITY[2] * m[:3]
+    reaction[2] += GRAVITY[2]
+    out[3:6] += reaction
+    if angles:
+        _euler_rows(m, x[QUAT], out[6:])
     return out
 
 
 def imu_raw_model(sigma_gyro: float, sigma_accel: float,
                   gate: float) -> MeasurementModel:
     """6-DOF raw IMU: rates plus bias, accelerations plus bias and the
-    gravity reaction rotated into the body frame."""
-
-    g = float(GRAVITY[2])
-
-    def h(x: np.ndarray) -> np.ndarray:
-        out = np.empty((6, x.shape[1]))
-        np.add(x[OMEGA], x[GYRO_BIAS], out=out[:3])
-        np.add(x[ACC], x[ACCEL_BIAS], out=out[3:])
-        out[3:] += rotate_inv_vertical_cols(x[QUAT], g)
-        return out
-
+    gravity reaction rotated into the body frame (``imu_cols``)."""
     r = np.diag([sigma_gyro**2] * 3 + [sigma_accel**2] * 3)
-    return MeasurementModel("imu_raw", 6, h, r, gate)
+    return MeasurementModel("imu_raw", 6, imu_cols, r, gate)
 
 
 def imu_orientation_model(has_magnetometer: bool, sigma_orient: float,
@@ -330,7 +358,7 @@ def gps_heading_model(variance: float, gate: float) -> MeasurementModel:
     the encoder yaw-rate bias observable through the cross-covariance."""
 
     def h(x: np.ndarray) -> np.ndarray:
-        return _yaw_cols(*x[QUAT])[None]
+        return euler_cols(x[QUAT])[2:]
 
     return MeasurementModel("gps_heading", 1, h, np.array([[variance]]), gate,
                             angular=np.array([True]))

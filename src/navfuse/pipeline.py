@@ -62,6 +62,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -244,9 +245,12 @@ class FusionPipeline:
             raw = meas.imu_raw_model(cfg[f"{kind}.sigma_gyro"],
                                      cfg[f"{kind}.sigma_accel"],
                                      cfg["gates.imu"])
-            joint = meas.stack(raw, meas.imu_orientation_model(
+            orient = meas.imu_orientation_model(
                 cfg[f"{kind}.has_magnetometer"], cfg[f"{kind}.sigma_orient"],
-                cfg["gates.imu"])) if cfg[f"{kind}.use_orientation"] else None
+                cfg["gates.imu"])
+            joint = meas.stack(raw, orient, h=partial(
+                meas.imu_cols, angles=orient.dim)) if cfg[
+                    f"{kind}.use_orientation"] else None
             self._imu_models[kind] = (raw, joint)
         # one closed-form update per encoder sample: the wheel odometry and
         # its vertical-velocity constraint, each gated on its own
@@ -693,17 +697,19 @@ class FusionPipeline:
         records = self._fuse(sample.stamp, "vslam", [(z, model, 1.0)])
         if records is None:
             return self._report(sample.stamp, "vslam", dropped=_TOO_OLD)
-        self._vslam_reinit_check(records[0].accepted)
+        self._vslam_reinit_check(records[0].accepted, sample.stamp)
         return self._report(sample.stamp, "vslam", records)
 
-    def _vslam_reinit_check(self, accepted: bool) -> None:
+    def _vslam_reinit_check(self, accepted: bool, stamp: float) -> None:
         if accepted:
             self.vslam_anchor.rejections = 0
             return
         self.vslam_anchor.rejections += 1
         if self.vslam_anchor.rejections >= self.config["vslam.reinit_n"]:
-            self.vslam_anchor.reanchor(self.x[POS], self.x[QUAT],
-                                       *self._last_raw_vslam)
+            x = self.x  # the pose a late one was gated at: its snapshot's
+            if self.config["retro.enabled"] and stamp < self.ring.last_stamp:
+                x = self.ring.entries[self.ring.nearest_at_or_before(stamp)].x
+            self.vslam_anchor.reanchor(x[POS], x[QUAT], *self._last_raw_vslam)
             self._count("vslam_reanchors")
 
     # ------------------------------------------------------------------

@@ -23,8 +23,11 @@ may share them.
 Sigma points and gains factor and solve through ``_cholesky`` and
 ``_solve``: numpy's own LAPACK gufuncs in ``np.linalg``'s error state, bit
 for bit its results and failures, without a wrapper that costs more than
-LAPACK at 23x23.  ``repair_pd``'s check keeps ``np.linalg.cholesky``, the
-call the benchmark's tracer counts as the conditioning layer's LAPACK work.
+LAPACK at 23x23.  The benchmark's tracer wraps names looked up at call
+time, which must stay called (``tests/test_bench_hooks.py``):
+``generate_sigma_points``, ``repair_pd``, ``propagate_states`` and
+``process_noise_matrix``, and ``np.linalg.cholesky`` in ``repair_pd``'s
+check, the conditioning layer's LAPACK work.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .core import (
     NumericalError,
     all_finite,
     normalize_cols,
-    wrap_angle,
 )
 from .process import PropagationStep, process_noise_matrix, propagate_states
 
@@ -304,11 +306,12 @@ def update(
     S = HPH^T + R and Pxz = PH^T; any other model takes S and Pxz from one
     sigma set.  Either way each block's current R is added to its diagonal
     part of S.  Angle-flagged measurement components use wrapped
-    residuals throughout (sigma mean, innovation, deviations).  Every model
-    gates through ``_gate_blocks``, an unstacked one as the single block at
-    its rows; each block's record is in the outcome, and state and
-    covariance are updated once from the accepted rows.  A gated-out or
-    numerically singular measurement leaves state and covariance untouched.
+    residuals throughout (sigma mean, innovation, deviations;
+    ``model.wrapped``).  Every model gates through ``_gate_blocks``, an
+    unstacked one as the single block at its rows; each block's record is
+    in the outcome, and state and covariance are updated once from the
+    accepted rows.  A gated-out or numerically singular measurement leaves
+    state and covariance untouched.
     ``frozen`` lists state indices whose Kalman gain rows are zeroed; the
     covariance then uses the general (suboptimal-gain) update form, which
     coincides with P - K S K^T for the unmasked optimal gain.
@@ -322,18 +325,10 @@ def update(
     it; it equals the calls per block only where the blocks' ``h`` are
     linear in the states the sigma points spread.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if type(z) is not np.ndarray or z.dtype != np.float64 or not z.ndim:
+        z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (model.dim,):
         raise ValueError(f"measurement dim mismatch: {z.shape} vs {model.dim}")
-    def wrapped(res: np.ndarray) -> np.ndarray:
-        # every residual passed here is a fresh array, so wrap in place; a
-        # model of angles only wraps residuals whole, in range as they are
-        if model.all_angular:
-            return wrap_angle(res)
-        if model.wraps:
-            res[model.angular] = wrap_angle(res[model.angular])
-        return res
-
     mean, h = x, model.matrix
     if h is not None:
         pxz = cov @ h.T
@@ -344,11 +339,11 @@ def update(
         points = generate_sigma_points(x, cov, params)
         mean = points[:, 0]  # x with its quaternion renormalized
         zpts = model.h(points)
-        zbar = zpts[:, 0] + wrapped(zpts - zpts[:, :1]) @ wm
-        dz = wrapped(zpts - zbar[:, None])
+        zbar = zpts[:, 0] + model.wrapped(zpts - zpts[:, :1]) @ wm
+        dz = model.wrapped(zpts - zbar[:, None])
         dz_w = dz * wc
         s = dz_w @ dz.T
-        nu = wrapped(z - zbar)
+        nu = model.wrapped(z - zbar)
         pxz = (dz_w @ _deviations(points, mean).T).T
     for block, rows in model.parts:
         s[rows, rows] += block.r

@@ -15,6 +15,29 @@ def random_unit_quat(rng, n=None):
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
+def sigma_clouds(rng, count, locked=6, zeroed=0):
+    """``count`` C-contiguous (23, 47) state clouds with unit quaternions,
+    ``locked`` columns of each at pitch +-90 deg, where about half have
+    |sin pitch| > 1 by rounding, and ``zeroed`` more with one to three
+    components 0.0 or -0.0, such as [0, -1, -0, 0]."""
+    from navfuse.core import euler_to_quat
+    for _ in range(count):
+        cols = rng.normal(size=(23, 47))
+        cols[3:7] = random_unit_quat(rng, 47).T
+        picked = rng.choice(47, locked + zeroed, replace=False)
+        for j in picked[:locked]:
+            cols[3:7, j] = euler_to_quat(rng.uniform(-np.pi, np.pi),
+                                         rng.choice([-1.0, 1.0]) * np.pi / 2,
+                                         rng.uniform(-np.pi, np.pi))
+        for j in picked[locked:]:
+            q = np.round(rng.normal(size=4))
+            zeros = rng.choice(4, rng.integers(1, 4), replace=False)
+            q[zeros] = rng.choice([0.0, -0.0], len(zeros))
+            cols[3:7, j] = (q / np.linalg.norm(q) if q.any()
+                            else [1.0, -0.0, 0.0, -0.0])
+        yield cols
+
+
 def state_columns(max_columns=8, bound=3.0):
     """Hypothesis strategy: a C-contiguous (23, N) array of flat state
     columns, as the engine's sigma cloud holds them, with entries in

@@ -5,9 +5,12 @@ afterwards, and a short traced run with late GPS fixes requires the spans
 the per-layer metrics read: ``ukf.update`` tagged by the model's name, its
 fourth argument (a stacked model's is its first block's, so the IMU
 orientation rows ride in the ``imu_raw`` call and show in the reports), and
-the replays ``StateSnapshotRing.apply_delayed`` reports.  The
-benchmark worker times its set-up imports (``setup_s``), so a last check
-keeps scipy out of them."""
+the replays ``StateSnapshotRing.apply_delayed`` reports, and a span or a
+count for every engine name the per-layer metrics time: a refactor that
+stops calling one (``process_noise_matrix``, say, or ``repair_pd``'s check
+through ``np.linalg.cholesky``) fails here, not only in the benchmark's
+smoke test.  The benchmark worker times its set-up imports (``setup_s``),
+so a last check keeps scipy out of them."""
 
 import importlib.util
 import os
@@ -52,6 +55,12 @@ def test_traced_run_tags_update_paths_and_counts_replays():
     assert "imu_orientation" in {rec.path for report in reports
                                  for rec in report.updates}
     assert tracer.counts["retro.replays"] > 0
+    assert {"ukf.predict", "ukf.sigma", "ukf.repair_pd", "process.propagate",
+            "process.noise"} <= set(tracer.names)
+    # one factorization per ``repair_pd`` call, and the adaptive
+    # estimators' checks on top
+    assert tracer.counts["linalg.cholesky"] >= tracer.names.count(
+        "ukf.repair_pd") > 0
 
 
 def test_worker_setup_imports_load_no_scipy():

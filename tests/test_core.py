@@ -22,13 +22,13 @@ from navfuse.core import (
     quat_rotate_inv,
     quat_to_euler,
     quat_to_rotmat,
-    rotate_inv_vertical_cols,
     rotation_distance,
+    rotation_rows_cols,
     wrap_angle,
     yaw_variance,
 )
 
-from conftest import random_unit_quat
+from conftest import random_unit_quat, sigma_clouds
 
 
 class TestQuatExp:
@@ -160,10 +160,12 @@ class TestRowKernels:
                                    atol=1e-15)
 
     def test_vertical_rotate_inv_matches_quat_rotate_inv(self, rng):
+        """R(q)^T [0, 0, g] as g times R's third row minus I's, plus g."""
         q = random_unit_quat(rng, 47)
         g = 9.80665
-        diff = (rotate_inv_vertical_cols(q.T, g).T
-                - quat_rotate_inv(q, np.array([0.0, 0.0, g])))
+        reaction = g * rotation_rows_cols(q.T, 3)
+        reaction[2] += g
+        diff = reaction.T - quat_rotate_inv(q, np.array([0.0, 0.0, g]))
         assert np.max(np.abs(diff)) <= 1e-15
 
 
@@ -194,6 +196,24 @@ def quats_and_vectors(rng, n=1000):
     scaled = random_unit_quat(rng, n) * 10.0 ** rng.uniform(-3, 3, (n, 1))
     v = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 6, (n, 1))
     return unit, scaled, v
+
+
+class TestRotationRows:
+    def test_rows_are_the_written_out_entries_bit_for_bit(self, rng):
+        """m20, m21, m22, m00, m10 of m = R(q) - I from one matmul equal
+        2(a +- b) written out, each sum rounding once, but for the sign of
+        a zero: a matmul's sum is never -0.  The first k rows are the same
+        bits whichever k."""
+        for cols in sigma_clouds(rng, 500, zeroed=2):
+            w, x, y, z = cols[3:7]
+            written = np.array([2.0 * (x * z - w * y), 2.0 * (y * z + w * x),
+                                -2.0 * (x * x + y * y),
+                                -2.0 * (y * y + z * z), 2.0 * (x * y + w * z)])
+            rows = rotation_rows_cols(cols[3:7])
+            assert rows.tobytes() == (written + 0.0).tobytes()
+            assert not np.signbit(rows[rows == 0.0]).any()
+            assert rotation_rows_cols(cols[3:7], 3).tobytes() \
+                == rows[:3].tobytes()
 
 
 class TestBilinearKernels:

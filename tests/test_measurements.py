@@ -1,11 +1,14 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from navfuse.config import DEFAULTS
-from navfuse.core import (FilterState, GRAVITY, euler_to_quat, quat_to_euler,
-                          quat_to_rotmat)
+from navfuse.core import (FilterState, GRAVITY, _ROTATION, _outer,
+                          euler_to_quat, quat_to_euler, quat_to_rotmat,
+                          wrap_angle)
 from navfuse.events import FixType, GpsFixSample
 from navfuse.geodesy import EnuOrigin, GeodeticCoord, enu_to_geodetic
 from navfuse.measurements import (
@@ -18,6 +21,7 @@ from navfuse.measurements import (
     gps_heading_model,
     gps_position_model,
     gps_velocity_model,
+    imu_cols,
     imu_orientation_model,
     imu_raw_model,
     radar_velocity_model,
@@ -27,7 +31,7 @@ from navfuse.measurements import (
     zupt_model,
 )
 
-from conftest import state_columns
+from conftest import sigma_clouds, state_columns
 
 ORIGIN = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(45.0, -75.6, 80.0))
 #: a GPS base noise of sigma 0.8 m horizontally and 1.5 m vertically
@@ -123,6 +127,110 @@ class TestEulerColumns:
             np.testing.assert_allclose(rpy[:, j], quat_to_euler(q[:, j]),
                                        rtol=0, atol=1e-15)
         assert np.array_equal(euler_cols(q, with_yaw=False), rpy[:2])
+
+
+def written_out_euler(q, with_yaw=True):
+    """The ZYX extraction over quaternion columns as written out before the
+    rotation-rows kernel."""
+    w, x, y, z = q
+    rows = [np.arctan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+            np.arcsin(np.minimum(np.maximum(-2.0 * (x * z - w * y), -1.0),
+                                 1.0))]
+    if with_yaw:
+        rows.append(np.arctan2(2.0 * (x * y + w * z),
+                               1.0 - 2.0 * (y * y + z * z)))
+    return np.array(rows)
+
+
+def written_out_imu(cols, angles=0):
+    """The IMU reading as the per-block functions gave it before one
+    rotation-rows product served both: the raw rows, their gravity
+    reaction from R's third row alone with g added before the sum with
+    accel plus bias, then ``angles`` written-out Euler rows."""
+    q, g = cols[3:7], float(GRAVITY[2])
+    reaction = g * (_ROTATION[6:] @ _outer(q, q))
+    reaction[2] += g
+    rows = [cols[10:13] + cols[16:19], (cols[13:16] + cols[19:22]) + reaction]
+    if angles:
+        rows.append(written_out_euler(q, with_yaw=angles == 3))
+    return np.vstack(rows)
+
+
+def clouds(rng):
+    """1000 sigma clouds, then 200 with exact zeros in some quaternions,
+    where a written-out entry of R(q) - I can be -0."""
+    yield from sigma_clouds(rng, 1000)
+    yield from sigma_clouds(rng, 200, zeroed=6)
+
+
+class TestRotationRowReadings:
+    """Every reading of R(q) over sigma clouds, bit for bit against the
+    formulas written out, including columns whose |sin pitch| passes 1 and
+    zero entries the formulas give as -0."""
+
+    def test_imu_function_equals_the_stacked_block_functions(self, rng):
+        raw = imu_raw_model(0.005, 0.05, 15.09)
+        joints = [stack(raw, orient, h=partial(imu_cols, angles=orient.dim))
+                  for orient in (imu_orientation_model(False, 0.02, 15.09),
+                                 imu_orientation_model(True, 0.02, 15.09))]
+        clipped = negative_zeros = 0
+        for cols in clouds(rng):
+            w, x, y, z = cols[3:7]
+            clipped += np.count_nonzero(np.abs(2.0 * (x * z - w * y)) > 1.0)
+            roll_num = 2.0 * (y * z + w * x)
+            negative_zeros += np.count_nonzero((roll_num == 0.0)
+                                               & np.signbit(roll_num))
+            assert raw.h(cols).tobytes() == written_out_imu(cols).tobytes()
+            for joint in joints:
+                out = joint.h(cols)
+                assert out.tobytes() == written_out_imu(
+                    cols, joint.dim - 6).tobytes()
+                assert out.tobytes() == np.vstack(
+                    [block.h(cols) for block in joint.blocks]).tobytes()
+        assert clipped > 100 and negative_zeros > 10
+
+    def test_euler_and_yaw_equal_the_written_out_formulas(self, rng):
+        heading = gps_heading_model(0.04, 10.83)
+        for cols in clouds(rng):
+            q = cols[3:7]
+            rpy = written_out_euler(q)
+            assert euler_cols(q).tobytes() == rpy.tobytes()
+            assert euler_cols(q, with_yaw=False).tobytes() \
+                == rpy[:2].tobytes()
+            assert heading.h(cols).tobytes() == rpy[2:].tobytes()
+
+
+class TestAngularRows:
+    MODELS = [
+        imu_orientation_model(True, 0.02, 15.09),
+        stack(imu_raw_model(0.005, 0.05, 15.09),
+              imu_orientation_model(False, 0.02, 15.09)),
+        gps_heading_model(0.04, 10.83),
+        vslam_model(np.eye(6) * 0.01, 22.46),
+        MeasurementModel("gappy", 4, lambda x: x[:4], np.eye(4), 1.0,
+                         angular=np.array([True, False, True, False])),
+        imu_raw_model(0.005, 0.05, 15.09),
+    ]
+
+    def test_contiguous_angular_rows_are_a_slice(self):
+        kinds = [type(m.angular_rows) for m in self.MODELS if m.wraps]
+        assert kinds == [slice] * 4 + [np.ndarray]
+        assert not self.MODELS[-1].wraps
+
+    @pytest.mark.parametrize("model", MODELS, ids=[m.name for m in MODELS])
+    def test_slice_wrapping_equals_mask_wrapping(self, rng, model):
+        """Residuals inside (-pi, pi], with pi itself, and outside, as
+        columns and as one vector: the rows written in place equal the
+        mask's rows wrapped and assigned back."""
+        for scale in (1.0, 1.0, 4.0):
+            for shape in ((model.dim, 47), (model.dim,)):
+                res = rng.uniform(-np.pi, np.pi, size=shape) * scale
+                res.flat[-1] = np.pi
+                expected = res.copy()
+                expected[model.angular] = wrap_angle(expected[model.angular])
+                out = model.wrapped(res)
+                assert out is res
+                assert out.tobytes() == expected.tobytes()
 
 
 class TestImuOrientation:

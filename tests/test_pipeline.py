@@ -996,6 +996,32 @@ class TestVslam:
         assert pipe.vslam_anchor.rejections == 0
         assert pipe.diagnostics.get("vslam_reanchors", 0) == 0
 
+    def test_late_poses_reanchor_against_the_pose_at_their_stamp(self):
+        """The VSLAM map jumps 50 m at t = 8 s and every pose arrives 0.3 s
+        late, so it is gated at the snapshot at its stamp.  Re-anchoring
+        against the live pose instead, 0.3 s further along a 2 m/s figure
+        eight, gave an anchor that rejected the next poses too: 10
+        re-anchors and 3 of the next 40 poses accepted."""
+        from navfuse.simulator import SimScenario, generate
+        _, events = generate(SimScenario(
+            seed=5, duration_s=20.0,
+            trajectory={"type": "figure_eight", "radius": 15.0,
+                        "speed": 2.0},
+            encoder={"rate_hz": 50.0},
+            vslam={"enabled": True, "rate_hz": 10.0, "delay_s": 0.3,
+                   "reinits": [{"t": 8.0, "offset": [50.0, 0.0, 0.0]}]}))
+        pipe = FusionPipeline(PipelineConfig({"vslam.enabled": True,
+                                              "gnss.enabled": False}))
+        accepted = []
+        for event in events:
+            report = pipe.ingest(event)
+            if report.kind == "vslam" and report.updates \
+                    and event.stamp >= 8.0:
+                accepted.append(report.updates[0].accepted)
+        assert accepted[:10] == [False] * 10
+        assert pipe.diagnostics["vslam_reanchors"] == 1
+        assert sum(accepted[10:50]) >= 38
+
 
 class TestAuxiliarySensors:
     def test_gps_velocity_updates_velocity(self):
