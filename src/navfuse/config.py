@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from typing import Any, Mapping, Optional
 
 import yaml
@@ -122,12 +123,6 @@ DEFAULTS: dict[str, Any] = {
     "coast.position_inflation": 10.0,
     "coast.encoder_wz_factor": 0.5,
     "coast.gate_relax": 2.0,
-    # GPS antenna lever arm
-    "lever.arm_x": 0.0,
-    "lever.arm_y": 0.0,
-    "lever.arm_z": 0.0,
-    "lever.yaw_var_threshold": 0.05,
-    "lever.hold_s": 5.0,
     # retrodiction ring
     "retro.enabled": True,
     "retro.capacity": 100,
@@ -149,21 +144,18 @@ def _flatten(mapping: Mapping, prefix: str = "") -> dict[str, Any]:
 
 
 def _coerce(key: str, value: Any, default: Any) -> Any:
+    """``value`` as the type of ``default``; a number must be finite, as
+    NaN or inf would silently gate a sensor's every update."""
     if isinstance(default, bool):
         if isinstance(value, bool):
             return value
         raise ConfigError(f"{key}: expected bool, got {value!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected int, got {value!r}")
-        if float(value) != int(value):
-            raise ConfigError(f"{key}: expected int, got {value!r}")
-        return int(value)
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected number, got {value!r}")
-        return float(value)
-    return value
+    expected = "int" if isinstance(default, int) else "number"
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max  # NaN, inf, 10**400
+            or expected == "int" and value != int(value)):
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+    return int(value) if expected == "int" else float(value)
 
 
 class PipelineConfig:

@@ -331,27 +331,6 @@ def rotation_distance(qa: np.ndarray, qb: np.ndarray) -> float:
     return 4.0 * np.arcsin(min(1.0, 0.5 * chord))
 
 
-def yaw_variance(q: np.ndarray, quat_cov: np.ndarray) -> float:
-    """First-order yaw variance from the 4x4 quaternion covariance block.
-
-    Perturbations are projected onto the tangent space at q first, because
-    the radial component disappears under renormalization and must not
-    count toward yaw uncertainty.
-    """
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = q
-    s = 2.0 * (x * y + w * z)
-    c = 1.0 - 2.0 * (y * y + z * z)
-    ds = 2.0 * np.array([z, y, x, w])
-    dc = np.array([0.0, 0.0, -4.0 * y, -4.0 * z])
-    denom = s * s + c * c
-    if denom < 1e-12:
-        return float("inf")
-    jac = (c * ds - s * dc) / denom
-    jac = jac - (jac @ q) * q
-    return float(jac @ np.asarray(quat_cov, dtype=float) @ jac)
-
-
 def _component(sl: slice) -> property:
     """A named block of ``FilterState.vector``: reads return a view,
     assignments write into the vector."""

@@ -8,11 +8,11 @@ components whose residuals wrap at +-pi, and a chi-squared gate threshold
 (the ``gates.*`` configuration keys).
 
 A model linear in the state (encoder, its vertical-velocity constraint,
-radar, ZUPT, GPS position without a lever arm) is declared by its (dim, 23)
-matrix H instead; ``h`` is derived from H and the engine updates it in closed
-form.  ``stack`` joins models of one kind, all linear or all through ``h``,
-into one whose rows the engine solves together while gating and recording
-each model, its *block*, on its own (``ukf.update``); the encoder and its
+radar, ZUPT, GPS position) is declared by its (dim, 23) matrix H instead;
+``h`` is derived from H and the engine updates it in closed form.
+``stack`` joins models of one kind, all linear or all through ``h``, into
+one whose rows the engine solves together while gating and recording each
+model, its *block*, on its own (``ukf.update``); the encoder and its
 vertical constraint fuse that way in closed form, and an IMU sample's raw
 and orientation rows from one sigma set and one ``imu_cols`` call.  The
 IMU, Euler and heading readings take the entries of R(q) - I they need
@@ -78,8 +78,8 @@ class MeasurementModel:
         contiguous = self.wraps and i[-1] - i[0] == len(i) - 1
         self.angular_rows = (slice(i[0], i[-1] + 1) if contiguous
                              else self.angular)
-        if self.gate <= 0:
-            raise ValueError("gate threshold must be > 0")
+        if not self.gate > 0:  # NaN too
+            raise ValueError(f"{self.name}: gate threshold must be > 0")
         if not callable(self.h):
             matrix = np.array(self.h, dtype=float)
             if matrix.shape != (self.dim, STATE_DIM):
@@ -305,19 +305,9 @@ def gps_fix_to_measurement(
     return z, r
 
 
-def gps_position_model(r: np.ndarray, gate: float,
-                       lever_offset: Optional[np.ndarray] = None
-                       ) -> MeasurementModel:
-    """3-DOF ENU position; the predicted measurement is shifted by the
-    rotated lever arm when heading has been validated."""
-    if lever_offset is None:
-        return MeasurementModel("gps_pos", 3, _reading(POS), r, gate)
-    lever = np.reshape(lever_offset, (3, 1))
-
-    def h(x: np.ndarray) -> np.ndarray:
-        return x[POS] + quat_rotate_cols(x[QUAT], lever)
-
-    return MeasurementModel("gps_pos", 3, h, r, gate)
+def gps_position_model(r: np.ndarray, gate: float) -> MeasurementModel:
+    """3-DOF ENU position of the antenna, taken to be the body origin."""
+    return MeasurementModel("gps_pos", 3, _reading(POS), r, gate)
 
 
 def derive_gps_heading(
@@ -382,17 +372,18 @@ def radar_velocity_model(sigma: float, gate: float) -> MeasurementModel:
                             np.eye(2) * sigma**2, gate)
 
 
-def vslam_model(r: np.ndarray, gate: float, pos_floor: float = 0.01,
-                orient_floor: float = 0.001) -> MeasurementModel:
-    """6-DOF pose: position plus ZYX Euler angles, yaw residual wrapped.
+def vslam_noise(variances, pos_floor: float = 0.01,
+                orient_floor: float = 0.001) -> np.ndarray:
+    """R of a VSLAM pose: its position and orientation variances, each
+    floored at its floor squared so that degenerate SLAM noise estimates
+    cannot collapse the update."""
+    floor = [pos_floor**2] * 3 + [orient_floor**2] * 3
+    return np.diag(np.maximum(np.asarray(variances, dtype=float), floor))
 
-    Supplied covariance diagonals are floored to keep degenerate SLAM noise
-    estimates from collapsing the update.
-    """
-    r = np.atleast_2d(np.asarray(r, dtype=float)).copy()
-    floor = np.array([pos_floor**2] * 3 + [orient_floor**2] * 3)
-    idx = np.arange(6)
-    r[idx, idx] = np.maximum(np.diag(r), floor)
+
+def vslam_model(r: np.ndarray, gate: float) -> MeasurementModel:
+    """6-DOF pose: position plus ZYX Euler angles, yaw residual wrapped;
+    ``r`` is as ``vslam_noise`` gives it."""
 
     def h(x: np.ndarray) -> np.ndarray:
         return np.concatenate([x[POS], euler_cols(x[QUAT])])

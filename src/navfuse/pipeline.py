@@ -38,13 +38,16 @@ primary-IMU stamp must advance the filter clock by at most
 restarts the session there, unless it lies at most ``_MAX_IMU_DELAY``
 behind the clock, as late delivery does.
 
-A GPS fix that passes the receiver-quality screen gets its noise from the
-one GNSS policy, ``measurements.gps_fix_to_measurement``, with the
-``gps_pos`` estimator's R as the DOP-scaled base; accepted fixes feed that
-estimator, derive a course-over-ground heading from the previous accepted
-fix, and are shifted by the antenna lever arm once heading is validated.
+Every measurement model is built once, with the pipeline; an event sets only
+the noise ``r`` of the models whose noise varies, GPS position and heading,
+VSLAM and the encoder's.  A GPS fix that passes the receiver-quality screen
+gets its noise from the one GNSS policy,
+``measurements.gps_fix_to_measurement``, with the ``gps_pos`` estimator's R
+as the DOP-scaled base; accepted fixes feed that estimator and derive a
+course-over-ground heading from the previous accepted fix.  The fix is
+taken at the body origin: there is no antenna lever arm.
 
-A checkpoint (version 4) is a JSON file: version, configuration hash, and
+A checkpoint (version 5) is a JSON file: version, configuration hash, and
 the session, the attributes ``FusionPipeline._SESSION`` lists and ``reset``
 assigns (``x``, covariance, origin, replay ring and so the clock, adaptive
 windows, anchors, mode timers, counters), with each array stored as its
@@ -69,7 +72,7 @@ import numpy as np
 
 from . import measurements as meas
 from .adaptive import AdaptiveEstimator
-from .config import DEFAULTS, PipelineConfig
+from .config import PipelineConfig
 from .core import (
     ENC_YAW_BIAS,
     GYRO_BIAS,
@@ -85,7 +88,6 @@ from .core import (
     quat_normalize,
     quat_rotate,
     quat_to_euler,
-    yaw_variance,
 )
 from .events import (
     EncoderSample,
@@ -115,7 +117,7 @@ _MAX_IMU_GAP = 10.0
 _MAX_IMU_DELAY = 0.5
 _TOO_OLD = "older than replay buffer"
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def zupt_trigger(last_encoder_speed: Optional[float],
@@ -232,11 +234,6 @@ class FusionPipeline:
 
     def _build_models(self) -> None:
         cfg = self.config
-        # the GPS, heading and VSLAM models are built per event, so every
-        # gate is checked here, at construction
-        for key in DEFAULTS:
-            if key.startswith("gates.") and not cfg[key] > 0.0:
-                raise ValueError(f"{key} must be > 0")
         # per IMU kind: the raw model, and the raw and orientation models
         # stacked, one sigma set per sample with each block gated on its
         # own, or None when that source's orientation is not used
@@ -267,10 +264,18 @@ class FusionPipeline:
                                                       cfg["gates.encoder"])
         self._zupt_model = meas.zupt_model(cfg["zupt.sigma"],
                                            cfg["gates.zupt"])
-        # body-frame base->antenna offset (``_update_lever``)
-        self._lever_offset = np.array([cfg["lever.arm_x"], cfg["lever.arm_y"],
-                                       cfg["lever.arm_z"]])
-        self._has_lever = bool(np.any(self._lever_offset))
+        # each fix, course and pose sets its model's R before its update: a
+        # pose's is its variances, else the configured ones, floored
+        self._gps_model = meas.gps_position_model(np.eye(3),
+                                                  cfg["gates.gps_pos"])
+        self._heading_model = meas.gps_heading_model(1.0, cfg["gates.heading"])
+        self._vslam_noise = partial(meas.vslam_noise,
+                                    pos_floor=cfg["vslam.pos_floor"],
+                                    orient_floor=cfg["vslam.orient_floor"])
+        self._vslam_r = self._vslam_noise(
+            [cfg["vslam.sigma_pos"] ** 2] * 3
+            + [cfg["vslam.sigma_orient"] ** 2] * 3)
+        self._vslam_model = meas.vslam_model(self._vslam_r, cfg["gates.vslam"])
 
         # per coast mode (off, on): the states the filter holds, which get
         # neither gain nor process noise, and Q's per-second diagonal
@@ -319,8 +324,7 @@ class FusionPipeline:
     _SESSION = ("x", "cov", "origin", "ring", "adaptive", "vslam_anchor",
                 "_last_raw_vslam", "coast", "_zupt_active",
                 "_last_encoder_speed", "_last_imu_rate", "_heading_anchor",
-                "_lever_ok_since", "_lever_validated", "_jump_stamp",
-                "diagnostics")
+                "_jump_stamp", "diagnostics")
 
     def reset(self) -> None:
         """Restore the configured initial state and clear all session
@@ -341,8 +345,6 @@ class FusionPipeline:
         self._last_encoder_speed: Optional[float] = None
         self._last_imu_rate: Optional[float] = None
         self._heading_anchor: Optional[tuple[np.ndarray, float, float]] = None
-        self._lever_ok_since: Optional[float] = None
-        self._lever_validated = False
         self._jump_stamp: Optional[float] = None
         self.diagnostics: dict[str, int] = {}
 
@@ -444,21 +446,6 @@ class FusionPipeline:
                 self._zupt_active = False
         else:
             self._zupt_active = zupt_trigger(speed, rate, thr_s, thr_r)
-
-    def _update_lever(self, now: float) -> None:
-        """The lever arm applies to GPS fixes for good once yaw variance has
-        stayed below ``lever.yaw_var_threshold`` for ``lever.hold_s``, as
-        heading must be known before the offset can be rotated."""
-        if not self._has_lever:
-            return
-        var = yaw_variance(self.x[QUAT], self.cov[QUAT, QUAT])
-        if var < self.config["lever.yaw_var_threshold"]:
-            if self._lever_ok_since is None:
-                self._lever_ok_since = now
-            elif now - self._lever_ok_since >= self.config["lever.hold_s"]:
-                self._lever_validated = True
-        else:
-            self._lever_ok_since = None
 
     # ------------------------------------------------------------------
     # ingestion
@@ -570,7 +557,6 @@ class FusionPipeline:
         report.state.validate()
         step.x, step.cov = self.x, self.cov
         self.ring.record(step)
-        self._update_lever(sample.stamp)
         return report
 
     def _on_imu2(self, sample: ImuSample) -> StepReport:
@@ -631,14 +617,13 @@ class FusionPipeline:
             gate_scale = cfg["coast.gate_relax"]
             self.coast.relax_armed = False
 
-        lever = self._lever_offset if self._lever_validated else None
-        model = meas.gps_position_model(r, cfg["gates.gps_pos"], lever)
-        updates = [(z, model, gate_scale)]
+        self._gps_model.r = r
+        updates = [(z, self._gps_model, gate_scale)]
         heading_plan = self._plan_heading(z, r, sample.stamp)
         if heading_plan is not None:
             yaw_z, yaw_var_z = heading_plan
-            updates.append((np.array([yaw_z]), meas.gps_heading_model(
-                yaw_var_z, cfg["gates.heading"]), 1.0))
+            self._heading_model.r = np.array([[yaw_var_z]])
+            updates.append((np.array([yaw_z]), self._heading_model, 1.0))
         # the heading update runs only after an accepted position update
         records = self._fuse(sample.stamp, "gps", updates, chained=True)
         if records is None:
@@ -686,15 +671,10 @@ class FusionPipeline:
         p_c, q_c = self.vslam_anchor.apply(sample.position, raw_q)
         rpy = quat_to_euler(q_c)
         z = np.concatenate([p_c, rpy])
-        if sample.cov_diag is not None:
-            r = np.diag(np.asarray(sample.cov_diag, dtype=float))
-        else:
-            r = np.diag([cfg["vslam.sigma_pos"] ** 2] * 3
-                        + [cfg["vslam.sigma_orient"] ** 2] * 3)
-        model = meas.vslam_model(r, cfg["gates.vslam"],
-                                 cfg["vslam.pos_floor"],
-                                 cfg["vslam.orient_floor"])
-        records = self._fuse(sample.stamp, "vslam", [(z, model, 1.0)])
+        self._vslam_model.r = (self._vslam_r if sample.cov_diag is None
+                               else self._vslam_noise(sample.cov_diag))
+        records = self._fuse(sample.stamp, "vslam",
+                             [(z, self._vslam_model, 1.0)])
         if records is None:
             return self._report(sample.stamp, "vslam", dropped=_TOO_OLD)
         self._vslam_reinit_check(records[0].accepted, sample.stamp)
@@ -829,13 +809,12 @@ def _check_session_values(session: dict) -> None:
     counters, steps = session["diagnostics"], session["ring"].entries
     checks = {
         "flags": all(type(v) is bool for v in (
-            session["_zupt_active"], session["_lever_validated"],
-            coast.active, coast.relax_armed,
+            session["_zupt_active"], coast.active, coast.relax_armed,
             *(flag for e in steps for flag in (e.zupt_active,
                                                e.coast_active)))),
         "stamps": all(v is None or _is_real(v) for v in (
-            coast.last_accept, session["_lever_ok_since"],
-            session["_jump_stamp"], *(e.stamp for e in steps))),
+            coast.last_accept, session["_jump_stamp"],
+            *(e.stamp for e in steps))),
         "readings": all(v is None or type(v) in (int, float) and v >= 0.0
                         for v in (session["_last_encoder_speed"],
                                   session["_last_imu_rate"])),

@@ -218,6 +218,34 @@ class TestRunAndEvaluate:
                      "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text", ["gnss:\n  sigma_xy: .nan\n",
+                                      "vslam:\n  reinit_n: .inf\n"])
+    def test_nonfinite_config_value_is_config_error(self, sim_dir, tmp_path,
+                                                    text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert main(["run", "--stream",
+                     os.path.join(sim_dir, "stream.txt"),
+                     "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+
+    def test_retrodiction_ablation_fuses_late_fixes_where_they_arrive(
+            self, tmp_path):
+        late = {**SCENARIO, "gps": {**SCENARIO["gps"], "delay_s": 0.2}}
+        sim = str(tmp_path / "sim")
+        assert main(["simulate", "--scenario",
+                     write_scenario(tmp_path, late), "--out", sim]) == 0
+        diagnostics = []
+        for name, extra in (("base", []),
+                            ("noretro", ["--disable", "retrodiction"])):
+            out = tmp_path / name
+            assert main(["run", "--stream", os.path.join(sim, "stream.txt"),
+                         "--out", str(out), *extra]) == 0
+            assert "gps_pos 1" in (out / "steps.txt").read_text()
+            diagnostics.append((out / "diagnostics.txt").read_text())
+        assert "retro_replays" in diagnostics[0]
+        assert "retro_" not in diagnostics[1]
+
 
 class TestSweep:
     def test_manifest_chain(self, tmp_path):

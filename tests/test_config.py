@@ -27,6 +27,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="expected int"):
             PipelineConfig({"vslam.reinit_n": 10.5})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["gnss.sigma_xy", "vslam.reinit_n"])
+    def test_nonfinite_number_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="expected"):
+            PipelineConfig({key: value})
+
     def test_int_accepts_whole_float(self):
         assert PipelineConfig({"vslam.reinit_n": 12.0})["vslam.reinit_n"] == 12
 

@@ -25,10 +25,9 @@ from navfuse.core import (
     rotation_distance,
     rotation_rows_cols,
     wrap_angle,
-    yaw_variance,
 )
 
-from conftest import random_unit_quat, sigma_clouds
+from conftest import random_unit_quat, sigma_clouds, yaw_variance
 
 
 class TestQuatExp:

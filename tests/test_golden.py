@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from navfuse.config import PipelineConfig
+from navfuse.config import DEFAULTS, PipelineConfig
 from navfuse.pipeline import FusionPipeline
 from navfuse.process import STATE_BLOCKS
 from navfuse.simulator import SimScenario, generate
@@ -142,6 +142,30 @@ def test_scenarios_exercise_their_paths():
     assert diag["loop_blackout"]["coast_entries"] >= 1
     assert "retro_replays" not in diag["loop_blackout"]
     assert diag["figure_eight_dense"]["retro_replays"] > 0
+
+
+def test_every_config_key_is_read(monkeypatch):
+    """The scenarios with every sensor on, GPS velocity and the IMU
+    magnetometer too, read every ``DEFAULTS`` key: a key that nothing
+    reads sets nothing."""
+    read = set()
+    lookup = PipelineConfig.__getitem__
+
+    def recording(self, key):
+        read.add(key)
+        return lookup(self, key)
+
+    monkeypatch.setattr(PipelineConfig, "__getitem__", recording)
+    every_sensor = {"imu2.enabled": True, "gnss.velocity_enabled": True,
+                    "radar.enabled": True, "vslam.enabled": True,
+                    "imu.has_magnetometer": True}
+    for scenario, config in SCENARIOS.values():
+        _, events = generate(SimScenario.from_dict(
+            {**scenario, "gps_velocity": {"enabled": True}}))
+        pipe = FusionPipeline(PipelineConfig({**config, **every_sensor}))
+        for event in events:
+            pipe.ingest(event)
+    assert sorted(DEFAULTS.keys() - read) == []
 
 
 def deviations(old: dict, new: dict) -> dict:

@@ -28,6 +28,7 @@ from navfuse.measurements import (
     screen_gps_fix,
     stack,
     vslam_model,
+    vslam_noise,
     zupt_model,
 )
 
@@ -341,16 +342,6 @@ class TestGpsPosition:
             expected = dop[:, None] * base_r * dop[None, :]
         assert np.array_equal(r, expected)
 
-    def test_lever_arm_shifts_prediction_when_validated(self):
-        lever = np.array([0.5, 0.0, 0.3])
-        state = FilterState(position=np.array([1.0, 2.0, 0.0]),
-                            quaternion=euler_to_quat(0, 0, np.pi / 2))
-        plain = gps_position_model(np.eye(3), 16.27)
-        shifted = gps_position_model(np.eye(3), 16.27, lever_offset=lever)
-        assert np.allclose(h1(plain, state), [1, 2, 0])
-        assert np.allclose(h1(shifted, state),
-                           [1.0, 2.5, 0.3], atol=1e-12)
-
 
 class TestGpsHeading:
     def test_due_east_course_is_zero_yaw(self):
@@ -408,10 +399,10 @@ class TestVslam:
         assert np.allclose(z, [1, 2, 3, 0.1, 0.2, 0.3], atol=1e-12)
 
     def test_covariance_floors(self):
-        r = np.diag([1e-8, 1e-8, 1e-8, 1e-10, 1e-10, 1e-10])
-        model = vslam_model(r, 22.46)
-        assert np.allclose(np.diag(model.r)[:3], 1e-4)
-        assert np.allclose(np.diag(model.r)[3:], 1e-6)
+        r = vslam_noise([1e-8, 1e-8, 1e-8, 1e-10, 1e-10, 1e-10])
+        assert np.allclose(np.diag(r)[:3], 1e-4)
+        assert np.allclose(np.diag(r)[3:], 1e-6)
+        assert np.array_equal(r, np.diag(np.diag(r)))
 
     def test_only_yaw_component_wraps(self):
         model = vslam_model(np.eye(6) * 0.01, 22.46)
@@ -454,14 +445,17 @@ class TestLinearModels:
         assert np.array_equal(model.h(rows.T), reference(rows).T)
 
     def test_models_reading_the_quaternion_keep_a_function(self):
-        lever = gps_position_model(np.eye(3), 16.27,
-                                   lever_offset=np.array([0.5, 0.0, 0.3]))
         for model in (imu_raw_model(0.005, 0.05, 15.09),
-                      imu_orientation_model(False, 0.02, 15.09), lever,
+                      imu_orientation_model(False, 0.02, 15.09),
                       gps_heading_model(0.04, 10.83),
                       gps_velocity_model(0.3, 16.27),
                       vslam_model(np.eye(6) * 0.01, 22.46)):
             assert model.matrix is None, model.name
+
+    @pytest.mark.parametrize("gate", [0.0, -1.0, float("nan")])
+    def test_construction_rejects_a_gate_not_above_zero(self, gate):
+        with pytest.raises(ValueError, match="gate"):
+            MeasurementModel("pos", 3, np.eye(23)[:3], np.eye(3), gate)
 
     def test_construction_rejects_bad_matrix(self):
         with pytest.raises(ValueError, match="shape"):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from navfuse.config import DEFAULTS, PipelineConfig
-from navfuse.core import (GRAVITY, OMEGA, OMEGA_VAR_CAP, QUAT, euler_to_quat,
-                          quat_rotate, yaw_variance)
+from navfuse.core import GRAVITY, OMEGA, OMEGA_VAR_CAP, QUAT, euler_to_quat
 from navfuse.events import (
     EncoderSample,
     FixType,
@@ -24,6 +23,8 @@ from navfuse.pipeline import (
     FusionPipeline,
     zupt_trigger,
 )
+
+from conftest import yaw_variance
 
 ORIGIN = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(45.0, -75.6, 80.0))
 
@@ -516,9 +517,7 @@ class TestConstruction:
         updates them without sigma points."""
         pipe = FusionPipeline()
         models = [pipe._encoder_model, *pipe._encoder_model.blocks,
-                  pipe._radar_model, pipe._zupt_model,
-                  pipeline_module.meas.gps_position_model(
-                      np.eye(3), DEFAULTS["gates.gps_pos"])]
+                  pipe._radar_model, pipe._zupt_model, pipe._gps_model]
         for model in models:
             assert model.matrix is not None, model.name
 
@@ -764,62 +763,14 @@ class TestGpsNoise:
                                            zip(floor, [1.0, 1.0, 4.0])]
 
 
-class TestLeverArm:
-    """The antenna offset applies to fixes only once yaw variance has stayed
-    below ``lever.yaw_var_threshold`` (0.05) for ``lever.hold_s``."""
-
-    OFFSET = np.array([0.5, 0.0, 0.3])
-
-    @staticmethod
-    def pipelines(magnetometer):
-        """A pipeline with the offset and two without it."""
-        # hold_s is off the 0.01 s IMU grid, so no stamp sits on its edge
-        config = {"imu.has_magnetometer": magnetometer, "lever.hold_s": 0.955}
-        with_lever = {**config, **dict(zip(
-            ("lever.arm_x", "lever.arm_y", "lever.arm_z"),
-            TestLeverArm.OFFSET.tolist()))}
-        return (FusionPipeline(PipelineConfig(with_lever)),
-                FusionPipeline(PipelineConfig(config)),
-                FusionPipeline(PipelineConfig(config)))
-
-    def test_offset_applied_once_heading_is_held(self):
-        pipe, plain, moved = self.pipelines(magnetometer=True)
-        q = euler_to_quat(0.0, 0.0, 0.3)
-        for k in range(100):
-            t = k / 100
-            for p in (pipe, plain, moved):
-                p.ingest(imu_at(t, orientation=q))
-            # the magnetometer holds yaw variance below the threshold from
-            # the first sample, so the offset applies from the IMU at 0.96 s
-            assert yaw_variance(pipe.state.quaternion,
-                                pipe.cov[QUAT, QUAT]) < 0.05
-            if k % 20 == 0:
-                for p in (pipe, plain, moved):
-                    p.ingest(gps_at([0.0, 0.0, 0.0], t))
-                assert np.array_equal(pipe.state.as_vector(),
-                                      plain.state.as_vector())
-                assert np.array_equal(pipe.cov, plain.cov)
-        for p in (pipe, plain, moved):
-            p.ingest(imu_at(1.0, orientation=q))
-        # an antenna fix at the origin puts the base at minus the rotated
-        # offset, which a pipeline without the offset is given directly
-        base = -quat_rotate(plain.state.quaternion, self.OFFSET)
-        assert pipe.ingest(gps_at([0.0, 0.0, 0.0], 1.0)).updates[0].accepted
-        plain.ingest(gps_at([0.0, 0.0, 0.0], 1.0))
-        moved.ingest(gps_at(base, 1.0))
-        np.testing.assert_allclose(pipe.state.position,
-                                   moved.state.position, atol=1e-4)
-        assert np.linalg.norm(pipe.state.position
-                              - plain.state.position) > 0.05
-
-    def test_offset_ignored_while_yaw_is_unknown(self):
-        pipe, plain, _ = self.pipelines(magnetometer=False)
-        events = stationary_stream(3.0, gps_rate=5.0, encoder=False)
-        for event in events:
-            pipe.ingest(event)
-            plain.ingest(event)
-            assert np.array_equal(pipe.state.as_vector(),
-                                  plain.state.as_vector())
+class TestYawObservability:
+    def test_yaw_variance_stays_wide_without_a_magnetometer(self):
+        """Nothing observes yaw on a stationary stream without a
+        magnetometer or a GPS course, so its variance must stay wide.  Wide
+        quaternion sigma points, renormalized, shrink it: at ``ukf.alpha``
+        0.3 or more this fails, so the filter, not this bound, is wrong."""
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(3.0, gps_rate=5.0, encoder=False))
         assert yaw_variance(pipe.state.quaternion,
                             pipe.cov[QUAT, QUAT]) >= 0.05
 
@@ -1215,6 +1166,23 @@ class TestFusionRouting:
         assert report.dropped == "older than replay buffer"
         assert not report.updates
         assert bumped == {"retro_dropped_too_old": 1}
+
+    @pytest.mark.parametrize("kind", ["gps", "gps_vel", "vslam"])
+    def test_without_retrodiction_a_late_kind_is_fused_where_it_arrives(
+            self, kind):
+        """The ablation fuses a late event at the live state, as if it were
+        stamped at the clock: one engine call, no rewind."""
+        pipe = self._pipe(**{"retro.enabled": False})
+        live = self._pipe()
+        history = [e.x.copy() for e in pipe.ring.entries]
+        report, bumped = ingest_counting(pipe, event_of(kind, 0.3, 0.2))
+        assert report.dropped is None and report.updates[0].accepted
+        assert bumped == {"engine_update_calls": 1}
+        assert all(np.array_equal(e.x, old)
+                   for e, old in zip(pipe.ring.entries, history))
+        live.ingest(event_of(kind, live.ring.last_stamp, 0.2))
+        assert np.array_equal(pipe.x, live.x)
+        assert np.array_equal(pipe.cov, live.cov)
 
     @pytest.mark.parametrize("gate, paths", [
         (16.27, ["gps_pos", "gps_heading"]),
