@@ -99,7 +99,10 @@ def cmd_run(args) -> int:
     if not os.path.exists(args.stream):
         raise CliError(f"stream file not found: {args.stream}", EXIT_DATA)
     config = _load_config(args.config, args.disable or [])
-    pipeline = FusionPipeline(config)
+    try:
+        pipeline = FusionPipeline(config)
+    except ValueError as exc:  # a value the pipeline's own checks refuse
+        raise CliError(f"bad config: {exc}", EXIT_CONFIG)
     os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "trajectory.txt")
     steps_path = os.path.join(args.out, "steps.txt")

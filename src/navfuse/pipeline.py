@@ -47,11 +47,12 @@ as the DOP-scaled base; accepted fixes feed that estimator and derive a
 course-over-ground heading from the previous accepted fix.  The fix is
 taken at the body origin: there is no antenna lever arm.
 
-A checkpoint (version 5) is a JSON file: version, configuration hash, and
+A checkpoint (version 6) is a JSON file: version, configuration hash, and
 the session, the attributes ``FusionPipeline._SESSION`` lists and ``reset``
 assigns (``x``, covariance, origin, replay ring and so the clock, adaptive
-windows, anchors, mode timers, counters), with each array stored as its
-shape and the base64 of its little-endian float64 bytes.  Loading builds
+estimators, each with its innovation window as one array and the count of
+its rows filled, anchors, mode timers, counters), with each array stored as
+its shape and the base64 of its little-endian float64 bytes.  Loading builds
 only the listed session types and validates all of it, down to each flag's,
 stamp's and anchor's type and shape, before assigning any, so a malformed
 file changes nothing and a resumed run is bit-identical to an
@@ -63,7 +64,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -117,7 +117,7 @@ _MAX_IMU_GAP = 10.0
 _MAX_IMU_DELAY = 0.5
 _TOO_OLD = "older than replay buffer"
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 def zupt_trigger(last_encoder_speed: Optional[float],
@@ -755,15 +755,16 @@ class FusionPipeline:
                 raise ValueError("adaptive paths differ from the config")
             for name, est in session["adaptive"].items():
                 # equal to the configured one but for its state: a symmetric
-                # R that factors, and a window of finite innovations
-                new, r, window = fresh[name], est.r, est._innovations
-                new.r, new._innovations = r, window
+                # R that factors, a finite window and its fill count
+                new, r, window, filled = (fresh[name], est.r,
+                                          est._innovations, est._filled)
+                new.r, new._innovations, new._filled = r, window, filled
                 if not (_encode(new) == _encode(est)
                         and _is_finite_array(r, (new.dim, new.dim))
                         and np.array_equal(r, r.T)
-                        and window.maxlen == new.window
-                        and all(_is_finite_array(nu, (new.dim,))
-                                for nu in window)):
+                        and _is_finite_array(window, (new.window, new.dim))
+                        and type(filled) is int
+                        and 0 <= filled <= new.window):
                     raise ValueError(f"bad {name} noise estimator")
                 np.linalg.cholesky(r)
         except (AttributeError, KeyError, TypeError, ValueError,
@@ -779,7 +780,7 @@ _SESSION_TYPES = {type(o).__name__: (type(o), tuple(vars(o))) for o in (
     Snapshot(0.0, None, None, None), StateSnapshotRing(), CoastState(),
     VslamAnchor(), AdaptiveEstimator("", np.eye(1)), GeodeticCoord(0, 0),
     EnuOrigin.from_geodetic(GeodeticCoord(0, 0)))}
-_SEQUENCES = {"list": list, "tuple": tuple, "deque": deque}
+_SEQUENCES = {"list": list, "tuple": tuple}
 #: the stored form of every array element: little-endian float64
 _ARRAY_DTYPE = np.dtype("<f8")
 
@@ -849,8 +850,7 @@ def _encode(value):
         return {"type": kind, "shape": list(value.shape),
                 "value": base64.b64encode(data).decode("ascii")}
     if kind in _SEQUENCES:
-        return {"type": kind, "value": [_encode(v) for v in value],
-                "maxlen": getattr(value, "maxlen", None)}
+        return {"type": kind, "value": [_encode(v) for v in value]}
     if isinstance(value, dict):
         fields = value
     elif _SESSION_TYPES.get(kind, (None,))[0] is type(value):
@@ -878,9 +878,7 @@ def _decode(doc):
             raise ValueError(f"array payload does not match shape {shape}")
         return np.frombuffer(data, _ARRAY_DTYPE).reshape(shape).astype(float)
     if kind in _SEQUENCES:
-        items = [_decode(v) for v in value]
-        return (deque(items, doc["maxlen"]) if kind == "deque"
-                else _SEQUENCES[kind](items))
+        return _SEQUENCES[kind]([_decode(v) for v in value])
     fields = {name: _decode(v) for name, v in value.items()}
     if kind == "dict":
         return fields

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,59 @@ def make_estimator(sigma0=2.0, floor_sigma=0.1, dim=1, window=50,
                              alpha=0.01, enabled=enabled)
 
 
+def reference_rs(r0, floor, window, alpha, innovations):
+    """The deque formula the estimator replaced: rebuild the window from a
+    deque of rows on every sample; yields R after each one."""
+    rows = deque(maxlen=window)
+    idx = np.arange(len(floor))
+    r = np.array(r0, dtype=float)
+    r[idx, idx] = np.maximum(r[idx, idx], floor)
+    for nu in innovations:
+        rows.append(np.asarray(nu, dtype=float).reshape(len(floor)))
+        if len(rows) == window:
+            stack = np.asarray(rows)
+            c_hat = stack.T @ stack / len(stack)
+            r = (1.0 - alpha) * r + alpha * c_hat
+            r = 0.5 * (r + r.T)
+            r[idx, idx] = np.maximum(r[idx, idx], floor)
+        yield r
+
+
 class TestObserve:
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("window", [50, 3])
+    def test_bit_identical_to_the_deque_reference(self, rng, dim, window):
+        """Through the fill phase and past two full windows, with the
+        floor engaging on the run of tiny innovations."""
+        r0, floor, alpha = np.eye(dim) * 4.0, np.full(dim, 0.05), 0.2
+        scale = np.repeat([1.0, 1e-3, 1.0], 100)
+        draws = rng.normal(size=(300, dim)) * scale[:, None]
+        est = AdaptiveEstimator("ref", r0, floor, window=window, alpha=alpha)
+        floored = 0
+        for nu, want in zip(draws, reference_rs(r0, floor, window, alpha,
+                                                draws)):
+            got = est.observe(nu)
+            assert got.tobytes() == want.tobytes()
+            floored += bool(np.any(np.diag(got) == floor))
+        assert floored > 0
+
+    def test_window_is_updated_in_place(self, rng):
+        est = AdaptiveEstimator("vec", np.eye(3) * 4.0, [0.01] * 3, window=5)
+        window = est._innovations
+        for k in range(12):
+            est.observe(rng.normal(size=3))
+            assert est._innovations is window
+            assert est._filled == min(k + 1, 5)
+
+    def test_innovation_of_the_wrong_size_changes_nothing(self):
+        est = AdaptiveEstimator("vec", np.eye(3), [0.01] * 3, window=2)
+        est.observe(np.ones(3))
+        with pytest.raises(ValueError):
+            est.observe(5.0)
+        assert est._filled == 1
+        assert est._innovations.tolist() == [[0.0] * 3, [1.0] * 3]
+
+
     def test_single_ema_step_arithmetic(self):
         est = make_estimator(sigma0=2.0, floor_sigma=0.1)
         # fill the window with alternating +-1 so the empirical second
@@ -78,3 +132,24 @@ class TestLifecycle:
     def test_floor_must_be_positive(self):
         with pytest.raises(ValueError):
             AdaptiveEstimator("bad", np.eye(1), [0.0])
+
+    def test_nan_floor_is_refused(self):
+        with pytest.raises(ValueError, match="floor"):
+            AdaptiveEstimator("bad", np.eye(2), [0.1, np.nan])
+
+    @pytest.mark.parametrize("window", [0, -1, 2.5])
+    def test_window_must_be_a_positive_int(self, window):
+        with pytest.raises(ValueError, match="window"):
+            AdaptiveEstimator("bad", np.eye(1), window=window)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5, np.nan])
+    def test_alpha_must_lie_in_zero_one(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            AdaptiveEstimator("bad", np.eye(1), alpha=alpha)
+
+    def test_alpha_of_one_is_the_window_covariance(self):
+        est = AdaptiveEstimator("one", np.eye(1) * 9.0, [0.01], window=2,
+                                alpha=1.0)
+        est.observe([1.0])
+        est.observe([3.0])
+        assert est.r[0, 0] == 5.0

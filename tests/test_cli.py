@@ -229,6 +229,20 @@ class TestRunAndEvaluate:
                      "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("gates:\n  gps_pos: 0.0\n", "gate threshold must be > 0"),
+        ("adaptive:\n  window: 0\n", "adaptive window must be"),
+    ])
+    def test_value_the_pipeline_refuses_is_config_error(
+            self, sim_dir, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert main(["run", "--stream",
+                     os.path.join(sim_dir, "stream.txt"),
+                     "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_retrodiction_ablation_fuses_late_fixes_where_they_arrive(
             self, tmp_path):
         late = {**SCENARIO, "gps": {**SCENARIO["gps"], "delay_s": 0.2}}
@@ -275,6 +289,18 @@ class TestSweep:
         manifest.write_text(yaml.safe_dump(doc))
         assert main(["sweep", "--manifest", str(manifest)]) == 2
         assert "manifest" in capsys.readouterr().err
+
+    def test_config_the_pipeline_refuses_is_a_config_error(self, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("adaptive:\n  alpha: -0.5\n")
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(yaml.safe_dump(
+            {"out": str(tmp_path / "sweep"),
+             "runs": [{"name": "a", "scenario": write_scenario(tmp_path),
+                       "config": str(cfg)}]}))
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        assert "adaptive alpha must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("manifest_fields, run_fields", [
         ({"out": 5}, {}),

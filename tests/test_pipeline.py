@@ -1246,6 +1246,42 @@ class TestLifecycle:
                  if r.kind == "imu"]
         assert np.array_equal(np.array(cont1), np.array(cont2))
 
+    def test_checkpoint_inside_a_filling_window_resumes(self, tmp_path):
+        """The checkpoint holds 9 of the 20 rows of ``gps_pos``'s window
+        (the first fix only sets the origin); the tail fills it, so the
+        first adapted R comes from rows saved in the checkpoint and rows
+        fed after it."""
+        path = str(tmp_path / "ckpt.json")
+        config = PipelineConfig({"adaptive.window": 20})
+        tail = stationary_stream(6.0, gps_rate=5.0,
+                                 gps_offset=(0.3, -0.2, 0.5))[2 * 200 + 10:]
+
+        pipe1 = FusionPipeline(config)
+        run(pipe1, stationary_stream(2.0, gps_rate=5.0))
+        est = pipe1.adaptive["gps_pos"]
+        assert est._filled == 9
+        r_before = est.r.copy()
+        pipe1.save_checkpoint(path)
+        pipe2 = FusionPipeline(config)
+        pipe2.load_checkpoint(path)
+        cont1, cont2 = run(pipe1, tail), run(pipe2, tail)
+
+        assert est._filled == 20 and not np.array_equal(est.r, r_before)
+        assert len(cont1) == len(cont2) == len(tail)
+
+        def records(report):
+            return [{**vars(rec), "innovation": rec.innovation.tobytes()}
+                    for rec in report.updates]
+
+        for a, b in zip(cont1, cont2):
+            assert records(a) == records(b)
+            assert np.array_equal(a.state.as_vector(), b.state.as_vector())
+            assert np.array_equal(a.cov_diag, b.cov_diag)
+        for name, est1 in pipe1.adaptive.items():
+            est2 = pipe2.adaptive[name]
+            assert np.array_equal(est1.r, est2.r)
+            assert np.array_equal(est1._innovations, est2._innovations)
+
     def test_checkpoint_after_huge_gyro_sample_resumes(self, tmp_path):
         """A finite gyro too large to square leaves an infinite IMU rate
         reading, which a checkpoint saves and loads like any other."""
@@ -1312,9 +1348,15 @@ class TestLifecycle:
          array_doc(np.eye(2))),
         (("session", "adaptive", "value", "gps_pos", "value", "alpha"), 0.5),
         (("session", "adaptive", "value", "gps_pos", "value",
-          "_innovations", "maxlen"), 7),
+          "_innovations"), array_doc(np.zeros((7, 3)))),
         (("session", "adaptive", "value", "gps_pos", "value",
-          "_innovations", "value", 0), array_doc(np.array([np.nan, 0, 0]))),
+          "_innovations"), array_doc(np.pad([[np.nan, 0, 0]],
+                                            ((49, 0), (0, 0))))),
+        (("session", "adaptive", "value", "gps_pos", "value", "_filled"), 51),
+        (("session", "adaptive", "value", "gps_pos", "value", "_filled"),
+         -1),
+        (("session", "adaptive", "value", "gps_pos", "value", "_filled"),
+         True),
         (("session", "adaptive", "value", "encoder_vz"), None),
         (("session", "origin", "value", "rotation"), array_doc(-np.eye(3))),
         (("session", "coast", "value", "last_accept"), "x"),
@@ -1331,7 +1373,9 @@ class TestLifecycle:
             "snapshot_z_orient", "extra_attribute", "missing_attribute",
             "estimator_r_nan", "estimator_r_indefinite",
             "estimator_r_size", "estimator_setting", "innovation_window",
-            "innovation_nan", "estimator_missing", "origin_frame",
+            "innovation_nan", "innovation_count_over",
+            "innovation_count_negative", "innovation_count_bool",
+            "estimator_missing", "origin_frame",
             "coast_stamp_type", "vslam_anchor_shape",
             "heading_anchor_type", "snapshot_mode_type", "imu_rate_nan",
             "encoder_speed_negative"])
