@@ -269,18 +269,6 @@ def quat_rotate_inv(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _through_cols(quat_rotate_cols, q, v, inverse=True)
 
 
-def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
 def quat_to_euler(q: np.ndarray) -> tuple[float, float, float]:
     """ZYX (roll, pitch, yaw) extraction; pitch clamped at the +-90 deg
     singularity.  Yaw 0 points along world x (east), counterclockwise
@@ -320,15 +308,6 @@ def wrap_angle(a):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def rotation_distance(qa: np.ndarray, qb: np.ndarray) -> float:
-    """Geodesic angle in SO(3) between two unit quaternions.  The arcsin
-    form keeps full precision near zero, where arccos of the dot does not."""
-    qa = np.asarray(qa, dtype=float)
-    qb = np.asarray(qb, dtype=float)
-    chord = min(float(np.linalg.norm(qa - qb)), float(np.linalg.norm(qa + qb)))
-    return 4.0 * np.arcsin(min(1.0, 0.5 * chord))
 
 
 def _component(sl: slice) -> property:

@@ -128,7 +128,3 @@ def enu_to_ecef(enu: np.ndarray, origin: EnuOrigin) -> np.ndarray:
 
 def geodetic_to_enu(coord: GeodeticCoord, origin: EnuOrigin) -> np.ndarray:
     return ecef_to_enu(geodetic_to_ecef(coord), origin)
-
-
-def enu_to_geodetic(enu: np.ndarray, origin: EnuOrigin) -> GeodeticCoord:
-    return ecef_to_geodetic(enu_to_ecef(enu, origin))

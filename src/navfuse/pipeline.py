@@ -47,16 +47,17 @@ as the DOP-scaled base; accepted fixes feed that estimator and derive a
 course-over-ground heading from the previous accepted fix.  The fix is
 taken at the body origin: there is no antenna lever arm.
 
-A checkpoint (version 6) is a JSON file: version, configuration hash, and
+A checkpoint (version 7) is a JSON file: version, configuration hash, and
 the session, the attributes ``FusionPipeline._SESSION`` lists and ``reset``
-assigns (``x``, covariance, origin, replay ring and so the clock, adaptive
-estimators, each with its innovation window as one array and the count of
-its rows filled, anchors, mode timers, counters), with each array stored as
-its shape and the base64 of its little-endian float64 bytes.  Loading builds
-only the listed session types and validates all of it, down to each flag's,
-stamp's and anchor's type and shape, before assigning any, so a malformed
-file changes nothing and a resumed run is bit-identical to an
-uninterrupted one.
+assigns, as state only: ``x``, covariance, the origin's [lat, lon, alt],
+the replay snapshots, each estimator's R, innovation window and rows
+filled, anchors, mode flags, readings and counters, each array as its shape
+and the base64 of its little-endian float64 bytes.  Loading rebuilds what
+the configuration fixes (the origin's frame, the estimators, the ring) and
+reads every stored value by a typed reader, checking its type, shape,
+range and any quaternion's unit norm, before assigning any, so a malformed
+file changes nothing and a resumed run is bit-identical to an uninterrupted
+one.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ _MAX_IMU_GAP = 10.0
 _MAX_IMU_DELAY = 0.5
 _TOO_OLD = "older than replay buffer"
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 def zupt_trigger(last_encoder_speed: Optional[float],
@@ -258,8 +259,6 @@ class FusionPipeline:
                                b_ewz_enabled=cfg["features.b_ewz"]),
             meas.encoder_vz_model(cfg["encoder.vz_sigma"],
                                   cfg["gates.encoder"]))
-        self._gps_vel_model = meas.gps_velocity_model(
-            cfg["gnss.velocity_sigma"], cfg["gates.gps_pos"])
         self._radar_model = meas.radar_velocity_model(cfg["radar.sigma"],
                                                       cfg["gates.encoder"])
         self._zupt_model = meas.zupt_model(cfg["zupt.sigma"],
@@ -276,6 +275,9 @@ class FusionPipeline:
             [cfg["vslam.sigma_pos"] ** 2] * 3
             + [cfg["vslam.sigma_orient"] ** 2] * 3)
         self._vslam_model = meas.vslam_model(self._vslam_r, cfg["gates.vslam"])
+        # after ``_gps_model``, so a bad gates.gps_pos is reported as its
+        self._gps_vel_model = meas.gps_velocity_model(
+            cfg["gnss.velocity_sigma"], cfg["gates.gps_pos"])
 
         # per coast mode (off, on): the states the filter holds, which get
         # neither gain nor process noise, and Q's per-second diagonal
@@ -696,18 +698,17 @@ class FusionPipeline:
     # persistence
 
     def save_checkpoint(self, path: str) -> None:
-        """Write the session (``_SESSION``) as JSON, with the checkpoint
+        """Write the session (``_session_doc``) as JSON, with the checkpoint
         version and the configuration hash that loading checks."""
         doc = {"version": CHECKPOINT_VERSION,
                "config_hash": self.config.hash(),
-               "session": {name: _encode(getattr(self, name))
-                           for name in self._SESSION}}
+               "session": self._session_doc()}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
 
     def load_checkpoint(self, path: str) -> None:
         """Restore a session written by ``save_checkpoint``.  All of it is
-        decoded and validated before any of it is assigned, so a bad
+        read (``_read_session``) before any of it is assigned, so a bad
         checkpoint raises ``CheckpointError`` and changes nothing."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -721,177 +722,171 @@ class FusionPipeline:
             raise CheckpointError("checkpoint was written with a different "
                                   "configuration")
         try:
-            session = {name: _decode(doc["session"][name])
-                       for name in self._SESSION}
-            ring = session["ring"]
-            for x, cov in ([(session["x"], session["cov"])]
-                           + [(e.x, e.cov) for e in ring.entries]):
-                if not (isinstance(x, np.ndarray)
-                        and _is_finite_array(cov, (STATE_DIM, STATE_DIM))):
-                    raise ValueError("bad state or covariance")
-                FilterState.from_vector(x, normalize=False).validate()
-            joint = self._imu_models["imu"][1]
-            for e in ring.entries:
-                if not (_is_finite_array(e.z_raw, (6,))
-                        and (e.z_orient is None or joint is not None
-                             and _is_finite_array(e.z_orient,
-                                                  (joint.blocks[1].dim,)))):
-                    raise ValueError("bad snapshot measurement vectors")
-            stamps = [e.stamp for e in ring.entries]
-            if (ring.capacity != self.config["retro.capacity"]
-                    or len(stamps) > ring.capacity
-                    or any(b <= a for a, b in zip(stamps, stamps[1:]))):
-                raise ValueError("replay ring over capacity or unordered")
-            origin = session["origin"]
-            if origin is not None:
-                # the point is range-checked (object.__new__ skipped that),
-                # and the frame must be the one the point gives
-                point = GeodeticCoord(**vars(origin.geodetic))
-                if _encode(origin) != _encode(EnuOrigin.from_geodetic(point)):
-                    raise ValueError("origin frame does not match its point")
-            _check_session_values(session)
-            fresh = self._build_adaptive()
-            if session["adaptive"].keys() != fresh.keys():
-                raise ValueError("adaptive paths differ from the config")
-            for name, est in session["adaptive"].items():
-                # equal to the configured one but for its state: a symmetric
-                # R that factors, a finite window and its fill count
-                new, r, window, filled = (fresh[name], est.r,
-                                          est._innovations, est._filled)
-                new.r, new._innovations, new._filled = r, window, filled
-                if not (_encode(new) == _encode(est)
-                        and _is_finite_array(r, (new.dim, new.dim))
-                        and np.array_equal(r, r.T)
-                        and _is_finite_array(window, (new.window, new.dim))
-                        and type(filled) is int
-                        and 0 <= filled <= new.window):
-                    raise ValueError(f"bad {name} noise estimator")
-                np.linalg.cholesky(r)
-        except (AttributeError, KeyError, TypeError, ValueError,
-                NumericalError, RecursionError) as exc:
+            session = self._read_session(doc["session"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
         for name, value in session.items():
             setattr(self, name, value)
 
+    def _session_doc(self) -> dict:
+        """The session (``_SESSION``) in its JSON form, state only: what the
+        configuration fixes (the origin's frame, the estimators' settings,
+        the ring's capacity) is rebuilt from it by ``_read_session``."""
+        def opt(value, form):
+            return None if value is None else form(value)
 
-#: the types a checkpoint may hold besides JSON scalars and containers, each
-#: with the attributes a live instance carries, which are what it stores
-_SESSION_TYPES = {type(o).__name__: (type(o), tuple(vars(o))) for o in (
-    Snapshot(0.0, None, None, None), StateSnapshotRing(), CoastState(),
-    VslamAnchor(), AdaptiveEstimator("", np.eye(1)), GeodeticCoord(0, 0),
-    EnuOrigin.from_geodetic(GeodeticCoord(0, 0)))}
-_SEQUENCES = {"list": list, "tuple": tuple}
+        origin, anchor, coast = self.origin, self.vslam_anchor, self.coast
+        return {
+            "x": _array_doc(self.x),
+            "cov": _array_doc(self.cov),
+            "origin": opt(origin, lambda o: [o.geodetic.lat, o.geodetic.lon,
+                                             o.geodetic.alt]),
+            "ring": [[s.stamp, _array_doc(s.x), _array_doc(s.cov),
+                      _array_doc(s.z_raw), opt(s.z_orient, _array_doc),
+                      s.zupt_active, s.coast_active]
+                     for s in self.ring.entries],
+            "adaptive": {name: [_array_doc(est.r),
+                                _array_doc(est._innovations), est._filled]
+                         for name, est in self.adaptive.items()},
+            "vslam_anchor": [_array_doc(anchor.position),
+                             _array_doc(anchor.quaternion), anchor.rejections],
+            "_last_raw_vslam": opt(self._last_raw_vslam,
+                                   lambda pq: [_array_doc(v) for v in pq]),
+            "coast": [coast.active, coast.last_accept, coast.relax_armed],
+            "_zupt_active": self._zupt_active,
+            "_last_encoder_speed": self._last_encoder_speed,
+            "_last_imu_rate": self._last_imu_rate,
+            "_heading_anchor": opt(self._heading_anchor, lambda h: [
+                _array_doc(h[0]), h[1], h[2]]),
+            "_jump_stamp": self._jump_stamp,
+            "diagnostics": dict(self.diagnostics),
+        }
+
+    def _read_session(self, doc: dict) -> dict:
+        """The session ``_session_doc`` stored, rebuilt on the
+        configuration: the origin from its point, fresh estimators given
+        their stored R and window, and a fresh ring filled through
+        ``record``.  Each stored value goes through its typed reader; a
+        value of the wrong type, shape or range raises ``ValueError``."""
+        if set(doc) != set(self._SESSION):
+            raise ValueError("session keys missing or unknown: "
+                             f"{sorted(set(doc) ^ set(self._SESSION))}")
+        joint = self._imu_models["imu"][1]
+
+        def snapshot(stamp, x, cov, z_raw, z_orient, zupt, coast):
+            if z_orient is not None:
+                if joint is None:
+                    raise ValueError("orientation rows without their model")
+                z_orient = _read_array(z_orient, (joint.blocks[1].dim,))
+            return Snapshot(_read_real(stamp), _read_array(x, _STATE, QUAT),
+                            _read_array(cov, _COV), _read_array(z_raw, (6,)),
+                            z_orient, _read_flag(zupt), _read_flag(coast))
+
+        ring = StateSnapshotRing(self.config["retro.capacity"])
+        if len(doc["ring"]) > ring.capacity:
+            raise ValueError("replay ring over capacity")
+        for entry in doc["ring"]:
+            ring.record(snapshot(*entry))  # stamps strictly increasing
+        adaptive = self._build_adaptive()
+        if doc["adaptive"].keys() != adaptive.keys():
+            raise ValueError("adaptive paths differ from the configuration")
+        for name, est in adaptive.items():
+            r, window, filled = doc["adaptive"][name]
+            est.r = _read_array(r, (est.dim, est.dim))
+            if not np.array_equal(est.r, est.r.T):
+                raise ValueError(f"{name}: noise is not symmetric")
+            np.linalg.cholesky(est.r)  # LinAlgError is a ValueError
+            est._innovations = _read_array(window, (est.window, est.dim))
+            est._filled = _read_count(filled, top=est.window)
+        position, quaternion, rejections = doc["vslam_anchor"]
+        active, last_accept, relax_armed = doc["coast"]
+
+        def opt(value, read):
+            return None if value is None else read(*value)
+
+        return {
+            "x": _read_array(doc["x"], _STATE, QUAT),
+            "cov": _read_array(doc["cov"], _COV),
+            # GeodeticCoord range-checks the point
+            "origin": opt(doc["origin"], lambda lat, lon, alt:
+                          EnuOrigin.from_geodetic(GeodeticCoord(
+                              _read_real(lat), _read_real(lon),
+                              _read_real(alt)))),
+            "ring": ring,
+            "adaptive": adaptive,
+            "vslam_anchor": VslamAnchor(_read_array(position, (3,)),
+                                        _read_array(quaternion, (4,),
+                                                    slice(None)),
+                                        _read_count(rejections)),
+            "_last_raw_vslam": opt(doc["_last_raw_vslam"], lambda p, q: (
+                _read_array(p, (3,)), _read_array(q, (4,), slice(None)))),
+            "coast": CoastState(_read_flag(active),
+                                _read_real(last_accept, optional=True),
+                                _read_flag(relax_armed)),
+            "_zupt_active": _read_flag(doc["_zupt_active"]),
+            # a reading of inf is a gyro too large to square
+            "_last_encoder_speed": _read_real(doc["_last_encoder_speed"],
+                                              True, 0.0, math.inf),
+            "_last_imu_rate": _read_real(doc["_last_imu_rate"], True, 0.0,
+                                         math.inf),
+            "_heading_anchor": opt(doc["_heading_anchor"], lambda xy, t, var: (
+                _read_array(xy, (2,)), _read_real(t), _read_real(var))),
+            "_jump_stamp": _read_real(doc["_jump_stamp"], optional=True),
+            "diagnostics": {name: _read_count(count)
+                            for name, count in doc["diagnostics"].items()},
+        }
+
+
 #: the stored form of every array element: little-endian float64
-_ARRAY_DTYPE = np.dtype("<f8")
+_F8 = np.dtype("<f8")
+_MAX = float(np.finfo(float).max)  # a Python float: exact against any int
+_STATE, _COV = (STATE_DIM,), (STATE_DIM, STATE_DIM)
 
 
-def _is_finite_array(value, shape: tuple[int, ...]) -> bool:
-    return (isinstance(value, np.ndarray) and value.shape == shape
-            and bool(np.isfinite(value).all()))
+def _array_doc(a: np.ndarray) -> dict:
+    """An array's stored form: its shape and its float64 bytes in base64."""
+    return {"shape": list(a.shape), "f8": base64.b64encode(
+        a.astype(_F8, copy=False).tobytes()).decode("ascii")}
 
 
-def _is_real(value) -> bool:
-    """A finite int or float, not a bool."""
-    return type(value) in (int, float) and math.isfinite(value)
+def _read_array(doc: dict, shape: tuple[int, ...],
+                unit: Optional[slice] = None) -> np.ndarray:
+    """The array ``doc`` stores (``_array_doc``), which must have ``shape``
+    and finite entries, and a norm of 1 within 1e-9 over ``unit``, the
+    tolerance of ``FilterState.validate``."""
+    if doc.keys() != {"shape", "f8"} or doc["shape"] != list(shape):
+        raise ValueError(f"expected an array of shape {shape}")
+    data = base64.b64decode(doc["f8"], validate=True)
+    if len(data) != _F8.itemsize * math.prod(shape):
+        raise ValueError(f"array payload does not match shape {shape}")
+    a = np.frombuffer(data, _F8).reshape(shape).astype(float)
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite array entry")
+    if unit is not None and abs(math.sqrt(a[unit] @ a[unit]) - 1.0) > 1e-9:
+        raise ValueError("quaternion without unit norm")
+    return a
 
 
-def _check_session_values(session: dict) -> None:
-    """Raise ``ValueError`` unless each session value that is neither the
-    state, the ring, the origin nor an estimator has the type and shape a
-    live session gives it: flags, the replay snapshots' mode flags too,
-    are bools, stamps finite numbers or None, the last encoder speed and
-    IMU rate readings None or numbers >= 0 (inf, a gyro too large to
-    square, reads as a rate), anchors finite arrays of their sizes,
-    counters ints.
-    A session object of the wrong type lacks an attribute read here, which
-    raises ``AttributeError``."""
-    coast, anchor = session["coast"], session["vslam_anchor"]
-    heading, raw = session["_heading_anchor"], session["_last_raw_vslam"]
-    counters, steps = session["diagnostics"], session["ring"].entries
-    checks = {
-        "flags": all(type(v) is bool for v in (
-            session["_zupt_active"], coast.active, coast.relax_armed,
-            *(flag for e in steps for flag in (e.zupt_active,
-                                               e.coast_active)))),
-        "stamps": all(v is None or _is_real(v) for v in (
-            coast.last_accept, session["_jump_stamp"],
-            *(e.stamp for e in steps))),
-        "readings": all(v is None or type(v) in (int, float) and v >= 0.0
-                        for v in (session["_last_encoder_speed"],
-                                  session["_last_imu_rate"])),
-        "vslam_anchor": (_is_finite_array(anchor.position, (3,))
-                         and _is_finite_array(anchor.quaternion, (4,))
-                         and type(anchor.rejections) is int),
-        "_heading_anchor": heading is None or (
-            type(heading) is tuple and len(heading) == 3
-            and _is_finite_array(heading[0], (2,))
-            and _is_real(heading[1]) and _is_real(heading[2])),
-        "_last_raw_vslam": raw is None or (
-            type(raw) is tuple and len(raw) == 2
-            and _is_finite_array(raw[0], (3,))
-            and _is_finite_array(raw[1], (4,))),
-        "diagnostics": type(counters) is dict and all(
-            type(v) is int for v in counters.values()),
-    }
-    bad = [name for name, ok in checks.items() if not ok]
-    if bad:
-        raise ValueError(f"bad session values: {bad}")
+def _read_flag(value) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"expected a bool, not {value!r}")
+    return value
 
 
-def _encode(value):
-    """JSON form of a session value: a scalar as it is, anything else as
-    ``{"type": name, "value": ...}``; an object's value is its attributes,
-    an array's is the base64 of its float64 bytes, with its ``shape``."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    kind = type(value).__name__
-    if isinstance(value, np.ndarray):
-        data = value.astype(_ARRAY_DTYPE, copy=False).tobytes()
-        return {"type": kind, "shape": list(value.shape),
-                "value": base64.b64encode(data).decode("ascii")}
-    if kind in _SEQUENCES:
-        return {"type": kind, "value": [_encode(v) for v in value]}
-    if isinstance(value, dict):
-        fields = value
-    elif _SESSION_TYPES.get(kind, (None,))[0] is type(value):
-        fields = {name: getattr(value, name)
-                  for name in _SESSION_TYPES[kind][1]}
-    else:
-        raise TypeError(f"a checkpoint cannot hold a {kind}")
-    return {"type": kind,
-            "value": {name: _encode(v) for name, v in fields.items()}}
+def _read_real(value, optional: bool = False, low: float = -_MAX,
+               top: float = _MAX, types: tuple = (int, float)):
+    """``value`` if its type is one of ``types`` (a bool's is not) and it
+    lies in [low, top], which keeps out NaN and, by default, inf; None too
+    when ``optional``."""
+    if value is None and optional:
+        return None
+    if type(value) not in types or not low <= value <= top:
+        raise ValueError(f"{value!r} is not a number in [{low}, {top}]")
+    return value
 
 
-def _decode(doc):
-    """Inverse of ``_encode``.  It builds only arrays, the containers and
-    the ``_SESSION_TYPES`` with exactly their attributes; anything else is an
-    error, and so is an array payload whose byte count misses its shape."""
-    if not isinstance(doc, dict):
-        return doc
-    kind, value = doc["type"], doc["value"]
-    if kind == "ndarray":
-        shape = tuple(doc["shape"])
-        if not all(type(n) is int and n >= 0 for n in shape):
-            raise ValueError(f"bad array shape {shape!r}")
-        data = base64.b64decode(value, validate=True)
-        if len(data) != _ARRAY_DTYPE.itemsize * math.prod(shape):
-            raise ValueError(f"array payload does not match shape {shape}")
-        return np.frombuffer(data, _ARRAY_DTYPE).reshape(shape).astype(float)
-    if kind in _SEQUENCES:
-        return _SEQUENCES[kind]([_decode(v) for v in value])
-    fields = {name: _decode(v) for name, v in value.items()}
-    if kind == "dict":
-        return fields
-    cls, names = _SESSION_TYPES.get(kind, (None, None))
-    if cls is None:
-        raise TypeError(f"unknown type {kind!r} in checkpoint")
-    if fields.keys() != set(names):
-        raise ValueError(f"{kind} attributes {sorted(fields)} are not "
-                         f"{sorted(names)}")
-    obj = object.__new__(cls)
-    for name, v in fields.items():
-        object.__setattr__(obj, name, v)  # frozen dataclasses too
-    return obj
+#: a counter, a fill count or a rejection count
+_read_count = partial(_read_real, low=0, top=math.inf, types=(int,))
 
 
 @dataclass(frozen=True)

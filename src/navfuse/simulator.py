@@ -499,15 +499,3 @@ def generate(scenario: SimScenario) -> tuple[GroundTruth, list[SensorEvent]]:
 
     events.sort(key=sort_key)
     return truth, events
-
-
-def truth_consistency_error(truth: GroundTruth) -> float:
-    """Max |central-difference position rate - world velocity|; the truth
-    invariant bound used by tests."""
-    dt = truth.stamps[1] - truth.stamps[0]
-    fd = (truth.position[2:] - truth.position[:-2]) / (2.0 * dt)
-    vel_world = (truth.velocity_body[:, 0:1]
-                 * np.stack([np.cos(truth.yaw), np.sin(truth.yaw)],
-                            axis=-1))
-    vel3 = np.concatenate([vel_world, np.zeros((len(truth.yaw), 1))], axis=-1)
-    return float(np.max(np.linalg.norm(fd - vel3[1:-1], axis=-1)))

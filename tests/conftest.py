@@ -36,6 +36,45 @@ def yaw_variance(q: np.ndarray, quat_cov: np.ndarray) -> float:
     return float(jac @ np.asarray(quat_cov, dtype=float) @ jac)
 
 
+def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def rotation_distance(qa: np.ndarray, qb: np.ndarray) -> float:
+    """Geodesic angle in SO(3) between two unit quaternions.  The arcsin
+    form keeps full precision near zero, where arccos of the dot does not."""
+    qa = np.asarray(qa, dtype=float)
+    qb = np.asarray(qb, dtype=float)
+    chord = min(float(np.linalg.norm(qa - qb)), float(np.linalg.norm(qa + qb)))
+    return 4.0 * np.arcsin(min(1.0, 0.5 * chord))
+
+
+def enu_to_geodetic(enu: np.ndarray, origin):
+    """The geodetic point of a local ENU position."""
+    from navfuse.geodesy import ecef_to_geodetic, enu_to_ecef
+    return ecef_to_geodetic(enu_to_ecef(enu, origin))
+
+
+def truth_consistency_error(truth) -> float:
+    """Max |central-difference position rate - world velocity| of the
+    simulator's ground truth."""
+    dt = truth.stamps[1] - truth.stamps[0]
+    fd = (truth.position[2:] - truth.position[:-2]) / (2.0 * dt)
+    vel_world = (truth.velocity_body[:, 0:1]
+                 * np.stack([np.cos(truth.yaw), np.sin(truth.yaw)],
+                            axis=-1))
+    vel3 = np.concatenate([vel_world, np.zeros((len(truth.yaw), 1))], axis=-1)
+    return float(np.max(np.linalg.norm(fd - vel3[1:-1], axis=-1)))
+
+
 def sigma_clouds(rng, count, locked=6, zeroed=0):
     """``count`` C-contiguous (23, 47) state clouds with unit quaternions,
     ``locked`` columns of each at pitch +-90 deg, where about half have

@@ -241,7 +241,10 @@ class TestRunAndEvaluate:
                      os.path.join(sim_dir, "stream.txt"),
                      "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        # it names the key: gps_pos, not gps_vel, whose model shares it
+        assert text.split()[1].rstrip(":") in err
 
     def test_retrodiction_ablation_fuses_late_fixes_where_they_arrive(
             self, tmp_path):

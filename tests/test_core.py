@@ -21,13 +21,12 @@ from navfuse.core import (
     quat_rotate,
     quat_rotate_inv,
     quat_to_euler,
-    quat_to_rotmat,
-    rotation_distance,
     rotation_rows_cols,
     wrap_angle,
 )
 
-from conftest import random_unit_quat, sigma_clouds, yaw_variance
+from conftest import (quat_to_rotmat, random_unit_quat, rotation_distance,
+                      sigma_clouds, yaw_variance)
 
 
 class TestQuatExp:

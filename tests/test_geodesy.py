@@ -10,10 +10,11 @@ from navfuse.geodesy import (
     ecef_to_enu,
     ecef_to_geodetic,
     enu_to_ecef,
-    enu_to_geodetic,
     geodetic_to_ecef,
     geodetic_to_enu,
 )
+
+from conftest import enu_to_geodetic
 
 ORIGIN = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(45.0, -75.6, 80.0))
 

@@ -15,8 +15,9 @@ which prints, per scenario, the largest deviation from the file it replaces
 in each state block and in the covariance diagonal, and the counters that
 changed.
 
-The same scenarios check that a run resumed from a checkpoint taken halfway
-is bit-identical to the uninterrupted run, and that the paper's two
+The same scenarios check that a run resumed from a checkpoint, taken after a
+quarter or a half of the events or just after the first replay, is
+bit-identical to the uninterrupted run, and that the paper's two
 ablations (no bias states, no encoder yaw-rate bias) hold their states at
 zero.
 """
@@ -95,22 +96,38 @@ def test_matches_golden(name):
                                rtol=0.0, atol=ATOL)
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_resume_from_checkpoint_is_bit_identical(name, tmp_path):
-    """Checkpoint after half the events, load into a fresh pipeline and
-    feed both the rest: every later report and the final covariance and
-    counters must match exactly."""
+#: where a resume test cuts a scenario, given the pipeline and the count of
+#: events it has taken: after a quarter or a half of them, or just after the
+#: first event that replays, so that the saved ring holds replayed states
+CUTS = {
+    "quarter": lambda pipe, k, n: k == n // 4,
+    "half": lambda pipe, k, n: k == n // 2,
+    "after_replay": lambda pipe, k, n: "retro_replays" in pipe.diagnostics,
+}
+
+
+@pytest.mark.parametrize("name, cut", [
+    pytest.param(name, cut, id=name if cut == "half" else f"{name}-{cut}")
+    for name in sorted(SCENARIOS) for cut in CUTS
+    # no event of loop_blackout is late, so it never replays
+    if (name, cut) != ("loop_blackout", "after_replay")])
+def test_resume_from_checkpoint_is_bit_identical(name, cut, tmp_path):
+    """Checkpoint at the cut, load into a fresh pipeline and feed both the
+    rest: every later report and the final covariance and counters must
+    match exactly."""
     scenario, config = SCENARIOS[name]
     _, events = generate(SimScenario.from_dict(scenario))
-    half = len(events) // 2
     path = str(tmp_path / "checkpoint.json")
     whole = FusionPipeline(PipelineConfig(config))
-    for event in events[:half]:
-        whole.ingest(event)
+    taken = 0
+    while not CUTS[cut](whole, taken, len(events)):
+        whole.ingest(events[taken])
+        taken += 1
+    assert 0 < taken < len(events)
     whole.save_checkpoint(path)
     resumed = FusionPipeline(PipelineConfig(config))
     resumed.load_checkpoint(path)
-    for event in events[half:]:
+    for event in events[taken:]:
         a, b = whole.ingest(event), resumed.ingest(event)
         assert a.dropped == b.dropped
         assert np.array_equal(a.state.as_vector(), b.state.as_vector())

@@ -7,10 +7,9 @@ from scipy.stats import chi2
 
 from navfuse.config import DEFAULTS
 from navfuse.core import (FilterState, GRAVITY, _ROTATION, _outer,
-                          euler_to_quat, quat_to_euler, quat_to_rotmat,
-                          wrap_angle)
+                          euler_to_quat, quat_to_euler, wrap_angle)
 from navfuse.events import FixType, GpsFixSample
-from navfuse.geodesy import EnuOrigin, GeodeticCoord, enu_to_geodetic
+from navfuse.geodesy import EnuOrigin, GeodeticCoord
 from navfuse.measurements import (
     MeasurementModel,
     derive_gps_heading,
@@ -32,7 +31,8 @@ from navfuse.measurements import (
     zupt_model,
 )
 
-from conftest import sigma_clouds, state_columns
+from conftest import (enu_to_geodetic, quat_to_rotmat, sigma_clouds,
+                      state_columns)
 
 ORIGIN = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(45.0, -75.6, 80.0))
 #: a GPS base noise of sigma 0.8 m horizontally and 1.5 m vertically

@@ -15,7 +15,7 @@ from navfuse.events import (
     RadarVelocitySample,
     VslamPoseSample,
 )
-from navfuse.geodesy import EnuOrigin, GeodeticCoord, enu_to_geodetic
+from navfuse.geodesy import EnuOrigin, GeodeticCoord
 from navfuse import pipeline as pipeline_module
 from navfuse.pipeline import (
     SENSORS,
@@ -24,7 +24,7 @@ from navfuse.pipeline import (
     zupt_trigger,
 )
 
-from conftest import yaw_variance
+from conftest import enu_to_geodetic, rotation_distance, yaw_variance
 
 ORIGIN = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(45.0, -75.6, 80.0))
 
@@ -77,14 +77,15 @@ def ingest_counting(pipe, event):
 
 def session_of(pipe):
     """The session but for its counters, as a checkpoint stores it."""
-    return [pipeline_module._encode(getattr(pipe, name))
-            for name in pipe._SESSION if name != "diagnostics"]
+    doc = pipe._session_doc()
+    del doc["diagnostics"]
+    return doc
 
 
 def array_doc(a):
     """An array as a checkpoint stores it."""
-    return {"type": "ndarray", "shape": list(a.shape),
-            "value": base64.b64encode(a.astype("<f8").tobytes()).decode()}
+    return {"shape": list(a.shape),
+            "f8": base64.b64encode(a.astype("<f8").tobytes()).decode()}
 
 
 ALL_ON = {"imu2.enabled": True, "gnss.velocity_enabled": True,
@@ -1048,7 +1049,6 @@ class TestRetrodiction:
         inorder = final_state(build(delayed=False))
         delayed = final_state(build(delayed=True))
         assert np.max(np.abs(delayed.position - inorder.position)) < 1e-6
-        from navfuse.core import rotation_distance
         assert rotation_distance(delayed.quaternion,
                                  inorder.quaternion) < 1e-8
 
@@ -1318,67 +1318,68 @@ class TestLifecycle:
         pipe.reset()
         assert sorted(assigned) == sorted(FusionPipeline._SESSION)
 
+    def test_checkpoint_stores_exactly_the_session(self):
+        """A session attribute the stored form forgets would not survive a
+        resume."""
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+        assert set(pipe._session_doc()) == set(FusionPipeline._SESSION)
+
     @pytest.mark.parametrize("keys, value", [
         ((), []),                                           # wrong root type
         (("version",), 3),
         (("session", "_zupt_active"), None),                # missing key
         (("session", "x"), array_doc(np.zeros(5))),
-        (("session", "x"), {"type": "list", "maxlen": None,
-                            "value": [0.0] * 3 + [1.0] + [0.0] * 19}),
-        (("session", "ring", "value", "entries", "value", 0, "value", "x"),
-         array_doc(np.ones(23))),                         # non-unit quaternion
+        (("session", "x"), [0.0] * 3 + [1.0] + [0.0] * 19),
+        (("session", "ring", 0, 1), array_doc(np.ones(23))),  # non-unit quat
         (("session", "cov"), array_doc(np.zeros((23, 3)))),
-        (("session", "coast", "type"), "Popen"),            # unknown type
-        (("session", "cov", "value"), "not base64!"),       # garbled bytes
-        (("session", "cov", "value"),                       # cut short
-         array_doc(np.eye(23))["value"][:-8]),
+        (("session", "cov", "f8"), "not base64!"),          # garbled bytes
+        (("session", "cov", "f8"),                          # cut short
+         array_doc(np.eye(23))["f8"][:-8]),
         (("session", "cov", "shape"), [23, 24]),            # shape mismatch
-        (("session", "ring", "value", "entries", "value", 0, "value",
-          "z_raw"), array_doc(np.zeros(5))),
-        (("session", "ring", "value", "entries", "value", 0, "value",
-          "z_orient"), array_doc(np.array([0.0, np.nan]))),
-        (("session", "adaptive", "value", "encoder", "value", "observe"), 5),
-        (("session", "coast", "value", "relax_armed"), None),
-        (("session", "adaptive", "value", "encoder_vz", "value", "r"),
+        (("session", "ring", 0, 3), array_doc(np.zeros(5))),
+        (("session", "ring", 0, 4), array_doc(np.array([0.0, np.nan]))),
+        (("session", "coast", 2), None),                    # field missing
+        (("session", "adaptive", "encoder_vz", 0),
          array_doc(np.array([[np.nan]]))),
-        (("session", "adaptive", "value", "gps_pos", "value", "r"),
+        (("session", "adaptive", "gps_pos", 0),
          array_doc(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
                              [0.0, 0.0, 1.0]]))),
-        (("session", "adaptive", "value", "gps_pos", "value", "r"),
-         array_doc(np.eye(2))),
-        (("session", "adaptive", "value", "gps_pos", "value", "alpha"), 0.5),
-        (("session", "adaptive", "value", "gps_pos", "value",
-          "_innovations"), array_doc(np.zeros((7, 3)))),
-        (("session", "adaptive", "value", "gps_pos", "value",
-          "_innovations"), array_doc(np.pad([[np.nan, 0, 0]],
-                                            ((49, 0), (0, 0))))),
-        (("session", "adaptive", "value", "gps_pos", "value", "_filled"), 51),
-        (("session", "adaptive", "value", "gps_pos", "value", "_filled"),
-         -1),
-        (("session", "adaptive", "value", "gps_pos", "value", "_filled"),
-         True),
-        (("session", "adaptive", "value", "encoder_vz"), None),
-        (("session", "origin", "value", "rotation"), array_doc(-np.eye(3))),
-        (("session", "coast", "value", "last_accept"), "x"),
-        (("session", "vslam_anchor", "value", "position"),
-         array_doc(np.zeros(2))),
+        (("session", "adaptive", "gps_pos", 0), array_doc(np.eye(2))),
+        (("session", "adaptive", "gps_pos", 1), array_doc(np.zeros((7, 3)))),
+        (("session", "adaptive", "gps_pos", 1),
+         array_doc(np.pad([[np.nan, 0, 0]], ((49, 0), (0, 0))))),
+        (("session", "adaptive", "gps_pos", 2), 51),
+        (("session", "adaptive", "gps_pos", 2), -1),
+        (("session", "adaptive", "gps_pos", 2), True),
+        (("session", "adaptive", "encoder_vz"), None),
+        (("session", "coast", 1), "x"),
+        (("session", "vslam_anchor", 0), array_doc(np.zeros(2))),
         (("session", "_heading_anchor"), 5),
-        (("session", "ring", "value", "entries", "value", 0, "value",
-          "coast_active"), 5),
+        (("session", "ring", 0, 6), 5),
         (("session", "_last_imu_rate"), float("nan")),
         (("session", "_last_encoder_speed"), -1.0),
+        (("session", "ring", 1, 0), 0.0),                   # not increasing
+        (("session", "ring"),                               # 101 snapshots
+         lambda ring: ring + [[ring[-1][0] + 0.01, *ring[-1][1:]]]),
+        (("session", "origin", 0), 2.0),                    # lat > pi/2
+        (("session", "observe"), 5),                        # unknown key
+        (("session", "vslam_anchor", 1), array_doc(np.zeros(4))),
+        (("session", "_last_raw_vslam"),
+         [array_doc(np.zeros(3)), array_doc(np.zeros(4))]),
+        (("session", "_jump_stamp"), 10 ** 400),            # beyond a float
     ], ids=["root", "version_3", "missing", "state_shape", "state_list",
-            "snapshot_state", "cov_shape", "unknown_type",
-            "garbled", "truncated", "payload_shape", "snapshot_z_raw",
-            "snapshot_z_orient", "extra_attribute", "missing_attribute",
-            "estimator_r_nan", "estimator_r_indefinite",
-            "estimator_r_size", "estimator_setting", "innovation_window",
-            "innovation_nan", "innovation_count_over",
-            "innovation_count_negative", "innovation_count_bool",
-            "estimator_missing", "origin_frame",
-            "coast_stamp_type", "vslam_anchor_shape",
-            "heading_anchor_type", "snapshot_mode_type", "imu_rate_nan",
-            "encoder_speed_negative"])
+            "snapshot_state", "cov_shape", "garbled", "truncated",
+            "payload_shape", "snapshot_z_raw", "snapshot_z_orient",
+            "missing_attribute", "estimator_r_nan", "estimator_r_indefinite",
+            "estimator_r_size", "innovation_window", "innovation_nan",
+            "innovation_count_over", "innovation_count_negative",
+            "innovation_count_bool", "estimator_missing", "coast_stamp_type",
+            "vslam_anchor_shape", "heading_anchor_type",
+            "snapshot_mode_type", "imu_rate_nan", "encoder_speed_negative",
+            "snapshot_order", "ring_over_capacity", "origin_range",
+            "unknown_session_key", "anchor_quaternion_zero",
+            "raw_vslam_quaternion_zero", "stamp_huge_int"])
     def test_malformed_checkpoint_changes_nothing(self, tmp_path, keys,
                                                   value):
         path = tmp_path / "ckpt.json"
@@ -1395,6 +1396,8 @@ class TestLifecycle:
                 target = target[key]
             if value is None:
                 del target[last]
+            elif callable(value):
+                target[last] = value(target[last])
             else:
                 target[last] = value
         path.write_text(json.dumps(doc))

@@ -14,12 +14,11 @@ from navfuse.core import (
     STATE_DIM,
     FilterState,
     euler_to_quat,
-    quat_to_rotmat,
 )
 from navfuse.process import STATE_BLOCKS, PropagationStep, noise_rates, \
     process_noise_matrix, propagate_states
 
-from conftest import random_unit_quat, state_columns
+from conftest import quat_to_rotmat, random_unit_quat, state_columns
 
 
 def make_step(dt=0.01, frozen=(), position_scale=1.0, **noise):

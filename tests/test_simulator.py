@@ -17,8 +17,9 @@ from navfuse.simulator import (
     SimScenario,
     build_truth,
     generate,
-    truth_consistency_error,
 )
+
+from conftest import truth_consistency_error
 
 
 def scenario_dict(**over):

@@ -15,7 +15,6 @@ from navfuse.core import (
     STATE_DIM,
     FilterState,
     NumericalError,
-    rotation_distance,
 )
 from navfuse.measurements import (
     MeasurementModel,
@@ -39,7 +38,7 @@ from navfuse.ukf import (
 )
 
 from conftest import (LinearKalmanOracle, random_pd_matrix, random_unit_quat,
-                      state_columns)
+                      rotation_distance, state_columns)
 
 NON_QUAT = np.array([i for i in range(STATE_DIM)
                      if i not in range(QUAT.start, QUAT.stop)])
