@@ -14,10 +14,11 @@ other field is malformed, and so is a GPS ``fix_type`` other than a
 the first failure with a dropped-event report, before the session changes.
 
 The session holds the state as the flat 23-vector ``x`` and its covariance
-``cov``.  Each primary-IMU event runs one prediction step plus its updates
-and leaves a snapshot in the replay ring, sharing the session's arrays,
-which the engine never writes into.  The filter clock is the newest
-snapshot's stamp (``ring.last_stamp``), None while the ring is empty.
+``cov``.  Each primary-IMU event predicts, updates and conditions ``cov``
+once (``_imu_step``) and leaves a snapshot in the replay ring, sharing the
+session's arrays, which the engine never writes into.  The filter clock is
+the newest snapshot's stamp (``ring.last_stamp``), None while the ring is
+empty.
 Every handler fuses its event's updates through ``FusionPipeline._fuse``,
 one engine call per update, and reports the engine's ``UpdateRecord`` of
 each path, from which it reads its decisions and innovations too.  An
@@ -103,7 +104,7 @@ from .events import (
 )
 from .geodesy import EnuOrigin, GeodeticCoord
 from .retrodiction import Snapshot, StateSnapshotRing
-from .ukf import (UkfParams, UpdateRecord, update as ukf_update,
+from .ukf import (UkfParams, UpdateRecord, _condition, update as ukf_update,
                   predict as ukf_predict)
 from .process import STATE_BLOCKS, PropagationStep, noise_rates
 
@@ -506,11 +507,16 @@ class FusionPipeline:
             x, cov = ukf_predict(x, cov, PropagationStep(dt, q_rate),
                                  self._params)
             dt_total -= dt
+            if dt_total > 1e-12:  # the next sub-step draws from this one
+                cov = _condition(cov)
         updates = self._imu_update_list("imu", step.z_raw, step.z_orient)
         if step.zupt_active:
             updates.append((np.zeros(3), self._zupt_model, 1.0))
-        return self._apply_updates(x, cov, updates, step.coast_active,
-                                   [] if records is None else records)
+        x, updated = self._apply_updates(x, cov, updates, step.coast_active,
+                                         [] if records is None else records)
+        # predict leaves ``cov`` raw, for an accepted update to condition;
+        # with every update rejected, that very array comes back
+        return x, _condition(cov) if updated is cov else updated
 
     def _imu_clock_restarted(self, stamp: float) -> bool:
         """Whether ``stamp`` confirms a jump of the primary-IMU clock, ahead
@@ -548,7 +554,8 @@ class FusionPipeline:
                               "imu stamp jumped ahead")
         self._jump_stamp = None
         self._update_coast(sample.stamp)
-        self._last_imu_rate = math.sqrt(np.vdot(sample.gyro, sample.gyro))
+        # finite, as JSON needs; ZUPT compares it with finite thresholds
+        self._last_imu_rate = min(math.hypot(*sample.gyro.tolist()), _MAX)
         self._update_zupt()
         step = Snapshot(sample.stamp, None, None, *self._imu_vectors(sample),
                         self._zupt_active, self.coast.active)
@@ -703,8 +710,9 @@ class FusionPipeline:
         doc = {"version": CHECKPOINT_VERSION,
                "config_hash": self.config.hash(),
                "session": self._session_doc()}
+        text = json.dumps(doc, allow_nan=False)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
 
     def load_checkpoint(self, path: str) -> None:
         """Restore a session written by ``save_checkpoint``.  All of it is
@@ -824,11 +832,9 @@ class FusionPipeline:
                                 _read_real(last_accept, optional=True),
                                 _read_flag(relax_armed)),
             "_zupt_active": _read_flag(doc["_zupt_active"]),
-            # a reading of inf is a gyro too large to square
             "_last_encoder_speed": _read_real(doc["_last_encoder_speed"],
-                                              True, 0.0, math.inf),
-            "_last_imu_rate": _read_real(doc["_last_imu_rate"], True, 0.0,
-                                         math.inf),
+                                              True, 0.0),
+            "_last_imu_rate": _read_real(doc["_last_imu_rate"], True, 0.0),
             "_heading_anchor": opt(doc["_heading_anchor"], lambda xy, t, var: (
                 _read_array(xy, (2,)), _read_real(t), _read_real(var))),
             "_jump_stamp": _read_real(doc["_jump_stamp"], optional=True),

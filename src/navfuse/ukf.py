@@ -11,19 +11,22 @@ onto the unit sphere's tangent space.  Every update gates through one
 path, ``_gate_blocks``, and records each block's decision as an
 ``UpdateRecord``: a stacked model (``measurements.stack``) is one update
 with a block per model, closed-form for a linear stack and one sigma set
-for a sigma-point stack, and any other model is one block.
-Quaternions are raw 4-vectors, hemisphere-aligned before any averaging or
-differencing and renormalized after perturbation or correction.  Every
-covariance leaving this module is symmetrized, eigenvalue-repaired to a
-positive-definite floor, and has its angular-rate variances capped.  The
-engine takes and returns plain arrays, the flat state ``x`` and its
-covariance, knows no clock, and never writes into its inputs, so callers
-may share them.
+for a sigma-point stack, and any other model is one block.  The gate
+whitens [nu | Pxz^T] by the Cholesky factor L of S: L's leading rows
+factor S's leading rows alone (the prefix property), so each block's
+whitened innovation gives its d2 given the blocks before it.  Quaternions
+are raw 4-vectors, hemisphere-aligned before any averaging or differencing
+and renormalized after perturbation or correction.  An accepted update's
+covariance is symmetrized, eigenvalue-repaired to a positive-definite
+floor, and its angular-rate variances capped (``_condition``); predict's
+is raw, for its caller to condition once.  The engine takes and returns
+plain arrays, ``x`` and its covariance, knows no clock, and never writes
+into its inputs, so callers may share them.
 
-Sigma points and gains factor and solve through ``_cholesky`` and
-``_solve``: numpy's own LAPACK gufuncs in ``np.linalg``'s error state, bit
-for bit its results and failures, without a wrapper that costs more than
-LAPACK at 23x23.  The benchmark's tracer wraps names looked up at call
+Sigma points, S and the whitening factor and solve through ``_cholesky``
+and ``_solve``, numpy's own LAPACK gufuncs in ``np.linalg``'s error state,
+bit for bit its results and failures, without a wrapper that costs more
+than LAPACK at 23x23.  The benchmark's tracer wraps names looked up at call
 time, which must stay called (``tests/test_bench_hooks.py``):
 ``generate_sigma_points``, ``repair_pd``, ``propagate_states`` and
 ``process_noise_matrix``, and ``np.linalg.cholesky`` in ``repair_pd``'s
@@ -33,6 +36,7 @@ check, the conditioning layer's LAPACK work.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -89,9 +93,6 @@ class UkfParams:
     def lam(self) -> float:
         return self.alpha**2 * (STATE_DIM + self.kappa) - STATE_DIM
 
-    def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.wm, self.wc
-
 
 @dataclass
 class UpdateRecord:
@@ -133,10 +134,6 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a 2-D b
         return _umath_linalg.solve(a, b, signature="dd->d")
 
 
-def symmetrize(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + p.T)
-
-
 def _add_to_diagonal(p: np.ndarray, value: float) -> np.ndarray:
     """p + value * I as a new array."""
     out = p.copy()
@@ -155,7 +152,7 @@ def repair_pd(p: np.ndarray, epsilon: float = EPSILON_PD) -> np.ndarray:
     happy path returns the symmetrized P once P - epsilon I factors, as
     lambda_min >= epsilon then; for the default floor on a 23x23 P it
     subtracts ``_EPSILON_EYE``, for any other a copy's shifted diagonal."""
-    p = symmetrize(p)
+    p = 0.5 * (p + p.T)
     if epsilon == EPSILON_PD and p.shape == _EPSILON_EYE.shape:
         shifted = p - _EPSILON_EYE
     else:
@@ -189,7 +186,7 @@ def _omega_over_cap(p: np.ndarray) -> bool:
     return w0 > OMEGA_VAR_CAP or w1 > OMEGA_VAR_CAP or w2 > OMEGA_VAR_CAP
 
 
-def _condition(p: np.ndarray, epsilon: float) -> np.ndarray:
+def _condition(p: np.ndarray, epsilon: float = EPSILON_PD) -> np.ndarray:
     """Symmetrize, repair, cap; repairing after a cap can nudge a capped
     variance back above the limit by ~epsilon, so the pair runs once more."""
     p = repair_pd(p, epsilon)
@@ -220,10 +217,10 @@ def generate_sigma_points(
     the flat state ``x``, then ``x`` plus and ``x`` minus each column of
     the Cholesky factor of (n+lam)*P.
 
-    ``cov`` must be symmetric, as every covariance leaving this module is:
-    the factorization reads only its lower triangle.  The covariance is
-    repaired first if needed; a factorization failure after repair is a hard
-    error.  Perturbed quaternions are renormalized.
+    The factorization reads only the lower triangle of ``cov``, so a raw
+    predicted covariance is taken as its lower triangle mirrored.  The
+    covariance is repaired first if needed; a factorization failure after
+    repair is a hard error.  Perturbed quaternions are renormalized.
     """
     try:
         root = _cholesky(params.spread * cov)
@@ -268,7 +265,9 @@ def predict(
     transition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate the flat state ``x`` and its covariance through one
-    process step, returning new arrays.
+    process step, returning new arrays: the covariance is the raw
+    unscented sum plus Q, not conditioned, for an update or ``_condition``
+    to condition once.
 
     ``transition`` overrides the kinematic model with an arbitrary batched
     map over the (23, 47) sigma columns (used by oracle tests); the process
@@ -281,13 +280,11 @@ def predict(
     else:
         propagated = np.array(transition(points), dtype=float)
         normalize_cols(propagated[QUAT], out=propagated[QUAT])
-    wm, wc = params.weights()
-    mean = mean_of_sigmas(propagated, wm)
+    mean = mean_of_sigmas(propagated, params.wm)
     if not all_finite(mean):
         raise NumericalError("prediction produced non-finite mean")
     dev = _deviations(propagated, mean)
-    p_out = (dev * wc) @ dev.T + process_noise_matrix(step)
-    return mean, _condition(p_out, EPSILON_PD)
+    return mean, (dev * params.wc) @ dev.T + process_noise_matrix(step)
 
 
 def update(
@@ -306,115 +303,112 @@ def update(
     S = HPH^T + R and Pxz = PH^T; any other model takes S and Pxz from one
     sigma set.  Either way each block's current R is added to its diagonal
     part of S.  Angle-flagged measurement components use wrapped
-    residuals throughout (sigma mean, innovation, deviations;
-    ``model.wrapped``).  Every model gates through ``_gate_blocks``, an
-    unstacked one as the single block at its rows; each block's record is
-    in the outcome, and state and covariance are updated once from the
-    accepted rows.  A gated-out or numerically singular measurement leaves
-    state and covariance untouched.
-    ``frozen`` lists state indices whose Kalman gain rows are zeroed; the
-    covariance then uses the general (suboptimal-gain) update form, which
-    coincides with P - K S K^T for the unmasked optimal gain.
+    residuals throughout (``model.wrapped``).  Every model gates through
+    ``_gate_blocks``, an unstacked one as the single block at its rows,
+    which records each block and returns the accepted rows whitened,
+    [w | W] = L^-1 [nu | Pxz^T] for S = LL^T over them: the gain is
+    W^T L^-1, the state moves by W^T w and the covariance becomes
+    P - W^T W, conditioned.  A gated-out or numerically singular
+    measurement hands back the input arrays.  States in ``frozen`` get
+    zero gain rows and keep their value and block of P: the general form
+    P - W_f^T W - W^T W_f + W_f^T W_f, W_f being W without their columns.
 
     For a stacked linear model (``measurements.stack``), by the chain rule
     one call equals one call per block, in order, up to rounding and the
-    conditioning and quaternion renormalization between calls, as long as
-    no block after the first accepted one reads a ``frozen`` state.  A
-    sigma-point stack is the update of the stacked measurement from one
-    sigma set, each block gated on its d2 given the accepted blocks before
-    it; it equals the calls per block only where the blocks' ``h`` are
-    linear in the states the sigma points spread.
+    conditioning between calls, as long as no block after the first
+    accepted one reads a ``frozen`` state.  A sigma-point stack is one
+    sigma set for all rows; it equals the calls per block only where the
+    blocks' ``h`` are linear in the states the sigma points spread.
     """
     if type(z) is not np.ndarray or z.dtype != np.float64 or not z.ndim:
         z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (model.dim,):
         raise ValueError(f"measurement dim mismatch: {z.shape} vs {model.dim}")
+    m = model.dim
+    # [S | nu | Pxz^T], built as its transpose so each part is contiguous
+    frame_t = np.empty((m + 1 + STATE_DIM, m))
     mean, h = x, model.matrix
     if h is not None:
-        pxz = cov @ h.T
-        s = h @ pxz
-        nu = z - h @ x
+        pxz = np.matmul(cov, h.T, out=frame_t[m + 1:])
+        np.matmul(h, pxz, out=frame_t[:m])
+        np.subtract(z, h @ x, out=frame_t[m])
     else:
-        wm, wc = params.weights()
         points = generate_sigma_points(x, cov, params)
         mean = points[:, 0]  # x with its quaternion renormalized
         zpts = model.h(points)
-        zbar = zpts[:, 0] + model.wrapped(zpts - zpts[:, :1]) @ wm
+        zbar = zpts[:, 0] + model.wrapped(zpts - zpts[:, :1]) @ params.wm
         dz = model.wrapped(zpts - zbar[:, None])
-        dz_w = dz * wc
-        s = dz_w @ dz.T
-        nu = model.wrapped(z - zbar)
-        pxz = (dz_w @ _deviations(points, mean).T).T
+        dz_w = dz * params.wc
+        np.matmul(dz, dz_w.T, out=frame_t[:m])
+        frame_t[m] = model.wrapped(z - zbar)
+        np.matmul(_deviations(points, mean), dz_w.T, out=frame_t[m + 1:])
     for block, rows in model.parts:
-        s[rows, rows] += block.r
-    s = symmetrize(s)
-    records, rows, solved = _gate_blocks(model.parts, nu, s, pxz, gate_scale)
-    if rows is None:
+        frame_t[rows, rows] += block.r
+    records, white = _gate_blocks(model.parts, frame_t.T, gate_scale)
+    if white is None:
         return UpdateOutcome(x, cov, False, records)
-    # the gain comes from the accepted rows alone
-    nu, s, pxz = nu[rows], _submatrix(s, rows), pxz[:, rows]
-    k = solved[:, 1:].T
+    w, gain = white[:, 0], white[:, 1:]
+    new_vec = mean + gain.T @ w
+    p_new = cov - gain.T @ gain
     if frozen is not None and len(frozen):
-        # zero rows of a C-ordered copy: the gain's memory order picks the
-        # BLAS kernel behind k @ nu, and with it the last bits of the result
-        k = k.copy()
-        k[frozen, :] = 0.0
-    new_vec = mean + k @ nu
+        new_vec[frozen] = mean[frozen]
+        p_new[np.ix_(frozen, frozen)] = cov[np.ix_(frozen, frozen)]
     new_vec[QUAT] /= math.sqrt(new_vec[QUAT] @ new_vec[QUAT])
     if not all_finite(new_vec):
         raise NumericalError("update produced non-finite state")
-    k_pxz = k @ pxz.T  # its transpose is pxz @ k.T, bit for bit
-    p_new = cov - k_pxz - k_pxz.T + k @ s @ k.T
-    return UpdateOutcome(new_vec, _condition(p_new, EPSILON_PD), True,
-                         records)
+    return UpdateOutcome(new_vec, _condition(p_new), True, records)
 
 
-def _submatrix(s: np.ndarray, rows) -> np.ndarray:
-    """S restricted to ``rows``, a slice or an index array."""
-    return s[rows, rows] if isinstance(rows, slice) else s[np.ix_(rows, rows)]
-
-
-def _gate_blocks(parts, nu: np.ndarray, s: np.ndarray, pxz: np.ndarray,
-                 gate_scale: float):
-    """Gate a model's blocks, ``parts`` as (block, its rows), in row order:
-    block b is accepted iff d2(A+b) - d2(A) <= its gate times
-    ``gate_scale``, where A is the rows accepted before it.
-
-    Block b's d2 is taken from one solve over A+b as nu_b|A . x_b, where x_b
-    is the solution's b part and nu_b|A = nu_b - S_bA S_AA^-1 nu_A is b's
-    innovation given A; the solve's right-hand side, rows A+b of
-    [nu | Pxz^T] as built once per call, gives the Kalman gain too.  A+b
-    stays a slice while A is empty (b's own rows) or ends where b starts, as
-    when every block so far was accepted; else it is an index array.  d2 is
-    one ``np.vdot``, which warns of no overflow: a finite innovation too
-    large to square gates at d2 = inf.  Returns each
-    block's ``UpdateRecord``, and the accepted rows with their solve
-    [S^-1 nu | S^-1 Pxz^T], or None and None when none was accepted.
+def _gate_blocks(parts, frame: np.ndarray, gate_scale: float):
+    """Gate a model's blocks, ``parts`` as (block, its rows), in row order,
+    on ``frame`` = [S | nu | Pxz^T]: block b is accepted iff
+    d2(A+b) - d2(A) <= its gate times ``gate_scale``, where A is the rows
+    accepted before it.  One factor S = LL^T and one solve whiten the
+    frame; by the prefix property, while all blocks before b are accepted,
+    b's whitened innovation y_b has ||y_b||^2 = d2(A+b) - d2(A), and
+    L_bb y_b is b's innovation given A.  A gated block, or one whose rows
+    do not factor, leaves the set; the rows r after it are whitened again
+    given A, from slices: S_rr - L_rA L_rA^T, with L_rA^T read off the
+    whitened columns of S, and the right-hand side less L_rA y_A.  When S
+    does not factor, the first block alone shows whether it is the
+    "singular" one.  d2 is one ``np.vdot``, which warns of no overflow: a
+    finite innovation too large to square gates at d2 = inf.  Returns the
+    records and the accepted rows of [nu | Pxz^T] whitened, or None.
     """
     records: list[UpdateRecord] = []
-    rows, solved = None, None
-    rhs = np.empty((len(nu), 1 + STATE_DIM))
-    rhs[:, 0] = nu
-    rhs[:, 1:] = pxz.T
-    for block, own in parts:
-        if rows is None:
-            trial, nu_b = own, nu[own]
-        else:
-            nu_b = nu[own] - s[own, rows] @ solved[:, 0]
-            if isinstance(rows, slice) and rows.stop == own.start:
-                trial = slice(rows.start, own.stop)
-            else:
-                trial = np.r_[rows, own]  # slices expand to their indices
-        threshold = block.gate * gate_scale
+    kept, i = None, 0
+    while i < len(parts):
+        m = width = len(frame)
         try:
-            trial_solved = _solve(_submatrix(s, trial), rhs[trial])
-        except np.linalg.LinAlgError:
-            d2, reason = float("inf"), "singular"
-        else:
-            d2 = float(np.vdot(nu_b, trial_solved[-block.dim:, 0]))
-            reason = "accepted" if d2 <= threshold else "gated"
-        records.append(UpdateRecord(block.name, reason == "accepted", d2,
-                                    block.dim, threshold, reason, nu_b))
-        if reason == "accepted":
-            rows, solved = trial, trial_solved
-    return records, rows, solved
+            root = _cholesky(frame[:, :m])
+        except np.linalg.LinAlgError:  # find the block: whiten it alone
+            width, root = parts[i][0].dim, None
+            with suppress(np.linalg.LinAlgError):
+                root = _cholesky(frame[:width, :width]) if width < m else None
+        white = None if root is None else _solve(root, frame[:width])
+        p = q = 0  # the frame's rows accepted, and decided
+        while q < width:
+            block = parts[i][0]
+            i, d = i + 1, block.dim
+            threshold = block.gate * gate_scale
+            if white is None:
+                d2, reason, nu_b = math.inf, "singular", frame[:d, m]
+            else:
+                y_b = white[p:p + d, m]
+                d2 = float(np.vdot(y_b, y_b))
+                reason = "accepted" if d2 <= threshold else "gated"
+                nu_b = frame[:d, m] if p == 0 else root[p:p + d, p:p + d] @ y_b
+            records.append(UpdateRecord(block.name, reason == "accepted", d2,
+                                        d, threshold, reason, nu_b))
+            q = p + d
+            if reason != "accepted":
+                break
+            p = q
+        if p:
+            kept = white[:p, m:] if kept is None else np.concatenate(
+                (kept, white[:p, m:]))
+        if i < len(parts):
+            frame = frame[q:, q:]
+            if p:  # given the accepted rows: L_rA^T is white[:p, q:m]
+                frame = frame - white[:p, q:m].T @ white[:p, q:]
+    return records, kept

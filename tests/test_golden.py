@@ -13,7 +13,8 @@ change, regenerate the files and say why in CHANGES.md:
 
 which prints, per scenario, the largest deviation from the file it replaces
 in each state block and in the covariance diagonal, and the counters that
-changed.
+changed.  ``--report`` in place of ``--regenerate`` prints the same
+deviations from the checked-in files and rewrites nothing.
 
 The same scenarios check that a run resumed from a checkpoint, taken after a
 quarter or a half of the events or just after the first replay, is
@@ -206,7 +207,8 @@ def deviations(old: dict, new: dict) -> dict:
     return out
 
 
-if __name__ == "__main__" and "--regenerate" in sys.argv:
+if __name__ == "__main__" and {"--regenerate", "--report"} & set(sys.argv):
+    regenerate = "--regenerate" in sys.argv
     GOLDEN_DIR.mkdir(exist_ok=True)
     for key in sorted(SCENARIOS):
         path = GOLDEN_DIR / f"{key}.json"
@@ -216,5 +218,6 @@ if __name__ == "__main__" and "--regenerate" in sys.argv:
                                           new).items():
                 print(f"{key} {name} {value:.2g}"
                       if isinstance(value, float) else f"{key} {name} {value}")
-        path.write_text(json.dumps(new, indent=0) + "\n")
-        print(f"wrote {path}")
+        if regenerate:
+            path.write_text(json.dumps(new, indent=0) + "\n")
+            print(f"wrote {path}")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from navfuse.config import DEFAULTS, PipelineConfig
-from navfuse.core import GRAVITY, OMEGA, OMEGA_VAR_CAP, QUAT, euler_to_quat
+from navfuse.core import (EPSILON_PD, GRAVITY, OMEGA, OMEGA_VAR_CAP, QUAT,
+                          euler_to_quat)
 from navfuse.events import (
     EncoderSample,
     FixType,
@@ -549,11 +550,12 @@ class TestConstruction:
     def test_plain_imu_event_engine_work(self, monkeypatch):
         """A primary-IMU sample with orientation, no ZUPT held and no
         repair firing: one predict and one update of the raw and
-        orientation rows stacked, each one sigma set (``_cholesky``) and
-        one conditioning (one ``np.linalg.cholesky``), and one solve per
-        gated block.  It counts the third sample, because the second one's
-        update, the first from the initial quaternion variance, repairs its
-        covariance."""
+        orientation rows stacked, each one sigma set (``_cholesky``); the
+        update factors S (``_cholesky``) and whitens both blocks with one
+        solve, and its output is the step's one conditioning (one
+        ``np.linalg.cholesky``), as predict leaves its covariance raw.  It
+        counts the third sample, because the second one's update, the first
+        from the initial quaternion variance, repairs its covariance."""
         from navfuse import ukf
         pipe = FusionPipeline()
         orientation = np.array([1.0, 0.0, 0.0, 0.0])
@@ -575,9 +577,39 @@ class TestConstruction:
         report = pipe.ingest(imu_at(0.02, orientation=orientation))
         assert [r.path for r in report.updates] == ["imu_raw",
                                                     "imu_orientation"]
-        assert calls == {"generate_sigma_points": 2, "repair_pd": 2,
-                         "_cholesky": 2, "cholesky": 2, "_solve": 2,
+        assert calls == {"generate_sigma_points": 2, "repair_pd": 1,
+                         "_cholesky": 3, "cholesky": 1, "_solve": 1,
                          "eigvalsh": 0, "ukf_update": 1}
+
+    @pytest.mark.parametrize("stamp, gyro, reason, conditionings", [
+        (0.01, (0, 0, 0), "accepted", 1),
+        (0.01, (1e300, 0, 0), "gated", 1),
+        # sub-steps of 0.5, 0.5, 0.5 and 0.2 s
+        (1.7, (0, 0, 0), "accepted", 4),
+    ], ids=["accepted", "gated", "gap"])
+    def test_imu_step_conditions_once(self, monkeypatch, stamp, gyro,
+                                      reason, conditionings):
+        """Predict leaves its covariance raw: an IMU step conditions it once
+        after its update, through the update's output or, with every block
+        gated, one ``_condition``, and once between the sub-steps of a gap
+        longer than ``_MAX_STEP_DT``, so the session's covariance is always
+        conditioned."""
+        from navfuse import ukf
+        pipe = FusionPipeline()
+        pipe.ingest(imu_at(0.0))
+        repairs = []
+        repair_pd = ukf.repair_pd
+
+        def counted(p, *args):
+            repairs.append(p)
+            return repair_pd(p, *args)
+
+        monkeypatch.setattr(ukf, "repair_pd", counted)
+        report = pipe.ingest(imu_at(stamp, gyro=gyro))
+        assert [r.reason for r in report.updates] == [reason]
+        assert len(repairs) == conditionings
+        assert np.array_equal(pipe.cov, pipe.cov.T)
+        assert np.linalg.eigvalsh(pipe.cov)[0] >= 0.5 * EPSILON_PD
 
 
 class TestGps:
@@ -1283,23 +1315,29 @@ class TestLifecycle:
             assert np.array_equal(est1._innovations, est2._innovations)
 
     def test_checkpoint_after_huge_gyro_sample_resumes(self, tmp_path):
-        """A finite gyro too large to square leaves an infinite IMU rate
-        reading, which a checkpoint saves and loads like any other."""
+        """A finite gyro whose norm overflows leaves the largest float as
+        the IMU rate reading, which a checkpoint saves as strict JSON and
+        loads like any other."""
         path = str(tmp_path / "ckpt.json")
         head = [imu_at(k * 0.01) for k in range(20)]
-        head.append(imu_at(0.2, gyro=(1e300, 0, 0)))
+        head.append(imu_at(0.2, gyro=(1.5e308, 1.5e308, 0)))
         tail = [e for k in range(21, 120)
                 for e in (imu_at(k * 0.01), encoder_at(k * 0.01 + 0.005))]
 
         pipe1 = FusionPipeline(PipelineConfig())
         run(pipe1, head)
-        assert pipe1._last_imu_rate == float("inf")
+        assert pipe1._last_imu_rate == np.finfo(float).max
         pipe1.save_checkpoint(path)
         cont1 = [(r.state.as_vector(), r.cov_diag) for r in run(pipe1, tail)]
 
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with open(path, encoding="utf-8") as fh:
+            json.loads(fh.read(), parse_constant=refuse)
         pipe2 = FusionPipeline(PipelineConfig())
         pipe2.load_checkpoint(path)
-        assert pipe2._last_imu_rate == float("inf")
+        assert pipe2._last_imu_rate == np.finfo(float).max
         cont2 = [(r.state.as_vector(), r.cov_diag) for r in run(pipe2, tail)]
         assert np.array_equal(np.array(cont1), np.array(cont2))
 

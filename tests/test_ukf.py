@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from navfuse.config import PipelineConfig
 from navfuse.core import (
@@ -60,7 +60,7 @@ def scaled_quat_block(p, target=1e-9):
 
 class TestParams:
     def test_center_weight_matches_negative_99(self):
-        wm, wc = PARAMS.weights()
+        wm = PARAMS.wm
         assert wm[0] == pytest.approx(-99.0, abs=0.05)
         assert PARAMS.lam == pytest.approx(-22.77, abs=1e-12)
         assert wm.sum() == pytest.approx(1.0, abs=1e-9)
@@ -70,10 +70,7 @@ class TestParams:
             UkfParams(alpha=0.0)
 
     def test_weights_computed_once_and_read_only(self):
-        wm, wc = PARAMS.weights()
-        again = PARAMS.weights()
-        assert again[0] is wm and again[1] is wc
-        for w in (wm, wc):
+        for w in (PARAMS.wm, PARAMS.wc):
             with pytest.raises(ValueError):
                 w[0] = 0.0
         assert PARAMS.spread == STATE_DIM + PARAMS.lam
@@ -318,7 +315,9 @@ class TestPredict:
         p = random_pd_matrix(rng, STATE_DIM, 0.02)
         step = PropagationStep(0.01, noise_rates(PipelineConfig()))
         for i in range(300):
+            # predict leaves its covariance raw; the pipeline conditions it
             x, p = predict(x, p, step, PARAMS)
+            p = ukf._condition(p)
             assert np.array_equal(p, p.T)
             if i % 50 == 0:
                 # eigensolver resolution is ~1e-15 * ||P||, just below the floor
@@ -562,7 +561,7 @@ class TestLinalgSeam:
     @settings(max_examples=60, deadline=None)
     def test_cholesky_matches_numpy_on_spd(self, seed, scale):
         p = random_pd_matrix(np.random.default_rng(seed), STATE_DIM, scale)
-        p = ukf.symmetrize(p)
+        p = 0.5 * (p + p.T)
         assert outcome(ukf._cholesky, p) == outcome(np.linalg.cholesky, p)
         assert outcome(ukf._cholesky, p)[0] == (STATE_DIM, STATE_DIM)
 
@@ -601,8 +600,8 @@ class TestLinalgSeam:
 
 class TestEngineWork:
     """Guards the number of factorizations and solves per engine call:
-    ``_cholesky`` for sigma points, ``cholesky`` (``np.linalg``'s) for the
-    positive-definiteness check."""
+    ``_cholesky`` for sigma points and for S, ``_solve`` for whitening,
+    ``cholesky`` (``np.linalg``'s) for the positive-definiteness check."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -618,20 +617,19 @@ class TestEngineWork:
             monkeypatch.setattr(owner, name, counted)
         return counts
 
-    def test_predict_factors_twice(self, calls):
+    def test_predict_factors_once(self, calls):
         step = PropagationStep(0.01, noise_rates(PipelineConfig()))
         predict(FilterState().vector, default_cov(), step, PARAMS)
-        # sigma points, then the positive-definiteness check
-        assert calls == {"generate_sigma_points": 1, "_cholesky": 1,
-                         "cholesky": 1, "_condition": 1}
+        # sigma points only: the covariance comes back unconditioned
+        assert calls == {"generate_sigma_points": 1, "_cholesky": 1}
 
     def test_accepted_update_factors_twice_and_solves_once(self, calls):
         out = update(FilterState().vector, default_cov(),
                      np.array([0.1, 0.0, 0.0]), linear_position_model(),
                      PARAMS)
         assert out.accepted
-        # one stacked solve serves both the gate and the gain
-        assert calls == {"generate_sigma_points": 1, "_cholesky": 1,
+        # sigma points and S; one whitening serves both the gate and the gain
+        assert calls == {"generate_sigma_points": 1, "_cholesky": 2,
                          "cholesky": 1, "_solve": 1, "_condition": 1}
 
     def test_accepted_matrix_update_factors_once_without_sigma_points(
@@ -640,24 +638,28 @@ class TestEngineWork:
                      np.array([0.1, 0.0, 0.0]), matrix_position_model(),
                      PARAMS)
         assert out.accepted
-        # only the positive-definiteness check factors
-        assert calls == {"cholesky": 1, "_solve": 1, "_condition": 1}
+        # S, then the positive-definiteness check
+        assert calls == {"_cholesky": 1, "cholesky": 1, "_solve": 1,
+                         "_condition": 1}
 
-    @pytest.mark.parametrize("z, accepted, solves", [
-        ([0.1, 0.0, 0.0, 0.0], [True, True], 2),
+    @pytest.mark.parametrize("z, accepted, whitenings", [
+        ([0.1, 0.0, 0.0, 0.0], [True, True], 1),
         ([50.0, 0.0, 0.0, 0.0], [False, True], 2),
         ([50.0, 0.0, 0.0, 50.0], [False, False], 2),
     ], ids=["both", "vz_only", "neither"])
     def test_stacked_update_solves_per_block_and_conditions_once(
-            self, calls, z, accepted, solves):
+            self, calls, z, accepted, whitenings):
         model = stack(encoder_model(0.03, 0.03, 0.02, 11.34),
                       encoder_vz_model(0.05, 11.34))
         out = update(FilterState().vector, default_cov(), np.array(z), model,
                      PARAMS)
         assert [rec.accepted for rec in out.records] == accepted
-        # one solve per block; state and covariance change once, if at all
+        # one factor of S and one solve whiten both blocks; a gated first
+        # block leaves the second to be whitened again, alone.  State and
+        # covariance change once, if at all
         work = {"cholesky": 1, "_condition": 1} if any(accepted) else {}
-        assert calls == {"_solve": solves, **work}
+        assert calls == {"_cholesky": whitenings, "_solve": whitenings,
+                         **work}
 
 
 #: the frozen sets of the pipeline's modes: none, b_ewz while coasting, and
@@ -670,9 +672,11 @@ class TestStackedUpdate:
     per block, in order, gate decisions included."""
 
     @staticmethod
-    def blocks(rng, dims, frozen):
+    def blocks(rng, dims, frozen, singular):
         """Linear models with random rows over the non-quaternion states;
-        only the first may read a frozen state."""
+        only the first may read a frozen state.  Block ``singular``, if
+        any, has a zero first row of H and of R, so S does not factor over
+        its rows."""
         free = [i for i in NON_QUAT if i not in frozen]
         models = []
         for b, dim in enumerate(dims):
@@ -681,18 +685,24 @@ class TestStackedUpdate:
             h[:, cols] = rng.normal(size=(dim, len(cols))) * (
                 rng.random((dim, len(cols))) < 0.3)
             h[np.arange(dim), rng.choice(cols, dim, replace=False)] += 1.0
-            models.append(MeasurementModel(f"b{b}", dim, h,
-                                           random_pd_matrix(rng, dim, 0.01),
-                                           1.0))
+            r = random_pd_matrix(rng, dim, 0.01)
+            if b == singular:
+                h[0] = r[0] = r[:, 0] = 0.0
+            models.append(MeasurementModel(f"b{b}", dim, h, r, 1.0))
         return models
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
            pattern=st.integers(0, 7),
-           frozen=st.sampled_from(FROZEN_SETS))
+           frozen=st.sampled_from(FROZEN_SETS),
+           singular=st.sampled_from([None, 1, 2]))
+    # only the second block fails to factor: S over all rows does not
+    # factor, yet the first block is gated as it is alone
+    @example(seed=0, dims=[2, 1], pattern=1, frozen=[], singular=1)
+    @example(seed=0, dims=[2, 1], pattern=0, frozen=[], singular=1)
     def test_equals_sequential_single_block_calls(self, seed, dims, pattern,
-                                                  frozen):
+                                                  frozen, singular):
         rng = np.random.default_rng(seed)
         vec = np.zeros(STATE_DIM)
         vec[NON_QUAT] = rng.normal(size=len(NON_QUAT))
@@ -703,7 +713,7 @@ class TestStackedUpdate:
         cov[np.ix_(NON_QUAT, NON_QUAT)] = random_pd_matrix(
             rng, len(NON_QUAT), 0.01)
         cov[QUAT, QUAT] = np.eye(4) * 1e-4
-        models = self.blocks(rng, dims, frozen)
+        models = self.blocks(rng, dims, frozen, singular)
         # accept/reject forced through the gates, bit b of ``pattern``
         for b, model in enumerate(models):
             model.gate = 1e12 if pattern >> b & 1 else 1e-300
@@ -716,9 +726,11 @@ class TestStackedUpdate:
             one = update(seq_state, seq_cov, z[start:start + model.dim],
                          model, PARAMS, frozen=frozen)
             start += model.dim
-            assert part.accepted == one.accepted == bool(
-                pattern >> models.index(model) & 1)
+            b = models.index(model)
             [single] = one.records
+            assert part.reason == single.reason == (
+                "singular" if b == singular
+                else "accepted" if pattern >> b & 1 else "gated")
             assert (part.path, part.dim) == (model.name, model.dim)
             assert part.d2 == pytest.approx(single.d2, rel=1e-9, abs=1e-12)
             np.testing.assert_allclose(part.innovation, single.innovation,
