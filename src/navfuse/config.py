@@ -13,8 +13,6 @@ import json
 import sys
 from typing import Any, Mapping, Optional
 
-import yaml
-
 
 class ConfigError(ValueError):
     """Raised on unknown keys, type mismatches, or unreadable documents."""
@@ -174,6 +172,8 @@ class PipelineConfig:
 
     @classmethod
     def from_yaml(cls, path: str) -> "PipelineConfig":
+        import yaml  # here, to keep it off the import of the pipeline
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = yaml.safe_load(fh)

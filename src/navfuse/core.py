@@ -10,6 +10,8 @@ velocity, body angular rate, body acceleration, gyro bias, accel bias, and
 the wheel-encoder yaw-rate bias.  All slices below index into that layout.
 The engine and the pipeline work on that vector as a plain array;
 ``FilterState`` is a named view of it, for reports and validation.
+The LAPACK seam, ``_cholesky`` and ``_solve``, is shared by the engine and
+the adaptive noise estimators.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 STATE_DIM = 23
 POS = slice(0, 3)
@@ -67,6 +70,26 @@ def all_finite(a: np.ndarray) -> bool:
     """Whether every entry is finite: one flattened a.a by ``np.vdot``,
     which warns of no overflow, and each entry only when that is not."""
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
+# The LAPACK seam: numpy's own gufuncs in ``np.linalg``'s error state, bit
+# for bit its results and failures (``LinAlgError``, a ``ValueError``),
+# without a wrapper that costs more than LAPACK on the engine's sizes.
+
+def _linalg_error(err, flag):
+    raise np.linalg.LinAlgError("factorization failed")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a float64 ``a``, read from its lower
+    triangle."""
+    with np.errstate(all="ignore", invalid="call", call=_linalg_error):
+        return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a 2-D b
+    with np.errstate(all="ignore", invalid="call", call=_linalg_error):
+        return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def quat_identity() -> np.ndarray:

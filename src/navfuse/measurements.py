@@ -38,6 +38,7 @@ from .core import (
     QUAT,
     STATE_DIM,
     VEL,
+    _cholesky,
     quat_rotate_cols,
     rotation_rows_cols,
     wrap_angle,
@@ -261,7 +262,7 @@ def screen_gps_fix(
         if not np.allclose(r, r.T, rtol=1e-9, atol=0.0):
             return "receiver covariance is not symmetric"
         try:
-            np.linalg.cholesky(r)
+            _cholesky(r)
         except np.linalg.LinAlgError:
             return "receiver covariance is not positive definite"
     if (fix.covariance is None

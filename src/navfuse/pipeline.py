@@ -41,12 +41,14 @@ behind the clock, as late delivery does.
 
 Every measurement model is built once, with the pipeline; an event sets only
 the noise ``r`` of the models whose noise varies, GPS position and heading,
-VSLAM and the encoder's.  A GPS fix that passes the receiver-quality screen
-gets its noise from the one GNSS policy,
+VSLAM and the encoder's.  An encoder sample's blocks take their estimators'
+R as is, copied only to tighten the yaw rate while coasting, and an
+accepted block feeds its estimator when that one adapts.  A GPS fix that
+passes the receiver-quality screen gets its noise from the one GNSS policy,
 ``measurements.gps_fix_to_measurement``, with the ``gps_pos`` estimator's R
-as the DOP-scaled base; accepted fixes feed that estimator and derive a
-course-over-ground heading from the previous accepted fix.  The fix is
-taken at the body origin: there is no antenna lever arm.
+as the DOP-scaled base; accepted fixes feed that estimator when it adapts
+and derive a course-over-ground heading from the previous accepted fix.
+The fix is taken at the body origin: there is no antenna lever arm.
 
 A checkpoint (version 7) is a JSON file: version, configuration hash, and
 the session, the attributes ``FusionPipeline._SESSION`` lists and ``reset``
@@ -56,7 +58,9 @@ filled, anchors, mode flags, readings and counters, each array as its shape
 and the base64 of its little-endian float64 bytes.  Loading rebuilds what
 the configuration fixes (the origin's frame, the estimators, the ring) and
 reads every stored value by a typed reader, checking its type, shape,
-range and any quaternion's unit norm, before assigning any, so a malformed
+range and any quaternion's unit norm, and each estimator's R as the
+estimator checks its own (``AdaptiveEstimator.checked``: symmetric, at or
+above its floor, positive definite), before assigning any, so a malformed
 file changes nothing and a resumed run is bit-identical to an uninterrupted
 one.
 """
@@ -281,22 +285,26 @@ class FusionPipeline:
             cfg["gnss.velocity_sigma"], cfg["gates.gps_pos"])
 
         # per coast mode (off, on): the states the filter holds, which get
-        # neither gain nor process noise, and Q's per-second diagonal
+        # neither gain nor process noise, and Q's per-second diagonal.  The
+        # held states are the state's tail from the first one held (the
+        # biases come last, b_ewz last of all), a slice for ``ukf_update``,
+        # None when there are none
         if not cfg["features.bias_states"]:
-            frozen = list(range(GYRO_BIAS.start, STATE_DIM))
+            first = GYRO_BIAS.start
         elif not cfg["features.b_ewz"]:
-            frozen = [ENC_YAW_BIAS]
+            first = ENC_YAW_BIAS
         else:
-            frozen = []
-        # coasting holds the encoder yaw-rate bias: it is consumed as a
-        # correction, not re-estimated, until GPS returns
-        coast_frozen = sorted({*frozen, ENC_YAW_BIAS})
+            first = STATE_DIM
         inflation = cfg["coast.position_inflation"]
         if not inflation >= 1.0:
             raise ValueError("coast.position_inflation must be >= 1")
-        self._modes = ((frozen, noise_rates(cfg, frozen)),
-                       (coast_frozen,
-                        noise_rates(cfg, coast_frozen, inflation)))
+        # coasting holds the encoder yaw-rate bias: it is consumed as a
+        # correction, not re-estimated, until GPS returns
+        self._modes = tuple(
+            (slice(k, STATE_DIM) if k < STATE_DIM else None,
+             noise_rates(cfg, range(k, STATE_DIM), scale))
+            for k, scale in ((first, 1.0),
+                             (min(first, ENC_YAW_BIAS), inflation)))
 
     def _build_adaptive(self) -> dict[str, AdaptiveEstimator]:
         cfg = self.config
@@ -575,21 +583,24 @@ class FusionPipeline:
 
     def _on_encoder(self, sample: EncoderSample) -> StepReport:
         self._last_encoder_speed = abs(float(sample.velocity[0]))
-        blocks = self._encoder_model.blocks
-        for block in blocks:
-            block.r = self.adaptive[block.name].r.copy()
+        # the estimators' own R, which the engine only reads
+        odometry, vertical = self._encoder_model.blocks
+        odometry.r = self.adaptive["encoder"].r
+        vertical.r = self.adaptive["encoder_vz"].r
         if self.coast.active:
             # coasting leans on the bias-corrected encoder yaw rate for
-            # heading, so its noise is tightened by this factor
-            blocks[0].r[2, 2] *= self.config["coast.encoder_wz_factor"]
+            # heading, so its noise is tightened by this factor, in a copy
+            odometry.r = odometry.r.copy()
+            odometry.r[2, 2] *= self.config["coast.encoder_wz_factor"]
         # the odometry reading, then the vertical velocity it implies: zero
         z = np.array([sample.velocity[0], sample.velocity[1],
                       sample.yaw_rate, 0.0])
         records = self._fuse(sample.stamp, "encoder",
                              [(z, self._encoder_model, 1.0)])
         for rec in records:  # one per block, each an adaptive path
-            if rec.accepted:
-                self.adaptive[rec.path].observe(rec.innovation)
+            estimator = self.adaptive[rec.path]
+            if rec.accepted and estimator.enabled:
+                estimator.observe(rec.innovation)
         self._update_zupt()
         return self._report(sample.stamp, "encoder", records)
 
@@ -643,7 +654,9 @@ class FusionPipeline:
             self.coast.active = False
             self._heading_anchor = (z[:2].copy(), sample.stamp,
                                     float(r[0, 0] + r[1, 1]))
-            self.adaptive["gps_pos"].observe(records[0].innovation)
+            estimator = self.adaptive["gps_pos"]
+            if estimator.enabled:
+                estimator.observe(records[0].innovation)
         return self._report(sample.stamp, "gps", records)
 
     def _plan_heading(self, z: np.ndarray, r: np.ndarray,
@@ -800,10 +813,8 @@ class FusionPipeline:
             raise ValueError("adaptive paths differ from the configuration")
         for name, est in adaptive.items():
             r, window, filled = doc["adaptive"][name]
-            est.r = _read_array(r, (est.dim, est.dim))
-            if not np.array_equal(est.r, est.r.T):
-                raise ValueError(f"{name}: noise is not symmetric")
-            np.linalg.cholesky(est.r)  # LinAlgError is a ValueError
+            est.r = est.checked(_read_array(r, (est.dim, est.dim)),
+                                "stored noise")
             est._innovations = _read_array(window, (est.window, est.dim))
             est._filled = _read_count(filled, top=est.window)
         position, quaternion, rejections = doc["vslam_anchor"]

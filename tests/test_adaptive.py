@@ -46,6 +46,7 @@ class TestObserve:
                                                 draws)):
             got = est.observe(nu)
             assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got, got.T)  # symmetric with no step
             floored += bool(np.any(np.diag(got) == floor))
         assert floored > 0
 
@@ -146,6 +147,20 @@ class TestLifecycle:
     def test_alpha_must_lie_in_zero_one(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             AdaptiveEstimator("bad", np.eye(1), alpha=alpha)
+
+    @pytest.mark.parametrize("r0, fault", [
+        (np.ones((2, 3)), "must be square"),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), "is not finite"),
+        (np.array([[1.0, 0.5], [0.4, 1.0]]), "is not symmetric"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "is not positive definite"),
+    ], ids=["not_square", "not_finite", "asymmetric", "indefinite"])
+    def test_r0_is_checked(self, r0, fault):
+        with pytest.raises(ValueError, match=f"^bad: r0 {fault}"):
+            AdaptiveEstimator("bad", r0)
+
+    def test_zero_variance_under_a_positive_floor_is_accepted(self):
+        est = AdaptiveEstimator("zero", np.diag([0.0, 1.0]), [0.5, 0.5])
+        assert est.r.tolist() == [[0.5, 0.0], [0.0, 1.0]]
 
     def test_alpha_of_one_is_the_window_covariance(self):
         est = AdaptiveEstimator("one", np.eye(1) * 9.0, [0.01], window=2,

@@ -10,7 +10,8 @@ count for every engine name the per-layer metrics time: a refactor that
 stops calling one (``process_noise_matrix``, say, or ``repair_pd``'s check
 through ``np.linalg.cholesky``) fails here, not only in the benchmark's
 smoke test.  The benchmark worker times its set-up imports (``setup_s``),
-so a last check keeps scipy out of them."""
+so a last check keeps scipy, PyYAML, the simulator and the evaluator out of
+them."""
 
 import importlib.util
 import os
@@ -57,19 +58,22 @@ def test_traced_run_tags_update_paths_and_counts_replays():
     assert tracer.counts["retro.replays"] > 0
     assert {"ukf.predict", "ukf.sigma", "ukf.repair_pd", "process.propagate",
             "process.noise"} <= set(tracer.names)
-    # one factorization per ``repair_pd`` call, and the adaptive
-    # estimators' checks on top
-    assert tracer.counts["linalg.cholesky"] >= tracer.names.count(
+    # one factorization per ``repair_pd`` call: its check is the one
+    # ``np.linalg.cholesky`` call left, as everything else factors through
+    # the LAPACK seam
+    assert tracer.counts["linalg.cholesky"] == tracer.names.count(
         "ukf.repair_pd") > 0
 
 
 def test_worker_setup_imports_load_no_scipy():
-    """``import scipy.linalg`` alone takes longer than the whole set-up."""
+    """``import scipy.linalg`` alone takes longer than the whole set-up,
+    and PyYAML, the simulator and the evaluator are not needed to ingest."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, navfuse, navfuse.config, navfuse.events, "
             "navfuse.pipeline\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'yaml') or m in ('navfuse.simulator', "
+            "'navfuse.evaluation')))")
     out = subprocess.run([sys.executable, "-c", code], text=True,
                          env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, check=True).stdout

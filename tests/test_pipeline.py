@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from navfuse.config import DEFAULTS, PipelineConfig
-from navfuse.core import (EPSILON_PD, GRAVITY, OMEGA, OMEGA_VAR_CAP, QUAT,
-                          euler_to_quat)
+from navfuse.adaptive import AdaptiveEstimator
+from navfuse.core import (ENC_YAW_BIAS, EPSILON_PD, GRAVITY, OMEGA,
+                          OMEGA_VAR_CAP, QUAT, STATE_DIM, euler_to_quat)
 from navfuse.events import (
     EncoderSample,
     FixType,
@@ -580,6 +581,74 @@ class TestConstruction:
         assert calls == {"generate_sigma_points": 2, "repair_pd": 1,
                          "_cholesky": 3, "cholesky": 1, "_solve": 1,
                          "eigvalsh": 0, "ukf_update": 1}
+
+    def test_encoder_event_engine_work(self, monkeypatch):
+        """An encoder sample once the vertical-velocity window is full, both
+        paths accepted and no repair firing: the update's conditioning makes
+        the one ``np.linalg.cholesky`` call (``repair_pd``'s check), the
+        adapting ``encoder_vz`` estimator the one ``observe`` call, whose
+        check factors through the LAPACK seam, and the disabled ``encoder``
+        estimator none; no ``np.ix_`` is built."""
+        pipe = FusionPipeline()
+        pipe.ingest(imu_at(0.0))
+        vz = pipe.adaptive["encoder_vz"]
+        for k in range(vz.window):
+            pipe.ingest(encoder_at(0.0001 * (k + 1)))
+        assert vz._filled == vz.window and not pipe.adaptive["encoder"].enabled
+        calls = dict.fromkeys(("cholesky", "eigvalsh", "observe", "ix_"), 0)
+        for owner, name in ((np.linalg, "cholesky"), (np.linalg, "eigvalsh"),
+                            (AdaptiveEstimator, "observe"), (np, "ix_")):
+            def counted(*args, _fn=getattr(owner, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        r_before = vz.r
+        report = pipe.ingest(encoder_at(0.01, vx=0.01))
+        assert [(r.path, r.accepted) for r in report.updates] == [
+            ("encoder", True), ("encoder_vz", True)]
+        assert calls == {"cholesky": 1, "eigvalsh": 0, "observe": 1, "ix_": 0}
+        assert vz.r is not r_before  # the EMA stepped
+
+    def test_coasting_encoder_event_holds_the_frozen_block(self,
+                                                           monkeypatch):
+        """While coasting, the encoder update holds b_ewz through the mode's
+        slice: the state, and the covariance it hands to its conditioning,
+        equal bit for bit what the same update holding nothing gives with
+        the held entries put back by the former ``np.ix_`` formula."""
+        from navfuse import ukf
+        pipe = FusionPipeline()
+        pipe.ingest(imu_at(0.0))
+        pipe.ingest(encoder_at(0.005, vx=0.01, wz=0.01))
+        pipe.ingest(imu_at(6.0))  # no GPS for longer than coast.enter_s
+        assert pipe.coast.active
+        seen, conditioned = [], []
+        update, condition = pipeline_module.ukf_update, ukf._condition
+
+        def spied(*args, **kwargs):
+            seen.append((args, kwargs))
+            return update(*args, **kwargs)
+
+        def recorded(p, *args):
+            conditioned.append(p)
+            return condition(p, *args)
+
+        monkeypatch.setattr(pipeline_module, "ukf_update", spied)
+        monkeypatch.setattr(ukf, "_condition", recorded)
+        x0, cov0 = pipe.x, pipe.cov
+        report = pipe.ingest(encoder_at(6.005, vx=0.01, wz=0.01))
+        assert report.updates[0].accepted
+        [(args, kwargs)] = seen
+        held = list(range(STATE_DIM))[kwargs["frozen"]]
+        assert held == [ENC_YAW_BIAS]
+        free = update(*args, **{**kwargs, "frozen": None})
+        assert free.x[ENC_YAW_BIAS] != x0[ENC_YAW_BIAS]
+        want_x = free.x.copy()
+        want_x[held] = x0[held]
+        want_p = conditioned[1].copy()
+        want_p[np.ix_(held, held)] = cov0[np.ix_(held, held)]
+        assert pipe.x.tobytes() == want_x.tobytes()
+        assert conditioned[0].tobytes() == want_p.tobytes()
 
     @pytest.mark.parametrize("stamp, gyro, reason, conditionings", [
         (0.01, (0, 0, 0), "accepted", 1),
@@ -1384,6 +1453,8 @@ class TestLifecycle:
          array_doc(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
                              [0.0, 0.0, 1.0]]))),
         (("session", "adaptive", "gps_pos", 0), array_doc(np.eye(2))),
+        (("session", "adaptive", "gps_pos", 0),                # floor 1, 1, 4
+         array_doc(np.eye(3) * 0.5)),
         (("session", "adaptive", "gps_pos", 1), array_doc(np.zeros((7, 3)))),
         (("session", "adaptive", "gps_pos", 1),
          array_doc(np.pad([[np.nan, 0, 0]], ((49, 0), (0, 0))))),
@@ -1410,8 +1481,9 @@ class TestLifecycle:
             "snapshot_state", "cov_shape", "garbled", "truncated",
             "payload_shape", "snapshot_z_raw", "snapshot_z_orient",
             "missing_attribute", "estimator_r_nan", "estimator_r_indefinite",
-            "estimator_r_size", "innovation_window", "innovation_nan",
-            "innovation_count_over", "innovation_count_negative",
+            "estimator_r_size", "adaptive_below_floor", "innovation_window",
+            "innovation_nan", "innovation_count_over",
+            "innovation_count_negative",
             "innovation_count_bool", "estimator_missing", "coast_stamp_type",
             "vslam_anchor_shape", "heading_anchor_type",
             "snapshot_mode_type", "imu_rate_nan", "encoder_speed_negative",
