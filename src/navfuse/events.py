@@ -12,9 +12,12 @@ appear later in the file than their stamp).  Column sets per kind:
     radar    vx vy
     vslam    px py pz qw qx qy qz c_px c_py c_pz c_r c_p c_y
 
-Optional GPS error CIs and VSLAM covariance diagonals use -1 for "absent"
-(all are strictly positive when present).  Floats are written with full
-round-trip precision so replays are byte-identical.
+An absent GPS DOP, satellite count or error CI is written as -1, and any
+negative value in those columns reads back as absent; present DOPs and CIs
+are strictly positive.  A VSLAM covariance diagonal is all present or all
+-1 (absent); one with only some values negative reaches the pipeline, which
+drops it as malformed.  Floats are written with full round-trip precision
+so replays are byte-identical.
 """
 
 from __future__ import annotations
@@ -145,9 +148,9 @@ def event_to_line(event: SensorEvent) -> str:
             np.degrees(event.lon),
             event.alt,
             int(event.fix_type),
-            event.hdop,
-            event.vdop,
-            event.satellites,
+            -1.0 if event.hdop is None else event.hdop,
+            -1.0 if event.vdop is None else event.vdop,
+            -1 if event.satellites is None else event.satellites,
             -1.0 if event.err_horz is None else event.err_horz,
             -1.0 if event.err_vert is None else event.err_vert,
         ]
@@ -202,9 +205,9 @@ def line_to_event(line: str, lineno: int = 0) -> SensorEvent:
                 np.radians(vals[1]),
                 vals[2],
                 FixType(int(vals[3])),
-                vals[4],
-                vals[5],
-                int(vals[6]),
+                None if vals[4] < 0 else vals[4],
+                None if vals[5] < 0 else vals[5],
+                None if vals[6] < 0 else int(vals[6]),
                 None if vals[7] < 0 else vals[7],
                 None if vals[8] < 0 else vals[8],
             )

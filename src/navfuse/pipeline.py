@@ -11,7 +11,8 @@ may be None, meaning absent: IMU orientation, the VSLAM covariance diagonal,
 and the GPS DOPs, satellite count, error bounds and covariance.  A None in any
 other field is malformed, and so is a GPS ``fix_type`` other than a
 ``FixType`` value.  ``ingest`` makes these checks in that order and answers
-the first failure with a dropped-event report, before the session changes.
+the first failure with a dropped-event report, before the session changes;
+so does ``_on_vslam`` for a pose with a negative variance.
 
 The session holds the state as the flat 23-vector ``x`` and its covariance
 ``cov``.  Each primary-IMU event predicts, updates and conditions ``cov``
@@ -681,6 +682,12 @@ class FusionPipeline:
                             dropped=_TOO_OLD if records is None else None)
 
     def _on_vslam(self, sample: VslamPoseSample) -> StepReport:
+        # a negative variance (the stream writes -1 for absent) is no
+        # variance; ``vslam_noise`` would floor it to the tightest noise
+        if sample.cov_diag is not None and np.any(sample.cov_diag < 0):
+            counter, reason = _MALFORMED
+            return self._drop(sample.stamp, "vslam", counter,
+                              reason.format("vslam"))
         cfg = self.config
         pitch = quat_to_euler(self.x[QUAT])[1]
         limit = np.radians(90.0 - cfg["vslam.singularity_deg"])

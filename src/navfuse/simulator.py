@@ -5,12 +5,18 @@ the acceleration truth stays bounded.  Every sensor stream draws from its
 own counter-based generator keyed by (seed, sensor), which keeps streams
 independent: injecting faults into one sensor never shifts another's noise
 draws, so A/B scenario comparisons stay paired.
+
+``SECTIONS`` is the scenario schema: a row per sensor section with its
+generator key, every key it reads with its default, and its draw function;
+a row's position breaks ties in arrival time.  A key that a section or the
+origin (``lat_deg``, ``lon_deg``, ``alt_m``) does not declare raises
+``GenerationError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -33,31 +39,14 @@ class GenerationError(ValueError):
     """Raised for infeasible trajectories or malformed scenarios."""
 
 
-_SENSOR_KEYS = {
-    "imu": 1,
-    "imu_bias": 2,
-    "encoder": 3,
-    "gps": 4,
-    "gps_vel": 5,
-    "radar": 6,
-    "vslam": 7,
-    "faults": 8,
-    "imu2": 9,
-}
-
-_EVENT_RANK = {
-    ImuSample: 0,
-    EncoderSample: 1,
-    GpsFixSample: 2,
-    GpsVelocitySample: 3,
-    RadarVelocitySample: 4,
-    VslamPoseSample: 5,
-}
+#: the generators that belong to no section: the IMU bias walks (drawn
+#: with the truth) and the GPS cluster offsets
+_IMU_BIAS, _FAULTS = 2, 8
 
 
-def _rng(seed: int, sensor: str) -> np.random.Generator:
-    key = (int(seed) * 1000003 + _SENSOR_KEYS[sensor]) % (2**63)
-    return np.random.Generator(np.random.Philox(key=key))
+def _rng(seed: int, key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(
+        key=(int(seed) * 1000003 + key) % (2**63)))
 
 
 @dataclass
@@ -144,12 +133,15 @@ def _trapezoid(total_amount: float, peak_rate: float,
     return duration, rate, slope
 
 
+#: standing still from here on
+_STILL = (float("inf"), np.zeros_like, np.zeros_like, np.zeros_like)
+
+
 def _phases_for(spec: dict) -> list[tuple[float, callable, callable, callable]]:
     """Each phase: (duration, speed(t), accel(t), yaw_rate(t))."""
     kind = spec.get("type", "static")
-    zeros = lambda t: np.zeros_like(t)
     if kind == "static":
-        return [(float("inf"), zeros, zeros, zeros)]
+        return [_STILL]
     if kind in ("circle", "figure_eight"):
         radius = float(spec.get("radius", 20.0))
         speed = float(spec.get("speed", 2.0))
@@ -189,10 +181,9 @@ def _phases_for(spec: dict) -> list[tuple[float, callable, callable, callable]]:
         accel = float(spec.get("accel", 0.8))
         turn_rate = float(spec.get("turn_rate", 0.8))
         turn_accel = float(spec.get("turn_accel", 1.6))
-        loop = bool(spec.get("loop", False))
         pts = [np.asarray(p, dtype=float) for p in points]
-        if loop:
-            pts = pts + [pts[0]]
+        if spec.get("loop", False):
+            pts.append(pts[0])
         phases = []
         heading = None
         for a, b in zip(pts[:-1], pts[1:]):
@@ -205,65 +196,49 @@ def _phases_for(spec: dict) -> list[tuple[float, callable, callable, callable]]:
                 turn = float(np.arctan2(np.sin(leg_heading - heading),
                                         np.cos(leg_heading - heading)))
                 if abs(turn) > 1e-9:
-                    dur, rate, slope = _trapezoid(abs(turn), turn_rate,
-                                                  turn_accel)
+                    dur, rate, _ = _trapezoid(abs(turn), turn_rate, turn_accel)
                     sign = np.sign(turn)
-                    phases.append((
-                        dur, lambda t: np.zeros_like(t),
-                        lambda t: np.zeros_like(t),
-                        (lambda rate, sign: lambda t: sign * rate(t))(rate, sign),
-                    ))
+                    phases.append((dur, np.zeros_like, np.zeros_like,
+                                   lambda t, r=rate, s=sign: s * r(t)))
             heading = leg_heading
             dur, rate, slope = _trapezoid(dist, speed, accel)
-            phases.append((dur, rate, slope, lambda t: np.zeros_like(t)))
-        phases.append((float("inf"),
-                       lambda t: np.zeros_like(t),
-                       lambda t: np.zeros_like(t),
-                       lambda t: np.zeros_like(t)))
+            phases.append((dur, rate, slope, np.zeros_like))
+        phases.append(_STILL)
         return phases
     raise GenerationError(f"unknown trajectory type {kind!r}")
 
 
 def build_truth(scenario: SimScenario) -> GroundTruth:
-    imu_rate = float(scenario.imu.get("rate_hz", 100.0))
-    dt = 1.0 / imu_rate
-    n = int(round(scenario.duration_s * imu_rate)) + 1
+    sections = _resolve(scenario)
+    imu = sections["imu"]
+    dt = 1.0 / imu["rate_hz"]
+    n = int(round(scenario.duration_s * imu["rate_hz"])) + 1
     stamps = np.arange(n) * dt
 
     phases = _phases_for(scenario.trajectory)
-    speed = np.zeros(n)
-    accel_long = np.zeros(n)
-    yaw_rate = np.zeros(n)
-    start = 0.0
-    remaining = np.arange(n, dtype=float) * dt
-    idx0 = 0
+    speed, accel_long, yaw_rate, zero = np.zeros((4, n))
+    start, idx0 = 0.0, 0
     for dur, f_speed, f_accel, f_rate in phases:
         if idx0 >= n:
             break
         t_local = stamps[idx0:] - start
-        take = t_local <= dur if np.isfinite(dur) else np.ones_like(t_local,
-                                                                    dtype=bool)
-        count = int(np.sum(take)) if np.isfinite(dur) else n - idx0
-        seg = t_local[:count]
-        speed[idx0:idx0 + count] = f_speed(seg)
-        accel_long[idx0:idx0 + count] = f_accel(seg)
-        yaw_rate[idx0:idx0 + count] = f_rate(seg)
-        idx0 += count
+        seg = t_local[:np.count_nonzero(t_local <= dur)]
+        part = slice(idx0, idx0 + len(seg))
+        speed[part], accel_long[part], yaw_rate[part] = (
+            f_speed(seg), f_accel(seg), f_rate(seg))
+        idx0 += len(seg)
         start += dur
 
     # feasibility: the sampled speed must not jump faster than the profiles
     max_jump = np.max(np.abs(np.diff(speed))) if n > 1 else 0.0
-    accel_bound = max(
-        float(scenario.trajectory.get("accel", 1.0)), 1.0
-    )
+    accel_bound = max(float(scenario.trajectory.get("accel", 1.0)), 1.0)
     if max_jump > 2.0 * accel_bound * dt + 1e-9:
         raise GenerationError("speed discontinuity in trajectory profile")
 
-    yaw0 = float(scenario.trajectory.get("yaw0", 0.0))
-    yaw = yaw0 + np.concatenate(
+    yaw = float(scenario.trajectory.get("yaw0", 0.0)) + np.concatenate(
         [[0.0], np.cumsum(0.5 * (yaw_rate[1:] + yaw_rate[:-1]) * dt)])
     vel_world = np.stack(
-        [speed * np.cos(yaw), speed * np.sin(yaw), np.zeros(n)], axis=-1)
+        [speed * np.cos(yaw), speed * np.sin(yaw), zero], axis=-1)
     position = np.concatenate(
         [np.zeros((1, 3)),
          np.cumsum(0.5 * (vel_world[1:] + vel_world[:-1]) * dt, axis=0)])
@@ -272,230 +247,215 @@ def build_truth(scenario: SimScenario) -> GroundTruth:
     position[:, 0] += start_xy[0]
     position[:, 1] += start_xy[1]
 
-    quaternion = np.stack(
-        [np.cos(yaw / 2), np.zeros(n), np.zeros(n), np.sin(yaw / 2)], axis=-1)
-    velocity_body = np.stack([speed, np.zeros(n), np.zeros(n)], axis=-1)
-    omega = np.stack([np.zeros(n), np.zeros(n), yaw_rate], axis=-1)
-    accel_body = np.stack([accel_long, speed * yaw_rate, np.zeros(n)],
+    quaternion = np.stack([np.cos(yaw / 2), zero, zero, np.sin(yaw / 2)],
                           axis=-1)
+    velocity_body = np.stack([speed, zero, zero], axis=-1)
+    omega = np.stack([zero, zero, yaw_rate], axis=-1)
+    accel_body = np.stack([accel_long, speed * yaw_rate, zero], axis=-1)
 
-    bias_rng = _rng(scenario.seed, "imu_bias")
-    bias_gyro0 = np.asarray(scenario.imu.get("bias_gyro", [0.0, 0.0, 0.0]),
-                            dtype=float)
-    bias_accel0 = np.asarray(scenario.imu.get("bias_accel", [0.0, 0.0, 0.0]),
-                             dtype=float)
-    walk_g = float(scenario.imu.get("gyro_bias_walk", 0.0))
-    walk_a = float(scenario.imu.get("accel_bias_walk", 0.0))
-    gyro_bias = np.tile(bias_gyro0, (n, 1))
-    accel_bias = np.tile(bias_accel0, (n, 1))
-    if walk_g > 0:
-        gyro_bias = gyro_bias + np.cumsum(
-            bias_rng.normal(0.0, walk_g * np.sqrt(dt), size=(n, 3)), axis=0)
-    if walk_a > 0:
-        accel_bias = accel_bias + np.cumsum(
-            bias_rng.normal(0.0, walk_a * np.sqrt(dt), size=(n, 3)), axis=0)
+    bias_rng = _rng(scenario.seed, _IMU_BIAS)
+    gyro_bias = np.tile(np.asarray(imu["bias_gyro"], dtype=float), (n, 1))
+    accel_bias = np.tile(np.asarray(imu["bias_accel"], dtype=float), (n, 1))
+    if imu["gyro_bias_walk"] > 0:
+        gyro_bias = gyro_bias + np.cumsum(bias_rng.normal(
+            0.0, imu["gyro_bias_walk"] * np.sqrt(dt), size=(n, 3)), axis=0)
+    if imu["accel_bias_walk"] > 0:
+        accel_bias = accel_bias + np.cumsum(bias_rng.normal(
+            0.0, imu["accel_bias_walk"] * np.sqrt(dt), size=(n, 3)), axis=0)
 
-    return GroundTruth(
-        stamps=stamps,
-        position=position,
-        yaw=yaw,
-        quaternion=quaternion,
-        velocity_body=velocity_body,
-        omega=omega,
-        accel_body=accel_body,
-        gyro_bias=gyro_bias,
-        accel_bias=accel_bias,
-        encoder_yaw_bias=float(scenario.encoder.get("bias_wz", 0.0)),
-    )
+    return GroundTruth(stamps, position, yaw, quaternion, velocity_body, omega,
+                       accel_body, gyro_bias, accel_bias,
+                       sections["encoder"]["bias_wz"])
 
 
-def _sensor_indices(stamps: np.ndarray, rate: float,
-                    imu_rate: float) -> np.ndarray:
-    stride = max(1, int(round(imu_rate / rate)))
-    return np.arange(0, len(stamps), stride)
+# ----------------------------------------------------------------------
+# sensor sections
+
+def _windows(stamps: np.ndarray, windows: list) -> list:
+    """(mask of the stamps it covers, ends included; window) per window."""
+    return [((w["start"] <= stamps) & (stamps <= w["end"]), w)
+            for w in windows]
 
 
-def _in_windows(t: float, windows: Iterable[dict]) -> bool:
-    return any(w["start"] <= t <= w["end"] for w in windows)
+def _draw_imu(rng, spec, idx, truth, scenario):
+    """Either IMU.  The primary (declaring ``orientation``) draws orientation
+    noise for every sample, orientation or not, and adds its ``az_bursts``."""
+    shape = (len(idx), 3)
+    gyro = truth.omega[idx] + truth.gyro_bias[idx] + rng.normal(
+        0.0, spec["sigma_gyro"], size=shape)
+    force = (truth.accel_body + quat_rotate_inv(truth.quaternion, GRAVITY)
+             + truth.accel_bias)
+    accel = force[idx] + rng.normal(0.0, spec["sigma_accel"], size=shape)
+    if "orientation" not in spec:
+        return [ImuSample(float(truth.stamps[i]), gyro[k], accel[k], None,
+                          source=2) for k, i in enumerate(idx)]
+    orient = rng.normal(0.0, spec["sigma_orient"], size=shape)
+    for inside, burst in _windows(truth.stamps[idx], spec["az_bursts"]):
+        accel[inside] += np.array([0.0, 0.0, float(burst["amplitude"])])
+    return [ImuSample(float(truth.stamps[i]), gyro[k], accel[k],
+                      euler_to_quat(orient[k, 0], orient[k, 1],
+                                    truth.yaw[i] + orient[k, 2])
+                      if spec["orientation"] else None, source=1)
+            for k, i in enumerate(idx)]
+
+
+def _draw_encoder(rng, spec, idx, truth, scenario):
+    vn = rng.normal(0.0, spec["sigma_v"], size=(len(idx), 2))
+    wn = rng.normal(0.0, spec["sigma_wz"], size=len(idx))
+    vx = truth.velocity_body[idx, 0]
+    for inside, slip in _windows(truth.stamps[idx], spec["slip"]):
+        vx[inside] *= float(slip["factor"])
+    velocity = np.stack([vx + vn[:, 0], vn[:, 1]], axis=-1)
+    yaw_rate = truth.omega[idx, 2] - truth.encoder_yaw_bias + wn
+    return [EncoderSample(float(truth.stamps[i]), velocity[k],
+                          float(yaw_rate[k])) for k, i in enumerate(idx)]
+
+
+def _heading(direction_deg) -> np.ndarray:
+    ang = np.radians(float(direction_deg))
+    return np.array([np.cos(ang), np.sin(ang), 0.0])
+
+
+def _draw_gps(rng, spec, idx, truth, scenario):
+    """Noise is drawn at every stride index, so a dropout shifts no later
+    noise; a spike or cluster replaces a fix, cluster offsets in fix order."""
+    place = scenario.origin
+    origin = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(
+        place["lat_deg"], place["lon_deg"], place.get("alt_m", 0.0)))
+    faults = _rng(scenario.seed, _FAULTS)
+    rate, vdop, stamps = spec["rate_hz"], spec["vdop"], truth.stamps[idx]
+    fix_type = FixType(spec["fix_type"])
+    noise = rng.normal(0.0, 1.0, size=(len(idx), 3))
+    hdop = np.full(len(idx), spec["hdop"])
+    for inside, window in _windows(stamps, spec["hdop_windows"]):
+        hdop[inside] = float(window["value"])
+    dropouts = _windows(stamps, spec["dropouts"])
+    events = []
+    for k, i in enumerate(idx):
+        t = float(stamps[k])
+        if any(inside[k] for inside, _ in dropouts):
+            continue
+        sxy = spec["sigma_xy"] * hdop[k]
+        enu = truth.position[i] + noise[k] * np.array(
+            [sxy, sxy, spec["sigma_z"] * vdop])
+        for spike in spec["spikes"]:
+            if abs(t - float(spike["t"])) < 0.5 / rate:
+                enu = truth.position[i] + float(spike["offset_m"]) * \
+                    _heading(spike.get("direction_deg", 0.0))
+        for cl in spec["clusters"]:
+            start, cl_rate = float(cl["start"]), float(cl.get("rate_hz", rate))
+            if start <= t < start + int(cl["count"]) / cl_rate:
+                enu = truth.position[i] + faults.uniform(
+                    float(cl.get("offset_m_min", 720.0)),
+                    float(cl.get("offset_m_max", 840.0))) * _heading(
+                        cl.get("direction_deg", 45.0))
+        geo = ecef_to_geodetic(enu_to_ecef(enu, origin))
+        events.append(GpsFixSample(t, geo.lat, geo.lon, geo.alt, fix_type,
+                                   float(hdop[k]), vdop, spec["satellites"]))
+    return events
+
+
+def _draw_gps_velocity(rng, spec, idx, truth, scenario):
+    vel_world = (truth.velocity_body[:, 0:1]
+                 * np.stack([np.cos(truth.yaw), np.sin(truth.yaw)], axis=-1))
+    velocity = vel_world[idx] + rng.normal(0.0, spec["sigma"],
+                                           size=(len(idx), 2))
+    return [GpsVelocitySample(float(truth.stamps[i]), velocity[k])
+            for k, i in enumerate(idx)]
+
+
+def _draw_radar(rng, spec, idx, truth, scenario):
+    velocity = truth.velocity_body[idx, :2] + rng.normal(
+        0.0, spec["sigma"], size=(len(idx), 2))
+    return [RadarVelocitySample(float(truth.stamps[i]), velocity[k])
+            for k, i in enumerate(idx)]
+
+
+def _draw_vslam(rng, spec, idx, truth, scenario):
+    pn = rng.normal(0.0, spec["sigma_pos"], size=(len(idx), 3))
+    on = rng.normal(0.0, spec["sigma_orient"], size=(len(idx), 3))
+    offset = np.zeros((len(idx), 3))
+    for reinit in spec["reinits"]:
+        offset[truth.stamps[idx] >= float(reinit["t"])] += np.asarray(
+            reinit["offset"], dtype=float)
+    position = truth.position[idx] + offset + pn
+    return [VslamPoseSample(float(truth.stamps[i]), position[k], euler_to_quat(
+        on[k, 0], on[k, 1], truth.yaw[i] + on[k, 2]))
+        for k, i in enumerate(idx)]
+
+
+class Section(NamedTuple):
+    """One row of the scenario schema.  Each given value is converted to its
+    default's type; a default of None takes the ``imu`` section's value."""
+
+    generator: int  # the key of the section's noise generator
+    defaults: dict
+    #: (generator, resolved section, truth indices, truth, scenario)
+    draw: Callable[..., list[SensorEvent]]
+
+
+SECTIONS: dict[str, Section] = {
+    "imu": Section(1, {
+        "rate_hz": 100.0, "sigma_gyro": 0.002, "sigma_accel": 0.03,
+        "sigma_orient": 0.01, "orientation": True, "az_bursts": [],
+        "bias_gyro": [0.0, 0.0, 0.0], "bias_accel": [0.0, 0.0, 0.0],
+        "gyro_bias_walk": 0.0, "accel_bias_walk": 0.0}, _draw_imu),
+    "imu2": Section(9, {"enabled": False, "rate_hz": None,
+                        "sigma_gyro": None, "sigma_accel": None}, _draw_imu),
+    "encoder": Section(3, {"enabled": True, "rate_hz": None, "sigma_v": 0.02,
+                           "sigma_wz": 0.01, "bias_wz": 0.0, "slip": []},
+                       _draw_encoder),
+    "gps": Section(4, {
+        "enabled": True, "rate_hz": 5.0, "delay_s": 0.0, "sigma_xy": 1.0,
+        "sigma_z": 2.0, "hdop": 1.0, "vdop": 1.0,
+        "fix_type": int(FixType.RTK_FLOAT), "satellites": 9, "dropouts": [],
+        "hdop_windows": [], "spikes": [], "clusters": []}, _draw_gps),
+    "gps_velocity": Section(5, {"enabled": False, "rate_hz": 5.0,
+                                "delay_s": 0.0, "sigma": 0.2},
+                            _draw_gps_velocity),
+    "radar": Section(6, {"enabled": False, "rate_hz": 10.0, "sigma": 0.1},
+                     _draw_radar),
+    "vslam": Section(7, {"enabled": False, "rate_hz": 10.0, "delay_s": 0.0,
+                         "sigma_pos": 0.05, "sigma_orient": 0.005,
+                         "reinits": []}, _draw_vslam),
+}
+
+
+def _check_keys(name: str, given, declared) -> None:
+    unknown = sorted(set(given) - set(declared), key=str)
+    if unknown:
+        raise GenerationError(f"unknown scenario keys in {name!r}: {unknown}")
+
+
+def _resolve(scenario: SimScenario) -> dict[str, dict]:
+    """Each section's declared keys, given or default; refuses any other."""
+    _check_keys("origin", scenario.origin, ("lat_deg", "lon_deg", "alt_m"))
+    resolved: dict[str, dict] = {}
+    for name, section in SECTIONS.items():
+        given = getattr(scenario, name)
+        _check_keys(name, given, section.defaults)
+        resolved[name] = spec = {}
+        for key, default in section.defaults.items():
+            if default is None:
+                default = resolved["imu"][key]
+            spec[key] = type(default)(given.get(key, default))
+    return resolved
 
 
 def generate(scenario: SimScenario) -> tuple[GroundTruth, list[SensorEvent]]:
     """Build truth and the full, arrival-ordered sensor event list."""
     truth = build_truth(scenario)
-    imu_rate = float(scenario.imu.get("rate_hz", 100.0))
-    n = len(truth.stamps)
-    events: list[SensorEvent] = []
-
-    # --- IMU ----------------------------------------------------------
-    imu_rng = _rng(scenario.seed, "imu")
-    sg = float(scenario.imu.get("sigma_gyro", 0.002))
-    sa = float(scenario.imu.get("sigma_accel", 0.03))
-    so = float(scenario.imu.get("sigma_orient", 0.01))
-    with_orient = bool(scenario.imu.get("orientation", True))
-    bursts = scenario.imu.get("az_bursts", [])
-    gyro_noise = imu_rng.normal(0.0, sg, size=(n, 3))
-    accel_noise = imu_rng.normal(0.0, sa, size=(n, 3))
-    orient_noise = imu_rng.normal(0.0, so, size=(n, 3))
-    grav_body = quat_rotate_inv(truth.quaternion, GRAVITY)
-    for i in range(n):
-        t = float(truth.stamps[i])
-        gyro = truth.omega[i] + truth.gyro_bias[i] + gyro_noise[i]
-        accel = (truth.accel_body[i] + grav_body[i] + truth.accel_bias[i]
-                 + accel_noise[i])
-        for b in bursts:
-            if b["start"] <= t <= b["end"]:
-                accel = accel + np.array([0.0, 0.0, float(b["amplitude"])])
-        orient = None
-        if with_orient:
-            orient = euler_to_quat(orient_noise[i, 0], orient_noise[i, 1],
-                                   truth.yaw[i] + orient_noise[i, 2])
-        events.append(ImuSample(t, gyro, accel, orient, source=1))
-
-    # --- optional secondary IMU ----------------------------------------
-    if scenario.imu2.get("enabled", False):
-        rng2 = _rng(scenario.seed, "imu2")
-        rate2 = float(scenario.imu2.get("rate_hz", imu_rate))
-        idx2 = _sensor_indices(truth.stamps, rate2, imu_rate)
-        sg2 = float(scenario.imu2.get("sigma_gyro", sg))
-        sa2 = float(scenario.imu2.get("sigma_accel", sa))
-        g2 = rng2.normal(0.0, sg2, size=(len(idx2), 3))
-        a2 = rng2.normal(0.0, sa2, size=(len(idx2), 3))
-        for k, i in enumerate(idx2):
-            events.append(ImuSample(
-                float(truth.stamps[i]),
-                truth.omega[i] + truth.gyro_bias[i] + g2[k],
-                truth.accel_body[i] + grav_body[i] + truth.accel_bias[i] + a2[k],
-                None, source=2))
-
-    # --- wheel encoders -------------------------------------------------
-    if scenario.encoder.get("enabled", True):
-        enc_rng = _rng(scenario.seed, "encoder")
-        rate = float(scenario.encoder.get("rate_hz", imu_rate))
-        idx = _sensor_indices(truth.stamps, rate, imu_rate)
-        sv = float(scenario.encoder.get("sigma_v", 0.02))
-        sw = float(scenario.encoder.get("sigma_wz", 0.01))
-        slip = scenario.encoder.get("slip", [])
-        vn = enc_rng.normal(0.0, sv, size=(len(idx), 2))
-        wn = enc_rng.normal(0.0, sw, size=len(idx))
-        for k, i in enumerate(idx):
-            t = float(truth.stamps[i])
-            vx = truth.velocity_body[i, 0]
-            for s in slip:
-                if s["start"] <= t <= s["end"]:
-                    vx = vx * float(s["factor"])
-            events.append(EncoderSample(
-                t, np.array([vx + vn[k, 0], vn[k, 1]]),
-                float(truth.omega[i, 2] - truth.encoder_yaw_bias + wn[k])))
-
-    # --- GPS fixes -------------------------------------------------------
-    origin = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(
-        scenario.origin["lat_deg"], scenario.origin["lon_deg"],
-        scenario.origin.get("alt_m", 0.0)))
-    gps_spec = scenario.gps
-    if gps_spec.get("enabled", True):
-        gps_rng = _rng(scenario.seed, "gps")
-        fault_rng = _rng(scenario.seed, "faults")
-        rate = float(gps_spec.get("rate_hz", 5.0))
-        idx = _sensor_indices(truth.stamps, rate, imu_rate)
-        sxy = float(gps_spec.get("sigma_xy", 1.0))
-        sz = float(gps_spec.get("sigma_z", 2.0))
-        hdop_default = float(gps_spec.get("hdop", 1.0))
-        vdop_default = float(gps_spec.get("vdop", 1.0))
-        fix_type = FixType(int(gps_spec.get("fix_type", int(FixType.RTK_FLOAT))))
-        satellites = int(gps_spec.get("satellites", 9))
-        dropouts = gps_spec.get("dropouts", [])
-        spikes = gps_spec.get("spikes", [])
-        clusters = gps_spec.get("clusters", [])
-        hdop_windows = gps_spec.get("hdop_windows", [])
-        noise = gps_rng.normal(0.0, 1.0, size=(len(idx), 3))
-        for k, i in enumerate(idx):
-            t = float(truth.stamps[i])
-            if _in_windows(t, dropouts):
-                continue
-            hdop = hdop_default
-            for w in hdop_windows:
-                if w["start"] <= t <= w["end"]:
-                    hdop = float(w["value"])
-            enu = truth.position[i] + noise[k] * np.array(
-                [sxy * hdop, sxy * hdop, sz * vdop_default])
-            for spike in spikes:
-                if abs(t - float(spike["t"])) < 0.5 / rate:
-                    ang = np.radians(float(spike.get("direction_deg", 0.0)))
-                    enu = truth.position[i] + float(spike["offset_m"]) * \
-                        np.array([np.cos(ang), np.sin(ang), 0.0])
-            for cl in clusters:
-                start = float(cl["start"])
-                count = int(cl["count"])
-                cl_rate = float(cl.get("rate_hz", rate))
-                end = start + count / cl_rate
-                if start <= t < end:
-                    ang = np.radians(float(cl.get("direction_deg", 45.0)))
-                    lo = float(cl.get("offset_m_min", 720.0))
-                    hi = float(cl.get("offset_m_max", 840.0))
-                    dist = fault_rng.uniform(lo, hi)
-                    enu = truth.position[i] + dist * np.array(
-                        [np.cos(ang), np.sin(ang), 0.0])
-            geo = ecef_to_geodetic(enu_to_ecef(enu, origin))
-            events.append(GpsFixSample(
-                t, geo.lat, geo.lon, geo.alt, fix_type, hdop, vdop_default,
-                satellites))
-
-    # --- GPS velocity ----------------------------------------------------
-    if scenario.gps_velocity.get("enabled", False):
-        rng = _rng(scenario.seed, "gps_vel")
-        rate = float(scenario.gps_velocity.get("rate_hz", 5.0))
-        idx = _sensor_indices(truth.stamps, rate, imu_rate)
-        sv = float(scenario.gps_velocity.get("sigma", 0.2))
-        vel_world = (truth.velocity_body[:, 0:1]
-                     * np.stack([np.cos(truth.yaw), np.sin(truth.yaw)],
-                                axis=-1))
-        noise = rng.normal(0.0, sv, size=(len(idx), 2))
-        for k, i in enumerate(idx):
-            events.append(GpsVelocitySample(
-                float(truth.stamps[i]), vel_world[i] + noise[k]))
-
-    # --- radar Doppler ----------------------------------------------------
-    if scenario.radar.get("enabled", False):
-        rng = _rng(scenario.seed, "radar")
-        rate = float(scenario.radar.get("rate_hz", 10.0))
-        idx = _sensor_indices(truth.stamps, rate, imu_rate)
-        sv = float(scenario.radar.get("sigma", 0.1))
-        noise = rng.normal(0.0, sv, size=(len(idx), 2))
-        for k, i in enumerate(idx):
-            events.append(RadarVelocitySample(
-                float(truth.stamps[i]),
-                truth.velocity_body[i, :2] + noise[k]))
-
-    # --- VSLAM pose --------------------------------------------------------
-    if scenario.vslam.get("enabled", False):
-        rng = _rng(scenario.seed, "vslam")
-        rate = float(scenario.vslam.get("rate_hz", 10.0))
-        idx = _sensor_indices(truth.stamps, rate, imu_rate)
-        sp = float(scenario.vslam.get("sigma_pos", 0.05))
-        so_v = float(scenario.vslam.get("sigma_orient", 0.005))
-        reinits = scenario.vslam.get("reinits", [])
-        pn = rng.normal(0.0, sp, size=(len(idx), 3))
-        on = rng.normal(0.0, so_v, size=(len(idx), 3))
-        for k, i in enumerate(idx):
-            t = float(truth.stamps[i])
-            offset = np.zeros(3)
-            for r in reinits:
-                if t >= float(r["t"]):
-                    offset = offset + np.asarray(r["offset"], dtype=float)
-            pos = truth.position[i] + offset + pn[k]
-            quat = euler_to_quat(on[k, 0], on[k, 1], truth.yaw[i] + on[k, 2])
-            events.append(VslamPoseSample(t, pos, quat))
-
-    # --- merge by arrival time ---------------------------------------------
-    delays = {
-        GpsFixSample: float(scenario.gps.get("delay_s", 0.0)),
-        VslamPoseSample: float(scenario.vslam.get("delay_s", 0.0)),
-        GpsVelocitySample: float(scenario.gps_velocity.get("delay_s", 0.0)),
-    }
-
-    def sort_key(ev: SensorEvent):
-        delay = delays.get(type(ev), 0.0)
-        return (ev.stamp + delay, _EVENT_RANK[type(ev)], ev.stamp)
-
-    events.sort(key=sort_key)
-    return truth, events
+    sections = _resolve(scenario)
+    imu_rate, keyed = sections["imu"]["rate_hz"], []
+    for rank, (name, section) in enumerate(SECTIONS.items()):
+        spec = sections[name]
+        if not spec.get("enabled", True):
+            continue
+        stride = max(1, int(round(imu_rate / spec["rate_hz"])))
+        events = section.draw(_rng(scenario.seed, section.generator), spec,
+                              np.arange(0, len(truth.stamps), stride), truth,
+                              scenario)
+        delay = spec.get("delay_s", 0.0)
+        keyed += [((ev.stamp + delay, rank, ev.stamp), ev) for ev in events]
+    keyed.sort(key=lambda pair: pair[0])
+    return truth, [ev for _, ev in keyed]

@@ -66,6 +66,12 @@ class TestRoundTrip:
         assert back.err_horz == 2.5 and back.err_vert == 4.0
         no_err = line_to_event(event_to_line(sample_events()[4]))
         assert no_err.err_horz is None and no_err.err_vert is None
+        # error bounds without DOPs or a satellite count: -1 marks absent
+        no_dop = GpsFixSample(0.6, np.radians(45.0), np.radians(-75.0), 82.0,
+                              FixType.GPS, None, None, None, 2.5, 4.0)
+        back = line_to_event(event_to_line(no_dop))
+        assert (back.hdop, back.vdop, back.satellites) == (None, None, None)
+        assert back.err_horz == 2.5 and back.err_vert == 4.0
 
     def test_stream_write_read(self):
         buf = io.StringIO()

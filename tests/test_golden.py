@@ -16,6 +16,14 @@ in each state block and in the covariance diagonal, and the counters that
 changed.  ``--report`` in place of ``--regenerate`` prints the same
 deviations from the checked-in files and rewrites nothing.
 
+One more short scenario, with every sensor section on and every scenario
+key set, fault keys included, guards the simulator itself: its stream text
+is checked in, and a regenerated stream must have the same event kinds in
+the same order and every number within 1e-9.  It is compared, not hashed,
+because libm results can differ in the last bit across hosts.  The two
+commands above regenerate and report it too: the largest deviation of its
+numbers, or the first event whose kind or column count changed.
+
 The same scenarios check that a run resumed from a checkpoint, taken after a
 quarter or a half of the events or just after the first replay, is
 bit-identical to the uninterrupted run, and that the paper's two
@@ -23,6 +31,7 @@ ablations (no bias states, no encoder yaw-rate bias) hold their states at
 zero.
 """
 
+import io
 import json
 import sys
 from pathlib import Path
@@ -32,9 +41,10 @@ import numpy as np
 import pytest
 
 from navfuse.config import DEFAULTS, PipelineConfig
+from navfuse.events import write_stream
 from navfuse.pipeline import FusionPipeline
 from navfuse.process import STATE_BLOCKS
-from navfuse.simulator import SimScenario, generate
+from navfuse.simulator import SECTIONS, SimScenario, generate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ATOL = 1e-9
@@ -69,6 +79,81 @@ SCENARIOS = {
         {"imu2.enabled": True, "radar.enabled": True, "vslam.enabled": True},
     ),
 }
+
+
+#: every key of every section (``simulator.SECTIONS``) and of the origin
+#: set, each window covering some samples
+STREAM_SCENARIO = {
+    "seed": 11, "duration_s": 3.0,
+    "origin": {"lat_deg": 42.2936, "lon_deg": -83.7100, "alt_m": 270.0},
+    "trajectory": {"type": "circle", "radius": 10.0, "speed": 2.0,
+                   "accel": 1.0},
+    "imu": {"rate_hz": 50.0, "sigma_gyro": 0.003, "sigma_accel": 0.04,
+            "sigma_orient": 0.02, "orientation": True,
+            "bias_gyro": [0.001, -0.002, 0.0005],
+            "bias_accel": [0.02, -0.01, 0.03], "gyro_bias_walk": 1e-4,
+            "accel_bias_walk": 1e-3,
+            "az_bursts": [{"start": 0.5, "end": 0.8, "amplitude": 3.0}]},
+    "imu2": {"enabled": True, "rate_hz": 25.0, "sigma_gyro": 0.004,
+             "sigma_accel": 0.05},
+    "encoder": {"enabled": True, "rate_hz": 25.0, "sigma_v": 0.03,
+                "sigma_wz": 0.02, "bias_wz": 0.01,
+                "slip": [{"start": 1.0, "end": 1.5, "factor": 1.3}]},
+    "gps": {"enabled": True, "rate_hz": 10.0, "delay_s": 0.2,
+            "sigma_xy": 0.8, "sigma_z": 1.5, "hdop": 1.2, "vdop": 1.6,
+            "fix_type": 4, "satellites": 12,
+            "dropouts": [{"start": 0.4, "end": 0.7}],
+            "hdop_windows": [{"start": 1.0, "end": 1.5, "value": 3.0}],
+            "spikes": [{"t": 2.0, "offset_m": 50.0, "direction_deg": 30.0}],
+            "clusters": [{"start": 2.3, "count": 3, "rate_hz": 10.0,
+                          "direction_deg": 120.0, "offset_m_min": 100.0,
+                          "offset_m_max": 150.0}]},
+    "gps_velocity": {"enabled": True, "rate_hz": 5.0, "sigma": 0.3,
+                     "delay_s": 0.1},
+    "radar": {"enabled": True, "rate_hz": 10.0, "sigma": 0.2},
+    "vslam": {"enabled": True, "rate_hz": 10.0, "delay_s": 0.15,
+              "sigma_pos": 0.04, "sigma_orient": 0.006,
+              "reinits": [{"t": 1.8, "offset": [2.0, -1.0, 0.0]}]},
+}
+STREAM_GOLDEN = GOLDEN_DIR / "all_faults_stream.txt"
+
+
+def stream_text() -> str:
+    _, events = generate(SimScenario.from_dict(STREAM_SCENARIO))
+    sink = io.StringIO()
+    write_stream(events, sink)
+    return sink.getvalue()
+
+
+def stream_deviations(old: str, new: str) -> dict:
+    """``numbers``: the largest absolute difference of ``new``'s numbers
+    from ``old``'s, when both streams have the same kinds in the same order
+    with the same column counts; else ``changed``: the first line (from 1)
+    where they differ, with its kind and column count in each."""
+    old_rows, new_rows = ([line.split() for line in text.splitlines()]
+                          for text in (old, new))
+    for lineno, (a, b) in enumerate(zip(old_rows + [[]], new_rows + [[]]),
+                                    start=1):
+        if (a[1:2], len(a)) != (b[1:2], len(b)):
+            return {"changed": (lineno, a[1:2], len(a), b[1:2], len(b))}
+    numbers = [np.array([float(v) for row in rows for v in [row[0], *row[2:]]])
+               for rows in (old_rows, new_rows)]
+    return {"numbers": float(np.abs(numbers[1] - numbers[0]).max())}
+
+
+def test_stream_matches_golden():
+    deviation = stream_deviations(STREAM_GOLDEN.read_text(), stream_text())
+    assert "changed" not in deviation, deviation
+    assert deviation["numbers"] <= ATOL
+
+
+def test_stream_scenario_sets_every_key():
+    """A key added to ``SECTIONS`` must be set here, so that the golden
+    stream covers it."""
+    for name, section in SECTIONS.items():
+        assert sorted(section.defaults) == sorted(STREAM_SCENARIO[name])
+    assert sorted(STREAM_SCENARIO["origin"]) == ["alt_m", "lat_deg",
+                                                  "lon_deg"]
 
 
 def run_scenario(name: str, overrides: Optional[dict] = None) -> dict:
@@ -221,3 +306,11 @@ if __name__ == "__main__" and {"--regenerate", "--report"} & set(sys.argv):
         if regenerate:
             path.write_text(json.dumps(new, indent=0) + "\n")
             print(f"wrote {path}")
+    stream = stream_text()
+    if STREAM_GOLDEN.exists():
+        for name, value in stream_deviations(STREAM_GOLDEN.read_text(),
+                                             stream).items():
+            print(f"{STREAM_GOLDEN.stem} {name} {value}")
+    if regenerate:
+        STREAM_GOLDEN.write_text(stream)
+        print(f"wrote {STREAM_GOLDEN}")

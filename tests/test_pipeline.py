@@ -390,9 +390,14 @@ class TestSensorTable:
         ("gps_vel", "velocity_en", np.zeros(3)),
         ("vslam", "position", np.zeros(2)),
         ("vslam", "cov_diag", np.ones(5)),
+        # the stream's "absent" marker, which ``vslam_noise`` would floor to
+        # the tightest noise
+        ("vslam", "cov_diag", np.array([0.01] * 3 + [-1.0] * 3)),
+        ("vslam", "cov_diag", np.full(6, -1.0)),
         ("gps", "covariance", np.ones(8)),
     ], ids=["imu_gyro", "imu_orientation", "encoder_3", "encoder_1",
             "radar", "gps_vel", "vslam_position", "vslam_cov_diag",
+            "vslam_negative_variance", "vslam_all_negative",
             "gps_covariance"])
     def test_malformed_payload_dropped(self, kind, name, value):
         pipe = FusionPipeline(PipelineConfig(ALL_ON))
@@ -405,6 +410,17 @@ class TestSensorTable:
         assert report.dropped == f"malformed {kind}"
         assert not report.updates
         assert session_of(pipe) == before
+
+    def test_zero_vslam_variance_is_floored_not_dropped(self):
+        pipe = FusionPipeline(PipelineConfig(ALL_ON))
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+        event = event_of("vslam", 0.5)
+        event.cov_diag = np.zeros(6)
+        report = pipe.ingest(event)
+        assert report.dropped is None
+        assert [rec.path for rec in report.updates] == ["vslam"]
+        assert np.array_equal(pipe._vslam_model.r,
+                              pipe._vslam_noise(np.zeros(6)))
 
     @pytest.mark.parametrize("kind, name", [
         ("imu", "gyro"), ("imu", "accel"), ("imu2", "gyro"),

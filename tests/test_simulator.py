@@ -81,6 +81,12 @@ class TestTruth:
     def test_unknown_scenario_key_rejected(self):
         with pytest.raises(GenerationError, match="unknown scenario"):
             SimScenario.from_dict(scenario_dict(lidar={}))
+        # a misspelled section key would otherwise fall back to its default
+        with pytest.raises(GenerationError, match=r"'gps'.*'rate'"):
+            generate(SimScenario.from_dict({"gps": {"rate": 1.0}}))
+        with pytest.raises(GenerationError, match=r"'origin'.*'alt'"):
+            generate(SimScenario.from_dict({"origin": {
+                "lat_deg": 45.0, "lon_deg": -75.6, "alt": 80.0}}))
 
 
 class TestStreams:
