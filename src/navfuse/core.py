@@ -10,8 +10,8 @@ velocity, body angular rate, body acceleration, gyro bias, accel bias, and
 the wheel-encoder yaw-rate bias.  All slices below index into that layout.
 The engine and the pipeline work on that vector as a plain array;
 ``FilterState`` is a named view of it, for reports and validation.
-The LAPACK seam, ``_cholesky`` and ``_solve``, is shared by the engine and
-the adaptive noise estimators.
+The LAPACK seam, ``_cholesky`` and ``_whiten``, is shared by the engine
+and the adaptive noise estimators.
 """
 
 from __future__ import annotations
@@ -87,9 +87,13 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
         return _umath_linalg.cholesky_lo(a, signature="d->d")
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a 2-D b
+def _whiten(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower Cholesky factor L of a float64 ``a``, read from its lower
+    triangle, and L^-1 ``b`` for a 2-D ``b`` by ``np.linalg.solve``'s
+    gufunc, under one error state: ``_cholesky`` and a solve by L."""
     with np.errstate(all="ignore", invalid="call", call=_linalg_error):
-        return _umath_linalg.solve(a, b, signature="dd->d")
+        root = _umath_linalg.cholesky_lo(a, signature="d->d")
+        return root, _umath_linalg.solve(root, b, signature="dd->d")
 
 
 def quat_identity() -> np.ndarray:

@@ -14,14 +14,14 @@ radar, ZUPT, GPS position) is declared by its (dim, 23) matrix H instead;
 one whose rows the engine solves together while gating and recording each
 model, its *block*, on its own (``ukf.update``); the encoder and its
 vertical constraint fuse that way in closed form, and an IMU sample's raw
-and orientation rows from one sigma set and one ``imu_cols`` call.  The
-IMU, Euler and heading readings take the entries of R(q) - I they need
-from one matmul (``core.rotation_rows_cols``), bit for bit as written out.
+and orientation rows from one sigma set and one ``imu_cols`` call.  A
+stack holds one R, which its blocks' ``r`` view.  The IMU, Euler and
+heading readings take the entries of R(q) - I they need from one matmul
+(``core.rotation_rows_cols``), bit for bit as written out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Optional, Union
 
@@ -47,32 +47,35 @@ from .events import FixType, GpsFixSample
 from .geodesy import EnuOrigin, GeodeticCoord, geodetic_to_enu
 
 
-@dataclass
 class MeasurementModel:
     """One measurement path the engine can consume.
 
     ``h`` is the batched measurement function, or the matrix H of a linear
     model, then kept read-only as ``matrix`` (else None) with ``h`` derived
-    as ``H @ cols``.  ``r`` is replaced atomically between updates when
-    the path adapts.  ``blocks`` holds the models a ``stack`` was built
+    as ``H @ cols``.  ``blocks`` holds the models a ``stack`` was built
     from, in row order, each with a matrix exactly when the stack has one.
     ``parts``, built once here, pairs each path the engine gates with its
     rows: each block with its slice, or the model itself with all its rows.
+
+    ``r`` is the noise R.  A model with blocks holds one R array for all
+    its rows, and each block's ``r`` is a view of its diagonal part, so
+    the stack's R is always what its blocks hold.  Assigning ``r`` to a
+    block or a stack writes into that array, which must keep its shape;
+    assigning it to any other model replaces its array, atomically between
+    updates when the path adapts.
     """
 
-    name: str
-    dim: int
-    h: Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
-    r: np.ndarray
-    gate: float
-    angular: np.ndarray = None
-    blocks: tuple["MeasurementModel", ...] = ()
-    matrix: Optional[np.ndarray] = field(default=None, init=False)
-
-    def __post_init__(self):
-        self.r = np.atleast_2d(np.asarray(self.r, dtype=float))
-        if self.angular is None:
-            self.angular = np.zeros(self.dim, dtype=bool)
+    def __init__(self, name: str, dim: int,
+                 h: Union[Callable[[np.ndarray], np.ndarray], np.ndarray],
+                 r: np.ndarray, gate: float,
+                 angular: Optional[np.ndarray] = None,
+                 blocks: tuple["MeasurementModel", ...] = ()):
+        self.name, self.dim, self.h, self.gate = name, dim, h, gate
+        self.blocks = tuple(blocks)
+        self._r = np.atleast_2d(np.asarray(r, dtype=float))
+        self._in_place = bool(self.blocks)  # what assigning ``r`` does
+        self.angular = (np.zeros(dim, dtype=bool) if angular is None
+                        else angular)
         # the rows ``wrapped`` wraps: a slice, so a view, when contiguous
         i = np.flatnonzero(self.angular).tolist()
         self.wraps = bool(i)
@@ -81,6 +84,7 @@ class MeasurementModel:
                              else self.angular)
         if not self.gate > 0:  # NaN too
             raise ValueError(f"{self.name}: gate threshold must be > 0")
+        self.matrix: Optional[np.ndarray] = None
         if not callable(self.h):
             matrix = np.array(self.h, dtype=float)
             if matrix.shape != (self.dim, STATE_DIM):
@@ -99,6 +103,23 @@ class MeasurementModel:
         ends = accumulate(b.dim for b in self.blocks or (self,))
         self.parts = tuple((b, slice(end - b.dim, end))
                            for b, end in zip(self.blocks or (self,), ends))
+        for block, rows in self.parts if self.blocks else ():
+            self._r[rows, rows] = block.r
+            block._r, block._in_place = self._r[rows, rows], True
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._r
+
+    @r.setter
+    def r(self, value) -> None:
+        if not self._in_place:
+            self._r = value
+        elif np.shape(value) != self._r.shape:
+            raise ValueError(f"{self.name}: R of shape {np.shape(value)}, "
+                             f"expected {self._r.shape}")
+        else:
+            self._r[...] = value
 
     def wrapped(self, res: np.ndarray) -> np.ndarray:
         """``res``, a fresh residual array, with its angular rows wrapped in
@@ -116,31 +137,33 @@ def stack(*models: MeasurementModel, h=None) -> MeasurementModel:
     the first and keeping them as its ``blocks``: all linear, a linear
     model with their H stacked, or none linear, a sigma-point model whose
     ``h`` is ``h`` or fills one array block by block and whose angular mask
-    is theirs concatenated; a mix raises ``ValueError``.
+    is theirs concatenated; a mix raises ``ValueError``, and so does a
+    model that is a stack or a block of one already.
 
-    The engine gates and reports each block on its own and reads each
-    block's current ``r``; the stacked ``r``, the blocks' R as stacked, and
-    ``gate``, the sum of their gates, are what the blocks held when stacked.
-    A linear stack updates as the blocks would one after another, as the
-    Mahalanobis distance splits by the chain rule; a sigma stack is one
-    sigma set for the stacked measurement (``ukf.update``).
+    The stacked ``r`` is one array: each block's R on its diagonal part,
+    which the block's ``r`` views from then on (``MeasurementModel``), and
+    -0.0 off it, as x + -0.0 is x for every x, so the engine adds it to S
+    in one operation, bit for bit the blocks' R added one by one.  The
+    engine gates and reports each block on its own; ``gate`` is the sum of
+    the blocks' gates when stacked.  A linear stack updates as the blocks
+    would one after another, as the Mahalanobis distance splits by the
+    chain rule; a sigma stack is one sigma set for the stacked measurement
+    (``ukf.update``).
     """
-    if len(models) < 2 or any(m.blocks for m in models):
-        raise ValueError("stack needs two or more unstacked models")
+    if len(models) < 2 or any(m.blocks or m._in_place for m in models):
+        raise ValueError("stack needs two or more models, none stacked")
     linear = models[0].matrix is not None
     if any((m.matrix is not None) != linear for m in models):
         raise ValueError("stack needs models all linear or none linear")
-    parts = [(m, slice(end - m.dim, end))
-             for m, end in zip(models, accumulate(m.dim for m in models))]
     dim = sum(m.dim for m in models)
-    r = np.zeros((dim, dim))
-    for m, rows in parts:
-        r[rows, rows] = m.r
+    r = np.full((dim, dim), -0.0)
     gate = sum(m.gate for m in models)
     if linear:
         return MeasurementModel(models[0].name, dim,
                                 np.vstack([m.matrix for m in models]), r,
                                 gate, blocks=models)
+    parts = [(m, slice(end - m.dim, end))
+             for m, end in zip(models, accumulate(m.dim for m in models))]
 
     def filled(cols: np.ndarray) -> np.ndarray:
         out = np.empty((dim, cols.shape[1]))

@@ -17,9 +17,10 @@ so does ``_on_vslam`` for a pose with a negative variance.
 The session holds the state as the flat 23-vector ``x`` and its covariance
 ``cov``.  Each primary-IMU event predicts, updates and conditions ``cov``
 once (``_imu_step``) and leaves a snapshot in the replay ring, sharing the
-session's arrays, which the engine never writes into.  The filter clock is
-the newest snapshot's stamp (``ring.last_stamp``), None while the ring is
-empty.
+session's arrays, which the engine never writes into.  The snapshot holds
+its step built once (``_imu_snapshot``), its predict sub-steps and its
+updates, for a replay to re-run as is.  The filter clock is the newest
+snapshot's stamp (``ring.last_stamp``), None while the ring is empty.
 Every handler fuses its event's updates through ``FusionPipeline._fuse``,
 one engine call per update, and reports the engine's ``UpdateRecord`` of
 each path, from which it reads its decisions and innovations too.  An
@@ -42,14 +43,15 @@ behind the clock, as late delivery does.
 
 Every measurement model is built once, with the pipeline; an event sets only
 the noise ``r`` of the models whose noise varies, GPS position and heading,
-VSLAM and the encoder's.  An encoder sample's blocks take their estimators'
-R as is, copied only to tighten the yaw rate while coasting, and an
-accepted block feeds its estimator when that one adapts.  A GPS fix that
-passes the receiver-quality screen gets its noise from the one GNSS policy,
-``measurements.gps_fix_to_measurement``, with the ``gps_pos`` estimator's R
-as the DOP-scaled base; accepted fixes feed that estimator when it adapts
-and derive a course-over-ground heading from the previous accepted fix.
-The fix is taken at the body origin: there is no antenna lever arm.
+VSLAM and the encoder's.  An encoder sample writes its estimators' R into
+its blocks' views of the stack's R, tightening the yaw rate there while
+coasting, and an accepted block feeds its estimator when that one adapts.
+A GPS fix that passes the receiver-quality screen gets its noise from the
+one GNSS policy, ``measurements.gps_fix_to_measurement``, with the
+``gps_pos`` estimator's R as the DOP-scaled base; accepted fixes feed that
+estimator when it adapts and derive a course-over-ground heading from the
+previous accepted fix.  The fix is taken at the body origin: there is no
+antenna lever arm.
 
 A checkpoint (version 7) is a JSON file: version, configuration hash, and
 the session, the attributes ``FusionPipeline._SESSION`` lists and ``reset``
@@ -59,11 +61,12 @@ filled, anchors, mode flags, readings and counters, each array as its shape
 and the base64 of its little-endian float64 bytes.  Loading rebuilds what
 the configuration fixes (the origin's frame, the estimators, the ring) and
 reads every stored value by a typed reader, checking its type, shape,
-range and any quaternion's unit norm, and each estimator's R as the
-estimator checks its own (``AdaptiveEstimator.checked``: symmetric, at or
-above its floor, positive definite), before assigning any, so a malformed
-file changes nothing and a resumed run is bit-identical to an uninterrupted
-one.
+range and any quaternion's unit norm, each snapshot's stamp to follow the
+one before by at most ``_MAX_IMU_GAP``, as a live step does, before its
+step is rebuilt, and each estimator's R as the estimator checks its own
+(``AdaptiveEstimator.checked``: symmetric, at or above its floor, positive
+definite), before assigning any, so a malformed file changes nothing and a
+resumed run is bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -123,6 +126,9 @@ _MAX_IMU_GAP = 10.0
 #: delivery: dropped, it never confirms a backward clock jump
 _MAX_IMU_DELAY = 0.5
 _TOO_OLD = "older than replay buffer"
+#: the ZUPT measurement, shared by every update that fuses one
+_ZERO_VELOCITY = np.zeros(3)
+_ZERO_VELOCITY.flags.writeable = False
 
 CHECKPOINT_VERSION = 7
 
@@ -269,6 +275,7 @@ class FusionPipeline:
                                                       cfg["gates.encoder"])
         self._zupt_model = meas.zupt_model(cfg["zupt.sigma"],
                                            cfg["gates.zupt"])
+        self._zupt_update = (_ZERO_VELOCITY, self._zupt_model, 1.0)
         # each fix, course and pose sets its model's R before its update: a
         # pose's is its variances, else the configured ones, floored
         self._gps_model = meas.gps_position_model(np.eye(3),
@@ -493,35 +500,48 @@ class FusionPipeline:
         rpy = quat_to_euler((w / norm, x / norm, y / norm, z / norm))
         return z_raw, np.array(rpy[: joint.blocks[1].dim])
 
-    def _imu_update_list(self, kind: str, z_raw: np.ndarray,
-                         z_orient: Optional[np.ndarray]) -> list:
+    def _imu_update(self, kind: str, z_raw: np.ndarray,
+                    z_orient: Optional[np.ndarray]) -> tuple:
         """One update: the raw gyro/accel rows, stacked with the orientation
         rows when there is an orientation measurement (``_imu_vectors``)."""
         raw, joint = self._imu_models[kind]
         if z_orient is None:
-            return [(z_raw, raw, 1.0)]
-        return [(np.concatenate([z_raw, z_orient]), joint, 1.0)]
+            return z_raw, raw, 1.0
+        return np.concatenate([z_raw, z_orient]), joint, 1.0
 
-    def _imu_step(self, x: np.ndarray, cov: np.ndarray, stamp: float,
-                  step: Snapshot, records: Optional[list[UpdateRecord]] = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Predict from ``stamp`` to the step's IMU stamp, run the updates
-        of its stored measurement vectors, and the ZUPT update while one was
-        held.  Live ingestion and ring replay both run this, so the two
-        paths are bit-identical."""
-        dt_total = step.stamp - stamp
-        q_rate = self._modes[step.coast_active][1]
+    def _imu_snapshot(self, stamp: float, clock: float, z_raw: np.ndarray,
+                      z_orient: Optional[np.ndarray], zupt_active: bool,
+                      coast_active: bool) -> Snapshot:
+        """The primary-IMU step from ``clock`` to ``stamp`` with its work
+        built once, its state still unset: the predict sub-steps of at most
+        ``_MAX_STEP_DT``, and the updates of its measurement vectors, plus
+        the ZUPT row while one is held."""
+        q_rate = self._modes[coast_active][1]
+        steps = []
+        dt_total = stamp - clock
         while dt_total > 1e-12:
             dt = min(dt_total, _MAX_STEP_DT)
-            x, cov = ukf_predict(x, cov, PropagationStep(dt, q_rate),
-                                 self._params)
+            steps.append(PropagationStep(dt, q_rate))
             dt_total -= dt
-            if dt_total > 1e-12:  # the next sub-step draws from this one
+        updates = (self._imu_update("imu", z_raw, z_orient),)
+        if zupt_active:
+            updates += (self._zupt_update,)
+        return Snapshot(stamp, None, None, z_raw, z_orient, zupt_active,
+                        coast_active, tuple(steps), updates)
+
+    def _imu_step(self, x: np.ndarray, cov: np.ndarray, step: Snapshot,
+                  records: Optional[list[UpdateRecord]] = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Run a snapshot's prebuilt step (``_imu_snapshot``): predict
+        through its sub-steps, conditioning between them, as each draws
+        from the one before, then its updates.  Live ingestion and ring
+        replay both run this, so the two paths are bit-identical."""
+        for k, propagation in enumerate(step.steps):
+            if k:
                 cov = _condition(cov)
-        updates = self._imu_update_list("imu", step.z_raw, step.z_orient)
-        if step.zupt_active:
-            updates.append((np.zeros(3), self._zupt_model, 1.0))
-        x, updated = self._apply_updates(x, cov, updates, step.coast_active,
+            x, cov = ukf_predict(x, cov, propagation, self._params)
+        x, updated = self._apply_updates(x, cov, step.updates,
+                                         step.coast_active,
                                          [] if records is None else records)
         # predict leaves ``cov`` raw, for an accepted update to condition;
         # with every update rejected, that very array comes back
@@ -566,11 +586,11 @@ class FusionPipeline:
         # finite, as JSON needs; ZUPT compares it with finite thresholds
         self._last_imu_rate = min(math.hypot(*sample.gyro.tolist()), _MAX)
         self._update_zupt()
-        step = Snapshot(sample.stamp, None, None, *self._imu_vectors(sample),
-                        self._zupt_active, self.coast.active)
+        step = self._imu_snapshot(sample.stamp, clock,
+                                  *self._imu_vectors(sample),
+                                  self._zupt_active, self.coast.active)
         records: list[UpdateRecord] = []
-        self.x, self.cov = self._imu_step(self.x, self.cov, clock, step,
-                                          records)
+        self.x, self.cov = self._imu_step(self.x, self.cov, step, records)
         report = self._report(sample.stamp, "imu", records)
         report.state.validate()
         step.x, step.cov = self.x, self.cov
@@ -578,20 +598,19 @@ class FusionPipeline:
         return report
 
     def _on_imu2(self, sample: ImuSample) -> StepReport:
-        updates = self._imu_update_list("imu2", *self._imu_vectors(sample))
+        update = self._imu_update("imu2", *self._imu_vectors(sample))
         return self._report(sample.stamp, "imu2",
-                            self._fuse(sample.stamp, "imu2", updates))
+                            self._fuse(sample.stamp, "imu2", [update]))
 
     def _on_encoder(self, sample: EncoderSample) -> StepReport:
         self._last_encoder_speed = abs(float(sample.velocity[0]))
-        # the estimators' own R, which the engine only reads
+        # the estimators' R, written into the blocks' views of the stack's R
         odometry, vertical = self._encoder_model.blocks
         odometry.r = self.adaptive["encoder"].r
         vertical.r = self.adaptive["encoder_vz"].r
         if self.coast.active:
             # coasting leans on the bias-corrected encoder yaw rate for
-            # heading, so its noise is tightened by this factor, in a copy
-            odometry.r = odometry.r.copy()
+            # heading, so its noise is tightened by this factor
             odometry.r[2, 2] *= self.config["coast.encoder_wz_factor"]
         # the odometry reading, then the vertical velocity it implies: zero
         z = np.array([sample.velocity[0], sample.velocity[1],
@@ -801,20 +820,32 @@ class FusionPipeline:
                              f"{sorted(set(doc) ^ set(self._SESSION))}")
         joint = self._imu_models["imu"][1]
 
-        def snapshot(stamp, x, cov, z_raw, z_orient, zupt, coast):
+        def snapshot(clock, stamp, x, cov, z_raw, z_orient, zupt, coast):
+            """The stored snapshot, its step rebuilt from ``clock``, the
+            stamp before it, which a live step advanced by at most
+            ``_MAX_IMU_GAP``; the oldest one's step is never replayed."""
+            stamp = _read_real(stamp)
+            if clock is None:
+                clock = stamp
+            elif not 0.0 < stamp - clock <= _MAX_IMU_GAP:
+                raise ValueError("snapshot stamps not increasing by at most "
+                                 f"{_MAX_IMU_GAP} s")
             if z_orient is not None:
                 if joint is None:
                     raise ValueError("orientation rows without their model")
                 z_orient = _read_array(z_orient, (joint.blocks[1].dim,))
-            return Snapshot(_read_real(stamp), _read_array(x, _STATE, QUAT),
-                            _read_array(cov, _COV), _read_array(z_raw, (6,)),
-                            z_orient, _read_flag(zupt), _read_flag(coast))
+            step = self._imu_snapshot(stamp, clock, _read_array(z_raw, (6,)),
+                                      z_orient, _read_flag(zupt),
+                                      _read_flag(coast))
+            step.x = _read_array(x, _STATE, QUAT)
+            step.cov = _read_array(cov, _COV)
+            return step
 
         ring = StateSnapshotRing(self.config["retro.capacity"])
         if len(doc["ring"]) > ring.capacity:
             raise ValueError("replay ring over capacity")
         for entry in doc["ring"]:
-            ring.record(snapshot(*entry))  # stamps strictly increasing
+            ring.record(snapshot(ring.last_stamp, *entry))
         adaptive = self._build_adaptive()
         if doc["adaptive"].keys() != adaptive.keys():
             raise ValueError("adaptive paths differ from the configuration")

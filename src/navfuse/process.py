@@ -3,7 +3,7 @@
 One step advances position by the rotated body velocity, composes the
 quaternion with the exact rate increment, and integrates body acceleration
 into body velocity.  Rates, accelerations, and all biases are held constant;
-their random walks enter only through the process noise matrix.
+their random walks enter only through the process noise.
 
 Q is diagonal and linear in dt, so its per-second diagonal (``noise_rates``)
 is built once per configuration and mode, and each step only scales it by
@@ -95,5 +95,10 @@ def noise_rates(cfg, frozen: Sequence[int] = (),
 
 
 def process_noise_matrix(step: PropagationStep) -> np.ndarray:
-    """Diagonal Q of one step: the per-second diagonal scaled by dt."""
-    return np.diag(step.q_rate * step.dt)
+    """The diagonal of Q of one step, the per-second diagonal scaled by dt,
+    as a 23-vector: Q is diagonal, so ``ukf.predict`` adds it on the
+    covariance's diagonal in place, not as a 23x23 matrix.  The name stays
+    because the benchmark's tracer wraps this function by name
+    (``tests/test_bench_hooks.py``) until it stops wrapping engine
+    internals (ROADMAP item 14)."""
+    return step.q_rate * step.dt

@@ -8,9 +8,13 @@ draws, so A/B scenario comparisons stay paired.
 
 ``SECTIONS`` is the scenario schema: a row per sensor section with its
 generator key, every key it reads with its default, and its draw function;
-a row's position breaks ties in arrival time.  A key that a section or the
-origin (``lat_deg``, ``lon_deg``, ``alt_m``) does not declare raises
-``GenerationError``.
+a row's position breaks ties in arrival time.  ``TRAJECTORIES`` declares
+each trajectory type's keys, and ``ENTRIES`` the keys of each fault list's
+entries, both with their defaults.  A key that a section, the trajectory,
+a fault-list entry or the origin (``lat_deg``, ``lon_deg``, ``alt_m``)
+does not declare raises ``GenerationError``, and so does a missing entry
+key without a default, a ``rate_hz`` or ``duration_s`` that is not
+positive.
 """
 
 from __future__ import annotations
@@ -138,18 +142,19 @@ _STILL = (float("inf"), np.zeros_like, np.zeros_like, np.zeros_like)
 
 
 def _phases_for(spec: dict) -> list[tuple[float, callable, callable, callable]]:
-    """Each phase: (duration, speed(t), accel(t), yaw_rate(t))."""
-    kind = spec.get("type", "static")
+    """Each phase: (duration, speed(t), accel(t), yaw_rate(t)), from a
+    trajectory with every key of its type (``TRAJECTORIES``)."""
+    kind = spec["type"]
     if kind == "static":
         return [_STILL]
     if kind in ("circle", "figure_eight"):
-        radius = float(spec.get("radius", 20.0))
-        speed = float(spec.get("speed", 2.0))
-        accel = float(spec.get("accel", 0.5))
+        radius = float(spec["radius"])
+        speed = float(spec["speed"])
+        accel = float(spec["accel"])
         if radius <= 0 or speed <= 0 or accel <= 0:
             raise GenerationError("circle needs positive radius/speed/accel")
         t_ramp = speed / accel
-        direction = 1.0 if spec.get("ccw", True) else -1.0
+        direction = 1.0 if spec["ccw"] else -1.0
 
         def spd(t):
             return np.minimum(t * accel, speed)
@@ -174,15 +179,15 @@ def _phases_for(spec: dict) -> list[tuple[float, callable, callable, callable]]:
 
         return [(float("inf"), spd, acc, rate_f8)]
     if kind == "waypoints":
-        points = spec.get("points")
+        points = spec["points"]
         if not points or len(points) < 2:
             raise GenerationError("waypoints trajectory needs >= 2 points")
-        speed = float(spec.get("speed", 2.0))
-        accel = float(spec.get("accel", 0.8))
-        turn_rate = float(spec.get("turn_rate", 0.8))
-        turn_accel = float(spec.get("turn_accel", 1.6))
+        speed = float(spec["speed"])
+        accel = float(spec["accel"])
+        turn_rate = float(spec["turn_rate"])
+        turn_accel = float(spec["turn_accel"])
         pts = [np.asarray(p, dtype=float) for p in points]
-        if spec.get("loop", False):
+        if spec["loop"]:
             pts.append(pts[0])
         phases = []
         heading = None
@@ -205,17 +210,16 @@ def _phases_for(spec: dict) -> list[tuple[float, callable, callable, callable]]:
             phases.append((dur, rate, slope, np.zeros_like))
         phases.append(_STILL)
         return phases
-    raise GenerationError(f"unknown trajectory type {kind!r}")
 
 
 def build_truth(scenario: SimScenario) -> GroundTruth:
     sections = _resolve(scenario)
-    imu = sections["imu"]
+    imu, trajectory = sections["imu"], sections["trajectory"]
     dt = 1.0 / imu["rate_hz"]
     n = int(round(scenario.duration_s * imu["rate_hz"])) + 1
     stamps = np.arange(n) * dt
 
-    phases = _phases_for(scenario.trajectory)
+    phases = _phases_for(trajectory)
     speed, accel_long, yaw_rate, zero = np.zeros((4, n))
     start, idx0 = 0.0, 0
     for dur, f_speed, f_accel, f_rate in phases:
@@ -231,19 +235,18 @@ def build_truth(scenario: SimScenario) -> GroundTruth:
 
     # feasibility: the sampled speed must not jump faster than the profiles
     max_jump = np.max(np.abs(np.diff(speed))) if n > 1 else 0.0
-    accel_bound = max(float(scenario.trajectory.get("accel", 1.0)), 1.0)
+    accel_bound = max(float(trajectory.get("accel", 1.0)), 1.0)
     if max_jump > 2.0 * accel_bound * dt + 1e-9:
         raise GenerationError("speed discontinuity in trajectory profile")
 
-    yaw = float(scenario.trajectory.get("yaw0", 0.0)) + np.concatenate(
+    yaw = float(trajectory["yaw0"]) + np.concatenate(
         [[0.0], np.cumsum(0.5 * (yaw_rate[1:] + yaw_rate[:-1]) * dt)])
     vel_world = np.stack(
         [speed * np.cos(yaw), speed * np.sin(yaw), zero], axis=-1)
     position = np.concatenate(
         [np.zeros((1, 3)),
          np.cumsum(0.5 * (vel_world[1:] + vel_world[:-1]) * dt, axis=0)])
-    start_xy = np.asarray(scenario.trajectory.get("start", [0.0, 0.0]),
-                          dtype=float)
+    start_xy = np.asarray(trajectory["start"], dtype=float)
     position[:, 0] += start_xy[0]
     position[:, 1] += start_xy[1]
 
@@ -341,14 +344,13 @@ def _draw_gps(rng, spec, idx, truth, scenario):
         for spike in spec["spikes"]:
             if abs(t - float(spike["t"])) < 0.5 / rate:
                 enu = truth.position[i] + float(spike["offset_m"]) * \
-                    _heading(spike.get("direction_deg", 0.0))
+                    _heading(spike["direction_deg"])
         for cl in spec["clusters"]:
-            start, cl_rate = float(cl["start"]), float(cl.get("rate_hz", rate))
+            start, cl_rate = float(cl["start"]), float(cl["rate_hz"])
             if start <= t < start + int(cl["count"]) / cl_rate:
                 enu = truth.position[i] + faults.uniform(
-                    float(cl.get("offset_m_min", 720.0)),
-                    float(cl.get("offset_m_max", 840.0))) * _heading(
-                        cl.get("direction_deg", 45.0))
+                    float(cl["offset_m_min"]), float(cl["offset_m_max"])
+                ) * _heading(cl["direction_deg"])
         geo = ecef_to_geodetic(enu_to_ecef(enu, origin))
         events.append(GpsFixSample(t, geo.lat, geo.lon, geo.alt, fix_type,
                                    float(hdop[k]), vdop, spec["satellites"]))
@@ -421,16 +423,81 @@ SECTIONS: dict[str, Section] = {
 }
 
 
+#: each trajectory type's keys with their defaults, besides ``type`` and
+#: ``_POSE``; ``points`` has none, and ``static`` takes no other
+TRAJECTORIES: dict[str, dict] = {
+    "static": {},
+    "circle": {"radius": 20.0, "speed": 2.0, "accel": 0.5, "ccw": True},
+    "figure_eight": {"radius": 20.0, "speed": 2.0, "accel": 0.5,
+                     "ccw": True},
+    "waypoints": {"points": None, "speed": 2.0, "accel": 0.8,
+                  "turn_rate": 0.8, "turn_accel": 1.6, "loop": False},
+}
+#: the keys every trajectory type takes: the initial yaw and the start
+_POSE = {"yaw0": 0.0, "start": [0.0, 0.0]}
+
+#: per fault list, the keys its entries must give, and those with a
+#: default; a default of None takes the section's value of that key
+ENTRIES: dict[str, tuple[tuple[str, ...], dict]] = {
+    "az_bursts": (("start", "end", "amplitude"), {}),
+    "slip": (("start", "end", "factor"), {}),
+    "dropouts": (("start", "end"), {}),
+    "hdop_windows": (("start", "end", "value"), {}),
+    "spikes": (("t", "offset_m"), {"direction_deg": 0.0}),
+    "clusters": (("start", "count"), {
+        "rate_hz": None, "offset_m_min": 720.0, "offset_m_max": 840.0,
+        "direction_deg": 45.0}),
+    "reinits": (("t", "offset"), {}),
+}
+
+
 def _check_keys(name: str, given, declared) -> None:
     unknown = sorted(set(given) - set(declared), key=str)
     if unknown:
         raise GenerationError(f"unknown scenario keys in {name!r}: {unknown}")
 
 
+def _positive(name: str, key: str, value) -> None:
+    if not value > 0:  # NaN too
+        raise GenerationError(f"{name!r}: {key} must be > 0, not {value!r}")
+
+
+def _entries(name: str, spec: dict, key: str) -> list[dict]:
+    """The entries of ``spec``'s fault list ``key``, each with every key of
+    ``ENTRIES[key]``, given or default."""
+    required, defaults = ENTRIES[key]
+    entries = []
+    for i, entry in enumerate(spec[key]):
+        where = f"{name}.{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise GenerationError(f"{where!r} must be a mapping")
+        _check_keys(where, entry, required + tuple(defaults))
+        missing = [req for req in required if req not in entry]
+        if missing:
+            raise GenerationError(f"missing scenario keys in {where!r}: "
+                                  f"{missing}")
+        resolved = {k: spec[k] if default is None else default
+                    for k, default in defaults.items()}
+        resolved.update(entry)
+        if "rate_hz" in resolved:
+            _positive(where, "rate_hz", resolved["rate_hz"])
+        entries.append(resolved)
+    return entries
+
+
 def _resolve(scenario: SimScenario) -> dict[str, dict]:
-    """Each section's declared keys, given or default; refuses any other."""
+    """Each section's and the trajectory's declared keys, given or default,
+    each fault-list entry's too (``_entries``); refuses any other key, and
+    a ``rate_hz`` or ``duration_s`` that is not positive."""
     _check_keys("origin", scenario.origin, ("lat_deg", "lon_deg", "alt_m"))
-    resolved: dict[str, dict] = {}
+    _positive("scenario", "duration_s", scenario.duration_s)
+    given = scenario.trajectory
+    kind = given.get("type", "static")
+    if kind not in TRAJECTORIES:
+        raise GenerationError(f"unknown trajectory type {kind!r}")
+    declared = {"type": kind, **_POSE, **TRAJECTORIES[kind]}
+    _check_keys("trajectory", given, declared)
+    resolved: dict[str, dict] = {"trajectory": {**declared, **given}}
     for name, section in SECTIONS.items():
         given = getattr(scenario, name)
         _check_keys(name, given, section.defaults)
@@ -439,6 +506,9 @@ def _resolve(scenario: SimScenario) -> dict[str, dict]:
             if default is None:
                 default = resolved["imu"][key]
             spec[key] = type(default)(given.get(key, default))
+        _positive(name, "rate_hz", spec["rate_hz"])
+        for key in ENTRIES.keys() & spec.keys():
+            spec[key] = _entries(name, spec, key)
     return resolved
 
 

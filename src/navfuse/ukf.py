@@ -4,32 +4,37 @@ Predict, and an update through a measurement function, run a full-state
 23-dimensional scaled unscented transform (2n+1 = 47 sigma points), held
 component-major: one C-contiguous (23, 47) array whose column j is sigma
 point j, so each state block (``points[QUAT]``, ...) is a contiguous row
-slice, and the moments sum along the last axis.  A model declared by its
-matrix H updates in closed form, S = HPH^T + R and Pxz = PH^T: that
-transform of a linear map, but for Pxz's quaternion rows, which it projects
-onto the unit sphere's tangent space.  Every update gates through one
-path, ``_gate_blocks``, and records each block's decision as an
-``UpdateRecord``: a stacked model (``measurements.stack``) is one update
-with a block per model, closed-form for a linear stack and one sigma set
-for a sigma-point stack, and any other model is one block.  The gate
-whitens [nu | Pxz^T] by the Cholesky factor L of S: L's leading rows
-factor S's leading rows alone (the prefix property), so each block's
-whitened innovation gives its d2 given the blocks before it.  Quaternions
-are raw 4-vectors, hemisphere-aligned before any averaging or differencing
-and renormalized after perturbation or correction.  An accepted update's
-covariance is symmetrized, eigenvalue-repaired to a positive-definite
-floor, and its angular-rate variances capped (``_condition``); predict's
-is raw, for its caller to condition once.  The engine takes and returns
-plain arrays, ``x`` and its covariance, knows no clock, and never writes
-into its inputs, so callers may share them.
+slice, and the moments sum along the last axis.  Predict adds Q, which is
+diagonal, on the unscented covariance's diagonal in place.  A model
+declared by its matrix H updates in closed form, S = HPH^T + R and
+Pxz = PH^T: that transform of a linear map, but for Pxz's quaternion rows,
+which it projects onto the unit sphere's tangent space.  Every update
+gates through one path, ``_gate_blocks``, and records each block's
+decision as an ``UpdateRecord``: a stacked model (``measurements.stack``)
+is one update with a block per model, closed-form for a linear stack and
+one sigma set for a sigma-point stack, and any other model is one block.
+The model's R is added to S in one operation, a stack's R being one
+array.  The gate factors S = LL^T and whitens [nu | Pxz^T] by L under one
+LAPACK error state: L's leading rows factor S's leading rows alone (the
+prefix property), so each block's whitened innovation gives its d2 given
+the blocks before it.  When every block passes, that first pass is the
+update; the blocks after a gated one are whitened again from its factor
+and solve.  Quaternions are raw 4-vectors, hemisphere-aligned before any
+averaging or differencing and renormalized after perturbation or
+correction.  An accepted update's covariance is symmetrized,
+eigenvalue-repaired to a positive-definite floor, and its angular-rate
+variances capped (``_condition``); predict's is raw, for its caller to
+condition once.  The engine takes and returns plain arrays, ``x`` and its
+covariance, knows no clock, and never writes into its inputs, so callers
+may share them.
 
-Sigma points, S and the whitening factor and solve through ``_cholesky``
-and ``_solve``, the LAPACK seam in ``core``: numpy's own LAPACK gufuncs in
-``np.linalg``'s error state, bit for bit its results and failures, without
-a wrapper that costs more than LAPACK at 23x23.  The benchmark's tracer
-wraps names looked up at call time, which must stay called
-(``tests/test_bench_hooks.py``): ``generate_sigma_points``, ``repair_pd``,
-``propagate_states`` and ``process_noise_matrix``, and
+Sigma points factor through ``_cholesky``, and S and the whitening solve
+through ``_whiten``, the LAPACK seam in ``core``: numpy's own LAPACK
+gufuncs in ``np.linalg``'s error state, bit for bit its results and
+failures, without a wrapper that costs more than LAPACK at 23x23.  The
+benchmark's tracer wraps names looked up at call time, which must stay
+called (``tests/test_bench_hooks.py``): ``generate_sigma_points``,
+``repair_pd``, ``propagate_states`` and ``process_noise_matrix``, and
 ``np.linalg.cholesky`` in ``repair_pd``'s check.  That check is the
 package's last ``np.linalg.cholesky`` call, the conditioning layer's
 LAPACK work as the benchmark counts it (``linalg.cholesky.per_imu``); it
@@ -54,7 +59,7 @@ from .core import (
     STATE_DIM,
     NumericalError,
     _cholesky,
-    _solve,
+    _whiten,
     all_finite,
     normalize_cols,
 )
@@ -257,8 +262,8 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate the flat state ``x`` and its covariance through one
     process step, returning new arrays: the covariance is the raw
-    unscented sum plus Q, not conditioned, for an update or ``_condition``
-    to condition once.
+    unscented sum plus Q, added on its diagonal, not conditioned, for an
+    update or ``_condition`` to condition once.
 
     ``transition`` overrides the kinematic model with an arbitrary batched
     map over the (23, 47) sigma columns (used by oracle tests); the process
@@ -275,7 +280,9 @@ def predict(
     if not all_finite(mean):
         raise NumericalError("prediction produced non-finite mean")
     dev = _deviations(propagated, mean)
-    return mean, (dev * params.wc) @ dev.T + process_noise_matrix(step)
+    cov = (dev * params.wc) @ dev.T
+    cov.reshape(-1)[:: STATE_DIM + 1] += process_noise_matrix(step)
+    return mean, cov
 
 
 def update(
@@ -292,11 +299,12 @@ def update(
 
     A model with a matrix H skips the sigma points: nu = z - Hx,
     S = HPH^T + R and Pxz = PH^T; any other model takes S and Pxz from one
-    sigma set.  Either way each block's current R is added to its diagonal
-    part of S.  Angle-flagged measurement components use wrapped
-    residuals throughout (``model.wrapped``).  Every model gates through
-    ``_gate_blocks``, an unstacked one as the single block at its rows,
-    which records each block and returns the accepted rows whitened,
+    sigma set.  Either way the model's R, a stack's holding each block's
+    current R, is added to S in one operation.  Angle-flagged measurement
+    components use wrapped residuals throughout (``model.wrapped``).  Every
+    model gates through ``_gate_blocks``, an unstacked one as the single
+    block at its rows, which records each block and returns the accepted
+    rows whitened,
     [w | W] = L^-1 [nu | Pxz^T] for S = LL^T over them: the gain is
     W^T L^-1, the state moves by W^T w and the covariance becomes
     P - W^T W, conditioned.  A gated-out or numerically singular
@@ -334,8 +342,7 @@ def update(
         np.matmul(dz, dz_w.T, out=frame_t[:m])
         frame_t[m] = model.wrapped(z - zbar)
         np.matmul(_deviations(points, mean), dz_w.T, out=frame_t[m + 1:])
-    for block, rows in model.parts:
-        frame_t[rows, rows] += block.r
+    frame_t[:m] += model.r  # a stack's R is one array (``stack``)
     records, white = _gate_blocks(model.parts, frame_t.T, gate_scale)
     if white is None:
         return UpdateOutcome(x, cov, False, records)
@@ -355,29 +362,33 @@ def _gate_blocks(parts, frame: np.ndarray, gate_scale: float):
     """Gate a model's blocks, ``parts`` as (block, its rows), in row order,
     on ``frame`` = [S | nu | Pxz^T]: block b is accepted iff
     d2(A+b) - d2(A) <= its gate times ``gate_scale``, where A is the rows
-    accepted before it.  One factor S = LL^T and one solve whiten the
-    frame; by the prefix property, while all blocks before b are accepted,
-    b's whitened innovation y_b has ||y_b||^2 = d2(A+b) - d2(A), and
-    L_bb y_b is b's innovation given A.  A gated block, or one whose rows
-    do not factor, leaves the set; the rows r after it are whitened again
-    given A, from slices: S_rr - L_rA L_rA^T, with L_rA^T read off the
-    whitened columns of S, and the right-hand side less L_rA y_A.  When S
-    does not factor, the first block alone shows whether it is the
-    "singular" one.  d2 is one ``np.vdot``, which warns of no overflow: a
-    finite innovation too large to square gates at d2 = inf.  Returns the
-    records and the accepted rows of [nu | Pxz^T] whitened, or None.
+    accepted before it.  One factor S = LL^T and one solve, under one
+    LAPACK error state (``_whiten``), whiten the frame; by the prefix
+    property, while all blocks before b are accepted, b's whitened
+    innovation y_b has ||y_b||^2 = d2(A+b) - d2(A), and L_bb y_b is b's
+    innovation given A.  When every block passes, the whitened frame of
+    that first pass is the result.  A gated block, or one whose rows do
+    not factor, leaves the set; the rows r after it are whitened again
+    given A, from the first pass's factor and solve: S_rr - L_rA L_rA^T,
+    with L_rA^T read off the whitened columns of S, and the right-hand side
+    less L_rA y_A.  When S does not factor, the first block alone shows
+    whether it is the "singular" one.  d2 is one ``np.vdot``, which warns
+    of no overflow: a finite innovation too large to square gates at
+    d2 = inf.  Returns the records and the accepted rows of [nu | Pxz^T]
+    whitened, or None.
     """
     records: list[UpdateRecord] = []
     kept, i = None, 0
-    while i < len(parts):
+    while True:
         m = width = len(frame)
         try:
-            root = _cholesky(frame[:, :m])
+            root, white = _whiten(frame[:, :m], frame)
         except np.linalg.LinAlgError:  # find the block: whiten it alone
-            width, root = parts[i][0].dim, None
-            with suppress(np.linalg.LinAlgError):
-                root = _cholesky(frame[:width, :width]) if width < m else None
-        white = None if root is None else _solve(root, frame[:width])
+            width, root, white = parts[i][0].dim, None, None
+            if width < m:
+                with suppress(np.linalg.LinAlgError):
+                    root, white = _whiten(frame[:width, :width],
+                                          frame[:width])
         p = q = 0  # the frame's rows accepted, and decided
         while q < width:
             block = parts[i][0]
@@ -396,11 +407,13 @@ def _gate_blocks(parts, frame: np.ndarray, gate_scale: float):
             if reason != "accepted":
                 break
             p = q
+        if p == m and kept is None:  # every block passed the first pass
+            return records, white[:, m:]
         if p:
             kept = white[:p, m:] if kept is None else np.concatenate(
                 (kept, white[:p, m:]))
-        if i < len(parts):
-            frame = frame[q:, q:]
-            if p:  # given the accepted rows: L_rA^T is white[:p, q:m]
-                frame = frame - white[:p, q:m].T @ white[:p, q:]
-    return records, kept
+        if i == len(parts):
+            return records, kept
+        frame = frame[q:, q:]
+        if p:  # given the accepted rows: L_rA^T is white[:p, q:m]
+            frame = frame - white[:p, q:m].T @ white[:p, q:]

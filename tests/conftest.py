@@ -113,6 +113,32 @@ def state_columns(max_columns=8, bound=3.0):
         lambda c: ((c[3:7] ** 2).sum(axis=0) > 1e-6).all()).map(build)
 
 
+class PerBlockNoise:
+    """The R step of a stacked update as it was before a stack held one R
+    array: one add per block, each block's current ``r`` onto its diagonal
+    part of S.  It stands in for a model's ``r`` (``per_block_noise``):
+    numpy hands ``S += r`` to ``__array_ufunc__``, which makes the adds."""
+
+    def __init__(self, model):
+        self.parts = model.parts
+
+    def __array_ufunc__(self, ufunc, method, s, other, out=None):
+        assert ufunc is np.add and method == "__call__" and other is self
+        assert out is not None and out[0] is s
+        for block, rows in self.parts:
+            s[rows, rows] += block.r
+        return s
+
+
+def per_block_noise(model):
+    """A copy of ``model`` whose R step is ``PerBlockNoise``'s, the same
+    engine update otherwise: the reference for ``ukf.update``'s one add."""
+    import copy
+    reference = copy.copy(model)
+    reference._r = PerBlockNoise(model)
+    return reference
+
+
 def random_pd_matrix(rng, dim, scale=1.0):
     a = rng.normal(size=(dim, dim))
     return scale * (a @ a.T + dim * np.eye(dim))

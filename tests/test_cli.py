@@ -54,8 +54,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("gps", [
         {"rate_hz": "fast"}, {"dropouts": [{"end": 3.0}]}, [1, 2],
-        {"rate": 1.0},
-    ], ids=["value", "missing_key", "section", "unknown_key"])
+        {"rate": 1.0}, {"rate_hz": 0},
+    ], ids=["value", "missing_key", "section", "unknown_key", "zero_rate"])
     def test_malformed_scenario_is_config_error(self, tmp_path, capsys, gps):
         scen = write_scenario(tmp_path, {**SCENARIO, "gps": gps})
         assert main(["simulate", "--scenario", scen, "--out",

@@ -170,10 +170,13 @@ class TestRotationRowReadings:
     zero entries the formulas give as -0."""
 
     def test_imu_function_equals_the_stacked_block_functions(self, rng):
-        raw = imu_raw_model(0.005, 0.05, 15.09)
-        joints = [stack(raw, orient, h=partial(imu_cols, angles=orient.dim))
-                  for orient in (imu_orientation_model(False, 0.02, 15.09),
-                                 imu_orientation_model(True, 0.02, 15.09))]
+        # a model is a block of one stack at most
+        raw, *raws = (imu_raw_model(0.005, 0.05, 15.09) for _ in range(3))
+        joints = [stack(block, orient,
+                        h=partial(imu_cols, angles=orient.dim))
+                  for block, orient in zip(raws, (
+                      imu_orientation_model(False, 0.02, 15.09),
+                      imu_orientation_model(True, 0.02, 15.09)))]
         clipped = negative_zeros = 0
         for cols in clouds(rng):
             w, x, y, z = cols[3:7]
@@ -476,6 +479,29 @@ class TestLinearModels:
                                                        vz.matrix]))
         assert np.array_equal(model.r, np.diag([0.03**2, 0.03**2,
                                                 0.02**2, 0.05**2]))
+
+    def test_block_r_is_a_view_of_the_stack_r(self):
+        enc = encoder_model(0.03, 0.03, 0.02, 11.34)
+        vz = encoder_vz_model(0.05, 11.34)
+        model = stack(enc, vz)
+        assert enc.r.base is model.r and vz.r.base is model.r
+        # assigning a block's R writes into the stack's, and so does a write
+        # into the block's R
+        enc.r = np.diag([1.0, 2.0, 3.0])
+        enc.r[2, 2] *= 2.0
+        assert np.array_equal(model.r, np.diag([1.0, 2.0, 6.0, 0.05**2]))
+        # -0.0 off the blocks, which adds to any entry of S as no change
+        assert np.signbit(model.r[:3, 3]).all()
+        assert np.signbit(model.r[3, :3]).all()
+        with pytest.raises(ValueError, match="shape"):
+            enc.r = np.eye(2)
+        with pytest.raises(ValueError, match="stacked"):
+            stack(enc, radar_velocity_model(0.1, 11.34))
+        # any other model's R is replaced, not written into
+        gps = gps_position_model(np.eye(3), 16.27)
+        r = np.eye(3) * 2.0
+        gps.r = r
+        assert gps.r is r
 
     def test_sigma_stack_fills_its_rows_block_by_block(self, rng):
         raw = imu_raw_model(0.005, 0.05, 15.09)

@@ -568,8 +568,8 @@ class TestConstruction:
         """A primary-IMU sample with orientation, no ZUPT held and no
         repair firing: one predict and one update of the raw and
         orientation rows stacked, each one sigma set (``_cholesky``); the
-        update factors S (``_cholesky``) and whitens both blocks with one
-        solve, and its output is the step's one conditioning (one
+        update factors S and whitens both blocks with one solve
+        (``_whiten``), and its output is the step's one conditioning (one
         ``np.linalg.cholesky``), as predict leaves its covariance raw.  It
         counts the third sample, because the second one's update, the first
         from the initial quaternion variance, repairs its covariance."""
@@ -579,11 +579,11 @@ class TestConstruction:
         pipe.ingest(imu_at(0.0, orientation=orientation))
         pipe.ingest(imu_at(0.01, orientation=orientation))
         calls = dict.fromkeys(("generate_sigma_points", "repair_pd",
-                               "_cholesky", "cholesky", "_solve",
+                               "_cholesky", "cholesky", "_whiten",
                                "eigvalsh", "ukf_update"), 0)
         for owner, name in ((ukf, "generate_sigma_points"),
                             (ukf, "repair_pd"), (ukf, "_cholesky"),
-                            (np.linalg, "cholesky"), (ukf, "_solve"),
+                            (np.linalg, "cholesky"), (ukf, "_whiten"),
                             (np.linalg, "eigvalsh"),
                             (pipeline_module, "ukf_update")):
             def counted(*args, _fn=getattr(owner, name), _name=name,
@@ -595,7 +595,7 @@ class TestConstruction:
         assert [r.path for r in report.updates] == ["imu_raw",
                                                     "imu_orientation"]
         assert calls == {"generate_sigma_points": 2, "repair_pd": 1,
-                         "_cholesky": 3, "cholesky": 1, "_solve": 1,
+                         "_cholesky": 2, "cholesky": 1, "_whiten": 1,
                          "eigvalsh": 0, "ukf_update": 1}
 
     def test_encoder_event_engine_work(self, monkeypatch):
@@ -1171,13 +1171,14 @@ class TestRetrodiction:
 
     def test_replay_reuses_the_live_measurement_vectors(self, monkeypatch):
         """A rewind over 20 IMU steps re-derives none of their measurement
-        vectors: no Euler extraction, and the stored vectors are the ones
-        the live steps fused."""
+        vectors: no Euler extraction, the stored vectors are the ones the
+        live steps fused, and each replayed step hands the engine the very
+        array its live step fused (``Snapshot.updates``)."""
         fused = []
         live_update = pipeline_module.ukf_update
 
         def recording(state, cov, z, model, *args, **kw):
-            fused.append((model.name, np.array(z)))
+            fused.append((model.name, np.array(z), z))
             return live_update(state, cov, z, model, *args, **kw)
 
         monkeypatch.setattr(pipeline_module, "ukf_update", recording)
@@ -1185,22 +1186,29 @@ class TestRetrodiction:
         pipe = FusionPipeline(PipelineConfig({"encoder.enabled": False}))
         pipe.ingest(imu_at(0.0, orientation=orientation))
         pipe.ingest(gps_at([0, 0, 0], 0.0))  # origin
+        live = {}
         for k in range(1, 31):
             fused.clear()
             pipe.ingest(imu_at(k * 0.01, orientation=orientation))
             entry = pipe.ring.entries[-1]
-            assert [name for name, _ in fused] == ["imu_raw"]
+            assert [name for name, *_ in fused] == ["imu_raw"]
             assert np.array_equal(
                 np.concatenate([entry.z_raw, entry.z_orient]), fused[0][1])
+            live[entry.stamp] = fused[0][2]
 
         euler_calls = []
         live_euler = pipeline_module.quat_to_euler
         monkeypatch.setattr(pipeline_module, "quat_to_euler",
                             lambda q: euler_calls.append(q) or live_euler(q))
         assert sum(e.stamp > 0.1 for e in pipe.ring.entries) == 20
+        fused.clear()
         pipe.ingest(gps_at([0.1, 0, 0], 0.1))
         assert pipe.diagnostics["retro_replays"] == 1
         assert len(euler_calls) == 0
+        replayed = [z for name, _, z in fused if name == "imu_raw"]
+        assert len(replayed) == 20
+        assert all(z is live[entry.stamp] for z, entry in
+                   zip(replayed, pipe.ring.entries[-20:], strict=True))
 
     def test_gated_late_fix_rewinds_nothing(self):
         """A late fix far outside the gate leaves the live state and every
@@ -1363,6 +1371,46 @@ class TestLifecycle:
                  if r.kind == "imu"]
         assert np.array_equal(np.array(cont1), np.array(cont2))
 
+    def test_checkpoint_mid_ring_then_late_fix_replays_loaded_steps(
+            self, tmp_path):
+        """A checkpoint taken with a full ring, then a late fix that
+        rewinds across the loaded snapshots: each one's step, rebuilt from
+        the stored fields (a 0.65 s gap of two predict sub-steps, ZUPT rows
+        while stationary, orientation rows), replays bit for bit as the
+        uninterrupted run's live-built one."""
+        path = str(tmp_path / "ckpt.json")
+        orientation = euler_to_quat(0.01, -0.02, 0.3)
+        head, tail = [gps_at([0, 0, 0], 0.0)], []
+        for k in [*range(51), *range(115, 240)]:  # a gap from 0.5 to 1.15 s
+            part = head if k < 200 else tail
+            part += [imu_at(k / 100, orientation=orientation),
+                     encoder_at(k / 100 + 0.005)]
+            if k == 210:  # 1.1 s late: it rewinds to the snapshot at 0.5 s
+                part.append(gps_at([0.2, 0, 0], 1.0))
+
+        def reports(pipe, part):
+            return [(r.kind, r.dropped, r.zupt, r.state.as_vector().tobytes(),
+                     r.cov_diag.tobytes(),
+                     [(u.path, u.reason, u.d2, u.innovation.tobytes())
+                      for u in r.updates]) for r in run(pipe, part)]
+
+        pipe = FusionPipeline(PipelineConfig())
+        reports(pipe, head)
+        assert len(pipe.ring) == 100 and pipe.ring.entries[0].stamp < 0.5
+        assert any(len(e.steps) == 2 for e in pipe.ring.entries)
+        assert any(e.zupt_active for e in pipe.ring.entries)
+        pipe.save_checkpoint(path)
+        resumed = FusionPipeline(PipelineConfig())
+        resumed.load_checkpoint(path)
+        for live, loaded in zip(pipe.ring.entries[1:],
+                                resumed.ring.entries[1:], strict=True):
+            assert [(step.dt, step.q_rate.tobytes()) for step in live.steps] \
+                == [(step.dt, step.q_rate.tobytes()) for step in loaded.steps]
+        want = reports(pipe, tail)
+        assert pipe.diagnostics["retro_replays"] == 1
+        assert reports(resumed, tail) == want
+        assert resumed.diagnostics == pipe.diagnostics
+
     def test_checkpoint_inside_a_filling_window_resumes(self, tmp_path):
         """The checkpoint holds 9 of the 20 rows of ``gps_pos``'s window
         (the first fix only sets the origin); the tail fills it, so the
@@ -1493,6 +1541,8 @@ class TestLifecycle:
         (("session", "_last_raw_vslam"),
          [array_doc(np.zeros(3)), array_doc(np.zeros(4))]),
         (("session", "_jump_stamp"), 10 ** 400),            # beyond a float
+        # a step no live run takes, of 2e9 predict sub-steps
+        (("session", "ring", -1, 0), 1e9),
     ], ids=["root", "version_3", "missing", "state_shape", "state_list",
             "snapshot_state", "cov_shape", "garbled", "truncated",
             "payload_shape", "snapshot_z_raw", "snapshot_z_orient",
@@ -1505,7 +1555,7 @@ class TestLifecycle:
             "snapshot_mode_type", "imu_rate_nan", "encoder_speed_negative",
             "snapshot_order", "ring_over_capacity", "origin_range",
             "unknown_session_key", "anchor_quaternion_zero",
-            "raw_vslam_quaternion_zero", "stamp_huge_int"])
+            "raw_vslam_quaternion_zero", "stamp_huge_int", "snapshot_gap"])
     def test_malformed_checkpoint_changes_nothing(self, tmp_path, keys,
                                                   value):
         path = tmp_path / "ckpt.json"

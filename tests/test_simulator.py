@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,47 @@ class TestTruth:
         with pytest.raises(GenerationError, match=r"'origin'.*'alt'"):
             generate(SimScenario.from_dict({"origin": {
                 "lat_deg": 45.0, "lon_deg": -75.6, "alt": 80.0}}))
+        # and so would a trajectory's or a fault-list entry's
+        with pytest.raises(GenerationError,
+                           match=r"'trajectory'.*'radius_m'"):
+            generate(SimScenario.from_dict(scenario_dict(trajectory={
+                "type": "circle", "radius_m": 5.0})))
+        with pytest.raises(GenerationError,
+                           match=r"'gps.spikes\[0\]'.*'direction'"):
+            generate(SimScenario.from_dict(scenario_dict(gps={"spikes": [
+                {"t": 1.0, "offset_m": 50.0, "direction": 90.0}]})))
+        with pytest.raises(GenerationError, match=r"'trajectory'.*'speed'"):
+            generate(SimScenario.from_dict(scenario_dict(trajectory={
+                "type": "static", "speed": 2.0})))
+
+    def test_fault_entry_needs_its_keys(self):
+        with pytest.raises(GenerationError,
+                           match=r"'encoder.slip\[0\]'.*'factor'"):
+            generate(SimScenario.from_dict(scenario_dict(encoder={
+                "slip": [{"start": 1.0, "end": 2.0}]})))
+        with pytest.raises(GenerationError, match="mapping"):
+            generate(SimScenario.from_dict(scenario_dict(gps={
+                "dropouts": [[1.0, 2.0]]})))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("gps", "rate_hz", 0.0), ("imu", "rate_hz", -100.0),
+        ("imu2", "rate_hz", float("nan")), ("radar", "rate_hz", 0.0),
+        ("gps.clusters[0]", "rate_hz", 0.0),
+        ("scenario", "duration_s", 0.0),
+    ])
+    def test_rate_and_duration_must_be_positive(self, section, key, value):
+        """A zero rate would divide by zero, and that even in a section
+        that is not enabled, as its keys are resolved all the same."""
+        if section == "scenario":
+            doc = scenario_dict(duration_s=value)
+        elif section == "gps.clusters[0]":
+            doc = scenario_dict(gps={"clusters": [
+                {"start": 1.0, "count": 2, "rate_hz": value}]})
+        else:
+            doc = scenario_dict(**{section: {key: value}})
+        with pytest.raises(GenerationError,
+                           match=re.escape(repr(section)) + ".*" + key):
+            generate(SimScenario.from_dict(doc))
 
 
 class TestStreams:

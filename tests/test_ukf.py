@@ -37,8 +37,8 @@ from navfuse.ukf import (
     update,
 )
 
-from conftest import (LinearKalmanOracle, random_pd_matrix, random_unit_quat,
-                      rotation_distance, state_columns)
+from conftest import (LinearKalmanOracle, per_block_noise, random_pd_matrix,
+                      random_unit_quat, rotation_distance, state_columns)
 
 NON_QUAT = np.array([i for i in range(STATE_DIM)
                      if i not in range(QUAT.start, QUAT.stop)])
@@ -274,7 +274,7 @@ class TestPredict:
         noise = quiet_noise()
         step = PropagationStep(dt, noise_rates(noise))
         from navfuse.process import process_noise_matrix
-        q23 = process_noise_matrix(step)
+        q23 = np.diag(process_noise_matrix(step))  # Q is its diagonal
 
         vec = np.zeros(STATE_DIM)
         vec[QUAT] = [1.0, 0, 0, 0]
@@ -554,9 +554,9 @@ def outcome(fn, *args):
 
 
 class TestLinalgSeam:
-    """``_cholesky`` and ``_solve`` are ``np.linalg.cholesky`` and
-    ``np.linalg.solve`` without the wrapper: same bits, same failures, and
-    no warning either way."""
+    """``_cholesky`` is ``np.linalg.cholesky``, and ``_whiten`` that factor
+    and ``np.linalg.solve`` by it, without the wrapper: same bits, same
+    failures, and no warning either way."""
 
     @given(st.integers(0, 2**32 - 1), st.floats(1e-8, 1e4))
     @settings(max_examples=60, deadline=None)
@@ -570,12 +570,17 @@ class TestLinalgSeam:
     @settings(max_examples=60, deadline=None)
     def test_solve_matches_numpy(self, dim, seed, strided):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(2 * dim, 2 * dim))
+        a = random_pd_matrix(rng, 2 * dim)
         # a strided view, as a stacked update's submatrix of S can be
         a = a[::2, ::2] if strided else a[:dim, :dim].copy()
         b = rng.normal(size=(dim, 1 + STATE_DIM))
-        assert outcome(ukf._solve, a, b) == outcome(np.linalg.solve, a, b)
-        assert outcome(ukf._solve, a, b)[0] == (dim, 1 + STATE_DIM)
+        root = np.linalg.cholesky(a)
+        assert outcome(lambda: ukf._whiten(a, b)[0]) == outcome(
+            np.linalg.cholesky, a)
+        assert outcome(lambda: ukf._whiten(a, b)[1]) == outcome(
+            np.linalg.solve, root, b)
+        assert outcome(lambda: ukf._whiten(a, b)[1])[0] == (
+            dim, 1 + STATE_DIM)
 
     @pytest.mark.parametrize("case", ["indefinite", "nan", "singular"])
     @pytest.mark.parametrize("dim", [1, 3, STATE_DIM])
@@ -591,23 +596,23 @@ class TestLinalgSeam:
         b = np.ones((dim, 1 + STATE_DIM))
         chol = outcome(ukf._cholesky, a)
         assert chol == outcome(np.linalg.cholesky, a)
-        solved = outcome(ukf._solve, a, b)
-        assert solved == outcome(np.linalg.solve, a, b)
+        solved = outcome(lambda: ukf._whiten(a, b)[1])
+        assert solved == outcome(
+            lambda: np.linalg.solve(np.linalg.cholesky(a), b))
         if case != "nan":
-            assert chol is np.linalg.LinAlgError
-        if case == "singular":
-            assert solved is np.linalg.LinAlgError
+            assert chol is solved is np.linalg.LinAlgError
 
 
 class TestEngineWork:
     """Guards the number of factorizations and solves per engine call:
-    ``_cholesky`` for sigma points and for S, ``_solve`` for whitening,
-    ``cholesky`` (``np.linalg``'s) for the positive-definiteness check."""
+    ``_cholesky`` for sigma points, ``_whiten`` for S's factor and the
+    whitening solve, ``cholesky`` (``np.linalg``'s) for the
+    positive-definiteness check."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
-        for owner, name in ((ukf, "_cholesky"), (ukf, "_solve"),
+        for owner, name in ((ukf, "_cholesky"), (ukf, "_whiten"),
                             (np.linalg, "cholesky"),
                             (ukf, "generate_sigma_points"),
                             (ukf, "_condition")):
@@ -629,9 +634,10 @@ class TestEngineWork:
                      np.array([0.1, 0.0, 0.0]), linear_position_model(),
                      PARAMS)
         assert out.accepted
-        # sigma points and S; one whitening serves both the gate and the gain
-        assert calls == {"generate_sigma_points": 1, "_cholesky": 2,
-                         "cholesky": 1, "_solve": 1, "_condition": 1}
+        # sigma points, then S's factor and one whitening solve, which
+        # serves both the gate and the gain
+        assert calls == {"generate_sigma_points": 1, "_cholesky": 1,
+                         "cholesky": 1, "_whiten": 1, "_condition": 1}
 
     def test_accepted_matrix_update_factors_once_without_sigma_points(
             self, calls):
@@ -640,8 +646,7 @@ class TestEngineWork:
                      PARAMS)
         assert out.accepted
         # S, then the positive-definiteness check
-        assert calls == {"_cholesky": 1, "cholesky": 1, "_solve": 1,
-                         "_condition": 1}
+        assert calls == {"cholesky": 1, "_whiten": 1, "_condition": 1}
 
     @pytest.mark.parametrize("z, accepted, whitenings", [
         ([0.1, 0.0, 0.0, 0.0], [True, True], 1),
@@ -659,8 +664,7 @@ class TestEngineWork:
         # block leaves the second to be whitened again, alone.  State and
         # covariance change once, if at all
         work = {"cholesky": 1, "_condition": 1} if any(accepted) else {}
-        assert calls == {"_cholesky": whitenings, "_solve": whitenings,
-                         **work}
+        assert calls == {"_whiten": whitenings, **work}
 
 
 #: the frozen sets of the pipeline's modes: none, b_ewz while coasting, and
@@ -751,6 +755,77 @@ class TestStackedUpdate:
                              1.0, blocks=(enc,))
         with pytest.raises(ValueError):
             stack(enc, imu_raw_model(0.005, 0.05, 15.09))
+
+
+class TestStackedNoise:
+    """``update`` adds a stack's R to S in one operation; that equals the
+    blocks' R added one by one (``conftest.PerBlockNoise``) bit for bit,
+    as the stack's R is -0.0 off its blocks."""
+
+    @staticmethod
+    def sigma_models(rng, dims):
+        """Models through ``h``, each a random linear map of the
+        non-quaternion states."""
+        models = []
+        for b, dim in enumerate(dims):
+            h = np.zeros((dim, STATE_DIM))
+            h[:, NON_QUAT] = rng.normal(size=(dim, len(NON_QUAT))) * (
+                rng.random((dim, len(NON_QUAT))) < 0.3)
+            h[np.arange(dim), rng.choice(NON_QUAT, dim, replace=False)] += 1.0
+            models.append(MeasurementModel(
+                f"b{b}", dim, lambda cols, h=h: h @ cols,
+                random_pd_matrix(rng, dim, 0.01), 1.0))
+        return models
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+           pattern=st.integers(0, 7),
+           frozen=st.sampled_from(FROZEN_SETS),
+           linear=st.booleans(),
+           changed=st.integers(0, 2))
+    def test_one_add_equals_per_block_adds(self, seed, dims, pattern, frozen,
+                                           linear, changed):
+        rng = np.random.default_rng(seed)
+        models = (TestStackedUpdate.blocks(rng, dims, frozen, None) if linear
+                  else self.sigma_models(rng, dims))
+        # accept/reject forced through the gates, bit b of ``pattern``
+        for b, model in enumerate(models):
+            model.gate = 1e12 if pattern >> b & 1 else 1e-300
+        stacked = stack(*models)
+        # a block's R set after stacking, as the encoder's estimator sets it
+        if changed < len(models):
+            models[changed].r = random_pd_matrix(rng, dims[changed], 0.1)
+        x = FilterState().vector
+        x[NON_QUAT] = rng.normal(size=len(NON_QUAT))
+        cov = default_cov()
+        z = stacked.h(x[:, None])[:, 0] + rng.normal(size=stacked.dim)
+        out = update(x, cov, z, stacked, PARAMS, frozen=frozen)
+        ref = update(x, cov, z, per_block_noise(stacked), PARAMS,
+                     frozen=frozen)
+
+        def fields(outcome):
+            return ([(r.path, r.reason, r.d2, r.innovation.tobytes())
+                     for r in outcome.records], outcome.accepted,
+                    outcome.x.tobytes(), outcome.cov.tobytes())
+
+        assert fields(out) == fields(ref)
+        assert [r.accepted for r in out.records] == [
+            bool(pattern >> b & 1) for b in range(len(models))]
+
+    def test_raw_imu_model_alone_reads_its_own_r(self, rng):
+        """The pipeline fuses the raw IMU rows alone when a sample has no
+        orientation; stacked, the raw model's R is a view of the joint R."""
+        raw = imu_raw_model(0.005, 0.05, 15.09)
+        stack(raw, imu_orientation_model(False, 0.02, 15.09))
+        raw.r = raw.r * 4.0
+        fresh = imu_raw_model(0.01, 0.1, 15.09)  # R four times as large
+        x, cov = FilterState().vector, default_cov()
+        z = np.concatenate([[0.01, 0.0, -0.01], GRAVITY])
+        out, want = (update(x, cov, z, m, PARAMS) for m in (raw, fresh))
+        assert out.records[0].d2 == want.records[0].d2
+        assert out.x.tobytes() == want.x.tobytes()
+        assert out.cov.tobytes() == want.cov.tobytes()
 
 
 class TestStackedSigmaUpdate:
