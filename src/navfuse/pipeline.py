@@ -17,10 +17,10 @@ so does ``_on_vslam`` for a pose with a negative variance.
 The session holds the state as the flat 23-vector ``x`` and its covariance
 ``cov``.  Each primary-IMU event predicts, updates and conditions ``cov``
 once (``_imu_step``) and leaves a snapshot in the replay ring, sharing the
-session's arrays, which the engine never writes into.  The snapshot holds
-its step built once (``_imu_snapshot``), its predict sub-steps and its
-updates, for a replay to re-run as is.  The filter clock is the newest
-snapshot's stamp (``ring.last_stamp``), None while the ring is empty.
+session's arrays, which the engine never writes into, and the one
+measurement vector the step fused, which a replay fuses again.  The filter
+clock is the newest snapshot's stamp (``ring.last_stamp``), None while the
+ring is empty.
 Every handler fuses its event's updates through ``FusionPipeline._fuse``,
 one engine call per update, and reports the engine's ``UpdateRecord`` of
 each path, from which it reads its decisions and innovations too.  An
@@ -62,11 +62,11 @@ and the base64 of its little-endian float64 bytes.  Loading rebuilds what
 the configuration fixes (the origin's frame, the estimators, the ring) and
 reads every stored value by a typed reader, checking its type, shape,
 range and any quaternion's unit norm, each snapshot's stamp to follow the
-one before by at most ``_MAX_IMU_GAP``, as a live step does, before its
-step is rebuilt, and each estimator's R as the estimator checks its own
-(``AdaptiveEstimator.checked``: symmetric, at or above its floor, positive
-definite), before assigning any, so a malformed file changes nothing and a
-resumed run is bit-identical to an uninterrupted one.
+one before by at most ``_MAX_IMU_GAP``, as a live step does, and each
+estimator's R as the estimator checks its own (``AdaptiveEstimator.checked``:
+symmetric, at or above its floor, positive definite), before assigning any,
+so a malformed file changes nothing and a resumed run is bit-identical to
+an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -484,64 +484,47 @@ class FusionPipeline:
                               "no imu clock yet")
         return row.handler(self, event)
 
-    def _imu_vectors(self, sample: ImuSample
-                     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """The sample's measurement vectors: gyro and accel for the raw
-        rows, and roll, pitch (and yaw with a magnetometer) for the
-        orientation rows, or None when the source has no orientation
-        model or the sample no orientation."""
+    def _imu_vector(self, sample: ImuSample) -> np.ndarray:
+        """The sample's measurement vector: gyro and accel for the raw
+        rows, then roll, pitch (and yaw with a magnetometer) for the
+        orientation rows, unless the source has no orientation model or
+        the sample no orientation."""
         joint = self._imu_models[event_kind(sample)][1]
-        z_raw = np.concatenate([sample.gyro, sample.accel])
         if joint is None or sample.orientation is None:
-            return z_raw, None
+            return np.concatenate([sample.gyro, sample.accel])
         # ``ingest`` dropped a quaternion too short to normalize
         w, x, y, z = sample.orientation.tolist()
         norm = math.sqrt(w * w + x * x + y * y + z * z)
         rpy = quat_to_euler((w / norm, x / norm, y / norm, z / norm))
-        return z_raw, np.array(rpy[: joint.blocks[1].dim])
+        return np.concatenate([sample.gyro, sample.accel,
+                               rpy[: joint.blocks[1].dim]])
 
-    def _imu_update(self, kind: str, z_raw: np.ndarray,
-                    z_orient: Optional[np.ndarray]) -> tuple:
-        """One update: the raw gyro/accel rows, stacked with the orientation
-        rows when there is an orientation measurement (``_imu_vectors``)."""
+    def _imu_update(self, kind: str, z: np.ndarray) -> tuple:
+        """One update of ``z`` (``_imu_vector``): the raw gyro/accel rows,
+        stacked with the orientation rows when ``z`` holds them."""
         raw, joint = self._imu_models[kind]
-        if z_orient is None:
-            return z_raw, raw, 1.0
-        return np.concatenate([z_raw, z_orient]), joint, 1.0
+        return z, raw if len(z) == raw.dim else joint, 1.0
 
-    def _imu_snapshot(self, stamp: float, clock: float, z_raw: np.ndarray,
-                      z_orient: Optional[np.ndarray], zupt_active: bool,
-                      coast_active: bool) -> Snapshot:
-        """The primary-IMU step from ``clock`` to ``stamp`` with its work
-        built once, its state still unset: the predict sub-steps of at most
-        ``_MAX_STEP_DT``, and the updates of its measurement vectors, plus
-        the ZUPT row while one is held."""
-        q_rate = self._modes[coast_active][1]
-        steps = []
-        dt_total = stamp - clock
+    def _imu_step(self, x: np.ndarray, cov: np.ndarray, stamp: float,
+                  step: Snapshot, records: Optional[list[UpdateRecord]] = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Predict from ``stamp`` to the step's IMU stamp, run the update
+        of its stored measurement vector, and the ZUPT update while one was
+        held.  Live ingestion and ring replay both run this, so the two
+        paths are bit-identical."""
+        dt_total = step.stamp - stamp
+        q_rate = self._modes[step.coast_active][1]
         while dt_total > 1e-12:
             dt = min(dt_total, _MAX_STEP_DT)
-            steps.append(PropagationStep(dt, q_rate))
+            x, cov = ukf_predict(x, cov, PropagationStep(dt, q_rate),
+                                 self._params)
             dt_total -= dt
-        updates = (self._imu_update("imu", z_raw, z_orient),)
-        if zupt_active:
-            updates += (self._zupt_update,)
-        return Snapshot(stamp, None, None, z_raw, z_orient, zupt_active,
-                        coast_active, tuple(steps), updates)
-
-    def _imu_step(self, x: np.ndarray, cov: np.ndarray, step: Snapshot,
-                  records: Optional[list[UpdateRecord]] = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Run a snapshot's prebuilt step (``_imu_snapshot``): predict
-        through its sub-steps, conditioning between them, as each draws
-        from the one before, then its updates.  Live ingestion and ring
-        replay both run this, so the two paths are bit-identical."""
-        for k, propagation in enumerate(step.steps):
-            if k:
+            if dt_total > 1e-12:  # the next sub-step draws from this one
                 cov = _condition(cov)
-            x, cov = ukf_predict(x, cov, propagation, self._params)
-        x, updated = self._apply_updates(x, cov, step.updates,
-                                         step.coast_active,
+        updates = [self._imu_update("imu", step.z)]
+        if step.zupt_active:
+            updates.append(self._zupt_update)
+        x, updated = self._apply_updates(x, cov, updates, step.coast_active,
                                          [] if records is None else records)
         # predict leaves ``cov`` raw, for an accepted update to condition;
         # with every update rejected, that very array comes back
@@ -586,11 +569,11 @@ class FusionPipeline:
         # finite, as JSON needs; ZUPT compares it with finite thresholds
         self._last_imu_rate = min(math.hypot(*sample.gyro.tolist()), _MAX)
         self._update_zupt()
-        step = self._imu_snapshot(sample.stamp, clock,
-                                  *self._imu_vectors(sample),
-                                  self._zupt_active, self.coast.active)
+        step = Snapshot(sample.stamp, None, None, self._imu_vector(sample),
+                        self._zupt_active, self.coast.active)
         records: list[UpdateRecord] = []
-        self.x, self.cov = self._imu_step(self.x, self.cov, step, records)
+        self.x, self.cov = self._imu_step(self.x, self.cov, clock, step,
+                                          records)
         report = self._report(sample.stamp, "imu", records)
         report.state.validate()
         step.x, step.cov = self.x, self.cov
@@ -598,7 +581,7 @@ class FusionPipeline:
         return report
 
     def _on_imu2(self, sample: ImuSample) -> StepReport:
-        update = self._imu_update("imu2", *self._imu_vectors(sample))
+        update = self._imu_update("imu2", self._imu_vector(sample))
         return self._report(sample.stamp, "imu2",
                             self._fuse(sample.stamp, "imu2", [update]))
 
@@ -821,25 +804,22 @@ class FusionPipeline:
         joint = self._imu_models["imu"][1]
 
         def snapshot(clock, stamp, x, cov, z_raw, z_orient, zupt, coast):
-            """The stored snapshot, its step rebuilt from ``clock``, the
-            stamp before it, which a live step advanced by at most
-            ``_MAX_IMU_GAP``; the oldest one's step is never replayed."""
+            """The stored snapshot, whose stamp follows ``clock``, the one
+            before it, by at most ``_MAX_IMU_GAP``, as a live step's does:
+            a replay predicts across that gap."""
             stamp = _read_real(stamp)
-            if clock is None:
-                clock = stamp
-            elif not 0.0 < stamp - clock <= _MAX_IMU_GAP:
+            if clock is not None and not 0.0 < stamp - clock <= _MAX_IMU_GAP:
                 raise ValueError("snapshot stamps not increasing by at most "
                                  f"{_MAX_IMU_GAP} s")
+            z = _read_array(z_raw, (6,))
             if z_orient is not None:
                 if joint is None:
                     raise ValueError("orientation rows without their model")
-                z_orient = _read_array(z_orient, (joint.blocks[1].dim,))
-            step = self._imu_snapshot(stamp, clock, _read_array(z_raw, (6,)),
-                                      z_orient, _read_flag(zupt),
-                                      _read_flag(coast))
-            step.x = _read_array(x, _STATE, QUAT)
-            step.cov = _read_array(cov, _COV)
-            return step
+                z = np.concatenate(
+                    [z, _read_array(z_orient, (joint.blocks[1].dim,))])
+            return Snapshot(stamp, _read_array(x, _STATE, QUAT),
+                            _read_array(cov, _COV), z, _read_flag(zupt),
+                            _read_flag(coast))
 
         ring = StateSnapshotRing(self.config["retro.capacity"])
         if len(doc["ring"]) > ring.capacity:

@@ -1,14 +1,14 @@
 """State snapshot ring and delayed-measurement replay.
 
 The pipeline records a snapshot after every primary-IMU step: the step's
-stamp, measurement vectors and modes, the step itself prebuilt, and the
-state ``x`` and covariance after it.  The newest snapshot's stamp is the
-filter clock.  When a delayed measurement arrives, the ring restores the
-newest snapshot at or before the measurement epoch, applies the
-measurement there, and re-runs the recorded IMU steps forward, each from
-the snapshot before it, rewriting the stored states along the way.  The
-ring sees only the state and covariance the caller's update returns; what
-that update decided stays with the caller.
+stamp, measurement vector and modes, and the state ``x`` and covariance
+after it.  The newest snapshot's stamp is the filter clock.  When a delayed
+measurement arrives, the ring restores the newest snapshot at or before the
+measurement epoch, applies the measurement there, and re-runs the recorded
+IMU steps forward, each from the stamp of the snapshot before it, rewriting
+the stored states along the way.  The ring sees only the state and
+covariance the caller's update returns; what that update decided stays with
+the caller.
 Only IMU steps are replayed; lower-latency sensors are applied where they
 arrived.  Measurements older than the buffered span are dropped (applying
 them stale would reintroduce exactly the error replay exists to remove).
@@ -27,30 +27,30 @@ import numpy as np
 
 @dataclass
 class Snapshot:
-    """One primary-IMU step: its sample's measurement vectors and the modes
-    it ran under, the step prebuilt, and the state ``x`` and covariance
-    after it.
+    """One primary-IMU step: its sample's measurement vector and the modes
+    it ran under, and the state ``x`` and covariance after it.
 
-    ``z_raw`` is the sample's gyro and accel, and ``z_orient`` its roll,
-    pitch (and yaw when the source has a magnetometer), or None when the
-    step fused no orientation rows.  ``steps`` are the predict sub-steps
-    from the snapshot before, and ``updates`` the engine updates the
-    sample needs: its stacked measurement vector with its model, and the
-    ZUPT row while one is held.  All are built once, when the sample
-    arrives, and again when a checkpoint loads, from the other fields and
-    the stamp before, so a replay re-runs only the filter arithmetic."""
+    ``z`` is the one vector the step's IMU update fuses: the sample's gyro
+    and accel (``z_raw``), then its roll, pitch (and yaw when the source
+    has a magnetometer) when the step fused orientation rows (``z_orient``,
+    else None).  It is computed once, when the sample arrives, so a replay
+    re-runs only the filter arithmetic, on the very array the live step
+    fused."""
 
     stamp: float
     x: np.ndarray
     cov: np.ndarray
-    z_raw: np.ndarray
-    z_orient: Optional[np.ndarray] = None
+    z: np.ndarray
     zupt_active: bool = False
     coast_active: bool = False
-    #: the step prebuilt: its ``process.PropagationStep``s from the
-    #: snapshot before, and its ``(z, model, gate_scale)`` updates
-    steps: tuple = ()
-    updates: tuple = ()
+
+    @property
+    def z_raw(self) -> np.ndarray:
+        return self.z[:6]
+
+    @property
+    def z_orient(self) -> Optional[np.ndarray]:
+        return self.z[6:] if len(self.z) > 6 else None
 
 
 @dataclass
@@ -94,14 +94,14 @@ class StateSnapshotRing:
         self,
         stamp: float,
         apply_fn: Callable[[np.ndarray, np.ndarray], tuple],
-        replay_fn: Callable[[np.ndarray, np.ndarray, Snapshot], tuple],
+        replay_fn: Callable[[np.ndarray, np.ndarray, float, Snapshot], tuple],
     ) -> ReplayOutcome:
         """Rewind, apply, and replay one delayed measurement.
 
         ``apply_fn(x, cov) -> (x, cov)`` performs the measurement update at
-        the restored epoch; ``replay_fn(x, cov, snapshot) -> (x, cov)``
-        re-runs one recorded IMU step from the state of the snapshot before
-        it.  The ring's stored states are
+        the restored epoch; ``replay_fn(x, cov, stamp, snapshot)
+        -> (x, cov)`` re-runs one recorded IMU step from ``stamp``, the
+        stamp of the snapshot before it.  The ring's stored states are
         replaced with the replayed ones so later delayed measurements rewind
         onto corrected history.  When ``apply_fn`` returns the restored
         arrays themselves, nothing is replayed: the status is "unchanged".
@@ -116,9 +116,11 @@ class StateSnapshotRing:
         if x is base.x and cov is base.cov:
             return ReplayOutcome(status="unchanged")
         base.x, base.cov = x, cov
+        prev = base.stamp
         for entry in self.entries[idx + 1 :]:
-            x, cov = replay_fn(x, cov, entry)
+            x, cov = replay_fn(x, cov, prev, entry)
             entry.x, entry.cov = x, cov
+            prev = entry.stamp
         return ReplayOutcome(status="applied",
                              steps_replayed=len(self.entries) - idx - 1,
                              x=x, cov=cov)

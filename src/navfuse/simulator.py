@@ -213,7 +213,12 @@ def _phases_for(spec: dict) -> list[tuple[float, callable, callable, callable]]:
 
 
 def build_truth(scenario: SimScenario) -> GroundTruth:
-    sections = _resolve(scenario)
+    return _truth(scenario, _resolve(scenario))
+
+
+def _truth(scenario: SimScenario, sections: dict[str, dict]) -> GroundTruth:
+    """The ground truth of ``scenario``, whose ``sections`` are resolved
+    (``_resolve``)."""
     imu, trajectory = sections["imu"], sections["trajectory"]
     dt = 1.0 / imu["rate_hz"]
     n = int(round(scenario.duration_s * imu["rate_hz"])) + 1
@@ -514,8 +519,8 @@ def _resolve(scenario: SimScenario) -> dict[str, dict]:
 
 def generate(scenario: SimScenario) -> tuple[GroundTruth, list[SensorEvent]]:
     """Build truth and the full, arrival-ordered sensor event list."""
-    truth = build_truth(scenario)
     sections = _resolve(scenario)
+    truth = _truth(scenario, sections)
     imu_rate, keyed = sections["imu"]["rate_hz"], []
     for rank, (name, section) in enumerate(SECTIONS.items()):
         spec = sections[name]

@@ -17,16 +17,16 @@ The model's R is added to S in one operation, a stack's R being one
 array.  The gate factors S = LL^T and whitens [nu | Pxz^T] by L under one
 LAPACK error state: L's leading rows factor S's leading rows alone (the
 prefix property), so each block's whitened innovation gives its d2 given
-the blocks before it.  When every block passes, that first pass is the
-update; the blocks after a gated one are whitened again from its factor
-and solve.  Quaternions are raw 4-vectors, hemisphere-aligned before any
-averaging or differencing and renormalized after perturbation or
-correction.  An accepted update's covariance is symmetrized,
-eigenvalue-repaired to a positive-definite floor, and its angular-rate
-variances capped (``_condition``); predict's is raw, for its caller to
-condition once.  The engine takes and returns plain arrays, ``x`` and its
-covariance, knows no clock, and never writes into its inputs, so callers
-may share them.
+the blocks before it.  S is factored once: the rows after a gated block
+are whitened again from that factor and solve, by factoring only their
+Schur complement given the accepted rows.  Quaternions are raw 4-vectors,
+hemisphere-aligned before any averaging or differencing and renormalized
+after perturbation or correction.  An accepted update's covariance is
+symmetrized, eigenvalue-repaired to a positive-definite floor, and its
+angular-rate variances capped (``_condition``); predict's is raw, for its
+caller to condition once.  The engine takes and returns plain arrays,
+``x`` and its covariance, knows no clock, and never writes into its
+inputs, so callers may share them.
 
 Sigma points factor through ``_cholesky``, and S and the whitening solve
 through ``_whiten``, the LAPACK seam in ``core``: numpy's own LAPACK
@@ -366,10 +366,9 @@ def _gate_blocks(parts, frame: np.ndarray, gate_scale: float):
     LAPACK error state (``_whiten``), whiten the frame; by the prefix
     property, while all blocks before b are accepted, b's whitened
     innovation y_b has ||y_b||^2 = d2(A+b) - d2(A), and L_bb y_b is b's
-    innovation given A.  When every block passes, the whitened frame of
-    that first pass is the result.  A gated block, or one whose rows do
-    not factor, leaves the set; the rows r after it are whitened again
-    given A, from the first pass's factor and solve: S_rr - L_rA L_rA^T,
+    innovation given A.  A gated block, or one whose rows do not factor,
+    leaves the set; the rows r after it are whitened again given A, from
+    the first pass's factor and solve: S_rr - L_rA L_rA^T,
     with L_rA^T read off the whitened columns of S, and the right-hand side
     less L_rA y_A.  When S does not factor, the first block alone shows
     whether it is the "singular" one.  d2 is one ``np.vdot``, which warns
@@ -407,8 +406,6 @@ def _gate_blocks(parts, frame: np.ndarray, gate_scale: float):
             if reason != "accepted":
                 break
             p = q
-        if p == m and kept is None:  # every block passed the first pass
-            return records, white[:, m:]
         if p:
             kept = white[:p, m:] if kept is None else np.concatenate(
                 (kept, white[:p, m:]))

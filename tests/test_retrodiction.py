@@ -48,8 +48,8 @@ class TestApplyDelayed:
             calls["applied_to"] = x[0]  # the restored snapshot's marker
             return x + 1.0, cov * 2.0
 
-        def replay_fn(x, cov, snapshot):
-            calls["replayed"].append(snapshot.stamp)
+        def replay_fn(x, cov, stamp, snapshot):
+            calls["replayed"].append((stamp, snapshot.stamp))
             return x.copy(), cov
 
         return calls, apply_fn, replay_fn
@@ -91,10 +91,9 @@ class TestApplyDelayed:
         assert out.status == "applied"
         assert calls["applied_to"] == 3
         assert out.steps_replayed == 4
-        # each snapshot after the restored one is replayed, in order; its
-        # step runs from the stamp of the snapshot before it
+        # each replayed step starts from the stamp of the snapshot before it
         stamps = [e.stamp for e in ring.entries]
-        assert calls["replayed"] == stamps[4:8]
+        assert calls["replayed"] == list(zip(stamps[3:7], stamps[4:8]))
         # the ring's stored history was rewritten with replayed states
         assert ring.entries[3].x[0] == pytest.approx(4.0)
         assert ring.entries[7].x[0] == pytest.approx(4.0)
