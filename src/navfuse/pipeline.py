@@ -6,13 +6,14 @@ policy, one row per stream kind (``events.event_kind``): the switch that
 enables the sensor and the counter a disabled event bumps, the payload fields
 with the shape each must have (all must be finite, and so must the stamp),
 the quaternion field whose norm must be finite and nonzero, whether it needs
-the IMU clock, and its handler.  Only the fields a row marks ``optional``
-may be None, meaning absent: IMU orientation, the VSLAM covariance diagonal,
-and the GPS DOPs, satellite count, error bounds and covariance.  A None in any
-other field is malformed, and so is a GPS ``fix_type`` other than a
-``FixType`` value.  ``ingest`` makes these checks in that order and answers
-the first failure with a dropped-event report, before the session changes;
-so does ``_on_vslam`` for a pose with a negative variance.
+the IMU clock, and its plan and commit.  Only the fields a row marks
+``optional`` may be None, meaning absent: IMU orientation, the VSLAM
+covariance diagonal, and the GPS DOPs, satellite count, error bounds and
+covariance.  A None in any other field is malformed, and so is a GPS
+``fix_type`` other than a ``FixType`` value.  ``ingest`` makes these checks
+in that order and answers the first failure with a dropped-event report,
+before the session changes; so does the VSLAM plan for a pose with a
+negative variance.
 
 The session holds the state as the flat 23-vector ``x`` and its covariance
 ``cov``.  Each primary-IMU event predicts, updates and conditions ``cov``
@@ -20,45 +21,49 @@ once (``_imu_step``) and leaves a snapshot in the replay ring, sharing the
 session's arrays, which the engine never writes into, and the one
 measurement vector the step fused, which a replay fuses again.  The filter
 clock is the newest snapshot's stamp (``ring.last_stamp``), None while the
-ring is empty.
-Every handler fuses its event's updates through ``FusionPipeline._fuse``,
-one engine call per update, and reports the engine's ``UpdateRecord`` of
-each path, from which it reads its decisions and innovations too.  An
-update may stack paths (``measurements.stack``), each still gated and
-recorded on its own: an encoder sample is one call, its odometry and
-vertical-velocity constraint in closed form, and an IMU sample with
-orientation is one call, its raw gyro/accel and orientation rows from one
-sigma set.  A kind the table marks ``delayed`` (GPS fixes, GPS velocity and
-VSLAM poses, late by receiver and mapping latency) stamped before the
-newest snapshot is applied there and the recorded IMU steps are re-run.
-Any other kind arrives with negligible latency, at rates where a rewind per
-sample would cost a replay per sample, so it is applied where it arrives;
-replay re-runs only IMU steps, so such an update inside a rewound window
-does not survive it.  A delayed event whose every update is rejected
-rewinds nothing, so the live state stands (``retro_unchanged``).  A
-primary-IMU stamp must advance the filter clock by at most
+ring is empty.  A primary-IMU stamp must advance the clock by at most
 ``_MAX_IMU_GAP``; one outside that window is dropped, and a second in a row
 restarts the session there, unless it lies at most ``_MAX_IMU_DELAY``
 behind the clock, as late delivery does.
 
-Every measurement model is built once, with the pipeline; an event sets only
-the noise ``r`` of the models whose noise varies, GPS position and heading,
-VSLAM and the encoder's.  An encoder sample writes its estimators' R into
-its blocks' views of the stack's R, tightening the yaw rate there while
-coasting, and an accepted block feeds its estimator when that one adapts.
-A GPS fix that passes the receiver-quality screen gets its noise from the
-one GNSS policy, ``measurements.gps_fix_to_measurement``, with the
-``gps_pos`` estimator's R as the DOP-scaled base; accepted fixes feed that
-estimator when it adapts and derive a course-over-ground heading from the
-previous accepted fix.  The fix is taken at the body origin: there is no
-antenna lever arm.
+Every other event goes one way, plan, fuse, commit, in
+``FusionPipeline._fuse``: its row's plan returns the updates from the event,
+session fields and the state at the stamp, and its commit makes every
+change the event leaves in the session (``SensorPolicy``), so an event that
+the plan or the ring drops changes nothing.  The updates are fused one
+engine call each, holding the states the coast mode at the stamp holds, and
+each path's ``UpdateRecord`` is reported.  An update may stack paths
+(``measurements.stack``), each still gated and recorded on its own: an
+encoder sample is one call, its odometry and vertical-velocity constraint
+in closed form, and an IMU sample with orientation is one call, its raw
+gyro/accel and orientation rows from one sigma set.  A kind the table marks
+``delayed`` (GPS fixes, GPS velocity and VSLAM poses, late by receiver and
+mapping latency) stamped before the clock is applied at the newest snapshot
+at or before its stamp and the recorded IMU steps are re-run; one older
+than the ring is dropped.  Any other kind arrives with negligible latency,
+at rates where a rewind per sample would cost a replay per sample, so it is
+applied where it arrives; replay re-runs only IMU steps, so such an update
+inside a rewound window does not survive it.  A delayed event whose every
+update is rejected rewinds nothing, so the live state stands
+(``retro_unchanged``).
 
-A checkpoint (version 7) is a JSON file: version, configuration hash, and
+Every measurement model is built once, with the pipeline; a plan sets only
+the noise ``r`` of the models whose noise varies: GPS position and heading,
+VSLAM, and the encoder's, whose blocks' views of the stack's R take the
+estimators' R.  A GPS fix that passes the receiver-quality screen gets its
+noise from ``measurements.gps_fix_to_measurement``, with the ``gps_pos``
+estimator's R as the DOP-scaled base.  Accepted encoder blocks and fixes
+feed the estimators that adapt, and an accepted fix anchors the next one's
+course-over-ground heading.  The fix is taken at the body origin: there is
+no antenna lever arm.
+
+A checkpoint (version 8) is a JSON file: version, configuration hash, and
 the session, the attributes ``FusionPipeline._SESSION`` lists and ``reset``
 assigns, as state only: ``x``, covariance, the origin's [lat, lon, alt],
-the replay snapshots, each estimator's R, innovation window and rows
-filled, anchors, mode flags, readings and counters, each array as its shape
-and the base64 of its little-endian float64 bytes.  Loading rebuilds what
+the replay snapshots (each with its one ``z``), each estimator's R,
+innovation window and rows filled, anchors, mode flags, readings and
+counters, each array as its shape and the base64 of its little-endian
+float64 bytes.  Loading rebuilds what
 the configuration fixes (the origin's frame, the estimators, the ring) and
 reads every stored value by a typed reader, checking its type, shape,
 range and any quaternion's unit norm, each snapshot's stamp to follow the
@@ -76,7 +81,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -125,12 +130,11 @@ _MAX_IMU_GAP = 10.0
 #: a primary-IMU stamp at most this far behind the clock is taken for late
 #: delivery: dropped, it never confirms a backward clock jump
 _MAX_IMU_DELAY = 0.5
-_TOO_OLD = "older than replay buffer"
 #: the ZUPT measurement, shared by every update that fuses one
 _ZERO_VELOCITY = np.zeros(3)
 _ZERO_VELOCITY.flags.writeable = False
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 def zupt_trigger(last_encoder_speed: Optional[float],
@@ -149,6 +153,10 @@ def zupt_trigger(last_encoder_speed: Optional[float],
 _MALFORMED = ("dropped_malformed", "malformed {}")
 _NONFINITE = ("dropped_nonfinite", "non-finite {}")
 _DEGENERATE = ("dropped_degenerate_quaternion", "degenerate {} quaternion")
+#: (counter, reason) of an event before the clock, and of a late one older
+#: than the ring
+_BEFORE_CLOCK = ("dropped_before_clock", "no imu clock yet")
+_TOO_OLD = ("retro_dropped_too_old", "older than replay buffer")
 #: the values a GPS ``fix_type`` may take: any other is malformed
 _FIX_TYPES = tuple(FixType)
 
@@ -182,6 +190,15 @@ def _payload_fault(event: SensorEvent, row: "SensorPolicy"
     return _DEGENERATE if degenerate else None
 
 
+class Plan(NamedTuple):
+    """A row's ``(z, model, gate_scale)`` updates, whether each runs only
+    after the one before it is accepted, and a value for its commit."""
+
+    updates: list
+    chained: bool = False
+    carry: object = None
+
+
 @dataclass
 class CoastState:
     active: bool = False
@@ -199,16 +216,6 @@ class VslamAnchor:
         default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0])
     )
     rejections: int = 0
-
-    def apply(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (quat_rotate(self.quaternion, p) + self.position,
-                quat_mul(self.quaternion, q))
-
-    def reanchor(self, filter_p: np.ndarray, filter_q: np.ndarray,
-                 raw_p: np.ndarray, raw_q: np.ndarray) -> None:
-        self.quaternion = quat_mul(filter_q, quat_conjugate(raw_q))
-        self.position = filter_p - quat_rotate(self.quaternion, raw_p)
-        self.rejections = 0
 
 
 @dataclass
@@ -341,9 +348,9 @@ class FusionPipeline:
     #: the session: every attribute ``reset`` assigns, which is exactly
     #: what a checkpoint saves and restores
     _SESSION = ("x", "cov", "origin", "ring", "adaptive", "vslam_anchor",
-                "_last_raw_vslam", "coast", "_zupt_active",
-                "_last_encoder_speed", "_last_imu_rate", "_heading_anchor",
-                "_jump_stamp", "diagnostics")
+                "coast", "_zupt_active", "_last_encoder_speed",
+                "_last_imu_rate", "_heading_anchor", "_jump_stamp",
+                "diagnostics")
 
     def reset(self) -> None:
         """Restore the configured initial state and clear all session
@@ -358,7 +365,6 @@ class FusionPipeline:
         self.ring = StateSnapshotRing(cfg["retro.capacity"])
         self.adaptive = self._build_adaptive()
         self.vslam_anchor = VslamAnchor()
-        self._last_raw_vslam: Optional[tuple[np.ndarray, np.ndarray]] = None
         self.coast = CoastState()
         self._zupt_active = False
         self._last_encoder_speed: Optional[float] = None
@@ -396,34 +402,43 @@ class FusionPipeline:
                 break
         return x, cov
 
-    def _fuse(self, stamp: float, kind: str, updates: list,
-              chained: bool = False) -> Optional[list[UpdateRecord]]:
-        """Fuse one event's updates (``_apply_updates``).  A ``delayed``
-        kind stamped before the newest snapshot is applied there and the
-        later IMU steps are replayed if any update was accepted; anything
-        else is applied to the current state.  Returns the update records,
-        None when the event is older than the buffer."""
+    def _fuse(self, kind: str, row: "SensorPolicy",
+              event: SensorEvent) -> StepReport:
+        """Plan, fuse and commit one event (see the module docstring)."""
+        stamp, ring = event.stamp, self.ring
+        x, coast_active = self.x, self.coast.active
+        late = (row.delayed and self.config["retro.enabled"]
+                and ring.last_stamp is not None and stamp < ring.last_stamp)
+        if late:  # the snapshot at the stamp, None when older than the ring
+            idx = ring.nearest_at_or_before(stamp)
+            base = None if idx is None else ring.entries[idx]
+            x = None if base is None else base.x
+            coast_active = base is not None and base.coast_active
+        plan = row.plan(self, event, x)
+        if not isinstance(plan, Plan):
+            return self._drop(stamp, kind, *plan)
+        updates, chained, carry = plan
         records: list[UpdateRecord] = []
-
-        def apply(x: np.ndarray, cov: np.ndarray):
-            return self._apply_updates(x, cov, updates, self.coast.active,
-                                       records, chained)
-
-        # every kind that is fused needs the clock, so the ring has a snapshot
-        if not (SENSORS[kind].delayed and self.config["retro.enabled"]
-                and stamp < self.ring.last_stamp):
-            self.x, self.cov = apply(self.x, self.cov)
-            return records
-        replay = self.ring.apply_delayed(stamp, apply, self._imu_step)
-        if replay.status == "dropped_old":
-            self._count("retro_dropped_too_old")
-            return None
-        if replay.status == "unchanged":  # the live state stands
-            self._count("retro_unchanged")
-        else:
-            self._count("retro_replays")
-            self.x, self.cov = replay.x, replay.cov
-        return records
+        if updates and not late:
+            self.x, self.cov = self._apply_updates(
+                self.x, self.cov, updates, coast_active, records, chained)
+        elif updates:
+            replay = ring.apply_delayed(
+                stamp, lambda x, cov: self._apply_updates(
+                    x, cov, updates, coast_active, records, chained),
+                self._imu_step)
+            if replay.status == "dropped_old":
+                return self._drop(stamp, kind, *_TOO_OLD)
+            if replay.status == "unchanged":  # the live state stands
+                self._count("retro_unchanged")
+            else:
+                self._count("retro_replays")
+                self.x, self.cov = replay.x, replay.cov
+        origin = self.origin  # only a commit that sets the origin replaces it
+        if row.commit is not None:
+            row.commit(self, event, x, records, carry)
+        return self._report(stamp, kind, records,
+                            origin_set=self.origin is not origin)
 
     def _report(self, stamp: float, kind: str,
                 updates: Optional[list[UpdateRecord]] = None,
@@ -480,9 +495,10 @@ class FusionPipeline:
             counter, reason = fault
             return self._drop(event.stamp, kind, counter, reason.format(kind))
         if row.needs_clock and self.ring.last_stamp is None:
-            return self._drop(event.stamp, kind, "dropped_before_clock",
-                              "no imu clock yet")
-        return row.handler(self, event)
+            return self._drop(event.stamp, kind, *_BEFORE_CLOCK)
+        if row.plan is None:  # the primary IMU, whose stamp is the clock
+            return self._on_imu(event)
+        return self._fuse(kind, row, event)
 
     def _imu_vector(self, sample: ImuSample) -> np.ndarray:
         """The sample's measurement vector: gyro and accel for the raw
@@ -500,8 +516,7 @@ class FusionPipeline:
                                rpy[: joint.blocks[1].dim]])
 
     def _imu_update(self, kind: str, z: np.ndarray) -> tuple:
-        """One update of ``z`` (``_imu_vector``): the raw gyro/accel rows,
-        stacked with the orientation rows when ``z`` holds them."""
+        """The update of ``z`` (``_imu_vector``), orientation rows or not."""
         raw, joint = self._imu_models[kind]
         return z, raw if len(z) == raw.dim else joint, 1.0
 
@@ -580,13 +595,13 @@ class FusionPipeline:
         self.ring.record(step)
         return report
 
-    def _on_imu2(self, sample: ImuSample) -> StepReport:
-        update = self._imu_update("imu2", self._imu_vector(sample))
-        return self._report(sample.stamp, "imu2",
-                            self._fuse(sample.stamp, "imu2", [update]))
+    # ------------------------------------------------------------------
+    # sensor rows: each plan(event, x) and commit(event, x, records, carry)
 
-    def _on_encoder(self, sample: EncoderSample) -> StepReport:
-        self._last_encoder_speed = abs(float(sample.velocity[0]))
+    def _plan_imu2(self, sample: ImuSample, x) -> Plan:
+        return Plan([self._imu_update("imu2", self._imu_vector(sample))])
+
+    def _plan_encoder(self, sample: EncoderSample, x) -> Plan:
         # the estimators' R, written into the blocks' views of the stack's R
         odometry, vertical = self._encoder_model.blocks
         odometry.r = self.adaptive["encoder"].r
@@ -598,129 +613,109 @@ class FusionPipeline:
         # the odometry reading, then the vertical velocity it implies: zero
         z = np.array([sample.velocity[0], sample.velocity[1],
                       sample.yaw_rate, 0.0])
-        records = self._fuse(sample.stamp, "encoder",
-                             [(z, self._encoder_model, 1.0)])
+        return Plan([(z, self._encoder_model, 1.0)])
+
+    def _commit_encoder(self, sample: EncoderSample, x, records, carry):
+        self._last_encoder_speed = abs(float(sample.velocity[0]))
         for rec in records:  # one per block, each an adaptive path
             estimator = self.adaptive[rec.path]
             if rec.accepted and estimator.enabled:
                 estimator.observe(rec.innovation)
         self._update_zupt()
-        return self._report(sample.stamp, "encoder", records)
 
-    def _on_radar(self, sample: RadarVelocitySample) -> StepReport:
-        return self._report(sample.stamp, "radar", self._fuse(
-            sample.stamp, "radar",
-            [(sample.velocity_body, self._radar_model, 1.0)]))
+    def _plan_radar(self, sample: RadarVelocitySample, x) -> Plan:
+        return Plan([(sample.velocity_body, self._radar_model, 1.0)])
 
-    # -- late sensors: GPS, GPS velocity, VSLAM ---------------------------
+    def _plan_gps_velocity(self, sample: GpsVelocitySample, x) -> Plan:
+        return Plan([(sample.velocity_en, self._gps_vel_model, 1.0)])
 
-    def _on_gps_fix(self, sample: GpsFixSample) -> StepReport:
+    def _plan_gps_fix(self, fix: GpsFixSample, x) -> Plan | tuple:
+        """The position update, its gate relaxed while coasting with the
+        relax armed, then, only if it is accepted, the heading from the
+        anchor; none for the first fix, whose commit sets the origin.
+        Carries (z, R)."""
         cfg = self.config
         reason = meas.screen_gps_fix(
-            sample, FixType(cfg["gnss.min_fix_type"]), cfg["gnss.max_hdop"],
+            fix, FixType(cfg["gnss.min_fix_type"]), cfg["gnss.max_hdop"],
             cfg["gnss.min_satellites"])
         if reason is not None:
-            return self._drop(sample.stamp, "gps", "gps_quality_rejected",
-                              reason)
+            return "gps_quality_rejected", reason
         if self.origin is None:
-            self.origin = EnuOrigin.from_geodetic(
-                GeodeticCoord(sample.lat, sample.lon, sample.alt))
-            self._count("origin_set")
-            return self._report(sample.stamp, "gps", origin_set=True)
+            return Plan([])
         if self.ring.last_stamp is None:
-            return self._drop(sample.stamp, "gps", "dropped_before_clock",
-                              "no imu clock yet")
-
+            return _BEFORE_CLOCK
         # the estimator's R is the configured one, floored, when
         # ``adaptive.gnss`` is off
-        z, r = meas.gps_fix_to_measurement(
-            sample, self.origin, self.adaptive["gps_pos"].r)
-        gate_scale = 1.0
-        if self.coast.active and self.coast.relax_armed:
-            gate_scale = cfg["coast.gate_relax"]
-            self.coast.relax_armed = False
-
+        z, r = carry = meas.gps_fix_to_measurement(
+            fix, self.origin, self.adaptive["gps_pos"].r)
         self._gps_model.r = r
-        updates = [(z, self._gps_model, gate_scale)]
-        heading_plan = self._plan_heading(z, r, sample.stamp)
-        if heading_plan is not None:
-            yaw_z, yaw_var_z = heading_plan
-            self._heading_model.r = np.array([[yaw_var_z]])
-            updates.append((np.array([yaw_z]), self._heading_model, 1.0))
-        # the heading update runs only after an accepted position update
-        records = self._fuse(sample.stamp, "gps", updates, chained=True)
-        if records is None:
-            return self._report(sample.stamp, "gps", dropped=_TOO_OLD)
+        relaxed = self.coast.active and self.coast.relax_armed
+        updates = [(z, self._gps_model,
+                    cfg["coast.gate_relax"] if relaxed else 1.0)]
+        if cfg["gnss.heading_enabled"] and self._heading_anchor is not None:
+            prev_xy, prev_stamp, prev_var = self._heading_anchor
+            heading = meas.derive_gps_heading(
+                prev_xy, prev_stamp, z[:2], fix.stamp,
+                (prev_var + float(r[0, 0] + r[1, 1])) / 2.0,
+                min_baseline=cfg["gnss.heading_min_baseline"],
+                min_speed=cfg["gnss.heading_min_speed"],
+                sigma_floor=cfg["gnss.heading_sigma_floor"])
+            if heading is not None:
+                yaw_z, yaw_var_z = heading
+                self._heading_model.r = np.array([[yaw_var_z]])
+                updates.append((np.array([yaw_z]), self._heading_model, 1.0))
+        return Plan(updates, True, carry)
+
+    def _commit_gps_fix(self, fix: GpsFixSample, x, records, carry):
+        if self.origin is None:
+            self.origin = EnuOrigin.from_geodetic(
+                GeodeticCoord(fix.lat, fix.lon, fix.alt))
+            self._count("origin_set")
+            return
+        if self.coast.active:  # this fix was gated with any relax armed
+            self.coast.relax_armed = False
         if records[0].accepted:
+            z, r = carry
             self.coast.last_accept = max(self.coast.last_accept or 0.0,
-                                         sample.stamp)
+                                         fix.stamp)
             self.coast.active = False
-            self._heading_anchor = (z[:2].copy(), sample.stamp,
+            self._heading_anchor = (z[:2].copy(), fix.stamp,
                                     float(r[0, 0] + r[1, 1]))
             estimator = self.adaptive["gps_pos"]
             if estimator.enabled:
                 estimator.observe(records[0].innovation)
-        return self._report(sample.stamp, "gps", records)
 
-    def _plan_heading(self, z: np.ndarray, r: np.ndarray,
-                      stamp: float) -> Optional[tuple[float, float]]:
-        cfg = self.config
-        if not cfg["gnss.heading_enabled"] or self._heading_anchor is None:
-            return None
-        prev_xy, prev_stamp, prev_var = self._heading_anchor
-        horizontal_var = prev_var + float(r[0, 0] + r[1, 1])
-        return meas.derive_gps_heading(
-            prev_xy, prev_stamp, z[:2], stamp,
-            horizontal_var / 2.0,
-            min_baseline=cfg["gnss.heading_min_baseline"],
-            min_speed=cfg["gnss.heading_min_speed"],
-            sigma_floor=cfg["gnss.heading_sigma_floor"],
-        )
+    def _plan_vslam(self, pose: VslamPoseSample, x) -> Plan | tuple:
+        """The anchored pose's update, unless a variance is negative (the
+        stream writes -1 for absent, which ``vslam_noise`` would floor to
+        the tightest noise) or the state at the stamp pitches too near the
+        Euler singularity.  Carries the raw quaternion, normalized."""
+        if pose.cov_diag is not None and np.any(pose.cov_diag < 0):
+            return _MALFORMED[0], _MALFORMED[1].format("vslam")
+        limit = np.radians(90.0 - self.config["vslam.singularity_deg"])
+        if x is not None and abs(quat_to_euler(x[QUAT])[1]) > limit:
+            return "vslam_skipped_singularity", "pitch near singularity"
+        raw_q, anchor = quat_normalize(pose.quaternion), self.vslam_anchor
+        z = np.concatenate([
+            quat_rotate(anchor.quaternion, pose.position) + anchor.position,
+            quat_to_euler(quat_mul(anchor.quaternion, raw_q))])
+        self._vslam_model.r = (self._vslam_r if pose.cov_diag is None
+                               else self._vslam_noise(pose.cov_diag))
+        return Plan([(z, self._vslam_model, 1.0)], carry=raw_q)
 
-    def _on_gps_velocity(self, sample: GpsVelocitySample) -> StepReport:
-        records = self._fuse(sample.stamp, "gps_vel", [
-            (sample.velocity_en, self._gps_vel_model, 1.0)])
-        return self._report(sample.stamp, "gps_vel", records,
-                            dropped=_TOO_OLD if records is None else None)
-
-    def _on_vslam(self, sample: VslamPoseSample) -> StepReport:
-        # a negative variance (the stream writes -1 for absent) is no
-        # variance; ``vslam_noise`` would floor it to the tightest noise
-        if sample.cov_diag is not None and np.any(sample.cov_diag < 0):
-            counter, reason = _MALFORMED
-            return self._drop(sample.stamp, "vslam", counter,
-                              reason.format("vslam"))
-        cfg = self.config
-        pitch = quat_to_euler(self.x[QUAT])[1]
-        limit = np.radians(90.0 - cfg["vslam.singularity_deg"])
-        if abs(pitch) > limit:
-            return self._drop(sample.stamp, "vslam",
-                              "vslam_skipped_singularity",
-                              "pitch near singularity")
-        raw_q = quat_normalize(sample.quaternion)
-        self._last_raw_vslam = (sample.position.copy(), raw_q.copy())
-        p_c, q_c = self.vslam_anchor.apply(sample.position, raw_q)
-        rpy = quat_to_euler(q_c)
-        z = np.concatenate([p_c, rpy])
-        self._vslam_model.r = (self._vslam_r if sample.cov_diag is None
-                               else self._vslam_noise(sample.cov_diag))
-        records = self._fuse(sample.stamp, "vslam",
-                             [(z, self._vslam_model, 1.0)])
-        if records is None:
-            return self._report(sample.stamp, "vslam", dropped=_TOO_OLD)
-        self._vslam_reinit_check(records[0].accepted, sample.stamp)
-        return self._report(sample.stamp, "vslam", records)
-
-    def _vslam_reinit_check(self, accepted: bool, stamp: float) -> None:
-        if accepted:
-            self.vslam_anchor.rejections = 0
+    def _commit_vslam(self, pose: VslamPoseSample, x, records, raw_q):
+        # after ``vslam.reinit_n`` rejections in a row, re-anchor the map on
+        # the state the pose was gated at
+        anchor = self.vslam_anchor
+        if records[0].accepted:
+            anchor.rejections = 0
             return
-        self.vslam_anchor.rejections += 1
-        if self.vslam_anchor.rejections >= self.config["vslam.reinit_n"]:
-            x = self.x  # the pose a late one was gated at: its snapshot's
-            if self.config["retro.enabled"] and stamp < self.ring.last_stamp:
-                x = self.ring.entries[self.ring.nearest_at_or_before(stamp)].x
-            self.vslam_anchor.reanchor(x[POS], x[QUAT], *self._last_raw_vslam)
+        anchor.rejections += 1
+        if anchor.rejections >= self.config["vslam.reinit_n"]:
+            anchor.quaternion = quat_mul(x[QUAT], quat_conjugate(raw_q))
+            anchor.position = x[POS] - quat_rotate(anchor.quaternion,
+                                                   pose.position)
+            anchor.rejections = 0
             self._count("vslam_reanchors")
 
     # ------------------------------------------------------------------
@@ -772,16 +767,13 @@ class FusionPipeline:
             "origin": opt(origin, lambda o: [o.geodetic.lat, o.geodetic.lon,
                                              o.geodetic.alt]),
             "ring": [[s.stamp, _array_doc(s.x), _array_doc(s.cov),
-                      _array_doc(s.z_raw), opt(s.z_orient, _array_doc),
-                      s.zupt_active, s.coast_active]
+                      _array_doc(s.z), s.zupt_active, s.coast_active]
                      for s in self.ring.entries],
             "adaptive": {name: [_array_doc(est.r),
                                 _array_doc(est._innovations), est._filled]
                          for name, est in self.adaptive.items()},
             "vslam_anchor": [_array_doc(anchor.position),
                              _array_doc(anchor.quaternion), anchor.rejections],
-            "_last_raw_vslam": opt(self._last_raw_vslam,
-                                   lambda pq: [_array_doc(v) for v in pq]),
             "coast": [coast.active, coast.last_accept, coast.relax_armed],
             "_zupt_active": self._zupt_active,
             "_last_encoder_speed": self._last_encoder_speed,
@@ -801,9 +793,11 @@ class FusionPipeline:
         if set(doc) != set(self._SESSION):
             raise ValueError("session keys missing or unknown: "
                              f"{sorted(set(doc) ^ set(self._SESSION))}")
-        joint = self._imu_models["imu"][1]
+        # a snapshot's z: the raw rows, or with orientation the joint rows
+        raw, joint = self._imu_models["imu"]
+        z_shapes = [[raw.dim]] + ([] if joint is None else [[joint.dim]])
 
-        def snapshot(clock, stamp, x, cov, z_raw, z_orient, zupt, coast):
+        def snapshot(clock, stamp, x, cov, z, zupt, coast):
             """The stored snapshot, whose stamp follows ``clock``, the one
             before it, by at most ``_MAX_IMU_GAP``, as a live step's does:
             a replay predicts across that gap."""
@@ -811,15 +805,13 @@ class FusionPipeline:
             if clock is not None and not 0.0 < stamp - clock <= _MAX_IMU_GAP:
                 raise ValueError("snapshot stamps not increasing by at most "
                                  f"{_MAX_IMU_GAP} s")
-            z = _read_array(z_raw, (6,))
-            if z_orient is not None:
-                if joint is None:
-                    raise ValueError("orientation rows without their model")
-                z = np.concatenate(
-                    [z, _read_array(z_orient, (joint.blocks[1].dim,))])
+            if z["shape"] not in z_shapes:
+                raise ValueError(f"snapshot z of shape {z['shape']}, not one "
+                                 f"of {z_shapes}")
             return Snapshot(stamp, _read_array(x, _STATE, QUAT),
-                            _read_array(cov, _COV), z, _read_flag(zupt),
-                            _read_flag(coast))
+                            _read_array(cov, _COV),
+                            _read_array(z, tuple(z["shape"])),
+                            _read_flag(zupt), _read_flag(coast))
 
         ring = StateSnapshotRing(self.config["retro.capacity"])
         if len(doc["ring"]) > ring.capacity:
@@ -855,8 +847,6 @@ class FusionPipeline:
                                         _read_array(quaternion, (4,),
                                                     slice(None)),
                                         _read_count(rejections)),
-            "_last_raw_vslam": opt(doc["_last_raw_vslam"], lambda p, q: (
-                _read_array(p, (3,)), _read_array(q, (4,), slice(None)))),
             "coast": CoastState(_read_flag(active),
                                 _read_real(last_accept, optional=True),
                                 _read_flag(relax_armed)),
@@ -926,14 +916,21 @@ _read_count = partial(_read_real, low=0, top=math.inf, types=(int,))
 
 @dataclass(frozen=True)
 class SensorPolicy:
-    """One row of the sensor table (see the module docstring); which kinds
-    ``FusionPipeline._fuse`` applies at their stamp is ``delayed``."""
+    """One row of the sensor table (see the module docstring).
+
+    ``plan(pipe, event, x)`` returns a ``Plan`` or a ``(counter, reason)``
+    drop from the event, session fields and ``x``, the state the updates
+    apply to (None for a late event older than the ring); ``commit(pipe,
+    event, x, records, carry)`` makes every change the event leaves in the
+    session.  ``FusionPipeline._fuse`` is their only caller.  The primary
+    IMU, whose stamp is the clock, has neither: ``_on_imu`` steps it."""
 
     enable_key: Optional[str]         # None: the sensor is always on
     disabled_counter: Optional[str]
     shapes: dict[str, tuple[int, ...]]  # payload field: its shape
     needs_clock: bool
-    handler: Callable[[FusionPipeline, SensorEvent], StepReport]
+    plan: Optional[Callable[..., Plan | tuple[str, str]]]
+    commit: Optional[Callable[..., None]] = None  # None: no side effect
     #: the payload's rotation field, whose norm must be finite and nonzero
     quaternion: Optional[str] = None
     delayed: bool = False             # late: fused at its stamp
@@ -947,36 +944,38 @@ _IMU_OPTIONAL = frozenset({"orientation"})
 
 SENSORS: dict[str, SensorPolicy] = {
     # the primary IMU starts the clock and is always on
-    "imu": SensorPolicy(None, None, _IMU_FIELDS, False,
-                        FusionPipeline._on_imu, "orientation",
-                        optional=_IMU_OPTIONAL),
+    "imu": SensorPolicy(None, None, _IMU_FIELDS, False, None,
+                        quaternion="orientation", optional=_IMU_OPTIONAL),
     "imu2": SensorPolicy("imu2.enabled", "dropped_imu2_disabled",
-                         _IMU_FIELDS, True, FusionPipeline._on_imu2,
-                         "orientation", optional=_IMU_OPTIONAL),
+                         _IMU_FIELDS, True, FusionPipeline._plan_imu2,
+                         quaternion="orientation", optional=_IMU_OPTIONAL),
     "encoder": SensorPolicy("encoder.enabled", "dropped_encoder_disabled",
                             {"velocity": (2,), "yaw_rate": ()}, True,
-                            FusionPipeline._on_encoder),
-    # the first fix sets the origin without the clock; the handler checks
+                            FusionPipeline._plan_encoder,
+                            FusionPipeline._commit_encoder),
+    # the first fix sets the origin without the clock; the plan checks
     # the clock after that
     "gps": SensorPolicy("gnss.enabled", "dropped_gnss_disabled",
                         {**dict.fromkeys(("lat", "lon", "alt", "fix_type",
                                           "hdop", "vdop", "satellites",
                                           "err_horz", "err_vert"), ()),
                          "covariance": (3, 3)}, False,
-                        FusionPipeline._on_gps_fix, delayed=True,
+                        FusionPipeline._plan_gps_fix,
+                        FusionPipeline._commit_gps_fix, delayed=True,
                         optional=frozenset({"hdop", "vdop", "satellites",
                                             "err_horz", "err_vert",
                                             "covariance"})),
     "gps_vel": SensorPolicy("gnss.velocity_enabled",
                             "dropped_gps_vel_disabled", {"velocity_en": (2,)},
-                            True, FusionPipeline._on_gps_velocity,
+                            True, FusionPipeline._plan_gps_velocity,
                             delayed=True),
     "radar": SensorPolicy("radar.enabled", "dropped_radar_disabled",
                           {"velocity_body": (2,)}, True,
-                          FusionPipeline._on_radar),
+                          FusionPipeline._plan_radar),
     "vslam": SensorPolicy("vslam.enabled", "dropped_vslam_disabled",
                           {"position": (3,), "quaternion": (4,),
                            "cov_diag": (6,)}, True,
-                          FusionPipeline._on_vslam, "quaternion",
+                          FusionPipeline._plan_vslam,
+                          FusionPipeline._commit_vslam, "quaternion",
                           delayed=True, optional=frozenset({"cov_diag"})),
 }

@@ -7,8 +7,10 @@ measurement arrives, the ring restores the newest snapshot at or before the
 measurement epoch, applies the measurement there, and re-runs the recorded
 IMU steps forward, each from the stamp of the snapshot before it, rewriting
 the stored states along the way.  The ring sees only the state and
-covariance the caller's update returns; what that update decided stays with
-the caller.
+covariance the caller's update returns; what that update decided, and what
+the event changes in the session, stays with the caller, which plans the
+update on the snapshot at the stamp and commits it once the ring has not
+dropped it.
 Only IMU steps are replayed; lower-latency sensors are applied where they
 arrived.  Measurements older than the buffered span are dropped (applying
 them stale would reintroduce exactly the error replay exists to remove).
@@ -30,12 +32,12 @@ class Snapshot:
     """One primary-IMU step: its sample's measurement vector and the modes
     it ran under, and the state ``x`` and covariance after it.
 
-    ``z`` is the one vector the step's IMU update fuses: the sample's gyro
-    and accel (``z_raw``), then its roll, pitch (and yaw when the source
-    has a magnetometer) when the step fused orientation rows (``z_orient``,
-    else None).  It is computed once, when the sample arrives, so a replay
-    re-runs only the filter arithmetic, on the very array the live step
-    fused."""
+    ``z`` is the one vector the step's IMU update fuses, stored and
+    checkpointed as one array: the sample's gyro and accel, then its roll,
+    pitch (and yaw when the source has a magnetometer) when the step fused
+    orientation rows.  It is computed once, when the sample arrives, so a
+    replay re-runs only the filter arithmetic, on the very array the live
+    step fused."""
 
     stamp: float
     x: np.ndarray
@@ -43,14 +45,6 @@ class Snapshot:
     z: np.ndarray
     zupt_active: bool = False
     coast_active: bool = False
-
-    @property
-    def z_raw(self) -> np.ndarray:
-        return self.z[:6]
-
-    @property
-    def z_orient(self) -> Optional[np.ndarray]:
-        return self.z[6:] if len(self.z) > 6 else None
 
 
 @dataclass

@@ -977,9 +977,11 @@ class TestCoast:
         diff = pvar(r_ten, 10.5) - pvar(r_one, 10.5)
         assert diff > 0.2
 
-    def test_gate_relax_consumed_once(self):
-        cfg = PipelineConfig({"coast.gate_relax": 2.0})
-        pipe = FusionPipeline(cfg)
+    def _coasting(self, **overrides):
+        """A pipeline coasting at 9.99 s, GPS lost at 3 s, the relaxed gate
+        armed."""
+        pipe = FusionPipeline(PipelineConfig({"coast.gate_relax": 2.0,
+                                              **overrides}))
         pipe.ingest(imu_at(0.0))
         pipe.ingest(gps_at([0, 0, 0], 0.001))
         for t in np.arange(0.01, 10.0, 0.01):
@@ -988,6 +990,10 @@ class TestCoast:
             if int(round(t * 100)) % 20 == 0 and t < 3.0:
                 pipe.ingest(gps_at([0, 0, 0], t))
         assert pipe.coast.active and pipe.coast.relax_armed
+        return pipe
+
+    def test_gate_relax_consumed_once(self):
+        pipe = self._coasting()
         report = pipe.ingest(gps_at([0.5, 0, 0], 10.0))
         rec = report.updates[-1]
         assert rec.threshold == pytest.approx(2.0 * 16.27)
@@ -996,6 +1002,18 @@ class TestCoast:
         pipe.ingest(imu_at(10.01))
         report2 = pipe.ingest(gps_at([0.5, 0, 0], 10.02))
         assert report2.updates[-1].threshold == pytest.approx(16.27)
+
+    def test_too_old_fix_leaves_the_relaxed_gate_armed(self):
+        """A fix 1.1 s late, older than a ring of 10 snapshots, is dropped
+        before it is fused, so the first fix fused after the blackout still
+        meets the relaxed gate."""
+        pipe = self._coasting(**{"retro.capacity": 10})
+        report = pipe.ingest(gps_at([0.5, 0, 0], 8.9))
+        assert report.dropped == "older than replay buffer"
+        assert pipe.coast.relax_armed
+        report = pipe.ingest(gps_at([0.5, 0, 0], 10.0))
+        assert report.updates[0].threshold == pytest.approx(2.0 * 16.27)
+        assert not pipe.coast.relax_armed
 
     def test_b_ewz_frozen_during_coast(self):
         pipe, reports = self._run_with_gap(8.0)
@@ -1064,6 +1082,23 @@ class TestVslam:
                                     np.array([1.0, 0, 0, 0])))
         assert pipe.vslam_anchor.rejections == 0
         assert pipe.diagnostics.get("vslam_reanchors", 0) == 0
+
+    def test_late_pose_is_judged_for_the_singularity_at_its_stamp(self):
+        """The live state pitches past the limit after a late pose's stamp:
+        a pose at the clock is skipped, the late one is fused at its level
+        snapshot."""
+        pipe = self._vslam_pipe()
+        run(pipe, [imu_at(k * 0.01) for k in range(30)])
+        pipe.x = pipe.x.copy()  # the snapshots keep their level states
+        pipe.x[QUAT] = euler_to_quat(0.0, np.radians(89.5), 0.0)
+        level = np.array([1.0, 0.0, 0.0, 0.0])
+        report = pipe.ingest(VslamPoseSample(0.29, np.zeros(3), level))
+        assert report.dropped == "pitch near singularity"
+        report = pipe.ingest(VslamPoseSample(0.2, np.zeros(3), level))
+        assert report.dropped is None
+        assert [(r.path, r.accepted) for r in report.updates] == [
+            ("vslam", True)]
+        assert pipe.diagnostics["vslam_skipped_singularity"] == 1
 
     def test_late_poses_reanchor_against_the_pose_at_their_stamp(self):
         """The VSLAM map jumps 50 m at t = 8 s and every pose arrives 0.3 s
@@ -1192,8 +1227,7 @@ class TestRetrodiction:
             pipe.ingest(imu_at(k * 0.01, orientation=orientation))
             entry = pipe.ring.entries[-1]
             assert [name for name, *_ in fused] == ["imu_raw"]
-            assert np.array_equal(
-                np.concatenate([entry.z_raw, entry.z_orient]), fused[0][1])
+            assert np.array_equal(entry.z, fused[0][1])
             live[entry.stamp] = fused[0][2]
 
         euler_calls = []
@@ -1209,6 +1243,31 @@ class TestRetrodiction:
         assert len(replayed) == 20
         assert all(z is live[entry.stamp] for z, entry in
                    zip(replayed, pipe.ring.entries[-20:], strict=True))
+
+    def test_rewound_update_holds_what_its_snapshot_held(self, monkeypatch):
+        """Coasting began after a late GPS velocity's stamp, so its update
+        at the snapshot there holds no state, as that snapshot's step held
+        none; the replayed steps after the coast entry hold the encoder
+        yaw-rate bias, as the live ones did."""
+        pipe = FusionPipeline(PipelineConfig({
+            "coast.enter_s": 0.5, "gnss.velocity_enabled": True}))
+        run(pipe, [imu_at(k * 0.01) for k in range(80)])
+        assert pipe.coast.active
+        coasting = [e.coast_active for e in pipe.ring.entries]
+        assert coasting.index(True) == 51
+        frozen = []
+        live_update = pipeline_module.ukf_update
+
+        def recording(*args, **kw):
+            frozen.append(kw["frozen"])
+            return live_update(*args, **kw)
+
+        monkeypatch.setattr(pipeline_module, "ukf_update", recording)
+        report = pipe.ingest(GpsVelocitySample(0.3, np.array([0.1, 0.0])))
+        assert report.updates[0].accepted
+        assert pipe.diagnostics["retro_replays"] == 1
+        held = slice(ENC_YAW_BIAS, STATE_DIM)
+        assert frozen == [None] * 21 + [held] * 29
 
     def test_gated_late_fix_rewinds_nothing(self):
         """A late fix far outside the gate leaves the live state and every
@@ -1511,8 +1570,8 @@ class TestLifecycle:
         (("session", "cov", "f8"),                          # cut short
          array_doc(np.eye(23))["f8"][:-8]),
         (("session", "cov", "shape"), [23, 24]),            # shape mismatch
-        (("session", "ring", 0, 3), array_doc(np.zeros(5))),
-        (("session", "ring", 0, 4), array_doc(np.array([0.0, np.nan]))),
+        (("session", "ring", 0, 3), array_doc(np.zeros(7))),
+        (("session", "ring", 0, 3), array_doc(np.append(np.zeros(5), np.nan))),
         (("session", "coast", 2), None),                    # field missing
         (("session", "adaptive", "encoder_vz", 0),
          array_doc(np.array([[np.nan]]))),
@@ -1532,7 +1591,7 @@ class TestLifecycle:
         (("session", "coast", 1), "x"),
         (("session", "vslam_anchor", 0), array_doc(np.zeros(2))),
         (("session", "_heading_anchor"), 5),
-        (("session", "ring", 0, 6), 5),
+        (("session", "ring", 0, 5), 5),
         (("session", "_last_imu_rate"), float("nan")),
         (("session", "_last_encoder_speed"), -1.0),
         (("session", "ring", 1, 0), 0.0),                   # not increasing
@@ -1541,14 +1600,12 @@ class TestLifecycle:
         (("session", "origin", 0), 2.0),                    # lat > pi/2
         (("session", "observe"), 5),                        # unknown key
         (("session", "vslam_anchor", 1), array_doc(np.zeros(4))),
-        (("session", "_last_raw_vslam"),
-         [array_doc(np.zeros(3)), array_doc(np.zeros(4))]),
         (("session", "_jump_stamp"), 10 ** 400),            # beyond a float
         # a step no live run takes, of 2e9 predict sub-steps
         (("session", "ring", -1, 0), 1e9),
     ], ids=["root", "version_3", "missing", "state_shape", "state_list",
             "snapshot_state", "cov_shape", "garbled", "truncated",
-            "payload_shape", "snapshot_z_raw", "snapshot_z_orient",
+            "payload_shape", "snapshot_z_length", "snapshot_z_nan",
             "missing_attribute", "estimator_r_nan", "estimator_r_indefinite",
             "estimator_r_size", "adaptive_below_floor", "innovation_window",
             "innovation_nan", "innovation_count_over",
@@ -1558,7 +1615,7 @@ class TestLifecycle:
             "snapshot_mode_type", "imu_rate_nan", "encoder_speed_negative",
             "snapshot_order", "ring_over_capacity", "origin_range",
             "unknown_session_key", "anchor_quaternion_zero",
-            "raw_vslam_quaternion_zero", "stamp_huge_int", "snapshot_gap"])
+            "stamp_huge_int", "snapshot_gap"])
     def test_malformed_checkpoint_changes_nothing(self, tmp_path, keys,
                                                   value):
         path = tmp_path / "ckpt.json"
@@ -1587,6 +1644,20 @@ class TestLifecycle:
             pipe.load_checkpoint(str(path))
         assert all(getattr(pipe, name) is old for name, old in before.items())
         assert pipe.diagnostics == counts
+
+    def test_snapshot_orientation_rows_need_their_model(self, tmp_path):
+        """Without the primary IMU's orientation model a snapshot's z holds
+        the 6 raw rows alone."""
+        path = tmp_path / "ckpt.json"
+        config = PipelineConfig({"imu.use_orientation": False})
+        pipe = FusionPipeline(config)
+        run(pipe, stationary_stream(0.5))
+        pipe.save_checkpoint(str(path))
+        doc = json.loads(path.read_text())
+        doc["session"]["ring"][0][3] = array_doc(np.zeros(8))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="snapshot z"):
+            FusionPipeline(config).load_checkpoint(str(path))
 
     def test_deeply_nested_checkpoint_is_checkpoint_error(self, tmp_path):
         path = tmp_path / "ckpt.json"
