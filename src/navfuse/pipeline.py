@@ -672,7 +672,7 @@ class FusionPipeline:
                 GeodeticCoord(fix.lat, fix.lon, fix.alt))
             self._count("origin_set")
             return
-        if self.coast.active:  # this fix was gated with any relax armed
+        if self.coast.active:  # the plan used up any armed relax
             self.coast.relax_armed = False
         if records[0].accepted:
             z, r = carry

@@ -66,7 +66,7 @@ def mutated(event, name, value, where):
         array = old.astype(float)
         array.flat[where % array.size] = value
         value = array
-    object.__setattr__(event, name, value)
+    setattr(event, name, value)
     return event
 
 
@@ -96,6 +96,16 @@ def apply_ops(ops):
     return events
 
 
+def ingest_checked(pipe, event):
+    """``pipe.ingest(event)``, checking that a report comes back and that
+    the state stays finite and the covariance positive definite."""
+    report = pipe.ingest(event)
+    assert isinstance(report, StepReport)
+    assert np.isfinite(pipe.x).all()
+    np.linalg.cholesky(pipe.cov)
+    return report
+
+
 def fingerprint(report):
     return (report.stamp, report.kind, report.dropped, report.coast,
             report.zupt, report.origin_set,
@@ -113,20 +123,14 @@ def test_any_stream_keeps_a_valid_session_that_resumes_bit_for_bit(ops,
     split = int(cut * len(events))
     pipe = FusionPipeline(PipelineConfig(CONFIG))
     for event in events[:split]:
-        report = pipe.ingest(event)
-        assert isinstance(report, StepReport)
-        assert np.isfinite(pipe.x).all()
-        np.linalg.cholesky(pipe.cov)
+        ingest_checked(pipe, event)
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "checkpoint.json")
         pipe.save_checkpoint(path)
         resumed = FusionPipeline(PipelineConfig(CONFIG))
         resumed.load_checkpoint(path)
     for event in events[split:]:
-        report = pipe.ingest(event)
-        assert isinstance(report, StepReport)
-        assert np.isfinite(pipe.x).all()
-        np.linalg.cholesky(pipe.cov)
+        report = ingest_checked(pipe, event)
         assert fingerprint(resumed.ingest(event)) == fingerprint(report)
     assert resumed.diagnostics == pipe.diagnostics
     assert np.array_equal(resumed.x, pipe.x)
