@@ -192,6 +192,8 @@ def cmd_evaluate(args) -> int:
             metrics["drift_rate_m_per_km"] = drift_rate(est, ref, segments,
                                                         args.max_dt)
         for path_name in sorted({rec.path for _, rec in records}):
+            decided = [r.accepted for _, r in records if r.path == path_name]
+            metrics[f"accept_rate_{path_name}"] = sum(decided) / len(decided)
             stamps, values, summary = nis_series(records, path_name)
             if summary is None:
                 continue

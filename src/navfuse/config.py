@@ -84,7 +84,6 @@ DEFAULTS: dict[str, Any] = {
     "vslam.sigma_orient": 0.01,
     "vslam.pos_floor": 0.01,
     "vslam.orient_floor": 0.001,
-    "vslam.singularity_deg": 1.0,
     # chi-squared gates on the squared Mahalanobis distance, each the
     # chi2(dof, p) quantile named; a gate must be > 0.  Three are shared:
     # imu by imu_raw (6 dof) and orientation (2-3), encoder by encoder_vz

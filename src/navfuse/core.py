@@ -241,7 +241,7 @@ def quat_rotate_cols(q: np.ndarray, v: np.ndarray,
 def rotation_rows_cols(q: np.ndarray, rows: int = 5) -> np.ndarray:
     """The first ``rows`` of m20, m21, m22, m00, m10, m = R(q) - I, over
     quaternion columns, unchecked, from one matmul: R's third row, which
-    gravity, roll and pitch read, then the entries yaw reads.  Each equals
+    gravity and the tilt read, then the entries yaw reads.  Each equals
     its formula written out bit for bit, but that a matmul's sum is never
     -0."""
     return _TILT_YAW[:rows] @ _outer(q, q)
@@ -299,8 +299,7 @@ def quat_rotate_inv(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 def quat_to_euler(q: np.ndarray) -> tuple[float, float, float]:
     """ZYX (roll, pitch, yaw) extraction; pitch clamped at the +-90 deg
     singularity.  Yaw 0 points along world x (east), counterclockwise
-    positive.  Plain float math; ``measurements.euler_cols`` is the
-    batched form."""
+    positive.  Plain float math; no measurement reads roll or pitch."""
     w, x, y, z = np.asarray(q, dtype=float).tolist()
     sin_pitch = -2.0 * (x * z - w * y)
     # max/min in this order keep a NaN, as a clip would

@@ -91,7 +91,7 @@ class VslamPoseSample:
     stamp: float
     position: np.ndarray
     quaternion: np.ndarray
-    cov_diag: Optional[np.ndarray] = None  # (px, py, pz, roll, pitch, yaw)
+    cov_diag: Optional[np.ndarray] = None  # (px, py, pz, about pose x, y, z)
 
 
 SensorEvent = Union[

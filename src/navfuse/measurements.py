@@ -15,9 +15,9 @@ one whose rows the engine solves together while gating and recording each
 model, its *block*, on its own (``ukf.update``); the encoder and its
 vertical constraint fuse that way in closed form, and an IMU sample's raw
 and orientation rows from one sigma set and one ``imu_cols`` call.  A
-stack holds one R, which its blocks' ``r`` view.  The IMU, Euler and
-heading readings take the entries of R(q) - I they need from one matmul
-(``core.rotation_rows_cols``), bit for bit as written out.
+stack holds one R, which its blocks' ``r`` view.  No model reads roll or
+pitch: the IMU's tilt, the headings and gravity read R(q) - I from one
+matmul (``core.rotation_rows_cols``), VSLAM a rotation vector.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from .core import (
     STATE_DIM,
     VEL,
     _cholesky,
+    _hamilton,
+    quat_conjugate,
     quat_rotate_cols,
     rotation_rows_cols,
     wrap_angle,
@@ -181,42 +183,21 @@ def _reading(index) -> np.ndarray:
     return np.eye(STATE_DIM)[index]
 
 
-def _euler_rows(m: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Roll atan2(m21, 1 + m22), pitch asin(-m20) clipped and, given a
-    third row of ``out``, yaw atan2(m10, 1 + m00), m = rotation_rows_cols(q).
-    An m with a zero is recomputed written out: there 2(a + b) is -0 when
-    a and b are, a matmul's sum never, and atan2 and asin keep that sign."""
-    if np.count_nonzero(m) < m.size:
-        w, x, y, z = q
-        m = 2.0 * np.array([x * z - w * y, y * z + w * x, -(x * x + y * y),
-                            -(y * y + z * z), x * y + w * z])
-    np.arctan2(m[1], 1.0 + m[2], out=out[0])
-    np.arcsin(np.minimum(np.maximum(-m[0], -1.0), 1.0), out=out[1])
-    if len(out) == 3:
-        np.arctan2(m[4], 1.0 + m[3], out=out[2])
-    return out
-
-
-def euler_cols(q: np.ndarray, with_yaw: bool = True) -> np.ndarray:
-    """Vectorized ZYX (roll, pitch, yaw) extraction over (4, N) quaternion
-    columns, as (3, N); ``with_yaw=False`` gives roll and pitch only."""
-    return _euler_rows(rotation_rows_cols(q, 5 if with_yaw else 3), q,
-                       np.empty((3 if with_yaw else 2, q.shape[1])))
-
-
-def imu_cols(x: np.ndarray, angles: int = 0) -> np.ndarray:
+def imu_cols(x: np.ndarray, orient: int = 0) -> np.ndarray:
     """The IMU reading of (23, N) state columns, rates and accelerations
-    plus biases, the latter plus R(q)^T [0, 0, g], then ``angles`` rows of
-    roll, pitch (and yaw), all from one ``rotation_rows_cols`` product."""
-    m = rotation_rows_cols(x[QUAT], 5 if angles == 3 else 3)
-    out = np.empty((6 + angles, x.shape[1]))
+    plus biases, the latter plus R(q)^T [0, 0, g], then ``orient`` rows:
+    the tilt m20, m21 and, third, the heading atan2(m10, 1 + m00)."""
+    m = rotation_rows_cols(x[QUAT], 5 if orient == 3 else 3)
+    out = np.empty((6 + orient, x.shape[1]))
     np.add(x[OMEGA], x[GYRO_BIAS], out=out[:3])
     np.add(x[ACC], x[ACCEL_BIAS], out=out[3:6])
     reaction = GRAVITY[2] * m[:3]
     reaction[2] += GRAVITY[2]
     out[3:6] += reaction
-    if angles:
-        _euler_rows(m, x[QUAT], out[6:])
+    if orient:
+        out[6:8] = m[:2]
+    if orient == 3:
+        out[8] = np.arctan2(m[4], 1.0 + m[3])
     return out
 
 
@@ -230,17 +211,17 @@ def imu_raw_model(sigma_gyro: float, sigma_accel: float,
 
 def imu_orientation_model(has_magnetometer: bool, sigma_orient: float,
                           gate: float) -> MeasurementModel:
-    """Roll/pitch (2-DOF) for 6-axis IMUs; roll/pitch/yaw (3-DOF) with a
-    magnetometer.  Without one, yaw stays unobservable from the IMU."""
+    """The tilt (2-DOF), then with a magnetometer the heading, wrapped
+    (3-DOF).  Without one, yaw stays unobservable from the IMU."""
     dim = 3 if has_magnetometer else 2
 
     def h(x: np.ndarray) -> np.ndarray:
-        return euler_cols(x[QUAT], with_yaw=has_magnetometer)
+        return imu_cols(x, dim)[6:]
 
     r = np.eye(dim) * sigma_orient**2
     name = "imu_orientation_3dof" if has_magnetometer else "imu_orientation"
     return MeasurementModel(name, dim, h, r, gate,
-                            angular=np.ones(dim, dtype=bool))
+                            angular=np.arange(dim) == 2)
 
 
 def encoder_model(sigma_vx: float, sigma_vy: float, sigma_wz: float,
@@ -372,7 +353,8 @@ def gps_heading_model(variance: float, gate: float) -> MeasurementModel:
     the encoder yaw-rate bias observable through the cross-covariance."""
 
     def h(x: np.ndarray) -> np.ndarray:
-        return euler_cols(x[QUAT])[2:]
+        m = rotation_rows_cols(x[QUAT])
+        return np.arctan2(m[4:], 1.0 + m[3:4])
 
     return MeasurementModel("gps_heading", 1, h, np.array([[variance]]), gate,
                             angular=np.array([True]))
@@ -405,15 +387,26 @@ def vslam_noise(variances, pos_floor: float = 0.01,
     return np.diag(np.maximum(np.asarray(variances, dtype=float), floor))
 
 
+def _rotation_vector(q: np.ndarray) -> np.ndarray:
+    """log(q) of unit quaternion columns as (3, N) rotation vectors, the
+    shorter way round: 2 atan2(|v|, |w|) along v signed by w, 0 at v = 0."""
+    w, v = q[0], q[1:] * np.where(q[0] < 0.0, -1.0, 1.0)
+    norm = np.sqrt(np.add.reduce(v * v, axis=0))
+    return v * (2.0 * np.arctan2(norm, np.abs(w)) / np.maximum(norm, 1e-300))
+
+
 def vslam_model(r: np.ndarray, gate: float) -> MeasurementModel:
-    """6-DOF pose: position plus ZYX Euler angles, yaw residual wrapped;
-    ``r`` is as ``vslam_noise`` gives it."""
+    """6-DOF pose: position, then log(q_ref^-1 q), the rotation vector from
+    ``q_ref``, which each pose sets to its quaternion as it sets ``r`` (as
+    ``vslam_noise`` gives it), so that its orientation rows read zero."""
 
     def h(x: np.ndarray) -> np.ndarray:
-        return np.concatenate([x[POS], euler_cols(x[QUAT])])
+        d = _hamilton(quat_conjugate(model.q_ref)[:, None], x[QUAT])
+        return np.concatenate([x[POS], _rotation_vector(d)])
 
-    angular = np.array([False, False, False, False, False, True])
-    return MeasurementModel("vslam", 6, h, r, gate, angular=angular)
+    model = MeasurementModel("vslam", 6, h, r, gate)
+    model.q_ref = np.array([1.0, 0.0, 0.0, 0.0])
+    return model
 
 
 def zupt_model(sigma: float, gate: float) -> MeasurementModel:

@@ -4,10 +4,10 @@ Events are processed strictly in arrival order by one consumer, so a recorded
 sequence always gives the same output.  ``SENSORS`` holds the per-sensor
 policy, one row per stream kind (``events.event_kind``): the switch that
 enables the sensor and the counter a disabled event bumps, the payload fields
-with the shape each must have (all must be finite, and so must the stamp),
-the quaternion field whose norm must be finite and nonzero, whether it needs
-the IMU clock, and its plan and commit.  Only the fields a row marks
-``optional`` may be None, meaning absent: IMU orientation, the VSLAM
+with the shape each must have (all must be finite, and so must the stamp, a
+real scalar), the quaternion field whose norm must be finite and nonzero,
+whether it needs the IMU clock, and its plan and commit.  Only the fields a
+row marks ``optional`` may be None, meaning absent: IMU orientation, the VSLAM
 covariance diagonal, and the GPS DOPs, satellite count, error bounds and
 covariance.  A None in any other field is malformed, and so is a GPS
 ``fix_type`` other than a ``FixType`` value.  ``ingest`` makes these checks
@@ -36,7 +36,9 @@ each path's ``UpdateRecord`` is reported.  An update may stack paths
 (``measurements.stack``), each still gated and recorded on its own: an
 encoder sample is one call, its odometry and vertical-velocity constraint
 in closed form, and an IMU sample with orientation is one call, its raw
-gyro/accel and orientation rows from one sigma set.  A kind the table marks
+gyro/accel and orientation rows (its tilt, ``_imu_vector``) from one sigma
+set; a VSLAM pose's orientation rows are zero against the model's
+``q_ref``, its anchored quaternion.  A kind the table marks
 ``delayed`` (GPS fixes, GPS velocity and VSLAM poses, late by receiver and
 mapping latency) stamped before the clock is applied at the newest snapshot
 at or before its stamp and the recorded IMU steps are re-run; one older
@@ -57,7 +59,7 @@ feed the estimators that adapt, and an accepted fix anchors the next one's
 course-over-ground heading.  The fix is taken at the body origin: there is
 no antenna lever arm.
 
-A checkpoint (version 8) is a JSON file: version, configuration hash, and
+A checkpoint (version 9) is a JSON file: version, configuration hash, and
 the session, the attributes ``FusionPipeline._SESSION`` lists and ``reset``
 assigns, as state only: ``x``, covariance, the origin's [lat, lon, alt],
 the replay snapshots (each with its one ``z``), each estimator's R,
@@ -102,7 +104,6 @@ from .core import (
     quat_mul,
     quat_normalize,
     quat_rotate,
-    quat_to_euler,
 )
 from .events import (
     EncoderSample,
@@ -134,7 +135,7 @@ _MAX_IMU_DELAY = 0.5
 _ZERO_VELOCITY = np.zeros(3)
 _ZERO_VELOCITY.flags.writeable = False
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 
 def zupt_trigger(last_encoder_speed: Optional[float],
@@ -159,18 +160,23 @@ _BEFORE_CLOCK = ("dropped_before_clock", "no imu clock yet")
 _TOO_OLD = ("retro_dropped_too_old", "older than replay buffer")
 #: the values a GPS ``fix_type`` may take: any other is malformed
 _FIX_TYPES = tuple(FixType)
+#: the types a stamp may have: a Python or numpy real scalar
+_REAL = (float, int, np.floating, np.integer)
 
 
 def _payload_fault(event: SensorEvent, row: "SensorPolicy"
                    ) -> Optional[tuple[str, str]]:
-    """One pass over the row's fields: ``_MALFORMED`` when a field lacks its
-    shape (a non-array's is ()), is None without being ``optional``, or is a
-    ``fix_type`` that equals no ``FixType`` value, else
-    ``_NONFINITE`` when the stamp or a field is not finite, else
-    ``_DEGENERATE`` when the ``quaternion`` field is too short to normalize
-    (``quat_normalize``) or too long for its norm to be finite, else None.
-    The norm is one ``np.vdot``, which warns of no overflow."""
-    finite, degenerate = math.isfinite(event.stamp), False
+    """One pass over the row's fields: ``_MALFORMED`` when the stamp is no
+    real scalar (``_REAL``) or a field lacks its shape (a non-array's is
+    ()), is None without being ``optional``, or is a ``fix_type`` that
+    equals no ``FixType`` value, else ``_NONFINITE`` when the stamp, as a
+    float, or a field is not finite, else ``_DEGENERATE`` when the
+    ``quaternion`` field is too short to normalize (``quat_normalize``) or
+    too long for its norm to be finite, else None.  The norm is one
+    ``np.vdot``, which warns of no overflow."""
+    if not isinstance(event.stamp, _REAL):
+        return _MALFORMED
+    finite, degenerate = -_MAX <= event.stamp <= _MAX, False  # NaN fails
     for name, shape in row.shapes.items():
         value = getattr(event, name)
         if value is None:
@@ -266,7 +272,7 @@ class FusionPipeline:
                 cfg[f"{kind}.has_magnetometer"], cfg[f"{kind}.sigma_orient"],
                 cfg["gates.imu"])
             joint = meas.stack(raw, orient, h=partial(
-                meas.imu_cols, angles=orient.dim)) if cfg[
+                meas.imu_cols, orient=orient.dim)) if cfg[
                     f"{kind}.use_orientation"] else None
             self._imu_models[kind] = (raw, joint)
         # one closed-form update per encoder sample: the wheel odometry and
@@ -502,18 +508,20 @@ class FusionPipeline:
 
     def _imu_vector(self, sample: ImuSample) -> np.ndarray:
         """The sample's measurement vector: gyro and accel for the raw
-        rows, then roll, pitch (and yaw with a magnetometer) for the
-        orientation rows, unless the source has no orientation model or
-        the sample no orientation."""
+        rows, then its tilt 2(xz - wy), 2(yz + wx) (and heading with a
+        magnetometer), unless the source has no orientation model or the
+        sample no orientation."""
         joint = self._imu_models[event_kind(sample)][1]
         if joint is None or sample.orientation is None:
             return np.concatenate([sample.gyro, sample.accel])
         # ``ingest`` dropped a quaternion too short to normalize
         w, x, y, z = sample.orientation.tolist()
         norm = math.sqrt(w * w + x * x + y * y + z * z)
-        rpy = quat_to_euler((w / norm, x / norm, y / norm, z / norm))
+        w, x, y, z = w / norm, x / norm, y / norm, z / norm
+        orient = (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), math.atan2(
+            2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z)))
         return np.concatenate([sample.gyro, sample.accel,
-                               rpy[: joint.blocks[1].dim]])
+                               orient[: joint.blocks[1].dim]])
 
     def _imu_update(self, kind: str, z: np.ndarray) -> tuple:
         """The update of ``z`` (``_imu_vector``), orientation rows or not."""
@@ -688,17 +696,14 @@ class FusionPipeline:
     def _plan_vslam(self, pose: VslamPoseSample, x) -> Plan | tuple:
         """The anchored pose's update, unless a variance is negative (the
         stream writes -1 for absent, which ``vslam_noise`` would floor to
-        the tightest noise) or the state at the stamp pitches too near the
-        Euler singularity.  Carries the raw quaternion, normalized."""
+        the tightest noise), against the anchored quaternion as ``q_ref``.
+        Carries the raw quaternion, normalized."""
         if pose.cov_diag is not None and np.any(pose.cov_diag < 0):
             return _MALFORMED[0], _MALFORMED[1].format("vslam")
-        limit = np.radians(90.0 - self.config["vslam.singularity_deg"])
-        if x is not None and abs(quat_to_euler(x[QUAT])[1]) > limit:
-            return "vslam_skipped_singularity", "pitch near singularity"
         raw_q, anchor = quat_normalize(pose.quaternion), self.vslam_anchor
-        z = np.concatenate([
-            quat_rotate(anchor.quaternion, pose.position) + anchor.position,
-            quat_to_euler(quat_mul(anchor.quaternion, raw_q))])
+        z = np.zeros(6)
+        z[:3] = quat_rotate(anchor.quaternion, pose.position) + anchor.position
+        self._vslam_model.q_ref = quat_mul(anchor.quaternion, raw_q)
         self._vslam_model.r = (self._vslam_r if pose.cov_diag is None
                                else self._vslam_noise(pose.cov_diag))
         return Plan([(z, self._vslam_model, 1.0)], carry=raw_q)

@@ -33,11 +33,11 @@ class Snapshot:
     it ran under, and the state ``x`` and covariance after it.
 
     ``z`` is the one vector the step's IMU update fuses, stored and
-    checkpointed as one array: the sample's gyro and accel, then its roll,
-    pitch (and yaw when the source has a magnetometer) when the step fused
-    orientation rows.  It is computed once, when the sample arrives, so a
-    replay re-runs only the filter arithmetic, on the very array the live
-    step fused."""
+    checkpointed as one array: the sample's gyro and accel, then its tilt,
+    the x and y of the body-frame up direction (and its heading when the
+    source has a magnetometer), when the step fused orientation rows.  It
+    is computed once, when the sample arrives, so a replay re-runs only the
+    filter arithmetic, on the very array the live step fused."""
 
     stamp: float
     x: np.ndarray

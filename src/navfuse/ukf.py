@@ -300,8 +300,9 @@ def update(
     A model with a matrix H skips the sigma points: nu = z - Hx,
     S = HPH^T + R and Pxz = PH^T; any other model takes S and Pxz from one
     sigma set.  Either way the model's R, a stack's holding each block's
-    current R, is added to S in one operation.  Angle-flagged measurement
-    components use wrapped residuals throughout (``model.wrapped``).  Every
+    current R, is added to S in one operation.  Components a model flags as
+    angles, a heading's, use wrapped residuals throughout
+    (``model.wrapped``); a tilt or a rotation vector needs none.  Every
     model gates through ``_gate_blocks``, an unstacked one as the single
     block at its rows, which records each block and returns the accepted
     rows whitened,

@@ -1,0 +1,40 @@
+"""Smoke test of ``tools/accuracy.py``: every benchmark workload, one seed,
+at a twentieth of its length (about a second)."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "accuracy.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("accuracy_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_seed_of_every_workload(capsys):
+    tool = load_tool()
+    assert tool.main(["--seeds", "1", "--scale", "0.05"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    result = json.loads(lines[-1])
+    assert list(result) == list(tool.workloads.WORKLOADS)
+    for name, summary in result.items():
+        workload = tool.workloads.WORKLOADS[name]
+        assert summary["ate_m"] == [summary["ate_mean_m"]]
+        assert 0.0 < summary["ate_mean_m"] < workload.ate_ceiling_m
+        assert {"imu_raw", "imu_orientation", "encoder",
+                "gps_pos"} <= set(summary["paths"])
+        for entry in summary["paths"].values():
+            assert entry["updates"] > 0
+            assert 0.0 <= entry["accept_rate"] <= 1.0
+            nis = entry["nis_per_dof"]
+            assert (nis is None) == (entry["accept_rate"] == 0.0)
+            assert nis is None or math.isfinite(nis) and nis >= 0.0
+        # the printed table names the workload and each of its paths
+        table = "\n".join(lines[:-1])
+        assert f"{name}: mean ATE {summary['ate_mean_m']:.4f} m" in table
+    assert "vslam" in result["dense_two_delayed"]["paths"]

@@ -117,10 +117,37 @@ class TestRunAndEvaluate:
         metrics = dict(line.split() for line in
                        (out / "metrics.txt").read_text().splitlines())
         assert float(metrics["nis_mean_imu_orientation"]) == 0.75
-        assert not any("gps_heading" in key or "escape" in key
-                       for key in metrics)
+        # a path with no accepted update has an acceptance but no NIS
+        assert {key for key in metrics if "gps_heading" in key} == {
+            "accept_rate_gps_heading"}
+        assert not any("escape" in key for key in metrics)
         assert sorted(os.listdir(out)) == ["d2_imu_orientation.txt",
                                            "metrics.txt"]
+
+    def test_evaluate_reports_acceptance_of_every_path(self, tmp_path):
+        """``accept_rate_<path>``: the share of the path's updates in the
+        steps file that were accepted, next to its ``nis_mean_<path>``."""
+        traj = "".join(f"{0.1 * k!r} {k} 0 0 0 0 0 1\n" for k in range(5))
+        (tmp_path / "traj.txt").write_text(traj)
+        (tmp_path / "steps.txt").write_text(
+            "0.1 vslam 1 2.0 6 22.46 accepted\n"
+            "0.2 vslam 0 30.0 6 22.46 gated\n"
+            "0.2 encoder 1 1.5 3 11.34 accepted\n"
+            "0.3 vslam 1 4.0 6 22.46 accepted\n"
+            "0.4 vslam 0 inf 6 22.46 singular\n"
+            "0.4 gps_heading 0 40.0 1 10.83 gated\n")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--est", str(tmp_path / "traj.txt"),
+                     "--ref", str(tmp_path / "traj.txt"),
+                     "--steps", str(tmp_path / "steps.txt"),
+                     "--out", str(out)]) == 0
+        metrics = dict(line.split() for line in
+                       (out / "metrics.txt").read_text().splitlines())
+        assert {key: float(value) for key, value in metrics.items()
+                if key.startswith("accept_rate_")} == {
+            "accept_rate_encoder": 1.0, "accept_rate_gps_heading": 0.0,
+            "accept_rate_vslam": 0.5}
+        assert float(metrics["nis_mean_vslam"]) == 0.5
 
     def test_evaluate_bad_steps_line_is_data_error(self, tmp_path, capsys):
         traj = "".join(f"{0.1 * k!r} {k} 0 0 0 0 0 1\n" for k in range(5))

@@ -19,7 +19,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from navfuse.config import PipelineConfig
 from navfuse.events import event_kind
@@ -54,11 +54,9 @@ def fields_of(event):
 
 
 def mutated(event, name, value, where):
-    """A copy of ``event`` with ``name`` set to ``value``: the stream codec
-    reads any float as a stamp, so the stamp stays a float."""
+    """A copy of ``event`` with ``name`` set to ``value``; a stamp too may
+    become None or a 1-element array, which only an API caller can pass."""
     event = copy.copy(event)
-    if name == "stamp" and (value is None or value == "short"):
-        value = STAMPS[where % len(STAMPS)]
     old = getattr(event, name)
     if value == "short":
         value = np.zeros(1)
@@ -117,6 +115,10 @@ def fingerprint(report):
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=st.lists(OPS, max_size=8), cut=st.floats(0.0, 1.0))
+# stamps that are no real number: None, then a 1-element array, each side
+# of the cut
+@example(ops=[("mutate", 5, 0, None, 0), ("mutate", 70, 0, "short", 0)],
+         cut=0.5)
 def test_any_stream_keeps_a_valid_session_that_resumes_bit_for_bit(ops,
                                                                     cut):
     events = apply_ops(ops)

@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -5,15 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
-from navfuse.config import DEFAULTS
+from navfuse.config import DEFAULTS, PipelineConfig
 from navfuse.core import (FilterState, GRAVITY, _ROTATION, _outer,
-                          euler_to_quat, quat_to_euler, wrap_angle)
-from navfuse.events import FixType, GpsFixSample
+                          euler_to_quat, quat_exp, quat_mul, wrap_angle)
+from navfuse.events import FixType, GpsFixSample, ImuSample
 from navfuse.geodesy import EnuOrigin, GeodeticCoord
 from navfuse.measurements import (
     MeasurementModel,
     derive_gps_heading,
-    euler_cols,
     encoder_model,
     encoder_vz_model,
     gps_fix_to_measurement,
@@ -30,6 +30,7 @@ from navfuse.measurements import (
     vslam_noise,
     zupt_model,
 )
+from navfuse.pipeline import FusionPipeline
 
 from conftest import (enu_to_geodetic, quat_to_rotmat, sigma_clouds,
                       state_columns)
@@ -105,55 +106,76 @@ class TestImuRawColumns:
                                        atol=1e-15)
 
 
-class TestEulerColumns:
+def unit_quats(q):
+    """(4, N) quaternion columns normalized one by one in Python floats, as
+    ``FusionPipeline._imu_vector`` normalizes a sample's."""
+    out = np.empty_like(q)
+    for j, (w, x, y, z) in enumerate(q.T.tolist()):
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        out[:, j] = [w / norm, x / norm, y / norm, z / norm]
+    return out
+
+
+class TestOrientationReadings:
     @given(st.one_of(
         state_columns().map(lambda c: c[3:7]),
-        # gimbal lock, where about half have |sin pitch| > 1 by rounding
-        st.lists(st.builds(lambda r, s, y: euler_to_quat(r, s * np.pi / 2, y),
+        # pitch 89.5 deg and gimbal lock, where about half have
+        # |sin pitch| > 1 by rounding
+        st.lists(st.builds(lambda r, s, y: euler_to_quat(r, s, y),
                            st.floats(-np.pi, np.pi),
-                           st.sampled_from([-1.0, 1.0]),
+                           st.sampled_from([np.radians(89.5), np.pi / 2,
+                                            -np.radians(89.5), -np.pi / 2]),
                            st.floats(-np.pi, np.pi)),
                  min_size=1, max_size=6).map(
             lambda qs: np.ascontiguousarray(np.array(qs).T))))
     @example(np.array([[0.1293332778042926], [0.6951783247860923],
                        [-0.12933327780429257], [0.6951783247860924]]))
     @settings(max_examples=300, deadline=None)
-    def test_columns_match_the_per_column_extraction(self, q):
-        """Roll, pitch and yaw of (4, N) columns against ``quat_to_euler``
-        (the ZYX formulas written out in Python floats) column by column,
-        to 1e-15; roll and pitch alone are the first two rows."""
-        rpy = euler_cols(q)
-        assert rpy.shape == (3, q.shape[1])
-        for j in range(q.shape[1]):
-            np.testing.assert_allclose(rpy[:, j], quat_to_euler(q[:, j]),
-                                       rtol=0, atol=1e-15)
-        assert np.array_equal(euler_cols(q, with_yaw=False), rpy[:2])
+    def test_sample_reading_equals_h_at_that_state(self, q):
+        """The orientation rows ``_imu_vector`` takes from a sample's
+        quaternion (Python floats) equal the orientation model's h at the
+        state holding that quaternion, to 1e-15 (the heading wrapped), with
+        and without a magnetometer."""
+        cols = np.zeros((23, q.shape[1]))
+        cols[3:7] = unit_quats(q)
+        for pipe in PIPES_BY_MAGNETOMETER:
+            h = pipe._imu_models["imu"][1].h(cols)[6:]
+            for j in range(q.shape[1]):
+                z = pipe._imu_vector(ImuSample(0.0, np.zeros(3), np.zeros(3),
+                                               q[:, j]))[6:]
+                res = z - h[:, j]
+                res[2:] = wrap_angle(res[2:])
+                np.testing.assert_allclose(res, 0.0, rtol=0, atol=1e-15)
 
 
-def written_out_euler(q, with_yaw=True):
-    """The ZYX extraction over quaternion columns as written out before the
-    rotation-rows kernel."""
+#: a pipeline without and one with an IMU magnetometer
+PIPES_BY_MAGNETOMETER = [FusionPipeline(PipelineConfig(
+    {"imu.has_magnetometer": mag})) for mag in (False, True)]
+
+
+def written_out_orientation(q, orient):
+    """The tilt 2(xz - wy), 2(yz + wx) and, when ``orient`` is 3, the
+    heading over quaternion columns, written out; + 0.0 turns the -0 that
+    2(a + b) gives where a and b are into the +0 a matmul's sum gives."""
     w, x, y, z = q
-    rows = [np.arctan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
-            np.arcsin(np.minimum(np.maximum(-2.0 * (x * z - w * y), -1.0),
-                                 1.0))]
-    if with_yaw:
-        rows.append(np.arctan2(2.0 * (x * y + w * z),
+    rows = [2.0 * (x * z - w * y) + 0.0, 2.0 * (y * z + w * x) + 0.0]
+    if orient == 3:
+        rows.append(np.arctan2(2.0 * (x * y + w * z) + 0.0,
                                1.0 - 2.0 * (y * y + z * z)))
     return np.array(rows)
 
 
-def written_out_imu(cols, angles=0):
+def written_out_imu(cols, orient=0):
     """The IMU reading as the per-block functions gave it before one
     rotation-rows product served both: the raw rows, their gravity
     reaction from R's third row alone with g added before the sum with
-    accel plus bias, then ``angles`` written-out Euler rows."""
+    accel plus bias, then ``orient`` written-out orientation rows."""
     q, g = cols[3:7], float(GRAVITY[2])
     reaction = g * (_ROTATION[6:] @ _outer(q, q))
     reaction[2] += g
     rows = [cols[10:13] + cols[16:19], (cols[13:16] + cols[19:22]) + reaction]
-    if angles:
-        rows.append(written_out_euler(q, with_yaw=angles == 3))
+    if orient:
+        rows.append(written_out_orientation(q, orient))
     return np.vstack(rows)
 
 
@@ -166,24 +188,26 @@ def clouds(rng):
 
 class TestRotationRowReadings:
     """Every reading of R(q) over sigma clouds, bit for bit against the
-    formulas written out, including columns whose |sin pitch| passes 1 and
-    zero entries the formulas give as -0."""
+    formulas written out, including columns at pitch +-90 deg and zero
+    entries the formulas give as -0 (``written_out_orientation``)."""
 
     def test_imu_function_equals_the_stacked_block_functions(self, rng):
         # a model is a block of one stack at most
         raw, *raws = (imu_raw_model(0.005, 0.05, 15.09) for _ in range(3))
         joints = [stack(block, orient,
-                        h=partial(imu_cols, angles=orient.dim))
+                        h=partial(imu_cols, orient=orient.dim))
                   for block, orient in zip(raws, (
                       imu_orientation_model(False, 0.02, 15.09),
                       imu_orientation_model(True, 0.02, 15.09)))]
-        clipped = negative_zeros = 0
+        # columns past |sin pitch| = 1 by rounding, and tilt rows the
+        # formula gives as -0
+        past_one = negative_zeros = 0
         for cols in clouds(rng):
             w, x, y, z = cols[3:7]
-            clipped += np.count_nonzero(np.abs(2.0 * (x * z - w * y)) > 1.0)
-            roll_num = 2.0 * (y * z + w * x)
-            negative_zeros += np.count_nonzero((roll_num == 0.0)
-                                               & np.signbit(roll_num))
+            past_one += np.count_nonzero(np.abs(2.0 * (x * z - w * y)) > 1.0)
+            up_y = 2.0 * (y * z + w * x)
+            negative_zeros += np.count_nonzero((up_y == 0.0)
+                                               & np.signbit(up_y))
             assert raw.h(cols).tobytes() == written_out_imu(cols).tobytes()
             for joint in joints:
                 out = joint.h(cols)
@@ -191,17 +215,18 @@ class TestRotationRowReadings:
                     cols, joint.dim - 6).tobytes()
                 assert out.tobytes() == np.vstack(
                     [block.h(cols) for block in joint.blocks]).tobytes()
-        assert clipped > 100 and negative_zeros > 10
+        assert past_one > 100 and negative_zeros > 10
 
-    def test_euler_and_yaw_equal_the_written_out_formulas(self, rng):
+    def test_tilt_and_heading_equal_the_written_out_formulas(self, rng):
         heading = gps_heading_model(0.04, 10.83)
+        tilt, with_heading = (imu_orientation_model(mag, 0.02, 15.09)
+                              for mag in (False, True))
         for cols in clouds(rng):
             q = cols[3:7]
-            rpy = written_out_euler(q)
-            assert euler_cols(q).tobytes() == rpy.tobytes()
-            assert euler_cols(q, with_yaw=False).tobytes() \
-                == rpy[:2].tobytes()
-            assert heading.h(cols).tobytes() == rpy[2:].tobytes()
+            expected = written_out_orientation(q, 3)
+            assert tilt.h(cols).tobytes() == expected[:2].tobytes()
+            assert with_heading.h(cols).tobytes() == expected.tobytes()
+            assert heading.h(cols).tobytes() == expected[2:].tobytes()
 
 
 class TestAngularRows:
@@ -217,9 +242,12 @@ class TestAngularRows:
     ]
 
     def test_contiguous_angular_rows_are_a_slice(self):
+        """Only headings wrap: not the tilt, the IMU stack without a
+        magnetometer, VSLAM's rotation vector or the raw IMU."""
         kinds = [type(m.angular_rows) for m in self.MODELS if m.wraps]
-        assert kinds == [slice] * 4 + [np.ndarray]
-        assert not self.MODELS[-1].wraps
+        assert kinds == [slice] * 2 + [np.ndarray]
+        assert self.MODELS[0].angular_rows == slice(2, 3)
+        assert not any(self.MODELS[i].wraps for i in (1, 3, 5))
 
     @pytest.mark.parametrize("model", MODELS, ids=[m.name for m in MODELS])
     def test_slice_wrapping_equals_mask_wrapping(self, rng, model):
@@ -244,13 +272,22 @@ class TestImuOrientation:
         assert np.allclose(h1(model, FilterState()), [0.0, 0.0])
 
     def test_three_dof_with_magnetometer(self):
+        """The body-frame up direction's x and y, -sin(pitch) and
+        cos(pitch) sin(roll), then the heading."""
         model = imu_orientation_model(True, 0.02, 15.09)
         assert model.dim == 3
         state = FilterState(quaternion=euler_to_quat(0.1, -0.2, 0.7))
-        assert np.allclose(h1(model, state), [0.1, -0.2, 0.7], atol=1e-12)
+        assert np.allclose(h1(model, state),
+                           [np.sin(0.2), np.cos(0.2) * np.sin(0.1), 0.7],
+                           atol=1e-12)
+        up = quat_to_rotmat(state.quaternion)[2]
+        assert np.allclose(h1(model, state)[:2], up[:2], rtol=0, atol=1e-15)
 
     def test_residuals_marked_angular(self):
-        assert np.all(imu_orientation_model(False, 0.02, 15.09).angular)
+        """Only the heading is an angle; the tilt wraps nothing."""
+        assert not imu_orientation_model(False, 0.02, 15.09).angular.any()
+        assert imu_orientation_model(True, 0.02, 15.09).angular.tolist() \
+            == [False, False, True]
 
 
 class TestEncoder:
@@ -396,10 +433,29 @@ class TestVelocityModels:
 
 class TestVslam:
     def test_pose_prediction(self):
-        state = FilterState(position=np.array([1.0, 2.0, 3.0]),
-                            quaternion=euler_to_quat(0.1, 0.2, 0.3))
-        z = h1(vslam_model(np.eye(6) * 0.01, 22.46), state)
-        assert np.allclose(z, [1, 2, 3, 0.1, 0.2, 0.3], atol=1e-12)
+        """Position, then the rotation vector from ``q_ref`` to the state's
+        attitude, in ``q_ref``'s frame: zero at ``q_ref``, at any pitch."""
+        model = vslam_model(np.eye(6) * 0.01, 22.46)
+        for pitch_deg in (0.2, 89.5, 90.0, -89.5):
+            model.q_ref = euler_to_quat(0.1, np.radians(pitch_deg), 0.3)
+            state = FilterState(position=np.array([1.0, 2.0, 3.0]),
+                                quaternion=model.q_ref)
+            assert np.allclose(h1(model, state), [1, 2, 3, 0, 0, 0],
+                               atol=1e-15)
+            for delta in ([0.02, -0.01, 0.03], [0.0, 3.0, 0.0]):
+                state.quaternion = quat_mul(model.q_ref,
+                                            quat_exp(np.array(delta), 1.0))
+                assert np.allclose(h1(model, state)[3:], delta, atol=1e-12)
+
+    def test_rotation_vector_takes_the_shorter_way(self):
+        """q and -q give one rotation vector, of norm at most pi."""
+        model = vslam_model(np.eye(6) * 0.01, 22.46)
+        rot = quat_exp(np.array([0.0, 0.0, 3.5]), 1.0)  # 3.5 rad about z
+        cols = np.zeros((23, 2))
+        cols[3:7] = np.column_stack([rot, -rot])
+        assert np.allclose(model.h(cols)[3:],
+                           [[0, 0], [0, 0], [3.5 - 2 * np.pi] * 2],
+                           atol=1e-12)
 
     def test_covariance_floors(self):
         r = vslam_noise([1e-8, 1e-8, 1e-8, 1e-10, 1e-10, 1e-10])
@@ -407,9 +463,8 @@ class TestVslam:
         assert np.allclose(np.diag(r)[3:], 1e-6)
         assert np.array_equal(r, np.diag(np.diag(r)))
 
-    def test_only_yaw_component_wraps(self):
-        model = vslam_model(np.eye(6) * 0.01, 22.46)
-        assert list(model.angular) == [False] * 5 + [True]
+    def test_no_component_wraps(self):
+        assert not vslam_model(np.eye(6) * 0.01, 22.46).wraps
 
 
 class TestZupt:
@@ -510,7 +565,7 @@ class TestLinearModels:
         assert model.name == "imu_raw" and model.dim == 8
         assert model.matrix is None
         assert model.blocks[0] is raw and model.blocks[1] is orient
-        assert model.angular.tolist() == [False] * 6 + [True] * 2
+        assert not model.wraps
         assert np.array_equal(model.r, np.diag([0.005**2] * 3
                                                + [0.05**2] * 3
                                                + [0.02**2] * 2))

@@ -7,7 +7,8 @@ import pytest
 from navfuse.config import DEFAULTS, PipelineConfig
 from navfuse.adaptive import AdaptiveEstimator
 from navfuse.core import (ENC_YAW_BIAS, EPSILON_PD, GRAVITY, OMEGA,
-                          OMEGA_VAR_CAP, QUAT, STATE_DIM, euler_to_quat)
+                          OMEGA_VAR_CAP, QUAT, STATE_DIM, euler_to_quat,
+                          quat_rotate_inv)
 from navfuse.events import (
     EncoderSample,
     FixType,
@@ -442,6 +443,27 @@ class TestSensorTable:
         assert bumped == {"dropped_malformed": 1}
         assert report.dropped == f"malformed {kind}"
         assert not report.updates
+        assert session_of(pipe) == before
+
+    @pytest.mark.parametrize("kind", sorted(SENSORS))
+    @pytest.mark.parametrize("stamp, counter, reason", [
+        (None, "dropped_malformed", "malformed"),
+        (np.array([0.05]), "dropped_malformed", "malformed"),
+        (np.array(0.05), "dropped_malformed", "malformed"),
+        ("0.05", "dropped_malformed", "malformed"),
+        # a real number beyond the float range
+        (10 ** 400, "dropped_nonfinite", "non-finite"),
+    ], ids=["none", "array", "zero_d_array", "text", "huge_int"])
+    def test_stamp_that_is_no_real_number_dropped(self, kind, stamp,
+                                                  counter, reason):
+        pipe = FusionPipeline(PipelineConfig(ALL_ON))
+        run(pipe, [imu_at(k * 0.01) for k in range(5)])
+        before = session_of(pipe)
+        event = event_of(kind, 0.05, 0.3)
+        event.stamp = stamp
+        report, bumped = ingest_counting(pipe, event)
+        assert bumped == {counter: 1}
+        assert report.dropped == f"{reason} {kind}"
         assert session_of(pipe) == before
 
     def test_optional_fields_are_the_absent_ones(self):
@@ -1083,22 +1105,23 @@ class TestVslam:
         assert pipe.vslam_anchor.rejections == 0
         assert pipe.diagnostics.get("vslam_reanchors", 0) == 0
 
-    def test_late_pose_is_judged_for_the_singularity_at_its_stamp(self):
-        """The live state pitches past the limit after a late pose's stamp:
-        a pose at the clock is skipped, the late one is fused at its level
-        snapshot."""
+    def test_pose_at_89_5_deg_pitch_is_fused_live_and_late(self):
+        """A robot pitched 89.5 deg, past the 89 deg where a pose used to be
+        skipped for the Euler singularity: a pose at the clock and one late
+        to a snapshot are each fused at that attitude and accepted."""
+        q = euler_to_quat(0.3, np.radians(89.5), -0.4)
         pipe = self._vslam_pipe()
-        run(pipe, [imu_at(k * 0.01) for k in range(30)])
-        pipe.x = pipe.x.copy()  # the snapshots keep their level states
-        pipe.x[QUAT] = euler_to_quat(0.0, np.radians(89.5), 0.0)
-        level = np.array([1.0, 0.0, 0.0, 0.0])
-        report = pipe.ingest(VslamPoseSample(0.29, np.zeros(3), level))
-        assert report.dropped == "pitch near singularity"
-        report = pipe.ingest(VslamPoseSample(0.2, np.zeros(3), level))
-        assert report.dropped is None
-        assert [(r.path, r.accepted) for r in report.updates] == [
-            ("vslam", True)]
-        assert pipe.diagnostics["vslam_skipped_singularity"] == 1
+        pipe.x[QUAT] = q
+        at_rest = quat_rotate_inv(q, GRAVITY)
+        run(pipe, [imu_at(k * 0.01, accel=at_rest, orientation=q)
+                   for k in range(30)])
+        for stamp in (0.29, 0.2):
+            report = pipe.ingest(VslamPoseSample(stamp, np.zeros(3), q))
+            assert report.dropped is None
+            assert [(r.path, r.accepted) for r in report.updates] == [
+                ("vslam", True)]
+        assert pipe.diagnostics["retro_replays"] == 1
+        assert rotation_distance(pipe.state.quaternion, q) < 1e-3
 
     def test_late_poses_reanchor_against_the_pose_at_their_stamp(self):
         """The VSLAM map jumps 50 m at t = 8 s and every pose arrives 0.3 s
@@ -1206,9 +1229,9 @@ class TestRetrodiction:
 
     def test_replay_reuses_the_live_measurement_vectors(self, monkeypatch):
         """A rewind over 20 IMU steps re-derives none of their measurement
-        vectors: no Euler extraction, the stored vectors are the ones the
-        live steps fused, and each replayed step hands the engine the very
-        array its live step fused (``Snapshot.z``)."""
+        vectors: no ``_imu_vector`` call, the stored vectors are the ones
+        the live steps fused, and each replayed step hands the engine the
+        very array its live step fused (``Snapshot.z``)."""
         fused = []
         live_update = pipeline_module.ukf_update
 
@@ -1230,15 +1253,15 @@ class TestRetrodiction:
             assert np.array_equal(entry.z, fused[0][1])
             live[entry.stamp] = fused[0][2]
 
-        euler_calls = []
-        live_euler = pipeline_module.quat_to_euler
-        monkeypatch.setattr(pipeline_module, "quat_to_euler",
-                            lambda q: euler_calls.append(q) or live_euler(q))
+        vector_calls = []
+        live_vector = pipe._imu_vector
+        monkeypatch.setattr(pipe, "_imu_vector", lambda sample: (
+            vector_calls.append(sample) or live_vector(sample)))
         assert sum(e.stamp > 0.1 for e in pipe.ring.entries) == 20
         fused.clear()
         pipe.ingest(gps_at([0.1, 0, 0], 0.1))
         assert pipe.diagnostics["retro_replays"] == 1
-        assert len(euler_calls) == 0
+        assert len(vector_calls) == 0
         replayed = [z for name, _, z in fused if name == "imu_raw"]
         assert len(replayed) == 20
         assert all(z is live[entry.stamp] for z, entry in
@@ -1561,6 +1584,8 @@ class TestLifecycle:
     @pytest.mark.parametrize("keys, value", [
         ((), []),                                           # wrong root type
         (("version",), 3),
+        # the version before the tilt rows: z rows 6-7 were roll and pitch
+        (("version",), 8),
         (("session", "_zupt_active"), None),                # missing key
         (("session", "x"), array_doc(np.zeros(5))),
         (("session", "x"), [0.0] * 3 + [1.0] + [0.0] * 19),
@@ -1603,9 +1628,10 @@ class TestLifecycle:
         (("session", "_jump_stamp"), 10 ** 400),            # beyond a float
         # a step no live run takes, of 2e9 predict sub-steps
         (("session", "ring", -1, 0), 1e9),
-    ], ids=["root", "version_3", "missing", "state_shape", "state_list",
-            "snapshot_state", "cov_shape", "garbled", "truncated",
-            "payload_shape", "snapshot_z_length", "snapshot_z_nan",
+    ], ids=["root", "version_3", "version_8", "missing", "state_shape",
+            "state_list", "snapshot_state", "cov_shape", "garbled",
+            "truncated", "payload_shape", "snapshot_z_length",
+            "snapshot_z_nan",
             "missing_attribute", "estimator_r_nan", "estimator_r_indefinite",
             "estimator_r_size", "adaptive_below_floor", "innovation_window",
             "innovation_nan", "innovation_count_over",

@@ -444,12 +444,8 @@ class TestUpdate:
             p[ENC_YAW_BIAS, ENC_YAW_BIAS])
 
     def test_angular_residual_wraps(self):
-        def h(states):
-            from navfuse.measurements import euler_cols
-            return euler_cols(states[QUAT])[2:3]
-
-        model = MeasurementModel("yaw_only", 1, h, np.array([[0.05]]), 1e12,
-                                 angular=np.array([True]))
+        from navfuse.measurements import gps_heading_model
+        model = gps_heading_model(0.05, 1e12)
         from navfuse.core import euler_to_quat
         x = FilterState(quaternion=euler_to_quat(0, 0,
                                                  np.radians(-179.0))).vector

@@ -1,0 +1,115 @@
+"""Accuracy and consistency of the benchmark workloads over many seeds.
+
+    PYTHONPATH=src python3 tools/accuracy.py                  # seeds 1-10
+    PYTHONPATH=src python3 tools/accuracy.py --workload dense_two_delayed \\
+        --seeds 1 2 3 --scale 0.5
+
+Runs each workload of ``bench/workloads.py`` (read, never changed) on each
+seed as the benchmark does: the simulated stream is written as stream text
+and parsed back, and every event goes through one ``FusionPipeline.ingest``.
+For each workload it prints the mean ATE over the seeds (aligned, as the
+benchmark's accuracy check computes it) with each seed's ATE, and for every
+update path, pooled over the seeds, the share of updates accepted and the
+mean NIS per degree of freedom (d2 / dim) of the accepted ones.  The last
+line of standard output is the same result as one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402  (plain data: it imports no navfuse)
+
+from navfuse.config import PipelineConfig  # noqa: E402
+from navfuse.evaluation import TrajectoryEstimate, ate_rmse  # noqa: E402
+from navfuse.events import read_stream, write_stream  # noqa: E402
+from navfuse.pipeline import FusionPipeline  # noqa: E402
+from navfuse.simulator import SimScenario, generate  # noqa: E402
+
+
+def run_seed(workload: workloads.Workload, seed: int, scale: float) -> dict:
+    """One run: its ATE, and per path the updates tried, the updates
+    accepted and the sum of their d2 / dim."""
+    truth, events = generate(SimScenario.from_dict(
+        workload.scenario(seed, scale)))
+    sink = io.StringIO()
+    write_stream(events, sink)
+    pipe = FusionPipeline(PipelineConfig(workload.config))
+    rows = []
+    tried, accepted, nis = Counter(), Counter(), Counter()
+    for event in read_stream(io.StringIO(sink.getvalue())):
+        report = pipe.ingest(event)
+        if report.kind == "imu" and report.dropped is None:
+            s = report.state
+            rows.append([report.stamp, *s.position, *s.quaternion])
+        for rec in report.updates:
+            tried[rec.path] += 1
+            if rec.accepted:
+                accepted[rec.path] += 1
+                nis[rec.path] += rec.d2 / rec.dim
+    traj = np.array(rows).reshape(-1, 8)
+    ate = ate_rmse(TrajectoryEstimate(traj[:, 0], traj[:, 1:4], traj[:, 4:]),
+                   TrajectoryEstimate(truth.stamps, truth.position,
+                                      truth.quaternion), max_dt=0.02)
+    return {"ate_m": ate, "tried": tried, "accepted": accepted, "nis": nis}
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Mean ATE and each seed's, and per path, pooled over the runs, the
+    acceptance and the mean NIS per dof of the accepted updates (None when
+    none was accepted)."""
+    tried, accepted, nis = Counter(), Counter(), Counter()
+    for run in runs:
+        tried.update(run["tried"])
+        accepted.update(run["accepted"])
+        nis.update(run["nis"])
+    return {
+        "ate_mean_m": float(np.mean([run["ate_m"] for run in runs])),
+        "ate_m": [run["ate_m"] for run in runs],
+        "paths": {path: {"updates": tried[path],
+                         "accept_rate": accepted[path] / tried[path],
+                         "nis_per_dof": (nis[path] / accepted[path]
+                                         if accepted[path] else None)}
+                  for path in sorted(tried)},
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--workload", choices=[*workloads.WORKLOADS, "all"],
+                   default="all")
+    p.add_argument("--seeds", type=int, nargs="+", default=range(1, 11))
+    p.add_argument("--scale", type=float, default=1.0,
+                   help="scenario length factor, as the benchmark's")
+    args = p.parse_args(argv)
+    names = (list(workloads.WORKLOADS) if args.workload == "all"
+             else [args.workload])
+    result = {}
+    for name in names:
+        workload = workloads.WORKLOADS[name]
+        summary = summarize([run_seed(workload, seed, args.scale)
+                             for seed in args.seeds])
+        result[name] = summary
+        print(f"{name}: mean ATE {summary['ate_mean_m']:.4f} m over seeds "
+              f"{' '.join(map(str, args.seeds))} (scale {args.scale}); "
+              "per seed " + " ".join(f"{a:.4f}" for a in summary["ate_m"]))
+        for path, entry in summary["paths"].items():
+            nis = entry["nis_per_dof"]
+            print(f"  {path:<16} updates {entry['updates']:>7}  accept "
+                  f"{entry['accept_rate']:.4f}  NIS/dof "
+                  + ("-" if nis is None else f"{nis:.4f}"))
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
