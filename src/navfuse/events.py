@@ -171,6 +171,13 @@ def _parse_floats(parts: list[str], lineno: int) -> list[float]:
         raise StreamFormatError(f"line {lineno}: bad number") from exc
 
 
+def _whole(value: float) -> int:
+    """``value`` as an int, which it must equal: no truncation."""
+    if not value.is_integer():
+        raise ValueError(f"{value} is not a whole number")
+    return int(value)
+
+
 #: the payload column counts each stream kind accepts
 _COLUMNS = {"imu": (6, 10), "imu2": (6, 10), "encoder": (3,), "gps": (9,),
             "gps_vel": (2,), "radar": (2,), "vslam": (13,)}
@@ -204,16 +211,16 @@ def line_to_event(line: str, lineno: int = 0) -> SensorEvent:
                 np.radians(vals[0]),
                 np.radians(vals[1]),
                 vals[2],
-                FixType(int(vals[3])),
+                FixType(_whole(vals[3])),
                 None if vals[4] < 0 else vals[4],
                 None if vals[5] < 0 else vals[5],
-                None if vals[6] < 0 else int(vals[6]),
+                None if vals[6] < 0 else _whole(vals[6]),
                 None if vals[7] < 0 else vals[7],
                 None if vals[8] < 0 else vals[8],
             )
         except (ValueError, OverflowError) as exc:
-            # an unknown fix type, a NaN or infinite fix type or satellite
-            # count, or a DOP <= 0
+            # an unknown fix type, a fractional, NaN or infinite fix type or
+            # satellite count, or a DOP <= 0
             raise StreamFormatError(f"line {lineno}: bad gps record: {exc}") \
                 from exc
     if kind == "gps_vel":

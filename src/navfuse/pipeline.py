@@ -16,10 +16,16 @@ before the session changes; so does the VSLAM plan for a pose with a
 negative variance.
 
 The session holds the state as the flat 23-vector ``x`` and its covariance
-``cov``.  Each primary-IMU event predicts, updates and conditions ``cov``
-once (``_imu_step``) and leaves a snapshot in the replay ring, sharing the
-session's arrays, which the engine never writes into, and the one
-measurement vector the step fused, which a replay fuses again.  The filter
+``cov``.  After every event ``cov`` is exactly symmetric, its angular-rate
+variances are at most ``OMEGA_VAR_CAP``, and it factors: the precondition
+of a closed-form update (``ukf.update``), which conditions only a
+covariance that does not factor.  Each primary-IMU event predicts, updates
+and conditions ``cov`` once (``_imu_step``), which also floors it at
+``EPSILON_PD``: its sigma-point update's output or, that update rejected,
+the prediction, before any ZUPT update.  It leaves a snapshot in the
+replay ring, sharing the session's arrays, which the engine never writes
+into, and the one measurement vector the step fused, which a replay fuses
+again.  The filter
 clock is the newest snapshot's stamp (``ring.last_stamp``), None while the
 ring is empty.  A primary-IMU stamp must advance the clock by at most
 ``_MAX_IMU_GAP``; one outside that window is dropped, and a second in a row
@@ -54,10 +60,12 @@ the noise ``r`` of the models whose noise varies: GPS position and heading,
 VSLAM, and the encoder's, whose blocks' views of the stack's R take the
 estimators' R.  A GPS fix that passes the receiver-quality screen gets its
 noise from ``measurements.gps_fix_to_measurement``, with the ``gps_pos``
-estimator's R as the DOP-scaled base.  Accepted encoder blocks and fixes
-feed the estimators that adapt, and an accepted fix anchors the next one's
-course-over-ground heading.  The fix is taken at the body origin: there is
-no antenna lever arm.
+estimator's R as the DOP-scaled base; one whose R does not factor (a DOP
+or error bound whose square underflows) is dropped as
+``gps_quality_rejected`` before the engine.  Accepted encoder blocks and
+fixes feed the estimators that adapt, and an accepted fix anchors the next
+one's course-over-ground heading.  The fix is taken at the body origin:
+there is no antenna lever arm.
 
 A checkpoint (version 9) is a JSON file: version, configuration hash, and
 the session, the attributes ``FusionPipeline._SESSION`` lists and ``reset``
@@ -99,6 +107,7 @@ from .core import (
     STATE_DIM,
     FilterState,
     NumericalError,
+    _cholesky,
     all_finite,
     quat_conjugate,
     quat_mul,
@@ -544,14 +553,19 @@ class FusionPipeline:
             dt_total -= dt
             if dt_total > 1e-12:  # the next sub-step draws from this one
                 cov = _condition(cov)
-        updates = [self._imu_update("imu", step.z)]
+        records = [] if records is None else records
+        x, updated = self._apply_updates(
+            x, cov, [self._imu_update("imu", step.z)], step.coast_active,
+            records)
+        # predict leaves ``cov`` raw, for the sigma-point update to
+        # condition; rejected, it hands that very array back, conditioned
+        # here before the closed-form ZUPT update
+        if updated is cov:
+            updated = _condition(cov)
         if step.zupt_active:
-            updates.append(self._zupt_update)
-        x, updated = self._apply_updates(x, cov, updates, step.coast_active,
-                                         [] if records is None else records)
-        # predict leaves ``cov`` raw, for an accepted update to condition;
-        # with every update rejected, that very array comes back
-        return x, _condition(cov) if updated is cov else updated
+            x, updated = self._apply_updates(x, updated, [self._zupt_update],
+                                             step.coast_active, records)
+        return x, updated
 
     def _imu_clock_restarted(self, stamp: float) -> bool:
         """Whether ``stamp`` confirms a jump of the primary-IMU clock, ahead
@@ -656,6 +670,11 @@ class FusionPipeline:
         # ``adaptive.gnss`` is off
         z, r = carry = meas.gps_fix_to_measurement(
             fix, self.origin, self.adaptive["gps_pos"].r)
+        try:  # a DOP or bound whose square underflows gives R = 0
+            _cholesky(r)
+        except np.linalg.LinAlgError:
+            return ("gps_quality_rejected",
+                    "fix noise R is not positive definite")
         self._gps_model.r = r
         relaxed = self.coast.active and self.coast.relax_armed
         updates = [(z, self._gps_model,

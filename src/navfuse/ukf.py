@@ -21,10 +21,18 @@ the blocks before it.  S is factored once: the rows after a gated block
 are whitened again from that factor and solve, by factoring only their
 Schur complement given the accepted rows.  Quaternions are raw 4-vectors,
 hemisphere-aligned before any averaging or differencing and renormalized
-after perturbation or correction.  An accepted update's covariance is
-symmetrized, eigenvalue-repaired to a positive-definite floor, and its
-angular-rate variances capped (``_condition``); predict's is raw, for its
-caller to condition once.  The engine takes and returns plain arrays,
+after perturbation or correction.
+
+Conditioning (``_condition``) symmetrizes, repairs eigenvalues up to the
+floor ``EPSILON_PD`` and caps the angular-rate variances.  An accepted
+sigma-point update conditions its covariance; predict's is raw, for its
+caller to condition once; an accepted closed-form update returns
+P - W^T W, any frozen block put back, as it is when it factors
+(``_cholesky``).  Its precondition: P is symmetric with every angular-rate
+variance at most the cap.  Then symmetrizing and capping change nothing,
+as W^T W is one symmetric product and no diagonal entry rises; the floor
+comes back at the next conditioning, or in ``generate_sigma_points``.
+The engine takes and returns plain arrays,
 ``x`` and its covariance, knows no clock, and never writes into its
 inputs, so callers may share them.
 
@@ -39,7 +47,8 @@ called (``tests/test_bench_hooks.py``): ``generate_sigma_points``,
 package's last ``np.linalg.cholesky`` call, the conditioning layer's
 LAPACK work as the benchmark counts it (``linalg.cholesky.per_imu``); it
 stays on the wrapper, off the seam, until the benchmark stops wrapping
-engine internals (ROADMAP item 14).
+engine internals (ROADMAP item 14); a closed-form update's check runs on
+the seam, uncounted.
 """
 
 from __future__ import annotations
@@ -184,7 +193,9 @@ def _omega_over_cap(p: np.ndarray) -> bool:
 
 def _condition(p: np.ndarray, epsilon: float = EPSILON_PD) -> np.ndarray:
     """Symmetrize, repair, cap; repairing after a cap can nudge a capped
-    variance back above the limit by ~epsilon, so the pair runs once more."""
+    variance back above the limit by ~epsilon, so the pair runs once more.
+    The output is capped and exactly symmetric (the cap scales entries
+    (i, k) and (k, i) alike): a closed-form ``update``'s precondition."""
     p = repair_pd(p, epsilon)
     if _omega_over_cap(p):
         p = repair_pd(cap_omega_variance(p), epsilon)
@@ -308,7 +319,10 @@ def update(
     rows whitened,
     [w | W] = L^-1 [nu | Pxz^T] for S = LL^T over them: the gain is
     W^T L^-1, the state moves by W^T w and the covariance becomes
-    P - W^T W, conditioned.  A gated-out or numerically singular
+    P - W^T W.  A sigma-point update conditions it; a closed-form update
+    returns it as it is unless it does not factor, which needs ``cov``
+    symmetric with its angular-rate variances at most the cap (see the
+    module docstring).  A gated-out or numerically singular
     measurement hands back the input arrays.  The states in ``frozen``, a
     slice, get zero gain rows and keep their value and block of P: the
     general form
@@ -356,6 +370,10 @@ def update(
     new_vec[QUAT] /= math.sqrt(new_vec[QUAT] @ new_vec[QUAT])
     if not all_finite(new_vec):
         raise NumericalError("update produced non-finite state")
+    if h is not None:  # from a symmetric, capped P: it needs only to factor
+        with suppress(np.linalg.LinAlgError):
+            _cholesky(p_new)
+            return UpdateOutcome(new_vec, p_new, True, records)
     return UpdateOutcome(new_vec, _condition(p_new), True, records)
 
 

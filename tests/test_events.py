@@ -117,6 +117,8 @@ class TestErrors:
         "45.0 -75.6 80.0 nan 1.0 1.0 8 -1 -1",    # NaN fix type
         "45.0 -75.6 80.0 inf 1.0 1.0 8 -1 -1",    # infinite fix type
         "45.0 -75.6 80.0 1 1.0 1.0 nan -1 -1",    # NaN satellite count
+        "45.0 -75.6 80.0 1.5 1.0 1.0 8 -1 -1",    # fractional fix type
+        "45.0 -75.6 80.0 1 1.0 1.0 11.7 -1 -1",   # fractional satellites
     ])
     def test_malformed_gps_record_is_format_error(self, cols):
         with pytest.raises(StreamFormatError, match="line 7"):

@@ -1,0 +1,41 @@
+"""Smoke test of ``tools/paired.py``: the tree against itself on
+loop_blackout at a twentieth of its length, two rounds (about a second)."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "paired.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("paired_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tree_against_itself_is_bit_identical(capsys):
+    tool = load_tool()
+    try:
+        assert tool.main(["--base", str(ROOT), "--scale", "0.05",
+                          "--rounds", "2"]) == 0
+        # the base is the same source loaded as a second package
+        assert (sys.modules[tool.ALIAS].FusionPipeline
+                is not tool.navfuse.FusionPipeline)
+    finally:
+        for name in [n for n in sys.modules
+                     if n.split(".")[0] == tool.ALIAS]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    result = json.loads(lines[-1])
+    assert (result["workload"], result["rounds"]) == ("loop_blackout", 2)
+    assert {"imu", "encoder", "gps"} <= set(result["kinds"])
+    for kind, row in result["kinds"].items():
+        assert row["events"] > 0
+        assert row["base_ms"] > 0.0 and row["change_ms"] > 0.0
+        assert row["won"] in (0.0, 0.5, 1.0)
+        assert f"  {kind:<8} {row['events']:>7}" in "\n".join(lines[:-1])
+    assert result["max_dx"] == result["max_dp"] == 0.0

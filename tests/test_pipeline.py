@@ -564,8 +564,8 @@ class TestConstruction:
 
     def test_encoder_sample_is_one_closed_form_update(self, monkeypatch):
         """The odometry and its vertical-velocity constraint are stacked:
-        one engine call, one conditioning, no sigma points, one record per
-        path."""
+        one engine call, no sigma points, one record per path, and no
+        conditioning, as the closed-form covariance factors."""
         from navfuse import ukf
         pipe = FusionPipeline()
         pipe.ingest(imu_at(0.0))
@@ -580,7 +580,7 @@ class TestConstruction:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
         report, bumped = ingest_counting(pipe, encoder_at(0.005, vx=0.01))
-        assert calls == {"ukf_update": 1, "_condition": 1,
+        assert calls == {"ukf_update": 1, "_condition": 0,
                          "generate_sigma_points": 0}
         assert bumped == {"engine_update_calls": 1}
         assert [(r.path, r.accepted) for r in report.updates] == [
@@ -622,11 +622,12 @@ class TestConstruction:
 
     def test_encoder_event_engine_work(self, monkeypatch):
         """An encoder sample once the vertical-velocity window is full, both
-        paths accepted and no repair firing: the update's conditioning makes
-        the one ``np.linalg.cholesky`` call (``repair_pd``'s check), the
-        adapting ``encoder_vz`` estimator the one ``observe`` call, whose
-        check factors through the LAPACK seam, and the disabled ``encoder``
-        estimator none; no ``np.ix_`` is built."""
+        paths accepted: the update's covariance factors through the LAPACK
+        seam, so it is not conditioned and no ``np.linalg.cholesky`` call
+        (``repair_pd``'s check) is made; the adapting ``encoder_vz``
+        estimator makes the one ``observe`` call, whose check factors
+        through the seam too, and the disabled ``encoder`` estimator none;
+        no ``np.ix_`` is built."""
         pipe = FusionPipeline()
         pipe.ingest(imu_at(0.0))
         vz = pipe.adaptive["encoder_vz"]
@@ -645,15 +646,16 @@ class TestConstruction:
         report = pipe.ingest(encoder_at(0.01, vx=0.01))
         assert [(r.path, r.accepted) for r in report.updates] == [
             ("encoder", True), ("encoder_vz", True)]
-        assert calls == {"cholesky": 1, "eigvalsh": 0, "observe": 1, "ix_": 0}
+        assert calls == {"cholesky": 0, "eigvalsh": 0, "observe": 1, "ix_": 0}
         assert vz.r is not r_before  # the EMA stepped
 
     def test_coasting_encoder_event_holds_the_frozen_block(self,
                                                            monkeypatch):
         """While coasting, the encoder update holds b_ewz through the mode's
-        slice: the state, and the covariance it hands to its conditioning,
-        equal bit for bit what the same update holding nothing gives with
-        the held entries put back by the former ``np.ix_`` formula."""
+        slice: the state and the covariance it returns, which factors and
+        so is not conditioned, equal bit for bit what the same update
+        holding nothing gives with the held entries put back by the former
+        ``np.ix_`` formula."""
         from navfuse import ukf
         pipe = FusionPipeline()
         pipe.ingest(imu_at(0.0))
@@ -683,10 +685,11 @@ class TestConstruction:
         assert free.x[ENC_YAW_BIAS] != x0[ENC_YAW_BIAS]
         want_x = free.x.copy()
         want_x[held] = x0[held]
-        want_p = conditioned[1].copy()
+        want_p = free.cov.copy()
         want_p[np.ix_(held, held)] = cov0[np.ix_(held, held)]
+        assert conditioned == []
         assert pipe.x.tobytes() == want_x.tobytes()
-        assert conditioned[0].tobytes() == want_p.tobytes()
+        assert pipe.cov.tobytes() == want_p.tobytes()
 
     @pytest.mark.parametrize("stamp, gyro, reason, conditionings", [
         (0.01, (0, 0, 0), "accepted", 1),
@@ -814,6 +817,23 @@ class TestGps:
         assert report.dropped is not None and not report.updates
         assert bumped == {"gps_quality_rejected": 1}
         assert np.array_equal(pipe.state.as_vector(), before)
+
+    @pytest.mark.parametrize("noise", [
+        {"hdop": 1e-300}, {"err_horz": 1e-300, "err_vert": 1e-300}])
+    def test_fix_whose_noise_does_not_factor_is_quality_rejected(self,
+                                                                 noise):
+        """A positive DOP or 95% bound whose square underflows builds an
+        R that is not positive definite; fused, it would collapse the
+        position variance, so the fix is dropped before the engine."""
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+        before = session_of(pipe)
+        report, bumped = ingest_counting(
+            pipe, gps_at([0.0, 0.0, 0.0], 0.5, **noise))
+        assert bumped == {"gps_quality_rejected": 1}
+        assert report.dropped == "fix noise R is not positive definite"
+        assert not report.updates
+        assert session_of(pipe) == before
 
     def test_spike_gated_and_state_bit_identical(self):
         pipe = FusionPipeline(PipelineConfig())
@@ -944,6 +964,20 @@ class TestZupt:
         pipe.ingest(encoder_at(0.04, vx=0.04))
         pipe.ingest(imu_at(0.05))
         assert pipe._zupt_active
+
+    def test_zupt_after_gated_imu_update_leaves_cov_symmetric_and_capped(
+            self):
+        """A gated IMU update hands back predict's raw covariance; the step
+        conditions it before the ZUPT, a closed-form update that conditions
+        only a covariance that does not factor."""
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(0.5))
+        assert pipe._zupt_active
+        report = pipe.ingest(imu_at(0.5, accel=(30.0, 0.0, 9.81)))
+        assert [(r.path, r.accepted) for r in report.updates] == [
+            ("imu_raw", False), ("zupt", True)]
+        assert np.array_equal(pipe.cov, pipe.cov.T)
+        assert pipe.cov.diagonal()[OMEGA].max() <= OMEGA_VAR_CAP
 
     def test_zupt_updates_emitted_while_held(self):
         pipe = FusionPipeline(PipelineConfig())

@@ -11,6 +11,7 @@ from navfuse.core import (
     EPSILON_PD,
     GRAVITY,
     OMEGA,
+    OMEGA_VAR_CAP,
     QUAT,
     STATE_DIM,
     FilterState,
@@ -641,8 +642,9 @@ class TestEngineWork:
                      np.array([0.1, 0.0, 0.0]), matrix_position_model(),
                      PARAMS)
         assert out.accepted
-        # S, then the positive-definiteness check
-        assert calls == {"cholesky": 1, "_whiten": 1, "_condition": 1}
+        # S, then the check that P - G^T G factors: it does, so it comes
+        # back as it is, not conditioned
+        assert calls == {"_whiten": 1, "_cholesky": 1}
 
     @pytest.mark.parametrize("z, accepted, whitenings", [
         ([0.1, 0.0, 0.0, 0.0], [True, True], 1),
@@ -658,8 +660,9 @@ class TestEngineWork:
         assert [rec.accepted for rec in out.records] == accepted
         # one factor of S and one solve whiten both blocks; a gated first
         # block leaves the second to be whitened again, alone.  State and
-        # covariance change once, if at all
-        work = {"cholesky": 1, "_condition": 1} if any(accepted) else {}
+        # covariance change once, if at all, and the covariance is checked
+        # once: it factors, so it is not conditioned
+        work = {"_cholesky": 1} if any(accepted) else {}
         assert calls == {"_whiten": whitenings, **work}
 
 
@@ -751,6 +754,68 @@ class TestStackedUpdate:
                              1.0, blocks=(enc,))
         with pytest.raises(ValueError):
             stack(enc, imu_raw_model(0.005, 0.05, 15.09))
+
+
+class TestClosedFormCovariance:
+    """A closed-form update returns P - G^T G, the frozen block put back,
+    as it is when it factors: from a symmetric P whose angular-rate
+    variances are at most the cap, symmetrizing and capping it would
+    change nothing.  Only a posterior that does not factor is
+    conditioned."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           pattern=st.integers(0, 7),
+           frozen=st.sampled_from(FROZEN_SETS))
+    def test_posterior_is_symmetric_shrunk_held_and_factors(
+            self, seed, dims, pattern, frozen):
+        rng = np.random.default_rng(seed)
+        # SPD with eigenvalues in [EPSILON_PD, 1], so every variance is at
+        # most 1 = OMEGA_VAR_CAP, exactly symmetric
+        basis, _ = np.linalg.qr(rng.normal(size=(STATE_DIM, STATE_DIM)))
+        lam = 10.0 ** rng.uniform(-9.0, 0.0, STATE_DIM)
+        lam[0] = EPSILON_PD
+        cov = (basis * lam) @ basis.T
+        cov = 0.5 * (cov + cov.T)
+        assert np.diagonal(cov).max() <= OMEGA_VAR_CAP
+        x = FilterState().vector
+        x[NON_QUAT] = rng.normal(size=len(NON_QUAT))
+        models = TestStackedUpdate.blocks(rng, dims, frozen, None)
+        for b, model in enumerate(models):
+            model.gate = 1e12 if pattern >> b & 1 else 1e-300
+        stacked = stack(*models) if len(models) > 1 else models[0]
+        z = stacked.h(x[:, None])[:, 0] + rng.normal(size=stacked.dim)
+        out = update(x, cov, z, stacked, PARAMS, frozen=frozen)
+        if not out.accepted:
+            assert out.cov is cov
+            return
+        assert np.array_equal(out.cov, out.cov.T)
+        assert np.all(np.diagonal(out.cov) <= np.diagonal(cov))
+        if frozen is not None:
+            assert np.array_equal(out.cov[frozen, frozen], cov[frozen, frozen])
+        ukf._cholesky(out.cov)  # raises if it does not factor
+
+    def test_posterior_that_does_not_factor_comes_back_conditioned(
+            self, monkeypatch):
+        """A position variance of zero leaves a zero row in P - G^T G,
+        which does not factor: the update conditions it, up to the floor."""
+        cov = default_cov()
+        cov[0, 0] = 0.0
+        seen, condition = [], ukf._condition
+
+        def recorded(p, *args):
+            seen.append(p)
+            return condition(p, *args)
+
+        monkeypatch.setattr(ukf, "_condition", recorded)
+        out = update(FilterState().vector, cov, np.array([0.1, 0.0, 0.0]),
+                     matrix_position_model(), PARAMS)
+        assert out.accepted
+        [raw] = seen
+        assert raw[0, 0] == 0.0
+        assert out.cov.tobytes() == condition(raw).tobytes()
+        assert np.linalg.eigvalsh(out.cov)[0] >= 0.99 * EPSILON_PD
 
 
 class TestStackedNoise:
