@@ -8,8 +8,6 @@ configuration guards checkpoint compatibility.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
 from typing import Any, Mapping, Optional
 
@@ -194,6 +192,9 @@ class PipelineConfig:
         return PipelineConfig({**self._values, **overrides})
 
     def hash(self) -> str:
+        # here, as only checkpoints hash: keeps them off the ingest imports
+        import hashlib
+        import json
         canonical = json.dumps(self._values, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -17,15 +17,15 @@ negative variance.
 
 The session holds the state as the flat 23-vector ``x`` and its covariance
 ``cov``.  After every event ``cov`` is exactly symmetric, its angular-rate
-variances are at most ``OMEGA_VAR_CAP``, and it factors: the precondition
-of a closed-form update (``ukf.update``), which conditions only a
-covariance that does not factor.  Each primary-IMU event predicts, updates
-and conditions ``cov`` once (``_imu_step``), which also floors it at
-``EPSILON_PD``: its sigma-point update's output or, that update rejected,
-the prediction, before any ZUPT update.  It leaves a snapshot in the
-replay ring, sharing the session's arrays, which the engine never writes
-into, and the one measurement vector the step fused, which a replay fuses
-again.  The filter
+variances are at most ``OMEGA_VAR_CAP`` (``reset`` caps the configured
+``init.omega_var`` too), and it factors: the precondition of a closed-form
+update (``ukf.update``), which conditions only a covariance that does not
+factor.  Each primary-IMU event predicts, updates and conditions ``cov``
+once (``_imu_step``), which also floors it at ``EPSILON_PD``: its
+sigma-point update's output or, that update rejected, the prediction,
+before any ZUPT update.  It leaves a snapshot in the replay ring, sharing
+the session's arrays, which the engine never writes into, and the one
+measurement vector the step fused, which a replay fuses again.  The filter
 clock is the newest snapshot's stamp (``ring.last_stamp``), None while the
 ring is empty.  A primary-IMU stamp must advance the clock by at most
 ``_MAX_IMU_GAP``; one outside that window is dropped, and a second in a row
@@ -63,31 +63,40 @@ noise from ``measurements.gps_fix_to_measurement``, with the ``gps_pos``
 estimator's R as the DOP-scaled base; one whose R does not factor (a DOP
 or error bound whose square underflows) is dropped as
 ``gps_quality_rejected`` before the engine.  Accepted encoder blocks and
-fixes feed the estimators that adapt, and an accepted fix anchors the next
-one's course-over-ground heading.  The fix is taken at the body origin:
+fixes feed the estimators that adapt.  The fix is taken at the body origin:
 there is no antenna lever arm.
 
-A checkpoint (version 9) is a JSON file: version, configuration hash, and
+A fix's course-over-ground heading is read from the chord between it and
+the heading anchor: an earlier accepted fix, with the filter's horizontal
+position at that fix.  The heading is planned, chained after the fix's
+position update, only once the state the fix is planned on (``x``, or the
+snapshot's for a late fix; a fix older than the ring plans none) lies at
+least ``gnss.heading_min_baseline`` from the anchor's filter position, so
+the chord spans real travel and not fix noise.  The first accepted fix
+sets the anchor; an accepted fix moves it only when its heading ran,
+accepted or gated.  Entering coast drops the anchor, since a chord across
+an outage is no course.
+
+A checkpoint (version 10) is a JSON file: version, configuration hash, and
 the session, the attributes ``FusionPipeline._SESSION`` lists and ``reset``
 assigns, as state only: ``x``, covariance, the origin's [lat, lon, alt],
 the replay snapshots (each with its one ``z``), each estimator's R,
 innovation window and rows filled, anchors, mode flags, readings and
 counters, each array as its shape and the base64 of its little-endian
-float64 bytes.  Loading rebuilds what
-the configuration fixes (the origin's frame, the estimators, the ring) and
-reads every stored value by a typed reader, checking its type, shape,
-range and any quaternion's unit norm, each snapshot's stamp to follow the
-one before by at most ``_MAX_IMU_GAP``, as a live step does, and each
-estimator's R as the estimator checks its own (``AdaptiveEstimator.checked``:
-symmetric, at or above its floor, positive definite), before assigning any,
-so a malformed file changes nothing and a resumed run is bit-identical to
-an uninterrupted one.
+float64 bytes.  Loading rebuilds what the configuration fixes (the
+origin's frame, the estimators, the ring) and reads every stored value by
+a typed reader, checking its type, shape, range and any quaternion's unit
+norm, each covariance, the session's and each snapshot's, to hold the
+invariant above (``_read_cov``), each snapshot's stamp to follow the one
+before by at most ``_MAX_IMU_GAP``, as a live step does, and each
+estimator's R as the estimator checks its own
+(``AdaptiveEstimator.checked``: symmetric, at or above its floor, positive
+definite), before assigning any, so a malformed file changes nothing and a
+resumed run is bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -101,6 +110,8 @@ from .config import PipelineConfig
 from .core import (
     ENC_YAW_BIAS,
     GYRO_BIAS,
+    OMEGA,
+    OMEGA_VAR_CAP,
     POS,
     QUAT,
     QUAT_NORM_MIN,
@@ -144,7 +155,7 @@ _MAX_IMU_DELAY = 0.5
 _ZERO_VELOCITY = np.zeros(3)
 _ZERO_VELOCITY.flags.writeable = False
 
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 
 def zupt_trigger(last_encoder_speed: Optional[float],
@@ -375,6 +386,8 @@ class FusionPipeline:
         diag = np.empty(STATE_DIM)
         for block, _, var_key in STATE_BLOCKS:
             diag[block] = cfg[var_key]
+        # every session's P holds the cap a closed-form update trusts
+        np.minimum(diag[OMEGA], OMEGA_VAR_CAP, out=diag[OMEGA])
         self.cov = np.diag(diag)
         self.origin: Optional[EnuOrigin] = None
         self.ring = StateSnapshotRing(cfg["retro.capacity"])
@@ -384,7 +397,9 @@ class FusionPipeline:
         self._zupt_active = False
         self._last_encoder_speed: Optional[float] = None
         self._last_imu_rate: Optional[float] = None
-        self._heading_anchor: Optional[tuple[np.ndarray, float, float]] = None
+        # fix xy, stamp, fix variance, the filter's xy at that fix
+        self._heading_anchor: Optional[
+            tuple[np.ndarray, float, float, np.ndarray]] = None
         self._jump_stamp: Optional[float] = None
         self.diagnostics: dict[str, int] = {}
 
@@ -479,6 +494,7 @@ class FusionPipeline:
                                  > cfg["coast.enter_s"])
         if self.coast.active and not was_active:
             self.coast.relax_armed = True
+            self._heading_anchor = None
             self._count("coast_entries")
 
     def _update_zupt(self) -> None:
@@ -654,8 +670,9 @@ class FusionPipeline:
     def _plan_gps_fix(self, fix: GpsFixSample, x) -> Plan | tuple:
         """The position update, its gate relaxed while coasting with the
         relax armed, then, only if it is accepted, the heading from the
-        anchor; none for the first fix, whose commit sets the origin.
-        Carries (z, R)."""
+        anchor once ``x`` has travelled the baseline from it (see the
+        module docstring); none for the first fix, whose commit sets the
+        origin.  Carries (z, R)."""
         cfg = self.config
         reason = meas.screen_gps_fix(
             fix, FixType(cfg["gnss.min_fix_type"]), cfg["gnss.max_hdop"],
@@ -679,12 +696,16 @@ class FusionPipeline:
         relaxed = self.coast.active and self.coast.relax_armed
         updates = [(z, self._gps_model,
                     cfg["coast.gate_relax"] if relaxed else 1.0)]
-        if cfg["gnss.heading_enabled"] and self._heading_anchor is not None:
-            prev_xy, prev_stamp, prev_var = self._heading_anchor
+        anchor = self._heading_anchor
+        baseline = cfg["gnss.heading_min_baseline"]
+        if (cfg["gnss.heading_enabled"] and anchor is not None
+                and x is not None
+                and math.hypot(*(x[:2] - anchor[3])) >= baseline):
+            prev_xy, prev_stamp, prev_var, _ = anchor
             heading = meas.derive_gps_heading(
                 prev_xy, prev_stamp, z[:2], fix.stamp,
                 (prev_var + float(r[0, 0] + r[1, 1])) / 2.0,
-                min_baseline=cfg["gnss.heading_min_baseline"],
+                min_baseline=baseline,
                 min_speed=cfg["gnss.heading_min_speed"],
                 sigma_floor=cfg["gnss.heading_sigma_floor"])
             if heading is not None:
@@ -706,8 +727,11 @@ class FusionPipeline:
             self.coast.last_accept = max(self.coast.last_accept or 0.0,
                                          fix.stamp)
             self.coast.active = False
-            self._heading_anchor = (z[:2].copy(), fix.stamp,
-                                    float(r[0, 0] + r[1, 1]))
+            # records[1] is the heading's: it ran, accepted or gated
+            if self._heading_anchor is None or len(records) > 1:
+                self._heading_anchor = (z[:2].copy(), fix.stamp,
+                                        float(r[0, 0] + r[1, 1]),
+                                        x[:2].copy())
             estimator = self.adaptive["gps_pos"]
             if estimator.enabled:
                 estimator.observe(records[0].innovation)
@@ -748,6 +772,7 @@ class FusionPipeline:
     def save_checkpoint(self, path: str) -> None:
         """Write the session (``_session_doc``) as JSON, with the checkpoint
         version and the configuration hash that loading checks."""
+        import json  # here, as ``json`` and ``base64`` serve checkpoints only
         doc = {"version": CHECKPOINT_VERSION,
                "config_hash": self.config.hash(),
                "session": self._session_doc()}
@@ -759,6 +784,7 @@ class FusionPipeline:
         """Restore a session written by ``save_checkpoint``.  All of it is
         read (``_read_session``) before any of it is assigned, so a bad
         checkpoint raises ``CheckpointError`` and changes nothing."""
+        import json
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -803,7 +829,7 @@ class FusionPipeline:
             "_last_encoder_speed": self._last_encoder_speed,
             "_last_imu_rate": self._last_imu_rate,
             "_heading_anchor": opt(self._heading_anchor, lambda h: [
-                _array_doc(h[0]), h[1], h[2]]),
+                _array_doc(h[0]), h[1], h[2], _array_doc(h[3])]),
             "_jump_stamp": self._jump_stamp,
             "diagnostics": dict(self.diagnostics),
         }
@@ -833,7 +859,7 @@ class FusionPipeline:
                 raise ValueError(f"snapshot z of shape {z['shape']}, not one "
                                  f"of {z_shapes}")
             return Snapshot(stamp, _read_array(x, _STATE, QUAT),
-                            _read_array(cov, _COV),
+                            _read_cov(cov),
                             _read_array(z, tuple(z["shape"])),
                             _read_flag(zupt), _read_flag(coast))
 
@@ -859,7 +885,7 @@ class FusionPipeline:
 
         return {
             "x": _read_array(doc["x"], _STATE, QUAT),
-            "cov": _read_array(doc["cov"], _COV),
+            "cov": _read_cov(doc["cov"]),
             # GeodeticCoord range-checks the point
             "origin": opt(doc["origin"], lambda lat, lon, alt:
                           EnuOrigin.from_geodetic(GeodeticCoord(
@@ -878,8 +904,11 @@ class FusionPipeline:
             "_last_encoder_speed": _read_real(doc["_last_encoder_speed"],
                                               True, 0.0),
             "_last_imu_rate": _read_real(doc["_last_imu_rate"], True, 0.0),
-            "_heading_anchor": opt(doc["_heading_anchor"], lambda xy, t, var: (
-                _read_array(xy, (2,)), _read_real(t), _read_real(var))),
+            "_heading_anchor": opt(doc["_heading_anchor"],
+                                   lambda xy, t, var, filter_xy: (
+                                       _read_array(xy, (2,)), _read_real(t),
+                                       _read_real(var),
+                                       _read_array(filter_xy, (2,)))),
             "_jump_stamp": _read_real(doc["_jump_stamp"], optional=True),
             "diagnostics": {name: _read_count(count)
                             for name, count in doc["diagnostics"].items()},
@@ -894,6 +923,7 @@ _STATE, _COV = (STATE_DIM,), (STATE_DIM, STATE_DIM)
 
 def _array_doc(a: np.ndarray) -> dict:
     """An array's stored form: its shape and its float64 bytes in base64."""
+    import base64
     return {"shape": list(a.shape), "f8": base64.b64encode(
         a.astype(_F8, copy=False).tobytes()).decode("ascii")}
 
@@ -903,6 +933,7 @@ def _read_array(doc: dict, shape: tuple[int, ...],
     """The array ``doc`` stores (``_array_doc``), which must have ``shape``
     and finite entries, and a norm of 1 within 1e-9 over ``unit``, the
     tolerance of ``FilterState.validate``."""
+    import base64
     if doc.keys() != {"shape", "f8"} or doc["shape"] != list(shape):
         raise ValueError(f"expected an array of shape {shape}")
     data = base64.b64decode(doc["f8"], validate=True)
@@ -914,6 +945,23 @@ def _read_array(doc: dict, shape: tuple[int, ...],
     if unit is not None and abs(math.sqrt(a[unit] @ a[unit]) - 1.0) > 1e-9:
         raise ValueError("quaternion without unit norm")
     return a
+
+
+def _read_cov(doc: dict) -> np.ndarray:
+    """The covariance ``doc`` stores (``_read_array``), which must hold the
+    session's invariant that closed-form updates trust: exactly symmetric,
+    angular-rate variances at most ``OMEGA_VAR_CAP``, and factoring through
+    ``_cholesky``."""
+    cov = _read_array(doc, _COV)
+    if not np.array_equal(cov, cov.T):
+        raise ValueError("covariance not exactly symmetric")
+    if cov.diagonal()[OMEGA].max() > OMEGA_VAR_CAP:
+        raise ValueError(f"angular-rate variance above {OMEGA_VAR_CAP}")
+    try:
+        _cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance does not factor") from None
+    return cov
 
 
 def _read_flag(value) -> bool:

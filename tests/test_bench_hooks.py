@@ -10,7 +10,8 @@ count for every engine name the per-layer metrics time: a refactor that
 stops calling one (``process_noise_matrix``, say, or ``repair_pd``'s check
 through ``np.linalg.cholesky``) fails here, not only in the benchmark's
 smoke test.  The benchmark worker times its set-up imports (``setup_s``),
-so a last check keeps scipy, PyYAML, the simulator and the evaluator out of
+so a last check keeps scipy, PyYAML, ``hashlib`` (which only checkpoints
+use, to hash the configuration), the simulator and the evaluator out of
 them."""
 
 import importlib.util
@@ -67,12 +68,13 @@ def test_traced_run_tags_update_paths_and_counts_replays():
 
 def test_worker_setup_imports_load_no_scipy():
     """``import scipy.linalg`` alone takes longer than the whole set-up,
-    and PyYAML, the simulator and the evaluator are not needed to ingest."""
+    and PyYAML, ``hashlib`` (3-7 ms), the simulator and the evaluator are
+    not needed to ingest."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, navfuse, navfuse.config, navfuse.events, "
             "navfuse.pipeline\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('scipy', 'yaml') or m in ('navfuse.simulator', "
+            "('scipy', 'yaml') or m in ('hashlib', 'navfuse.simulator', "
             "'navfuse.evaluation')))")
     out = subprocess.run([sys.executable, "-c", code], text=True,
                          env={**os.environ, "PYTHONPATH": str(src)},

@@ -36,6 +36,10 @@ def test_tree_against_itself_is_bit_identical(capsys):
     for kind, row in result["kinds"].items():
         assert row["events"] > 0
         assert row["base_ms"] > 0.0 and row["change_ms"] > 0.0
+        # the quartiles of the per-round medians bracket their median
+        for side in ("base", "change"):
+            assert (0.0 < row[f"{side}_q1_ms"] <= row[f"{side}_ms"]
+                    <= row[f"{side}_q3_ms"])
         assert row["won"] in (0.0, 0.5, 1.0)
         assert f"  {kind:<8} {row['events']:>7}" in "\n".join(lines[:-1])
     assert result["max_dx"] == result["max_dp"] == 0.0

@@ -91,6 +91,29 @@ def array_doc(a):
             "f8": base64.b64encode(a.astype("<f8").tobytes()).decode()}
 
 
+def edited_doc(edit):
+    """A function of a stored array's form that returns the form of the
+    array after ``edit`` (which changes a copy in place)."""
+    def apply(doc):
+        a = np.frombuffer(base64.b64decode(doc["f8"]), "<f8").reshape(
+            doc["shape"]).copy()
+        edit(a)
+        return array_doc(a)
+    return apply
+
+
+def _asymmetric(cov):
+    cov[0, 1] += 0.5
+
+
+def _omega_over_cap(cov):
+    cov[10, 10] = 4.0
+
+
+def _indefinite(cov):
+    cov[0, 0] = -1.0
+
+
 ALL_ON = {"imu2.enabled": True, "gnss.velocity_enabled": True,
           "radar.enabled": True, "vslam.enabled": True}
 
@@ -923,6 +946,54 @@ class TestGpsNoise:
                                            zip(floor, [1.0, 1.0, 4.0])]
 
 
+class TestHeadingAnchor:
+    """The course-over-ground chord runs from the heading anchor, held
+    until the filter has travelled ``gnss.heading_min_baseline``."""
+
+    def test_no_heading_before_the_filter_travels_the_baseline(self):
+        """A stationary filter: a fix 2.5 m from the anchor fix, 0.2 s
+        later, reads a 12.5 m/s course from fix noise alone, and plans no
+        heading."""
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(1.0, gps_rate=5.0))
+        anchor = pipe._heading_anchor
+        assert anchor is not None
+        report = pipe.ingest(gps_at([2.5, 0.0, 0.0], 1.0))
+        assert [rec.path for rec in report.updates] == ["gps_pos"]
+        assert report.updates[0].accepted
+        assert pipe._heading_anchor is anchor
+
+    def test_anchor_held_across_fixes_then_moved(self):
+        """Driving straight along x at 2 m/s with a fix every 0.4 m: the
+        anchor stays put until the filter has travelled 2 m from it and the
+        chord spans 2 m, then that fix's heading runs and the anchor moves
+        to the fix."""
+        pipe = FusionPipeline(PipelineConfig())
+        held = moved = 0
+        for k in range(800):
+            t = k * 0.01
+            pipe.ingest(imu_at(t))
+            pipe.ingest(encoder_at(t, vx=2.0))
+            if k % 20:
+                continue
+            anchor, xy = pipe._heading_anchor, pipe.x[:2].copy()
+            report = pipe.ingest(gps_at([2.0 * t, 0.0, 0.0], t))
+            paths = [rec.path for rec in report.updates]
+            if anchor is None:
+                continue
+            assert report.updates[0].accepted
+            if paths == ["gps_pos", "gps_heading"]:
+                assert np.hypot(*(xy - anchor[3])) >= 2.0
+                assert report.updates[1].accepted
+                assert pipe._heading_anchor[1] == t
+                assert np.array_equal(pipe._heading_anchor[3], xy)
+                moved += 1
+            else:
+                assert pipe._heading_anchor is anchor
+                held += 1
+        assert moved >= 5 and held >= 3 * moved
+
+
 class TestYawObservability:
     def test_yaw_variance_stays_wide_without_a_magnetometer(self):
         """Nothing observes yaw on a stationary stream without a
@@ -1070,6 +1141,15 @@ class TestCoast:
         report = pipe.ingest(gps_at([0.5, 0, 0], 10.0))
         assert report.updates[0].threshold == pytest.approx(2.0 * 16.27)
         assert not pipe.coast.relax_armed
+
+    def test_entering_coast_drops_the_heading_anchor(self):
+        """A chord across the blackout is no course: the first fix after
+        it sets a new anchor and plans no heading."""
+        pipe = self._coasting()
+        assert pipe._heading_anchor is None
+        report = pipe.ingest(gps_at([0.5, 0, 0], 10.0))
+        assert [rec.path for rec in report.updates] == ["gps_pos"]
+        assert pipe._heading_anchor[1] == 10.0
 
     def test_b_ewz_frozen_during_coast(self):
         pipe, reports = self._run_with_gap(8.0)
@@ -1432,8 +1512,10 @@ class TestFusionRouting:
     def test_heading_update_only_after_an_accepted_position(self, gate,
                                                             paths):
         pipe = self._pipe(**{"gates.gps_pos": gate})
-        # an anchor 3 m behind at 6 m/s: both runs plan a heading update
-        pipe._heading_anchor = (np.array([-3.0, 0.0]), 0.0, 2.0)
+        # an anchor fix 3 m behind at 6 m/s, the filter 3 m behind it too:
+        # both runs plan a heading update
+        pipe._heading_anchor = (np.array([-3.0, 0.0]), 0.0, 2.0,
+                                np.array([-3.0, 0.0]))
         report = pipe.ingest(gps_at([0.0, 0.0, 0.0], 0.5))
         assert [rec.path for rec in report.updates] == paths
         assert report.updates[0].accepted == (len(paths) == 2)
@@ -1620,6 +1702,8 @@ class TestLifecycle:
         (("version",), 3),
         # the version before the tilt rows: z rows 6-7 were roll and pitch
         (("version",), 8),
+        # the version before the heading anchor's filter position
+        (("version",), 9),
         (("session", "_zupt_active"), None),                # missing key
         (("session", "x"), array_doc(np.zeros(5))),
         (("session", "x"), [0.0] * 3 + [1.0] + [0.0] * 19),
@@ -1650,6 +1734,14 @@ class TestLifecycle:
         (("session", "coast", 1), "x"),
         (("session", "vslam_anchor", 0), array_doc(np.zeros(2))),
         (("session", "_heading_anchor"), 5),
+        (("session", "_heading_anchor", 3), array_doc(np.zeros(3))),
+        (("session", "cov"), edited_doc(_asymmetric)),
+        (("session", "cov"), edited_doc(_omega_over_cap)),
+        (("session", "cov"),
+         edited_doc(lambda cov: (_asymmetric(cov), _omega_over_cap(cov)))),
+        (("session", "cov"), edited_doc(_indefinite)),
+        (("session", "ring", 3, 2), edited_doc(_asymmetric)),
+        (("session", "ring", 3, 2), edited_doc(_omega_over_cap)),
         (("session", "ring", 0, 5), 5),
         (("session", "_last_imu_rate"), float("nan")),
         (("session", "_last_encoder_speed"), -1.0),
@@ -1662,9 +1754,9 @@ class TestLifecycle:
         (("session", "_jump_stamp"), 10 ** 400),            # beyond a float
         # a step no live run takes, of 2e9 predict sub-steps
         (("session", "ring", -1, 0), 1e9),
-    ], ids=["root", "version_3", "version_8", "missing", "state_shape",
-            "state_list", "snapshot_state", "cov_shape", "garbled",
-            "truncated", "payload_shape", "snapshot_z_length",
+    ], ids=["root", "version_3", "version_8", "version_9", "missing",
+            "state_shape", "state_list", "snapshot_state", "cov_shape",
+            "garbled", "truncated", "payload_shape", "snapshot_z_length",
             "snapshot_z_nan",
             "missing_attribute", "estimator_r_nan", "estimator_r_indefinite",
             "estimator_r_size", "adaptive_below_floor", "innovation_window",
@@ -1672,6 +1764,10 @@ class TestLifecycle:
             "innovation_count_negative",
             "innovation_count_bool", "estimator_missing", "coast_stamp_type",
             "vslam_anchor_shape", "heading_anchor_type",
+            "heading_anchor_filter_xy", "cov_asymmetric",
+            "cov_omega_over_cap", "cov_asymmetric_and_over_cap",
+            "cov_indefinite", "snapshot_cov_asymmetric",
+            "snapshot_cov_omega_over_cap",
             "snapshot_mode_type", "imu_rate_nan", "encoder_speed_negative",
             "snapshot_order", "ring_over_capacity", "origin_range",
             "unknown_session_key", "anchor_quaternion_zero",
@@ -1704,6 +1800,24 @@ class TestLifecycle:
             pipe.load_checkpoint(str(path))
         assert all(getattr(pipe, name) is old for name, old in before.items())
         assert pipe.diagnostics == counts
+
+    def test_resume_before_the_first_imu_step_over_the_omega_cap(
+            self, tmp_path):
+        """An ``init.omega_var`` above ``OMEGA_VAR_CAP`` starts the session
+        at the cap, so a checkpoint taken before the first IMU step holds
+        the covariance invariant, loads, and resumes bit for bit."""
+        path = str(tmp_path / "ckpt.json")
+        config = PipelineConfig({"init.omega_var": 4.0})
+        pipe = FusionPipeline(config)
+        assert np.all(pipe.cov.diagonal()[OMEGA] == OMEGA_VAR_CAP)
+        pipe.save_checkpoint(path)
+        resumed = FusionPipeline(config)
+        resumed.load_checkpoint(path)
+        events = stationary_stream(0.5, gps_rate=5.0)
+        for a, b in zip(run(pipe, events), run(resumed, events)):
+            assert np.array_equal(a.state.as_vector(), b.state.as_vector())
+            assert np.array_equal(a.cov_diag, b.cov_diag)
+        assert np.array_equal(pipe.cov, resumed.cov)
 
     def test_snapshot_orientation_rows_need_their_model(self, tmp_path):
         """Without the primary IMU's orientation model a snapshot's z holds

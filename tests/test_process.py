@@ -9,6 +9,8 @@ from navfuse.core import (
     ENC_YAW_BIAS,
     EPSILON_OMEGA,
     GYRO_BIAS,
+    OMEGA,
+    OMEGA_VAR_CAP,
     POS,
     QUAT,
     STATE_DIM,
@@ -195,6 +197,8 @@ class TestStateBlocks:
             if k.startswith("init.") and k.endswith("_var"))
 
     def test_noise_and_initial_covariance_follow_the_table(self):
+        """Q and P0 take each block's keys; P0's angular-rate variances
+        are capped at ``OMEGA_VAR_CAP``, the cap every session's P holds."""
         from navfuse.pipeline import FusionPipeline
         overrides = {}
         for n, (_, q_key, var_key) in enumerate(STATE_BLOCKS):
@@ -205,4 +209,5 @@ class TestStateBlocks:
         p0 = np.diag(FusionPipeline(cfg).cov)
         for n, (block, _, _) in enumerate(STATE_BLOCKS):
             assert np.all(q[block] == n + 1)
-            assert np.all(p0[block] == 10 * (n + 1))
+            cap = OMEGA_VAR_CAP if block == OMEGA else math.inf
+            assert np.all(p0[block] == min(10 * (n + 1), cap))

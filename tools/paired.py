@@ -12,11 +12,13 @@ its own reader.  Each round builds a fresh pipeline from each package and
 feeds both the same stream, alternating their ``ingest`` calls event by
 event (who goes first alternates too), so the two sides share the host's
 state at every moment and host drift cancels out.  Per event kind it prints
-both sides' median time (the median over rounds of each round's median),
-the relative change (the median over rounds of the ratio of the two
-medians in the round) and the share of rounds the change was faster in,
-then the largest |dx| and |dP| between the two pipelines after the last
-round.
+both sides' median time (the median over rounds of each round's median)
+and the quartiles of those per-round medians, the relative change (the
+median over rounds of the ratio of the two medians in the round) and the
+share of rounds the change was faster in, then the largest |dx| and |dP|
+between the two pipelines after the last round.  A gain shows when the
+change wins nearly every round and the gap between the two medians exceeds
+the base's interquartile range.
 The last line of standard output is the same result as one JSON object.
 """
 
@@ -105,9 +107,15 @@ def summarize(times: list, pipes: list) -> dict:
         base = [float(np.median(t[0][kind])) for t in times]
         change = [float(np.median(t[1][kind])) for t in times]
         ratio = np.median(np.divide(change, base))
+        (base_q1, base_q3), (change_q1, change_q3) = (
+            np.percentile(side, [25, 75]) * 1e3 for side in (base, change))
         kinds[kind] = {"events": len(times[0][1][kind]),
                        "base_ms": float(np.median(base)) * 1e3,
+                       "base_q1_ms": float(base_q1),
+                       "base_q3_ms": float(base_q3),
                        "change_ms": float(np.median(change)) * 1e3,
+                       "change_q1_ms": float(change_q1),
+                       "change_q3_ms": float(change_q3),
                        "change": float(ratio) - 1.0,
                        "won": sum(y < x for x, y in zip(base, change))
                        / len(times)}
@@ -138,12 +146,13 @@ def main(argv=None) -> int:
               **summarize(times, pipes)}
     print(f"{args.workload} seed {args.seed}, {args.rounds} rounds, scale "
           f"{args.scale}: base {args.base}")
-    print(f"  {'kind':<8} {'events':>7} {'base ms':>9} {'change ms':>10} "
-          f"{'change':>8} {'won':>5}")
+    print(f"  {'kind':<8} {'events':>7} {'base ms (q1-q3)':>26} "
+          f"{'change ms (q1-q3)':>26} {'change':>8} {'won':>5}")
     for kind, row in result["kinds"].items():
-        print(f"  {kind:<8} {row['events']:>7} {row['base_ms']:>9.4f} "
-              f"{row['change_ms']:>10.4f} {row['change']:>+8.1%} "
-              f"{row['won']:>5.0%}")
+        sides = [f"{row[f'{side}_ms']:.4f} ({row[f'{side}_q1_ms']:.4f}-"
+                 f"{row[f'{side}_q3_ms']:.4f})" for side in ("base", "change")]
+        print(f"  {kind:<8} {row['events']:>7} {sides[0]:>26} "
+              f"{sides[1]:>26} {row['change']:>+8.1%} {row['won']:>5.0%}")
     print(f"  final max |dx| {result['max_dx']:.3g}, "
           f"max |dP| {result['max_dp']:.3g}")
     print(json.dumps(result))
