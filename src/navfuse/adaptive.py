@@ -15,7 +15,10 @@ R are checked to be (``checked``), the window's second moment W^T W is one
 symmetric product, and the EMA and the floor act elementwise and on the
 diagonal.  Each R is checked to factor where it is made, through the LAPACK
 seam (``core._cholesky``): ``r0`` floored at construction, an adapted R in
-``observe``, and a stored one when a checkpoint is loaded.
+``observe``, and a stored one when a checkpoint is loaded.  An adapted R
+that does not factor (a window of collinear innovations, which the EMA
+can drive R down to) is refused and the previous R kept; ``observe`` tells
+its caller, which counts it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, _cholesky
+from .core import _cholesky
 
 
 @dataclass
@@ -85,16 +88,18 @@ class AdaptiveEstimator:
                 fault = "not positive definite"
         raise ValueError(f"{self.name}: {what} is {fault}")
 
-    def observe(self, innovation: np.ndarray) -> np.ndarray:
-        """Feed one gate-accepted innovation; returns the current R.
+    def observe(self, innovation: np.ndarray) -> bool:
+        """Feed one gate-accepted innovation into the window; False when
+        the adapted R did not factor and the previous R was kept.
 
         The EMA engages only once the window is full, so a short burst of
-        samples cannot bias the estimate low.  The updated R is checked to
-        still factor (floored diagonal plus an EMA of outer products keeps
-        it positive definite).
+        samples cannot bias the estimate low.  A floored diagonal plus an
+        EMA of outer products is positive definite in exact arithmetic,
+        but collinear innovations drive it towards singular, so the
+        updated R is checked to factor before it replaces R.
         """
         if not self.enabled:
-            return self.r
+            return True
         nu = np.asarray(innovation, dtype=float).reshape(self.dim)
         w = self._innovations
         w[:-1] = w[1:]
@@ -102,14 +107,12 @@ class AdaptiveEstimator:
         if self._filled < self.window:
             self._filled += 1
             if self._filled < self.window:
-                return self.r
+                return True
         c_hat = w.T @ w / self.window
         r = self._apply_floor((1.0 - self.alpha) * self.r + self.alpha * c_hat)
         try:
             _cholesky(r)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"adapted noise for {self.name} lost positive definiteness"
-            ) from exc
+        except np.linalg.LinAlgError:
+            return False
         self.r = r
-        return self.r
+        return True

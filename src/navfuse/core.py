@@ -74,26 +74,32 @@ def all_finite(a: np.ndarray) -> bool:
 
 # The LAPACK seam: numpy's own gufuncs in ``np.linalg``'s error state, bit
 # for bit its results and failures (``LinAlgError``, a ``ValueError``),
-# without a wrapper that costs more than LAPACK on the engine's sizes.
+# without a wrapper that costs more than LAPACK on the engine's sizes.  The
+# error state is applied as a decorator, which numpy 2 sets per call in a
+# context variable (so per thread) at less cost than a ``with`` block.
 
 def _linalg_error(err, flag):
     raise np.linalg.LinAlgError("factorization failed")
 
 
+_LINALG_ERRSTATE = np.errstate(all="ignore", invalid="call",
+                               call=_linalg_error)
+
+
+@_LINALG_ERRSTATE
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """The lower Cholesky factor of a float64 ``a``, read from its lower
     triangle."""
-    with np.errstate(all="ignore", invalid="call", call=_linalg_error):
-        return _umath_linalg.cholesky_lo(a, signature="d->d")
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
 
 
+@_LINALG_ERRSTATE
 def _whiten(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factor L of a float64 ``a``, read from its lower
     triangle, and L^-1 ``b`` for a 2-D ``b`` by ``np.linalg.solve``'s
     gufunc, under one error state: ``_cholesky`` and a solve by L."""
-    with np.errstate(all="ignore", invalid="call", call=_linalg_error):
-        root = _umath_linalg.cholesky_lo(a, signature="d->d")
-        return root, _umath_linalg.solve(root, b, signature="dd->d")
+    root = _umath_linalg.cholesky_lo(a, signature="d->d")
+    return root, _umath_linalg.solve(root, b, signature="dd->d")
 
 
 def quat_identity() -> np.ndarray:

@@ -22,6 +22,7 @@ matmul (``core.rotation_rows_cols``), VSLAM a rotation vector.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 from typing import Callable, Optional, Union
 
@@ -273,7 +274,7 @@ def screen_gps_fix(
             and (fix.err_horz is None or fix.err_vert is None)
             and (fix.hdop is None or fix.vdop is None)):
         return "no covariance, error bounds or dilution of precision"
-    if FixType(fix.fix_type) < min_fix_type:
+    if fix.fix_type < min_fix_type:
         return (f"fix type {FixType(fix.fix_type).name} below "
                 f"{FixType(min_fix_type).name}")
     if fix.hdop is not None and fix.hdop > max_hdop:
@@ -304,9 +305,9 @@ def gps_fix_to_measurement(
         sh = fix.err_horz / 1.96
         sv = fix.err_vert / 1.96
         r = np.diag([sh**2, sh**2, sv**2])
-    else:
-        scale = np.diag([fix.hdop, fix.hdop, fix.vdop])
-        r = scale @ base_r @ scale
+    else:  # S @ base_r @ S with the diagonal S as two broadcasts
+        s = np.array([fix.hdop, fix.hdop, fix.vdop])
+        r = base_r * s[:, None] * s
     return z, r
 
 
@@ -335,17 +336,17 @@ def derive_gps_heading(
     dt = cur_stamp - prev_stamp
     if dt <= 0.0:
         return None
-    delta = np.asarray(cur_xy, dtype=float) - np.asarray(prev_xy, dtype=float)
-    baseline = float(np.hypot(delta[0], delta[1]))
+    dx = float(cur_xy[0]) - float(prev_xy[0])
+    dy = float(cur_xy[1]) - float(prev_xy[1])
+    baseline = math.hypot(dx, dy)
     if baseline < min_baseline:
         return None
     speed = baseline / dt
     if speed < min_speed:
         return None
-    yaw = float(np.arctan2(delta[1], delta[0]))
-    sigma_v = np.sqrt(horizontal_var) / dt
+    sigma_v = math.sqrt(horizontal_var) / dt
     sigma_yaw = max(sigma_floor, sigma_v / speed)
-    return yaw, sigma_yaw**2
+    return math.atan2(dy, dx), sigma_yaw**2
 
 
 def gps_heading_model(variance: float, gate: float) -> MeasurementModel:

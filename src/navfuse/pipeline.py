@@ -63,7 +63,9 @@ noise from ``measurements.gps_fix_to_measurement``, with the ``gps_pos``
 estimator's R as the DOP-scaled base; one whose R does not factor (a DOP
 or error bound whose square underflows) is dropped as
 ``gps_quality_rejected`` before the engine.  Accepted encoder blocks and
-fixes feed the estimators that adapt.  The fix is taken at the body origin:
+fixes feed the estimators that adapt; an adapted R that does not factor
+is refused, the path keeping its R, and counted as
+``adaptive_rejected_<path>``.  The fix is taken at the body origin:
 there is no antenna lever arm.
 
 A fix's course-over-ground heading is read from the chord between it and
@@ -309,6 +311,10 @@ class FusionPipeline:
         self._zupt_model = meas.zupt_model(cfg["zupt.sigma"],
                                            cfg["gates.zupt"])
         self._zupt_update = (_ZERO_VELOCITY, self._zupt_model, 1.0)
+        if cfg["gnss.min_fix_type"] not in _FIX_TYPES:
+            raise ValueError("gnss.min_fix_type must be a FixType value, "
+                             f"not {cfg['gnss.min_fix_type']}")
+        self._min_fix_type = FixType(cfg["gnss.min_fix_type"])
         # each fix, course and pose sets its model's R before its update: a
         # pose's is its variances, else the configured ones, floored
         self._gps_model = meas.gps_position_model(np.eye(3),
@@ -385,6 +391,8 @@ class FusionPipeline:
         self.x = FilterState().vector
         diag = np.empty(STATE_DIM)
         for block, _, var_key in STATE_BLOCKS:
+            if not cfg[var_key] > 0.0:  # so P0 factors
+                raise ValueError(f"{var_key} must be > 0")
             diag[block] = cfg[var_key]
         # every session's P holds the cap a closed-form update trusts
         np.minimum(diag[OMEGA], OMEGA_VAR_CAP, out=diag[OMEGA])
@@ -413,6 +421,13 @@ class FusionPipeline:
 
     def _count(self, key: str) -> None:
         self.diagnostics[key] = self.diagnostics.get(key, 0) + 1
+
+    def _observe(self, path: str, innovation: np.ndarray) -> None:
+        """Feed an accepted innovation to the path's noise estimator,
+        counting an adapted R it refused as ``adaptive_rejected_<path>``."""
+        estimator = self.adaptive[path]
+        if estimator.enabled and not estimator.observe(innovation):
+            self._count(f"adaptive_rejected_{path}")
 
     def _apply_updates(self, x: np.ndarray, cov: np.ndarray,
                        updates: list, coast_active: bool,
@@ -656,9 +671,8 @@ class FusionPipeline:
     def _commit_encoder(self, sample: EncoderSample, x, records, carry):
         self._last_encoder_speed = abs(float(sample.velocity[0]))
         for rec in records:  # one per block, each an adaptive path
-            estimator = self.adaptive[rec.path]
-            if rec.accepted and estimator.enabled:
-                estimator.observe(rec.innovation)
+            if rec.accepted:
+                self._observe(rec.path, rec.innovation)
         self._update_zupt()
 
     def _plan_radar(self, sample: RadarVelocitySample, x) -> Plan:
@@ -674,9 +688,9 @@ class FusionPipeline:
         module docstring); none for the first fix, whose commit sets the
         origin.  Carries (z, R)."""
         cfg = self.config
-        reason = meas.screen_gps_fix(
-            fix, FixType(cfg["gnss.min_fix_type"]), cfg["gnss.max_hdop"],
-            cfg["gnss.min_satellites"])
+        reason = meas.screen_gps_fix(fix, self._min_fix_type,
+                                     cfg["gnss.max_hdop"],
+                                     cfg["gnss.min_satellites"])
         if reason is not None:
             return "gps_quality_rejected", reason
         if self.origin is None:
@@ -700,7 +714,8 @@ class FusionPipeline:
         baseline = cfg["gnss.heading_min_baseline"]
         if (cfg["gnss.heading_enabled"] and anchor is not None
                 and x is not None
-                and math.hypot(*(x[:2] - anchor[3])) >= baseline):
+                and math.hypot(x[0] - anchor[3][0],
+                               x[1] - anchor[3][1]) >= baseline):
             prev_xy, prev_stamp, prev_var, _ = anchor
             heading = meas.derive_gps_heading(
                 prev_xy, prev_stamp, z[:2], fix.stamp,
@@ -732,9 +747,7 @@ class FusionPipeline:
                 self._heading_anchor = (z[:2].copy(), fix.stamp,
                                         float(r[0, 0] + r[1, 1]),
                                         x[:2].copy())
-            estimator = self.adaptive["gps_pos"]
-            if estimator.enabled:
-                estimator.observe(records[0].innovation)
+            self._observe("gps_pos", records[0].innovation)
 
     def _plan_vslam(self, pose: VslamPoseSample, x) -> Plan | tuple:
         """The anchored pose's update, unless a variance is negative (the

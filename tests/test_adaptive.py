@@ -44,7 +44,8 @@ class TestObserve:
         floored = 0
         for nu, want in zip(draws, reference_rs(r0, floor, window, alpha,
                                                 draws)):
-            got = est.observe(nu)
+            assert est.observe(nu)
+            got = est.r
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(got, got.T)  # symmetric with no step
             floored += bool(np.any(np.diag(got) == floor))
@@ -118,6 +119,22 @@ class TestObserve:
             est.observe(rng.normal(0.0, 1.0, size=3))
             np.linalg.cholesky(est.r)  # raises if not PD
             assert np.all(np.diag(est.r) >= 0.01 - 1e-15)
+
+    def test_collinear_innovations_keep_a_factoring_r(self):
+        """Innovations alternating +-(3, 3, 3) m drive the default GNSS
+        estimator's R towards the singular 9 J; an adapted R that no
+        longer factors is refused and the previous one kept."""
+        est = AdaptiveEstimator("gps_pos", np.diag([1.0, 1.0, 4.0]))
+        refused = 0
+        for k in range(4000):
+            kept = est.r
+            nu = np.full(3, 3.0 if k % 2 == 0 else -3.0)
+            if not est.observe(nu):
+                refused += 1
+                assert est.r is kept
+            np.linalg.cholesky(est.r)
+        assert refused >= 1
+        assert est.checked(est.r, "R") is est.r
 
     def test_off_diagonals_adapt(self, rng):
         est = AdaptiveEstimator("corr", np.eye(2) * 4.0, [0.01] * 2)

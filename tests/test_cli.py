@@ -260,6 +260,7 @@ class TestRunAndEvaluate:
     @pytest.mark.parametrize("text, message", [
         ("gates:\n  gps_pos: 0.0\n", "gate threshold must be > 0"),
         ("adaptive:\n  window: 0\n", "adaptive window must be"),
+        ("init:\n  position_var: 0.0\n", "init.position_var must be > 0"),
     ])
     def test_value_the_pipeline_refuses_is_config_error(
             self, sim_dir, tmp_path, capsys, text, message):

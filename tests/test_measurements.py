@@ -331,6 +331,18 @@ class TestGpsPosition:
         assert r2[0, 0] == pytest.approx(4.0 * r1[0, 0])
         assert r2[2, 2] == pytest.approx(r1[2, 2])
 
+    def test_dop_noise_is_the_matrix_product(self):
+        """The DOP branch's broadcasts equal S @ base_r @ S exactly, off
+        the diagonal too."""
+        base_r = np.array([[0.64, 0.12, -0.05],
+                           [0.12, 0.81, 0.07],
+                           [-0.05, 0.07, 2.25]])
+        for hdop, vdop in ((1.0, 1.0), (1.3, 2.7), (0.7, 0.45)):
+            _, r = gps_fix_to_measurement(
+                fix_at([2.0, 1.0, 0.5], hdop=hdop, vdop=vdop), ORIGIN, base_r)
+            scale = np.diag([hdop, hdop, vdop])
+            assert np.array_equal(r, scale @ base_r @ scale)
+
     def test_quality_screen_blocks_low_fix_type(self):
         out = screen_gps_fix(fix_at([0, 0, 0], fix_type=FixType.DGPS),
                              FixType.RTK_FIXED, 10.0, 4)
@@ -383,7 +395,52 @@ class TestGpsPosition:
         assert np.array_equal(r, expected)
 
 
+def numpy_heading(prev_xy, prev_stamp, cur_xy, cur_stamp, horizontal_var,
+                  min_baseline=2.0, min_speed=0.5, sigma_floor=0.05):
+    """``derive_gps_heading`` as numpy formulas, the form it replaced."""
+    dt = cur_stamp - prev_stamp
+    if dt <= 0.0:
+        return None
+    delta = np.asarray(cur_xy, dtype=float) - np.asarray(prev_xy, dtype=float)
+    baseline = float(np.hypot(delta[0], delta[1]))
+    if baseline < min_baseline:
+        return None
+    speed = baseline / dt
+    if speed < min_speed:
+        return None
+    sigma_v = np.sqrt(horizontal_var) / dt
+    sigma_yaw = max(sigma_floor, sigma_v / speed)
+    return float(np.arctan2(delta[1], delta[0])), float(sigma_yaw**2)
+
+
 class TestGpsHeading:
+    def test_matches_the_numpy_formulas(self, rng):
+        """Yaw within 1e-12 rad and the variance to rounding of the numpy
+        formulas, and None in the same cases: dt <= 0, a short baseline
+        and a low speed."""
+        nones = {"dt": 0, "baseline": 0, "speed": 0}
+        for _ in range(2000):
+            prev = rng.uniform(-50.0, 50.0, 2)
+            cur = prev + rng.uniform(-6.0, 6.0, 2)
+            t0 = rng.uniform(0.0, 100.0)
+            t1 = t0 + rng.choice([-0.2, 0.0, 0.2, 1.0, 8.0])
+            var = rng.uniform(0.01, 4.0)
+            args = (prev, t0, cur, t1, var)
+            got, want = derive_gps_heading(*args), numpy_heading(*args)
+            if want is None:
+                assert got is None
+                if t1 <= t0:
+                    nones["dt"] += 1
+                elif np.hypot(*(cur - prev)) < 2.0:
+                    nones["baseline"] += 1
+                else:
+                    nones["speed"] += 1
+                continue
+            assert got is not None
+            assert abs(got[0] - want[0]) <= 1e-12
+            assert got[1] == pytest.approx(want[1], rel=1e-14)
+        assert min(nones.values()) > 0
+
     def test_due_east_course_is_zero_yaw(self):
         out = derive_gps_heading(np.zeros(2), 0.0, np.array([5.0, 0.0]), 1.0,
                                  horizontal_var=0.25)

@@ -6,6 +6,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "paired.py"
 
@@ -41,5 +43,19 @@ def test_tree_against_itself_is_bit_identical(capsys):
             assert (0.0 < row[f"{side}_q1_ms"] <= row[f"{side}_ms"]
                     <= row[f"{side}_q3_ms"])
         assert row["won"] in (0.0, 0.5, 1.0)
+        assert row["gain"] is False
         assert f"  {kind:<8} {row['events']:>7}" in "\n".join(lines[:-1])
     assert result["max_dx"] == result["max_dp"] == 0.0
+
+
+@pytest.mark.parametrize("change, want", [
+    ([1.0] * 10, False),                   # the base's own times
+    ([0.9] * 10, True),                    # faster every round
+    ([0.9] * 8 + [1.1] * 2, False),        # faster in 8 of 10
+    ([0.9] * 9, False),                    # fewer than ten rounds
+    ([0.995] * 10, False),                 # inside the base's spread
+])
+def test_gain_needs_ten_rounds_nine_tenths_won_and_a_gap_over_the_iqr(
+        change, want):
+    base = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    assert load_tool().gain(base[:len(change)], change) is want

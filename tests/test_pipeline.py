@@ -562,6 +562,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FusionPipeline(cfg)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("key", sorted(
+        k for k in DEFAULTS if k.startswith("init.")))
+    def test_nonpositive_initial_variance(self, key, value):
+        """P0 must factor, or a checkpoint saved before the first IMU
+        step would not load."""
+        cfg = PipelineConfig({key: value})
+        with pytest.raises(ValueError, match=f"^{key} must be > 0"):
+            FusionPipeline(cfg)
+
+    def test_unknown_min_fix_type(self):
+        cfg = PipelineConfig({"gnss.min_fix_type": 7})
+        with pytest.raises(ValueError, match="gnss.min_fix_type"):
+            FusionPipeline(cfg)
+
     def test_coast_position_deflation(self):
         cfg = PipelineConfig({"coast.position_inflation": 0.5})
         with pytest.raises(ValueError):
@@ -944,6 +959,33 @@ class TestGpsNoise:
         assert est.floor.tolist() == floor
         assert np.diag(est.r).tolist() == [max(f, r) for f, r in
                                            zip(floor, [1.0, 1.0, 4.0])]
+
+
+    def test_rank_deficient_innovation_window_keeps_r(self):
+        """Fixes alternating between (1.5, 1.5) and (-1.5, -1.5) m give a
+        window of collinear innovations, whose adapted R does not factor
+        (window 2, alpha 1): each such R is refused and counted, the
+        previous one kept, and the session goes on instead of raising."""
+        origin = EnuOrigin.from_geodetic(
+            GeodeticCoord.from_degrees(42.0, -83.0, 200.0))
+        pipe = FusionPipeline(PipelineConfig({"adaptive.window": 2,
+                                              "adaptive.alpha": 1.0}))
+        for k in range(1000):
+            t = k / 100.0
+            pipe.ingest(imu_at(t))
+            if k % 2 == 0:
+                pipe.ingest(encoder_at(t))
+            if k >= 20 and k % 20 == 0:
+                step = k // 20 - 1
+                side = 0.0 if step == 0 else (1.5 if step % 2 else -1.5)
+                geo = enu_to_geodetic(np.array([side, side, 0.0]), origin)
+                pipe.ingest(GpsFixSample(t, geo.lat, geo.lon, geo.alt))
+                r = pipe.adaptive["gps_pos"].r
+                np.linalg.cholesky(r)
+            assert np.isfinite(pipe.x).all()
+            np.linalg.cholesky(pipe.cov)
+        assert pipe.diagnostics.get("adaptive_rejected_gps_pos", 0) >= 1
+        assert pipe.diagnostics["origin_set"] == 1
 
 
 class TestHeadingAnchor:

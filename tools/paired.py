@@ -16,9 +16,11 @@ both sides' median time (the median over rounds of each round's median)
 and the quartiles of those per-round medians, the relative change (the
 median over rounds of the ratio of the two medians in the round) and the
 share of rounds the change was faster in, then the largest |dx| and |dP|
-between the two pipelines after the last round.  A gain shows when the
-change wins nearly every round and the gap between the two medians exceeds
-the base's interquartile range.
+between the two pipelines after the last round.  ``gain`` is the verdict
+of the rule for claiming a speed-up: at least ten rounds, the change
+faster in at least nine tenths of them (ties count for neither), and the
+base's median above the change's by more than the base's interquartile
+range.
 The last line of standard output is the same result as one JSON object.
 """
 
@@ -101,6 +103,18 @@ def paired_rounds(text: str, config: dict, base, change, rounds: int):
     return times, pipes
 
 
+#: the fewest rounds, and the share of them the change must win, for a gain
+MIN_ROUNDS, MIN_WON = 10, 0.9
+
+
+def gain(base: list, change: list) -> bool:
+    """Whether per-round medians ``change`` show a gain over ``base``."""
+    won = sum(y < x for x, y in zip(base, change))
+    q1, q3 = np.percentile(base, [25, 75])
+    return bool(len(base) >= MIN_ROUNDS and won >= MIN_WON * len(base)
+                and np.median(base) - np.median(change) > q3 - q1)
+
+
 def summarize(times: list, pipes: list) -> dict:
     kinds = {}
     for kind in sorted(times[0][1]):
@@ -118,7 +132,8 @@ def summarize(times: list, pipes: list) -> dict:
                        "change_q3_ms": float(change_q3),
                        "change": float(ratio) - 1.0,
                        "won": sum(y < x for x, y in zip(base, change))
-                       / len(times)}
+                       / len(times),
+                       "gain": gain(base, change)}
     base_pipe, change_pipe = pipes
     return {"kinds": kinds,
             "max_dx": float(np.max(np.abs(change_pipe.x - base_pipe.x))),
@@ -147,12 +162,13 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}, {args.rounds} rounds, scale "
           f"{args.scale}: base {args.base}")
     print(f"  {'kind':<8} {'events':>7} {'base ms (q1-q3)':>26} "
-          f"{'change ms (q1-q3)':>26} {'change':>8} {'won':>5}")
+          f"{'change ms (q1-q3)':>26} {'change':>8} {'won':>5} {'gain':>5}")
     for kind, row in result["kinds"].items():
         sides = [f"{row[f'{side}_ms']:.4f} ({row[f'{side}_q1_ms']:.4f}-"
                  f"{row[f'{side}_q3_ms']:.4f})" for side in ("base", "change")]
         print(f"  {kind:<8} {row['events']:>7} {sides[0]:>26} "
-              f"{sides[1]:>26} {row['change']:>+8.1%} {row['won']:>5.0%}")
+              f"{sides[1]:>26} {row['change']:>+8.1%} {row['won']:>5.0%} "
+              f"{str(row['gain']).lower():>5}")
     print(f"  final max |dx| {result['max_dx']:.3g}, "
           f"max |dP| {result['max_dp']:.3g}")
     print(json.dumps(result))
