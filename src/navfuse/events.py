@@ -12,21 +12,51 @@ appear later in the file than their stamp).  Column sets per kind:
     radar    vx vy
     vslam    px py pz qw qx qy qz c_px c_py c_pz c_r c_p c_y
 
-An absent GPS DOP, satellite count or error CI is written as -1, and any
-negative value in those columns reads back as absent; present DOPs and CIs
-are strictly positive.  A VSLAM covariance diagonal is all present or all
--1 (absent); one with only some values negative reaches the pipeline, which
-drops it as malformed.  Floats are written with full round-trip precision
-so replays are byte-identical.
+``SCHEMA``, which the codec and the pipeline's ingest check walk, is the one
+declaration of these payloads, each field declared on its dataclass
+(``_payload``).  An absent GPS DOP, satellite count, error CI or VSLAM
+covariance diagonal is -1 in each column; present DOPs and CIs are > 0, and
+a diagonal with only some values negative reaches the pipeline, which drops
+it as malformed.  The GPS receiver covariance has no column: only the API
+carries it.  Floats are written with full round-trip precision so replays
+are byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from enum import IntEnum
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    TextIO, Union)
 
 import numpy as np
+
+#: how the text holds an absent field: -1 in each column (any negative value,
+#: all of a vector's, reads as absent); left out (last field only); no column
+NEGATIVE, OMITTED, NO_COLUMN = "negative", "omitted", "no column"
+
+
+class Payload(NamedTuple):
+    """One payload field, as ``_payload`` declares it on its dataclass."""
+
+    shape: tuple[int, ...] = ()       # () for a scalar
+    absent: Optional[str] = None      # None: it may not be absent
+    values: Optional[tuple] = None    # the only values it may take
+    read: Callable = float            # its column's value as the field's
+    write: Callable = float           # the field's value as its column's
+    name: str = ""                    # the dataclass field's, by ``_stream``
+
+
+def _payload(*args, default=MISSING, **kw):
+    return field(default=default, metadata={"payload": Payload(*args, **kw)})
+
+
+def _whole(value: float) -> int:
+    """``value`` as an int, which it must equal: no truncation."""
+    if not value.is_integer():
+        raise ValueError(f"{value} is not a whole number")
+    return int(value)
 
 
 class FixType(IntEnum):
@@ -40,58 +70,62 @@ class FixType(IntEnum):
 @dataclass
 class ImuSample:
     stamp: float
-    gyro: np.ndarray
-    accel: np.ndarray
-    orientation: Optional[np.ndarray] = None
+    gyro: np.ndarray = _payload((3,))
+    accel: np.ndarray = _payload((3,))
+    orientation: Optional[np.ndarray] = _payload((4,), OMITTED, default=None)
     source: int = 1  # 1 = primary (drives the clock), 2 = secondary
 
 
 @dataclass
 class EncoderSample:
     stamp: float
-    velocity: np.ndarray  # body (vx, vy)
-    yaw_rate: float
+    velocity: np.ndarray = _payload((2,))  # body (vx, vy)
+    yaw_rate: float = _payload()
 
 
 @dataclass
 class GpsFixSample:
     stamp: float
-    lat: float  # rad
-    lon: float  # rad
-    alt: float
-    fix_type: FixType = FixType.GPS
-    hdop: float = 1.0
-    vdop: float = 1.0
-    satellites: int = 8
-    err_horz: Optional[float] = None  # 95% CI, m
-    err_vert: Optional[float] = None
-    covariance: Optional[np.ndarray] = None  # full 3x3 ENU, m^2
+    lat: float = _payload(read=math.radians, write=math.degrees)  # rad
+    lon: float = _payload(read=math.radians, write=math.degrees)  # rad
+    alt: float = _payload()
+    fix_type: FixType = _payload(values=tuple(FixType), default=FixType.GPS,
+                                 read=lambda v: FixType(_whole(v)))
+    hdop: float = _payload(absent=NEGATIVE, default=1.0)
+    vdop: float = _payload(absent=NEGATIVE, default=1.0)
+    satellites: int = _payload(absent=NEGATIVE, read=_whole, default=8)
+    # 95% CI, m
+    err_horz: Optional[float] = _payload(absent=NEGATIVE, default=None)
+    err_vert: Optional[float] = _payload(absent=NEGATIVE, default=None)
+    # full 3x3 ENU, m^2
+    covariance: Optional[np.ndarray] = _payload((3, 3), NO_COLUMN,
+                                                default=None)
 
     def __post_init__(self):
-        if self.hdop is not None and self.hdop <= 0:
-            raise ValueError("hdop must be > 0")
-        if self.vdop is not None and self.vdop <= 0:
-            raise ValueError("vdop must be > 0")
+        for dop in (self.hdop, self.vdop):
+            if dop is not None and dop <= 0:
+                raise ValueError(f"a DOP of {dop} is not > 0")
 
 
 @dataclass
 class GpsVelocitySample:
     stamp: float
-    velocity_en: np.ndarray  # world (east, north)
+    velocity_en: np.ndarray = _payload((2,))  # world (east, north)
 
 
 @dataclass
 class RadarVelocitySample:
     stamp: float
-    velocity_body: np.ndarray  # body (forward, lateral)
+    velocity_body: np.ndarray = _payload((2,))  # body (forward, lateral)
 
 
 @dataclass
 class VslamPoseSample:
     stamp: float
-    position: np.ndarray
-    quaternion: np.ndarray
-    cov_diag: Optional[np.ndarray] = None  # (px, py, pz, about pose x, y, z)
+    position: np.ndarray = _payload((3,))
+    quaternion: np.ndarray = _payload((4,))
+    # (px, py, pz, about pose x, y, z)
+    cov_diag: Optional[np.ndarray] = _payload((6,), NEGATIVE, default=None)
 
 
 SensorEvent = Union[
@@ -104,6 +138,57 @@ SensorEvent = Union[
 ]
 
 
+class Stream(NamedTuple):
+    """One kind's payload: sample type, fields in column order, rotation
+    field (its norm finite and nonzero), the IMU ``source`` it stands for,
+    column counts and ``decode(stamp, vals)``, compiled so a line costs what
+    a hand-written reader would: ``encoder``'s is ``sample(stamp,
+    velocity(vals[0:2]), vals[2])``, ``velocity`` bound to ``np.array``."""
+
+    sample: type
+    fields: tuple[Payload, ...]
+    rotation: Optional[str]
+    source: Optional[int]
+    counts: tuple[int, ...]
+    decode: Callable
+
+
+def _stream(sample: type, rotation=None, source=None) -> Stream:
+    payload = tuple(f.metadata["payload"]._replace(name=f.name)
+                    for f in fields(sample) if "payload" in f.metadata)
+    scope, args, counts, start = {"sample": sample}, [], (), 0
+    for shape, absent, _, read, _, name in payload:
+        if absent == NO_COLUMN:
+            continue
+        stop = start + math.prod(shape)
+        cols = f"vals[{start}:{stop}]" if shape else f"vals[{start}]"
+        scope[name] = np.array if shape else read
+        value = cols if read is float and not shape else f"{name}({cols})"
+        if absent == OMITTED:
+            counts = (start,)
+            value += f" if len(vals) == {stop} else None"
+        elif absent == NEGATIVE:
+            test = f"all(v < 0 for v in {cols})" if shape else f"{cols} < 0"
+            value = f"None if {test} else {value}"
+        args.append(value)
+        start = stop
+    if source is not None:
+        args.append(f"source={source}")
+    return Stream(sample, payload, rotation, source, counts + (start,), eval(
+        f"lambda stamp, vals: sample(stamp, {', '.join(args)})", scope))
+
+
+SCHEMA: dict[str, Stream] = {
+    "imu": _stream(ImuSample, "orientation", source=1),
+    "imu2": _stream(ImuSample, "orientation", source=2),
+    "encoder": _stream(EncoderSample),
+    "gps": _stream(GpsFixSample),
+    "gps_vel": _stream(GpsVelocitySample),
+    "radar": _stream(RadarVelocitySample),
+    "vslam": _stream(VslamPoseSample, "quaternion"),
+}
+
+
 class StreamFormatError(ValueError):
     """Raised with the offending line number on a malformed stream record."""
 
@@ -114,13 +199,8 @@ def format_row(values: Iterable[float]) -> str:
     return " ".join(repr(float(v)) for v in values)
 
 
-_KIND_OF_TYPE = {
-    EncoderSample: "encoder",
-    GpsFixSample: "gps",
-    GpsVelocitySample: "gps_vel",
-    RadarVelocitySample: "radar",
-    VslamPoseSample: "vslam",
-}
+_KIND_OF_TYPE = {stream.sample: kind for kind, stream in SCHEMA.items()
+                 if stream.source is None}
 
 
 def event_kind(event: SensorEvent) -> str:
@@ -135,101 +215,49 @@ def event_kind(event: SensorEvent) -> str:
 
 
 def event_to_line(event: SensorEvent) -> str:
+    """``event`` as a stream line; ValueError for an IMU sample whose
+    source names no stream kind."""
     kind = event_kind(event)
-    if kind in ("imu", "imu2"):
-        cols = list(event.gyro) + list(event.accel)
-        if event.orientation is not None:
-            cols += list(event.orientation)
-    elif kind == "encoder":
-        cols = [event.velocity[0], event.velocity[1], event.yaw_rate]
-    elif kind == "gps":
-        cols = [
-            np.degrees(event.lat),
-            np.degrees(event.lon),
-            event.alt,
-            int(event.fix_type),
-            -1.0 if event.hdop is None else event.hdop,
-            -1.0 if event.vdop is None else event.vdop,
-            -1 if event.satellites is None else event.satellites,
-            -1.0 if event.err_horz is None else event.err_horz,
-            -1.0 if event.err_vert is None else event.err_vert,
-        ]
-    elif kind == "gps_vel":
-        cols = event.velocity_en
-    elif kind == "radar":
-        cols = event.velocity_body
-    else:
-        cov = event.cov_diag if event.cov_diag is not None else [-1.0] * 6
-        cols = list(event.position) + list(event.quaternion) + list(cov)
+    stream = SCHEMA[kind]
+    if stream.source is not None and event.source != stream.source:
+        raise ValueError(f"IMU source {event.source!r} is neither 1 nor 2")
+    cols = []
+    for shape, absent, _, _, write, name in stream.fields:
+        value = getattr(event, name)
+        if absent == NO_COLUMN or value is None and absent == OMITTED:
+            continue
+        if value is None and absent == NEGATIVE:  # -1 in each column
+            value = [-1.0] * math.prod(shape) if shape else -1.0
+        cols += list(value) if shape else [write(value)]
     return f"{event.stamp!r} {kind} {format_row(cols)}"
-
-
-def _parse_floats(parts: list[str], lineno: int) -> list[float]:
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise StreamFormatError(f"line {lineno}: bad number") from exc
-
-
-def _whole(value: float) -> int:
-    """``value`` as an int, which it must equal: no truncation."""
-    if not value.is_integer():
-        raise ValueError(f"{value} is not a whole number")
-    return int(value)
-
-
-#: the payload column counts each stream kind accepts
-_COLUMNS = {"imu": (6, 10), "imu2": (6, 10), "encoder": (3,), "gps": (9,),
-            "gps_vel": (2,), "radar": (2,), "vslam": (13,)}
 
 
 def line_to_event(line: str, lineno: int = 0) -> SensorEvent:
     parts = line.split()
     if len(parts) < 3:
         raise StreamFormatError(f"line {lineno}: too few columns")
+    kind = parts[1]
     try:
         stamp = float(parts[0])
     except ValueError as exc:
         raise StreamFormatError(f"line {lineno}: bad stamp") from exc
-    kind = parts[1]
-    vals = _parse_floats(parts[2:], lineno)
-    if kind not in _COLUMNS:
+    try:
+        vals = [float(p) for p in parts[2:]]
+    except ValueError as exc:
+        raise StreamFormatError(f"line {lineno}: bad number") from exc
+    stream = SCHEMA.get(kind)
+    if stream is None:
         raise StreamFormatError(f"line {lineno}: unknown sensor kind {kind!r}")
-    if len(vals) not in _COLUMNS[kind]:
-        counts = " or ".join(map(str, _COLUMNS[kind]))
+    if len(vals) not in stream.counts:
+        counts = " or ".join(map(str, stream.counts))
         raise StreamFormatError(f"line {lineno}: {kind} needs {counts} cols")
-    if kind in ("imu", "imu2"):
-        orient = np.array(vals[6:10]) if len(vals) == 10 else None
-        return ImuSample(stamp, np.array(vals[0:3]), np.array(vals[3:6]),
-                         orient, source=1 if kind == "imu" else 2)
-    if kind == "encoder":
-        return EncoderSample(stamp, np.array(vals[0:2]), vals[2])
-    if kind == "gps":
-        try:
-            return GpsFixSample(
-                stamp,
-                np.radians(vals[0]),
-                np.radians(vals[1]),
-                vals[2],
-                FixType(_whole(vals[3])),
-                None if vals[4] < 0 else vals[4],
-                None if vals[5] < 0 else vals[5],
-                None if vals[6] < 0 else _whole(vals[6]),
-                None if vals[7] < 0 else vals[7],
-                None if vals[8] < 0 else vals[8],
-            )
-        except (ValueError, OverflowError) as exc:
-            # an unknown fix type, a fractional, NaN or infinite fix type or
-            # satellite count, or a DOP <= 0
-            raise StreamFormatError(f"line {lineno}: bad gps record: {exc}") \
-                from exc
-    if kind == "gps_vel":
-        return GpsVelocitySample(stamp, np.array(vals))
-    if kind == "radar":
-        return RadarVelocitySample(stamp, np.array(vals))
-    cov = np.array(vals[7:13])
-    return VslamPoseSample(stamp, np.array(vals[0:3]), np.array(vals[3:7]),
-                           None if np.all(cov < 0) else cov)
+    try:
+        return stream.decode(stamp, vals)
+    except ValueError as exc:
+        # an unknown fix type, a fractional, NaN or infinite fix type or
+        # satellite count, or a DOP <= 0
+        raise StreamFormatError(f"line {lineno}: bad {kind} record: {exc}") \
+            from exc
 
 
 def write_stream(events: Iterable[SensorEvent], sink: TextIO) -> int:

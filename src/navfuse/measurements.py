@@ -253,16 +253,16 @@ def screen_gps_fix(
     coordinates lie outside the geodetic range is screened out too, so it
     can neither set the ENU origin nor reach the engine, and so is one
     whose receiver covariance is not symmetric positive-definite, whose
-    95% error bounds are not positive, or that gives no noise source for
-    ``gps_fix_to_measurement``: no covariance, no pair of error bounds and
-    no pair of DOPs."""
+    95% error bounds or DOPs are not positive, or that gives no noise
+    source for ``gps_fix_to_measurement``: no covariance, no pair of error
+    bounds and no pair of DOPs."""
     if not (-np.pi / 2 <= fix.lat <= np.pi / 2
             and -np.pi <= fix.lon <= np.pi):
         return f"latitude {fix.lat} or longitude {fix.lon} rad out of range"
-    for bound in (fix.err_horz, fix.err_vert):
-        if bound is not None and not bound > 0.0:
-            return f"error bound {bound} m is not positive"
-    if fix.covariance is not None:  # 3x3, which ``pipeline.SENSORS`` checks
+    for scale in (fix.err_horz, fix.err_vert, fix.hdop, fix.vdop):
+        if scale is not None and not scale > 0.0:
+            return f"error bound or DOP {scale} is not positive"
+    if fix.covariance is not None:  # 3x3, as ``events.SCHEMA`` declares
         r = np.asarray(fix.covariance, dtype=float)
         if not np.allclose(r, r.T, rtol=1e-9, atol=0.0):
             return "receiver covariance is not symmetric"

@@ -3,17 +3,11 @@
 Events are processed strictly in arrival order by one consumer, so a recorded
 sequence always gives the same output.  ``SENSORS`` holds the per-sensor
 policy, one row per stream kind (``events.event_kind``): the switch that
-enables the sensor and the counter a disabled event bumps, the payload fields
-with the shape each must have (all must be finite, and so must the stamp, a
-real scalar), the quaternion field whose norm must be finite and nonzero,
-whether it needs the IMU clock, and its plan and commit.  Only the fields a
-row marks ``optional`` may be None, meaning absent: IMU orientation, the VSLAM
-covariance diagonal, and the GPS DOPs, satellite count, error bounds and
-covariance.  A None in any other field is malformed, and so is a GPS
-``fix_type`` other than a ``FixType`` value.  ``ingest`` makes these checks
-in that order and answers the first failure with a dropped-event report,
-before the session changes; so does the VSLAM plan for a pose with a
-negative variance.
+enables the sensor and the counter a disabled event bumps, whether it needs
+the IMU clock, and its plan and commit.  ``ingest`` checks the switch, the
+stamp and the payload ``events.SCHEMA`` declares (``_payload_fault``), then
+the clock, and drops the event at the first failure, before the session
+changes, as the VSLAM plan drops a pose with a negative variance.
 
 The session holds the state as the flat 23-vector ``x`` and its covariance
 ``cov``.  After every event ``cov`` is exactly symmetric, its angular-rate
@@ -128,6 +122,7 @@ from .core import (
     quat_rotate,
 )
 from .events import (
+    SCHEMA,
     EncoderSample,
     FixType,
     GpsFixSample,
@@ -135,6 +130,7 @@ from .events import (
     ImuSample,
     RadarVelocitySample,
     SensorEvent,
+    Stream,
     VslamPoseSample,
     event_kind,
 )
@@ -172,7 +168,7 @@ def zupt_trigger(last_encoder_speed: Optional[float],
             and last_imu_rate < rate_threshold)
 
 
-#: (counter, reason) of an event whose payload fails the sensor table
+#: (counter, reason) of an event whose payload fails its declaration
 _MALFORMED = ("dropped_malformed", "malformed {}")
 _NONFINITE = ("dropped_nonfinite", "non-finite {}")
 _DEGENERATE = ("dropped_degenerate_quaternion", "degenerate {} quaternion")
@@ -180,37 +176,36 @@ _DEGENERATE = ("dropped_degenerate_quaternion", "degenerate {} quaternion")
 #: than the ring
 _BEFORE_CLOCK = ("dropped_before_clock", "no imu clock yet")
 _TOO_OLD = ("retro_dropped_too_old", "older than replay buffer")
-#: the values a GPS ``fix_type`` may take: any other is malformed
-_FIX_TYPES = tuple(FixType)
 #: the types a stamp may have: a Python or numpy real scalar
 _REAL = (float, int, np.floating, np.integer)
 
 
-def _payload_fault(event: SensorEvent, row: "SensorPolicy"
+def _payload_fault(event: SensorEvent, stream: Stream
                    ) -> Optional[tuple[str, str]]:
-    """One pass over the row's fields: ``_MALFORMED`` when the stamp is no
-    real scalar (``_REAL``) or a field lacks its shape (a non-array's is
-    ()), is None without being ``optional``, or is a ``fix_type`` that
-    equals no ``FixType`` value, else ``_NONFINITE`` when the stamp, as a
-    float, or a field is not finite, else ``_DEGENERATE`` when the
-    ``quaternion`` field is too short to normalize (``quat_normalize``) or
-    too long for its norm to be finite, else None.  The norm is one
-    ``np.vdot``, which warns of no overflow."""
-    if not isinstance(event.stamp, _REAL):
+    """One pass over the kind's fields (``events.Stream``): ``_MALFORMED``
+    when the stamp is no real scalar (``_REAL``), an IMU's source is not the
+    kind's, or a field lacks its shape (a non-array's is ()), is None where
+    it may not be absent or is none of its ``values``, else ``_NONFINITE``
+    when the stamp, as a float, or a field is not finite, else
+    ``_DEGENERATE`` when the rotation is too short to normalize
+    (``quat_normalize``) or its norm, one ``np.vdot``, which warns of no
+    overflow, is not finite, else None."""
+    if not isinstance(event.stamp, _REAL) or (
+            stream.source is not None and event.source != stream.source):
         return _MALFORMED
     finite, degenerate = -_MAX <= event.stamp <= _MAX, False  # NaN fails
-    for name, shape in row.shapes.items():
+    for shape, absent, values, _, _, name in stream.fields:
         value = getattr(event, name)
         if value is None:
-            if name in row.optional:
+            if absent is not None:
                 continue
             return _MALFORMED
         if getattr(value, "shape", ()) != shape or (
-                name == "fix_type" and value not in _FIX_TYPES):
+                values is not None and value not in values):
             return _MALFORMED
         if finite:
             finite = all_finite(value) if shape else math.isfinite(value)
-        if finite and name == row.quaternion:
+        if finite and name == stream.rotation:
             norm = math.sqrt(np.vdot(value, value))
             degenerate = not QUAT_NORM_MIN <= norm < math.inf
     if not finite:
@@ -311,7 +306,7 @@ class FusionPipeline:
         self._zupt_model = meas.zupt_model(cfg["zupt.sigma"],
                                            cfg["gates.zupt"])
         self._zupt_update = (_ZERO_VELOCITY, self._zupt_model, 1.0)
-        if cfg["gnss.min_fix_type"] not in _FIX_TYPES:
+        if cfg["gnss.min_fix_type"] not in tuple(FixType):
             raise ValueError("gnss.min_fix_type must be a FixType value, "
                              f"not {cfg['gnss.min_fix_type']}")
         self._min_fix_type = FixType(cfg["gnss.min_fix_type"])
@@ -536,7 +531,7 @@ class FusionPipeline:
         if row.enable_key is not None and not self.config[row.enable_key]:
             return self._drop(event.stamp, kind, row.disabled_counter,
                               f"{kind} disabled")
-        fault = _payload_fault(event, row)
+        fault = _payload_fault(event, SCHEMA[kind])
         if fault is not None:
             counter, reason = fault
             return self._drop(event.stamp, kind, counter, reason.format(kind))
@@ -1012,55 +1007,31 @@ class SensorPolicy:
 
     enable_key: Optional[str]         # None: the sensor is always on
     disabled_counter: Optional[str]
-    shapes: dict[str, tuple[int, ...]]  # payload field: its shape
     needs_clock: bool
     plan: Optional[Callable[..., Plan | tuple[str, str]]]
     commit: Optional[Callable[..., None]] = None  # None: no side effect
-    #: the payload's rotation field, whose norm must be finite and nonzero
-    quaternion: Optional[str] = None
     delayed: bool = False             # late: fused at its stamp
-    #: the payload fields that may be None, meaning absent; a None in any
-    #: other field drops the event as malformed
-    optional: frozenset[str] = frozenset()
 
-
-_IMU_FIELDS = {"gyro": (3,), "accel": (3,), "orientation": (4,)}
-_IMU_OPTIONAL = frozenset({"orientation"})
 
 SENSORS: dict[str, SensorPolicy] = {
     # the primary IMU starts the clock and is always on
-    "imu": SensorPolicy(None, None, _IMU_FIELDS, False, None,
-                        quaternion="orientation", optional=_IMU_OPTIONAL),
-    "imu2": SensorPolicy("imu2.enabled", "dropped_imu2_disabled",
-                         _IMU_FIELDS, True, FusionPipeline._plan_imu2,
-                         quaternion="orientation", optional=_IMU_OPTIONAL),
+    "imu": SensorPolicy(None, None, False, None),
+    "imu2": SensorPolicy("imu2.enabled", "dropped_imu2_disabled", True,
+                         FusionPipeline._plan_imu2),
     "encoder": SensorPolicy("encoder.enabled", "dropped_encoder_disabled",
-                            {"velocity": (2,), "yaw_rate": ()}, True,
-                            FusionPipeline._plan_encoder,
+                            True, FusionPipeline._plan_encoder,
                             FusionPipeline._commit_encoder),
     # the first fix sets the origin without the clock; the plan checks
     # the clock after that
-    "gps": SensorPolicy("gnss.enabled", "dropped_gnss_disabled",
-                        {**dict.fromkeys(("lat", "lon", "alt", "fix_type",
-                                          "hdop", "vdop", "satellites",
-                                          "err_horz", "err_vert"), ()),
-                         "covariance": (3, 3)}, False,
+    "gps": SensorPolicy("gnss.enabled", "dropped_gnss_disabled", False,
                         FusionPipeline._plan_gps_fix,
-                        FusionPipeline._commit_gps_fix, delayed=True,
-                        optional=frozenset({"hdop", "vdop", "satellites",
-                                            "err_horz", "err_vert",
-                                            "covariance"})),
+                        FusionPipeline._commit_gps_fix, delayed=True),
     "gps_vel": SensorPolicy("gnss.velocity_enabled",
-                            "dropped_gps_vel_disabled", {"velocity_en": (2,)},
-                            True, FusionPipeline._plan_gps_velocity,
-                            delayed=True),
-    "radar": SensorPolicy("radar.enabled", "dropped_radar_disabled",
-                          {"velocity_body": (2,)}, True,
+                            "dropped_gps_vel_disabled", True,
+                            FusionPipeline._plan_gps_velocity, delayed=True),
+    "radar": SensorPolicy("radar.enabled", "dropped_radar_disabled", True,
                           FusionPipeline._plan_radar),
-    "vslam": SensorPolicy("vslam.enabled", "dropped_vslam_disabled",
-                          {"position": (3,), "quaternion": (4,),
-                           "cov_diag": (6,)}, True,
+    "vslam": SensorPolicy("vslam.enabled", "dropped_vslam_disabled", True,
                           FusionPipeline._plan_vslam,
-                          FusionPipeline._commit_vslam, "quaternion",
-                          delayed=True, optional=frozenset({"cov_diag"})),
+                          FusionPipeline._commit_vslam, delayed=True),
 }

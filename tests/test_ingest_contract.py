@@ -24,9 +24,9 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from navfuse.config import PipelineConfig
-from navfuse.events import (FixType, GpsFixSample, VslamPoseSample,
+from navfuse.events import (NEGATIVE, NO_COLUMN, SCHEMA, GpsFixSample,
                              event_kind, event_to_line, line_to_event)
-from navfuse.pipeline import SENSORS, FusionPipeline, StepReport
+from navfuse.pipeline import FusionPipeline, StepReport
 from navfuse.simulator import SimScenario, generate
 
 CONFIG = {"imu2.enabled": True, "gnss.velocity_enabled": True,
@@ -53,7 +53,7 @@ VALUES = [*STAMPS, None, "short"]
 
 
 def fields_of(event):
-    return ["stamp", *SENSORS[event_kind(event)].shapes]
+    return ["stamp", *(f.name for f in SCHEMA[event_kind(event)].fields)]
 
 
 def mutated(event, name, value, where):
@@ -144,36 +144,30 @@ def test_any_stream_keeps_a_valid_session_that_resumes_bit_for_bit(ops,
 
 def codec_holds(event):
     """Whether the text format can hold every field of ``event``: a float
-    stamp, each field in its shape, None only where the format has an
-    absent marker, and no value it reads as absent or refuses.  The format
-    has no column for a GPS covariance; it reads a negative GPS error
-    bound or satellite count, a DOP that is not positive and VSLAM
-    variances all negative as absent; a fix type must be a ``FixType`` and
-    a satellite count a whole number; and it writes latitude and longitude
-    in degrees, which give back the radians only where the conversions
-    cancel."""
-    row = SENSORS[event_kind(event)]
+    stamp, each field in its declared shape and among the values it is
+    limited to, None only where it may be absent, no value where it has no
+    column (the GPS covariance), and no value the format reads as absent
+    (a negative one where -1 marks absent, all negative for a vector) or
+    refuses.  A DOP of zero is refused and a satellite count must be a
+    whole number; and the format writes latitude and longitude in degrees,
+    which give back the radians only where the conversions cancel."""
     if type(event.stamp) is not float:
         return False
-    for name, shape in row.shapes.items():
+    for shape, absent, values, *_, name in SCHEMA[event_kind(event)].fields:
         value = getattr(event, name)
         if value is None:
-            if name not in row.optional:
+            if absent is None:
                 return False
-        elif name == "covariance" or np.shape(value) != shape:
+        elif (absent == NO_COLUMN or np.shape(value) != shape
+              or absent == NEGATIVE and np.all(np.less(value, 0))
+              or values is not None and value not in values):
             return False
     if isinstance(event, GpsFixSample):
-        bounds = (event.err_horz, event.err_vert, event.satellites)
         sats = event.satellites
         return (all(np.radians(np.degrees(v)) == v or v != v
                     for v in (event.lat, event.lon))
-                and event.fix_type in set(FixType)
-                and not any(v is not None and v < 0 for v in bounds)
-                and not any(v is not None and v <= 0
-                            for v in (event.hdop, event.vdop))
+                and 0 not in (event.hdop, event.vdop)
                 and (sats is None or float(sats).is_integer()))
-    if isinstance(event, VslamPoseSample) and event.cov_diag is not None:
-        return not np.all(event.cov_diag < 0)
     return True
 
 

@@ -1,5 +1,7 @@
 """Smoke test of ``tools/paired.py``: the tree against itself on
-loop_blackout at a twentieth of its length, two rounds (about a second)."""
+loop_blackout at a twentieth of its length, two rounds (about a second),
+its event kinds and its ``parse`` each a row without a gain; two trees
+whose events write back different lines are refused."""
 
 import importlib.util
 import json
@@ -34,7 +36,10 @@ def test_tree_against_itself_is_bit_identical(capsys):
     lines = capsys.readouterr().out.splitlines()
     result = json.loads(lines[-1])
     assert (result["workload"], result["rounds"]) == ("loop_blackout", 2)
-    assert {"imu", "encoder", "gps"} <= set(result["kinds"])
+    assert {"imu", "encoder", "gps", "parse"} <= set(result["kinds"])
+    assert result["kinds"]["parse"]["events"] == sum(
+        row["events"] for kind, row in result["kinds"].items()
+        if kind != "parse")
     for kind, row in result["kinds"].items():
         assert row["events"] > 0
         assert row["base_ms"] > 0.0 and row["change_ms"] > 0.0
@@ -46,6 +51,23 @@ def test_tree_against_itself_is_bit_identical(capsys):
         assert row["gain"] is False
         assert f"  {kind:<8} {row['events']:>7}" in "\n".join(lines[:-1])
     assert result["max_dx"] == result["max_dp"] == 0.0
+
+
+def test_trees_whose_events_write_back_differently_are_refused(
+        monkeypatch):
+    tool = load_tool()
+    workload = tool.workloads.WORKLOADS["loop_blackout"]
+    text = tool.stream_text(workload, 11, 0.01)
+    try:
+        base = tool.load_tree(ROOT)
+        monkeypatch.setattr(sys.modules[f"{tool.ALIAS}.events"],
+                            "event_to_line", lambda event: "")
+        with pytest.raises(ValueError, match="write back different lines"):
+            tool.paired_rounds(text, workload.config, base, tool.navfuse, 1)
+    finally:
+        for name in [n for n in sys.modules
+                     if n.split(".")[0] == tool.ALIAS]:
+            del sys.modules[name]
 
 
 @pytest.mark.parametrize("change, want", [

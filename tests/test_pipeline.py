@@ -16,7 +16,9 @@ from navfuse.events import (
     GpsVelocitySample,
     ImuSample,
     RadarVelocitySample,
+    SCHEMA,
     VslamPoseSample,
+    event_to_line,
 )
 from navfuse.geodesy import EnuOrigin, GeodeticCoord
 from navfuse import pipeline as pipeline_module
@@ -303,6 +305,7 @@ class TestSensorTable:
     def test_one_row_per_stream_kind(self):
         assert set(SENSORS) == {"imu", "imu2", "encoder", "gps", "gps_vel",
                                 "radar", "vslam"}
+        assert set(SCHEMA) == set(SENSORS)
         assert {k: (row.enable_key, row.disabled_counter)
                 for k, row in SENSORS.items() if k != "imu"} == SWITCHES
 
@@ -335,14 +338,14 @@ class TestSensorTable:
         """A finite payload whose x.x overflows passes; one NaN anywhere in
         a (3, 3) field fails."""
         fault = pipeline_module._payload_fault
-        assert fault(imu_at(0.01, gyro=(1e200, 0, 0)), SENSORS["imu"]) is None
+        assert fault(imu_at(0.01, gyro=(1e200, 0, 0)), SCHEMA["imu"]) is None
         cov = np.eye(3)
         cov[1, 2] = np.nan
         fix = gps_at([0, 0, 0], 0.015, covariance=cov)
-        assert fault(fix, SENSORS["gps"]) == ("dropped_nonfinite",
-                                              "non-finite {}")
+        assert fault(fix, SCHEMA["gps"]) == ("dropped_nonfinite",
+                                             "non-finite {}")
         fix.covariance = np.eye(3) * 1e200
-        assert fault(fix, SENSORS["gps"]) is None
+        assert fault(fix, SCHEMA["gps"]) is None
 
     @pytest.mark.parametrize("kind", sorted(SENSORS))
     def test_nonfinite_stamp(self, kind):
@@ -454,7 +457,7 @@ class TestSensorTable:
         ("vslam", "quaternion"),
     ])
     def test_none_in_a_required_field_dropped(self, kind, name):
-        """Only the fields the table marks optional may be None."""
+        """Only the fields that may be absent may be None."""
         pipe = FusionPipeline(PipelineConfig(ALL_ON))
         run(pipe, [imu_at(k * 0.01) for k in range(5)])
         if kind == "gps":
@@ -490,8 +493,9 @@ class TestSensorTable:
         assert session_of(pipe) == before
 
     def test_optional_fields_are_the_absent_ones(self):
-        assert {k: row.optional for k, row in SENSORS.items()
-                if row.optional} == {
+        optional = {k: {f.name for f in stream.fields if f.absent}
+                    for k, stream in SCHEMA.items()}
+        assert {k: names for k, names in optional.items() if names} == {
             "imu": {"orientation"}, "imu2": {"orientation"},
             "vslam": {"cov_diag"},
             "gps": {"hdop", "vdop", "satellites", "err_horz", "err_vert",
@@ -510,6 +514,23 @@ class TestSensorTable:
         assert bumped == {"dropped_malformed": 1}
         assert report.dropped == "malformed gps"
         assert session_of(pipe) == before and pipe.origin is None
+
+    @pytest.mark.parametrize("source", [7, 0, -1, 2.5, None, "x"])
+    def test_imu_source_that_names_no_stream_dropped(self, source):
+        """An IMU sample's source is 1 (``imu``) or 2 (``imu2``); any other
+        is malformed, fused as neither, and written as no stream line."""
+        pipe = FusionPipeline(PipelineConfig(ALL_ON))
+        run(pipe, [imu_at(k * 0.01) for k in range(5)])
+        before = session_of(pipe)
+        event = event_of("imu2", 0.05, 0.3)
+        event.source = source
+        report, bumped = ingest_counting(pipe, event)
+        assert bumped == {"dropped_malformed": 1}
+        assert report.dropped == "malformed imu2"
+        assert not report.updates
+        assert session_of(pipe) == before
+        with pytest.raises(ValueError, match="neither 1 nor 2"):
+            event_to_line(event)
 
     @pytest.mark.parametrize("fix_type, origin_set", [
         (0, False), (1, True), (4.0, True), (np.int64(3), True),
@@ -855,6 +876,23 @@ class TestGps:
         assert report.dropped is not None and not report.updates
         assert bumped == {"gps_quality_rejected": 1}
         assert np.array_equal(pipe.state.as_vector(), before)
+
+    @pytest.mark.parametrize("hdop, vdop, bad", [
+        (-3.0, -1.0, -3.0), (1.0, -2.0, -2.0), (0.0, 1.0, 0.0)])
+    def test_fix_with_nonpositive_dop_is_quality_rejected(self, hdop, vdop,
+                                                          bad):
+        """A DOP set on a built sample is squared into R, so a negative
+        one would pass for its magnitude and a zero one would give R = 0."""
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+        before = session_of(pipe)
+        fix = gps_at([0.0, 0.0, 0.0], 0.5)
+        fix.hdop, fix.vdop = hdop, vdop
+        report, bumped = ingest_counting(pipe, fix)
+        assert bumped == {"gps_quality_rejected": 1}
+        assert report.dropped == f"error bound or DOP {bad} is not positive"
+        assert not report.updates
+        assert session_of(pipe) == before
 
     @pytest.mark.parametrize("noise", [
         {"hdop": 1e-300}, {"err_horz": 1e-300, "err_vert": 1e-300}])

@@ -7,20 +7,22 @@
 Loads the ``navfuse`` on the path (the change) and the ``navfuse`` of the
 base tree's ``src`` under the package name ``navfuse_base``.  One workload
 of ``bench/workloads.py`` (read, never changed) is simulated and written as
-stream text, as the benchmark does, and each package parses that text with
-its own reader.  Each round builds a fresh pipeline from each package and
-feeds both the same stream, alternating their ``ingest`` calls event by
-event (who goes first alternates too), so the two sides share the host's
-state at every moment and host drift cancels out.  Per event kind it prints
-both sides' median time (the median over rounds of each round's median)
-and the quartiles of those per-round medians, the relative change (the
-median over rounds of the ratio of the two medians in the round) and the
-share of rounds the change was faster in, then the largest |dx| and |dP|
-between the two pipelines after the last round.  ``gain`` is the verdict
-of the rule for claiming a speed-up: at least ten rounds, the change
-faster in at least nine tenths of them (ties count for neither), and the
-base's median above the change's by more than the base's interquartile
-range.
+stream text, as the benchmark does.  Each round, each package parses that
+text with its own reader, timed whole (who goes first alternates), and
+the two packages' events must write back the same lines.  Then the round
+builds a fresh pipeline from each package and feeds both the same stream,
+alternating their ``ingest`` calls event by event (who goes first
+alternates too), so the two sides share the host's state at every moment
+and host drift cancels out.  Per event kind, and for the ``parse`` of the
+whole stream, it prints both sides' median time (the median over rounds
+of each round's median) and the quartiles of those per-round medians, the
+relative change (the median over rounds of the ratio of the two medians
+in the round) and the share of rounds the change was faster in, then the
+largest |dx| and |dP| between the two pipelines after the last round.
+``gain`` is the verdict of the rule for claiming a speed-up: at least ten
+rounds, the change faster in at least nine tenths of them (ties count for
+neither), and the base's median above the change's by more than the
+base's interquartile range.
 The last line of standard output is the same result as one JSON object.
 """
 
@@ -75,19 +77,31 @@ def stream_text(workload, seed: int, scale: float) -> str:
 
 
 def paired_rounds(text: str, config: dict, base, change, rounds: int):
-    """Per round and event kind, each side's event times in seconds, and
-    the two pipelines of the last round."""
+    """Per round, each side's times in seconds: per event kind, of each
+    event, and under ``parse``, of parsing ``text`` once; and the two
+    pipelines of the last round."""
     packages = (base, change)
     events = [importlib.import_module(f"{p.__name__}.events")
               for p in packages]
-    streams = [list(e.read_stream(io.StringIO(text))) for e in events]
-    kinds = [events[1].event_kind(event) for event in streams[1]]
     clock = time.perf_counter_ns
     times = []
     for r in range(rounds):
+        spent = [defaultdict(list), defaultdict(list)]
+        streams = [None, None]
+        for s in ((0, 1) if r % 2 == 0 else (1, 0)):
+            gc.collect()
+            t0 = clock()
+            streams[s] = list(events[s].read_stream(io.StringIO(text)))
+            spent[s]["parse"].append((clock() - t0) * 1e-9)
+        if r == 0:
+            lines = [list(map(e.event_to_line, stream))
+                     for e, stream in zip(events, streams)]
+            if lines[0] != lines[1]:
+                raise ValueError("the two trees' events write back "
+                                 "different lines")
+            kinds = [events[1].event_kind(event) for event in streams[1]]
         pipes = [p.FusionPipeline(p.PipelineConfig(dict(config)))
                  for p in packages]
-        spent = [defaultdict(list), defaultdict(list)]
         gc.collect()
         gc.disable()
         try:
@@ -117,13 +131,16 @@ def gain(base: list, change: list) -> bool:
 
 def summarize(times: list, pipes: list) -> dict:
     kinds = {}
+    n_events = sum(len(t) for kind, t in times[0][1].items()
+                   if kind != "parse")
     for kind in sorted(times[0][1]):
         base = [float(np.median(t[0][kind])) for t in times]
         change = [float(np.median(t[1][kind])) for t in times]
         ratio = np.median(np.divide(change, base))
         (base_q1, base_q3), (change_q1, change_q3) = (
             np.percentile(side, [25, 75]) * 1e3 for side in (base, change))
-        kinds[kind] = {"events": len(times[0][1][kind]),
+        kinds[kind] = {"events": n_events if kind == "parse"
+                       else len(times[0][1][kind]),
                        "base_ms": float(np.median(base)) * 1e3,
                        "base_q1_ms": float(base_q1),
                        "base_q3_ms": float(base_q3),
