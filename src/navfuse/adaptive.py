@@ -19,6 +19,13 @@ seam (``core._cholesky``): ``r0`` floored at construction, an adapted R in
 that does not factor (a window of collinear innovations, which the EMA
 can drive R down to) is refused and the previous R kept; ``observe`` tells
 its caller, which counts it.
+
+A one-dimensional estimator (``encoder_vz``'s, fed on every accepted
+encoder sample) keeps the window's second moment W^T W as the numpy
+product, then runs the EMA and the floor on Python floats, the same IEEE
+steps in the same order, so its R is bit for bit the matrix path's, and
+takes R > 0 for the 1x1 factorization: it refuses the values <= 0 that the
+factorization refuses, and a NaN, which OpenBLAS's factorization passes.
 """
 
 from __future__ import annotations
@@ -108,6 +115,16 @@ class AdaptiveEstimator:
             self._filled += 1
             if self._filled < self.window:
                 return True
+        if self.dim == 1:  # in floats (see the module docstring)
+            r = ((1.0 - self.alpha) * self.r.item()
+                 + self.alpha * ((w.T @ w).item() / self.window))
+            floor = self.floor.item()
+            if r < floor:  # a NaN stays, to be refused
+                r = floor
+            if not r > 0.0:
+                return False
+            self.r = np.array(((r,),))
+            return True
         c_hat = w.T @ w / self.window
         r = self._apply_floor((1.0 - self.alpha) * self.r + self.alpha * c_hat)
         try:

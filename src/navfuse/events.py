@@ -201,13 +201,20 @@ def format_row(values: Iterable[float]) -> str:
 
 _KIND_OF_TYPE = {stream.sample: kind for kind, stream in SCHEMA.items()
                  if stream.source is None}
+#: the types a stamp or an IMU source may have: a Python or numpy real
+#: scalar; a source is tested to be one first, as an array's truth value
+#: is ambiguous
+_REAL = (float, int, np.floating, np.integer)
 
 
 def event_kind(event: SensorEvent) -> str:
     """The stream kind name of an event; an IMU sample's kind follows its
-    source (``imu`` drives the clock, ``imu2`` does not)."""
+    source: ``imu``, which drives the clock, for a real scalar equal to 1,
+    else ``imu2``, which does not (a source other than 2 is malformed)."""
     if isinstance(event, ImuSample):
-        return "imu" if event.source == 1 else "imu2"
+        source = event.source
+        return ("imu" if isinstance(source, _REAL) and source == 1
+                else "imu2")
     try:
         return _KIND_OF_TYPE[type(event)]
     except KeyError:
@@ -219,7 +226,8 @@ def event_to_line(event: SensorEvent) -> str:
     source names no stream kind."""
     kind = event_kind(event)
     stream = SCHEMA[kind]
-    if stream.source is not None and event.source != stream.source:
+    if stream.source is not None and not (isinstance(event.source, _REAL)
+                                          and event.source == stream.source):
         raise ValueError(f"IMU source {event.source!r} is neither 1 nor 2")
     cols = []
     for shape, absent, _, _, write, name in stream.fields:

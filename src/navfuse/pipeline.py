@@ -60,7 +60,11 @@ or error bound whose square underflows) is dropped as
 fixes feed the estimators that adapt; an adapted R that does not factor
 is refused, the path keeping its R, and counted as
 ``adaptive_rejected_<path>``.  The fix is taken at the body origin:
-there is no antenna lever arm.
+there is no antenna lever arm.  The configuration is read once too:
+``_build_models`` resolves every setting an event reads (each kind's
+enable switch, ZUPT's thresholds, the coast values, the GNSS screen and
+heading values, ``vslam.reinit_n``) into one ``_Settings``, so no event
+looks one up.
 
 A fix's course-over-ground heading is read from the chord between it and
 the heading anchor: an earlier accepted fix, with the filter's horizontal
@@ -130,8 +134,8 @@ from .events import (
     ImuSample,
     RadarVelocitySample,
     SensorEvent,
-    Stream,
     VslamPoseSample,
+    _REAL,
     event_kind,
 )
 from .geodesy import EnuOrigin, GeodeticCoord
@@ -176,25 +180,31 @@ _DEGENERATE = ("dropped_degenerate_quaternion", "degenerate {} quaternion")
 #: than the ring
 _BEFORE_CLOCK = ("dropped_before_clock", "no imu clock yet")
 _TOO_OLD = ("retro_dropped_too_old", "older than replay buffer")
-#: the types a stamp may have: a Python or numpy real scalar
-_REAL = (float, int, np.floating, np.integer)
+#: per kind, what ``_payload_fault`` reads of its ``SCHEMA`` entry: the IMU
+#: source, the rotation field, and the fields as plain (shape, absent,
+#: values, name) tuples, which unpack faster than ``Payload`` records
+_CHECKS = {kind: (stream.source, stream.rotation,
+                  tuple((f.shape, f.absent, f.values, f.name)
+                        for f in stream.fields))
+           for kind, stream in SCHEMA.items()}
 
 
-def _payload_fault(event: SensorEvent, stream: Stream
+def _payload_fault(event: SensorEvent, kind: str
                    ) -> Optional[tuple[str, str]]:
-    """One pass over the kind's fields (``events.Stream``): ``_MALFORMED``
-    when the stamp is no real scalar (``_REAL``), an IMU's source is not the
-    kind's, or a field lacks its shape (a non-array's is ()), is None where
-    it may not be absent or is none of its ``values``, else ``_NONFINITE``
-    when the stamp, as a float, or a field is not finite, else
-    ``_DEGENERATE`` when the rotation is too short to normalize
-    (``quat_normalize``) or its norm, one ``np.vdot``, which warns of no
-    overflow, is not finite, else None."""
-    if not isinstance(event.stamp, _REAL) or (
-            stream.source is not None and event.source != stream.source):
+    """One pass over the kind's fields (``_CHECKS``): ``_MALFORMED``
+    when the stamp is no real scalar (``events._REAL``), an IMU's source is
+    not the kind's, or no real scalar either, or a field lacks its shape (a
+    non-array's is ()), is None where it may not be absent or is none of its
+    ``values``, else ``_NONFINITE`` when the stamp, as a float, or a field
+    is not finite, else ``_DEGENERATE`` when the rotation is too short to
+    normalize (``quat_normalize``) or its norm, one ``np.vdot``, which
+    warns of no overflow, is not finite, else None."""
+    source, rotation, checks = _CHECKS[kind]
+    if not isinstance(event.stamp, _REAL) or source is not None and not (
+            isinstance(event.source, _REAL) and event.source == source):
         return _MALFORMED
     finite, degenerate = -_MAX <= event.stamp <= _MAX, False  # NaN fails
-    for shape, absent, values, _, _, name in stream.fields:
+    for shape, absent, values, name in checks:
         value = getattr(event, name)
         if value is None:
             if absent is not None:
@@ -205,7 +215,7 @@ def _payload_fault(event: SensorEvent, stream: Stream
             return _MALFORMED
         if finite:
             finite = all_finite(value) if shape else math.isfinite(value)
-        if finite and name == stream.rotation:
+        if finite and name == rotation:
             norm = math.sqrt(np.vdot(value, value))
             degenerate = not QUAT_NORM_MIN <= norm < math.inf
     if not finite:
@@ -252,6 +262,30 @@ class StepReport:
     zupt: bool = False
     origin_set: bool = False
     dropped: Optional[str] = None
+
+
+@dataclass(frozen=True, slots=True)
+class _Settings:
+    """The settings events read, resolved once from the configuration by
+    ``FusionPipeline._build_models``: held together, so the pipeline keeps
+    at most 30 attributes of its own, past which CPython stops sharing an
+    instance dict's keys and each attribute read slows (timeit, CPython
+    3.11: eight reads 82 -> 97 ns)."""
+
+    enabled: dict[str, bool]  # each kind's switch; True for the primary IMU
+    retro: bool
+    coast_enter_s: float
+    encoder_wz_factor: float
+    gate_relax: float
+    #: ZUPT's trigger thresholds (speed, rate), then its release ones, the
+    #: trigger's times the hysteresis; None when ZUPT is off
+    zupt: Optional[tuple[float, float, float, float]]
+    gps_screen: Callable  # ``meas.screen_gps_fix`` given the gnss.* limits
+    heading_baseline: float
+    #: ``meas.derive_gps_heading`` given the gnss.heading_* values; None
+    #: when GNSS heading is off
+    derive_heading: Optional[Callable]
+    vslam_reinit_n: int
 
 
 class CheckpointError(ValueError):
@@ -309,7 +343,29 @@ class FusionPipeline:
         if cfg["gnss.min_fix_type"] not in tuple(FixType):
             raise ValueError("gnss.min_fix_type must be a FixType value, "
                              f"not {cfg['gnss.min_fix_type']}")
-        self._min_fix_type = FixType(cfg["gnss.min_fix_type"])
+        thr_s, thr_r = cfg["zupt.speed_threshold"], cfg["zupt.rate_threshold"]
+        hyst = cfg["zupt.hysteresis"]
+        baseline = cfg["gnss.heading_min_baseline"]
+        self._settings = _Settings(
+            enabled={kind: row.enable_key is None or cfg[row.enable_key]
+                     for kind, row in SENSORS.items()},
+            retro=cfg["retro.enabled"],
+            coast_enter_s=cfg["coast.enter_s"],
+            encoder_wz_factor=cfg["coast.encoder_wz_factor"],
+            gate_relax=cfg["coast.gate_relax"],
+            zupt=((thr_s, thr_r, hyst * thr_s, hyst * thr_r)
+                  if cfg["zupt.enabled"] else None),
+            gps_screen=partial(meas.screen_gps_fix,
+                               min_fix_type=FixType(cfg["gnss.min_fix_type"]),
+                               max_hdop=cfg["gnss.max_hdop"],
+                               min_satellites=cfg["gnss.min_satellites"]),
+            heading_baseline=baseline,
+            derive_heading=partial(
+                meas.derive_gps_heading, min_baseline=baseline,
+                min_speed=cfg["gnss.heading_min_speed"],
+                sigma_floor=cfg["gnss.heading_sigma_floor"])
+            if cfg["gnss.heading_enabled"] else None,
+            vslam_reinit_n=cfg["vslam.reinit_n"])
         # each fix, course and pose sets its model's R before its update: a
         # pose's is its variances, else the configured ones, floored
         self._gps_model = meas.gps_position_model(np.eye(3),
@@ -447,7 +503,7 @@ class FusionPipeline:
         """Plan, fuse and commit one event (see the module docstring)."""
         stamp, ring = event.stamp, self.ring
         x, coast_active = self.x, self.coast.active
-        late = (row.delayed and self.config["retro.enabled"]
+        late = (row.delayed and self._settings.retro
                 and ring.last_stamp is not None and stamp < ring.last_stamp)
         if late:  # the snapshot at the stamp, None when older than the ring
             idx = ring.nearest_at_or_before(stamp)
@@ -494,30 +550,28 @@ class FusionPipeline:
         return self._report(stamp, kind, dropped=reason)
 
     def _update_coast(self, now: float) -> None:
-        cfg = self.config
         if self.coast.last_accept is None:
             self.coast.last_accept = now
         was_active = self.coast.active
         # a Python bool even for numpy stamps: it indexes ``_modes`` and a
         # checkpoint holds it
         self.coast.active = bool(now - self.coast.last_accept
-                                 > cfg["coast.enter_s"])
+                                 > self._settings.coast_enter_s)
         if self.coast.active and not was_active:
             self.coast.relax_armed = True
             self._heading_anchor = None
             self._count("coast_entries")
 
     def _update_zupt(self) -> None:
-        cfg = self.config
-        if not cfg["zupt.enabled"]:
+        thresholds = self._settings.zupt
+        if thresholds is None:
             self._zupt_active = False
             return
         # the trigger needs both readings, so ZUPT is never held without them
         speed, rate = self._last_encoder_speed, self._last_imu_rate
-        hyst = cfg["zupt.hysteresis"]
-        thr_s, thr_r = cfg["zupt.speed_threshold"], cfg["zupt.rate_threshold"]
+        thr_s, thr_r, release_s, release_r = thresholds
         if self._zupt_active:
-            if speed > hyst * thr_s or rate > hyst * thr_r:
+            if speed > release_s or rate > release_r:
                 self._zupt_active = False
         else:
             self._zupt_active = zupt_trigger(speed, rate, thr_s, thr_r)
@@ -528,10 +582,10 @@ class FusionPipeline:
     def ingest(self, event: SensorEvent) -> StepReport:
         kind = event_kind(event)
         row = SENSORS[kind]
-        if row.enable_key is not None and not self.config[row.enable_key]:
+        if row.enable_key is not None and not self._settings.enabled[kind]:
             return self._drop(event.stamp, kind, row.disabled_counter,
                               f"{kind} disabled")
-        fault = _payload_fault(event, SCHEMA[kind])
+        fault = _payload_fault(event, kind)
         if fault is not None:
             counter, reason = fault
             return self._drop(event.stamp, kind, counter, reason.format(kind))
@@ -657,7 +711,7 @@ class FusionPipeline:
         if self.coast.active:
             # coasting leans on the bias-corrected encoder yaw rate for
             # heading, so its noise is tightened by this factor
-            odometry.r[2, 2] *= self.config["coast.encoder_wz_factor"]
+            odometry.r[2, 2] *= self._settings.encoder_wz_factor
         # the odometry reading, then the vertical velocity it implies: zero
         z = np.array([sample.velocity[0], sample.velocity[1],
                       sample.yaw_rate, 0.0])
@@ -665,8 +719,9 @@ class FusionPipeline:
 
     def _commit_encoder(self, sample: EncoderSample, x, records, carry):
         self._last_encoder_speed = abs(float(sample.velocity[0]))
+        adaptive = self.adaptive
         for rec in records:  # one per block, each an adaptive path
-            if rec.accepted:
+            if rec.accepted and adaptive[rec.path].enabled:
                 self._observe(rec.path, rec.innovation)
         self._update_zupt()
 
@@ -682,10 +737,8 @@ class FusionPipeline:
         anchor once ``x`` has travelled the baseline from it (see the
         module docstring); none for the first fix, whose commit sets the
         origin.  Carries (z, R)."""
-        cfg = self.config
-        reason = meas.screen_gps_fix(fix, self._min_fix_type,
-                                     cfg["gnss.max_hdop"],
-                                     cfg["gnss.min_satellites"])
+        settings = self._settings
+        reason = settings.gps_screen(fix)
         if reason is not None:
             return "gps_quality_rejected", reason
         if self.origin is None:
@@ -704,20 +757,16 @@ class FusionPipeline:
         self._gps_model.r = r
         relaxed = self.coast.active and self.coast.relax_armed
         updates = [(z, self._gps_model,
-                    cfg["coast.gate_relax"] if relaxed else 1.0)]
+                    settings.gate_relax if relaxed else 1.0)]
         anchor = self._heading_anchor
-        baseline = cfg["gnss.heading_min_baseline"]
-        if (cfg["gnss.heading_enabled"] and anchor is not None
+        if (settings.derive_heading is not None and anchor is not None
                 and x is not None
-                and math.hypot(x[0] - anchor[3][0],
-                               x[1] - anchor[3][1]) >= baseline):
+                and math.hypot(x[0] - anchor[3][0], x[1] - anchor[3][1])
+                >= settings.heading_baseline):
             prev_xy, prev_stamp, prev_var, _ = anchor
-            heading = meas.derive_gps_heading(
+            heading = settings.derive_heading(
                 prev_xy, prev_stamp, z[:2], fix.stamp,
-                (prev_var + float(r[0, 0] + r[1, 1])) / 2.0,
-                min_baseline=baseline,
-                min_speed=cfg["gnss.heading_min_speed"],
-                sigma_floor=cfg["gnss.heading_sigma_floor"])
+                (prev_var + float(r[0, 0] + r[1, 1])) / 2.0)
             if heading is not None:
                 yaw_z, yaw_var_z = heading
                 self._heading_model.r = np.array([[yaw_var_z]])
@@ -767,7 +816,7 @@ class FusionPipeline:
             anchor.rejections = 0
             return
         anchor.rejections += 1
-        if anchor.rejections >= self.config["vslam.reinit_n"]:
+        if anchor.rejections >= self._settings.vslam_reinit_n:
             anchor.quaternion = quat_mul(x[QUAT], quat_conjugate(raw_q))
             anchor.position = x[POS] - quat_rotate(anchor.quaternion,
                                                    pose.position)

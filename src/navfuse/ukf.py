@@ -371,8 +371,11 @@ def update(
     if not all_finite(new_vec):
         raise NumericalError("update produced non-finite state")
     if h is not None:  # from a symmetric, capped P: it needs only to factor
-        with suppress(np.linalg.LinAlgError):
+        try:
             _cholesky(p_new)
+        except np.linalg.LinAlgError:
+            pass
+        else:
             return UpdateOutcome(new_vec, p_new, True, records)
     return UpdateOutcome(new_vec, _condition(p_new), True, records)
 
@@ -392,8 +395,10 @@ def _gate_blocks(parts, frame: np.ndarray, gate_scale: float):
     less L_rA y_A.  When S does not factor, the first block alone shows
     whether it is the "singular" one.  d2 is one ``np.vdot``, which warns
     of no overflow: a finite innovation too large to square gates at
-    d2 = inf.  Returns the records and the accepted rows of [nu | Pxz^T]
-    whitened, or None.
+    d2 = inf.  A one-row block's d2 and innovation given A are the one
+    product each that ``np.vdot`` and the 1x1 matmul compute, taken on
+    Python floats, which warn of no overflow either.  Returns the records
+    and the accepted rows of [nu | Pxz^T] whitened, or None.
     """
     records: list[UpdateRecord] = []
     kept, i = None, 0
@@ -414,6 +419,13 @@ def _gate_blocks(parts, frame: np.ndarray, gate_scale: float):
             threshold = block.gate * gate_scale
             if white is None:
                 d2, reason, nu_b = math.inf, "singular", frame[:d, m]
+            elif d == 1:
+                y = white.item(p, m)
+                d2 = y * y
+                reason = "accepted" if d2 <= threshold else "gated"
+                # the matmul sums from +0.0, so a -0.0 product is +0.0
+                nu_b = frame[:1, m] if p == 0 else np.array(
+                    (root.item(p, p) * y + 0.0,))
             else:
                 y_b = white[p:p + d, m]
                 d2 = float(np.vdot(y_b, y_b))

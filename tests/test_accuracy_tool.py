@@ -51,3 +51,21 @@ def test_loop_blackout_seed_4_stays_under_a_metre():
     tool = load_tool()
     run = tool.run_seed(tool.workloads.WORKLOADS["loop_blackout"], 4, 1.0)
     assert run["ate_m"] < 1.0
+
+
+def test_stamp_order_oracle_replays_nothing():
+    """ref_gps_delay seed 1 at a fifth of its length (about a second):
+    sorted by stamp, no fix is late, so nothing replays, and no encoder
+    update is lost to a replay, so more of them are accepted than in
+    arrival order, where replays re-run only the IMU steps (ROADMAP
+    item 1)."""
+    tool = load_tool()
+    workload = tool.workloads.WORKLOADS["ref_gps_delay"]
+    arrival = tool.run_seed(workload, 1, 0.2)
+    oracle = tool.run_seed(workload, 1, 0.2, stamp_order=True)
+    assert arrival["diagnostics"]["retro_replays"] > 0
+    assert "retro_replays" not in oracle["diagnostics"]
+
+    def encoder_acceptance(run):
+        return run["accepted"]["encoder"] / run["tried"]["encoder"]
+    assert encoder_acceptance(oracle) > encoder_acceptance(arrival)

@@ -1,9 +1,17 @@
+import math
+import tempfile
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navfuse.adaptive import AdaptiveEstimator
+from navfuse.config import PipelineConfig
+from navfuse.core import _cholesky
+from navfuse.pipeline import FusionPipeline
 
 
 def make_estimator(sigma0=2.0, floor_sigma=0.1, dim=1, window=50,
@@ -29,6 +37,96 @@ def reference_rs(r0, floor, window, alpha, innovations):
             r = 0.5 * (r + r.T)
             r[idx, idx] = np.maximum(r[idx, idx], floor)
         yield r
+
+
+def matrix_ema(r0, floor, window, alpha, innovations):
+    """The matrix path a one-dimensional estimator took before it ran in
+    floats: W^T W, the EMA and the floor on (1, 1) arrays, and R kept
+    unless the candidate factors and is no NaN (OpenBLAS's factorization
+    passes a NaN pivot, which LAPACK's reference refuses); yields R and
+    whether it was adapted or still filling after each sample."""
+    w, filled = np.zeros((window, 1)), 0
+    r = np.maximum(np.array([[r0]]), floor)
+    for nu in innovations:
+        w[:-1] = w[1:]
+        w[-1] = nu
+        filled = min(filled + 1, window)
+        adapted = True
+        if filled == window:
+            candidate = np.maximum(
+                (1.0 - alpha) * r + alpha * (w.T @ w / window), floor)
+            try:
+                _cholesky(candidate)
+                adapted = not np.isnan(candidate).any()
+            except np.linalg.LinAlgError:
+                adapted = False
+            if adapted:
+                r = candidate
+        yield r, adapted
+
+
+#: innovations whose squares, 60 of them, sum to a finite number
+_INNOVATIONS = st.floats(-1e150, 1e150)
+_ALPHAS = st.floats(0.0, 1.0, exclude_min=True)
+
+
+class TestOneDimensionalPath:
+    """``encoder_vz``'s estimator adapts in Python floats; the matrix path
+    it replaced is the reference, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=st.integers(1, 60), alpha=_ALPHAS,
+           floor=st.floats(1e-300, 1e3), r0=st.floats(0.0, 1e3),
+           stream=st.lists(_INNOVATIONS | st.just(math.nan), max_size=150))
+    def test_r_is_the_matrix_ema(self, window, alpha, floor, r0, stream):
+        """After every sample, R and the refusal of a NaN window equal the
+        reference's; a refused R is the one kept."""
+        est = AdaptiveEstimator("encoder_vz", [[r0]], [floor], window, alpha)
+        for nu, (want, adapted) in zip(
+                stream, matrix_ema(r0, floor, window, alpha, stream)):
+            kept = est.r
+            assert est.observe(np.array([nu])) is adapted
+            assert est.r.tobytes() == want.tobytes()
+            assert est.r.shape == (1, 1)
+            assert adapted or est.r is kept
+
+    @settings(max_examples=40, deadline=None)
+    @given(window=st.integers(1, 60), alpha=_ALPHAS,
+           sigma=st.floats(1e-3, 10.0),
+           stream=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=130),
+           data=st.data())
+    def test_pipeline_counts_refusals_and_resumes(self, window, alpha, sigma,
+                                                  stream, data):
+        """Through the pipeline, as an accepted encoder block feeds it: a
+        checkpoint taken at a random sample, the window filling or full,
+        resumes bit for bit, and a NaN innovation after it is refused and
+        counted, once per sample it stays in a full window."""
+        resume = data.draw(st.integers(0, len(stream) - 1), label="resume")
+        nan_at = data.draw(st.integers(resume, len(stream)), label="nan_at")
+        stream = stream[:nan_at] + [math.nan] + stream[nan_at:]
+        config = PipelineConfig({"adaptive.window": window,
+                                 "adaptive.alpha": alpha,
+                                 "encoder.vz_sigma": sigma})
+        pipes = [FusionPipeline(config)]
+        reference = matrix_ema(sigma ** 2, sigma ** 2, window, alpha, stream)
+        refused = 0
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, (nu, (want, adapted)) in enumerate(zip(stream,
+                                                          reference)):
+                if k == resume:
+                    pipes[0].save_checkpoint(Path(tmp) / "mid_window.json")
+                    pipes.append(FusionPipeline(config))
+                    pipes[1].load_checkpoint(Path(tmp) / "mid_window.json")
+                refused += not adapted
+                for pipe in pipes:
+                    pipe._observe("encoder_vz", np.array([nu]))
+                    assert pipe.adaptive["encoder_vz"].r.tobytes() == \
+                        want.tobytes()
+                    assert pipe.diagnostics.get(
+                        "adaptive_rejected_encoder_vz", 0) == refused
+        # refused from the NaN on, once the window is full, until it leaves
+        last = min(nan_at + window, len(stream)) - 1
+        assert refused == max(0, last - max(nan_at, window - 1) + 1)
 
 
 class TestObserve:

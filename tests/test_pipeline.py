@@ -338,14 +338,13 @@ class TestSensorTable:
         """A finite payload whose x.x overflows passes; one NaN anywhere in
         a (3, 3) field fails."""
         fault = pipeline_module._payload_fault
-        assert fault(imu_at(0.01, gyro=(1e200, 0, 0)), SCHEMA["imu"]) is None
+        assert fault(imu_at(0.01, gyro=(1e200, 0, 0)), "imu") is None
         cov = np.eye(3)
         cov[1, 2] = np.nan
         fix = gps_at([0, 0, 0], 0.015, covariance=cov)
-        assert fault(fix, SCHEMA["gps"]) == ("dropped_nonfinite",
-                                             "non-finite {}")
+        assert fault(fix, "gps") == ("dropped_nonfinite", "non-finite {}")
         fix.covariance = np.eye(3) * 1e200
-        assert fault(fix, SCHEMA["gps"]) is None
+        assert fault(fix, "gps") is None
 
     @pytest.mark.parametrize("kind", sorted(SENSORS))
     def test_nonfinite_stamp(self, kind):
@@ -515,10 +514,12 @@ class TestSensorTable:
         assert report.dropped == "malformed gps"
         assert session_of(pipe) == before and pipe.origin is None
 
-    @pytest.mark.parametrize("source", [7, 0, -1, 2.5, None, "x"])
+    @pytest.mark.parametrize("source", [7, 0, -1, 2.5, None, "x",
+                                        np.array([2, 2]), np.array(2)])
     def test_imu_source_that_names_no_stream_dropped(self, source):
-        """An IMU sample's source is 1 (``imu``) or 2 (``imu2``); any other
-        is malformed, fused as neither, and written as no stream line."""
+        """An IMU sample's source is 1 (``imu``) or 2 (``imu2``), a real
+        scalar as a stamp is; any other, arrays too, is malformed, fused as
+        neither, and written as no stream line."""
         pipe = FusionPipeline(PipelineConfig(ALL_ON))
         run(pipe, [imu_at(k * 0.01) for k in range(5)])
         before = session_of(pipe)

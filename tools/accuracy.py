@@ -3,6 +3,7 @@
     PYTHONPATH=src python3 tools/accuracy.py                  # seeds 1-10
     PYTHONPATH=src python3 tools/accuracy.py --workload dense_two_delayed \\
         --seeds 1 2 3 --scale 0.5
+    PYTHONPATH=src python3 tools/accuracy.py --stamp-order   # the oracle
 
 Runs each workload of ``bench/workloads.py`` (read, never changed) on each
 seed as the benchmark does: the simulated stream is written as stream text
@@ -12,6 +13,10 @@ benchmark's accuracy check computes it) with each seed's ATE, and for every
 update path, pooled over the seeds, the share of updates accepted and the
 mean NIS per degree of freedom (d2 / dim) of the accepted ones.  The last
 line of standard output is the same result as one JSON object.
+
+``--stamp-order`` feeds each stream sorted by stamp, ties in arrival order,
+so nothing is late and nothing replays: the output a stamp-ordered fusion
+buffer must give (ROADMAP item 1's oracle).
 """
 
 from __future__ import annotations
@@ -36,11 +41,16 @@ from navfuse.pipeline import FusionPipeline  # noqa: E402
 from navfuse.simulator import SimScenario, generate  # noqa: E402
 
 
-def run_seed(workload: workloads.Workload, seed: int, scale: float) -> dict:
-    """One run: its ATE, and per path the updates tried, the updates
-    accepted and the sum of their d2 / dim."""
+def run_seed(workload: workloads.Workload, seed: int, scale: float,
+             stamp_order: bool = False) -> dict:
+    """One run, its stream in arrival order or, with ``stamp_order``,
+    sorted by stamp (a stable sort, so ties keep arrival order): its ATE,
+    per path the updates tried, the updates accepted and the sum of their
+    d2 / dim, and the pipeline's diagnostics."""
     truth, events = generate(SimScenario.from_dict(
         workload.scenario(seed, scale)))
+    if stamp_order:
+        events = sorted(events, key=lambda event: event.stamp)
     sink = io.StringIO()
     write_stream(events, sink)
     pipe = FusionPipeline(PipelineConfig(workload.config))
@@ -60,7 +70,8 @@ def run_seed(workload: workloads.Workload, seed: int, scale: float) -> dict:
     ate = ate_rmse(TrajectoryEstimate(traj[:, 0], traj[:, 1:4], traj[:, 4:]),
                    TrajectoryEstimate(truth.stamps, truth.position,
                                       truth.quaternion), max_dt=0.02)
-    return {"ate_m": ate, "tried": tried, "accepted": accepted, "nis": nis}
+    return {"ate_m": ate, "tried": tried, "accepted": accepted, "nis": nis,
+            "diagnostics": pipe.diagnostics}
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -90,17 +101,23 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="+", default=range(1, 11))
     p.add_argument("--scale", type=float, default=1.0,
                    help="scenario length factor, as the benchmark's")
+    p.add_argument("--stamp-order", action="store_true",
+                   help="feed each stream sorted by stamp, ties in arrival "
+                        "order: the oracle of a stamp-ordered buffer")
     args = p.parse_args(argv)
     names = (list(workloads.WORKLOADS) if args.workload == "all"
              else [args.workload])
     result = {}
     for name in names:
         workload = workloads.WORKLOADS[name]
-        summary = summarize([run_seed(workload, seed, args.scale)
+        summary = summarize([run_seed(workload, seed, args.scale,
+                                      args.stamp_order)
                              for seed in args.seeds])
         result[name] = summary
+        order = "stamp" if args.stamp_order else "arrival"
         print(f"{name}: mean ATE {summary['ate_mean_m']:.4f} m over seeds "
-              f"{' '.join(map(str, args.seeds))} (scale {args.scale}); "
+              f"{' '.join(map(str, args.seeds))} (scale {args.scale}, "
+              f"{order} order); "
               "per seed " + " ".join(f"{a:.4f}" for a in summary["ate_m"]))
         for path, entry in summary["paths"].items():
             nis = entry["nis_per_dof"]
