@@ -47,12 +47,6 @@ class AdaptiveEstimator:
     enabled: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.window, int) and self.window >= 1):
-            raise ValueError(f"{self.name}: adaptive window must be an "
-                             f"int >= 1, not {self.window!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"{self.name}: adaptive alpha must be in "
-                             f"(0, 1], not {self.alpha!r}")
         self.r0 = np.atleast_2d(np.asarray(self.r0, dtype=float))
         if self.r0.ndim != 2 or self.r0.shape[0] != self.r0.shape[1]:
             raise ValueError(f"{self.name}: r0 must be square, not of shape "

@@ -98,11 +98,7 @@ def _load_config(path: Optional[str], disable: list[str]) -> PipelineConfig:
 def cmd_run(args) -> int:
     if not os.path.exists(args.stream):
         raise CliError(f"stream file not found: {args.stream}", EXIT_DATA)
-    config = _load_config(args.config, args.disable or [])
-    try:
-        pipeline = FusionPipeline(config)
-    except ValueError as exc:  # a value the pipeline's own checks refuse
-        raise CliError(f"bad config: {exc}", EXIT_CONFIG)
+    pipeline = FusionPipeline(_load_config(args.config, args.disable or []))
     os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "trajectory.txt")
     steps_path = os.path.join(args.out, "steps.txt")

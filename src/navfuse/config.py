@@ -1,130 +1,158 @@
 """Namespaced pipeline configuration with strict validation.
 
 Configuration documents are YAML mappings whose nested keys flatten to the
-dotted names below.  Unknown keys are rejected at configure time; every
-value is type-checked against its default.  A stable hash of the resolved
-configuration guards checkpoint compatibility.
+dotted names of ``SECTIONS``, the schema: each key once, with its default
+and its ``Range``, one of five forms: positive, non-negative, a probability
+in (0, 1], an int >= 1 or a closed interval, none past ``BIG``, so that
+the square or product of two settings is finite; ``SIGMA`` and the UKF
+ranges keep a sigma's square and the spread alpha^2 (n + kappa) positive.
+An unknown key, a value not of its default's type or out of its range is
+a ``ConfigError`` naming the key, so a configuration in range always builds
+a pipeline and no component checks a setting again.  A stable hash of the
+resolved values guards checkpoint compatibility.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, NamedTuple, Optional
+
+from .events import FixType
 
 
 class ConfigError(ValueError):
-    """Raised on unknown keys, type mismatches, or unreadable documents."""
+    """Raised on unknown keys, type mismatches, values out of range, or
+    unreadable documents."""
 
 
-# default, per namespaced key; the value's type is also its schema
-DEFAULTS: dict[str, Any] = {
-    # sigma-point spread and scaling
-    "ukf.alpha": 0.1,
-    "ukf.beta": 2.0,
-    "ukf.kappa": 0.0,
-    # continuous-time process noise intensities
-    "ukf.q_position": 1e-4,
-    "ukf.q_orientation": 1e-7,
-    "ukf.q_velocity": 1e-3,
-    "ukf.q_omega": 5e-2,
-    "ukf.q_accel": 5e-1,
-    "ukf.q_gyro_bias": 1e-9,
-    "ukf.q_accel_bias": 1e-8,
-    "ukf.q_ewz": 1e-11,
-    # initial covariance diagonals
-    "init.position_var": 1.0,
-    "init.orientation_var": 0.1,
-    "init.velocity_var": 0.25,
-    "init.omega_var": 0.1,
-    "init.accel_var": 0.5,
-    "init.gyro_bias_var": 1e-4,
-    "init.accel_bias_var": 1e-4,
-    "init.ewz_var": 1e-4,
+BIG = 1e150
+
+
+class Range(NamedTuple):
+    """[low, high], or (low, high] when ``open_low``."""
+
+    low: float
+    high: float = BIG
+    open_low: bool = False
+
+    def __contains__(self, value) -> bool:
+        return (self.low < value <= self.high
+                or value == self.low and not self.open_low)
+
+    def __str__(self) -> str:
+        bracket = "(" if self.open_low else "["
+        return f"{bracket}{self.low:g}, {self.high:g}]"
+
+
+POSITIVE = Range(0.0, open_low=True)
+NON_NEGATIVE = Range(0.0)
+PROBABILITY = Range(0.0, 1.0, open_low=True)
+COUNT = Range(1)  # with an int default: an int >= 1
+SIGMA = Range(1.0 / BIG)  # its square is a finite, normal float
+FLAG = (False, True)
+
+#: per section, each key's (default, range), the value of the default's type
+SECTIONS: dict[str, dict[str, tuple[Any, Any]]] = {
+    # sigma-point scaling, 1e-4 <= alpha (Wan & van der Merwe) and n +
+    # kappa >= 1 for n = 23 states, then process noise intensities
+    "ukf": {"alpha": (0.1, Range(1e-4, 1.0)), "beta": (2.0, NON_NEGATIVE),
+            "kappa": (0.0, Range(-22.0)),
+            "q_position": (1e-4, NON_NEGATIVE),
+            "q_orientation": (1e-7, NON_NEGATIVE),
+            "q_velocity": (1e-3, NON_NEGATIVE),
+            "q_omega": (5e-2, NON_NEGATIVE),
+            "q_accel": (5e-1, NON_NEGATIVE),
+            "q_gyro_bias": (1e-9, NON_NEGATIVE),
+            "q_accel_bias": (1e-8, NON_NEGATIVE),
+            "q_ewz": (1e-11, NON_NEGATIVE)},
+    # initial covariance diagonals, positive so that P0 factors
+    "init": {"position_var": (1.0, POSITIVE),
+             "orientation_var": (0.1, POSITIVE),
+             "velocity_var": (0.25, POSITIVE),
+             "omega_var": (0.1, POSITIVE),
+             "accel_var": (0.5, POSITIVE),
+             "gyro_bias_var": (1e-4, POSITIVE),
+             "accel_bias_var": (1e-4, POSITIVE),
+             "ewz_var": (1e-4, POSITIVE)},
     # primary IMU
-    "imu.sigma_gyro": 0.005,
-    "imu.sigma_accel": 0.05,
-    "imu.sigma_orient": 0.02,
-    "imu.use_orientation": True,
-    "imu.has_magnetometer": False,
+    "imu": {"sigma_gyro": (0.005, SIGMA), "sigma_accel": (0.05, SIGMA),
+            "sigma_orient": (0.02, SIGMA),
+            "use_orientation": (True, FLAG),
+            "has_magnetometer": (False, FLAG)},
     # optional secondary IMU (measurement-only, never drives the clock)
-    "imu2.enabled": False,
-    "imu2.sigma_gyro": 0.005,
-    "imu2.sigma_accel": 0.05,
-    "imu2.sigma_orient": 0.02,
-    "imu2.use_orientation": True,
-    "imu2.has_magnetometer": False,
+    "imu2": {"enabled": (False, FLAG),
+             "sigma_gyro": (0.005, SIGMA), "sigma_accel": (0.05, SIGMA),
+             "sigma_orient": (0.02, SIGMA),
+             "use_orientation": (True, FLAG),
+             "has_magnetometer": (False, FLAG)},
     # wheel encoders
-    "encoder.enabled": True,
-    "encoder.sigma_vx": 0.03,
-    "encoder.sigma_vy": 0.03,
-    "encoder.sigma_wz": 0.02,
-    "encoder.vz_sigma": 0.05,
-    # GNSS
-    "gnss.enabled": True,
-    "gnss.sigma_xy": 1.0,
-    "gnss.sigma_z": 2.0,
-    "gnss.min_fix_type": 1,
-    "gnss.max_hdop": 10.0,
-    "gnss.min_satellites": 4,
-    "gnss.heading_enabled": True,
-    "gnss.heading_min_speed": 0.5,
-    "gnss.heading_min_baseline": 2.0,
-    "gnss.heading_sigma_floor": 0.05,
-    "gnss.velocity_enabled": False,
-    "gnss.velocity_sigma": 0.3,
+    "encoder": {"enabled": (True, FLAG),
+                "sigma_vx": (0.03, SIGMA), "sigma_vy": (0.03, SIGMA),
+                "sigma_wz": (0.02, SIGMA),
+                "vz_sigma": (0.05, SIGMA)},
+    # GNSS; a heading chord of no length has no course
+    "gnss": {"enabled": (True, FLAG),
+             "sigma_xy": (1.0, SIGMA), "sigma_z": (2.0, SIGMA),
+             "min_fix_type": (1, Range(min(FixType), max(FixType))),
+             "max_hdop": (10.0, POSITIVE),
+             "min_satellites": (4, NON_NEGATIVE),
+             "heading_enabled": (True, FLAG),
+             "heading_min_speed": (0.5, NON_NEGATIVE),
+             "heading_min_baseline": (2.0, POSITIVE),
+             "heading_sigma_floor": (0.05, SIGMA),
+             "velocity_enabled": (False, FLAG),
+             "velocity_sigma": (0.3, SIGMA)},
     # radar Doppler ego-velocity
-    "radar.enabled": False,
-    "radar.sigma": 0.1,
+    "radar": {"enabled": (False, FLAG), "sigma": (0.1, SIGMA)},
     # VSLAM pose
-    "vslam.enabled": False,
-    "vslam.reinit_n": 10,
-    "vslam.sigma_pos": 0.05,
-    "vslam.sigma_orient": 0.01,
-    "vslam.pos_floor": 0.01,
-    "vslam.orient_floor": 0.001,
+    "vslam": {"enabled": (False, FLAG), "reinit_n": (10, COUNT),
+              "sigma_pos": (0.05, SIGMA), "sigma_orient": (0.01, SIGMA),
+              "pos_floor": (0.01, NON_NEGATIVE),
+              "orient_floor": (0.001, NON_NEGATIVE)},
     # chi-squared gates on the squared Mahalanobis distance, each the
-    # chi2(dof, p) quantile named; a gate must be > 0.  Three are shared:
-    # imu by imu_raw (6 dof) and orientation (2-3), encoder by encoder_vz
-    # (1) and radar (2), gps_pos by GPS velocity (2).  The encoder and
-    # encoder_vz rows fuse in one update, and so do imu_raw and orientation,
-    # but each is gated on its own d2 given the accepted rows before it
-    # (ukf.update), so each keeps its gate
-    "gates.imu": 15.09,      # chi2(5, 0.99)
-    "gates.encoder": 11.34,  # chi2(3, 0.99)
-    "gates.gps_pos": 16.27,  # chi2(3, 0.999)
-    "gates.heading": 10.83,  # chi2(1, 0.999)
-    "gates.vslam": 22.46,    # chi2(6, 0.999)
-    "gates.zupt": 16.27,     # chi2(3, 0.999)
-    # adaptive measurement noise
-    "adaptive.gnss": True,
-    "adaptive.encoder": False,
-    "adaptive.vz": True,
-    "adaptive.window": 50,
-    "adaptive.alpha": 0.01,
-    # per-path noise floors (sigma) on the diagonal of the path's R, which
-    # bound it whether or not the path adapts; a floor <= 0 floors its axes
-    # at the configured R
-    "adaptive.gnss_floor_xy": 0.0,
-    "adaptive.gnss_floor_z": 0.0,
-    "adaptive.encoder_floor": 0.0,
-    # zero-velocity updates
-    "zupt.enabled": True,
-    "zupt.speed_threshold": 0.05,
-    "zupt.rate_threshold": 0.05,
-    "zupt.sigma": 0.01,
-    "zupt.hysteresis": 1.5,
+    # chi2(dof, p) quantile named.  Three are shared: imu by imu_raw (6
+    # dof) and orientation (2-3), encoder by encoder_vz (1) and radar (2),
+    # gps_pos by GPS velocity (2).  The encoder and encoder_vz rows fuse in
+    # one update, and so do imu_raw and orientation, but each is gated on
+    # its own d2 given the accepted rows before it (ukf.update), so each
+    # keeps its gate
+    "gates": {"imu": (15.09, POSITIVE),      # chi2(5, 0.99)
+              "encoder": (11.34, POSITIVE),  # chi2(3, 0.99)
+              "gps_pos": (16.27, POSITIVE),  # chi2(3, 0.999)
+              "heading": (10.83, POSITIVE),  # chi2(1, 0.999)
+              "vslam": (22.46, POSITIVE),    # chi2(6, 0.999)
+              "zupt": (16.27, POSITIVE)},    # chi2(3, 0.999)
+    # adaptive measurement noise (a window is shifted on every innovation),
+    # then per-path noise floors (sigma) on the diagonal of the path's R,
+    # whether or not it adapts: one whose square is 0 is the configured R
+    "adaptive": {"gnss": (True, FLAG), "encoder": (False, FLAG),
+                 "vz": (True, FLAG),
+                 "window": (50, Range(1, 10_000)),
+                 "alpha": (0.01, PROBABILITY),
+                 "gnss_floor_xy": (0.0, NON_NEGATIVE),
+                 "gnss_floor_z": (0.0, NON_NEGATIVE),
+                 "encoder_floor": (0.0, NON_NEGATIVE)},
+    # zero-velocity updates, released at the thresholds times hysteresis
+    "zupt": {"enabled": (True, FLAG),
+             "speed_threshold": (0.05, NON_NEGATIVE),
+             "rate_threshold": (0.05, NON_NEGATIVE),
+             "sigma": (0.01, SIGMA),
+             "hysteresis": (1.5, Range(1.0))},
     # coast mode (GPS absence)
-    "coast.enter_s": 5.0,
-    "coast.position_inflation": 10.0,
-    "coast.encoder_wz_factor": 0.5,
-    "coast.gate_relax": 2.0,
+    "coast": {"enter_s": (5.0, POSITIVE),
+              "position_inflation": (10.0, Range(1.0)),
+              "encoder_wz_factor": (0.5, PROBABILITY),
+              "gate_relax": (2.0, Range(1.0))},
     # retrodiction ring
-    "retro.enabled": True,
-    "retro.capacity": 100,
+    "retro": {"enabled": (True, FLAG), "capacity": (100, COUNT)},
     # feature toggles for ablations
-    "features.bias_states": True,
-    "features.b_ewz": True,
+    "features": {"bias_states": (True, FLAG), "b_ewz": (True, FLAG)},
 }
+
+#: default, per namespaced key
+DEFAULTS: dict[str, Any] = {f"{section}.{key}": default
+                            for section, keys in SECTIONS.items()
+                            for key, (default, _) in keys.items()}
+_TYPE_NAMES = {bool: "bool", int: "int", float: "number"}
 
 
 def _flatten(mapping: Mapping, prefix: str = "") -> dict[str, Any]:
@@ -138,19 +166,20 @@ def _flatten(mapping: Mapping, prefix: str = "") -> dict[str, Any]:
     return flat
 
 
-def _coerce(key: str, value: Any, default: Any) -> Any:
-    """``value`` as the type of ``default``; a number must be finite, as
-    NaN or inf would silently gate a sensor's every update."""
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"{key}: expected bool, got {value!r}")
-    expected = "int" if isinstance(default, int) else "number"
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max  # NaN, inf, 10**400
-            or expected == "int" and value != int(value)):
-        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
-    return int(value) if expected == "int" else float(value)
+def _coerce(key: str, value: Any) -> Any:
+    """``value`` as the type of the key's default, which it must have (an
+    int's may be a whole float), if it lies in the key's range; so a number
+    is finite, as NaN or inf would silently gate a sensor's every update."""
+    section, _, name = key.partition(".")
+    default, accepted = SECTIONS[section][name]
+    kind = type(default)
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float))
+            or value not in accepted  # NaN, inf, 10**400
+            or kind is int and value != int(value)):
+        raise ConfigError(f"{key}: expected {_TYPE_NAMES[kind]} in "
+                          f"{accepted}, got {value!r}")
+    return kind(value)
 
 
 class PipelineConfig:
@@ -164,7 +193,7 @@ class PipelineConfig:
             if unknown:
                 raise ConfigError(f"unknown configuration keys: {unknown}")
             for key, value in flat.items():
-                values[key] = _coerce(key, value, DEFAULTS[key])
+                values[key] = _coerce(key, value)
         self._values = values
 
     @classmethod

@@ -85,8 +85,6 @@ class MeasurementModel:
         contiguous = self.wraps and i[-1] - i[0] == len(i) - 1
         self.angular_rows = (slice(i[0], i[-1] + 1) if contiguous
                              else self.angular)
-        if not self.gate > 0:  # NaN too
-            raise ValueError(f"{self.name}: gate threshold must be > 0")
         self.matrix: Optional[np.ndarray] = None
         if not callable(self.h):
             matrix = np.array(self.h, dtype=float)
@@ -253,15 +251,15 @@ def screen_gps_fix(
     coordinates lie outside the geodetic range is screened out too, so it
     can neither set the ENU origin nor reach the engine, and so is one
     whose receiver covariance is not symmetric positive-definite, whose
-    95% error bounds or DOPs are not positive, or that gives no noise
+    95% error bounds or DOPs are not in (0, 1e150), or that gives no noise
     source for ``gps_fix_to_measurement``: no covariance, no pair of error
     bounds and no pair of DOPs."""
     if not (-np.pi / 2 <= fix.lat <= np.pi / 2
             and -np.pi <= fix.lon <= np.pi):
         return f"latitude {fix.lat} or longitude {fix.lon} rad out of range"
     for scale in (fix.err_horz, fix.err_vert, fix.hdop, fix.vdop):
-        if scale is not None and not scale > 0.0:
-            return f"error bound or DOP {scale} is not positive"
+        if scale is not None and not 0.0 < scale < 1e150:
+            return f"error bound or DOP {scale} is not in (0, 1e150)"
     if fix.covariance is not None:  # 3x3, as ``events.SCHEMA`` declares
         r = np.asarray(fix.covariance, dtype=float)
         if not np.allclose(r, r.T, rtol=1e-9, atol=0.0):
@@ -296,19 +294,23 @@ def gps_fix_to_measurement(
     bounds when it gives both (sigma = err/1.96), else ``base_r`` scaled by
     the dilution of precision, ``S @ base_r @ S`` with
     ``S = diag(hdop, hdop, vdop)``.  ``base_r`` is the path's configured
-    noise, innovation-adapted when ``adaptive.gnss`` is on.
+    noise, innovation-adapted when ``adaptive.gnss`` is on.  The DOP-scaled
+    R is None where an entry would pass 1e300, tested in floats first.
     """
     z = geodetic_to_enu(GeodeticCoord(fix.lat, fix.lon, fix.alt), origin)
     if fix.covariance is not None:
-        r = np.asarray(fix.covariance, dtype=float)
-    elif fix.err_horz is not None and fix.err_vert is not None:
+        return z, np.asarray(fix.covariance, dtype=float)
+    if fix.err_horz is not None and fix.err_vert is not None:
         sh = fix.err_horz / 1.96
         sv = fix.err_vert / 1.96
-        r = np.diag([sh**2, sh**2, sv**2])
-    else:  # S @ base_r @ S with the diagonal S as two broadcasts
-        s = np.array([fix.hdop, fix.hdop, fix.vdop])
-        r = base_r * s[:, None] * s
-    return z, r
+        return z, np.diag([sh**2, sh**2, sv**2])
+    # base_r's largest variance bounds its every entry, as it factors
+    top = max(fix.hdop, fix.vdop)
+    if not top * top * max(base_r.item(0), base_r.item(4),
+                           base_r.item(8)) < 1e300:
+        return z, None
+    s = np.array([fix.hdop, fix.hdop, fix.vdop])  # S @ base_r @ S
+    return z, base_r * s[:, None] * s
 
 
 def gps_position_model(r: np.ndarray, gate: float) -> MeasurementModel:

@@ -54,17 +54,17 @@ the noise ``r`` of the models whose noise varies: GPS position and heading,
 VSLAM, and the encoder's, whose blocks' views of the stack's R take the
 estimators' R.  A GPS fix that passes the receiver-quality screen gets its
 noise from ``measurements.gps_fix_to_measurement``, with the ``gps_pos``
-estimator's R as the DOP-scaled base; one whose R does not factor (a DOP
-or error bound whose square underflows) is dropped as
-``gps_quality_rejected`` before the engine.  Accepted encoder blocks and
-fixes feed the estimators that adapt; an adapted R that does not factor
-is refused, the path keeping its R, and counted as
-``adaptive_rejected_<path>``.  The fix is taken at the body origin:
-there is no antenna lever arm.  The configuration is read once too:
-``_build_models`` resolves every setting an event reads (each kind's
-enable switch, ZUPT's thresholds, the coast values, the GNSS screen and
-heading values, ``vslam.reinit_n``) into one ``_Settings``, so no event
-looks one up.
+estimator's R as the DOP-scaled base; one whose R would overflow, is not
+finite or does not factor (a DOP or error bound whose square underflows) is
+dropped as ``gps_quality_rejected`` before the engine.  Accepted encoder
+blocks and fixes feed the estimators that adapt; an adapted R that does not
+factor is refused, the path keeping its R, and counted as
+``adaptive_rejected_<path>``.  The fix is taken at the body origin: there
+is no antenna lever arm.  The configuration is read once too:
+``_build_models`` resolves every setting an event reads (each kind's enable
+switch, ZUPT's thresholds, the coast values, the GNSS screen and heading
+values, ``vslam.reinit_n``) into one ``_Settings``, so no event looks one
+up.
 
 A fix's course-over-ground heading is read from the chord between it and
 the heading anchor: an earlier accepted fix, with the filter's horizontal
@@ -158,18 +158,6 @@ _ZERO_VELOCITY = np.zeros(3)
 _ZERO_VELOCITY.flags.writeable = False
 
 CHECKPOINT_VERSION = 10
-
-
-def zupt_trigger(last_encoder_speed: Optional[float],
-                 last_imu_rate: Optional[float],
-                 speed_threshold: float = 0.05,
-                 rate_threshold: float = 0.05) -> bool:
-    """Stationarity condition: both encoder speed and IMU rate below their
-    thresholds.  Without encoder data the trigger never fires."""
-    if last_encoder_speed is None or last_imu_rate is None:
-        return False
-    return (last_encoder_speed < speed_threshold
-            and last_imu_rate < rate_threshold)
 
 
 #: (counter, reason) of an event whose payload fails its declaration
@@ -340,9 +328,6 @@ class FusionPipeline:
         self._zupt_model = meas.zupt_model(cfg["zupt.sigma"],
                                            cfg["gates.zupt"])
         self._zupt_update = (_ZERO_VELOCITY, self._zupt_model, 1.0)
-        if cfg["gnss.min_fix_type"] not in tuple(FixType):
-            raise ValueError("gnss.min_fix_type must be a FixType value, "
-                             f"not {cfg['gnss.min_fix_type']}")
         thr_s, thr_r = cfg["zupt.speed_threshold"], cfg["zupt.rate_threshold"]
         hyst = cfg["zupt.hysteresis"]
         baseline = cfg["gnss.heading_min_baseline"]
@@ -378,7 +363,6 @@ class FusionPipeline:
             [cfg["vslam.sigma_pos"] ** 2] * 3
             + [cfg["vslam.sigma_orient"] ** 2] * 3)
         self._vslam_model = meas.vslam_model(self._vslam_r, cfg["gates.vslam"])
-        # after ``_gps_model``, so a bad gates.gps_pos is reported as its
         self._gps_vel_model = meas.gps_velocity_model(
             cfg["gnss.velocity_sigma"], cfg["gates.gps_pos"])
 
@@ -393,23 +377,21 @@ class FusionPipeline:
             first = ENC_YAW_BIAS
         else:
             first = STATE_DIM
-        inflation = cfg["coast.position_inflation"]
-        if not inflation >= 1.0:
-            raise ValueError("coast.position_inflation must be >= 1")
         # coasting holds the encoder yaw-rate bias: it is consumed as a
         # correction, not re-estimated, until GPS returns
         self._modes = tuple(
             (slice(k, STATE_DIM) if k < STATE_DIM else None,
              noise_rates(cfg, range(k, STATE_DIM), scale))
             for k, scale in ((first, 1.0),
-                             (min(first, ENC_YAW_BIAS), inflation)))
+                             (min(first, ENC_YAW_BIAS),
+                              cfg["coast.position_inflation"])))
 
     def _build_adaptive(self) -> dict[str, AdaptiveEstimator]:
         cfg = self.config
 
         def floor_sq(key: str, sigma: str) -> float:
-            """The floor ``key`` squared if it is > 0, else sigma²."""
-            return (cfg[key] if cfg[key] > 0 else cfg[sigma]) ** 2
+            """The floor ``key`` squared, or sigma² where that is 0."""
+            return cfg[key] ** 2 or cfg[sigma] ** 2
 
         enc = ("encoder.sigma_vx", "encoder.sigma_vy", "encoder.sigma_wz")
         gnss_floor = ([floor_sq("adaptive.gnss_floor_xy", "gnss.sigma_xy")] * 2
@@ -442,8 +424,6 @@ class FusionPipeline:
         self.x = FilterState().vector
         diag = np.empty(STATE_DIM)
         for block, _, var_key in STATE_BLOCKS:
-            if not cfg[var_key] > 0.0:  # so P0 factors
-                raise ValueError(f"{var_key} must be > 0")
             diag[block] = cfg[var_key]
         # every session's P holds the cap a closed-form update trusts
         np.minimum(diag[OMEGA], OMEGA_VAR_CAP, out=diag[OMEGA])
@@ -574,7 +554,8 @@ class FusionPipeline:
             if speed > release_s or rate > release_r:
                 self._zupt_active = False
         else:
-            self._zupt_active = zupt_trigger(speed, rate, thr_s, thr_r)
+            self._zupt_active = (speed is not None and rate is not None
+                                 and speed < thr_s and rate < thr_r)
 
     # ------------------------------------------------------------------
     # ingestion
@@ -749,6 +730,8 @@ class FusionPipeline:
         # ``adaptive.gnss`` is off
         z, r = carry = meas.gps_fix_to_measurement(
             fix, self.origin, self.adaptive["gps_pos"].r)
+        if r is None or not all_finite(r):  # OpenBLAS factors NaN and inf
+            return "gps_quality_rejected", "fix noise R is not finite"
         try:  # a DOP or bound whose square underflows gives R = 0
             _cholesky(r)
         except np.linalg.LinAlgError:

@@ -81,12 +81,10 @@ def noise_rates(cfg, frozen: Sequence[int] = (),
     """The per-second diagonal of Q as a read-only array, from the
     ``ukf.q_*`` intensities of ``cfg``: zero on the ``frozen`` indices,
     the states the filter holds, and the position block multiplied by
-    ``position_scale`` (the coast inflation).  A negative or NaN intensity
-    is a ``ValueError``."""
+    ``position_scale`` (the coast inflation), which the configuration's
+    ranges keep non-negative and finite."""
     diag = np.empty(STATE_DIM)
     for block, q_key, _ in STATE_BLOCKS:
-        if not cfg[q_key] >= 0.0:
-            raise ValueError(f"{q_key} must be >= 0")
         diag[block] = cfg[q_key]
     diag[POS] *= position_scale
     diag[list(frozen)] = 0.0

@@ -60,8 +60,6 @@ class StateSnapshotRing:
     increasing."""
 
     def __init__(self, capacity: int = 100):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.entries: list[Snapshot] = []
 

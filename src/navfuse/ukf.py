@@ -95,8 +95,6 @@ class UkfParams:
     wc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
         n, lam = STATE_DIM, self.lam
         wm = np.full(_N_SIGMA, 1.0 / (2.0 * (n + lam)))
         wc = wm.copy()

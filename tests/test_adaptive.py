@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navfuse.adaptive import AdaptiveEstimator
-from navfuse.config import PipelineConfig
+from navfuse.config import ConfigError, PipelineConfig
 from navfuse.core import _cholesky
 from navfuse.pipeline import FusionPipeline
 
@@ -255,13 +255,13 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("window", [0, -1, 2.5])
     def test_window_must_be_a_positive_int(self, window):
-        with pytest.raises(ValueError, match="window"):
-            AdaptiveEstimator("bad", np.eye(1), window=window)
+        with pytest.raises(ConfigError, match="^adaptive.window: "):
+            PipelineConfig({"adaptive.window": window})
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5, np.nan])
     def test_alpha_must_lie_in_zero_one(self, alpha):
-        with pytest.raises(ValueError, match="alpha"):
-            AdaptiveEstimator("bad", np.eye(1), alpha=alpha)
+        with pytest.raises(ConfigError, match="^adaptive.alpha: "):
+            PipelineConfig({"adaptive.alpha": alpha})
 
     @pytest.mark.parametrize("r0, fault", [
         (np.ones((2, 3)), "must be square"),

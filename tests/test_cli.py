@@ -258,9 +258,12 @@ class TestRunAndEvaluate:
                      "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("text, message", [
-        ("gates:\n  gps_pos: 0.0\n", "gate threshold must be > 0"),
-        ("adaptive:\n  window: 0\n", "adaptive window must be"),
-        ("init:\n  position_var: 0.0\n", "init.position_var must be > 0"),
+        ("gates:\n  gps_pos: 0.0\n", "in (0, 1e+150], got 0.0"),
+        ("adaptive:\n  window: 0\n", "in [1, 10000], got 0"),
+        ("init:\n  position_var: 0.0\n", "in (0, 1e+150], got 0.0"),
+        ("coast:\n  enter_s: -1\n", "in (0, 1e+150], got -1"),
+        ("ukf:\n  kappa: -30\n", "in [-22, 1e+150], got -30"),
+        ("gnss:\n  sigma_z: 1.0e-200\n", "in [1e-150, 1e+150], got 1e-200"),
     ])
     def test_value_the_pipeline_refuses_is_config_error(
             self, sim_dir, tmp_path, capsys, text, message):
@@ -272,8 +275,9 @@ class TestRunAndEvaluate:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert message in err
-        # it names the key: gps_pos, not gps_vel, whose model shares it
-        assert text.split()[1].rstrip(":") in err
+        # it names the key: gates.gps_pos, not gps_vel, whose model shares it
+        section, key = (word.rstrip(":") for word in text.split()[:2])
+        assert f"{section}.{key}: " in err
 
     def test_retrodiction_ablation_fuses_late_fixes_where_they_arrive(
             self, tmp_path):
@@ -332,7 +336,7 @@ class TestSweep:
              "runs": [{"name": "a", "scenario": write_scenario(tmp_path),
                        "config": str(cfg)}]}))
         assert main(["sweep", "--manifest", str(manifest)]) == 2
-        assert "adaptive alpha must be" in capsys.readouterr().err
+        assert "adaptive.alpha: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("manifest_fields, run_fields", [
         ({"out": 5}, {}),

@@ -1,6 +1,49 @@
-import pytest
+import importlib
+import math
+import re
+from pathlib import Path
 
-from navfuse.config import ABLATION_OVERRIDES, ConfigError, PipelineConfig
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from navfuse.config import (ABLATION_OVERRIDES, DEFAULTS, FLAG, SECTIONS,
+                            ConfigError, PipelineConfig, Range)
+from navfuse.pipeline import FusionPipeline
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+RANGES = {f"{section}.{key}": accepted
+          for section, keys in SECTIONS.items()
+          for key, (_, accepted) in keys.items()}
+NUMBERS = sorted(key for key, value in DEFAULTS.items()
+                 if not isinstance(value, bool))
+
+
+def edges(key):
+    """The lowest and the highest value the key accepts."""
+    accepted = RANGES[key]
+    if isinstance(DEFAULTS[key], int):
+        return [int(accepted.low), int(accepted.high)]
+    low = (math.nextafter(accepted.low, math.inf) if accepted.open_low
+           else accepted.low)
+    return [low, accepted.high]
+
+
+def outside(key):
+    """The values next to the key's range, below and above it."""
+    low, high = edges(key)
+    if isinstance(DEFAULTS[key], int):
+        return [low - 1, high + 1]
+    return [math.nextafter(low, -math.inf), math.nextafter(high, math.inf)]
+
+
+def in_range(key):
+    """Any value the key accepts, its edges among the likeliest."""
+    if isinstance(DEFAULTS[key], bool):
+        return st.booleans()
+    low, high = edges(key)
+    inner = (st.integers(low, high) if isinstance(DEFAULTS[key], int)
+             else st.floats(low, high))
+    return st.one_of(st.sampled_from([low, high]), inner)
 
 
 class TestValidation:
@@ -72,3 +115,40 @@ class TestHashAndOverrides:
                 assert out[key] == value
             # an ablation that leaves the configuration as it was does nothing
             assert out.hash() != cfg.hash(), name
+
+
+class TestRanges:
+    def test_every_key_declares_its_range_and_its_default_lies_in_it(self):
+        assert len(DEFAULTS) == 82
+        for key, default in DEFAULTS.items():
+            accepted = RANGES[key]
+            assert accepted is FLAG if isinstance(default, bool) else (
+                isinstance(accepted, Range)), key
+            assert default in accepted, key
+
+    @pytest.mark.parametrize("key", NUMBERS)
+    def test_value_just_outside_the_range_is_refused_by_key(self, key):
+        for value in outside(key):
+            with pytest.raises(ConfigError,
+                               match=f"^{re.escape(key)}: expected"):
+                PipelineConfig({key: value})
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
+    def test_every_key_at_one_end_builds(self, end):
+        FusionPipeline(PipelineConfig({key: edges(key)[end]
+                                       for key in NUMBERS}))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.fixed_dictionaries({key: in_range(key) for key in DEFAULTS}))
+    def test_configuration_in_range_always_builds(self, values):
+        FusionPipeline(PipelineConfig(values))
+
+    def test_workloads_and_ablations_build(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        configs = [PipelineConfig(w.config)
+                   for w in workloads.WORKLOADS.values()]
+        configs += [PipelineConfig().with_overrides(overrides)
+                    for overrides in ABLATION_OVERRIDES.values()]
+        for config in configs:
+            FusionPipeline(config)

@@ -122,6 +122,13 @@ def fingerprint(report):
 # of the cut
 @example(ops=[("mutate", 5, 0, None, 0), ("mutate", 70, 0, "short", 0)],
          cut=0.5)
+# a late fix whose horizontal or vertical 95% bound, the other one set, or
+# whose vdop squares past the largest float
+@example(ops=[("mutate", 43, 8, 1e300, 0), ("mutate", 43, 9, 7.0, 0)],
+         cut=0.5)
+@example(ops=[("mutate", 43, 8, 7.0, 0), ("mutate", 43, 9, 1e300, 0)],
+         cut=0.5)
+@example(ops=[("mutate", 43, 6, 1e300, 0)], cut=0.5)
 def test_any_stream_keeps_a_valid_session_that_resumes_bit_for_bit(ops,
                                                                     cut):
     events = apply_ops(ops)

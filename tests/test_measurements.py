@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
-from navfuse.config import DEFAULTS, PipelineConfig
+from navfuse.config import DEFAULTS, ConfigError, PipelineConfig
 from navfuse.core import (FilterState, GRAVITY, _ROTATION, _outer,
                           euler_to_quat, quat_exp, quat_mul, wrap_angle)
 from navfuse.events import FixType, GpsFixSample, ImuSample
@@ -569,8 +569,8 @@ class TestLinearModels:
 
     @pytest.mark.parametrize("gate", [0.0, -1.0, float("nan")])
     def test_construction_rejects_a_gate_not_above_zero(self, gate):
-        with pytest.raises(ValueError, match="gate"):
-            MeasurementModel("pos", 3, np.eye(23)[:3], np.eye(3), gate)
+        with pytest.raises(ConfigError, match="^gates.gps_pos: "):
+            PipelineConfig({"gates.gps_pos": gate})
 
     def test_construction_rejects_bad_matrix(self):
         with pytest.raises(ValueError, match="shape"):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from navfuse.config import DEFAULTS, PipelineConfig
+from navfuse.config import DEFAULTS, ConfigError, PipelineConfig
 from navfuse.adaptive import AdaptiveEstimator
 from navfuse.core import (ENC_YAW_BIAS, EPSILON_PD, GRAVITY, OMEGA,
                           OMEGA_VAR_CAP, QUAT, STATE_DIM, euler_to_quat,
@@ -26,7 +26,6 @@ from navfuse.pipeline import (
     SENSORS,
     CheckpointError,
     FusionPipeline,
-    zupt_trigger,
 )
 
 from conftest import enu_to_geodetic, rotation_distance, yaw_variance
@@ -574,15 +573,14 @@ class TestSensorTable:
 
 
 class TestConstruction:
-    """A setting the filter cannot use is refused when the pipeline is
-    built, not at the first event that would use it."""
+    """A setting the filter cannot use is refused by the configuration,
+    naming its key, before any pipeline is built."""
 
     @pytest.mark.parametrize("key", sorted(
         k for k in DEFAULTS if k.startswith("ukf.q_")))
     def test_negative_process_noise(self, key):
-        cfg = PipelineConfig({key: -1e-6})
-        with pytest.raises(ValueError):
-            FusionPipeline(cfg)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            PipelineConfig({key: -1e-6})
 
     @pytest.mark.parametrize("value", [0.0, -1.0])
     @pytest.mark.parametrize("key", sorted(
@@ -590,27 +588,23 @@ class TestConstruction:
     def test_nonpositive_initial_variance(self, key, value):
         """P0 must factor, or a checkpoint saved before the first IMU
         step would not load."""
-        cfg = PipelineConfig({key: value})
-        with pytest.raises(ValueError, match=f"^{key} must be > 0"):
-            FusionPipeline(cfg)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            PipelineConfig({key: value})
 
     def test_unknown_min_fix_type(self):
-        cfg = PipelineConfig({"gnss.min_fix_type": 7})
-        with pytest.raises(ValueError, match="gnss.min_fix_type"):
-            FusionPipeline(cfg)
+        with pytest.raises(ConfigError, match="^gnss.min_fix_type: "):
+            PipelineConfig({"gnss.min_fix_type": 7})
 
     def test_coast_position_deflation(self):
-        cfg = PipelineConfig({"coast.position_inflation": 0.5})
-        with pytest.raises(ValueError):
-            FusionPipeline(cfg)
+        with pytest.raises(ConfigError, match="^coast.position_inflation: "):
+            PipelineConfig({"coast.position_inflation": 0.5})
 
     @pytest.mark.parametrize("value", [0.0, -1.0])
     @pytest.mark.parametrize("key", sorted(
         k for k in DEFAULTS if k.startswith("gates.")))
     def test_nonpositive_gate(self, key, value):
-        cfg = PipelineConfig({key: value})
-        with pytest.raises(ValueError):
-            FusionPipeline(cfg)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            PipelineConfig({key: value})
 
 
     def test_linear_models_update_in_closed_form(self):
@@ -891,7 +885,8 @@ class TestGps:
         fix.hdop, fix.vdop = hdop, vdop
         report, bumped = ingest_counting(pipe, fix)
         assert bumped == {"gps_quality_rejected": 1}
-        assert report.dropped == f"error bound or DOP {bad} is not positive"
+        assert report.dropped == (f"error bound or DOP {bad} is not in "
+                                  "(0, 1e150)")
         assert not report.updates
         assert session_of(pipe) == before
 
@@ -909,6 +904,42 @@ class TestGps:
             pipe, gps_at([0.0, 0.0, 0.0], 0.5, **noise))
         assert bumped == {"gps_quality_rejected": 1}
         assert report.dropped == "fix noise R is not positive definite"
+        assert not report.updates
+        assert session_of(pipe) == before
+
+    @pytest.mark.parametrize("config, noise", [
+        ({}, {"err_horz": 1e200, "err_vert": 2.0}),
+        ({}, {"err_horz": 1.0, "err_vert": 1e200}),
+        ({}, {"vdop": 1e200}),
+        ({"gnss.sigma_z": 1e150}, {"vdop": 10.0}),  # 100 times 1e300
+    ], ids=["err_horz", "err_vert", "vdop", "scaled_base"])
+    def test_fix_whose_noise_overflows_is_quality_rejected(self, config,
+                                                           noise):
+        """A fix whose 95% bound or DOP squared, or whose DOP-scaled R,
+        would overflow is dropped before the arithmetic runs: a float's
+        square raises ``OverflowError``, and an overflowing numpy product
+        warns and gives an inf R, which OpenBLAS factors."""
+        pipe = FusionPipeline(PipelineConfig(config))
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+        before = session_of(pipe)
+        report, bumped = ingest_counting(
+            pipe, gps_at([0.0, 0.0, 0.0], 0.5, **noise))
+        assert bumped == {"gps_quality_rejected": 1}
+        assert not report.updates
+        assert session_of(pipe) == before
+
+    def test_fix_whose_noise_is_not_finite_is_quality_rejected(self):
+        """OpenBLAS factors a NaN matrix, so an adapted base R with NaN off
+        its diagonal passes the estimator's check; the DOP-scaled R it
+        gives is refused for not being finite."""
+        pipe = FusionPipeline(PipelineConfig())
+        run(pipe, stationary_stream(0.5, gps_rate=5.0))
+        estimator = pipe.adaptive["gps_pos"]
+        estimator.r = np.where(np.eye(3) > 0, estimator.r, np.nan)
+        before = session_of(pipe)
+        report, bumped = ingest_counting(pipe, gps_at([0.0, 0.0, 0.0], 0.5))
+        assert bumped == {"gps_quality_rejected": 1}
+        assert report.dropped == "fix noise R is not finite"
         assert not report.updates
         assert session_of(pipe) == before
 
@@ -987,7 +1018,7 @@ class TestGpsNoise:
     @pytest.mark.parametrize("xy, z, floor", [
         (0.0, 0.0, [1.0, 1.0, 4.0]),
         (0.5, 0.0, [0.25, 0.25, 4.0]),
-        (0.5, -3.0, [0.25, 0.25, 4.0]),
+        (0.5, 1e-200, [0.25, 0.25, 4.0]),  # its square is 0
         (0.0, 3.0, [1.0, 1.0, 9.0]),
     ])
     def test_gnss_floor_at_or_below_zero_floors_at_the_configured_r(
@@ -1089,10 +1120,15 @@ class TestYawObservability:
 
 class TestZupt:
     def test_trigger_thresholds(self):
-        assert zupt_trigger(0.04, 0.04)
-        assert not zupt_trigger(0.06, 0.01)
-        assert not zupt_trigger(0.01, 0.06)
-        assert not zupt_trigger(None, 0.01)
+        """ZUPT triggers with the encoder speed and the IMU rate both below
+        their thresholds, and never without an encoder reading."""
+        pipe = FusionPipeline(PipelineConfig())
+        for speed, rate, held in ((0.04, 0.04, True), (0.06, 0.01, False),
+                                  (0.01, 0.06, False), (None, 0.01, False)):
+            pipe._zupt_active = False
+            pipe._last_encoder_speed, pipe._last_imu_rate = speed, rate
+            pipe._update_zupt()
+            assert pipe._zupt_active is held
 
     def test_hysteresis_rearm(self):
         cfg = PipelineConfig()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from navfuse.config import DEFAULTS, PipelineConfig
+from navfuse.config import DEFAULTS, ConfigError, PipelineConfig
 from navfuse.core import (
     ENC_YAW_BIAS,
     EPSILON_OMEGA,
@@ -177,7 +177,7 @@ class TestProcessNoise:
 
     @pytest.mark.parametrize("value", [-1e-9, float("nan")])
     def test_negative_intensity_rejected(self, value):
-        with pytest.raises(ValueError, match="ukf.q_ewz"):
+        with pytest.raises(ConfigError, match="^ukf.q_ewz: "):
             make_step(0.01, q_ewz=value)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from navfuse.config import PipelineConfig
+from navfuse.config import ConfigError, PipelineConfig
 from navfuse.core import (
     ENC_YAW_BIAS,
     EPSILON_PD,
@@ -67,8 +67,8 @@ class TestParams:
         assert wm.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_alpha_range_enforced(self):
-        with pytest.raises(ValueError):
-            UkfParams(alpha=0.0)
+        with pytest.raises(ConfigError, match="^ukf.alpha: "):
+            PipelineConfig({"ukf.alpha": 0.0})
 
     def test_weights_computed_once_and_read_only(self):
         for w in (PARAMS.wm, PARAMS.wc):
