@@ -16,9 +16,10 @@ symmetric product, and the EMA and the floor act elementwise and on the
 diagonal.  Each R is checked to factor where it is made, through the LAPACK
 seam (``core._cholesky``): ``r0`` floored at construction, an adapted R in
 ``observe``, and a stored one when a checkpoint is loaded.  An adapted R
-that does not factor (a window of collinear innovations, which the EMA
-can drive R down to) is refused and the previous R kept; ``observe`` tells
-its caller, which counts it.
+that is not finite (a NaN innovation in the window, which OpenBLAS's
+factorization passes) or does not factor (a window of collinear
+innovations, which the EMA can drive R down to) is refused and the
+previous R kept; ``observe`` tells its caller, which counts it.
 
 A one-dimensional estimator (``encoder_vz``'s, fed on every accepted
 encoder sample) keeps the window's second moment W^T W as the numpy
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _cholesky
+from .core import _cholesky, all_finite
 
 
 @dataclass
@@ -121,6 +122,8 @@ class AdaptiveEstimator:
             return True
         c_hat = w.T @ w / self.window
         r = self._apply_floor((1.0 - self.alpha) * self.r + self.alpha * c_hat)
+        if not all_finite(r):  # the factorization passes a NaN
+            return False
         try:
             _cholesky(r)
         except np.linalg.LinAlgError:

@@ -52,9 +52,12 @@ FLAG = (False, True)
 
 #: per section, each key's (default, range), the value of the default's type
 SECTIONS: dict[str, dict[str, tuple[Any, Any]]] = {
-    # sigma-point scaling, 1e-4 <= alpha (Wan & van der Merwe) and n +
-    # kappa >= 1 for n = 23 states, then process noise intensities
-    "ukf": {"alpha": (0.1, Range(1e-4, 1.0)), "beta": (2.0, NON_NEGATIVE),
+    # sigma-point scaling, 1e-4 <= alpha (Wan & van der Merwe), beta <=
+    # 1e3 (2 is optimal for a Gaussian; the centre weight Wc0 grows with
+    # beta, and at 1e50 a run at rest fails to factor P within ten IMU
+    # steps) and n + kappa >= 1 for n = 23 states, then process noise
+    # intensities
+    "ukf": {"alpha": (0.1, Range(1e-4, 1.0)), "beta": (2.0, Range(0.0, 1e3)),
             "kappa": (0.0, Range(-22.0)),
             "q_position": (1e-4, NON_NEGATIVE),
             "q_orientation": (1e-7, NON_NEGATIVE),

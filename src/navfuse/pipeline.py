@@ -17,9 +17,14 @@ update (``ukf.update``), which conditions only a covariance that does not
 factor.  Each primary-IMU event predicts, updates and conditions ``cov``
 once (``_imu_step``), which also floors it at ``EPSILON_PD``: its
 sigma-point update's output or, that update rejected, the prediction,
-before any ZUPT update.  It leaves a snapshot in the replay ring, sharing
-the session's arrays, which the engine never writes into, and the one
-measurement vector the step fused, which a replay fuses again.  The filter
+before any ZUPT update.  The IMU update reads the sigma cloud that the last
+predict sub-step drew and propagated, Q but for the quaternion block's
+already in it (``ukf.predict``), so a step, live or replayed, makes one
+sigma draw; a step that predicts nothing, and every update that follows
+no predict (imu2, GPS heading, VSLAM), draws its own.  A step leaves a
+snapshot in the replay ring, sharing the session's arrays, which the
+engine never writes into, and the one measurement vector the step fused,
+which a replay fuses again.  The filter
 clock is the newest snapshot's stamp (``ring.last_stamp``), None while the
 ring is empty.  A primary-IMU stamp must advance the clock by at most
 ``_MAX_IMU_GAP``; one outside that window is dropped, and a second in a row
@@ -462,16 +467,19 @@ class FusionPipeline:
 
     def _apply_updates(self, x: np.ndarray, cov: np.ndarray,
                        updates: list, coast_active: bool,
-                       records: list[UpdateRecord], chained: bool = False):
+                       records: list[UpdateRecord], chained: bool = False,
+                       cloud: Optional[tuple] = None):
         """Apply ``(z, model, gate_scale)`` updates in order, one engine call
         each, appending the engine's record of each path to ``records``.
-        With ``chained``, stop after the first rejected update.  Returns
-        the state and the covariance."""
+        With ``chained``, stop after the first rejected update.  ``cloud``,
+        the sigma cloud predict drew for ``x`` and ``cov``, serves the one
+        update of an IMU step.  Returns the state and the covariance."""
         frozen = self._modes[coast_active][0]
         for z, model, gate_scale in updates:
             self._count("engine_update_calls")
             out = ukf_update(x, cov, z, model, self._params,
-                             gate_scale=gate_scale, frozen=frozen)
+                             gate_scale=gate_scale, frozen=frozen,
+                             cloud=cloud)
             records.extend(out.records)
             x, cov = out.x, out.cov
             if chained and not out.accepted:
@@ -607,17 +615,18 @@ class FusionPipeline:
         paths are bit-identical."""
         dt_total = step.stamp - stamp
         q_rate = self._modes[step.coast_active][1]
+        cloud = None  # a first step predicts nothing: its update draws
         while dt_total > 1e-12:
             dt = min(dt_total, _MAX_STEP_DT)
-            x, cov = ukf_predict(x, cov, PropagationStep(dt, q_rate),
-                                 self._params)
+            x, cov, cloud = ukf_predict(x, cov, PropagationStep(dt, q_rate),
+                                        self._params)
             dt_total -= dt
             if dt_total > 1e-12:  # the next sub-step draws from this one
                 cov = _condition(cov)
         records = [] if records is None else records
         x, updated = self._apply_updates(
             x, cov, [self._imu_update("imu", step.z)], step.coast_active,
-            records)
+            records, cloud=cloud)
         # predict leaves ``cov`` raw, for the sigma-point update to
         # condition; rejected, it hands that very array back, conditioned
         # here before the closed-form ZUPT update

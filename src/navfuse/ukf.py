@@ -4,15 +4,23 @@ Predict, and an update through a measurement function, run a full-state
 23-dimensional scaled unscented transform (2n+1 = 47 sigma points), held
 component-major: one C-contiguous (23, 47) array whose column j is sigma
 point j, so each state block (``points[QUAT]``, ...) is a contiguous row
-slice, and the moments sum along the last axis.  Predict adds Q, which is
-diagonal, on the unscented covariance's diagonal in place.  A model
-declared by its matrix H updates in closed form, S = HPH^T + R and
-Pxz = PH^T: that transform of a linear map, but for Pxz's quaternion rows,
-which it projects onto the unit sphere's tangent space.  Every update
-gates through one path, ``_gate_blocks``, and records each block's
-decision as an ``UpdateRecord``: a stacked model (``measurements.stack``)
-is one update with a block per model, closed-form for a linear stack and
-one sigma set for a sigma-point stack, and any other model is one block.
+slice, and the moments sum along the last axis.  Q is diagonal.  Predict
+adds every block's noise but the quaternion's to P's diagonal before it
+draws, so the propagated cloud carries it, and the quaternion's on the
+predicted covariance's diagonal, since propagation renormalizes each sigma
+quaternion and would cancel its radial part.  It returns that cloud with
+its deviations from the predicted mean, and an update given the cloud
+(``cloud``) reads it in place of a fresh draw: the IMU step's update
+follows its predict, so each IMU step makes one sigma draw, the choice
+between reusing and redrawing the propagated points in Wan & van der
+Merwe (2000).  A model declared by its matrix H updates in closed form,
+S = HPH^T + R and Pxz = PH^T: that transform of a linear map, but for
+Pxz's quaternion rows, which it projects onto the unit sphere's tangent
+space.  Every update gates through one path, ``_gate_blocks``, and
+records each block's decision as an ``UpdateRecord``: a stacked model
+(``measurements.stack``) is one update with a block per model,
+closed-form for a linear stack and one sigma set for a sigma-point stack,
+and any other model is one block.
 The model's R is added to S in one operation, a stack's R being one
 array.  The gate factors S = LL^T and whitens [nu | Pxz^T] by L under one
 LAPACK error state: L's leading rows factor S's leading rows alone (the
@@ -32,9 +40,9 @@ P - W^T W, any frozen block put back, as it is when it factors
 variance at most the cap.  Then symmetrizing and capping change nothing,
 as W^T W is one symmetric product and no diagonal entry rises; the floor
 comes back at the next conditioning, or in ``generate_sigma_points``.
-The engine takes and returns plain arrays,
-``x`` and its covariance, knows no clock, and never writes into its
-inputs, so callers may share them.
+The engine takes and returns plain arrays, ``x``, its covariance and
+predict's cloud, knows no clock, and never writes into its inputs, so
+callers may share them.
 
 Sigma points factor through ``_cholesky``, and S and the whitening solve
 through ``_whiten``, the LAPACK seam in ``core``: numpy's own LAPACK
@@ -257,6 +265,16 @@ def mean_of_sigmas(points: np.ndarray, wm: np.ndarray) -> np.ndarray:
     return mean
 
 
+#: masks Q to the blocks whose noise ``predict`` adds before its draw: all
+#: but the quaternion's, which it adds on the predicted covariance's
+#: diagonal, at the flat indices ``_QUAT_DIAGONAL``
+_NOT_QUAT = np.ones(STATE_DIM)
+_NOT_QUAT[QUAT] = 0.0
+_NOT_QUAT.flags.writeable = False
+_QUAT_DIAGONAL = slice(QUAT.start * (STATE_DIM + 1),
+                       QUAT.stop * (STATE_DIM + 1), STATE_DIM + 1)
+
+
 def _deviations(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Raw sigma-minus-mean differences with hemisphere-aligned quaternions."""
     return align_quat_hemisphere(points, mean[QUAT]) - mean[:, None]
@@ -268,17 +286,27 @@ def predict(
     step: PropagationStep,
     params: UkfParams,
     transition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Propagate the flat state ``x`` and its covariance through one
-    process step, returning new arrays: the covariance is the raw
-    unscented sum plus Q, added on its diagonal, not conditioned, for an
-    update or ``_condition`` to condition once.
+    process step, returning new arrays: the predicted mean, its covariance
+    and the propagated cloud, the (23, 47) sigma columns with their
+    deviations from that mean, which ``update`` takes as ``cloud``.
+
+    Q is diagonal.  Every block's noise but the quaternion's goes on P's
+    diagonal before the draw, so the cloud carries it; the quaternion's
+    goes on the predicted covariance's diagonal, since propagation
+    renormalizes each sigma quaternion and would cancel its radial part.
+    The covariance is not conditioned, for an update or ``_condition`` to
+    condition once.
 
     ``transition`` overrides the kinematic model with an arbitrary batched
     map over the (23, 47) sigma columns (used by oracle tests); the process
     noise of ``step`` is added either way.
     """
-    points = generate_sigma_points(x, cov, params)
+    q = process_noise_matrix(step)
+    drawn = cov.copy()
+    drawn.reshape(-1)[:: STATE_DIM + 1] += q * _NOT_QUAT
+    points = generate_sigma_points(x, drawn, params)
     if transition is None:
         # the kinematic step renormalizes its quaternions already
         propagated = propagate_states(points, step.dt)
@@ -290,8 +318,8 @@ def predict(
         raise NumericalError("prediction produced non-finite mean")
     dev = _deviations(propagated, mean)
     cov = (dev * params.wc) @ dev.T
-    cov.reshape(-1)[:: STATE_DIM + 1] += process_noise_matrix(step)
-    return mean, cov
+    cov.reshape(-1)[_QUAT_DIAGONAL] += q[QUAT]
+    return mean, cov, (propagated, dev)
 
 
 def update(
@@ -302,13 +330,16 @@ def update(
     params: UkfParams,
     gate_scale: float = 1.0,
     frozen: Optional[slice] = None,
+    cloud: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> UpdateOutcome:
     """Standard UKF measurement update of the flat state ``x`` and its
     covariance, with gating and residual wrapping.
 
     A model with a matrix H skips the sigma points: nu = z - Hx,
     S = HPH^T + R and Pxz = PH^T; any other model takes S and Pxz from one
-    sigma set.  Either way the model's R, a stack's holding each block's
+    sigma set, ``cloud`` when given: the (points, deviations) pair that
+    ``predict`` returned with ``x`` and ``cov``, else a draw from them.
+    Either way the model's R, a stack's holding each block's
     current R, is added to S in one operation.  Components a model flags as
     angles, a heading's, use wrapped residuals throughout
     (``model.wrapped``); a tilt or a rotation vector needs none.  Every
@@ -346,15 +377,19 @@ def update(
         np.matmul(h, pxz, out=frame_t[:m])
         np.subtract(z, h @ x, out=frame_t[m])
     else:
-        points = generate_sigma_points(x, cov, params)
-        mean = points[:, 0]  # x with its quaternion renormalized
+        if cloud is None:
+            points = generate_sigma_points(x, cov, params)
+            mean = points[:, 0]  # x with its quaternion renormalized
+            dev = _deviations(points, mean)
+        else:  # predict's propagated cloud, whose mean is x
+            points, dev = cloud
         zpts = model.h(points)
         zbar = zpts[:, 0] + model.wrapped(zpts - zpts[:, :1]) @ params.wm
         dz = model.wrapped(zpts - zbar[:, None])
         dz_w = dz * params.wc
         np.matmul(dz, dz_w.T, out=frame_t[:m])
         frame_t[m] = model.wrapped(z - zbar)
-        np.matmul(_deviations(points, mean), dz_w.T, out=frame_t[m + 1:])
+        np.matmul(dev, dz_w.T, out=frame_t[m + 1:])
     frame_t[:m] += model.r  # a stack's R is one array (``stack``)
     records, white = _gate_blocks(model.parts, frame_t.T, gate_scale)
     if white is None:

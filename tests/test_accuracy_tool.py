@@ -1,13 +1,15 @@
 """Smoke test of ``tools/accuracy.py``: every benchmark workload, one seed,
-at a twentieth of its length (about a second); and loop_blackout's former
-outlier seed at full length."""
+at a twentieth of its length (about a second); the tree against itself as
+``--base``; and loop_blackout's former outlier seed at full length."""
 
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "accuracy.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "accuracy.py"
 
 
 def load_tool():
@@ -39,6 +41,32 @@ def test_one_seed_of_every_workload(capsys):
         table = "\n".join(lines[:-1])
         assert f"{name}: mean ATE {summary['ate_mean_m']:.4f} m" in table
     assert "vslam" in result["dense_two_delayed"]["paths"]
+
+
+def test_tree_against_itself_as_base(capsys):
+    """loop_blackout, one seed at a twentieth of its length: the same
+    source loaded as a second package gives a ratio of one and no
+    difference on any path."""
+    tool = load_tool()
+    alias = tool.paired.ALIAS
+    try:
+        assert tool.main(["--workload", "loop_blackout", "--seeds", "2",
+                          "--scale", "0.05", "--base", str(ROOT)]) == 0
+        assert (sys.modules[alias].FusionPipeline
+                is not tool.navfuse.FusionPipeline)
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == alias]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    result = json.loads(lines[-1])["loop_blackout"]
+    assert result["base"] == result["change"]
+    assert result["ate_ratio"] == 1.0
+    assert {"imu_raw", "encoder", "gps_pos"} <= set(result["delta"])
+    for path, delta in result["delta"].items():
+        assert delta["accept_rate"] == 0.0, path
+        assert delta["nis_per_dof"] in (0.0, None), path
+    assert lines[0].startswith("loop_blackout: mean ATE base ")
+    assert lines[0].endswith("ratio 1.0000")
 
 
 def test_loop_blackout_seed_4_stays_under_a_metre():

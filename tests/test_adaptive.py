@@ -234,6 +234,28 @@ class TestObserve:
         assert refused >= 1
         assert est.checked(est.r, "R") is est.r
 
+    def test_nan_innovation_keeps_r(self, rng):
+        """The matrix path refuses an adapted R that is not finite, as the
+        one-dimensional path does: OpenBLAS's factorization passes a NaN
+        pivot, so the factor check alone would keep it."""
+        est = AdaptiveEstimator("gps_pos", np.diag([1.0, 1.0, 4.0]),
+                                window=5)
+        for _ in range(est.window):
+            assert est.observe(rng.normal(0.0, 1.0, size=3))
+        kept = est.r
+        assert est.observe(np.array([0.1, np.nan, 0.2])) is False
+        assert est.r is kept and np.isfinite(kept).all()
+
+    def test_pipeline_counts_a_nan_gps_innovation(self):
+        pipe = FusionPipeline()
+        estimator = pipe.adaptive["gps_pos"]
+        for _ in range(estimator.window):
+            pipe._observe("gps_pos", np.zeros(3))
+        kept = estimator.r
+        pipe._observe("gps_pos", np.array([np.nan, 0.0, 0.0]))
+        assert estimator.r is kept
+        assert pipe.diagnostics["adaptive_rejected_gps_pos"] == 1
+
     def test_off_diagonals_adapt(self, rng):
         est = AdaptiveEstimator("corr", np.eye(2) * 4.0, [0.01] * 2)
         base = rng.normal(0.0, 1.0, size=1000)

@@ -3,11 +3,14 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from navfuse.config import (ABLATION_OVERRIDES, DEFAULTS, FLAG, SECTIONS,
                             ConfigError, PipelineConfig, Range)
+from navfuse.core import GRAVITY
+from navfuse.events import ImuSample
 from navfuse.pipeline import FusionPipeline
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -137,6 +140,19 @@ class TestRanges:
     def test_every_key_at_one_end_builds(self, end):
         FusionPipeline(PipelineConfig({key: edges(key)[end]
                                        for key in NUMBERS}))
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
+    @pytest.mark.parametrize("key", NUMBERS)
+    def test_key_at_each_end_runs_imu_steps_at_rest(self, key, end):
+        """Each key alone at an edge fuses two IMU samples at rest, the
+        second one predict and one update, to a finite state and
+        covariance.  Mixes of extreme keys are out of scope."""
+        pipe = FusionPipeline(PipelineConfig({key: edges(key)[end]}))
+        for stamp in (0.0, 0.01):
+            report = pipe.ingest(ImuSample(stamp, np.zeros(3), GRAVITY.copy(),
+                                           np.array([1.0, 0.0, 0.0, 0.0])))
+            assert report.dropped is None
+            assert np.isfinite(pipe.x).all() and np.isfinite(pipe.cov).all()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.fixed_dictionaries({key: in_range(key) for key in DEFAULTS}))

@@ -643,8 +643,9 @@ class TestConstruction:
     def test_plain_imu_event_engine_work(self, monkeypatch):
         """A primary-IMU sample with orientation, no ZUPT held and no
         repair firing: one predict and one update of the raw and
-        orientation rows stacked, each one sigma set (``_cholesky``); the
-        update factors S and whitens both blocks with one solve
+        orientation rows stacked, from one sigma set (``_cholesky``), the
+        one predict drew and propagated; the update factors S and whitens
+        both blocks with one solve
         (``_whiten``), and its output is the step's one conditioning (one
         ``np.linalg.cholesky``), as predict leaves its covariance raw.  It
         counts the third sample, because the second one's update, the first
@@ -670,8 +671,8 @@ class TestConstruction:
         report = pipe.ingest(imu_at(0.02, orientation=orientation))
         assert [r.path for r in report.updates] == ["imu_raw",
                                                     "imu_orientation"]
-        assert calls == {"generate_sigma_points": 2, "repair_pd": 1,
-                         "_cholesky": 2, "cholesky": 1, "_whiten": 1,
+        assert calls == {"generate_sigma_points": 1, "repair_pd": 1,
+                         "_cholesky": 1, "cholesky": 1, "_whiten": 1,
                          "eigvalsh": 0, "ukf_update": 1}
 
     def test_encoder_event_engine_work(self, monkeypatch):

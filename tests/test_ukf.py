@@ -1,5 +1,6 @@
 import warnings
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from navfuse.measurements import (
     MeasurementModel,
     encoder_model,
     encoder_vz_model,
+    imu_cols,
     imu_orientation_model,
     imu_raw_model,
     stack,
@@ -250,7 +252,7 @@ class TestPredict:
             p[sl, sl] = np.eye(3) * EPSILON_PD
         step = PropagationStep(0.01, noise_rates(PipelineConfig(
             {q_key: 0.0 for _, q_key, _ in STATE_BLOCKS})))
-        x1, p1 = predict(x, p, step, PARAMS)
+        x1, p1, _ = predict(x, p, step, PARAMS)
         assert np.max(np.abs(x1 - x)) < 1e-12
         # everything but the quaternion block is already invariant; the
         # quaternion block settles into tangent form after one transform
@@ -261,7 +263,7 @@ class TestPredict:
         # step; everything else stays put and nothing ever grows
         xi, pi = x1, p1
         for _ in range(5):
-            x2, p2 = predict(xi, pi, step, PARAMS)
+            x2, p2, _ = predict(xi, pi, step, PARAMS)
             assert np.max(np.abs(x2 - x)) < 1e-12
             assert np.max(np.abs((p2 - pi)[np.ix_(mask, mask)])) < 1e-10
             q_drift = np.max(np.abs((p2 - pi)[QUAT, QUAT]))
@@ -284,16 +286,19 @@ class TestPredict:
         x = vec
         p = default_cov()
 
+        # predict adds Q before its draw, outside the quaternion block, so
+        # the oracle's transition carries it: A (P + Q) A^T
+        q_drawn = q23[np.ix_(NON_QUAT, NON_QUAT)]
         oracle = LinearKalmanOracle(a23[np.ix_(NON_QUAT, NON_QUAT)],
                                     np.zeros(len(NON_QUAT)),
-                                    q23[np.ix_(NON_QUAT, NON_QUAT)])
+                                    np.zeros_like(q_drawn))
         ox = vec[NON_QUAT]
         op = p[np.ix_(NON_QUAT, NON_QUAT)]
 
         transition = lambda pts: a23 @ pts
         for _ in range(20):
-            x, p = predict(x, p, step, PARAMS, transition=transition)
-            ox, op = oracle.predict(ox, op)
+            x, p, _ = predict(x, p, step, PARAMS, transition=transition)
+            ox, op = oracle.predict(ox, op + q_drawn)
             assert np.max(np.abs(x[NON_QUAT] - ox)) < 1e-9
             assert np.max(np.abs(p[np.ix_(NON_QUAT, NON_QUAT)] - op)) < 1e-9
 
@@ -307,7 +312,7 @@ class TestPredict:
         x = FilterState(position=[1e155, 0.0, 0.0]).vector
         assert np.vdot(x, x) == np.inf
         step = PropagationStep(0.01, noise_rates(PipelineConfig()))
-        x1, _ = predict(x, default_cov(), step, PARAMS)
+        x1, _, _ = predict(x, default_cov(), step, PARAMS)
         assert np.isfinite(x1).all() and x1[0] == pytest.approx(1e155)
 
     def test_fuzz_invariants(self, rng):
@@ -317,13 +322,74 @@ class TestPredict:
         step = PropagationStep(0.01, noise_rates(PipelineConfig()))
         for i in range(300):
             # predict leaves its covariance raw; the pipeline conditions it
-            x, p = predict(x, p, step, PARAMS)
+            x, p, _ = predict(x, p, step, PARAMS)
             p = ukf._condition(p)
             assert np.array_equal(p, p.T)
             if i % 50 == 0:
                 # eigensolver resolution is ~1e-15 * ||P||, just below the floor
                 assert np.linalg.eigvalsh(p)[0] >= EPSILON_PD - 1e-12
                 assert np.all(np.diag(p)[OMEGA] <= 1.0 + 1e-9)
+
+
+class TestPredictedCloud:
+    """``predict`` puts Q into P before its draw, but for the quaternion
+    block's, and returns the propagated cloud, which an update takes in
+    place of a fresh draw (the IMU step's one sigma set)."""
+
+    def test_quaternion_noise_goes_on_the_predicted_diagonal(self):
+        x = FilterState(velocity=[1.0, 0.2, 0.0],
+                        angular_rate=[0.0, 0.0, 0.3]).vector
+        p = default_cov()
+        step = PropagationStep(0.01, noise_rates(PipelineConfig()))
+        q = step.q_rate * step.dt
+        drawn = q.copy()
+        drawn[QUAT] = 0.0
+        x1, p1, _ = predict(x, p, step, PARAMS)
+        # the same draw from P plus every other block's noise, without Q
+        x0, p0, _ = predict(x, p + np.diag(drawn),
+                            PropagationStep(0.01, np.zeros(STATE_DIM)),
+                            PARAMS)
+        np.testing.assert_array_equal(x1, x0)
+        expected = p0.copy()
+        expected[QUAT, QUAT] += np.diag(q[QUAT])
+        np.testing.assert_array_equal(p1, expected)
+        assert np.all(q[QUAT] == PipelineConfig()["ukf.q_orientation"] * 0.01)
+
+    def test_cloud_is_the_propagated_draw_and_its_deviations(self):
+        x = FilterState(velocity=[1.0, 0.2, 0.0],
+                        angular_rate=[0.0, 0.0, 0.3]).vector
+        p = default_cov()
+        step = PropagationStep(0.01, noise_rates(PipelineConfig()))
+        x1, _, (points, dev) = predict(x, p, step, PARAMS)
+        assert points.shape == dev.shape == (STATE_DIM, 2 * STATE_DIM + 1)
+        np.testing.assert_allclose(dev, points - x1[:, None], rtol=0,
+                                   atol=1e-15)
+
+    def test_imu_update_from_the_cloud_equals_a_fresh_draw(self, rng):
+        # an identity transition and no process noise: the cloud is the
+        # draw from the predicted covariance, up to the renormalization of
+        # its quaternions, which a narrow quaternion block keeps below 1e-9
+        x = FilterState(angular_rate=[0.02, -0.01, 0.05],
+                        gyro_bias=[1e-3, 0.0, -2e-3]).vector
+        p = scaled_quat_block(random_pd_matrix(rng, STATE_DIM, 0.001))
+        still = PropagationStep(0.01, np.zeros(STATE_DIM))
+        x1, p1, cloud = predict(x, p, still, PARAMS,
+                                transition=lambda pts: pts)
+        model = stack(imu_raw_model(0.005, 0.05, 15.09),
+                      imu_orientation_model(False, 0.02, 15.09),
+                      h=partial(imu_cols, orient=2))
+        z = imu_cols(x1[:, None], 2)[:, 0] + rng.normal(size=8) * 0.01
+        fresh = update(x1, p1, z, model, PARAMS)
+        reused = update(x1, p1, z, model, PARAMS, cloud=cloud)
+        assert [(r.path, r.accepted) for r in reused.records] == [
+            ("imu_raw", True), ("imu_orientation", True)]
+        assert [(r.path, r.accepted) for r in fresh.records] == [
+            (r.path, r.accepted) for r in reused.records]
+        for a, b in zip(fresh.records, reused.records):
+            assert b.d2 == pytest.approx(a.d2, rel=0, abs=1e-9)
+        assert np.max(np.abs(reused.x - fresh.x)) < 1e-9
+        assert np.max(np.abs(reused.cov - fresh.cov)) < 1e-9
+        assert np.max(np.abs(reused.x - x1)) > 1e-4  # the update moved x
 
 
 def linear_position_model(r_scalar=0.25, gate_threshold=1e12):
@@ -480,7 +546,7 @@ class TestInputsUntouched:
     def test_predict(self):
         x, p = read_only_inputs()
         step = PropagationStep(0.01, noise_rates(PipelineConfig()))
-        x1, p1 = predict(x, p, step, PARAMS)
+        x1, p1, _ = predict(x, p, step, PARAMS)
         assert x1 is not x and p1 is not p
 
     @pytest.mark.parametrize("z, model, frozen, reason", [
