@@ -83,27 +83,18 @@ accepted or gated.  Entering coast drops the anchor, since a chord across
 an outage is no course.
 
 A checkpoint (version 10) is a JSON file: version, configuration hash, and
-the session, the attributes ``FusionPipeline._SESSION`` lists and ``reset``
-assigns, as state only: ``x``, covariance, the origin's [lat, lon, alt],
-the replay snapshots (each with its one ``z``), each estimator's R,
-innovation window and rows filled, anchors, mode flags, readings and
-counters, each array as its shape and the base64 of its little-endian
-float64 bytes.  Loading rebuilds what the configuration fixes (the
-origin's frame, the estimators, the ring) and reads every stored value by
-a typed reader, checking its type, shape, range and any quaternion's unit
-norm, each covariance, the session's and each snapshot's, to hold the
-invariant above (``_read_cov``), each snapshot's stamp to follow the one
-before by at most ``_MAX_IMU_GAP``, as a live step does, and each
-estimator's R as the estimator checks its own
-(``AdaptiveEstimator.checked``: symmetric, at or above its floor, positive
-definite), before assigning any, so a malformed file changes nothing and a
-resumed run is bit-identical to an uninterrupted one.
+the session, whose attributes, initial values and checked readers
+``FusionPipeline._SESSION`` declares.  Loading refuses another
+configuration's hash, and rebuilds on this one what it fixes and the file
+does not hold: the origin's frame, the estimators and the ring.  Every
+stored value is read before any is assigned, so a malformed file changes
+nothing and a resumed run is bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -281,6 +272,110 @@ class _Settings:
     vslam_reinit_n: int
 
 
+#: the stored form of every array element: little-endian float64
+_F8 = np.dtype("<f8")
+_MAX = float(np.finfo(float).max)  # a Python float: exact against any int
+_STATE, _COV = (STATE_DIM,), (STATE_DIM, STATE_DIM)
+#: the stored part of a session value that holds more than its state (the
+#: configuration fixes the rest): the origin's point, the ring's snapshots,
+#: an estimator's R, innovation window and rows filled
+_STORED = {EnuOrigin: lambda origin: origin.geodetic,
+           StateSnapshotRing: lambda ring: ring.entries,
+           AdaptiveEstimator: lambda est: (est.r, est._innovations,
+                                           est._filled)}
+
+
+def _doc(value):
+    """A session value's stored form, by its type once ``_STORED`` projects
+    it: an array as its shape and the base64 of its ``_F8`` bytes, a
+    dataclass as its fields in order, a dict by key, a tuple or list by
+    item, and None, a bool or a number as itself."""
+    if type(value) in _STORED:
+        value = _STORED[type(value)](value)
+    if isinstance(value, np.ndarray):
+        import base64  # here, as ``json`` and ``base64`` serve checkpoints
+        return {"shape": list(value.shape), "f8": base64.b64encode(
+            value.astype(_F8, copy=False).tobytes()).decode("ascii")}
+    if is_dataclass(value):
+        value = [getattr(value, f.name) for f in fields(value)]
+    if isinstance(value, dict):
+        return {key: _doc(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_doc(item) for item in value]
+    return value
+
+
+def _read_array(doc: dict, shape: tuple[int, ...],
+                unit: Optional[slice] = None) -> np.ndarray:
+    """The array ``doc`` stores (``_doc``), which must have ``shape``
+    and finite entries, and a norm of 1 within 1e-9 over ``unit``, the
+    tolerance of ``FilterState.validate``."""
+    import base64
+    if doc.keys() != {"shape", "f8"} or doc["shape"] != list(shape):
+        raise ValueError(f"expected an array of shape {shape}")
+    data = base64.b64decode(doc["f8"], validate=True)
+    if len(data) != _F8.itemsize * math.prod(shape):
+        raise ValueError(f"array payload does not match shape {shape}")
+    a = np.frombuffer(data, _F8).reshape(shape).astype(float)
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite array entry")
+    if unit is not None and abs(math.sqrt(a[unit] @ a[unit]) - 1.0) > 1e-9:
+        raise ValueError("quaternion without unit norm")
+    return a
+
+
+def _read_cov(doc: dict) -> np.ndarray:
+    """The covariance ``doc`` stores (``_read_array``), which must hold the
+    session's invariant that closed-form updates trust: exactly symmetric,
+    angular-rate variances at most ``OMEGA_VAR_CAP``, and factoring through
+    ``_cholesky``."""
+    cov = _read_array(doc, _COV)
+    if not np.array_equal(cov, cov.T):
+        raise ValueError("covariance not exactly symmetric")
+    if cov.diagonal()[OMEGA].max() > OMEGA_VAR_CAP:
+        raise ValueError(f"angular-rate variance above {OMEGA_VAR_CAP}")
+    try:
+        _cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance does not factor") from None
+    return cov
+
+
+def _read_flag(value) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"expected a bool, not {value!r}")
+    return value
+
+
+def _read_real(value, optional: bool = False, low: float = -_MAX,
+               top: float = _MAX, types: tuple = (int, float)):
+    """``value`` if its type is one of ``types`` (a bool's is not) and it
+    lies in [low, top], which keeps out NaN and, by default, inf; None too
+    when ``optional``."""
+    if value is None and optional:
+        return None
+    if type(value) not in types or not low <= value <= top:
+        raise ValueError(f"{value!r} is not a number in [{low}, {top}]")
+    return value
+
+
+#: a counter, a fill count or a rejection count
+_read_count = partial(_read_real, low=0, top=math.inf, types=(int,))
+
+
+def _items(build: Callable, *readers: Callable,
+           optional: bool = False) -> Callable:
+    """The ``_SESSION`` reader of a list stored item by item: ``build``
+    of its items, each read by its reader, or None too when ``optional``;
+    a list of another length raises ``ValueError``."""
+    def read(pipe, doc):
+        if doc is None and optional:
+            return None
+        return build(*[item_read(item) for item_read, item
+                       in zip(readers, doc, strict=True)])
+    return read
+
+
 class CheckpointError(ValueError):
     """Raised when a checkpoint cannot be restored (stale config hash,
     version mismatch, malformed document)."""
@@ -415,37 +510,99 @@ class FusionPipeline:
                     enabled=cfg[switch])
                 for name, (sigmas, floor, switch) in paths.items()}
 
-    #: the session: every attribute ``reset`` assigns, which is exactly
-    #: what a checkpoint saves and restores
-    _SESSION = ("x", "cov", "origin", "ring", "adaptive", "vslam_anchor",
-                "coast", "_zupt_active", "_last_encoder_speed",
-                "_last_imu_rate", "_heading_anchor", "_jump_stamp",
-                "diagnostics")
+    def _read_adaptive(self, doc: dict) -> dict[str, AdaptiveEstimator]:
+        """Fresh estimators holding their stored R, which each checks as
+        its own (``AdaptiveEstimator.checked``), window and rows filled."""
+        adaptive = self._build_adaptive()
+        if doc.keys() != adaptive.keys():
+            raise ValueError("adaptive paths differ from the configuration")
+        for name, est in adaptive.items():
+            r, window, filled = doc[name]
+            est.r = est.checked(_read_array(r, (est.dim, est.dim)),
+                                "stored noise")
+            est._innovations = _read_array(window, (est.window, est.dim))
+            est._filled = _read_count(filled, top=est.window)
+        return adaptive
+
+    def _initial_cov(self) -> np.ndarray:
+        """P0: the configured variances, the angular-rate ones capped at
+        ``OMEGA_VAR_CAP``, which every session's P holds for a closed-form
+        update to trust."""
+        diag = np.empty(STATE_DIM)
+        for block, _, var_key in STATE_BLOCKS:
+            diag[block] = self.config[var_key]
+        np.minimum(diag[OMEGA], OMEGA_VAR_CAP, out=diag[OMEGA])
+        return np.diag(diag)
+
+    def _read_ring(self, doc: list) -> StateSnapshotRing:
+        """A fresh ring of the configured capacity, filled through
+        ``record`` with the stored snapshots.  Each stamp follows the one
+        before it by at most ``_MAX_IMU_GAP``, as a live step's does: a
+        replay predicts across that gap.  Each z holds the raw rows, or
+        with orientation the joint rows."""
+        raw, joint = self._imu_models["imu"]
+        z_shapes = [[raw.dim]] + ([] if joint is None else [[joint.dim]])
+        ring = StateSnapshotRing(self.config["retro.capacity"])
+        if len(doc) > ring.capacity:
+            raise ValueError("replay ring over capacity")
+        for stamp, x, cov, z, zupt, coast in doc:
+            stamp, clock = _read_real(stamp), ring.last_stamp
+            if clock is not None and not 0.0 < stamp - clock <= _MAX_IMU_GAP:
+                raise ValueError("snapshot stamps not increasing by at most "
+                                 f"{_MAX_IMU_GAP} s")
+            if z["shape"] not in z_shapes:
+                raise ValueError(f"snapshot z of shape {z['shape']}, not one "
+                                 f"of {z_shapes}")
+            ring.record(Snapshot(stamp, _read_array(x, _STATE, QUAT),
+                                 _read_cov(cov),
+                                 _read_array(z, tuple(z["shape"])),
+                                 _read_flag(zupt), _read_flag(coast)))
+        return ring
+
+    #: the session, every attribute ``reset`` assigns and a checkpoint
+    #: stores, in this order: per attribute, ``(initial, read)``, its value
+    #: in a fresh session, ``initial(pipe)``, and the checked reader of its
+    #: stored form (``_doc``), ``read(pipe, doc)``, which raises
+    #: ``ValueError`` on a value of the wrong type, shape or range
+    _SESSION: dict[str, tuple[Callable, Callable]] = {
+        "x": (lambda _: FilterState().vector,
+              lambda _, doc: _read_array(doc, _STATE, QUAT)),
+        "cov": (_initial_cov, lambda _, doc: _read_cov(doc)),
+        # the origin's point, which ``GeodeticCoord`` range-checks
+        "origin": (lambda _: None, _items(
+            lambda *point: EnuOrigin.from_geodetic(GeodeticCoord(*point)),
+            _read_real, _read_real, _read_real, optional=True)),
+        "ring": (lambda pipe: StateSnapshotRing(pipe.config["retro.capacity"]),
+                 _read_ring),
+        "adaptive": (_build_adaptive, _read_adaptive),
+        "vslam_anchor": (lambda _: VslamAnchor(), _items(
+            VslamAnchor, partial(_read_array, shape=(3,)),
+            partial(_read_array, shape=(4,), unit=slice(None)), _read_count)),
+        "coast": (lambda _: CoastState(), _items(
+            CoastState, _read_flag, partial(_read_real, optional=True),
+            _read_flag)),
+        "_zupt_active": (lambda _: False, lambda _, doc: _read_flag(doc)),
+        "_last_encoder_speed": (lambda _: None,
+                                lambda _, doc: _read_real(doc, True, 0.0)),
+        "_last_imu_rate": (lambda _: None,
+                           lambda _, doc: _read_real(doc, True, 0.0)),
+        # fix xy, stamp, fix variance (r00 + r11 of a factoring R, so not
+        # negative), the filter's xy at that fix
+        "_heading_anchor": (lambda _: None, _items(
+            lambda *anchor: anchor, partial(_read_array, shape=(2,)),
+            _read_real, partial(_read_real, low=0.0),
+            partial(_read_array, shape=(2,)), optional=True)),
+        "_jump_stamp": (lambda _: None,
+                        lambda _, doc: _read_real(doc, optional=True)),
+        "diagnostics": (lambda _: {}, lambda _, doc: {
+            name: _read_count(count) for name, count in doc.items()}),
+    }
 
     def reset(self) -> None:
         """Restore the configured initial state and clear all session
-        memory (``_SESSION``): origin, adaptive windows, ring, anchors."""
-        cfg = self.config
-        self.x = FilterState().vector
-        diag = np.empty(STATE_DIM)
-        for block, _, var_key in STATE_BLOCKS:
-            diag[block] = cfg[var_key]
-        # every session's P holds the cap a closed-form update trusts
-        np.minimum(diag[OMEGA], OMEGA_VAR_CAP, out=diag[OMEGA])
-        self.cov = np.diag(diag)
-        self.origin: Optional[EnuOrigin] = None
-        self.ring = StateSnapshotRing(cfg["retro.capacity"])
-        self.adaptive = self._build_adaptive()
-        self.vslam_anchor = VslamAnchor()
-        self.coast = CoastState()
-        self._zupt_active = False
-        self._last_encoder_speed: Optional[float] = None
-        self._last_imu_rate: Optional[float] = None
-        # fix xy, stamp, fix variance, the filter's xy at that fix
-        self._heading_anchor: Optional[
-            tuple[np.ndarray, float, float, np.ndarray]] = None
-        self._jump_stamp: Optional[float] = None
-        self.diagnostics: dict[str, int] = {}
+        memory: each ``_SESSION`` attribute takes its initial value."""
+        for name, (initial, _) in self._SESSION.items():
+            setattr(self, name, initial(self))
 
     # ------------------------------------------------------------------
     # helpers
@@ -853,186 +1010,17 @@ class FusionPipeline:
             setattr(self, name, value)
 
     def _session_doc(self) -> dict:
-        """The session (``_SESSION``) in its JSON form, state only: what the
-        configuration fixes (the origin's frame, the estimators' settings,
-        the ring's capacity) is rebuilt from it by ``_read_session``."""
-        def opt(value, form):
-            return None if value is None else form(value)
-
-        origin, anchor, coast = self.origin, self.vslam_anchor, self.coast
-        return {
-            "x": _array_doc(self.x),
-            "cov": _array_doc(self.cov),
-            "origin": opt(origin, lambda o: [o.geodetic.lat, o.geodetic.lon,
-                                             o.geodetic.alt]),
-            "ring": [[s.stamp, _array_doc(s.x), _array_doc(s.cov),
-                      _array_doc(s.z), s.zupt_active, s.coast_active]
-                     for s in self.ring.entries],
-            "adaptive": {name: [_array_doc(est.r),
-                                _array_doc(est._innovations), est._filled]
-                         for name, est in self.adaptive.items()},
-            "vslam_anchor": [_array_doc(anchor.position),
-                             _array_doc(anchor.quaternion), anchor.rejections],
-            "coast": [coast.active, coast.last_accept, coast.relax_armed],
-            "_zupt_active": self._zupt_active,
-            "_last_encoder_speed": self._last_encoder_speed,
-            "_last_imu_rate": self._last_imu_rate,
-            "_heading_anchor": opt(self._heading_anchor, lambda h: [
-                _array_doc(h[0]), h[1], h[2], _array_doc(h[3])]),
-            "_jump_stamp": self._jump_stamp,
-            "diagnostics": dict(self.diagnostics),
-        }
+        """The session (``_SESSION``) in its stored form (``_doc``)."""
+        return {name: _doc(getattr(self, name)) for name in self._SESSION}
 
     def _read_session(self, doc: dict) -> dict:
-        """The session ``_session_doc`` stored, rebuilt on the
-        configuration: the origin from its point, fresh estimators given
-        their stored R and window, and a fresh ring filled through
-        ``record``.  Each stored value goes through its typed reader; a
-        value of the wrong type, shape or range raises ``ValueError``."""
+        """The session ``_session_doc`` stored, each value read by its
+        ``_SESSION`` reader, given this pipeline."""
         if set(doc) != set(self._SESSION):
             raise ValueError("session keys missing or unknown: "
                              f"{sorted(set(doc) ^ set(self._SESSION))}")
-        # a snapshot's z: the raw rows, or with orientation the joint rows
-        raw, joint = self._imu_models["imu"]
-        z_shapes = [[raw.dim]] + ([] if joint is None else [[joint.dim]])
-
-        def snapshot(clock, stamp, x, cov, z, zupt, coast):
-            """The stored snapshot, whose stamp follows ``clock``, the one
-            before it, by at most ``_MAX_IMU_GAP``, as a live step's does:
-            a replay predicts across that gap."""
-            stamp = _read_real(stamp)
-            if clock is not None and not 0.0 < stamp - clock <= _MAX_IMU_GAP:
-                raise ValueError("snapshot stamps not increasing by at most "
-                                 f"{_MAX_IMU_GAP} s")
-            if z["shape"] not in z_shapes:
-                raise ValueError(f"snapshot z of shape {z['shape']}, not one "
-                                 f"of {z_shapes}")
-            return Snapshot(stamp, _read_array(x, _STATE, QUAT),
-                            _read_cov(cov),
-                            _read_array(z, tuple(z["shape"])),
-                            _read_flag(zupt), _read_flag(coast))
-
-        ring = StateSnapshotRing(self.config["retro.capacity"])
-        if len(doc["ring"]) > ring.capacity:
-            raise ValueError("replay ring over capacity")
-        for entry in doc["ring"]:
-            ring.record(snapshot(ring.last_stamp, *entry))
-        adaptive = self._build_adaptive()
-        if doc["adaptive"].keys() != adaptive.keys():
-            raise ValueError("adaptive paths differ from the configuration")
-        for name, est in adaptive.items():
-            r, window, filled = doc["adaptive"][name]
-            est.r = est.checked(_read_array(r, (est.dim, est.dim)),
-                                "stored noise")
-            est._innovations = _read_array(window, (est.window, est.dim))
-            est._filled = _read_count(filled, top=est.window)
-        position, quaternion, rejections = doc["vslam_anchor"]
-        active, last_accept, relax_armed = doc["coast"]
-
-        def opt(value, read):
-            return None if value is None else read(*value)
-
-        return {
-            "x": _read_array(doc["x"], _STATE, QUAT),
-            "cov": _read_cov(doc["cov"]),
-            # GeodeticCoord range-checks the point
-            "origin": opt(doc["origin"], lambda lat, lon, alt:
-                          EnuOrigin.from_geodetic(GeodeticCoord(
-                              _read_real(lat), _read_real(lon),
-                              _read_real(alt)))),
-            "ring": ring,
-            "adaptive": adaptive,
-            "vslam_anchor": VslamAnchor(_read_array(position, (3,)),
-                                        _read_array(quaternion, (4,),
-                                                    slice(None)),
-                                        _read_count(rejections)),
-            "coast": CoastState(_read_flag(active),
-                                _read_real(last_accept, optional=True),
-                                _read_flag(relax_armed)),
-            "_zupt_active": _read_flag(doc["_zupt_active"]),
-            "_last_encoder_speed": _read_real(doc["_last_encoder_speed"],
-                                              True, 0.0),
-            "_last_imu_rate": _read_real(doc["_last_imu_rate"], True, 0.0),
-            "_heading_anchor": opt(doc["_heading_anchor"],
-                                   lambda xy, t, var, filter_xy: (
-                                       _read_array(xy, (2,)), _read_real(t),
-                                       _read_real(var),
-                                       _read_array(filter_xy, (2,)))),
-            "_jump_stamp": _read_real(doc["_jump_stamp"], optional=True),
-            "diagnostics": {name: _read_count(count)
-                            for name, count in doc["diagnostics"].items()},
-        }
-
-
-#: the stored form of every array element: little-endian float64
-_F8 = np.dtype("<f8")
-_MAX = float(np.finfo(float).max)  # a Python float: exact against any int
-_STATE, _COV = (STATE_DIM,), (STATE_DIM, STATE_DIM)
-
-
-def _array_doc(a: np.ndarray) -> dict:
-    """An array's stored form: its shape and its float64 bytes in base64."""
-    import base64
-    return {"shape": list(a.shape), "f8": base64.b64encode(
-        a.astype(_F8, copy=False).tobytes()).decode("ascii")}
-
-
-def _read_array(doc: dict, shape: tuple[int, ...],
-                unit: Optional[slice] = None) -> np.ndarray:
-    """The array ``doc`` stores (``_array_doc``), which must have ``shape``
-    and finite entries, and a norm of 1 within 1e-9 over ``unit``, the
-    tolerance of ``FilterState.validate``."""
-    import base64
-    if doc.keys() != {"shape", "f8"} or doc["shape"] != list(shape):
-        raise ValueError(f"expected an array of shape {shape}")
-    data = base64.b64decode(doc["f8"], validate=True)
-    if len(data) != _F8.itemsize * math.prod(shape):
-        raise ValueError(f"array payload does not match shape {shape}")
-    a = np.frombuffer(data, _F8).reshape(shape).astype(float)
-    if not np.isfinite(a).all():
-        raise ValueError("non-finite array entry")
-    if unit is not None and abs(math.sqrt(a[unit] @ a[unit]) - 1.0) > 1e-9:
-        raise ValueError("quaternion without unit norm")
-    return a
-
-
-def _read_cov(doc: dict) -> np.ndarray:
-    """The covariance ``doc`` stores (``_read_array``), which must hold the
-    session's invariant that closed-form updates trust: exactly symmetric,
-    angular-rate variances at most ``OMEGA_VAR_CAP``, and factoring through
-    ``_cholesky``."""
-    cov = _read_array(doc, _COV)
-    if not np.array_equal(cov, cov.T):
-        raise ValueError("covariance not exactly symmetric")
-    if cov.diagonal()[OMEGA].max() > OMEGA_VAR_CAP:
-        raise ValueError(f"angular-rate variance above {OMEGA_VAR_CAP}")
-    try:
-        _cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance does not factor") from None
-    return cov
-
-
-def _read_flag(value) -> bool:
-    if type(value) is not bool:
-        raise ValueError(f"expected a bool, not {value!r}")
-    return value
-
-
-def _read_real(value, optional: bool = False, low: float = -_MAX,
-               top: float = _MAX, types: tuple = (int, float)):
-    """``value`` if its type is one of ``types`` (a bool's is not) and it
-    lies in [low, top], which keeps out NaN and, by default, inf; None too
-    when ``optional``."""
-    if value is None and optional:
-        return None
-    if type(value) not in types or not low <= value <= top:
-        raise ValueError(f"{value!r} is not a number in [{low}, {top}]")
-    return value
-
-
-#: a counter, a fill count or a rejection count
-_read_count = partial(_read_real, low=0, top=math.inf, types=(int,))
+        return {name: read(self, doc[name])
+                for name, (_, read) in self._SESSION.items()}
 
 
 @dataclass(frozen=True)

@@ -198,9 +198,9 @@ CUTS = {
     # no event of loop_blackout is late, so it never replays
     if (name, cut) != ("loop_blackout", "after_replay")])
 def test_resume_from_checkpoint_is_bit_identical(name, cut, tmp_path):
-    """Checkpoint at the cut, load into a fresh pipeline and feed both the
-    rest: every later report and the final covariance and counters must
-    match exactly."""
+    """Checkpoint at the cut, load into a fresh pipeline, which saves the
+    same bytes again, and feed both the rest: every later report and the
+    final covariance and counters must match exactly."""
     scenario, config = SCENARIOS[name]
     _, events = generate(SimScenario.from_dict(scenario))
     path = str(tmp_path / "checkpoint.json")
@@ -213,6 +213,9 @@ def test_resume_from_checkpoint_is_bit_identical(name, cut, tmp_path):
     whole.save_checkpoint(path)
     resumed = FusionPipeline(PipelineConfig(config))
     resumed.load_checkpoint(path)
+    again = str(tmp_path / "resaved.json")
+    resumed.save_checkpoint(again)  # what a load reads, a save writes back
+    assert Path(again).read_bytes() == Path(path).read_bytes()
     for event in events[taken:]:
         a, b = whole.ingest(event), resumed.ingest(event)
         assert a.dropped == b.dropped

@@ -115,6 +115,10 @@ def _indefinite(cov):
     cov[0, 0] = -1.0
 
 
+def _nan_first(a):
+    a.flat[0] = np.nan
+
+
 ALL_ON = {"imu2.enabled": True, "gnss.velocity_enabled": True,
           "radar.enabled": True, "vslam.enabled": True}
 
@@ -1872,6 +1876,12 @@ class TestLifecycle:
         (("session", "_jump_stamp"), 10 ** 400),            # beyond a float
         # a step no live run takes, of 2e9 predict sub-steps
         (("session", "ring", -1, 0), 1e9),
+        # a live variance is r00 + r11 of a factoring R; a negative one
+        # fails in the square root of the next heading derived
+        (("session", "_heading_anchor", 2), -1e6),
+        # a NaN in x, or in P, which OpenBLAS's Cholesky factors
+        (("session", "x"), edited_doc(_nan_first)),
+        (("session", "cov"), edited_doc(_nan_first)),
     ], ids=["root", "version_3", "version_8", "version_9", "missing",
             "state_shape", "state_list", "snapshot_state", "cov_shape",
             "garbled", "truncated", "payload_shape", "snapshot_z_length",
@@ -1889,7 +1899,8 @@ class TestLifecycle:
             "snapshot_mode_type", "imu_rate_nan", "encoder_speed_negative",
             "snapshot_order", "ring_over_capacity", "origin_range",
             "unknown_session_key", "anchor_quaternion_zero",
-            "stamp_huge_int", "snapshot_gap"])
+            "stamp_huge_int", "snapshot_gap",
+            "heading_anchor_variance_negative", "state_nan", "cov_nan"])
     def test_malformed_checkpoint_changes_nothing(self, tmp_path, keys,
                                                   value):
         path = tmp_path / "ckpt.json"
