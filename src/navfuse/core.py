@@ -74,6 +74,7 @@ def all_finite(a: np.ndarray) -> bool:
 
 # The LAPACK seam: numpy's own gufuncs in ``np.linalg``'s error state, bit
 # for bit its results and failures (``LinAlgError``, a ``ValueError``),
+# and a failure too where a factor holds a NaN, which LAPACK passes,
 # without a wrapper that costs more than LAPACK on the engine's sizes.  The
 # error state is applied as a decorator, which numpy 2 sets per call in a
 # context variable (so per thread) at less cost than a ``with`` block.
@@ -89,16 +90,24 @@ _LINALG_ERRSTATE = np.errstate(all="ignore", invalid="call",
 @_LINALG_ERRSTATE
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """The lower Cholesky factor of a float64 ``a``, read from its lower
-    triangle."""
-    return _umath_linalg.cholesky_lo(a, signature="d->d")
+    triangle.  LAPACK factors a NaN without a failed pivot, but a NaN
+    anywhere in the lower triangle reaches the factor's last diagonal
+    entry, so that one entry's test refuses it."""
+    root = _umath_linalg.cholesky_lo(a, signature="d->d")
+    if math.isnan(root.item(-1)):
+        raise np.linalg.LinAlgError("factorization failed")
+    return root
 
 
 @_LINALG_ERRSTATE
 def _whiten(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factor L of a float64 ``a``, read from its lower
     triangle, and L^-1 ``b`` for a 2-D ``b`` by ``np.linalg.solve``'s
-    gufunc, under one error state: ``_cholesky`` and a solve by L."""
+    gufunc, under one error state: ``_cholesky``, NaN test included, and a
+    solve by L."""
     root = _umath_linalg.cholesky_lo(a, signature="d->d")
+    if math.isnan(root.item(-1)):
+        raise np.linalg.LinAlgError("factorization failed")
     return root, _umath_linalg.solve(root, b, signature="dd->d")
 
 
@@ -186,6 +195,9 @@ _ROTATION = _bilinear_basis(9, ((3 * r + c, coef, i, j)
                                 for c, terms in enumerate(row)
                                 for coef, i, j in terms))
 _TILT_YAW = _ROTATION[[6, 7, 8, 0, 3]]  # m20, m21, m22, m00, m10
+#: a ⊗ b = L(a) b: entry 4k + j of a @ _LEFT is L(a)'s entry [k][j]
+_LEFT = _HAMILTON.reshape(4, 4, 4).transpose(1, 0, 2).reshape(4, 16)
+_LEFT.flags.writeable = False
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,6 +263,12 @@ def rotation_rows_cols(q: np.ndarray, rows: int = 5) -> np.ndarray:
     its formula written out bit for bit, but that a matmul's sum is never
     -0."""
     return _TILT_YAW[:rows] @ _outer(q, q)
+
+
+def quat_left_matrix(a: np.ndarray) -> np.ndarray:
+    """The 4x4 matrix L(a) of the flat quaternion a with L(a) b = a ⊗ b,
+    unnormalized."""
+    return (a @ _LEFT).reshape(4, 4)
 
 
 def _through_cols(kernel, *rows, **kwargs) -> np.ndarray:

@@ -9,20 +9,29 @@ components whose residuals wrap at +-pi, and a chi-squared gate threshold
 
 A model linear in the state (encoder, its vertical-velocity constraint,
 radar, ZUPT, GPS position) is declared by its (dim, 23) matrix H instead;
-``h`` is derived from H and the engine updates it in closed form.
+``h`` is derived from H and the engine updates it in closed form.  The
+IMU's rates, gravity reaction and tilt (``imu_linearized``) and the VSLAM
+pose are not linear, but each carries ``linearize``, h and its Jacobian
+at one flat state, so that an update given no sigma set (the secondary
+IMU's, a pose's) is closed form too, linearized at the mean; the primary
+IMU's update reads predict's sigma set instead.  The headings (the IMU's
+with a magnetometer, GPS course) and GPS velocity have none and update
+through sigma points (``ukf.update``).
 ``stack`` joins models of one kind, all linear or all through ``h``, into
 one whose rows the engine solves together while gating and recording each
 model, its *block*, on its own (``ukf.update``); the encoder and its
 vertical constraint fuse that way in closed form, and an IMU sample's raw
-and orientation rows from one sigma set and one ``imu_cols`` call.  A
-stack holds one R, which its blocks' ``r`` view.  No model reads roll or
-pitch: the IMU's tilt, the headings and gravity read R(q) - I from one
-matmul (``core.rotation_rows_cols``), VSLAM a rotation vector.
+and orientation rows (``imu_stack``) from one ``imu_cols`` call, on one
+sigma set or one linearization.  A stack holds one R, which its blocks'
+``r`` view.  No model reads roll or pitch: the IMU's tilt, the headings
+and gravity read R(q) - I (``core.rotation_rows_cols``, or its third row
+written out in ``imu_linearized``), VSLAM a rotation vector.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Optional, Union
 
@@ -42,6 +51,7 @@ from .core import (
     _cholesky,
     _hamilton,
     quat_conjugate,
+    quat_left_matrix,
     quat_rotate_cols,
     rotation_rows_cols,
     wrap_angle,
@@ -55,7 +65,11 @@ class MeasurementModel:
 
     ``h`` is the batched measurement function, or the matrix H of a linear
     model, then kept read-only as ``matrix`` (else None) with ``h`` derived
-    as ``H @ cols``.  ``blocks`` holds the models a ``stack`` was built
+    as ``H @ cols``.  ``linearize``, when not None, takes one flat state x
+    to (h(x), H(x)), H being the Jacobian of ``h`` at x, taken along the
+    unit sphere for a row that reads q, which the engine's closed form
+    uses; a linear model's is derived, (H x, H).  ``blocks`` holds the
+    models a ``stack`` was built
     from, in row order, each with a matrix exactly when the stack has one.
     ``parts``, built once here, pairs each path the engine gates with its
     rows: each block with its slice, or the model itself with all its rows.
@@ -72,8 +86,10 @@ class MeasurementModel:
                  h: Union[Callable[[np.ndarray], np.ndarray], np.ndarray],
                  r: np.ndarray, gate: float,
                  angular: Optional[np.ndarray] = None,
-                 blocks: tuple["MeasurementModel", ...] = ()):
+                 blocks: tuple["MeasurementModel", ...] = (),
+                 linearize: Optional[Callable[[np.ndarray], tuple]] = None):
         self.name, self.dim, self.h, self.gate = name, dim, h, gate
+        self.linearize = linearize
         self.blocks = tuple(blocks)
         self._r = np.atleast_2d(np.asarray(r, dtype=float))
         self._in_place = bool(self.blocks)  # what assigning ``r`` does
@@ -96,6 +112,7 @@ class MeasurementModel:
             matrix.flags.writeable = False
             self.matrix = matrix
             self.h = lambda cols: matrix @ cols
+            self.linearize = lambda x: (matrix @ x, matrix)
         if self.blocks and (sum(b.dim for b in self.blocks) != self.dim
                             or any((b.matrix is None) != (self.matrix is None)
                                    for b in self.blocks)):
@@ -133,13 +150,15 @@ class MeasurementModel:
         return res
 
 
-def stack(*models: MeasurementModel, h=None) -> MeasurementModel:
+def stack(*models: MeasurementModel, h=None,
+          linearize=None) -> MeasurementModel:
     """One model whose rows are the models' stacked in order, named after
     the first and keeping them as its ``blocks``: all linear, a linear
-    model with their H stacked, or none linear, a sigma-point model whose
-    ``h`` is ``h`` or fills one array block by block and whose angular mask
-    is theirs concatenated; a mix raises ``ValueError``, and so does a
-    model that is a stack or a block of one already.
+    model with their H stacked, or none linear, a model whose ``h`` is
+    ``h`` or fills one array block by block, whose ``linearize`` is
+    ``linearize`` (so None unless given) and whose angular mask is theirs
+    concatenated; a mix raises ``ValueError``, and so does a model that is
+    a stack or a block of one already.
 
     The stacked ``r`` is one array: each block's R on its diagonal part,
     which the block's ``r`` views from then on (``MeasurementModel``), and
@@ -148,8 +167,8 @@ def stack(*models: MeasurementModel, h=None) -> MeasurementModel:
     engine gates and reports each block on its own; ``gate`` is the sum of
     the blocks' gates when stacked.  A linear stack updates as the blocks
     would one after another, as the Mahalanobis distance splits by the
-    chain rule; a sigma stack is one sigma set for the stacked measurement
-    (``ukf.update``).
+    chain rule; any other stack is one linearization or one sigma set for
+    the stacked measurement (``ukf.update``).
     """
     if len(models) < 2 or any(m.blocks or m._in_place for m in models):
         raise ValueError("stack needs two or more models, none stacked")
@@ -174,7 +193,7 @@ def stack(*models: MeasurementModel, h=None) -> MeasurementModel:
 
     return MeasurementModel(models[0].name, dim, h or filled, r, gate,
                             np.concatenate([m.angular for m in models]),
-                            blocks=models)
+                            blocks=models, linearize=linearize)
 
 
 def _reading(index) -> np.ndarray:
@@ -183,11 +202,12 @@ def _reading(index) -> np.ndarray:
 
 
 def imu_cols(x: np.ndarray, orient: int = 0) -> np.ndarray:
-    """The IMU reading of (23, N) state columns, rates and accelerations
-    plus biases, the latter plus R(q)^T [0, 0, g], then ``orient`` rows:
-    the tilt m20, m21 and, third, the heading atan2(m10, 1 + m00)."""
+    """The IMU reading of (23, N) state columns, or of one flat state,
+    rates and accelerations plus biases, the latter plus R(q)^T [0, 0, g],
+    then ``orient`` rows: the tilt m20, m21 and, third, the heading
+    atan2(m10, 1 + m00)."""
     m = rotation_rows_cols(x[QUAT], 5 if orient == 3 else 3)
-    out = np.empty((6 + orient, x.shape[1]))
+    out = np.empty((6 + orient,) + x.shape[1:])
     np.add(x[OMEGA], x[GYRO_BIAS], out=out[:3])
     np.add(x[ACC], x[ACCEL_BIAS], out=out[3:6])
     reaction = GRAVITY[2] * m[:3]
@@ -200,27 +220,86 @@ def imu_cols(x: np.ndarray, orient: int = 0) -> np.ndarray:
     return out
 
 
+def _imu_matrix(orient: int) -> np.ndarray:
+    """The part of ``imu_cols``'s Jacobian that reads no quaternion: the
+    rates' and the accelerations' rows, each its state plus its bias."""
+    h = np.zeros((6 + orient, STATE_DIM))
+    h[:3] = _reading(OMEGA) + _reading(GYRO_BIAS)
+    h[3:6] = _reading(ACC) + _reading(ACCEL_BIAS)
+    h.flags.writeable = False
+    return h
+
+
+_IMU_MATRIX = {orient: _imu_matrix(orient) for orient in (0, 2)}
+
+
+def imu_linearized(x: np.ndarray, orient: int = 0
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``imu_cols`` at one flat state, ``orient`` 0 or 2 (no heading row),
+    and its Jacobian H, on Python floats.  R's third row less I's,
+    m20 = 2(xz - wy), m21 = 2(yz + wx), m22 = -2(x^2 + y^2), gives the
+    rows that read q: g m2. for the gravity reaction, m20 and m21 for the
+    tilt.  Each one's Jacobian is its gradient less the radial part 2 m q,
+    so taken along the unit sphere, on which the engine keeps q."""
+    s = x.tolist()
+    w, a, b, c = s[QUAT]
+    g = GRAVITY[2]
+    third = (2.0 * (a * c - w * b), 2.0 * (b * c + w * a),
+             -2.0 * (a * a + b * b))
+    grads = ((-2.0 * b, 2.0 * c, -2.0 * w, 2.0 * a),
+             (2.0 * a, 2.0 * w, 2.0 * c, 2.0 * b),
+             (0.0, -4.0 * a, -4.0 * b, 0.0))
+    rows = np.array([[d - 2.0 * m * q for d, q in zip(grad, (w, a, b, c))]
+                     for grad, m in zip(grads, third)])
+    h = _IMU_MATRIX[orient].copy()
+    h[3:6, QUAT] = g * rows
+    if orient:
+        h[6:8, QUAT] = rows[:2]
+    z = [r + bias for r, bias in zip(s[OMEGA], s[GYRO_BIAS])] + [
+        f + bias + g * m for f, bias, m in zip(s[ACC], s[ACCEL_BIAS], third)]
+    z[5] += g  # R^T [0, 0, g] = g (m2. + e3)
+    return np.array(z + list(third[:orient])), h
+
+
 def imu_raw_model(sigma_gyro: float, sigma_accel: float,
                   gate: float) -> MeasurementModel:
     """6-DOF raw IMU: rates plus bias, accelerations plus bias and the
     gravity reaction rotated into the body frame (``imu_cols``)."""
     r = np.diag([sigma_gyro**2] * 3 + [sigma_accel**2] * 3)
-    return MeasurementModel("imu_raw", 6, imu_cols, r, gate)
+    return MeasurementModel("imu_raw", 6, imu_cols, r, gate,
+                            linearize=imu_linearized)
 
 
 def imu_orientation_model(has_magnetometer: bool, sigma_orient: float,
                           gate: float) -> MeasurementModel:
     """The tilt (2-DOF), then with a magnetometer the heading, wrapped
-    (3-DOF).  Without one, yaw stays unobservable from the IMU."""
+    (3-DOF).  Without one, yaw stays unobservable from the IMU.  The tilt
+    alone is linearized (``imu_linearized``); a heading row is not, so a
+    3-DOF update draws sigma points."""
     dim = 3 if has_magnetometer else 2
 
     def h(x: np.ndarray) -> np.ndarray:
         return imu_cols(x, dim)[6:]
 
+    def linearize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z, jac = imu_linearized(x, 2)
+        return z[6:], jac[6:]
+
     r = np.eye(dim) * sigma_orient**2
     name = "imu_orientation_3dof" if has_magnetometer else "imu_orientation"
     return MeasurementModel(name, dim, h, r, gate,
-                            angular=np.arange(dim) == 2)
+                            angular=np.arange(dim) == 2,
+                            linearize=None if has_magnetometer else linearize)
+
+
+def imu_stack(raw: MeasurementModel,
+              orient: MeasurementModel) -> MeasurementModel:
+    """The raw and orientation rows of one IMU sample as one model, from
+    one ``imu_cols`` call, linearized when the orientation model is."""
+    dim = orient.dim
+    return stack(raw, orient, h=partial(imu_cols, orient=dim),
+                 linearize=partial(imu_linearized, orient=dim)
+                 if orient.linearize is not None else None)
 
 
 def encoder_model(sigma_vx: float, sigma_vy: float, sigma_wz: float,
@@ -398,16 +477,57 @@ def _rotation_vector(q: np.ndarray) -> np.ndarray:
     return v * (2.0 * np.arctan2(norm, np.abs(w)) / np.maximum(norm, 1e-300))
 
 
+def _rotation_vector_linearized(d: np.ndarray) -> tuple[list, list]:
+    """``_rotation_vector`` of one flat quaternion d, on Python floats, and
+    its Jacobian in d as rows.  With d signed so that w >= 0, n = |v| and
+    f = 2 atan2(n, w) / n, the vector is f v and its derivative is
+    -2 v / |d|^2 in w and f I + (2 w / |d|^2 - f) / n^2 v v^T in v, the
+    sign carried back: a scale of d changes neither, so the Jacobian's
+    product with d is 0.  At v = 0, f is 2 / w and the v v^T term is 0."""
+    w, x, y, z = d.tolist()
+    s = -1.0 if w < 0.0 else 1.0
+    w, x, y, z = s * w, s * x, s * y, s * z
+    n2 = x * x + y * y + z * z
+    d2 = n2 + w * w
+    if n2 > 0.0:
+        n = math.sqrt(n2)
+        f = 2.0 * math.atan2(n, w) / n
+        g = (2.0 * w / d2 - f) / n2
+    else:
+        f, g = 2.0 / w, 0.0
+    phi = [f * x, f * y, f * z]
+    a, f, g = -2.0 * s / d2, s * f, s * g
+    return phi, [
+        [a * x, f + g * x * x, g * x * y, g * x * z],
+        [a * y, g * x * y, f + g * y * y, g * y * z],
+        [a * z, g * x * z, g * y * z, f + g * z * z]]
+
+
+#: the part of a VSLAM pose's Jacobian that reads no quaternion: position
+_VSLAM_MATRIX = np.zeros((6, STATE_DIM))
+_VSLAM_MATRIX[:3, POS] = np.eye(3)
+_VSLAM_MATRIX.flags.writeable = False
+
+
 def vslam_model(r: np.ndarray, gate: float) -> MeasurementModel:
     """6-DOF pose: position, then log(q_ref^-1 q), the rotation vector from
     ``q_ref``, which each pose sets to its quaternion as it sets ``r`` (as
-    ``vslam_noise`` gives it), so that its orientation rows read zero."""
+    ``vslam_noise`` gives it), so that its orientation rows read zero.
+    Linearized at a flat state through d = L(q_ref^-1) q
+    (``core.quat_left_matrix``) and ``_rotation_vector_linearized``."""
 
     def h(x: np.ndarray) -> np.ndarray:
         d = _hamilton(quat_conjugate(model.q_ref)[:, None], x[QUAT])
         return np.concatenate([x[POS], _rotation_vector(d)])
 
-    model = MeasurementModel("vslam", 6, h, r, gate)
+    def linearize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        left = quat_left_matrix(quat_conjugate(model.q_ref))
+        phi, jac_d = _rotation_vector_linearized(left @ x[QUAT])
+        jac = _VSLAM_MATRIX.copy()
+        jac[3:, QUAT] = np.array(jac_d) @ left
+        return np.array(x[POS].tolist() + phi), jac
+
+    model = MeasurementModel("vslam", 6, h, r, gate, linearize=linearize)
     model.q_ref = np.array([1.0, 0.0, 0.0, 0.0])
     return model
 

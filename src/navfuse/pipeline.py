@@ -20,8 +20,11 @@ sigma-point update's output or, that update rejected, the prediction,
 before any ZUPT update.  The IMU update reads the sigma cloud that the last
 predict sub-step drew and propagated, Q but for the quaternion block's
 already in it (``ukf.predict``), so a step, live or replayed, makes one
-sigma draw; a step that predicts nothing, and every update that follows
-no predict (imu2, GPS heading, VSLAM), draws its own.  A step leaves a
+sigma draw; a step that predicts nothing draws one (``ukf.draw``) for its
+update.  Every other update follows no predict: the secondary IMU's and a
+VSLAM pose's are linearized at the mean, in closed form like the linear
+paths', and GPS heading and velocity, and an IMU with a magnetometer's
+heading row, draw their own sigma set (``ukf.update``).  A step leaves a
 snapshot in the replay ring, sharing the session's arrays, which the
 engine never writes into, and the one measurement vector the step fused,
 which a replay fuses again.  The filter
@@ -42,7 +45,8 @@ each path's ``UpdateRecord`` is reported.  An update may stack paths
 encoder sample is one call, its odometry and vertical-velocity constraint
 in closed form, and an IMU sample with orientation is one call, its raw
 gyro/accel and orientation rows (its tilt, ``_imu_vector``) from one sigma
-set; a VSLAM pose's orientation rows are zero against the model's
+set or one linearization (``measurements.imu_stack``); a VSLAM pose's
+orientation rows are zero against the model's
 ``q_ref``, its anchored quaternion.  A kind the table marks
 ``delayed`` (GPS fixes, GPS velocity and VSLAM poses, late by receiver and
 mapping latency) stamped before the clock is applied at the newest snapshot
@@ -136,8 +140,8 @@ from .events import (
 )
 from .geodesy import EnuOrigin, GeodeticCoord
 from .retrodiction import Snapshot, StateSnapshotRing
-from .ukf import (UkfParams, UpdateRecord, _condition, update as ukf_update,
-                  predict as ukf_predict)
+from .ukf import (UkfParams, UpdateRecord, _condition, draw as ukf_draw,
+                  update as ukf_update, predict as ukf_predict)
 from .process import STATE_BLOCKS, PropagationStep, noise_rates
 
 _MAX_STEP_DT = 0.5
@@ -400,8 +404,8 @@ class FusionPipeline:
     def _build_models(self) -> None:
         cfg = self.config
         # per IMU kind: the raw model, and the raw and orientation models
-        # stacked, one sigma set per sample with each block gated on its
-        # own, or None when that source's orientation is not used
+        # stacked, one update per sample with each block gated on its own,
+        # or None when that source's orientation is not used
         self._imu_models = {}
         for kind in ("imu", "imu2"):
             raw = meas.imu_raw_model(cfg[f"{kind}.sigma_gyro"],
@@ -410,9 +414,8 @@ class FusionPipeline:
             orient = meas.imu_orientation_model(
                 cfg[f"{kind}.has_magnetometer"], cfg[f"{kind}.sigma_orient"],
                 cfg["gates.imu"])
-            joint = meas.stack(raw, orient, h=partial(
-                meas.imu_cols, orient=orient.dim)) if cfg[
-                    f"{kind}.use_orientation"] else None
+            joint = (meas.imu_stack(raw, orient)
+                     if cfg[f"{kind}.use_orientation"] else None)
             self._imu_models[kind] = (raw, joint)
         # one closed-form update per encoder sample: the wheel odometry and
         # its vertical-velocity constraint, each gated on its own
@@ -629,8 +632,9 @@ class FusionPipeline:
         """Apply ``(z, model, gate_scale)`` updates in order, one engine call
         each, appending the engine's record of each path to ``records``.
         With ``chained``, stop after the first rejected update.  ``cloud``,
-        the sigma cloud predict drew for ``x`` and ``cov``, serves the one
-        update of an IMU step.  Returns the state and the covariance."""
+        the sigma cloud predict (or ``ukf.draw``) made for ``x`` and
+        ``cov``, serves the one update of an IMU step.  Returns the state
+        and the covariance."""
         frozen = self._modes[coast_active][0]
         for z, model, gate_scale in updates:
             self._count("engine_update_calls")
@@ -772,7 +776,7 @@ class FusionPipeline:
         paths are bit-identical."""
         dt_total = step.stamp - stamp
         q_rate = self._modes[step.coast_active][1]
-        cloud = None  # a first step predicts nothing: its update draws
+        cloud = None
         while dt_total > 1e-12:
             dt = min(dt_total, _MAX_STEP_DT)
             x, cov, cloud = ukf_predict(x, cov, PropagationStep(dt, q_rate),
@@ -780,6 +784,8 @@ class FusionPipeline:
             dt_total -= dt
             if dt_total > 1e-12:  # the next sub-step draws from this one
                 cov = _condition(cov)
+        if cloud is None:  # a first step predicts nothing: it draws
+            cloud = ukf_draw(x, cov, self._params)
         records = [] if records is None else records
         x, updated = self._apply_updates(
             x, cov, [self._imu_update("imu", step.z)], step.coast_active,
@@ -896,7 +902,7 @@ class FusionPipeline:
         # ``adaptive.gnss`` is off
         z, r = carry = meas.gps_fix_to_measurement(
             fix, self.origin, self.adaptive["gps_pos"].r)
-        if r is None or not all_finite(r):  # OpenBLAS factors NaN and inf
+        if r is None or not all_finite(r):  # the seam refuses NaN, not inf
             return "gps_quality_rejected", "fix noise R is not finite"
         try:  # a DOP or bound whose square underflows gives R = 0
             _cholesky(r)

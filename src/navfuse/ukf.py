@@ -1,26 +1,38 @@
 """Sigma-point engine: generation, predict/update, and covariance hygiene.
 
-Predict, and an update through a measurement function, run a full-state
-23-dimensional scaled unscented transform (2n+1 = 47 sigma points), held
-component-major: one C-contiguous (23, 47) array whose column j is sigma
-point j, so each state block (``points[QUAT]``, ...) is a contiguous row
-slice, and the moments sum along the last axis.  Q is diagonal.  Predict
-adds every block's noise but the quaternion's to P's diagonal before it
-draws, so the propagated cloud carries it, and the quaternion's on the
-predicted covariance's diagonal, since propagation renormalizes each sigma
-quaternion and would cancel its radial part.  It returns that cloud with
-its deviations from the predicted mean, and an update given the cloud
-(``cloud``) reads it in place of a fresh draw: the IMU step's update
-follows its predict, so each IMU step makes one sigma draw, the choice
-between reusing and redrawing the propagated points in Wan & van der
-Merwe (2000).  A model declared by its matrix H updates in closed form,
-S = HPH^T + R and Pxz = PH^T: that transform of a linear map, but for
-Pxz's quaternion rows, which it projects onto the unit sphere's tangent
-space.  Every update gates through one path, ``_gate_blocks``, and
-records each block's decision as an ``UpdateRecord``: a stacked model
-(``measurements.stack``) is one update with a block per model,
-closed-form for a linear stack and one sigma set for a sigma-point stack,
-and any other model is one block.
+Predict runs a full-state 23-dimensional scaled unscented transform
+(2n+1 = 47 sigma points), held component-major: one C-contiguous (23, 47)
+array whose column j is sigma point j, so each state block
+(``points[QUAT]``, ...) is a contiguous row slice, and the moments sum
+along the last axis.  Q is diagonal.  Predict adds every block's noise but
+the quaternion's to P's diagonal before it draws, so the propagated cloud
+carries it, and the quaternion's on the predicted covariance's diagonal,
+since propagation renormalizes each sigma quaternion and would cancel its
+radial part.  It returns that cloud with its deviations from the predicted
+mean.
+
+An update takes S and Pxz from a sigma set when it is given one
+(``cloud``): predict's, as the primary IMU step's update follows its
+predict, so each IMU step makes one sigma draw, the choice between reusing
+and redrawing the propagated points in Wan & van der Merwe (2000); or
+``draw``'s, for a step that predicts nothing.  Given none, a model with
+``linearize`` (``measurements.MeasurementModel``) updates in closed form
+at the mean: nu = z - h(x), wrapped, S = HPH^T + R and Pxz = PH^T, H being
+a linear model's matrix (encoder, radar, ZUPT, GPS position) or the
+Jacobian at x of the secondary IMU's rates, gravity reaction and tilt and
+of the VSLAM pose.  For those two the closed form departs from the
+paper's unscented update to first order: at ``alpha`` 0.1 the sigma
+points lie close to the mean, and the two agree to about 1e-5 in the
+state on the dense golden stream (``tests/test_ukf.py``).  Any other
+model (GPS heading, GPS velocity, a magnetometer's heading row) draws its
+own sigma set.  A Jacobian's rows that read q are
+taken along the unit sphere (Hq = 0), as the sigma points renormalize
+each quaternion; Pxz = PH^T is used as it is, with no projection of its
+quaternion rows, and the corrected quaternion is renormalized.  Every
+update gates through one path, ``_gate_blocks``, and records each block's
+decision as an ``UpdateRecord``: a stacked model (``measurements.stack``)
+is one update with a block per model, one closed form or one sigma set
+for all its rows, and any other model is one block.
 The model's R is added to S in one operation, a stack's R being one
 array.  The gate factors S = LL^T and whitens [nu | Pxz^T] by L under one
 LAPACK error state: L's leading rows factor S's leading rows alone (the
@@ -47,7 +59,8 @@ callers may share them.
 Sigma points factor through ``_cholesky``, and S and the whitening solve
 through ``_whiten``, the LAPACK seam in ``core``: numpy's own LAPACK
 gufuncs in ``np.linalg``'s error state, bit for bit its results and
-failures, without a wrapper that costs more than LAPACK at 23x23.  The
+failures, without a wrapper that costs more than LAPACK at 23x23, but
+that the seam refuses a NaN, which numpy's factor passes.  The
 benchmark's tracer wraps names looked up at call time, which must stay
 called (``tests/test_bench_hooks.py``): ``generate_sigma_points``,
 ``repair_pd``, ``propagate_states`` and ``process_noise_matrix``, and
@@ -55,8 +68,8 @@ called (``tests/test_bench_hooks.py``): ``generate_sigma_points``,
 package's last ``np.linalg.cholesky`` call, the conditioning layer's
 LAPACK work as the benchmark counts it (``linalg.cholesky.per_imu``); it
 stays on the wrapper, off the seam, until the benchmark stops wrapping
-engine internals (ROADMAP item 14); a closed-form update's check runs on
-the seam, uncounted.
+engine internals (ROADMAP item 14), and so still passes a NaN; a
+closed-form update's check runs on the seam, uncounted.
 """
 
 from __future__ import annotations
@@ -280,6 +293,16 @@ def _deviations(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return align_quat_hemisphere(points, mean[QUAT]) - mean[:, None]
 
 
+def draw(x: np.ndarray, cov: np.ndarray,
+         params: UkfParams) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh sigma set at the flat state ``x`` and its covariance, as
+    ``update`` takes a ``cloud``: the (23, 47) points
+    (``generate_sigma_points``), whose column 0 is ``x`` with its
+    quaternion renormalized, and their deviations from that column."""
+    points = generate_sigma_points(x, cov, params)
+    return points, _deviations(points, points[:, 0])
+
+
 def predict(
     x: np.ndarray,
     cov: np.ndarray,
@@ -332,13 +355,15 @@ def update(
     frozen: Optional[slice] = None,
     cloud: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> UpdateOutcome:
-    """Standard UKF measurement update of the flat state ``x`` and its
-    covariance, with gating and residual wrapping.
+    """Measurement update of the flat state ``x`` and its covariance, with
+    gating and residual wrapping.
 
-    A model with a matrix H skips the sigma points: nu = z - Hx,
-    S = HPH^T + R and Pxz = PH^T; any other model takes S and Pxz from one
-    sigma set, ``cloud`` when given: the (points, deviations) pair that
-    ``predict`` returned with ``x`` and ``cov``, else a draw from them.
+    Given ``cloud``, the (points, deviations) pair that ``predict``
+    returned with ``x`` and ``cov`` (or ``draw`` made from them), S and
+    Pxz are that sigma set's.  Given none, a model with ``linearize``
+    updates in closed form at ``x``, (h(x), H) = ``model.linearize(x)``:
+    nu = z - h(x), S = HPH^T + R and Pxz = PH^T; any other model draws a
+    sigma set (``draw``).
     Either way the model's R, a stack's holding each block's
     current R, is added to S in one operation.  Components a model flags as
     angles, a heading's, use wrapped residuals throughout
@@ -360,9 +385,11 @@ def update(
     For a stacked linear model (``measurements.stack``), by the chain rule
     one call equals one call per block, in order, up to rounding and the
     conditioning between calls, as long as no block after the first
-    accepted one reads a ``frozen`` state.  A sigma-point stack is one
-    sigma set for all rows; it equals the calls per block only where the
-    blocks' ``h`` are linear in the states the sigma points spread.
+    accepted one reads a ``frozen`` state.  A linearized stack is that
+    linear update with its H at ``x``, not at each block's own mean.  A
+    sigma-point stack is one sigma set for all rows; it equals the calls
+    per block only where the blocks' ``h`` are linear in the states the
+    sigma points spread.
     """
     if type(z) is not np.ndarray or z.dtype != np.float64 or not z.ndim:
         z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -371,16 +398,16 @@ def update(
     m = model.dim
     # [S | nu | Pxz^T], built as its transpose so each part is contiguous
     frame_t = np.empty((m + 1 + STATE_DIM, m))
-    mean, h = x, model.matrix
-    if h is not None:
+    mean, h = x, None
+    if cloud is None and model.linearize is not None:
+        zbar, h = model.linearize(x)
         pxz = np.matmul(cov, h.T, out=frame_t[m + 1:])
         np.matmul(h, pxz, out=frame_t[:m])
-        np.subtract(z, h @ x, out=frame_t[m])
+        model.wrapped(np.subtract(z, zbar, out=frame_t[m]))
     else:
         if cloud is None:
-            points = generate_sigma_points(x, cov, params)
+            points, dev = draw(x, cov, params)
             mean = points[:, 0]  # x with its quaternion renormalized
-            dev = _deviations(points, mean)
         else:  # predict's propagated cloud, whose mean is x
             points, dev = cloud
         zpts = model.h(points)

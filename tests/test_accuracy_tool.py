@@ -1,6 +1,7 @@
 """Smoke test of ``tools/accuracy.py``: every benchmark workload, one seed,
 at a twentieth of its length (about a second); the tree against itself as
-``--base``; and loop_blackout's former outlier seed at full length."""
+``--base``, plain and with scenario and configuration overrides; and
+loop_blackout's former outlier seed at full length."""
 
 import importlib.util
 import json
@@ -97,3 +98,38 @@ def test_stamp_order_oracle_replays_nothing():
     def encoder_acceptance(run):
         return run["accepted"]["encoder"] / run["tried"]["encoder"]
     assert encoder_acceptance(oracle) > encoder_acceptance(arrival)
+
+
+def test_overrides_apply_on_both_trees(capsys):
+    """``--sensor`` turns the scenario's GPS off and ``--set`` the
+    pipeline's encoder path: neither path is tried on either side, and the
+    bench's workload table is left as it was."""
+    tool = load_tool()
+    alias = tool.paired.ALIAS
+    before = tool.workloads.WORKLOADS["loop_blackout"]
+    try:
+        assert tool.main(["--workload", "loop_blackout", "--seeds", "2",
+                          "--scale", "0.05", "--base", str(ROOT),
+                          "--sensor", "gps.enabled=false",
+                          "--sensor", "trajectory.speed=1.5",
+                          "--set", "encoder.enabled=false"]) == 0
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == alias]:
+            del sys.modules[name]
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    result = result["loop_blackout"]
+    for side in ("base", "change"):
+        paths = set(result[side]["paths"])
+        assert "imu_raw" in paths
+        assert not {"gps_pos", "encoder", "encoder_vz"} & paths
+    assert result["ate_ratio"] == 1.0
+    assert tool.workloads.WORKLOADS["loop_blackout"] is before
+    assert before.sensors["gps"].get("enabled", True) is True
+    assert before.config == {}
+    workload = tool.overridden(before, [("trajectory.speed", 1.5)],
+                               [("zupt.enabled", False)])
+    assert workload.trajectory["speed"] == 1.5
+    assert workload.config == {"zupt.enabled": False}
+    assert before.trajectory.get("speed") != 1.5
+    assert tool.key_value("gps.delay_s=0") == ("gps.delay_s", 0)
+    assert tool.key_value("name=circle") == ("name", "circle")

@@ -23,6 +23,7 @@ from navfuse.measurements import (
     imu_cols,
     imu_orientation_model,
     imu_raw_model,
+    imu_stack,
     radar_velocity_model,
     screen_gps_fix,
     stack,
@@ -32,8 +33,8 @@ from navfuse.measurements import (
 )
 from navfuse.pipeline import FusionPipeline
 
-from conftest import (enu_to_geodetic, quat_to_rotmat, sigma_clouds,
-                      state_columns)
+from conftest import (enu_to_geodetic, quat_to_rotmat, random_unit_quat,
+                      sigma_clouds, state_columns)
 
 ORIGIN = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(45.0, -75.6, 80.0))
 #: a GPS base noise of sigma 0.8 m horizontally and 1.5 m vertically
@@ -522,6 +523,85 @@ class TestVslam:
 
     def test_no_component_wraps(self):
         assert not vslam_model(np.eye(6) * 0.01, 22.46).wraps
+
+
+def central_jacobian(model, x, step=1e-6):
+    """Central differences of ``model.h`` at the flat state x, (dim, 23),
+    each shifted quaternion renormalized, as the engine's sigma points
+    are."""
+    n = len(x)
+    cols = np.repeat(x[:, None], 2 * n, axis=1)
+    cols[:, :n] += np.eye(n) * step
+    cols[:, n:] -= np.eye(n) * step
+    cols[3:7] /= np.linalg.norm(cols[3:7], axis=0)
+    out = model.h(cols)
+    return (out[:, :n] - out[:, n:]) / (2.0 * step)
+
+
+def random_state(rng, q=None):
+    x = rng.normal(size=23)
+    x[3:7] = random_unit_quat(rng) if q is None else q
+    return x
+
+
+class TestLinearization:
+    """``linearize`` at a flat state: ``h`` there and its Jacobian, against
+    central differences of ``h`` along the unit sphere."""
+
+    def check(self, model, x):
+        z, jac = model.linearize(x)
+        np.testing.assert_allclose(z, model.h(x[:, None])[:, 0], rtol=0,
+                                   atol=1e-12)
+        assert jac.shape == (model.dim, 23)
+        np.testing.assert_allclose(jac, central_jacobian(model, x), rtol=0,
+                                   atol=1e-7)
+        # no row moves with the quaternion's length
+        np.testing.assert_allclose(jac[:, 3:7] @ x[3:7], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_imu_models(self, rng, joined):
+        raw = imu_raw_model(0.005, 0.05, 15.09)
+        orient = imu_orientation_model(False, 0.02, 15.09)
+        models = [imu_stack(raw, orient)] if joined else [raw, orient]
+        for _ in range(20):
+            x = random_state(rng)
+            for model in models:
+                self.check(model, x)
+
+    @pytest.mark.parametrize("offset", ["near", "at", "170 degrees",
+                                        "w below zero"])
+    def test_vslam(self, rng, offset):
+        model = vslam_model(np.eye(6) * 0.01, 22.46)
+        for _ in range(20):
+            model.q_ref = random_unit_quat(rng)
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            angle = {"near": 0.03, "at": 0.0, "170 degrees": np.radians(170),
+                     "w below zero": 0.5}[offset]
+            q = quat_mul(model.q_ref, quat_exp(axis * angle, 1.0))
+            if offset == "w below zero":
+                q = -q  # the same attitude: q_ref^-1 q has w < 0
+            x = random_state(rng, q)
+            self.check(model, x)
+            z, _ = model.linearize(x)
+            assert np.linalg.norm(z[3:]) == pytest.approx(angle, abs=1e-12)
+
+    def test_linear_models_linearize_to_their_matrix(self, rng):
+        x = random_state(rng)
+        for model, _ in WRITTEN_OUT:
+            z, jac = model.linearize(x)
+            assert jac is model.matrix
+            assert np.array_equal(z, model.matrix @ x)
+
+    def test_heading_rows_and_gps_velocity_have_none(self):
+        """A heading row, the IMU's with a magnetometer or GPS course, and
+        GPS velocity keep the sigma-point update."""
+        heading = imu_orientation_model(True, 0.02, 15.09)
+        for model in (heading,
+                      imu_stack(imu_raw_model(0.005, 0.05, 15.09), heading),
+                      gps_heading_model(0.04, 10.83),
+                      gps_velocity_model(0.3, 16.27)):
+            assert model.linearize is None, model.name
 
 
 class TestZupt:

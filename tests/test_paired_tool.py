@@ -1,7 +1,8 @@
 """Smoke test of ``tools/paired.py``: the tree against itself on
 loop_blackout at a twentieth of its length, two rounds (about a second),
-its event kinds and its ``parse`` each a row without a gain; two trees
-whose events write back different lines are refused."""
+its event kinds and its ``parse`` each a row without a gain, both sides
+loaded alike and neither the ``navfuse`` on the path; two trees whose
+events write back different lines are refused."""
 
 import importlib.util
 import json
@@ -26,12 +27,17 @@ def test_tree_against_itself_is_bit_identical(capsys):
     try:
         assert tool.main(["--base", str(ROOT), "--scale", "0.05",
                           "--rounds", "2"]) == 0
-        # the base is the same source loaded as a second package
-        assert (sys.modules[tool.ALIAS].FusionPipeline
-                is not tool.navfuse.FusionPipeline)
+        # each side is the same source loaded as a package of its own,
+        # neither of them the package on the path
+        sides = [sys.modules[tool.ALIAS], sys.modules[tool.CHANGE_ALIAS]]
+        assert sides[0] is not sides[1]
+        assert (sides[0].FusionPipeline is not sides[1].FusionPipeline)
+        for side in sides:
+            assert side is not sys.modules["navfuse"]
+            assert side.FusionPipeline is not tool.navfuse.FusionPipeline
     finally:
-        for name in [n for n in sys.modules
-                     if n.split(".")[0] == tool.ALIAS]:
+        for name in [n for n in sys.modules if n.split(".")[0]
+                     in (tool.ALIAS, tool.CHANGE_ALIAS)]:
             del sys.modules[name]
     lines = capsys.readouterr().out.splitlines()
     result = json.loads(lines[-1])

@@ -25,6 +25,7 @@ from navfuse.measurements import (
     imu_cols,
     imu_orientation_model,
     imu_raw_model,
+    imu_stack,
     stack,
 )
 from navfuse.process import STATE_BLOCKS, PropagationStep, noise_rates
@@ -33,6 +34,7 @@ from navfuse.ukf import (
     UkfParams,
     align_quat_hemisphere,
     cap_omega_variance,
+    draw,
     generate_sigma_points,
     mean_of_sigmas,
     predict,
@@ -379,7 +381,7 @@ class TestPredictedCloud:
                       imu_orientation_model(False, 0.02, 15.09),
                       h=partial(imu_cols, orient=2))
         z = imu_cols(x1[:, None], 2)[:, 0] + rng.normal(size=8) * 0.01
-        fresh = update(x1, p1, z, model, PARAMS)
+        fresh = update(x1, p1, z, model, PARAMS, cloud=draw(x1, p1, PARAMS))
         reused = update(x1, p1, z, model, PARAMS, cloud=cloud)
         assert [(r.path, r.accepted) for r in reused.records] == [
             ("imu_raw", True), ("imu_orientation", True)]
@@ -390,6 +392,75 @@ class TestPredictedCloud:
         assert np.max(np.abs(reused.x - fresh.x)) < 1e-9
         assert np.max(np.abs(reused.cov - fresh.cov)) < 1e-9
         assert np.max(np.abs(reused.x - x1)) > 1e-4  # the update moved x
+
+
+class TestLinearizedUpdate:
+    """Given no cloud, a model with ``linearize`` (imu2's stacks, VSLAM)
+    updates in closed form at the mean.  At the state 5 s into the
+    figure_eight_dense golden stream, each equals the sigma-point update on
+    ``draw``'s cloud to within about ten times the gap measured there:
+    imu2 (6 raw rows) |dx| 1.1e-5, |dP| 2.3e-10, |d d2| 1.3e-4; VSLAM
+    |dx| 1.4e-9, |dP| 4.2e-11, |d d2| 1.6e-6; against a move of x by 0.028
+    and 0.014."""
+
+    #: kind -> (|dx|, |dP|, |d d2|) allowed
+    TOLERANCE = {"imu2": (1e-4, 3e-9, 2e-3), "vslam": (2e-8, 5e-10, 2e-5)}
+
+    @pytest.fixture(scope="class")
+    def golden_state(self):
+        from navfuse.events import event_kind
+        from navfuse.pipeline import FusionPipeline
+        from navfuse.simulator import SimScenario, generate
+        from test_golden import SCENARIOS
+        scenario, config = SCENARIOS["figure_eight_dense"]
+        _, events = generate(SimScenario.from_dict(scenario))
+        pipe = FusionPipeline(PipelineConfig(config))
+        first = {}
+        for event in events:
+            if event.stamp < 5.0:
+                pipe.ingest(event)
+            else:
+                first.setdefault(event_kind(event), event)
+        return pipe, first
+
+    @pytest.mark.parametrize("kind", ["imu2", "vslam"])
+    def test_equals_the_sigma_point_update(self, golden_state, kind,
+                                           monkeypatch):
+        pipe, first = golden_state
+        x, cov = pipe.x, pipe.cov
+        plan = (pipe._plan_imu2 if kind == "imu2" else pipe._plan_vslam)(
+            first[kind], x)
+        [(z, model, _)] = plan.updates
+        cloud = draw(x, cov, PARAMS)
+        drawn = Counter()
+        monkeypatch.setattr(ukf, "generate_sigma_points",
+                            lambda *a: drawn.update(["sigma"]))
+        linear = update(x, cov, z, model, PARAMS)
+        assert not drawn
+        monkeypatch.undo()
+        sigma = update(x, cov, z, model, PARAMS, cloud=cloud)
+        dx, dp, dd2 = self.TOLERANCE[kind]
+        assert [r.reason for r in linear.records] == [
+            r.reason for r in sigma.records] == ["accepted"]
+        assert linear.records[0].d2 == pytest.approx(sigma.records[0].d2,
+                                                     rel=0, abs=dd2)
+        assert np.max(np.abs(linear.x - sigma.x)) < dx
+        assert np.max(np.abs(linear.cov - sigma.cov)) < dp
+        assert np.max(np.abs(linear.x - x)) > 0.01
+
+    def test_a_cloud_keeps_the_sigma_point_update(self, golden_state):
+        """Predict's cloud, or a drawn one, is read as it is: the primary
+        IMU's update stays the unscented transform."""
+        pipe, first = golden_state
+        x, cov = pipe.x, pipe.cov
+        [(z, model, _)] = pipe._plan_imu2(first["imu2"], x).updates
+        points, dev = draw(x, cov, PARAMS)
+        out = update(x, cov, z, model, PARAMS, cloud=(points, dev))
+        again = update(x, cov, z, model, PARAMS,
+                       cloud=(points.copy(), dev.copy()))
+        assert np.array_equal(out.x, again.x)
+        assert not np.array_equal(out.x, update(x, cov, z, model,
+                                                PARAMS).x)
 
 
 def linear_position_model(r_scalar=0.25, gate_threshold=1e12):
@@ -619,7 +690,8 @@ def outcome(fn, *args):
 class TestLinalgSeam:
     """``_cholesky`` is ``np.linalg.cholesky``, and ``_whiten`` that factor
     and ``np.linalg.solve`` by it, without the wrapper: same bits, same
-    failures, and no warning either way."""
+    failures, and no warning either way, but for a NaN, which numpy's
+    factor passes and the seam refuses."""
 
     @given(st.integers(0, 2**32 - 1), st.floats(1e-8, 1e4))
     @settings(max_examples=60, deadline=None)
@@ -658,12 +730,34 @@ class TestLinalgSeam:
             a[:, -1] = 0.0
         b = np.ones((dim, 1 + STATE_DIM))
         chol = outcome(ukf._cholesky, a)
-        assert chol == outcome(np.linalg.cholesky, a)
         solved = outcome(lambda: ukf._whiten(a, b)[1])
-        assert solved == outcome(
-            lambda: np.linalg.solve(np.linalg.cholesky(a), b))
-        if case != "nan":
-            assert chol is solved is np.linalg.LinAlgError
+        assert chol is solved is np.linalg.LinAlgError
+        if case == "nan":  # numpy factors it, NaN throughout
+            assert outcome(np.linalg.cholesky, a)[0] == (dim, dim)
+        else:
+            assert chol == outcome(np.linalg.cholesky, a)
+            assert solved == outcome(
+                lambda: np.linalg.solve(np.linalg.cholesky(a), b))
+
+    @staticmethod
+    def nan_at_each_lower_position(rng):
+        """A 23x23 SPD matrix with one NaN, at each of the 276 positions
+        of its lower triangle in turn."""
+        p = random_pd_matrix(rng, STATE_DIM, 0.1)
+        for i, j in zip(*np.tril_indices(STATE_DIM)):
+            a = p.copy()
+            a[i, j] = np.nan
+            yield a
+
+    def test_cholesky_refuses_a_nan_anywhere_in_the_lower_triangle(self,
+                                                                   rng):
+        for a in self.nan_at_each_lower_position(rng):
+            assert outcome(ukf._cholesky, a) is np.linalg.LinAlgError
+
+    def test_whiten_refuses_a_nan_anywhere_in_the_lower_triangle(self, rng):
+        b = np.ones((STATE_DIM, 1 + STATE_DIM))
+        for a in self.nan_at_each_lower_position(rng):
+            assert outcome(lambda: ukf._whiten(a, b)) is np.linalg.LinAlgError
 
 
 class TestEngineWork:
@@ -1010,18 +1104,23 @@ class TestStackedSigmaUpdate:
     def test_gated_raw_block_leaves_the_orientation_update(self):
         """A gyro reading of 5 rad/s against a still state is gated; the
         roll/pitch rows are then the update from the same prior that an
-        orientation model alone gives."""
-        raw = imu_raw_model(0.005, 0.05, 15.09)
-        orient = imu_orientation_model(False, 0.02, 15.09)
+        orientation model alone gives: from one sigma set, the stack
+        without a ``linearize`` against the model alone on a drawn cloud,
+        and linearized, ``imu_stack`` against the model alone."""
         x, cov = FilterState().vector, default_cov()
         z_orient = np.array([0.01, -0.02])
         z = np.concatenate([[5.0, 0.0, 0.0], GRAVITY, z_orient])
-        out = update(x, cov, z, stack(raw, orient), PARAMS)
-        alone = update(x, cov, z_orient, orient, PARAMS)
-        assert [r.reason for r in out.records] == ["gated", "accepted"]
-        [single] = alone.records
-        assert out.records[1].d2 == pytest.approx(single.d2, rel=1e-12)
-        np.testing.assert_allclose(out.records[1].innovation,
-                                   single.innovation, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.x, alone.x, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.cov, alone.cov, rtol=0, atol=1e-12)
+        for joined, cloud in ((stack, draw(x, cov, PARAMS)),
+                              (imu_stack, None)):
+            raw = imu_raw_model(0.005, 0.05, 15.09)
+            orient = imu_orientation_model(False, 0.02, 15.09)
+            out = update(x, cov, z, joined(raw, orient), PARAMS)
+            alone = update(x, cov, z_orient, orient, PARAMS, cloud=cloud)
+            assert [r.reason for r in out.records] == ["gated", "accepted"]
+            [single] = alone.records
+            assert out.records[1].d2 == pytest.approx(single.d2, rel=1e-12)
+            np.testing.assert_allclose(out.records[1].innovation,
+                                       single.innovation, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.x, alone.x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.cov, alone.cov, rtol=0,
+                                       atol=1e-12)

@@ -5,6 +5,8 @@
         --seeds 1 2 3 --scale 0.5
     PYTHONPATH=src python3 tools/accuracy.py --stamp-order   # the oracle
     PYTHONPATH=src python3 tools/accuracy.py --base /path/to/other/tree
+    PYTHONPATH=src python3 tools/accuracy.py --workload loop_blackout \
+        --sensor encoder.bias_wz=0.01 --set features.b_ewz=false
 
 Runs each workload of ``bench/workloads.py`` (read, never changed) on each
 seed as the benchmark does: the simulated stream is written as stream text
@@ -13,7 +15,8 @@ For each workload it prints the mean ATE over the seeds (aligned, as the
 benchmark's accuracy check computes it) with each seed's ATE, and for every
 update path, pooled over the seeds, the share of updates accepted and the
 mean NIS per degree of freedom (d2 / dim) of the accepted ones.  The last
-line of standard output is the same result as one JSON object.
+line of standard output is the same result as one JSON object, which also
+holds the pipelines' diagnostic counters summed over the seeds.
 
 ``--stamp-order`` feeds each stream sorted by stamp, ties in arrival order,
 so nothing is late and nothing replays: the output a stamp-ordered fusion
@@ -26,11 +29,19 @@ prints both mean ATEs and their ratio (change / base), and per path the
 change's acceptance and NIS per dof less the base's; the JSON holds each
 tree's summary under ``base`` and ``change``, with ``ate_ratio`` and the
 per-path differences under ``delta``.
+
+``--sensor SECTION.KEY=VALUE`` sets a key of the workload's scenario, in a
+sensor section or in ``trajectory``, and ``--set KEY=VALUE`` a key of its
+pipeline configuration; both repeat, and both apply to every run, on both
+trees under ``--base``.  A value is read as JSON (numbers, ``true``,
+``false``, lists) when it parses, else taken as a string; the simulator and
+the configuration check the keys and values.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import io
 import json
@@ -51,6 +62,37 @@ import navfuse  # noqa: E402
 from navfuse.evaluation import TrajectoryEstimate, ate_rmse  # noqa: E402
 from navfuse.events import write_stream  # noqa: E402
 from navfuse.simulator import SimScenario, generate  # noqa: E402
+
+
+def key_value(text: str) -> tuple[str, object]:
+    """``KEY=VALUE`` as (key, value), the value parsed as JSON when it
+    can be, else the string."""
+    key, sep, value = text.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    try:
+        return key, json.loads(value)
+    except json.JSONDecodeError:
+        return key, value
+
+
+def overridden(workload: workloads.Workload, sensor=(),
+               config=()) -> workloads.Workload:
+    """``workload`` with each (``SECTION.KEY``, value) of ``sensor`` set in
+    its scenario, ``trajectory`` or a sensor section, and each (key, value)
+    of ``config`` in its configuration."""
+    trajectory = dict(workload.trajectory)
+    sensors = {name: dict(spec) for name, spec in workload.sensors.items()}
+    for key, value in sensor:
+        section, dot, name = key.partition(".")
+        if not dot or not section or not name:
+            raise ValueError(f"expected SECTION.KEY, got {key!r}")
+        target = (trajectory if section == "trajectory"
+                  else sensors.setdefault(section, {}))
+        target[name] = value
+    return dataclasses.replace(workload, trajectory=trajectory,
+                               sensors=sensors,
+                               config={**workload.config, **dict(config)})
 
 
 def stream(workload: workloads.Workload, seed: int, scale: float,
@@ -102,17 +144,20 @@ def run_text(workload: workloads.Workload, truth, text: str,
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Mean ATE and each seed's, and per path, pooled over the runs, the
-    acceptance and the mean NIS per dof of the accepted updates (None when
-    none was accepted)."""
+    """Mean ATE and each seed's, the pipelines' diagnostics summed over the
+    runs, and per path, pooled over the runs, the acceptance and the mean
+    NIS per dof of the accepted updates (None when none was accepted)."""
     tried, accepted, nis = Counter(), Counter(), Counter()
+    diagnostics = Counter()
     for run in runs:
         tried.update(run["tried"])
         accepted.update(run["accepted"])
         nis.update(run["nis"])
+        diagnostics.update(run["diagnostics"])
     return {
         "ate_mean_m": float(np.mean([run["ate_m"] for run in runs])),
         "ate_m": [run["ate_m"] for run in runs],
+        "diagnostics": dict(sorted(diagnostics.items())),
         "paths": {path: {"updates": tried[path],
                          "accept_rate": accepted[path] / tried[path],
                          "nis_per_dof": (nis[path] / accepted[path]
@@ -160,13 +205,20 @@ def main(argv=None) -> int:
                         "order: the oracle of a stamp-ordered buffer")
     p.add_argument("--base", type=Path,
                    help="root of a tree to compare with (holds src/)")
+    p.add_argument("--sensor", type=key_value, action="append", default=[],
+                   metavar="SECTION.KEY=VALUE",
+                   help="set a scenario key (repeatable)")
+    p.add_argument("--set", type=key_value, action="append", default=[],
+                   metavar="KEY=VALUE", dest="config",
+                   help="set a configuration key (repeatable)")
     args = p.parse_args(argv)
     names = (list(workloads.WORKLOADS) if args.workload == "all"
              else [args.workload])
     base = paired.load_tree(args.base.resolve()) if args.base else None
     result = {}
     for name in names:
-        workload = workloads.WORKLOADS[name]
+        workload = overridden(workloads.WORKLOADS[name], args.sensor,
+                              args.config)
         runs, base_runs = [], []
         for seed in args.seeds:
             text = stream(workload, seed, args.scale, args.stamp_order)

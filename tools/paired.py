@@ -4,8 +4,10 @@
     PYTHONPATH=src python3 tools/paired.py --base ../parent \\
         --workload ref_gps_delay --seed 61 --rounds 7 --scale 0.5
 
-Loads the ``navfuse`` on the path (the change) and the ``navfuse`` of the
-base tree's ``src`` under the package name ``navfuse_base``.  One workload
+Loads this tree's ``navfuse`` (the change) under the package name
+``navfuse_change`` and the ``navfuse`` of the base tree's ``src`` under
+``navfuse_base``, both the same way (``load_tree``), so that neither side
+is the ``navfuse`` on the path, which only simulates.  One workload
 of ``bench/workloads.py`` (read, never changed) is simulated and written as
 stream text, as the benchmark does.  Each round, each package parses that
 text with its own reader, timed whole (who goes first alternates), and
@@ -48,6 +50,8 @@ import workloads  # noqa: E402  (plain data: it imports no navfuse)
 import navfuse  # noqa: E402
 
 ALIAS = "navfuse_base"
+#: the package name this tree's ``navfuse`` is timed under
+CHANGE_ALIAS = "navfuse_change"
 
 
 def load_tree(root: Path, alias: str = ALIAS):
@@ -170,8 +174,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     workload = workloads.WORKLOADS[args.workload]
     base = load_tree(args.base.resolve())
+    change = load_tree(ROOT, CHANGE_ALIAS)
     text = stream_text(workload, args.seed, args.scale)
-    times, pipes = paired_rounds(text, workload.config, base, navfuse,
+    times, pipes = paired_rounds(text, workload.config, base, change,
                                  args.rounds)
     result = {"workload": args.workload, "seed": args.seed,
               "rounds": args.rounds, "scale": args.scale,
