@@ -98,10 +98,9 @@ class AdaptiveEstimator:
         samples cannot bias the estimate low.  A floored diagonal plus an
         EMA of outer products is positive definite in exact arithmetic,
         but collinear innovations drive it towards singular, so the
-        updated R is checked to factor before it replaces R.
+        updated R is checked to factor before it replaces R.  ``enabled``
+        is the pipeline's switch: it feeds a disabled estimator nothing.
         """
-        if not self.enabled:
-            return True
         nu = np.asarray(innovation, dtype=float).reshape(self.dim)
         w = self._innovations
         w[:-1] = w[1:]

@@ -198,7 +198,7 @@ def cmd_evaluate(args) -> int:
                 summary.fraction_in_band
             with open(os.path.join(args.out, f"d2_{path_name}.txt"), "w",
                       encoding="utf-8") as fh:
-                for t, v in zip(stamps, values):
+                for t, v in zip(stamps.tolist(), values.tolist()):
                     fh.write(f"{t!r} {v!r}\n")
     with open(os.path.join(args.out, "metrics.txt"), "w",
               encoding="utf-8") as fh:

@@ -111,19 +111,12 @@ SECTIONS: dict[str, dict[str, tuple[Any, Any]]] = {
               "sigma_pos": (0.05, SIGMA), "sigma_orient": (0.01, SIGMA),
               "pos_floor": (0.01, NON_NEGATIVE),
               "orient_floor": (0.001, NON_NEGATIVE)},
-    # chi-squared gates on the squared Mahalanobis distance, each the
-    # chi2(dof, p) quantile named.  Three are shared: imu by imu_raw (6
-    # dof) and orientation (2-3), encoder by encoder_vz (1) and radar (2),
-    # gps_pos by GPS velocity (2).  The encoder and encoder_vz rows fuse in
-    # one update, and so do imu_raw and orientation, but each is gated on
-    # its own d2 given the accepted rows before it (ukf.update), so each
-    # keeps its gate
-    "gates": {"imu": (15.09, POSITIVE),      # chi2(5, 0.99)
-              "encoder": (11.34, POSITIVE),  # chi2(3, 0.99)
-              "gps_pos": (16.27, POSITIVE),  # chi2(3, 0.999)
-              "heading": (10.83, POSITIVE),  # chi2(1, 0.999)
-              "vslam": (22.46, POSITIVE),    # chi2(6, 0.999)
-              "zupt": (16.27, POSITIVE)},    # chi2(3, 0.999)
+    # the chi-squared gates on the squared Mahalanobis distance: each path's
+    # (its block's in a stack, gated on its own d2 given the accepted rows
+    # before it, ukf.update) is chi2(dim, false_alarm), the d2 a consistent
+    # update exceeds with this probability, at the path's own dof
+    # (measurements.MeasurementModel)
+    "gates": {"false_alarm": (0.001, PROBABILITY)},
     # adaptive measurement noise (a window is shifted on every innovation),
     # then per-path noise floors (sigma) on the diagonal of the path's R,
     # whether or not it adapts: one whose square is 0 is the configured R

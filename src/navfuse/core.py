@@ -360,6 +360,33 @@ def wrap_angle(a):
     return out
 
 
+def chi2_threshold(dof: int, p: float) -> float:
+    """The gate at false-alarm probability ``p`` in (0, 1]: the largest x
+    that a chi-squared variable of ``dof`` (an int >= 1) degrees of freedom
+    exceeds with a probability above ``p`` (0 at p = 1), so its inverse
+    survival function to the float spacing.  The tail Q(x) is closed-form
+    for an integer dof: Q_1 = erfc(sqrt(x/2)) or Q_0 = 0, then
+    Q_{k+2} = Q_k + (x/2)^{k/2} e^{-x/2} / Gamma(k/2 + 1) (Abramowitz &
+    Stegun 26.4.4-5), a sum of positive terms, so free of cancellation in
+    either tail; x is bisected."""
+    if not 0.0 < p <= 1.0:  # NaN fails too
+        raise ValueError(f"false-alarm probability {p!r} is not in (0, 1]")
+
+    def tail(x: float) -> float:
+        q = math.erfc(math.sqrt(x / 2)) if dof % 2 else 0.0
+        term = math.exp(-x / 2) * ((2 * x / math.pi) ** 0.5 if dof % 2 else 1)
+        for k in range(dof % 2, dof, 2):
+            q, term = q + term, term * x / (k + 2)
+        return q
+
+    lo, hi = 0.0, 1.0
+    while tail(hi) > p:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if tail(mid) > p else (lo, mid)
+    return lo
+
+
 def _component(sl: slice) -> property:
     """A named block of ``FilterState.vector``: reads return a view,
     assignments write into the vector."""

@@ -12,6 +12,7 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
+from .core import chi2_threshold
 from .events import format_row
 
 
@@ -133,22 +134,15 @@ def nis_series(update_records: Iterable, path: str
                ) -> tuple[np.ndarray, np.ndarray, Optional[NisSummary]]:
     """Per-update normalized innovation squared (d^2/dim) for one sensor
     path, from (stamp, record) pairs; empty paths give an empty summary."""
-    stamps, values, dim = [], [], None
-    for stamp, rec in update_records:
-        if rec.path != path or not rec.accepted:
-            continue
-        dim = rec.dim
-        stamps.append(stamp)
-        values.append(rec.d2 / rec.dim)
-    stamps = np.asarray(stamps)
-    values = np.asarray(values)
-    if len(values) == 0:
+    accepted = [(stamp, rec) for stamp, rec in update_records
+                if rec.path == path and rec.accepted]
+    stamps = np.array([stamp for stamp, _ in accepted])
+    values = np.array([rec.d2 / rec.dim for _, rec in accepted])
+    if not accepted:
         return stamps, values, None
-    # scipy.stats takes about a second to import, so only NIS pays for it
-    from scipy.stats import chi2
-
-    lo = chi2.ppf(0.025, dim) / dim
-    hi = chi2.ppf(0.975, dim) / dim
+    dim = accepted[-1][1].dim
+    # the central 95% of chi2(dim), per dof
+    lo, hi = (chi2_threshold(dim, p) / dim for p in (0.975, 0.025))
     frac = float(np.mean((values >= lo) & (values <= hi)))
     return stamps, values, NisSummary(float(np.mean(values)), frac,
                                       len(values), dim)

@@ -4,8 +4,9 @@ noise policy (``gps_fix_to_measurement``).
 Each model bundles a batched measurement function ``h`` ((23, N) columns
 of flat state vectors, the engine's component-major sigma cloud, -> (dim, N)
 columns of measurement vectors), its noise matrix, an angular mask selecting
-components whose residuals wrap at +-pi, and a chi-squared gate threshold
-(the ``gates.*`` configuration keys).
+components whose residuals wrap at +-pi, and its chi-squared gate: every
+factory takes a false-alarm probability p (``gates.false_alarm``) and the
+gate is chi2(dim, p) at the model's own dim (``core.chi2_threshold``).
 
 A model linear in the state (encoder, its vertical-velocity constraint,
 radar, ZUPT, GPS position) is declared by its (dim, 23) matrix H instead;
@@ -50,6 +51,7 @@ from .core import (
     VEL,
     _cholesky,
     _hamilton,
+    chi2_threshold,
     quat_conjugate,
     quat_left_matrix,
     quat_rotate_cols,
@@ -73,6 +75,10 @@ class MeasurementModel:
     from, in row order, each with a matrix exactly when the stack has one.
     ``parts``, built once here, pairs each path the engine gates with its
     rows: each block with its slice, or the model itself with all its rows.
+    ``gate`` is the d2 a consistent update of ``dim`` rows exceeds with
+    probability ``p_fa``, the false-alarm probability, which must lie in
+    (0, 1]; a stack passes None and has none, as each of its blocks gates
+    on its own.
 
     ``r`` is the noise R.  A model with blocks holds one R array for all
     its rows, and each block's ``r`` is a view of its diagonal part, so
@@ -84,11 +90,12 @@ class MeasurementModel:
 
     def __init__(self, name: str, dim: int,
                  h: Union[Callable[[np.ndarray], np.ndarray], np.ndarray],
-                 r: np.ndarray, gate: float,
+                 r: np.ndarray, p_fa: Optional[float],
                  angular: Optional[np.ndarray] = None,
                  blocks: tuple["MeasurementModel", ...] = (),
                  linearize: Optional[Callable[[np.ndarray], tuple]] = None):
-        self.name, self.dim, self.h, self.gate = name, dim, h, gate
+        self.name, self.dim, self.h = name, dim, h
+        self.gate = None if blocks else chi2_threshold(dim, p_fa)
         self.linearize = linearize
         self.blocks = tuple(blocks)
         self._r = np.atleast_2d(np.asarray(r, dtype=float))
@@ -164,11 +171,11 @@ def stack(*models: MeasurementModel, h=None,
     which the block's ``r`` views from then on (``MeasurementModel``), and
     -0.0 off it, as x + -0.0 is x for every x, so the engine adds it to S
     in one operation, bit for bit the blocks' R added one by one.  The
-    engine gates and reports each block on its own; ``gate`` is the sum of
-    the blocks' gates when stacked.  A linear stack updates as the blocks
-    would one after another, as the Mahalanobis distance splits by the
-    chain rule; any other stack is one linearization or one sigma set for
-    the stacked measurement (``ukf.update``).
+    engine gates and reports each block on its own, so the stack has no
+    ``gate``.  A linear stack updates as the blocks would one after
+    another, as the Mahalanobis distance splits by the chain rule; any
+    other stack is one linearization or one sigma set for the stacked
+    measurement (``ukf.update``).
     """
     if len(models) < 2 or any(m.blocks or m._in_place for m in models):
         raise ValueError("stack needs two or more models, none stacked")
@@ -176,24 +183,20 @@ def stack(*models: MeasurementModel, h=None,
     if any((m.matrix is not None) != linear for m in models):
         raise ValueError("stack needs models all linear or none linear")
     dim = sum(m.dim for m in models)
-    r = np.full((dim, dim), -0.0)
-    gate = sum(m.gate for m in models)
-    if linear:
-        return MeasurementModel(models[0].name, dim,
-                                np.vstack([m.matrix for m in models]), r,
-                                gate, blocks=models)
-    parts = [(m, slice(end - m.dim, end))
-             for m, end in zip(models, accumulate(m.dim for m in models))]
 
     def filled(cols: np.ndarray) -> np.ndarray:
         out = np.empty((dim, cols.shape[1]))
-        for m, rows in parts:
+        for m, rows in model.parts:
             out[rows] = m.h(cols)
         return out
 
-    return MeasurementModel(models[0].name, dim, h or filled, r, gate,
-                            np.concatenate([m.angular for m in models]),
-                            blocks=models, linearize=linearize)
+    model = MeasurementModel(
+        models[0].name, dim,
+        np.vstack([m.matrix for m in models]) if linear else h or filled,
+        np.full((dim, dim), -0.0), None,
+        np.concatenate([m.angular for m in models]),
+        blocks=models, linearize=linearize)
+    return model
 
 
 def _reading(index) -> np.ndarray:
@@ -262,16 +265,16 @@ def imu_linearized(x: np.ndarray, orient: int = 0
 
 
 def imu_raw_model(sigma_gyro: float, sigma_accel: float,
-                  gate: float) -> MeasurementModel:
+                  p_fa: float) -> MeasurementModel:
     """6-DOF raw IMU: rates plus bias, accelerations plus bias and the
     gravity reaction rotated into the body frame (``imu_cols``)."""
     r = np.diag([sigma_gyro**2] * 3 + [sigma_accel**2] * 3)
-    return MeasurementModel("imu_raw", 6, imu_cols, r, gate,
+    return MeasurementModel("imu_raw", 6, imu_cols, r, p_fa,
                             linearize=imu_linearized)
 
 
 def imu_orientation_model(has_magnetometer: bool, sigma_orient: float,
-                          gate: float) -> MeasurementModel:
+                          p_fa: float) -> MeasurementModel:
     """The tilt (2-DOF), then with a magnetometer the heading, wrapped
     (3-DOF).  Without one, yaw stays unobservable from the IMU.  The tilt
     alone is linearized (``imu_linearized``); a heading row is not, so a
@@ -287,7 +290,7 @@ def imu_orientation_model(has_magnetometer: bool, sigma_orient: float,
 
     r = np.eye(dim) * sigma_orient**2
     name = "imu_orientation_3dof" if has_magnetometer else "imu_orientation"
-    return MeasurementModel(name, dim, h, r, gate,
+    return MeasurementModel(name, dim, h, r, p_fa,
                             angular=np.arange(dim) == 2,
                             linearize=None if has_magnetometer else linearize)
 
@@ -303,20 +306,20 @@ def imu_stack(raw: MeasurementModel,
 
 
 def encoder_model(sigma_vx: float, sigma_vy: float, sigma_wz: float,
-                  gate: float, b_ewz_enabled: bool = True) -> MeasurementModel:
+                  p_fa: float, b_ewz_enabled: bool = True) -> MeasurementModel:
     """3-DOF wheel odometry: body planar velocity and yaw rate with the
     encoder yaw-rate bias subtracted from the predicted reading."""
     h = _reading([VEL.start, VEL.start + 1, OMEGA.start + 2])
     if b_ewz_enabled:
         h[2, ENC_YAW_BIAS] = -1.0
     r = np.diag([sigma_vx**2, sigma_vy**2, sigma_wz**2])
-    return MeasurementModel("encoder", 3, h, r, gate)
+    return MeasurementModel("encoder", 3, h, r, p_fa)
 
 
-def encoder_vz_model(sigma: float, gate: float) -> MeasurementModel:
+def encoder_vz_model(sigma: float, p_fa: float) -> MeasurementModel:
     """Non-holonomic ground constraint on body vertical velocity."""
     return MeasurementModel("encoder_vz", 1, _reading([VEL.start + 2]),
-                            np.array([[sigma**2]]), gate)
+                            np.array([[sigma**2]]), p_fa)
 
 
 def screen_gps_fix(
@@ -392,9 +395,9 @@ def gps_fix_to_measurement(
     return z, base_r * s[:, None] * s
 
 
-def gps_position_model(r: np.ndarray, gate: float) -> MeasurementModel:
+def gps_position_model(r: np.ndarray, p_fa: float) -> MeasurementModel:
     """3-DOF ENU position of the antenna, taken to be the body origin."""
-    return MeasurementModel("gps_pos", 3, _reading(POS), r, gate)
+    return MeasurementModel("gps_pos", 3, _reading(POS), r, p_fa)
 
 
 def derive_gps_heading(
@@ -430,7 +433,7 @@ def derive_gps_heading(
     return math.atan2(dy, dx), sigma_yaw**2
 
 
-def gps_heading_model(variance: float, gate: float) -> MeasurementModel:
+def gps_heading_model(variance: float, p_fa: float) -> MeasurementModel:
     """1-DOF yaw from GPS course over ground.  This is the path that makes
     the encoder yaw-rate bias observable through the cross-covariance."""
 
@@ -438,26 +441,26 @@ def gps_heading_model(variance: float, gate: float) -> MeasurementModel:
         m = rotation_rows_cols(x[QUAT])
         return np.arctan2(m[4:], 1.0 + m[3:4])
 
-    return MeasurementModel("gps_heading", 1, h, np.array([[variance]]), gate,
+    return MeasurementModel("gps_heading", 1, h, np.array([[variance]]), p_fa,
                             angular=np.array([True]))
 
 
-def gps_velocity_model(sigma: float, gate: float) -> MeasurementModel:
+def gps_velocity_model(sigma: float, p_fa: float) -> MeasurementModel:
     """2-DOF east/north world velocity from receiver Doppler."""
 
     def h(x: np.ndarray) -> np.ndarray:
         return quat_rotate_cols(x[QUAT], x[VEL])[:2]
 
-    return MeasurementModel("gps_vel", 2, h, np.eye(2) * sigma**2, gate)
+    return MeasurementModel("gps_vel", 2, h, np.eye(2) * sigma**2, p_fa)
 
 
-def radar_velocity_model(sigma: float, gate: float) -> MeasurementModel:
+def radar_velocity_model(sigma: float, p_fa: float) -> MeasurementModel:
     """2-DOF body-frame velocity from radar Doppler: same shape as the
     encoder velocity but independent of wheel contact, so no yaw-rate bias
     term and no ground constraints attached."""
     return MeasurementModel("radar_vel", 2,
                             _reading([VEL.start, VEL.start + 1]),
-                            np.eye(2) * sigma**2, gate)
+                            np.eye(2) * sigma**2, p_fa)
 
 
 def vslam_noise(variances, pos_floor: float = 0.01,
@@ -509,7 +512,7 @@ _VSLAM_MATRIX[:3, POS] = np.eye(3)
 _VSLAM_MATRIX.flags.writeable = False
 
 
-def vslam_model(r: np.ndarray, gate: float) -> MeasurementModel:
+def vslam_model(r: np.ndarray, p_fa: float) -> MeasurementModel:
     """6-DOF pose: position, then log(q_ref^-1 q), the rotation vector from
     ``q_ref``, which each pose sets to its quaternion as it sets ``r`` (as
     ``vslam_noise`` gives it), so that its orientation rows read zero.
@@ -527,12 +530,12 @@ def vslam_model(r: np.ndarray, gate: float) -> MeasurementModel:
         jac[3:, QUAT] = np.array(jac_d) @ left
         return np.array(x[POS].tolist() + phi), jac
 
-    model = MeasurementModel("vslam", 6, h, r, gate, linearize=linearize)
+    model = MeasurementModel("vslam", 6, h, r, p_fa, linearize=linearize)
     model.q_ref = np.array([1.0, 0.0, 0.0, 0.0])
     return model
 
 
-def zupt_model(sigma: float, gate: float) -> MeasurementModel:
+def zupt_model(sigma: float, p_fa: float) -> MeasurementModel:
     """Zero-velocity pseudo-measurement on all three body velocity axes."""
     return MeasurementModel("zupt", 3, _reading(VEL),
-                            np.eye(3) * sigma**2, gate)
+                            np.eye(3) * sigma**2, p_fa)

@@ -403,17 +403,18 @@ class FusionPipeline:
 
     def _build_models(self) -> None:
         cfg = self.config
+        # each model's gate is chi2 at its own dim (``measurements``)
+        p_fa = cfg["gates.false_alarm"]
         # per IMU kind: the raw model, and the raw and orientation models
         # stacked, one update per sample with each block gated on its own,
         # or None when that source's orientation is not used
         self._imu_models = {}
         for kind in ("imu", "imu2"):
             raw = meas.imu_raw_model(cfg[f"{kind}.sigma_gyro"],
-                                     cfg[f"{kind}.sigma_accel"],
-                                     cfg["gates.imu"])
+                                     cfg[f"{kind}.sigma_accel"], p_fa)
             orient = meas.imu_orientation_model(
                 cfg[f"{kind}.has_magnetometer"], cfg[f"{kind}.sigma_orient"],
-                cfg["gates.imu"])
+                p_fa)
             joint = (meas.imu_stack(raw, orient)
                      if cfg[f"{kind}.use_orientation"] else None)
             self._imu_models[kind] = (raw, joint)
@@ -422,14 +423,11 @@ class FusionPipeline:
         self._encoder_model = meas.stack(
             meas.encoder_model(cfg["encoder.sigma_vx"],
                                cfg["encoder.sigma_vy"],
-                               cfg["encoder.sigma_wz"], cfg["gates.encoder"],
+                               cfg["encoder.sigma_wz"], p_fa,
                                b_ewz_enabled=cfg["features.b_ewz"]),
-            meas.encoder_vz_model(cfg["encoder.vz_sigma"],
-                                  cfg["gates.encoder"]))
-        self._radar_model = meas.radar_velocity_model(cfg["radar.sigma"],
-                                                      cfg["gates.encoder"])
-        self._zupt_model = meas.zupt_model(cfg["zupt.sigma"],
-                                           cfg["gates.zupt"])
+            meas.encoder_vz_model(cfg["encoder.vz_sigma"], p_fa))
+        self._radar_model = meas.radar_velocity_model(cfg["radar.sigma"], p_fa)
+        self._zupt_model = meas.zupt_model(cfg["zupt.sigma"], p_fa)
         self._zupt_update = (_ZERO_VELOCITY, self._zupt_model, 1.0)
         thr_s, thr_r = cfg["zupt.speed_threshold"], cfg["zupt.rate_threshold"]
         hyst = cfg["zupt.hysteresis"]
@@ -456,18 +454,17 @@ class FusionPipeline:
             vslam_reinit_n=cfg["vslam.reinit_n"])
         # each fix, course and pose sets its model's R before its update: a
         # pose's is its variances, else the configured ones, floored
-        self._gps_model = meas.gps_position_model(np.eye(3),
-                                                  cfg["gates.gps_pos"])
-        self._heading_model = meas.gps_heading_model(1.0, cfg["gates.heading"])
+        self._gps_model = meas.gps_position_model(np.eye(3), p_fa)
+        self._heading_model = meas.gps_heading_model(1.0, p_fa)
         self._vslam_noise = partial(meas.vslam_noise,
                                     pos_floor=cfg["vslam.pos_floor"],
                                     orient_floor=cfg["vslam.orient_floor"])
         self._vslam_r = self._vslam_noise(
             [cfg["vslam.sigma_pos"] ** 2] * 3
             + [cfg["vslam.sigma_orient"] ** 2] * 3)
-        self._vslam_model = meas.vslam_model(self._vslam_r, cfg["gates.vslam"])
+        self._vslam_model = meas.vslam_model(self._vslam_r, p_fa)
         self._gps_vel_model = meas.gps_velocity_model(
-            cfg["gnss.velocity_sigma"], cfg["gates.gps_pos"])
+            cfg["gnss.velocity_sigma"], p_fa)
 
         # per coast mode (off, on): the states the filter holds, which get
         # neither gain nor process noise, and Q's per-second diagonal.  The
@@ -619,8 +616,9 @@ class FusionPipeline:
         self.diagnostics[key] = self.diagnostics.get(key, 0) + 1
 
     def _observe(self, path: str, innovation: np.ndarray) -> None:
-        """Feed an accepted innovation to the path's noise estimator,
-        counting an adapted R it refused as ``adaptive_rejected_<path>``."""
+        """Feed an accepted innovation to the path's noise estimator, if it
+        is enabled, counting an adapted R it refused as
+        ``adaptive_rejected_<path>``: the one test of the switch."""
         estimator = self.adaptive[path]
         if estimator.enabled and not estimator.observe(innovation):
             self._count(f"adaptive_rejected_{path}")
@@ -872,9 +870,8 @@ class FusionPipeline:
 
     def _commit_encoder(self, sample: EncoderSample, x, records, carry):
         self._last_encoder_speed = abs(float(sample.velocity[0]))
-        adaptive = self.adaptive
         for rec in records:  # one per block, each an adaptive path
-            if rec.accepted and adaptive[rec.path].enabled:
+            if rec.accepted:
                 self._observe(rec.path, rec.innovation)
         self._update_zupt()
 
@@ -1021,12 +1018,17 @@ class FusionPipeline:
 
     def _read_session(self, doc: dict) -> dict:
         """The session ``_session_doc`` stored, each value read by its
-        ``_SESSION`` reader, given this pipeline."""
+        ``_SESSION`` reader, given this pipeline, and ZUPT held only with
+        both of its readings, as ``_update_zupt`` holds it."""
         if set(doc) != set(self._SESSION):
             raise ValueError("session keys missing or unknown: "
                              f"{sorted(set(doc) ^ set(self._SESSION))}")
-        return {name: read(self, doc[name])
-                for name, (_, read) in self._SESSION.items()}
+        session = {name: read(self, doc[name])
+                   for name, (_, read) in self._SESSION.items()}
+        if session["_zupt_active"] and None in (
+                session["_last_encoder_speed"], session["_last_imu_rate"]):
+            raise ValueError("ZUPT held without both of its readings")
+        return session
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ own sigma set.  A Jacobian's rows that read q are
 taken along the unit sphere (Hq = 0), as the sigma points renormalize
 each quaternion; Pxz = PH^T is used as it is, with no projection of its
 quaternion rows, and the corrected quaternion is renormalized.  Every
-update gates through one path, ``_gate_blocks``, and records each block's
-decision as an ``UpdateRecord``: a stacked model (``measurements.stack``)
+update gates through one path, ``_gate_blocks``, each block at its own
+gate, chi2 at its dim, and records each block's decision as an
+``UpdateRecord``: a stacked model (``measurements.stack``)
 is one update with a block per model, one closed form or one sigma set
 for all its rows, and any other model is one block.
 The model's R is added to S in one operation, a stack's R being one
@@ -134,9 +135,10 @@ class UkfParams:
 
 @dataclass
 class UpdateRecord:
-    """One path's gate decision: its d2 against ``threshold``, the gate
-    times its scale, and its innovation given the blocks accepted before
-    it (None when read back from a steps file)."""
+    """One path's gate decision: its d2 against ``threshold``, the block's
+    gate (chi2 at its own dim, ``measurements.MeasurementModel``) times
+    the update's ``gate_scale``, and its innovation given the blocks
+    accepted before it (None when read back from a steps file)."""
 
     path: str
     accepted: bool

@@ -165,3 +165,27 @@ class LinearKalmanOracle:
         x = x + k @ (np.asarray(z) - h @ x)
         p = p - k @ s @ k.T
         return x, 0.5 * (p + p.T)
+
+
+#: the six per-sensor chi-squared thresholds that each path's
+#: chi2(dim, gates.false_alarm) gate replaced: each retired key with its
+#: last default and the paths it gated.  A configuration that still sets
+#: one is refused as unknown, not run on a value nothing reads
+RETIRED_GATES = {
+    "gates.encoder": (11.34, {"encoder", "encoder_vz", "radar_vel"}),
+    "gates.gps_pos": (16.27, {"gps_pos", "gps_vel"}),
+    "gates.heading": (10.83, {"gps_heading"}),
+    "gates.imu": (15.09, {"imu_raw", "imu_orientation",
+                          "imu_orientation_3dof"}),
+    "gates.vslam": (22.46, {"vslam"}),
+    "gates.zupt": (16.27, {"zupt"}),
+}
+
+
+def gated_blocks(pipe):
+    """Every gated block the pipeline built, over all its models."""
+    models = [*pipe._imu_models["imu"], *pipe._imu_models["imu2"],
+              pipe._encoder_model, pipe._radar_model, pipe._zupt_model,
+              pipe._gps_model, pipe._heading_model, pipe._vslam_model,
+              pipe._gps_vel_model]
+    return [block for model in models for block, _ in model.parts]

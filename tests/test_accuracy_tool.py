@@ -32,7 +32,17 @@ def test_one_seed_of_every_workload(capsys):
         assert 0.0 < summary["ate_mean_m"] < workload.ate_ceiling_m
         assert {"imu_raw", "imu_orientation", "encoder",
                 "gps_pos"} <= set(summary["paths"])
-        for entry in summary["paths"].values():
+        pipe = tool.navfuse.FusionPipeline(
+            tool.navfuse.PipelineConfig(workload.config))
+        gates = {block.name: block.gate
+                 for model in (pipe._imu_models["imu"][1],
+                               pipe._encoder_model, pipe._gps_model,
+                               pipe._radar_model, pipe._vslam_model)
+                 for block, _ in model.parts}
+        for path, entry in summary["paths"].items():
+            # the gate unrelaxed, the model's own; a relaxed fix's is above
+            if path in gates:
+                assert entry["gate"] == gates[path], (name, path)
             assert entry["updates"] > 0
             assert 0.0 <= entry["accept_rate"] <= 1.0
             nis = entry["nis_per_dof"]
@@ -41,6 +51,9 @@ def test_one_seed_of_every_workload(capsys):
         # the printed table names the workload and each of its paths
         table = "\n".join(lines[:-1])
         assert f"{name}: mean ATE {summary['ate_mean_m']:.4f} m" in table
+        gps = summary["paths"]["gps_pos"]
+        assert (f"  gps_pos          updates {gps['updates']:>7}  gate "
+                f"{gps['gate']:6.2f}  accept ") in table
     assert "vslam" in result["dense_two_delayed"]["paths"]
 
 
@@ -68,6 +81,9 @@ def test_tree_against_itself_as_base(capsys):
         assert delta["nis_per_dof"] in (0.0, None), path
     assert lines[0].startswith("loop_blackout: mean ATE base ")
     assert lines[0].endswith("ratio 1.0000")
+    gate = f"{result['change']['paths']['encoder']['gate']:6.2f}"
+    assert any(line.startswith(f"  encoder          gate {gate} -> {gate}")
+               for line in lines)
 
 
 def test_loop_blackout_seed_4_stays_under_a_metre():

@@ -205,11 +205,14 @@ class TestObserve:
         assert values[-1] > 5.0
 
     def test_disabled_is_noop(self):
-        est = make_estimator(enabled=False)
+        """The pipeline feeds a disabled estimator nothing, so its R and
+        its window stay as they were."""
+        pipe = FusionPipeline(PipelineConfig({"adaptive.vz": False}))
+        est = pipe.adaptive["encoder_vz"]
         r0 = est.r.copy()
         for _ in range(100):
-            est.observe(np.array([10.0]))
-        assert np.array_equal(est.r, r0)
+            pipe._observe("encoder_vz", np.array([10.0]))
+        assert np.array_equal(est.r, r0) and est._filled == 0
 
     def test_stays_positive_definite(self, rng):
         est = AdaptiveEstimator("vec", np.eye(3) * 4.0, [0.01] * 3)

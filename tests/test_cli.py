@@ -123,6 +123,9 @@ class TestRunAndEvaluate:
         assert not any("escape" in key for key in metrics)
         assert sorted(os.listdir(out)) == ["d2_imu_orientation.txt",
                                            "metrics.txt"]
+        # stamp and d2 / dim per accepted update, as plain numbers
+        assert (out / "d2_imu_orientation.txt").read_text() == \
+            "0.1 1.0\n0.2 0.5\n"
 
     def test_evaluate_reports_acceptance_of_every_path(self, tmp_path):
         """``accept_rate_<path>``: the share of the path's updates in the
@@ -258,7 +261,7 @@ class TestRunAndEvaluate:
                      "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("text, message", [
-        ("gates:\n  gps_pos: 0.0\n", "in (0, 1e+150], got 0.0"),
+        ("gates:\n  false_alarm: 0.0\n", "in (0, 1], got 0.0"),
         ("adaptive:\n  window: 0\n", "in [1, 10000], got 0"),
         ("init:\n  position_var: 0.0\n", "in (0, 1e+150], got 0.0"),
         ("coast:\n  enter_s: -1\n", "in (0, 1e+150], got -1"),
@@ -275,7 +278,7 @@ class TestRunAndEvaluate:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert message in err
-        # it names the key: gates.gps_pos, not gps_vel, whose model shares it
+        # it names the key, not a model that derives its gate from it
         section, key = (word.rstrip(":") for word in text.split()[:2])
         assert f"{section}.{key}: " in err
 

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from navfuse.config import (ABLATION_OVERRIDES, DEFAULTS, FLAG, SECTIONS,
                             ConfigError, PipelineConfig, Range)
-from navfuse.core import GRAVITY
+from navfuse.core import GRAVITY, chi2_threshold
 from navfuse.events import ImuSample
 from navfuse.pipeline import FusionPipeline
+
+from conftest import RETIRED_GATES, gated_blocks
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 RANGES = {f"{section}.{key}": accepted
@@ -53,7 +55,7 @@ class TestValidation:
     def test_defaults_available(self):
         cfg = PipelineConfig()
         assert cfg["ukf.alpha"] == 0.1
-        assert cfg["gates.gps_pos"] == 16.27
+        assert cfg["gates.false_alarm"] == 0.001
         assert cfg["vslam.reinit_n"] == 10
 
     def test_unknown_key_rejected(self):
@@ -84,10 +86,10 @@ class TestValidation:
 
     def test_yaml_roundtrip(self, tmp_path):
         path = tmp_path / "config.yaml"
-        path.write_text("ukf:\n  alpha: 0.3\ngates:\n  gps_pos: 20.0\n")
+        path.write_text("ukf:\n  alpha: 0.3\ngates:\n  false_alarm: 0.01\n")
         cfg = PipelineConfig.from_yaml(str(path))
         assert cfg["ukf.alpha"] == 0.3
-        assert cfg["gates.gps_pos"] == 20.0
+        assert cfg["gates.false_alarm"] == 0.01
 
     def test_bad_yaml_reports_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -122,15 +124,22 @@ class TestHashAndOverrides:
 
 class TestRanges:
     def test_every_key_declares_its_range_and_its_default_lies_in_it(self):
-        assert len(DEFAULTS) == 82
+        assert len(DEFAULTS) == 77
         for key, default in DEFAULTS.items():
             accepted = RANGES[key]
             assert accepted is FLAG if isinstance(default, bool) else (
                 isinstance(accepted, Range)), key
             assert default in accepted, key
 
-    @pytest.mark.parametrize("key", NUMBERS)
+    @pytest.mark.parametrize("key", NUMBERS + sorted(RETIRED_GATES))
     def test_value_just_outside_the_range_is_refused_by_key(self, key):
+        """A retired gate key accepts no value, its last default included,
+        and the refusal names it."""
+        if key in RETIRED_GATES:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"unknown configuration keys: [{key!r}]")):
+                PipelineConfig({key: RETIRED_GATES[key][0]})
+            return
         for value in outside(key):
             with pytest.raises(ConfigError,
                                match=f"^{re.escape(key)}: expected"):
@@ -142,12 +151,27 @@ class TestRanges:
                                        for key in NUMBERS}))
 
     @pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
-    @pytest.mark.parametrize("key", NUMBERS)
+    @pytest.mark.parametrize("key", NUMBERS + sorted(RETIRED_GATES))
     def test_key_at_each_end_runs_imu_steps_at_rest(self, key, end):
         """Each key alone at an edge fuses two IMU samples at rest, the
         second one predict and one update, to a finite state and
-        covariance.  Mixes of extreme keys are out of scope."""
-        pipe = FusionPipeline(PipelineConfig({key: edges(key)[end]}))
+        covariance.  Mixes of extreme keys are out of scope.
+
+        A retired gate key stands for the gates of the paths it set, now
+        each chi2(dim, gates.false_alarm): their low end, 0, comes at
+        p = 1 and their high end, finite, at the smallest p."""
+        if key in RETIRED_GATES:
+            p = edges("gates.false_alarm")[1 - end]
+            pipe = FusionPipeline(PipelineConfig({"gates.false_alarm": p}))
+            blocks = [block for block in gated_blocks(pipe)
+                      if block.name in RETIRED_GATES[key][1]]
+            assert blocks, key
+            for block in blocks:
+                assert block.gate == 0.0 if end == 0 else (
+                    math.isfinite(block.gate) and block.gate > chi2_threshold(
+                        block.dim, 1e-12)), (block.name, block.gate)
+        else:
+            pipe = FusionPipeline(PipelineConfig({key: edges(key)[end]}))
         for stamp in (0.0, 0.01):
             report = pipe.ingest(ImuSample(stamp, np.zeros(3), GRAVITY.copy(),
                                            np.array([1.0, 0.0, 0.0, 0.0])))

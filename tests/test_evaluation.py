@@ -188,11 +188,38 @@ class TestTrajectoryIo:
             read_trajectory(io.StringIO("1 2 3\n"))
 
 
-def test_import_navfuse_does_not_load_scipy_stats():
-    """scipy.stats costs about a second of start-up; only NIS needs it."""
+def run_python(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter on this
+    tree's ``navfuse``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(navfuse.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, navfuse; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, text=True,
-                         capture_output=True, check=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, check=True).stdout
+
+
+def test_import_navfuse_does_not_load_scipy_stats():
+    """navfuse needs no scipy (its chi2 is ``core.chi2_threshold``), whose
+    ``scipy.stats`` alone costs about a second of start-up."""
+    code = ("import sys, navfuse\n"
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    assert run_python(code).strip() == "False"
+
+
+def test_nis_series_runs_with_scipy_blocked():
+    """``nis_series`` with ``import scipy`` made to fail: its 95% band is
+    scipy's, so the in-band fraction of d2 values placed just inside and
+    just outside each band edge is scipy's too."""
+    from scipy.stats import chi2
+
+    lo, hi = chi2.ppf(0.025, 2), chi2.ppf(0.975, 2)
+    d2s = [float(d2) for d2 in (lo * (1 - 1e-9), lo * (1 + 1e-9), 2.0,
+                                hi * (1 - 1e-9), hi * (1 + 1e-9))]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from navfuse.evaluation import nis_series\n"
+            "from navfuse.ukf import UpdateRecord\n"
+            f"records = [(0.1 * k, UpdateRecord('radar_vel', True, d2, 2, "
+            f"1.0)) for k, d2 in enumerate({d2s!r})]\n"
+            "_, _, summary = nis_series(records, 'radar_vel')\n"
+            "print(summary.fraction_in_band, summary.count)")
+    assert run_python(code).split() == [str(3 / 5), "5"]

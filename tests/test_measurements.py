@@ -8,7 +8,7 @@ from scipy.stats import chi2
 
 from navfuse.config import DEFAULTS, ConfigError, PipelineConfig
 from navfuse.core import (FilterState, GRAVITY, _ROTATION, _outer,
-                          euler_to_quat, quat_exp, quat_mul, wrap_angle)
+                          chi2_threshold, euler_to_quat, quat_exp, quat_mul, wrap_angle)
 from navfuse.events import FixType, GpsFixSample, ImuSample
 from navfuse.geodesy import EnuOrigin, GeodeticCoord
 from navfuse.measurements import (
@@ -55,31 +55,58 @@ def fix_at(enu, stamp=0.0, **kw):
 
 class TestDefaults:
     def test_gate_table(self):
-        """Each default gate is the chi2(dof, p) quantile its config
-        comment names, to two decimals."""
-        quantiles = {"gates.imu": (5, 0.99), "gates.encoder": (3, 0.99),
-                     "gates.gps_pos": (3, 0.999), "gates.heading": (1, 0.999),
-                     "gates.vslam": (6, 0.999), "gates.zupt": (3, 0.999)}
-        assert set(quantiles) == {k for k in DEFAULTS
-                                  if k.startswith("gates.")}
-        for key, (dof, p) in quantiles.items():
-            assert DEFAULTS[key] == round(chi2.ppf(p, dof), 2), key
+        """``chi2_threshold`` is scipy's inverse survival function to 1e-9,
+        and every gated block a pipeline builds, each IMU's with and
+        without a magnetometer, gates at chi2(its dim, gates.false_alarm);
+        a stack has no gate of its own."""
+        for dof in range(1, 10):
+            for p in (0.975, 0.025, 1e-3, 1e-6, 1e-12):
+                assert chi2_threshold(dof, p) == pytest.approx(
+                    chi2.isf(p, dof), rel=1e-9, abs=0.0), (dof, p)
+        paths = set()
+        for p_fa in (DEFAULTS["gates.false_alarm"], 0.05):
+            for mag in (False, True):
+                pipe = FusionPipeline(PipelineConfig({
+                    "gates.false_alarm": p_fa, "imu.has_magnetometer": mag,
+                    "imu2.has_magnetometer": mag}))
+                models = [*pipe._imu_models["imu"], *pipe._imu_models["imu2"],
+                          pipe._encoder_model, pipe._radar_model,
+                          pipe._zupt_model, pipe._gps_model,
+                          pipe._heading_model, pipe._vslam_model,
+                          pipe._gps_vel_model]
+                assert all(m.gate is None for m in models if m.blocks)
+                for block, _ in (part for m in models for part in m.parts):
+                    assert block.gate == pytest.approx(
+                        chi2.isf(p_fa, block.dim), rel=1e-9), block.name
+                    paths.add(block.name)
+        assert paths == {"imu_raw", "imu_orientation", "imu_orientation_3dof",
+                         "encoder", "encoder_vz", "radar_vel", "zupt",
+                         "gps_pos", "gps_vel", "gps_heading", "vslam"}
+
+    def test_chi2_threshold_ends(self):
+        """p = 1 gates everything but d2 = 0, and the tail is exact far out:
+        at 1 dof, p = 1e-300 lies between erfc at the gate and at the next
+        float."""
+        assert chi2_threshold(3, 1.0) == 0.0
+        x = chi2_threshold(1, 1e-300)
+        assert math.erfc(math.sqrt(x / 2)) > 1e-300 >= math.erfc(
+            math.sqrt(np.nextafter(x, math.inf) / 2))
 
 
 class TestImuRaw:
     def test_level_rest_predicts_gravity(self):
-        model = imu_raw_model(0.005, 0.05, 15.09)
+        model = imu_raw_model(0.005, 0.05, 1e-3)
         z = h1(model, FilterState())
         assert np.allclose(z, [0, 0, 0, 0, 0, 9.80665])
 
     def test_gyro_bias_enters_prediction(self):
         state = FilterState(gyro_bias=np.array([0.008, 0, 0]))
-        z = h1(imu_raw_model(0.005, 0.05, 15.09), state)
+        z = h1(imu_raw_model(0.005, 0.05, 1e-3), state)
         assert np.allclose(z[:3], [0.008, 0, 0])
 
     def test_rolled_state_rotates_gravity(self):
         q = euler_to_quat(np.pi / 2, 0, 0)  # 90 deg roll
-        z = h1(imu_raw_model(0.005, 0.05, 15.09), FilterState(quaternion=q))
+        z = h1(imu_raw_model(0.005, 0.05, 1e-3), FilterState(quaternion=q))
         oracle = quat_to_rotmat(q).T @ GRAVITY
         assert np.allclose(z[3:], oracle, atol=1e-12)
         # gravity reaction moves to the lateral axis
@@ -94,7 +121,7 @@ class TestImuRawColumns:
         out: rates plus gyro bias, accelerations plus accel bias plus
         R(q)^T [0, 0, g] as g times the last row of R(q) - I, plus g."""
         g = float(GRAVITY[2])
-        out = imu_raw_model(0.005, 0.05, 15.09).h(cols)
+        out = imu_raw_model(0.005, 0.05, 1e-3).h(cols)
         assert out.shape == (6, cols.shape[1])
         for j in range(cols.shape[1]):
             s = cols[:, j].tolist()
@@ -194,12 +221,12 @@ class TestRotationRowReadings:
 
     def test_imu_function_equals_the_stacked_block_functions(self, rng):
         # a model is a block of one stack at most
-        raw, *raws = (imu_raw_model(0.005, 0.05, 15.09) for _ in range(3))
+        raw, *raws = (imu_raw_model(0.005, 0.05, 1e-3) for _ in range(3))
         joints = [stack(block, orient,
                         h=partial(imu_cols, orient=orient.dim))
                   for block, orient in zip(raws, (
-                      imu_orientation_model(False, 0.02, 15.09),
-                      imu_orientation_model(True, 0.02, 15.09)))]
+                      imu_orientation_model(False, 0.02, 1e-3),
+                      imu_orientation_model(True, 0.02, 1e-3)))]
         # columns past |sin pitch| = 1 by rounding, and tilt rows the
         # formula gives as -0
         past_one = negative_zeros = 0
@@ -219,8 +246,8 @@ class TestRotationRowReadings:
         assert past_one > 100 and negative_zeros > 10
 
     def test_tilt_and_heading_equal_the_written_out_formulas(self, rng):
-        heading = gps_heading_model(0.04, 10.83)
-        tilt, with_heading = (imu_orientation_model(mag, 0.02, 15.09)
+        heading = gps_heading_model(0.04, 1e-3)
+        tilt, with_heading = (imu_orientation_model(mag, 0.02, 1e-3)
                               for mag in (False, True))
         for cols in clouds(rng):
             q = cols[3:7]
@@ -232,14 +259,14 @@ class TestRotationRowReadings:
 
 class TestAngularRows:
     MODELS = [
-        imu_orientation_model(True, 0.02, 15.09),
-        stack(imu_raw_model(0.005, 0.05, 15.09),
-              imu_orientation_model(False, 0.02, 15.09)),
-        gps_heading_model(0.04, 10.83),
-        vslam_model(np.eye(6) * 0.01, 22.46),
+        imu_orientation_model(True, 0.02, 1e-3),
+        stack(imu_raw_model(0.005, 0.05, 1e-3),
+              imu_orientation_model(False, 0.02, 1e-3)),
+        gps_heading_model(0.04, 1e-3),
+        vslam_model(np.eye(6) * 0.01, 1e-3),
         MeasurementModel("gappy", 4, lambda x: x[:4], np.eye(4), 1.0,
                          angular=np.array([True, False, True, False])),
-        imu_raw_model(0.005, 0.05, 15.09),
+        imu_raw_model(0.005, 0.05, 1e-3),
     ]
 
     def test_contiguous_angular_rows_are_a_slice(self):
@@ -268,14 +295,14 @@ class TestAngularRows:
 
 class TestImuOrientation:
     def test_two_dof_without_magnetometer(self):
-        model = imu_orientation_model(False, 0.02, 15.09)
+        model = imu_orientation_model(False, 0.02, 1e-3)
         assert model.dim == 2
         assert np.allclose(h1(model, FilterState()), [0.0, 0.0])
 
     def test_three_dof_with_magnetometer(self):
         """The body-frame up direction's x and y, -sin(pitch) and
         cos(pitch) sin(roll), then the heading."""
-        model = imu_orientation_model(True, 0.02, 15.09)
+        model = imu_orientation_model(True, 0.02, 1e-3)
         assert model.dim == 3
         state = FilterState(quaternion=euler_to_quat(0.1, -0.2, 0.7))
         assert np.allclose(h1(model, state),
@@ -286,34 +313,34 @@ class TestImuOrientation:
 
     def test_residuals_marked_angular(self):
         """Only the heading is an angle; the tilt wraps nothing."""
-        assert not imu_orientation_model(False, 0.02, 15.09).angular.any()
-        assert imu_orientation_model(True, 0.02, 15.09).angular.tolist() \
+        assert not imu_orientation_model(False, 0.02, 1e-3).angular.any()
+        assert imu_orientation_model(True, 0.02, 1e-3).angular.tolist() \
             == [False, False, True]
 
 
 class TestEncoder:
     def test_straight_motion(self):
         state = FilterState(velocity=np.array([1.0, 0, 0]))
-        z = h1(encoder_model(0.03, 0.03, 0.02, 11.34), state)
+        z = h1(encoder_model(0.03, 0.03, 0.02, 1e-3), state)
         assert np.allclose(z, [1, 0, 0])
 
     def test_yaw_rate_bias_subtracted(self):
         state = FilterState(angular_rate=np.array([0, 0, 0.1]),
                             encoder_yaw_bias=0.005)
-        z = h1(encoder_model(0.03, 0.03, 0.02, 11.34), state)
+        z = h1(encoder_model(0.03, 0.03, 0.02, 1e-3), state)
         assert z[2] == pytest.approx(0.095)
 
     def test_bias_term_removable(self):
         state = FilterState(angular_rate=np.array([0, 0, 0.1]),
                             encoder_yaw_bias=0.005)
-        z = h1(encoder_model(0.03, 0.03, 0.02, 11.34, b_ewz_enabled=False),
+        z = h1(encoder_model(0.03, 0.03, 0.02, 1e-3, b_ewz_enabled=False),
                state)
         assert z[2] == pytest.approx(0.1)
 
     def test_constraints_observe_vertical_channel(self):
         state = FilterState(velocity=np.array([1.0, 0.0, 0.3]),
                             acceleration=np.array([0.0, 0.0, -0.2]))
-        assert h1(encoder_vz_model(0.05, 11.34), state)[0] == \
+        assert h1(encoder_vz_model(0.05, 1e-3), state)[0] == \
             pytest.approx(0.3)
 
 
@@ -466,7 +493,7 @@ class TestGpsHeading:
         assert fast < slow
 
     def test_model_reads_state_yaw(self):
-        model = gps_heading_model(0.04, 10.83)
+        model = gps_heading_model(0.04, 1e-3)
         state = FilterState(quaternion=euler_to_quat(0, 0, 1.1))
         assert h1(model, state)[0] == pytest.approx(1.1)
         assert model.angular[0]
@@ -474,7 +501,7 @@ class TestGpsHeading:
 
 class TestVelocityModels:
     def test_gps_velocity_world_frame(self):
-        model = gps_velocity_model(0.3, 16.27)
+        model = gps_velocity_model(0.3, 1e-3)
         assert np.allclose(h1(model, FilterState()), [0, 0])
         state = FilterState(velocity=np.array([1.0, 0, 0]))
         assert np.allclose(h1(model, state), [1, 0])
@@ -483,7 +510,7 @@ class TestVelocityModels:
         assert np.allclose(h1(model, yawed), [0, 1], atol=1e-12)
 
     def test_radar_body_frame_without_bias(self):
-        model = radar_velocity_model(0.1, 11.34)
+        model = radar_velocity_model(0.1, 1e-3)
         state = FilterState(velocity=np.array([2.0, 0.1, 0.0]),
                             encoder_yaw_bias=0.5)
         assert np.allclose(h1(model, state), [2.0, 0.1])
@@ -493,7 +520,7 @@ class TestVslam:
     def test_pose_prediction(self):
         """Position, then the rotation vector from ``q_ref`` to the state's
         attitude, in ``q_ref``'s frame: zero at ``q_ref``, at any pitch."""
-        model = vslam_model(np.eye(6) * 0.01, 22.46)
+        model = vslam_model(np.eye(6) * 0.01, 1e-3)
         for pitch_deg in (0.2, 89.5, 90.0, -89.5):
             model.q_ref = euler_to_quat(0.1, np.radians(pitch_deg), 0.3)
             state = FilterState(position=np.array([1.0, 2.0, 3.0]),
@@ -507,7 +534,7 @@ class TestVslam:
 
     def test_rotation_vector_takes_the_shorter_way(self):
         """q and -q give one rotation vector, of norm at most pi."""
-        model = vslam_model(np.eye(6) * 0.01, 22.46)
+        model = vslam_model(np.eye(6) * 0.01, 1e-3)
         rot = quat_exp(np.array([0.0, 0.0, 3.5]), 1.0)  # 3.5 rad about z
         cols = np.zeros((23, 2))
         cols[3:7] = np.column_stack([rot, -rot])
@@ -522,7 +549,7 @@ class TestVslam:
         assert np.array_equal(r, np.diag(np.diag(r)))
 
     def test_no_component_wraps(self):
-        assert not vslam_model(np.eye(6) * 0.01, 22.46).wraps
+        assert not vslam_model(np.eye(6) * 0.01, 1e-3).wraps
 
 
 def central_jacobian(model, x, step=1e-6):
@@ -560,8 +587,8 @@ class TestLinearization:
 
     @pytest.mark.parametrize("joined", [False, True])
     def test_imu_models(self, rng, joined):
-        raw = imu_raw_model(0.005, 0.05, 15.09)
-        orient = imu_orientation_model(False, 0.02, 15.09)
+        raw = imu_raw_model(0.005, 0.05, 1e-3)
+        orient = imu_orientation_model(False, 0.02, 1e-3)
         models = [imu_stack(raw, orient)] if joined else [raw, orient]
         for _ in range(20):
             x = random_state(rng)
@@ -571,7 +598,7 @@ class TestLinearization:
     @pytest.mark.parametrize("offset", ["near", "at", "170 degrees",
                                         "w below zero"])
     def test_vslam(self, rng, offset):
-        model = vslam_model(np.eye(6) * 0.01, 22.46)
+        model = vslam_model(np.eye(6) * 0.01, 1e-3)
         for _ in range(20):
             model.q_ref = random_unit_quat(rng)
             axis = rng.normal(size=3)
@@ -596,18 +623,18 @@ class TestLinearization:
     def test_heading_rows_and_gps_velocity_have_none(self):
         """A heading row, the IMU's with a magnetometer or GPS course, and
         GPS velocity keep the sigma-point update."""
-        heading = imu_orientation_model(True, 0.02, 15.09)
+        heading = imu_orientation_model(True, 0.02, 1e-3)
         for model in (heading,
-                      imu_stack(imu_raw_model(0.005, 0.05, 15.09), heading),
-                      gps_heading_model(0.04, 10.83),
-                      gps_velocity_model(0.3, 16.27)):
+                      imu_stack(imu_raw_model(0.005, 0.05, 1e-3), heading),
+                      gps_heading_model(0.04, 1e-3),
+                      gps_velocity_model(0.3, 1e-3)):
             assert model.linearize is None, model.name
 
 
 class TestZupt:
     def test_observes_all_velocity_axes(self):
         state = FilterState(velocity=np.array([0.1, -0.2, 0.05]))
-        model = zupt_model(0.01, 16.27)
+        model = zupt_model(0.01, 1e-3)
         assert np.allclose(h1(model, state), [0.1, -0.2, 0.05])
         assert np.allclose(model.r, np.eye(3) * 1e-4)
 
@@ -615,18 +642,18 @@ class TestZupt:
 #: the written-out measurement functions the linear models replaced, as
 #: (model, reference h)
 WRITTEN_OUT = [
-    (encoder_model(0.03, 0.03, 0.02, 11.34),
+    (encoder_model(0.03, 0.03, 0.02, 1e-3),
      lambda x: np.stack([x[:, 7], x[:, 8], x[:, 12] - x[:, 22]], axis=-1)),
-    (encoder_model(0.03, 0.03, 0.02, 11.34, b_ewz_enabled=False),
+    (encoder_model(0.03, 0.03, 0.02, 1e-3, b_ewz_enabled=False),
      lambda x: np.stack([x[:, 7], x[:, 8], x[:, 12]], axis=-1)),
-    (encoder_vz_model(0.05, 11.34), lambda x: x[:, 9:10]),
-    (stack(encoder_model(0.03, 0.03, 0.02, 11.34),
-           encoder_vz_model(0.05, 11.34)),
+    (encoder_vz_model(0.05, 1e-3), lambda x: x[:, 9:10]),
+    (stack(encoder_model(0.03, 0.03, 0.02, 1e-3),
+           encoder_vz_model(0.05, 1e-3)),
      lambda x: np.stack([x[:, 7], x[:, 8], x[:, 12] - x[:, 22], x[:, 9]],
                         axis=-1)),
-    (gps_position_model(np.eye(3), 16.27), lambda x: x[:, 0:3]),
-    (radar_velocity_model(0.1, 11.34), lambda x: x[:, 7:9]),
-    (zupt_model(0.01, 16.27), lambda x: x[:, 7:10]),
+    (gps_position_model(np.eye(3), 1e-3), lambda x: x[:, 0:3]),
+    (radar_velocity_model(0.1, 1e-3), lambda x: x[:, 7:9]),
+    (zupt_model(0.01, 1e-3), lambda x: x[:, 7:10]),
 ]
 
 
@@ -640,17 +667,21 @@ class TestLinearModels:
         assert np.array_equal(model.h(rows.T), reference(rows).T)
 
     def test_models_reading_the_quaternion_keep_a_function(self):
-        for model in (imu_raw_model(0.005, 0.05, 15.09),
-                      imu_orientation_model(False, 0.02, 15.09),
-                      gps_heading_model(0.04, 10.83),
-                      gps_velocity_model(0.3, 16.27),
-                      vslam_model(np.eye(6) * 0.01, 22.46)):
+        for model in (imu_raw_model(0.005, 0.05, 1e-3),
+                      imu_orientation_model(False, 0.02, 1e-3),
+                      gps_heading_model(0.04, 1e-3),
+                      gps_velocity_model(0.3, 1e-3),
+                      vslam_model(np.eye(6) * 0.01, 1e-3)):
             assert model.matrix is None, model.name
 
-    @pytest.mark.parametrize("gate", [0.0, -1.0, float("nan")])
-    def test_construction_rejects_a_gate_not_above_zero(self, gate):
-        with pytest.raises(ConfigError, match="^gates.gps_pos: "):
-            PipelineConfig({"gates.gps_pos": gate})
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan"), 1.5, 16.27])
+    def test_construction_rejects_a_gate_not_above_zero(self, p):
+        """A factory takes a false-alarm probability in (0, 1], not a
+        threshold, and so does the configuration."""
+        with pytest.raises(ValueError, match="false-alarm probability"):
+            gps_position_model(np.eye(3), p)
+        with pytest.raises(ConfigError, match="^gates.false_alarm: "):
+            PipelineConfig({"gates.false_alarm": p})
 
     def test_construction_rejects_bad_matrix(self):
         with pytest.raises(ValueError, match="shape"):
@@ -662,8 +693,8 @@ class TestLinearModels:
                              angular=np.array([True]))
 
     def test_stack_keeps_its_blocks_in_row_order(self):
-        enc = encoder_model(0.03, 0.03, 0.02, 11.34)
-        vz = encoder_vz_model(0.05, 11.34)
+        enc = encoder_model(0.03, 0.03, 0.02, 1e-3)
+        vz = encoder_vz_model(0.05, 1e-3)
         model = stack(enc, vz)
         assert model.name == "encoder" and model.dim == 4
         assert model.blocks[0] is enc and model.blocks[1] is vz
@@ -673,8 +704,8 @@ class TestLinearModels:
                                                 0.02**2, 0.05**2]))
 
     def test_block_r_is_a_view_of_the_stack_r(self):
-        enc = encoder_model(0.03, 0.03, 0.02, 11.34)
-        vz = encoder_vz_model(0.05, 11.34)
+        enc = encoder_model(0.03, 0.03, 0.02, 1e-3)
+        vz = encoder_vz_model(0.05, 1e-3)
         model = stack(enc, vz)
         assert enc.r.base is model.r and vz.r.base is model.r
         # assigning a block's R writes into the stack's, and so does a write
@@ -688,16 +719,16 @@ class TestLinearModels:
         with pytest.raises(ValueError, match="shape"):
             enc.r = np.eye(2)
         with pytest.raises(ValueError, match="stacked"):
-            stack(enc, radar_velocity_model(0.1, 11.34))
+            stack(enc, radar_velocity_model(0.1, 1e-3))
         # any other model's R is replaced, not written into
-        gps = gps_position_model(np.eye(3), 16.27)
+        gps = gps_position_model(np.eye(3), 1e-3)
         r = np.eye(3) * 2.0
         gps.r = r
         assert gps.r is r
 
     def test_sigma_stack_fills_its_rows_block_by_block(self, rng):
-        raw = imu_raw_model(0.005, 0.05, 15.09)
-        orient = imu_orientation_model(False, 0.02, 15.09)
+        raw = imu_raw_model(0.005, 0.05, 1e-3)
+        orient = imu_orientation_model(False, 0.02, 1e-3)
         model = stack(raw, orient)
         assert model.name == "imu_raw" and model.dim == 8
         assert model.matrix is None
@@ -712,8 +743,8 @@ class TestLinearModels:
                               np.vstack([raw.h(cols), orient.h(cols)]))
 
     def test_only_models_of_one_kind_stack(self):
-        enc = encoder_model(0.03, 0.03, 0.02, 11.34)
-        heading = gps_heading_model(0.04, 10.83)
+        enc = encoder_model(0.03, 0.03, 0.02, 1e-3)
+        heading = gps_heading_model(0.04, 1e-3)
         with pytest.raises(ValueError, match="all linear or none"):
             stack(enc, heading)
         with pytest.raises(ValueError, match="all linear or none"):
@@ -721,7 +752,7 @@ class TestLinearModels:
         with pytest.raises(ValueError):
             stack(enc)
         with pytest.raises(ValueError):
-            stack(stack(enc, encoder_vz_model(0.05, 11.34)), enc)
+            stack(stack(enc, encoder_vz_model(0.05, 1e-3)), enc)
         # blocks of the other kind are refused at construction
         with pytest.raises(ValueError, match="blocks"):
             MeasurementModel("sigma", 3, lambda x: x[7:10], np.eye(3),
@@ -739,17 +770,17 @@ class TestZeroInnovationProperty:
             vec[3:7] = random_unit_quat(rng)
             state = FilterState.from_vector(vec)
             for model in (
-                imu_raw_model(0.005, 0.05, 15.09),
-                imu_orientation_model(False, 0.02, 15.09),
-                imu_orientation_model(True, 0.02, 15.09),
-                encoder_model(0.03, 0.03, 0.02, 11.34),
-                encoder_vz_model(0.05, 11.34),
-                gps_position_model(np.eye(3), 16.27),
-                gps_heading_model(0.04, 10.83),
-                gps_velocity_model(0.3, 16.27),
-                radar_velocity_model(0.1, 11.34),
-                vslam_model(np.eye(6) * 0.01, 22.46),
-                zupt_model(0.01, 16.27),
+                imu_raw_model(0.005, 0.05, 1e-3),
+                imu_orientation_model(False, 0.02, 1e-3),
+                imu_orientation_model(True, 0.02, 1e-3),
+                encoder_model(0.03, 0.03, 0.02, 1e-3),
+                encoder_vz_model(0.05, 1e-3),
+                gps_position_model(np.eye(3), 1e-3),
+                gps_heading_model(0.04, 1e-3),
+                gps_velocity_model(0.3, 1e-3),
+                radar_velocity_model(0.1, 1e-3),
+                vslam_model(np.eye(6) * 0.01, 1e-3),
+                zupt_model(0.01, 1e-3),
             ):
                 z = h1(model, state)
                 assert np.allclose(h1(model, state) - z, 0.0)

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -28,9 +29,12 @@ from navfuse.pipeline import (
     FusionPipeline,
 )
 
-from conftest import enu_to_geodetic, rotation_distance, yaw_variance
+from conftest import (RETIRED_GATES, enu_to_geodetic, rotation_distance,
+                      yaw_variance)
 
 ORIGIN = EnuOrigin.from_geodetic(GeodeticCoord.from_degrees(45.0, -75.6, 80.0))
+#: the default GPS position gate, chi2(3) at false-alarm probability 1e-3
+GPS_GATE = 16.266236196
 
 
 def imu_at(stamp, gyro=(0, 0, 0), accel=None, orientation=None):
@@ -157,7 +161,7 @@ class TestBasics:
         """With every IMU update gated and ``ukf.q_omega`` at 1.0, omega's
         variance would pass 1.0 within a second and reach about 2 by the
         end; ``ukf.cap_omega_variance`` holds it at the cap."""
-        pipe = FusionPipeline(PipelineConfig({"gates.imu": 1e-12,
+        pipe = FusionPipeline(PipelineConfig({"gates.false_alarm": 1.0,
                                               "ukf.q_omega": 1.0}))
         reports = run(pipe, [imu_at(0.01 * k, gyro=(0.01, 0, 0))
                              for k in range(200)])
@@ -603,11 +607,15 @@ class TestConstruction:
         with pytest.raises(ConfigError, match="^coast.position_inflation: "):
             PipelineConfig({"coast.position_inflation": 0.5})
 
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("value", [0.0, -1.0, 1.5])
     @pytest.mark.parametrize("key", sorted(
-        k for k in DEFAULTS if k.startswith("gates.")))
+        k for k in DEFAULTS if k.startswith("gates.")) + sorted(RETIRED_GATES))
     def test_nonpositive_gate(self, key, value):
-        with pytest.raises(ConfigError, match=f"^{key}: "):
+        """The one gate key is a false-alarm probability, in (0, 1]; a
+        retired threshold key is refused as unknown."""
+        match = (re.escape(f"unknown configuration keys: [{key!r}]")
+                 if key in RETIRED_GATES else f"^{key}: ")
+        with pytest.raises(ConfigError, match=match):
             PipelineConfig({key: value})
 
 
@@ -1245,12 +1253,12 @@ class TestCoast:
         pipe = self._coasting()
         report = pipe.ingest(gps_at([0.5, 0, 0], 10.0))
         rec = report.updates[-1]
-        assert rec.threshold == pytest.approx(2.0 * 16.27)
+        assert rec.threshold == pytest.approx(2.0 * GPS_GATE)
         assert not pipe.coast.relax_armed
         # next fix back to the normal threshold
         pipe.ingest(imu_at(10.01))
         report2 = pipe.ingest(gps_at([0.5, 0, 0], 10.02))
-        assert report2.updates[-1].threshold == pytest.approx(16.27)
+        assert report2.updates[-1].threshold == pytest.approx(GPS_GATE)
 
     def test_too_old_fix_leaves_the_relaxed_gate_armed(self):
         """A fix 1.1 s late, older than a ring of 10 snapshots, is dropped
@@ -1261,7 +1269,7 @@ class TestCoast:
         assert report.dropped == "older than replay buffer"
         assert pipe.coast.relax_armed
         report = pipe.ingest(gps_at([0.5, 0, 0], 10.0))
-        assert report.updates[0].threshold == pytest.approx(2.0 * 16.27)
+        assert report.updates[0].threshold == pytest.approx(2.0 * GPS_GATE)
         assert not pipe.coast.relax_armed
 
     def test_entering_coast_drops_the_heading_anchor(self):
@@ -1633,7 +1641,8 @@ class TestFusionRouting:
     ])
     def test_heading_update_only_after_an_accepted_position(self, gate,
                                                             paths):
-        pipe = self._pipe(**{"gates.gps_pos": gate})
+        pipe = self._pipe()
+        pipe._gps_model.gate = gate
         # an anchor fix 3 m behind at 6 m/s, the filter 3 m behind it too:
         # both runs plan a heading update
         pipe._heading_anchor = (np.array([-3.0, 0.0]), 0.0, 2.0,
@@ -1882,6 +1891,10 @@ class TestLifecycle:
         # a NaN in x, or in P, which OpenBLAS's Cholesky factors
         (("session", "x"), edited_doc(_nan_first)),
         (("session", "cov"), edited_doc(_nan_first)),
+        # ZUPT held (the stream is at rest) without one of its readings,
+        # which the next IMU step's release test compares
+        (("session", "_last_encoder_speed"), lambda _: None),
+        (("session", "_last_imu_rate"), lambda _: None),
     ], ids=["root", "version_3", "version_8", "version_9", "missing",
             "state_shape", "state_list", "snapshot_state", "cov_shape",
             "garbled", "truncated", "payload_shape", "snapshot_z_length",
@@ -1900,7 +1913,8 @@ class TestLifecycle:
             "snapshot_order", "ring_over_capacity", "origin_range",
             "unknown_session_key", "anchor_quaternion_zero",
             "stamp_huge_int", "snapshot_gap",
-            "heading_anchor_variance_negative", "state_nan", "cov_nan"])
+            "heading_anchor_variance_negative", "state_nan", "cov_nan",
+            "zupt_held_without_speed", "zupt_held_without_rate"])
     def test_malformed_checkpoint_changes_nothing(self, tmp_path, keys,
                                                   value):
         path = tmp_path / "ckpt.json"
@@ -1908,6 +1922,7 @@ class TestLifecycle:
         run(pipe, stationary_stream(1.0, gps_rate=5.0))
         pipe.save_checkpoint(str(path))
         doc = json.loads(path.read_text())
+        assert doc["session"]["_zupt_active"] is True  # the stream rests
         if not keys:
             doc = value
         else:

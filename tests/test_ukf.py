@@ -377,8 +377,8 @@ class TestPredictedCloud:
         still = PropagationStep(0.01, np.zeros(STATE_DIM))
         x1, p1, cloud = predict(x, p, still, PARAMS,
                                 transition=lambda pts: pts)
-        model = stack(imu_raw_model(0.005, 0.05, 15.09),
-                      imu_orientation_model(False, 0.02, 15.09),
+        model = stack(imu_raw_model(0.005, 0.05, 1e-3),
+                      imu_orientation_model(False, 0.02, 1e-3),
                       h=partial(imu_cols, orient=2))
         z = imu_cols(x1[:, None], 2)[:, 0] + rng.normal(size=8) * 0.01
         fresh = update(x1, p1, z, model, PARAMS, cloud=draw(x1, p1, PARAMS))
@@ -464,24 +464,30 @@ class TestLinearizedUpdate:
 
 
 def linear_position_model(r_scalar=0.25, gate_threshold=1e12):
+    """A position model through ``h``, its gate set to ``gate_threshold``
+    over the one its false-alarm probability gives."""
     def h(states):
         return states[0:3]
 
-    return MeasurementModel("linear_pos", 3, h, np.eye(3) * r_scalar,
-                            gate_threshold)
+    model = MeasurementModel("linear_pos", 3, h, np.eye(3) * r_scalar, 1e-3)
+    model.gate = gate_threshold
+    return model
 
 
 def matrix_position_model(r_scalar=0.25, gate_threshold=1e12):
     """``linear_position_model`` declared by its matrix: closed form."""
-    return MeasurementModel("linear_pos", 3, np.eye(STATE_DIM)[:3],
-                            np.eye(3) * r_scalar, gate_threshold)
+    model = MeasurementModel("linear_pos", 3, np.eye(STATE_DIM)[:3],
+                             np.eye(3) * r_scalar, 1e-3)
+    model.gate = gate_threshold
+    return model
 
 
 class TestUpdate:
     def test_zero_innovation_keeps_state_shrinks_cov(self):
         x = FilterState().vector
         p = default_cov()
-        model = imu_raw_model(0.005, 0.05, 1e12)
+        model = imu_raw_model(0.005, 0.05, 1e-3)
+        model.gate = 1e12
         # recover the sigma-mean prediction so z equals z_hat exactly
         z_hat = np.asarray(model.h(x[:, None]))[:, 0]
         probe = update(x, p, z_hat, model, PARAMS)
@@ -557,7 +563,7 @@ class TestUpdate:
         def h(states):
             return np.zeros((2, states.shape[1]))
 
-        model = MeasurementModel("degenerate", 2, h, np.zeros((2, 2)), 10.0)
+        model = MeasurementModel("degenerate", 2, h, np.zeros((2, 2)), 1e-3)
         out = update(x, p, np.zeros(2), model, PARAMS)
         assert not out.accepted and out.records[0].reason == "singular"
         assert out.x is x
@@ -571,7 +577,8 @@ class TestUpdate:
             return states[10:13] - states[ENC_YAW_BIAS:ENC_YAW_BIAS + 1] * \
                 np.array([[0.0], [0.0], [1.0]])
 
-        model = MeasurementModel("enc_like", 3, h, np.eye(3) * 1e-4, 1e12)
+        model = MeasurementModel("enc_like", 3, h, np.eye(3) * 1e-4, 1e-3)
+        model.gate = 1e12
         z = np.array([0.0, 0.0, 0.02])
         free = update(x, p, z, model, PARAMS)
         frozen = update(x, p, z, model, PARAMS,
@@ -583,7 +590,7 @@ class TestUpdate:
 
     def test_angular_residual_wraps(self):
         from navfuse.measurements import gps_heading_model
-        model = gps_heading_model(0.05, 1e12)
+        model = gps_heading_model(0.05, 1e-3)
         from navfuse.core import euler_to_quat
         x = FilterState(quaternion=euler_to_quat(0, 0,
                                                  np.radians(-179.0))).vector
@@ -606,7 +613,7 @@ def degenerate_model():
     """A sigma-point model whose innovation covariance is singular."""
     return MeasurementModel(
         "degenerate", 2, lambda s: np.zeros((2, s.shape[1])),
-        np.zeros((2, 2)), 10.0)
+        np.zeros((2, 2)), 1e-3)
 
 
 class TestInputsUntouched:
@@ -623,13 +630,13 @@ class TestInputsUntouched:
     @pytest.mark.parametrize("z, model, frozen, reason", [
         ([0.1, 0.0, 0.0], linear_position_model(), None, "accepted"),
         ([0.1, 0.0, 0.0], matrix_position_model(), None, "accepted"),
-        ([0.1, 0.0, 0.0, 0.0], stack(encoder_model(0.03, 0.03, 0.02, 11.34),
-                                     encoder_vz_model(0.05, 11.34)),
+        ([0.1, 0.0, 0.0, 0.0], stack(encoder_model(0.03, 0.03, 0.02, 1e-3),
+                                     encoder_vz_model(0.05, 1e-3)),
          None, "accepted"),
-        ([500.0, 0.0, 0.0], matrix_position_model(0.01, 16.27), None,
+        ([500.0, 0.0, 0.0], matrix_position_model(0.01, 1e-3), None,
          "gated"),
         ([0.0, 0.0], degenerate_model(), None, "singular"),
-        ([0.1, 0.0, 0.02], encoder_model(0.03, 0.03, 0.02, 11.34),
+        ([0.1, 0.0, 0.02], encoder_model(0.03, 0.03, 0.02, 1e-3),
          slice(ENC_YAW_BIAS, STATE_DIM), "accepted"),
     ], ids=["sigma", "linear", "stacked", "gated", "singular", "frozen"])
     def test_update(self, z, model, frozen, reason):
@@ -647,7 +654,8 @@ def gate_through_update(nu, s, threshold):
     m = len(nu)
     p = default_cov()
     p[:m, :m] = 0.5 * s
-    model = MeasurementModel("pos", m, lambda x: x[:m], 0.5 * s, threshold)
+    model = MeasurementModel("pos", m, lambda x: x[:m], 0.5 * s, 1e-3)
+    model.gate = threshold
     out = update(FilterState().vector, p, nu, model, PARAMS)
     return out.accepted, out.records[0].d2
 
@@ -813,8 +821,8 @@ class TestEngineWork:
     ], ids=["both", "vz_only", "neither"])
     def test_stacked_update_solves_per_block_and_conditions_once(
             self, calls, z, accepted, whitenings):
-        model = stack(encoder_model(0.03, 0.03, 0.02, 11.34),
-                      encoder_vz_model(0.05, 11.34))
+        model = stack(encoder_model(0.03, 0.03, 0.02, 1e-3),
+                      encoder_vz_model(0.05, 1e-3))
         out = update(FilterState().vector, default_cov(), np.array(z), model,
                      PARAMS)
         assert [rec.accepted for rec in out.records] == accepted
@@ -908,12 +916,12 @@ class TestStackedUpdate:
             assert out.x is state and out.cov is cov
 
     def test_blocked_model_without_matrix_is_refused(self):
-        enc = encoder_model(0.03, 0.03, 0.02, 11.34)
+        enc = encoder_model(0.03, 0.03, 0.02, 1e-3)
         with pytest.raises(ValueError):
             MeasurementModel("sigma", 3, lambda x: x[7:10], np.eye(3),
                              1.0, blocks=(enc,))
         with pytest.raises(ValueError):
-            stack(enc, imu_raw_model(0.005, 0.05, 15.09))
+            stack(enc, imu_raw_model(0.005, 0.05, 1e-3))
 
 
 class TestClosedFormCovariance:
@@ -1037,10 +1045,10 @@ class TestStackedNoise:
     def test_raw_imu_model_alone_reads_its_own_r(self, rng):
         """The pipeline fuses the raw IMU rows alone when a sample has no
         orientation; stacked, the raw model's R is a view of the joint R."""
-        raw = imu_raw_model(0.005, 0.05, 15.09)
-        stack(raw, imu_orientation_model(False, 0.02, 15.09))
+        raw = imu_raw_model(0.005, 0.05, 1e-3)
+        stack(raw, imu_orientation_model(False, 0.02, 1e-3))
         raw.r = raw.r * 4.0
-        fresh = imu_raw_model(0.01, 0.1, 15.09)  # R four times as large
+        fresh = imu_raw_model(0.01, 0.1, 1e-3)  # R four times as large
         x, cov = FilterState().vector, default_cov()
         z = np.concatenate([[0.01, 0.0, -0.01], GRAVITY])
         out, want = (update(x, cov, z, m, PARAMS) for m in (raw, fresh))
@@ -1112,8 +1120,8 @@ class TestStackedSigmaUpdate:
         z = np.concatenate([[5.0, 0.0, 0.0], GRAVITY, z_orient])
         for joined, cloud in ((stack, draw(x, cov, PARAMS)),
                               (imu_stack, None)):
-            raw = imu_raw_model(0.005, 0.05, 15.09)
-            orient = imu_orientation_model(False, 0.02, 15.09)
+            raw = imu_raw_model(0.005, 0.05, 1e-3)
+            orient = imu_orientation_model(False, 0.02, 1e-3)
             out = update(x, cov, z, joined(raw, orient), PARAMS)
             alone = update(x, cov, z_orient, orient, PARAMS, cloud=cloud)
             assert [r.reason for r in out.records] == ["gated", "accepted"]

@@ -13,8 +13,10 @@ seed as the benchmark does: the simulated stream is written as stream text
 and parsed back, and every event goes through one ``FusionPipeline.ingest``.
 For each workload it prints the mean ATE over the seeds (aligned, as the
 benchmark's accuracy check computes it) with each seed's ATE, and for every
-update path, pooled over the seeds, the share of updates accepted and the
-mean NIS per degree of freedom (d2 / dim) of the accepted ones.  The last
+update path, pooled over the seeds, its gate (the smallest
+``UpdateRecord.threshold``, the gate unrelaxed), the share of updates
+accepted and the mean NIS per degree of freedom (d2 / dim) of the accepted
+ones.  The last
 line of standard output is the same result as one JSON object, which also
 holds the pipelines' diagnostic counters summed over the seeds.
 
@@ -26,7 +28,8 @@ buffer must give (ROADMAP item 1's oracle).
 as a second package, as ``tools/paired.py`` loads it, and each stream text
 is fed to both, each parsing it with its own reader.  Per workload it
 prints both mean ATEs and their ratio (change / base), and per path the
-change's acceptance and NIS per dof less the base's; the JSON holds each
+base's and the change's gate and the change's acceptance and NIS per dof
+less the base's; the JSON holds each
 tree's summary under ``base`` and ``change``, with ``ate_ratio`` and the
 per-path differences under ``delta``.
 
@@ -45,6 +48,7 @@ import dataclasses
 import importlib
 import io
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -119,12 +123,12 @@ def run_text(workload: workloads.Workload, truth, text: str,
              package=navfuse) -> dict:
     """One run of ``package``'s pipeline on stream ``text``, parsed by its
     own reader: its ATE against ``truth``, per path the updates tried, the
-    updates accepted and the sum of their d2 / dim, and the pipeline's
-    diagnostics."""
+    updates accepted, the sum of their d2 / dim and the smallest
+    threshold, and the pipeline's diagnostics."""
     events = importlib.import_module(f"{package.__name__}.events")
     pipe = package.FusionPipeline(package.PipelineConfig(workload.config))
     rows = []
-    tried, accepted, nis = Counter(), Counter(), Counter()
+    tried, accepted, nis, gate = Counter(), Counter(), Counter(), {}
     for event in events.read_stream(io.StringIO(text)):
         report = pipe.ingest(event)
         if report.kind == "imu" and report.dropped is None:
@@ -132,6 +136,7 @@ def run_text(workload: workloads.Workload, truth, text: str,
             rows.append([report.stamp, *s.position, *s.quaternion])
         for rec in report.updates:
             tried[rec.path] += 1
+            gate[rec.path] = min(gate.get(rec.path, math.inf), rec.threshold)
             if rec.accepted:
                 accepted[rec.path] += 1
                 nis[rec.path] += rec.d2 / rec.dim
@@ -140,25 +145,28 @@ def run_text(workload: workloads.Workload, truth, text: str,
                    TrajectoryEstimate(truth.stamps, truth.position,
                                       truth.quaternion), max_dt=0.02)
     return {"ate_m": ate, "tried": tried, "accepted": accepted, "nis": nis,
-            "diagnostics": pipe.diagnostics}
+            "gate": gate, "diagnostics": pipe.diagnostics}
 
 
 def summarize(runs: list[dict]) -> dict:
     """Mean ATE and each seed's, the pipelines' diagnostics summed over the
-    runs, and per path, pooled over the runs, the acceptance and the mean
-    NIS per dof of the accepted updates (None when none was accepted)."""
+    runs, and per path, pooled over the runs, the gate (the smallest
+    threshold), the acceptance and the mean NIS per dof of the accepted
+    updates (None when none was accepted)."""
     tried, accepted, nis = Counter(), Counter(), Counter()
-    diagnostics = Counter()
+    diagnostics, gate = Counter(), {}
     for run in runs:
         tried.update(run["tried"])
         accepted.update(run["accepted"])
         nis.update(run["nis"])
         diagnostics.update(run["diagnostics"])
+        for path, threshold in run["gate"].items():
+            gate[path] = min(gate.get(path, math.inf), threshold)
     return {
         "ate_mean_m": float(np.mean([run["ate_m"] for run in runs])),
         "ate_m": [run["ate_m"] for run in runs],
         "diagnostics": dict(sorted(diagnostics.items())),
-        "paths": {path: {"updates": tried[path],
+        "paths": {path: {"updates": tried[path], "gate": gate[path],
                          "accept_rate": accepted[path] / tried[path],
                          "nis_per_dof": (nis[path] / accepted[path]
                                          if accepted[path] else None)}
@@ -188,9 +196,12 @@ def print_comparison(name: str, result: dict) -> None:
     print(f"{name}: mean ATE base {base['ate_mean_m']:.4f} m, change "
           f"{change['ate_mean_m']:.4f} m, ratio {result['ate_ratio']:.4f}")
     for path, delta in result["delta"].items():
+        gates = [f"{side['paths'][path]['gate']:.2f}"
+                 if path in side["paths"] else "-" for side in (base, change)]
         cells = [f"{delta[key]:+.4f}" if delta[key] is not None else "-"
                  for key in ("accept_rate", "nis_per_dof")]
-        print(f"  {path:<16} accept {cells[0]:>8}  NIS/dof {cells[1]:>8}")
+        print(f"  {path:<16} gate {gates[0]:>6} -> {gates[1]:>6}  accept "
+              f"{cells[0]:>8}  NIS/dof {cells[1]:>8}")
 
 
 def main(argv=None) -> int:
@@ -238,7 +249,8 @@ def main(argv=None) -> int:
               "per seed " + " ".join(f"{a:.4f}" for a in summary["ate_m"]))
         for path, entry in summary["paths"].items():
             nis = entry["nis_per_dof"]
-            print(f"  {path:<16} updates {entry['updates']:>7}  accept "
+            print(f"  {path:<16} updates {entry['updates']:>7}  gate "
+                  f"{entry['gate']:6.2f}  accept "
                   f"{entry['accept_rate']:.4f}  NIS/dof "
                   + ("-" if nis is None else f"{nis:.4f}"))
     print(json.dumps(result))
